@@ -284,6 +284,9 @@ def _cmd_branch(st: RunSettings, args) -> int:
                 "norm_u2": float(np.abs(p.state.u2).max()),
                 "norm_pair": p.norm, "ds": p.ds,
                 "tangent_sign": p.tangent_lambda_sign,
+                "corrector_iterations": p.corrector_iterations,
+                "polish_iterations": p.polish_iterations,
+                "residual": p.residual,
                 "config_hash": st.config_hash,
             }
             fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -300,6 +303,8 @@ def _cmd_branch(st: RunSettings, args) -> int:
         "n_sign_flips": len(branch.fold_indices),
         "lambda_max": float(branch.lambdas().max()),
         "norm_max": float(branch.norms().max()),
+        "rejections": branch.rejections,
+        "last_rejection": branch.last_rejection,
     }
     _write_json(st.path("branch_summary.json"), summary)
     if args.dump_states > 0:
@@ -311,6 +316,12 @@ def _cmd_branch(st: RunSettings, args) -> int:
                  else "no fold")
     print(f"points={len(branch.points)} termination={branch.termination} "
           + fold_text)
+    if branch.termination != "lambda_floor":
+        print(f"error: branch stopped early ({branch.termination}) at "
+              f"lambda={_g(branch.points[-1].lam)} after {len(branch.points)} "
+              f"points; last rejection: {branch.last_rejection or 'none'}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

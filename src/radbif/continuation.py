@@ -2,29 +2,46 @@
 
 The branch leaves the trivial state at the bifurcation value, rises to a
 fold, and then descends toward the zero-parameter end where norms blow up.
-Tracing uses a secant predictor and a Newton corrector on the extended
-system {residual = 0, arclength constraint = 0}; the constraint is affine,
-so the corrector is an ordinary Newton method on a bordered banded matrix
-solved with two banded back-substitutions.
 
-The weighted metric (dU.dU)/dim + dlam^2 keeps the arclength parameter
-comparable between the state (many nodes) and the scalar parameter.
+The interior rows of the discrete system are linear with no source term,
+so every discrete solution is (t1 phi_h, t2 phi_h), where phi_h = v/v(R)
+is the unit-trace solution, v the unit-flux solution and mu_h = 1/v(R);
+both come from steklov_eigenpair.  The flux rows then reduce exactly to
+
+    mu_h t1 = lam f1(t2),    mu_h t2 = lam f2(t1),
+
+and tracing works on x = (t1, t2, lam): a secant predictor and a 3x3
+Newton corrector on these two rows plus the arclength row.  The weighted
+metric (dU.dU)/dim + dlam^2 of the full state U becomes
+w (dt1^2 + dt2^2) + dlam^2 with w = (phi_h.phi_h)/(2(M+1)), so step
+lengths and tangents are those of the full-space metric.
+
+Each corrected x is rebuilt as (t1 phi_h, t2 phi_h) and handed to the
+fixed-parameter full-space Newton solver.  Its iteration-0 residual is the
+independent re-check.  The rebuild rounds twice (phi_h, then the product),
+which can leave the full-space residual just above a tolerance near the
+representation floor eps*2/h^2; Newton then polishes the state in at most
+MAX_POLISH_ITER steps.  A polish that fails or ends non-positive rejects
+the step.
+
+The fold is located exactly: the root of det F_t = mu_h^2 - lam^2
+f1'(t2) f2'(t1) along the arclength between the points around the
+tangent sign flip, found by bisection with one corrector solve per
+evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError
 
 from .errors import ConfigError, ContinuationError, NonConvergenceError, StepOffError
 from .grid import RadialGrid, SystemState, pair_norm
-from .model import NonlinearityModel, f_extended, zeta
-from .solver import (NewtonConfig, is_positive_state, jacobian, newton_solve,
-                     residual, scaled_residual_norm)
+from .model import NonlinearityModel, f_extended, fprime_extended, zeta
+from .solver import NewtonConfig, NewtonResult, newton_solve
 from .steklov import SteklovPair, steklov_eigenpair
 
 __all__ = [
@@ -40,14 +57,20 @@ __all__ = [
 ]
 
 MAX_CORRECTOR_ITER = 12
+# Full-space Newton steps allowed when polishing a rebuilt point; one step
+# is the usual need, three the most seen.
+MAX_POLISH_ITER = 4
+# Bisection steps that locate the fold: they shrink the arclength bracket
+# by 2^-40 (about 1e-12), and lam is flat there, so its error is far less.
+FOLD_BISECTIONS = 40
 
 
 @dataclass(frozen=True)
 class ContinuationConfig:
     """Arclength stepping parameters.
 
-    ds doubles when the corrector needs <= 3 iterations and halves when it
-    needs >= 8 or fails, clipped to [ds_min, ds_max].  lambda_stop_low > 0
+    ds doubles when the corrector takes <= 3 Newton steps and halves when
+    it takes >= 8 or the step is rejected, clipped to [ds_min, ds_max].  lambda_stop_low > 0
     is the tail cutoff: the zero-parameter end is a bifurcation from
     infinity and is analyzed by rescaling, not chased to blow-up.
     """
@@ -76,11 +99,18 @@ class ContinuationConfig:
 
 @dataclass
 class BranchPoint:
+    """One accepted point.  residual is the full-space scaled residual of
+    state after the re-check and polish; the iteration counts are those of
+    the trace corrector and of the full-space polish."""
+
     lam: float
     state: SystemState
     norm: float
     tangent_lambda_sign: int
     ds: float
+    corrector_iterations: int = 0
+    polish_iterations: int = 0
+    residual: float = 0.0
 
 
 class FoldInfo(NamedTuple):
@@ -95,12 +125,16 @@ class Branch:
     termination is one of "lambda_floor", "max_points", "corrector_failure".
     fold_indices lists every tangent sign flip; more than one entry means
     the computed geometry is not a single fold and callers should look.
+    rejections counts rejected step attempts (each halves ds) and
+    last_rejection holds the reason for the latest one.
     """
 
     points: list = field(default_factory=list)
     fold: Optional[FoldInfo] = None
     termination: str = ""
     fold_indices: list = field(default_factory=list)
+    rejections: int = 0
+    last_rejection: str = ""
 
     def lambdas(self) -> np.ndarray:
         return np.array([p.lam for p in self.points])
@@ -117,86 +151,141 @@ def initial_tangent(model: NonlinearityModel, steklov_pair: SteklovPair) -> Syst
     return SystemState(phi / (1.0 + z), (z / (1.0 + z)) * phi)
 
 
-def _weighted_dist(u_a: np.ndarray, lam_a: float, u_b: np.ndarray,
-                   lam_b: float) -> float:
-    d = u_a - u_b
-    return math.sqrt(float(d @ d) / d.size + (lam_a - lam_b) ** 2)
+class _TraceSystem:
+    """The flux rows on x = (t1, t2, lam) for states (t1 phi_h, t2 phi_h).
+
+    metric holds the weights (w, w, 1) that make the trace metric equal the
+    full-space one.
+    """
+
+    def __init__(self, model: NonlinearityModel, eig: SteklovPair):
+        phi = eig.phi1
+        w = float(phi @ phi) / (2 * phi.size)
+        self.model = model
+        self.mu_h = eig.mu1
+        self.phi_h = phi
+        self.metric = np.array([w, w, 1.0])
+
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        t1, t2, lam = x
+        return np.array([self.mu_h * t1 - lam * f_extended(self.model, 1, t2),
+                         self.mu_h * t2 - lam * f_extended(self.model, 2, t1)])
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        """2x3 derivative of residual with respect to (t1, t2, lam)."""
+        t1, t2, lam = x
+        m = self.model
+        return np.array([
+            [self.mu_h, -lam * fprime_extended(m, 1, t2), -f_extended(m, 1, t2)],
+            [-lam * fprime_extended(m, 2, t1), self.mu_h, -f_extended(m, 2, t1)]])
+
+    def fold_det(self, x: np.ndarray) -> float:
+        """det of the (t1, t2) block; zero exactly at a fold."""
+        t1, t2, lam = x
+        return (self.mu_h ** 2 - lam ** 2 * fprime_extended(self.model, 1, t2)
+                * fprime_extended(self.model, 2, t1))
+
+    def dist(self, xa: np.ndarray, xb: np.ndarray) -> float:
+        d = xa - xb
+        return math.sqrt(float(self.metric @ (d * d)))
+
+    def state(self, x: np.ndarray) -> SystemState:
+        return SystemState(x[0] * self.phi_h, x[1] * self.phi_h)
+
+
+def _traces(point: BranchPoint) -> np.ndarray:
+    return np.array([point.state.u1[-1], point.state.u2[-1], point.lam])
 
 
 class _CorrectorFailure(Exception):
     pass
 
 
-def _corrector(grid, model, tau_u, tau_lam, anchor_u, anchor_lam, ds,
-               u0, lam0, tol, max_iter=MAX_CORRECTOR_ITER):
-    """Newton on {residual(U, lam) = 0, constraint = 0}.
+def _admissible(x: np.ndarray) -> bool:
+    return bool(x[2] > 0.0 and np.all(np.isfinite(x)))
 
-    constraint(U, lam) = ((U - anchor_u) . tau_u)/dim + (lam - anchor_lam)
-    tau_lam - ds.  The bordered linear system is solved with two banded
-    solves: z1 = J^{-1} F, z2 = J^{-1} F_lam, then dlam from the constraint
-    row and dU = -z1 - z2 dlam.
+
+def _corrector(ts: _TraceSystem, tau, anchor, ds, x0, tol,
+               max_iter=MAX_CORRECTOR_ITER):
+    """Newton on {flux rows = 0, constraint = 0} in x = (t1, t2, lam).
+
+    constraint(x) = (metric * tau) . (x - anchor) - ds.  Convergence uses
+    the full-space scaling: the flux rows over max(1, |t1|, |t2|), the sup
+    norms of the rebuilt state.  Once converged, one more step is taken:
+    it is free here and leaves x with rounding error only.  Returns x and
+    the number of Newton steps, that last one included.
     """
-    dim = anchor_u.size
-    M = grid.M
-    u = u0.copy()
-    lam = float(lam0)
+    row = ts.metric * tau
+    x = np.array(x0, dtype=float)
     for it in range(max_iter + 1):
-        if lam <= 0.0 or not np.isfinite(lam) or not np.all(np.isfinite(u)):
+        if not _admissible(x):
             raise _CorrectorFailure("iterate left the admissible region")
-        state = SystemState.from_vector(u)
-        res = residual(grid, model, lam, state)
-        con = float((u - anchor_u) @ tau_u) / dim + (lam - anchor_lam) * tau_lam - ds
-        rnorm = scaled_residual_norm(res, state)
-        if rnorm <= tol and abs(con) <= tol * max(1.0, abs(ds)):
-            return state, lam, it, rnorm
-        if it == max_iter:
+        res = ts.residual(x)
+        con = float(row @ (x - anchor)) - ds
+        rnorm = float(np.abs(res).max()) / max(1.0, abs(x[0]), abs(x[1]))
+        converged = rnorm <= tol and abs(con) <= tol * max(1.0, abs(ds))
+        if it == max_iter and not converged:
             raise _CorrectorFailure(f"no convergence in {max_iter} iterations")
-        jac = jacobian(grid, model, lam, state)
-        res_lam = np.zeros(dim)
-        res_lam[2 * M] = -f_extended(model, 1, float(state.u2[M]))
-        res_lam[2 * M + 1] = -f_extended(model, 2, float(state.u1[M]))
         try:
-            z1 = jac.solve(res)
-            z2 = jac.solve(res_lam)
-        except LinAlgError as exc:
-            raise _CorrectorFailure(f"singular bordered system: {exc}")
-        denom = tau_lam - float(tau_u @ z2) / dim
-        if not np.isfinite(denom) or denom == 0.0:
-            raise _CorrectorFailure("degenerate arclength constraint")
-        dlam = (float(tau_u @ z1) / dim - con) / denom
-        u = u - z1 - dlam * z2
-        lam = lam + dlam
+            step = x + np.linalg.solve(np.vstack([ts.jacobian(x), row]),
+                                       -np.append(res, con))
+        except np.linalg.LinAlgError as exc:
+            if not converged:
+                raise _CorrectorFailure(f"singular bordered system: {exc}")
+            step = x
+        if converged:
+            return (step if _admissible(step) else x), it + 1
+        x = step
     raise _CorrectorFailure("unreachable")
+
+
+def _polish(grid: RadialGrid, ts: _TraceSystem, x: np.ndarray,
+            cfg: NewtonConfig) -> NewtonResult:
+    """Rebuild x in full space and re-check it with newton_solve, whose
+    iteration-0 residual is the check and whose later steps polish."""
+    try:
+        result = newton_solve(grid, ts.model, float(x[2]), ts.state(x),
+                              replace(cfg, max_iter=MAX_POLISH_ITER))
+    except NonConvergenceError as exc:
+        raise _CorrectorFailure(f"full-space polish failed: {exc}")
+    if not result.positive:
+        raise _CorrectorFailure("corrected state not positive")
+    return result
 
 
 def step_off(grid: RadialGrid, model: NonlinearityModel, mu0: float,
              tangent: SystemState, eps: float,
-             cfg: ContinuationConfig = ContinuationConfig()) -> BranchPoint:
+             cfg: ContinuationConfig = ContinuationConfig(),
+             eig: Optional[SteklovPair] = None) -> BranchPoint:
     """First nontrivial point: amplitude eps along the kernel tangent.
 
-    The constraint fixes the component of the state along the tangent at
-    eps and leaves the parameter free, so the trivial state cannot satisfy
-    it and Newton must land on the bifurcating branch.
+    The constraint fixes the component of the traces along the tangent's
+    boundary values at eps and leaves the parameter free, so the trivial
+    state cannot satisfy it and Newton must land on the bifurcating
+    branch.  eig is the grid's eigenpair, computed when not given.
     """
     if not (0.0 < eps <= 0.1):
         raise ConfigError(f"step-off amplitude must lie in (0, 0.1], got {eps}")
-    tau_u = tangent.to_vector()
-    anchor = eps * tau_u
+    if eig is None:
+        eig = steklov_eigenpair(grid, tol=min(1e-10, cfg.newton.tol_residual))
+    ts = _TraceSystem(model, eig)
+    tau = np.array([tangent.u1[-1], tangent.u2[-1], 0.0])
+    anchor = eps * tau + np.array([0.0, 0.0, mu0])
     try:
-        state, lam, _, rnorm = _corrector(
-            grid, model, tau_u, 0.0, anchor, mu0, 0.0,
-            anchor, mu0, cfg.newton.tol_residual)
+        x, iters = _corrector(ts, tau, anchor, 0.0, anchor,
+                              cfg.newton.tol_residual)
+        result = _polish(grid, ts, x, cfg.newton)
     except _CorrectorFailure as exc:
         raise StepOffError(
             f"could not leave the trivial branch at eps={eps:g} ({exc}); "
             "try a larger amplitude")
-    if not is_positive_state(state):
-        raise StepOffError(
-            f"step-off at eps={eps:g} produced a non-positive state; "
-            "try a larger amplitude")
+    lam = float(x[2])
     sign = 1 if lam > mu0 else (-1 if lam < mu0 else 0)
-    return BranchPoint(lam=lam, state=state, norm=pair_norm(state),
-                       tangent_lambda_sign=sign, ds=eps)
+    return BranchPoint(lam=lam, state=result.state, norm=pair_norm(result.state),
+                       tangent_lambda_sign=sign, ds=eps,
+                       corrector_iterations=iters,
+                       polish_iterations=result.iterations,
+                       residual=result.residual_norm)
 
 
 def continue_branch(grid: RadialGrid, model: NonlinearityModel,
@@ -205,10 +294,11 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
     value through the fold toward the small-parameter tail.
 
     points[0] is the trivial anchor (norm 0) at lam = mu1/sigma; points[1]
-    comes from step_off; each later point is accepted only after an
-    independent residual re-check and a positivity check.
+    comes from step_off; each later point is accepted only after the
+    full-space re-check (and polish, if needed) and a positivity check.
     """
     eig = steklov_eigenpair(grid, tol=min(1e-10, cfg.newton.tol_residual))
+    ts = _TraceSystem(model, eig)
     sigma = math.sqrt(model.fp0_1 * model.fp0_2)
     mu0 = eig.mu1 / sigma
     tangent = initial_tangent(model, eig)
@@ -218,7 +308,7 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
         lam=mu0, state=SystemState.zero(grid), norm=0.0,
         tangent_lambda_sign=0, ds=0.0))
     try:
-        first = step_off(grid, model, mu0, tangent, cfg.eps_step_off, cfg)
+        first = step_off(grid, model, mu0, tangent, cfg.eps_step_off, cfg, eig)
     except StepOffError as exc:
         raise ContinuationError(f"first corrector step failed: {exc}",
                                 last_point=branch.points[0])
@@ -235,33 +325,23 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
         if len(branch.points) >= cfg.max_points:
             branch.termination = "max_points"
             break
-        prev = branch.points[-2]
-        u_last = last.state.to_vector()
-        u_prev = prev.state.to_vector()
-        wdist = _weighted_dist(u_last, last.lam, u_prev, prev.lam)
-        if wdist == 0.0:
+        x_last = _traces(last)
+        x_prev = _traces(branch.points[-2])
+        dist = ts.dist(x_last, x_prev)
+        if dist == 0.0:
             branch.termination = "corrector_failure"
             break
-        tau_u = (u_last - u_prev) / wdist
-        tau_lam = (last.lam - prev.lam) / wdist
+        tau = (x_last - x_prev) / dist
 
         accepted = None
         while True:
             try:
-                state, lam, iters, _ = _corrector(
-                    grid, model, tau_u, tau_lam, u_last, last.lam, ds,
-                    u_last + ds * tau_u, last.lam + ds * tau_lam, tol)
-                # Independent re-check; the corrector's own norm is not trusted.
-                re_norm = scaled_residual_norm(
-                    residual(grid, model, lam, state), state)
-                if re_norm > tol:
-                    raise _CorrectorFailure(
-                        f"re-verification failed ({re_norm:.3e})")
-                if not is_positive_state(state):
-                    raise _CorrectorFailure("corrected state not positive")
-                accepted = (state, lam, iters)
+                x, iters = _corrector(ts, tau, x_last, ds, x_last + ds * tau, tol)
+                accepted = (x, iters, _polish(grid, ts, x, cfg.newton))
                 break
-            except _CorrectorFailure:
+            except _CorrectorFailure as exc:
+                branch.rejections += 1
+                branch.last_rejection = str(exc)
                 if ds <= cfg.ds_min * (1.0 + 1e-12):
                     break
                 ds = max(0.5 * ds, cfg.ds_min)
@@ -269,12 +349,15 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
             branch.termination = "corrector_failure"
             break
 
-        state, lam, iters = accepted
+        x, iters, result = accepted
+        lam = float(x[2])
         dlam = lam - last.lam
         sign = last_sign if dlam == 0.0 else (1 if dlam > 0 else -1)
         branch.points.append(BranchPoint(
-            lam=lam, state=state, norm=pair_norm(state),
-            tangent_lambda_sign=sign, ds=ds))
+            lam=lam, state=result.state, norm=pair_norm(result.state),
+            tangent_lambda_sign=sign, ds=ds, corrector_iterations=iters,
+            polish_iterations=result.iterations,
+            residual=result.residual_norm))
         if sign != 0 and last_sign != 0 and sign != last_sign:
             branch.fold_indices.append(len(branch.points) - 1)
         if sign != 0:
@@ -285,12 +368,15 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
             ds = max(0.5 * ds, cfg.ds_min)
 
     branch.fold = detect_fold(branch)
+    if branch.fold is not None:
+        branch.fold = _exact_fold(ts, branch, branch.fold, tol)
     return branch
 
 
 def detect_fold(branch: Branch) -> Optional[FoldInfo]:
-    """Fold estimate from a 3-point quadratic fit of lam(s) around the
-    first tangent sign flip; None when the parameter is monotone."""
+    """Sampled fold: the largest parameter among the points around the
+    first tangent sign flip; None when the parameter is monotone.
+    continue_branch refines it to the exact discrete fold."""
     if not branch.points:
         return None
     flips = list(branch.fold_indices)
@@ -311,23 +397,47 @@ def detect_fold(branch: Branch) -> Optional[FoldInfo]:
     else:
         idx = [i for i in (k - 1, k, k + 1) if 0 <= i < n]
     best = max(idx, key=lambda i: branch.points[i].lam)
-    lam_best = branch.points[best].lam
-    if len(idx) < 3:
-        return FoldInfo(lam_bar=lam_best, index=best)
-    pts = [branch.points[i] for i in idx]
-    s = [0.0]
-    for a, b in zip(pts[:-1], pts[1:]):
-        s.append(s[-1] + _weighted_dist(a.state.to_vector(), a.lam,
-                                        b.state.to_vector(), b.lam))
-    lams = [p.lam for p in pts]
-    ca, cb, cc = np.polyfit(s, lams, 2)
-    if ca >= 0.0:
-        return FoldInfo(lam_bar=lam_best, index=best)
-    s_star = -cb / (2.0 * ca)
-    if not (s[0] <= s_star <= s[-1]):
-        return FoldInfo(lam_bar=lam_best, index=best)
-    lam_bar = float(np.polyval([ca, cb, cc], s_star))
-    return FoldInfo(lam_bar=lam_bar, index=best)
+    return FoldInfo(lam_bar=branch.points[best].lam, index=best)
+
+
+def _exact_fold(ts: _TraceSystem, branch: Branch, sampled: FoldInfo,
+                tol: float) -> FoldInfo:
+    """Root of det F_t on the arclength between the sampled fold point and
+    the neighbour across which det changes sign.
+
+    With anchor xa and secant tau towards xb, s in [0, |xb - xa|] is the
+    arclength parameter of the corrector; det is bisected in s with one
+    corrector solve per evaluation.  The sampled fold is kept when no
+    neighbour brackets a root or a solve fails.
+    """
+    k = sampled.index
+    xs = {i: _traces(branch.points[i]) for i in (k - 1, k, k + 1)
+          if 1 <= i < len(branch.points)}
+    dets = {i: ts.fold_det(x) for i, x in xs.items()}
+    pair = next(((a, b) for a, b in ((k - 1, k), (k, k + 1))
+                 if a in dets and b in dets and dets[a] * dets[b] <= 0.0), None)
+    if pair is None:
+        return sampled
+    xa, xb = xs[pair[0]], xs[pair[1]]
+    length = ts.dist(xa, xb)
+    tau = (xb - xa) / length
+    lo, hi = 0.0, length
+    positive_lo = dets[pair[0]] > 0.0
+    x = xa
+    try:
+        for _ in range(FOLD_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            x, _ = _corrector(ts, tau, xa, mid, xa + mid * tau, tol)
+            det = ts.fold_det(x)
+            if det == 0.0:
+                break
+            if (det > 0.0) == positive_lo:
+                lo = mid
+            else:
+                hi = mid
+    except _CorrectorFailure:
+        return sampled
+    return FoldInfo(lam_bar=float(x[2]), index=k)
 
 
 def solutions_at(branch: Branch, lam: float, grid: RadialGrid,

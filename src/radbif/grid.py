@@ -13,6 +13,7 @@ symmetry, so no surface quadrature appears anywhere in the toolkit.
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,8 +133,22 @@ def boundary_flux(grid: RadialGrid, u: np.ndarray) -> float:
     return float((3.0 * u[M] - 4.0 * u[M - 1] + u[M - 2]) / (2.0 * grid.h))
 
 
-@functools.lru_cache(maxsize=64)
-def _bands_cached(grid: RadialGrid, trace_coeff: float) -> np.ndarray:
+def cache_per_grid(fn):
+    """Memoize fn(grid) for as long as the grid object lives, so assembled
+    bands are built once per grid and freed with it."""
+    cache = weakref.WeakKeyDictionary()
+
+    @functools.wraps(fn)
+    def cached(grid):
+        if grid not in cache:
+            cache[grid] = fn(grid)
+        return cache[grid]
+
+    return cached
+
+
+@cache_per_grid
+def _bands_cached(grid: RadialGrid) -> np.ndarray:
     M, h, N = grid.M, grid.h, grid.N_dim
     ab = np.zeros((4, M + 1))  # (l, u) = (2, 1): rows super, diag, sub, sub2
     ab[1, 0] = 2.0 * N / h**2 + 1.0
@@ -145,18 +160,25 @@ def _bands_cached(grid: RadialGrid, trace_coeff: float) -> np.ndarray:
     ab[0, j + 1] = -1.0 / h**2 - (N - 1) / (2.0 * h * rj)
     ab[3, M - 2] = 1.0 / (2.0 * h)
     ab[2, M - 1] = -2.0 / h
-    ab[1, M] = 3.0 / (2.0 * h) - trace_coeff
+    ab[1, M] = 3.0 / (2.0 * h)
     ab.flags.writeable = False
     return ab
 
 
-def operator_bands(grid: RadialGrid, trace_coeff: float = 0.0) -> np.ndarray:
+@cache_per_grid
+def _bands_extended(grid: RadialGrid) -> np.ndarray:
+    """Extended-precision copy of _bands_cached for banded_matvec_extended."""
+    ab = _bands_cached(grid).astype(np.longdouble)
+    ab.flags.writeable = False
+    return ab
+
+
+def operator_bands(grid: RadialGrid) -> np.ndarray:
     """Banded storage (l, u) = (2, 1) of the single-component system.
 
-    Rows 0..M-1 are apply_operator; the last row is the flux stencil minus
-    trace_coeff times the boundary value, i.e. u'(R) - trace_coeff * u(R).
+    Rows 0..M-1 are apply_operator; the last row is the flux stencil u'(R).
     """
-    return _bands_cached(grid, float(trace_coeff))
+    return _bands_cached(grid)
 
 
 def banded_matvec_extended(ab: np.ndarray, n_upper: int, x: np.ndarray) -> np.ndarray:
@@ -167,9 +189,11 @@ def banded_matvec_extended(ab: np.ndarray, n_upper: int, x: np.ndarray) -> np.nd
     algebraic residual of the double system instead of drowning it in
     cancellation noise at the 1/h^2 row scale.  On platforms where
     longdouble aliases double this degrades gracefully to a plain matvec.
+    ab may already be an extended-precision copy; the solvers cache one per
+    grid so that the conversion is not repeated on every call.
     """
     n = x.size
-    ab_e = ab.astype(np.longdouble)
+    ab_e = ab if ab.dtype == np.longdouble else ab.astype(np.longdouble)
     x_e = x.astype(np.longdouble)
     y = np.zeros(n, dtype=np.longdouble)
     for k in range(ab.shape[0]):
@@ -181,8 +205,8 @@ def banded_matvec_extended(ab: np.ndarray, n_upper: int, x: np.ndarray) -> np.nd
     return y
 
 
-def solve_flux_bvp(grid: RadialGrid, flux: float, trace_coeff: float = 0.0) -> np.ndarray:
-    """Solve -v'' - ((N-1)/r) v' + v = 0 with v'(R) - trace_coeff v(R) = flux.
+def solve_flux_bvp(grid: RadialGrid, flux: float) -> np.ndarray:
+    """Solve -v'' - ((N-1)/r) v' + v = 0 with v'(R) = flux.
 
     Banded LU via LAPACK plus one iterative-refinement pass with an
     extended-precision residual, which brings the forward error down to
@@ -190,11 +214,11 @@ def solve_flux_bvp(grid: RadialGrid, flux: float, trace_coeff: float = 0.0) -> n
     interior rows, so the factorization is stable at any resolution used
     here.
     """
-    ab = operator_bands(grid, trace_coeff)
+    ab = operator_bands(grid)
     rhs = np.zeros(grid.M + 1)
     rhs[grid.M] = flux
     v = solve_banded((2, 1), ab, rhs, check_finite=False)
-    r = banded_matvec_extended(ab, 1, v)
+    r = banded_matvec_extended(_bands_extended(grid), 1, v)
     r[grid.M] -= np.longdouble(flux)
     dv = solve_banded((2, 1), ab, np.asarray(r, dtype=float), check_finite=False)
     return v - dv

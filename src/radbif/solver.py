@@ -14,7 +14,6 @@ actually resolve once state amplitudes grow.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -22,8 +21,8 @@ import numpy as np
 from scipy.linalg import LinAlgError, solve_banded
 
 from .errors import CollapsedToZeroError, ConfigError, NonConvergenceError
-from .grid import (RadialGrid, SystemState, banded_matvec_extended, pair_norm,
-                   solve_flux_bvp)
+from .grid import (RadialGrid, SystemState, banded_matvec_extended,
+                   cache_per_grid, pair_norm, solve_flux_bvp)
 from .model import NonlinearityModel, f_extended, fprime_extended
 
 __all__ = [
@@ -140,13 +139,13 @@ def _pair_residual(grid: RadialGrid, state: SystemState, g1, g2) -> np.ndarray:
     scaled norm even at blow-up-tail amplitudes, where plain double
     accumulation drowns below roughly 2e-10 at the 1/h^2 row scale."""
     M = grid.M
-    out = banded_matvec_extended(_pair_bands_base(grid), 2, state.to_vector())
+    out = banded_matvec_extended(_pair_bands_extended(grid), 2, state.to_vector())
     out[2 * M] -= np.longdouble(g1(float(state.u2[M])))
     out[2 * M + 1] -= np.longdouble(g2(float(state.u1[M])))
     return np.asarray(out, dtype=float)
 
 
-@functools.lru_cache(maxsize=64)
+@cache_per_grid
 def _pair_bands_base(grid: RadialGrid) -> np.ndarray:
     """State-independent part of the interleaved Jacobian, (l, u) = (4, 2)."""
     M, h, N = grid.M, grid.h, grid.N_dim
@@ -170,6 +169,14 @@ def _pair_bands_base(grid: RadialGrid) -> np.ndarray:
         ab[6, g - 4] = 1.0 / (2.0 * h)
         ab[4, g - 2] = -2.0 / h
         ab[2, g] = 3.0 / (2.0 * h)
+    ab.flags.writeable = False
+    return ab
+
+
+@cache_per_grid
+def _pair_bands_extended(grid: RadialGrid) -> np.ndarray:
+    """Extended-precision copy of _pair_bands_base for the residual."""
+    ab = _pair_bands_base(grid).astype(np.longdouble)
     ab.flags.writeable = False
     return ab
 

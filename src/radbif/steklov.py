@@ -2,8 +2,9 @@
 
 The discrete problem is A phi = mu B phi where A carries the operator rows
 plus the flux row and B selects the boundary value in the flux row.  B has
-rank one, so the problem has a single finite eigenvalue and inverse iteration
-on the shifted flux system lands on it essentially immediately.
+rank one, so the problem has a single finite eigenvalue, and one solve gives
+it in closed form: with v the unit-flux solution (A v = e_M),
+A v = (1/v(R)) B v, so mu1 = 1/v(R) and phi1 = v/v(R).
 
 steklov_shooting_oracle integrates the regular radial solution of
 g'' + ((N-1)/r) g' - g = 0 with adaptive fourth-order steps (series start
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonConvergenceError, NumericalError
+from .errors import ConfigError, NumericalError
 from .grid import RadialGrid, apply_operator, boundary_flux, solve_flux_bvp
 
 __all__ = ["SteklovPair", "steklov_eigenpair", "steklov_shooting_oracle"]
@@ -36,42 +37,23 @@ class SteklovPair:
     phi1: np.ndarray
     residual_interior: float
     residual_flux: float
-    iterations: int
 
 
-def steklov_eigenpair(grid: RadialGrid, tol: float = 1e-10,
-                      sigma_shift: float = 0.0, max_iter: int = 50) -> SteklovPair:
+def steklov_eigenpair(grid: RadialGrid, tol: float = 1e-10) -> SteklovPair:
     """Smallest mu with a positive solution of the flux eigenvalue problem.
 
-    Inverse iteration on the shifted flux system: each sweep solves the
-    linear problem with boundary row u'(R) - sigma_shift u(R) = previous
-    boundary value, and the eigenvalue estimate is the boundary-value ratio
-    plus the shift.  Because the right-hand side projects onto a single
-    direction, two sweeps already agree to rounding.
+    One banded solve of the unit-flux problem v'(R) = 1 gives the pair:
+    mu1 = 1/v(R) and phi1 = v/v(R), which peaks at the boundary.  tol
+    bounds the backward errors checked on the result.
     """
     if not 0 < tol <= 1e-4:
         raise ConfigError(f"eigenvalue tolerance must lie in (0, 1e-4], got {tol}")
     M = grid.M
-    w = np.ones(M + 1)
-    mu_prev = None
-    mu = None
-    for it in range(1, max_iter + 1):
-        w_new = solve_flux_bvp(grid, w[M], trace_coeff=sigma_shift)
-        if w_new[M] == 0.0:
-            raise NumericalError("inverse iteration hit a zero boundary value")
-        mu = sigma_shift + w[M] / w_new[M]
-        amax = w_new.max()
-        if amax <= 0.0:
-            raise NumericalError("inverse iteration lost positivity")
-        w = w_new / amax
-        if mu_prev is not None and abs(mu - mu_prev) <= tol * max(1.0, abs(mu)):
-            break
-        mu_prev = mu
-    else:
-        raise NonConvergenceError(
-            f"eigenvalue iteration did not settle in {max_iter} sweeps",
-            last_state=w)
-    phi = w
+    v = solve_flux_bvp(grid, 1.0)
+    if not v[M] > 0.0:
+        raise NumericalError("unit-flux solution has a nonpositive boundary value")
+    mu = 1.0 / v[M]
+    phi = v / v[M]
     if phi.min() <= 0.0:
         raise NumericalError("computed eigenfunction is not strictly positive")
     h = grid.h
@@ -81,7 +63,7 @@ def steklov_eigenpair(grid: RadialGrid, tol: float = 1e-10,
         raise NumericalError(
             f"eigen-residual too large: interior {res_int:.3g}, flux {res_flx:.3g}")
     return SteklovPair(mu1=float(mu), phi1=phi, residual_interior=res_int,
-                       residual_flux=res_flx, iterations=it)
+                       residual_flux=res_flx)
 
 
 def _series_start(N: int, r0: float):

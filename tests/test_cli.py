@@ -6,12 +6,14 @@ checks the installed console script.  Exit code convention: 0 success,
 1 numerical failure, 2 configuration error.
 """
 
+import dataclasses
 import json
 import shutil
 import subprocess
 
 import pytest
 
+from radbif import cli, continue_branch
 from radbif.cli import run
 
 LAMBDA_MID = 0.3231227939747531
@@ -179,6 +181,29 @@ def test_branch_artifacts_and_determinism(tmp_path, capsys):
     assert summary["n_points"] == len(records)
     assert summary["fold_lambda"] == pytest.approx(0.333210, abs=5e-4)
     assert summary["n_sign_flips"] == 1
+    assert summary["rejections"] >= 0 and "last_rejection" in summary
+    for r in records[1:]:
+        assert r["corrector_iterations"] >= 1
+        assert r["polish_iterations"] >= 0
+        assert r["residual"] <= 1e-10
+
+
+def test_branch_truncated_run_fails_loudly(tmp_path, capsys, monkeypatch):
+    def truncated(st):
+        return continue_branch(st.grid, st.model,
+                               dataclasses.replace(st.cont, max_points=5))
+
+    monkeypatch.setattr(cli, "_run_branch", truncated)
+    out = tmp_path / "out"
+    assert run(["branch", "--override", "grid.M=128",
+                "--override", f"out.dir={out}"]) == 1
+    err = capsys.readouterr().err
+    assert "max_points" in err
+    # the artifacts of the truncated run are still written
+    summary = json.loads((out / "branch_summary.json").read_text())
+    assert summary["termination"] == "max_points"
+    assert summary["n_points"] == 5
+    assert len(_lines(out / "branch.jsonl")) == 5
 
 
 def test_branch_state_dumps(tmp_path, capsys):

@@ -2,7 +2,8 @@
 
 The session branch fixture is the reference continuation run at M = 512;
 its fold location is checked against the independent trace-system value
-0.33320994441151214 computed from the discrete eigenvalue reduction.
+0.33320994441151214 computed from the discrete eigenvalue reduction, and
+every branch point against the trace-system oracle in conftest.
 """
 
 import math
@@ -10,11 +11,15 @@ import math
 import numpy as np
 import pytest
 
+from conftest import trace_system_solve
 from radbif import (Branch, BranchPoint, ConfigError, ContinuationConfig,
                     NewtonConfig, StepOffError, SystemState, build_grid,
-                    continue_branch, detect_fold, initial_tangent, linear_model,
-                    quadratic_model, residual, scaled_residual_norm,
-                    solutions_at, steklov_eigenpair, step_off)
+                    continue_branch, detect_fold, eval_f, eval_fprime,
+                    initial_tangent, linear_model, quadratic_model, residual,
+                    scaled_residual_norm, solutions_at, steklov_eigenpair,
+                    step_off)
+from radbif.continuation import (MAX_CORRECTOR_ITER, MAX_POLISH_ITER,
+                                  _TraceSystem)
 
 LAMBDA_BAR_512 = 0.33320994441151214  # trace-system fold at M = 512
 LAMBDA_MID = 0.3231227939747531
@@ -89,8 +94,53 @@ def test_branch_structure_and_termination(ref_branch, mu0_ref):
 
 
 def test_branch_fold_matches_trace_system(ref_branch, mu0_ref):
-    assert ref_branch.fold.lam_bar == pytest.approx(LAMBDA_BAR_512, abs=1e-4)
+    assert ref_branch.fold.lam_bar == pytest.approx(LAMBDA_BAR_512, abs=1e-10)
     assert ref_branch.fold.lam_bar > mu0_ref  # strictly right of mu0
+    # the fold is the true maximum: no computed point lies above it
+    assert ref_branch.lambdas().max() <= LAMBDA_BAR_512
+
+
+def test_trace_jacobian_matches_central_differences(ref_model, eig512):
+    ts = _TraceSystem(ref_model, eig512)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        x = np.array([*rng.uniform(0.01, 50.0, 2), rng.uniform(0.01, 0.5)])
+        fd = np.empty((2, 3))
+        for j in range(3):
+            delta = 1e-6 * max(1.0, abs(x[j]))
+            xp, xm = x.copy(), x.copy()
+            xp[j] += delta
+            xm[j] -= delta
+            fd[:, j] = (ts.residual(xp) - ts.residual(xm)) / (2.0 * delta)
+        jac = ts.jacobian(x)
+        assert np.abs(jac - fd).max() <= 1e-6 * max(1.0, np.abs(jac).max())
+
+
+def test_branch_traces_solve_the_trace_system(ref_branch, ref_model,
+                                              mu_h512):
+    for p in ref_branch.points[1:]:
+        lam = p.lam
+        t1, t2 = float(p.state.u1[-1]), float(p.state.u2[-1])
+        got = trace_system_solve(
+            mu_h512,
+            lambda t: lam * eval_f(ref_model, 1, t),
+            lambda t: lam * eval_f(ref_model, 2, t),
+            lambda t: lam * eval_fprime(ref_model, 1, t),
+            lambda t: lam * eval_fprime(ref_model, 2, t), t1, t2)
+        scale = max(1.0, t1, t2)
+        assert abs(got[0] - t1) <= 1e-10 * scale
+        assert abs(got[1] - t2) <= 1e-10 * scale
+
+
+def test_branch_records_diagnostics(ref_branch, branch_cfg):
+    tol = branch_cfg.newton.tol_residual
+    for p in ref_branch.points[1:]:
+        # the count includes the refinement step taken after convergence
+        assert 1 <= p.corrector_iterations <= MAX_CORRECTOR_ITER + 1
+        assert 0 <= p.polish_iterations <= MAX_POLISH_ITER
+        assert 0.0 <= p.residual <= tol
+    # every rejected attempt is counted and the latest keeps its reason
+    assert (ref_branch.rejections > 0) == bool(ref_branch.last_rejection)
 
 
 def test_branch_respects_nonexistence_bound(ref_branch, ref_model, eig512):
@@ -166,8 +216,8 @@ def test_detect_fold_finds_sign_flip():
     b = _synthetic_branch([0.30, 0.32, 0.33, 0.32, 0.29], [1, 1, 1, -1, -1])
     info = detect_fold(b)
     assert info is not None
-    # the fitted vertex sits at or above the largest sampled parameter
-    assert info.lam_bar >= 0.33 - 1e-12
+    # the sampled fold is the largest parameter around the flip
+    assert info.lam_bar == 0.33
     assert b.points[info.index].lam == 0.33
 
 

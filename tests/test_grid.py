@@ -144,6 +144,9 @@ def test_banded_matvec_extended_matches_dense():
             dense[i, j] = ab[n_upper + i - j, j]
     got = np.asarray(banded_matvec_extended(ab, n_upper, x), dtype=float)
     np.testing.assert_allclose(got, dense @ x, rtol=0, atol=1e-13)
+    # a pre-converted extended copy of the bands gives the same bits
+    same = banded_matvec_extended(ab.astype(np.longdouble), n_upper, x)
+    np.testing.assert_array_equal(same, banded_matvec_extended(ab, n_upper, x))
 
 
 def test_banded_matvec_extended_beats_double_cancellation():

@@ -10,8 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from radbif import (ConfigError, build_grid, steklov_eigenpair,
-                    steklov_shooting_oracle)
+from radbif import (ConfigError, build_grid, solve_flux_bvp,
+                    steklov_eigenpair, steklov_shooting_oracle)
 
 
 def mu1_closed(R):
@@ -41,7 +41,13 @@ def test_eigenfunction_normalization_positivity_monotonicity(eig512):
 def test_eigenpair_residuals_are_small(eig512):
     assert eig512.residual_interior < 1e-10
     assert eig512.residual_flux < 1e-10
-    assert eig512.iterations <= 10
+
+
+def test_eigenpair_is_the_unit_flux_solution(grid512, eig512, mu_h512):
+    # one solve: mu1 = 1/v(R), phi1 = v/v(R), the mu_h of the trace system
+    v = solve_flux_bvp(grid512, 1.0)
+    assert eig512.mu1 == mu_h512 == 1.0 / v[-1]
+    np.testing.assert_array_equal(eig512.phi1, v / v[-1])
 
 
 def test_grid_convergence_order():
