@@ -17,7 +17,7 @@ from .analysis import (BifurcationReport, Direction, JordanData, RescaleTable,
 from .continuation import (Branch, BranchPoint, ContinuationConfig, FoldInfo,
                            continue_branch, detect_fold, initial_tangent,
                            solutions_at, step_off)
-from .errors import (CollapsedToZeroError, ConfigError, ContinuationError,
+from .errors import (ConfigError, ContinuationError,
                      DistinctnessError, EstimationFailedError,
                      InsufficientDataError, MonotonicityViolationError,
                      NonConvergenceError, NumericalError, StepOffError,
@@ -37,7 +37,7 @@ from .solver import (POSITIVITY_REL_FLOOR, POSITIVITY_ZERO_FLOOR,
                      BandedMatrix, NewtonConfig, NewtonResult,
                      is_positive_state, jacobian, linear_bvp_solve,
                      newton_solve, residual, scaled_residual_norm,
-                     solve_limit_from_eigenfunction, solve_limit_problem)
+                     solve_limit_problem)
 from .steklov import SteklovPair, steklov_eigenpair, steklov_shooting_oracle
 from .verify import CheckOutcome, format_table, run_acceptance
 
@@ -61,8 +61,7 @@ __all__ = [
     "NewtonConfig", "NewtonResult", "BandedMatrix", "is_positive_state",
     "POSITIVITY_REL_FLOOR", "POSITIVITY_ZERO_FLOOR",
     "residual", "jacobian", "newton_solve", "linear_bvp_solve",
-    "solve_limit_problem", "solve_limit_from_eigenfunction",
-    "scaled_residual_norm",
+    "solve_limit_problem", "scaled_residual_norm",
     # continuation
     "ContinuationConfig", "BranchPoint", "FoldInfo", "Branch",
     "initial_tangent", "step_off", "continue_branch", "detect_fold",
@@ -78,7 +77,7 @@ __all__ = [
     "CheckOutcome", "run_acceptance", "format_table",
     # errors
     "ToolkitError", "ConfigError", "NumericalError", "NonConvergenceError",
-    "EstimationFailedError", "CollapsedToZeroError", "StepOffError",
+    "EstimationFailedError", "StepOffError",
     "ContinuationError", "SubsolutionError", "MonotonicityViolationError",
     "DistinctnessError", "InsufficientDataError",
 ]

@@ -136,18 +136,15 @@ def direction_of_bifurcation(model: NonlinearityModel) -> Direction:
     return Direction.INDETERMINATE
 
 
-def slope_prediction(model: NonlinearityModel, steklov_pair: SteklovPair,
-                     grid: RadialGrid | None = None):
+def slope_prediction(model: NonlinearityModel, steklov_pair: SteklovPair):
     """Predicted limit of (mu0 - lam) / pair_norm^(nu-1) along the branch
     as the norm vanishes: (mu0/sigma) * R0 * phi1(R)^(nu-1).
 
     On a ball with the sup-normalized radial eigenfunction the surface
-    integral ratio collapses to phi1(R)^(nu-1) = 1; the grid argument is
-    accepted for interface symmetry and not consulted.  When the combined
+    integral ratio collapses to phi1(R)^(nu-1) = 1.  When the combined
     remainder bounds differ beyond 1e-12 the (lower, upper) endpoints are
     returned instead of a single value.
     """
-    del grid
     lo, hi = r0_bounds(model)
     sig = math.sqrt(model.fp0_1 * model.fp0_2)
     mu0 = steklov_pair.mu1 / sig
@@ -258,5 +255,5 @@ def build_report(grid: RadialGrid, model: NonlinearityModel,
         theta1=th1, theta2=th2,
         K_bound=nonexistence_bound(model, eig.mu1),
         direction=direction_of_bifurcation(model),
-        slope_predicted=slope_prediction(model, eig, grid),
+        slope_predicted=slope_prediction(model, eig),
         slope_fitted=fitted, r0_under=lo, r0_over=hi)

@@ -25,7 +25,7 @@ from .model import (NonlinearityModel, linear_model, polynomial_model,
                     quadratic_model, reference_model)
 from .monotone import second_solution
 from .solver import (NewtonConfig, newton_solve, residual,
-                     scaled_residual_norm, solve_limit_from_eigenfunction)
+                     scaled_residual_norm, solve_limit_problem)
 from .steklov import steklov_eigenpair
 from . import verify as verify_mod
 
@@ -251,10 +251,7 @@ def _cmd_solve(st: RunSettings, args) -> int:
 
 
 def _cmd_limit(st: RunSettings, args) -> int:
-    eig = steklov_eigenpair(st.grid, tol=st.newton.tol_residual)
-    result = solve_limit_from_eigenfunction(st.grid, st.model, eig.phi1,
-                                            cfg=st.newton)
-    w = result.state
+    w, res = solve_limit_problem(st.grid, st.model)
     save_state_csv(st.path("limit.csv"), st.grid, w,
                    comment=f"config={st.config_hash} pure-power limit")
     payload = {
@@ -262,8 +259,7 @@ def _cmd_limit(st: RunSettings, args) -> int:
         "sup_w1": float(np.abs(w.u1).max()),
         "sup_w2": float(np.abs(w.u2).max()),
         "trace_w1": float(w.u1[-1]), "trace_w2": float(w.u2[-1]),
-        "norm_pair": pair_norm(w), "iterations": result.iterations,
-        "residual": result.residual_norm,
+        "norm_pair": pair_norm(w), "residual": res,
     }
     _write_json(st.path("limit.json"), payload)
     print(f"sup_w1={_g(payload['sup_w1'])} sup_w2={_g(payload['sup_w2'])}")
@@ -355,10 +351,8 @@ def _cmd_multiplicity(st: RunSettings, args) -> int:
 
 def _cmd_rescale_check(st: RunSettings, args) -> int:
     branch = _run_branch(st)
-    eig = steklov_eigenpair(st.grid, tol=st.newton.tol_residual)
-    limit = solve_limit_from_eigenfunction(st.grid, st.model, eig.phi1,
-                                           cfg=st.newton)
-    table = rescale_check(branch, theta_exponents(st.model), limit.state)
+    limit, _ = solve_limit_problem(st.grid, st.model)
+    table = rescale_check(branch, theta_exponents(st.model), limit)
     with open(st.path("rescale.csv"), "w", encoding="utf-8") as fh:
         fh.write(f"# config={st.config_hash}\n")
         fh.write("lambda,ratio1,ratio2\n")
@@ -446,3 +440,7 @@ def run(argv) -> int:
 
 def main(argv=None) -> int:
     return run(sys.argv[1:] if argv is None else argv)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -27,7 +27,8 @@ the step.
 The fold is located exactly: the root of det F_t = mu_h^2 - lam^2
 f1'(t2) f2'(t1) along the arclength between the points around the
 tangent sign flip, found by bisection with one corrector solve per
-evaluation.
+evaluation.  solutions_at finds each crossing of a given lam the same way
+and polishes the rebuilt state at that lam.
 """
 
 from __future__ import annotations
@@ -60,9 +61,9 @@ MAX_CORRECTOR_ITER = 12
 # Full-space Newton steps allowed when polishing a rebuilt point; one step
 # is the usual need, three the most seen.
 MAX_POLISH_ITER = 4
-# Bisection steps that locate the fold: they shrink the arclength bracket
-# by 2^-40 (about 1e-12), and lam is flat there, so its error is far less.
-FOLD_BISECTIONS = 40
+# Bisection steps on a branch segment (the fold, or a crossing of a given
+# lam): they shrink the arclength bracket by 2^-40, about 1e-12.
+BISECTIONS = 40
 
 
 @dataclass(frozen=True)
@@ -400,15 +401,40 @@ def detect_fold(branch: Branch) -> Optional[FoldInfo]:
     return FoldInfo(lam_bar=branch.points[best].lam, index=best)
 
 
+def _bisect_segment(ts: _TraceSystem, xa: np.ndarray, xb: np.ndarray,
+                    g, tol: float) -> np.ndarray:
+    """Root of g on the branch between the points xa and xb.
+
+    x(s) is the corrected point at arclength s from xa along the secant
+    towards xb, and g(xa), g(xb) must not have the same sign.  g(x(s)) is
+    bisected in s over [0, |xb - xa|] with one corrector solve per
+    evaluation; a failed solve raises _CorrectorFailure.
+    """
+    for x in (xa, xb):
+        if g(x) == 0.0:
+            return x
+    length = ts.dist(xa, xb)
+    tau = (xb - xa) / length
+    lo, hi = 0.0, length
+    positive_lo = g(xa) > 0.0
+    for _ in range(BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        x, _ = _corrector(ts, tau, xa, mid, xa + mid * tau, tol)
+        val = g(x)
+        if val == 0.0:
+            break
+        if (val > 0.0) == positive_lo:
+            lo = mid
+        else:
+            hi = mid
+    return x
+
+
 def _exact_fold(ts: _TraceSystem, branch: Branch, sampled: FoldInfo,
                 tol: float) -> FoldInfo:
     """Root of det F_t on the arclength between the sampled fold point and
-    the neighbour across which det changes sign.
-
-    With anchor xa and secant tau towards xb, s in [0, |xb - xa|] is the
-    arclength parameter of the corrector; det is bisected in s with one
-    corrector solve per evaluation.  The sampled fold is kept when no
-    neighbour brackets a root or a solve fails.
+    the neighbour across which det changes sign.  The sampled fold is kept
+    when no neighbour brackets a root or a solve fails.
     """
     k = sampled.index
     xs = {i: _traces(branch.points[i]) for i in (k - 1, k, k + 1)
@@ -418,23 +444,8 @@ def _exact_fold(ts: _TraceSystem, branch: Branch, sampled: FoldInfo,
                  if a in dets and b in dets and dets[a] * dets[b] <= 0.0), None)
     if pair is None:
         return sampled
-    xa, xb = xs[pair[0]], xs[pair[1]]
-    length = ts.dist(xa, xb)
-    tau = (xb - xa) / length
-    lo, hi = 0.0, length
-    positive_lo = dets[pair[0]] > 0.0
-    x = xa
     try:
-        for _ in range(FOLD_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            x, _ = _corrector(ts, tau, xa, mid, xa + mid * tau, tol)
-            det = ts.fold_det(x)
-            if det == 0.0:
-                break
-            if (det > 0.0) == positive_lo:
-                lo = mid
-            else:
-                hi = mid
+        x = _bisect_segment(ts, xs[pair[0]], xs[pair[1]], ts.fold_det, tol)
     except _CorrectorFailure:
         return sampled
     return FoldInfo(lam_bar=float(x[2]), index=k)
@@ -445,28 +456,28 @@ def solutions_at(branch: Branch, lam: float, grid: RadialGrid,
                  cfg: ContinuationConfig = ContinuationConfig()) -> list:
     """All positive states on the branch at the given parameter value.
 
-    Brackets every segment crossing lam, re-converges each crossing with a
-    fixed-parameter Newton started from linear interpolation, keeps positive
-    states, and deduplicates by relative pair_norm gap 1e-3.  Crossings that
-    fail to re-converge are dropped, not fatal.
+    Each segment whose end parameters bracket lam is solved on the branch
+    itself: lam(x(s)) - lam is bisected along the segment's arclength in
+    trace space, and the point found is rebuilt at lam and polished in
+    full space.  Positive states are kept and deduplicated by relative
+    pair_norm gap 1e-3.  Crossings whose solve or polish fails are
+    dropped, not fatal.
     """
     if lam <= 0:
         raise ConfigError(f"parameter must be positive, got {lam}")
+    tol = cfg.newton.tol_residual
+    ts = _TraceSystem(model, steklov_eigenpair(grid, tol=min(1e-10, tol)))
     states = []
     for a, b in zip(branch.points[:-1], branch.points[1:]):
-        if (a.lam - lam) * (b.lam - lam) > 0.0:
+        if (a.lam - lam) * (b.lam - lam) > 0.0 or a.lam == b.lam:
             continue
-        if a.lam == b.lam:
-            continue
-        t = (lam - a.lam) / (b.lam - a.lam)
-        init = SystemState.from_vector(
-            (1.0 - t) * a.state.to_vector() + t * b.state.to_vector())
         try:
-            result = newton_solve(grid, model, lam, init, cfg.newton)
-        except NonConvergenceError:
+            x = _bisect_segment(ts, _traces(a), _traces(b),
+                                lambda y: y[2] - lam, tol)
+            states.append(_polish(grid, ts, np.append(x[:2], lam),
+                                  cfg.newton).state)
+        except _CorrectorFailure:
             continue
-        if result.positive:
-            states.append(result.state)
     states.sort(key=pair_norm)
     kept = []
     for st in states:

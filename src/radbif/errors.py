@@ -35,10 +35,6 @@ class EstimationFailedError(NumericalError):
         self.samples = samples
 
 
-class CollapsedToZeroError(NumericalError):
-    """A nonlinear solve converged to the trivial state."""
-
-
 class StepOffError(NumericalError):
     """Could not leave the trivial branch at the bifurcation point."""
 

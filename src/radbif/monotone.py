@@ -2,9 +2,11 @@
 point iteration of the boundary-flux map, and the two-solutions driver.
 
 The iteration u^{k+1} = T(lam f(u^k)) applies the linear solution operator
-with frozen boundary fluxes.  Starting from a subsolution of a monotone
-nondecreasing model, iterates increase nodewise and converge to the minimal
-solution above the start; ordering is checked every step, not assumed.
+with frozen boundary fluxes.  T maps fluxes to multiples of phi_h, so after
+the first step the iteration runs on the two boundary traces.  Starting
+from a subsolution of a monotone nondecreasing model, iterates increase
+nodewise and converge to the minimal solution above the start; ordering is
+checked every step, not assumed.
 """
 
 from __future__ import annotations
@@ -81,6 +83,10 @@ def monotone_iterate(grid: RadialGrid, model: NonlinearityModel, lam: float,
     ORDER_SLACK_REL times the current pair norm; when sup is given, iterates
     must also stay below it nodewise.  Stops when the max node change is at
     most tol.  Pass a list as trace to record the change per iteration.
+
+    The solution of that linear problem is (flux1, flux2) phi_h / mu_h, so
+    the steps run on the traces, t_i <- lam f_i(t_other) / mu_h, and only
+    the returned state is solved for in full space.
     """
     if lam <= 0:
         raise ConfigError(f"parameter must be positive, got {lam}")
@@ -95,36 +101,45 @@ def monotone_iterate(grid: RadialGrid, model: NonlinearityModel, lam: float,
         raise SubsolutionError(
             "starting state violates the discrete subsolution inequalities")
 
-    cur = sub.copy()
+    eig = steklov_eigenpair(grid)
+    if sup is not None:
+        # t phi_h <= sup + slack nodewise exactly when t <= cap, as phi_h > 0
+        ceil_slack = ORDER_SLACK_REL * max(1.0, pair_norm(sup))
+        cap1 = float(((sup.u1 + ceil_slack) / eig.phi1).min())
+        cap2 = float(((sup.u2 + ceil_slack) / eig.phi1).min())
+    # Every iterate is (t1 phi_h, t2 phi_h).  The first step is compared
+    # with the start nodewise; after it, phi_h > 0 and sup phi_h =
+    # phi_h(R) = 1 make nodewise order, change and norm those of the
+    # boundary node, so the loop goes on with that node alone.
+    cur1, cur2, shape = sub.u1, sub.u2, eig.phi1
     changes = trace if trace is not None else []
     for _ in range(max_iter):
-        nxt = linear_bvp_solve(grid,
-                               lam * f_extended(model, 1, float(cur.u2[-1])),
-                               lam * f_extended(model, 2, float(cur.u1[-1])))
-        slack = ORDER_SLACK_REL * max(1e-300, pair_norm(cur))
-        drop1 = float((cur.u1 - nxt.u1).max())
-        drop2 = float((cur.u2 - nxt.u2).max())
-        if max(drop1, drop2) > slack:
+        flux1 = lam * f_extended(model, 1, float(cur2[-1]))
+        flux2 = lam * f_extended(model, 2, float(cur1[-1]))
+        nxt1 = (flux1 / eig.mu1) * shape
+        nxt2 = (flux2 / eig.mu1) * shape
+        slack = ORDER_SLACK_REL * max(
+            1e-300, float(np.abs(cur1).max() + np.abs(cur2).max()))
+        drop = max(float((cur1 - nxt1).max()), float((cur2 - nxt2).max()))
+        if drop > slack:
             raise MonotonicityViolationError(
-                f"iterate decreased by {max(drop1, drop2):.3e} at some node "
+                f"iterate decreased by {drop:.3e} at some node "
                 f"(allowed slack {slack:.3e})")
-        if sup is not None:
-            ceil_slack = ORDER_SLACK_REL * max(1.0, pair_norm(sup))
-            over1 = float((nxt.u1 - sup.u1).max())
-            over2 = float((nxt.u2 - sup.u2).max())
-            if max(over1, over2) > ceil_slack:
-                raise MonotonicityViolationError(
-                    f"iterate exceeded the supersolution by "
-                    f"{max(over1, over2):.3e}")
-        change = max(float(np.abs(nxt.u1 - cur.u1).max()),
-                     float(np.abs(nxt.u2 - cur.u2).max()))
+        if sup is not None and (nxt1[-1] > cap1 or nxt2[-1] > cap2):
+            over = max(float((nxt1[-1] * eig.phi1 - sup.u1).max()),
+                       float((nxt2[-1] * eig.phi1 - sup.u2).max()))
+            raise MonotonicityViolationError(
+                f"iterate exceeded the supersolution by {over:.3e}")
+        change = max(float(np.abs(nxt1 - cur1).max()),
+                     float(np.abs(nxt2 - cur2).max()))
         changes.append(change)
-        cur = nxt
+        cur1, cur2, shape = nxt1[-1:], nxt2[-1:], eig.phi1[-1:]
         if change <= tol:
-            return cur
+            return linear_bvp_solve(grid, flux1, flux2)
     raise NonConvergenceError(
         f"monotone iteration did not settle in {max_iter} steps "
-        f"(last change {changes[-1]:.3e})", trace=changes, last_state=cur)
+        f"(last change {changes[-1]:.3e})", trace=changes,
+        last_state=linear_bvp_solve(grid, flux1, flux2))
 
 
 def second_solution(grid: RadialGrid, model: NonlinearityModel, lam: float,

@@ -1,5 +1,5 @@
-"""Newton solvers for the coupled pair at fixed parameter, the pure-power
-limiting problem, and the linear auxiliary problem.
+"""Newton solver for the coupled pair at fixed parameter, the pure-power
+limiting problem in closed form, and the linear auxiliary problem.
 
 The pair (u1, u2) is interleaved as [u1_0, u2_0, u1_1, u2_1, ...], which
 makes the Jacobian banded with bandwidths (l, u) = (4, 2): two decoupled
@@ -15,15 +15,15 @@ actually resolve once state amplitudes grow.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import LinAlgError, solve_banded
 
-from .errors import CollapsedToZeroError, ConfigError, NonConvergenceError
+from .errors import ConfigError, NonConvergenceError
 from .grid import (RadialGrid, SystemState, banded_matvec_extended,
                    cache_per_grid, pair_norm, solve_flux_bvp)
 from .model import NonlinearityModel, f_extended, fprime_extended
+from .steklov import steklov_eigenpair
 
 __all__ = [
     "NewtonConfig",
@@ -37,7 +37,6 @@ __all__ = [
     "newton_solve",
     "linear_bvp_solve",
     "solve_limit_problem",
-    "solve_limit_from_eigenfunction",
     "scaled_residual_norm",
 ]
 
@@ -126,15 +125,11 @@ def scaled_residual_norm(res: np.ndarray, state: SystemState) -> float:
     return float(np.abs(res).max()) / scale
 
 
-# The boundary coupling is a pair of scalar functions of the opposite trace:
-# flux(u1) = g1(u2(R)), flux(u2) = g2(u1(R)).  The fixed-parameter problem
-# uses g_i = lam * f_i; the limiting problem uses pure powers.
-BoundaryFuncs = tuple[Callable[[float], float], Callable[[float], float],
-                      Callable[[float], float], Callable[[float], float]]
-
-
 def _pair_residual(grid: RadialGrid, state: SystemState, g1, g2) -> np.ndarray:
-    """Extended-precision accumulation against the exact double-precision
+    """Residual with boundary rows flux(u1) - g1(u2(R)), flux(u2) -
+    g2(u1(R)): g_i = lam f_i at fixed parameter, pure powers in the limit.
+
+    Extended-precision accumulation against the exact double-precision
     stencil coefficients; keeps the evaluation floor near 1e-13 in the
     scaled norm even at blow-up-tail amplitudes, where plain double
     accumulation drowns below roughly 2e-10 at the 1/h^2 row scale."""
@@ -181,15 +176,6 @@ def _pair_bands_extended(grid: RadialGrid) -> np.ndarray:
     return ab
 
 
-def _pair_jacobian(grid: RadialGrid, state: SystemState, dg1, dg2) -> BandedMatrix:
-    M = grid.M
-    ab = _pair_bands_base(grid).copy()
-    # coupling entries: row 2M w.r.t. u2_M and row 2M+1 w.r.t. u1_M
-    ab[1, 2 * M + 1] = -dg1(float(state.u2[M]))
-    ab[3, 2 * M] = -dg2(float(state.u1[M]))
-    return BandedMatrix(l=4, u=2, ab=ab)
-
-
 def residual(grid: RadialGrid, model: NonlinearityModel, lam: float,
              state: SystemState) -> np.ndarray:
     """Interleaved residual of the coupled system at parameter lam.
@@ -211,16 +197,24 @@ def jacobian(grid: RadialGrid, model: NonlinearityModel, lam: float,
     """Exact banded Jacobian of residual (coupling entries -lam f_i')."""
     if lam < 0:
         raise ValueError(f"parameter must be nonnegative, got {lam}")
-    dg1 = lambda t: lam * fprime_extended(model, 1, t)
-    dg2 = lambda t: lam * fprime_extended(model, 2, t)
-    return _pair_jacobian(grid, state, dg1, dg2)
+    M = grid.M
+    ab = _pair_bands_base(grid).copy()
+    # coupling entries: row 2M w.r.t. u2_M and row 2M+1 w.r.t. u1_M
+    ab[1, 2 * M + 1] = -lam * fprime_extended(model, 1, float(state.u2[M]))
+    ab[3, 2 * M] = -lam * fprime_extended(model, 2, float(state.u1[M]))
+    return BandedMatrix(l=4, u=2, ab=ab)
 
 
-def _newton_core(grid: RadialGrid, funcs: BoundaryFuncs, init: SystemState,
-                 cfg: NewtonConfig) -> NewtonResult:
-    g1, g2, dg1, dg2 = funcs
+def newton_solve(grid: RadialGrid, model: NonlinearityModel, lam: float,
+                 init: SystemState, cfg: NewtonConfig = NewtonConfig()) -> NewtonResult:
+    """Solve the coupled system at fixed lam by damped Newton.
+
+    The result carries iteration count, final damping factor, and the
+    positivity classification; a converged state with a non-positive node is
+    returned flagged, not raised, so callers decide.
+    """
     state = init.copy()
-    res = _pair_residual(grid, state, g1, g2)
+    res = residual(grid, model, lam, state)
     rnorm = scaled_residual_norm(res, state)
     history = [rnorm]
     damping = 1.0
@@ -228,9 +222,8 @@ def _newton_core(grid: RadialGrid, funcs: BoundaryFuncs, init: SystemState,
         if rnorm <= cfg.tol_residual:
             return NewtonResult(state, it - 1, rnorm, damping,
                                 is_positive_state(state), history)
-        jac = _pair_jacobian(grid, state, dg1, dg2)
         try:
-            step = jac.solve(-res)
+            step = jacobian(grid, model, lam, state).solve(-res)
         except LinAlgError as exc:
             raise NonConvergenceError(f"singular Jacobian: {exc}",
                                       trace=history, last_state=state)
@@ -239,7 +232,7 @@ def _newton_core(grid: RadialGrid, funcs: BoundaryFuncs, init: SystemState,
         accepted = False
         while t >= cfg.damping_floor:
             trial = SystemState.from_vector(x + t * step)
-            res_t = _pair_residual(grid, trial, g1, g2)
+            res_t = residual(grid, model, lam, trial)
             rnorm_t = scaled_residual_norm(res_t, trial)
             if np.isfinite(rnorm_t) and rnorm_t < rnorm:
                 state, res, rnorm, damping = trial, res_t, rnorm_t, t
@@ -259,23 +252,6 @@ def _newton_core(grid: RadialGrid, funcs: BoundaryFuncs, init: SystemState,
         trace=history, last_state=state)
 
 
-def newton_solve(grid: RadialGrid, model: NonlinearityModel, lam: float,
-                 init: SystemState, cfg: NewtonConfig = NewtonConfig()) -> NewtonResult:
-    """Solve the coupled system at fixed lam by damped Newton.
-
-    The result carries iteration count, final damping factor, and the
-    positivity classification; a converged state with a non-positive node is
-    returned flagged, not raised, so callers decide.
-    """
-    if lam < 0:
-        raise ValueError(f"parameter must be nonnegative, got {lam}")
-    funcs = (lambda t: lam * f_extended(model, 1, t),
-             lambda t: lam * f_extended(model, 2, t),
-             lambda t: lam * fprime_extended(model, 1, t),
-             lambda t: lam * fprime_extended(model, 2, t))
-    return _newton_core(grid, funcs, init, cfg)
-
-
 def linear_bvp_solve(grid: RadialGrid, flux1: float, flux2: float) -> SystemState:
     """Solve the decoupled linear problems with prescribed boundary fluxes.
 
@@ -287,60 +263,27 @@ def linear_bvp_solve(grid: RadialGrid, flux1: float, flux2: float) -> SystemStat
                        solve_flux_bvp(grid, float(flux2)))
 
 
-def _power_funcs(model: NonlinearityModel) -> BoundaryFuncs:
+def solve_limit_problem(grid: RadialGrid,
+                        model: NonlinearityModel) -> tuple[SystemState, float]:
+    """Nontrivial solution of the pure-power flux problem and its residual.
+
+    Boundary rows: flux(w1) = b2 w2^p2, flux(w2) = b1 w1^p1.  Like every
+    discrete solution the state is (s1 phi_h, s2 phi_h), and the trace rows
+    mu_h s1 = b2 s2^p2, mu_h s2 = b1 s1^p1 have the closed form
+    s1^(p1 p2 - 1) = mu_h^(p2+1) / (b2 b1^p2), s2 = b1 s1^p1 / mu_h.
+    Returns (state, scaled residual of the rebuilt state in full space);
+    the residual is the independent check.
+    """
     p1, p2, b1, b2 = model.p1, model.p2, model.b1, model.b2
-
-    def g1(t):  # flux of w1 against the w2 trace
-        return b2 * max(t, 0.0) ** p2
-
-    def g2(t):
-        return b1 * max(t, 0.0) ** p1
-
-    def dg1(t):
-        return b2 * p2 * max(t, 0.0) ** (p2 - 1.0)
-
-    def dg2(t):
-        return b1 * p1 * max(t, 0.0) ** (p1 - 1.0)
-
-    return g1, g2, dg1, dg2
-
-
-def solve_limit_problem(grid: RadialGrid, model: NonlinearityModel,
-                        init: SystemState,
-                        cfg: NewtonConfig = NewtonConfig()) -> NewtonResult:
-    """Nontrivial solution of the pure-power flux problem.
-
-    Boundary rows: flux(w1) = b2 w2^p2, flux(w2) = b1 w1^p1 (powers clipped
-    at zero for off-sign iterates).  Convergence to the trivial state raises
-    CollapsedToZeroError; start from a larger init amplitude in that case.
-    The computed pair norm is recorded on the result rather than asserted
-    against bracketing constants.
-    """
-    result = _newton_core(grid, _power_funcs(model), init, cfg)
-    if not result.positive:
-        raise CollapsedToZeroError(
-            "limiting-problem Newton collapsed to the trivial state; "
-            "retry with a larger initial amplitude")
-    return result
-
-
-def solve_limit_from_eigenfunction(grid: RadialGrid, model: NonlinearityModel,
-                                   phi1: np.ndarray,
-                                   amplitudes=(0.5, 1.0, 2.0, 4.0),
-                                   cfg: NewtonConfig = NewtonConfig()) -> NewtonResult:
-    """Amplitude sweep c * (phi1, phi1) over the configured ladder.
-
-    The nontrivial solution has a finite basin; sweeping the ladder avoids
-    collapse to zero without hand-tuning.
-    """
-    last_exc = None
-    for c in amplitudes:
-        init = SystemState(c * np.asarray(phi1, dtype=float),
-                           c * np.asarray(phi1, dtype=float))
-        try:
-            return solve_limit_problem(grid, model, init, cfg)
-        except (CollapsedToZeroError, NonConvergenceError) as exc:
-            last_exc = exc
-    raise CollapsedToZeroError(
-        f"no amplitude in {tuple(amplitudes)} reached the nontrivial "
-        f"solution (last failure: {last_exc})")
+    if p1 * p2 <= 1.0 or b1 <= 0.0 or b2 <= 0.0:
+        raise ConfigError(
+            "the pure-power limit problem needs p1*p2 > 1 and b1, b2 > 0, "
+            f"got p1*p2 = {p1 * p2}, b1 = {b1}, b2 = {b2}")
+    eig = steklov_eigenpair(grid)
+    mu = eig.mu1
+    s1 = (mu ** (p2 + 1.0) / (b2 * b1 ** p2)) ** (1.0 / (p1 * p2 - 1.0))
+    s2 = b1 * s1 ** p1 / mu
+    state = SystemState(s1 * eig.phi1, s2 * eig.phi1)
+    res = _pair_residual(grid, state, lambda t: b2 * max(t, 0.0) ** p2,
+                         lambda t: b1 * max(t, 0.0) ** p1)
+    return state, scaled_residual_norm(res, state)

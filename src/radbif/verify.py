@@ -25,7 +25,7 @@ from .grid import SystemState, build_grid, pair_norm
 from .model import linear_model, quadratic_model, reference_model
 from .monotone import build_subsolution, monotone_iterate
 from .solver import (NewtonConfig, jacobian, newton_solve, residual,
-                     scaled_residual_norm, solve_limit_from_eigenfunction)
+                     scaled_residual_norm, solve_limit_problem)
 from .steklov import steklov_eigenpair
 
 __all__ = ["CheckOutcome", "run_acceptance", "format_table"]
@@ -124,7 +124,7 @@ def _check_direction_slope(shared):
     mu0_left = bifurcation_point(left, eig.mu1)
     branch_left = continue_branch(grid, left, _slope_branch_config())
     fit_left = slope_fit(branch_left, mu0_left, left.nu)
-    pred_left = slope_prediction(left, eig, grid)
+    pred_left = slope_prediction(left, eig)
     t_left = time.perf_counter() - t0
 
     target = -0.03913
@@ -151,10 +151,9 @@ def _check_theta_exponents(shared):
 
 def _check_rescale_tail(shared):
     t0 = time.perf_counter()
-    model, grid, eig = shared["model"], shared["grid"], shared["eig"]
-    limit = solve_limit_from_eigenfunction(grid, model, eig.phi1)
-    table = rescale_check(shared["branch"], theta_exponents(model),
-                          limit.state)
+    model = shared["model"]
+    limit, _ = solve_limit_problem(shared["grid"], model)
+    table = rescale_check(shared["branch"], theta_exponents(model), limit)
     seconds = time.perf_counter() - t0
     first_dev = max(abs(table.rows[0][1] - 1.0), abs(table.rows[0][2] - 1.0))
     ok = table.ok and seconds < 180.0

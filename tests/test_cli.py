@@ -161,15 +161,19 @@ def test_solve_rejects_bad_arguments(tmp_path, capsys):
 
 
 def test_limit_values(tmp_path, capsys):
-    out = tmp_path / "out"
-    assert run(["limit", "--override", f"out.dir={out}"]) == 0
-    assert "sup_w1=" in capsys.readouterr().out
-    payload = json.loads((out / "limit.json").read_text())
-    # sup sits on the boundary; continuum traces of the pure-power system
-    assert payload["sup_w1"] == pytest.approx(0.5985392467650285, abs=1e-4)
-    assert payload["sup_w2"] == pytest.approx(0.5722186068362778, abs=1e-4)
-    assert payload["trace_w1"] == payload["sup_w1"]
-    assert payload["residual"] <= 1e-10
+    # the residual bound follows the representation floor eps * 2 / h^2
+    for M, max_residual in ((512, 1e-10), (2048, 1e-8)):
+        out = tmp_path / f"out{M}"
+        assert run(["limit", "--override", f"grid.M={M}",
+                    "--override", f"out.dir={out}"]) == 0, M
+        assert "sup_w1=" in capsys.readouterr().out
+        payload = json.loads((out / "limit.json").read_text())
+        # sup sits on the boundary; continuum traces of the pure-power system
+        assert payload["sup_w1"] == pytest.approx(0.5985392467650285, abs=1e-4)
+        assert payload["sup_w2"] == pytest.approx(0.5722186068362778, abs=1e-4)
+        assert payload["trace_w1"] == payload["sup_w1"]
+        assert payload["residual"] <= max_residual
+        assert "iterations" not in payload
 
 
 def test_branch_artifacts_and_determinism(tmp_path, capsys):
@@ -281,6 +285,16 @@ def _assert_help(proc):
     assert set(SUBCOMMANDS) <= set(choices)
 
 
+def _child_env():
+    """Environment in which a child interpreter imports the same radbif
+    that this test imported."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(radbif.__file__).resolve().parents[1]),
+                    env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_console_script_installed():
     """The declared `radbif` entry point resolves and serves --help in a
     fresh interpreter, run as pip's console-script wrapper runs it."""
@@ -292,15 +306,17 @@ def test_console_script_installed():
     with open(pyproject, "rb") as fh:
         entry = tomllib.load(fh)["project"]["scripts"]["radbif"]
     module, attr = entry.split(":")
-    # the child imports the same radbif that this test imported
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(radbif.__file__).resolve().parents[1]),
-                    env.get("PYTHONPATH")) if p)
     code = (f"import sys; from {module} import {attr}; "
             f"sys.argv[0] = 'radbif'; sys.exit({attr}())")
     proc = subprocess.run([sys.executable, "-c", code, "--help"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_child_env())
+    _assert_help(proc)
+
+
+def test_module_entry_point():
+    """`python -m radbif.cli` runs the CLI instead of exiting silently."""
+    proc = subprocess.run([sys.executable, "-m", "radbif.cli", "--help"],
+                          capture_output=True, text=True, env=_child_env())
     _assert_help(proc)
 
 

@@ -222,11 +222,19 @@ def test_detect_fold_finds_sign_flip():
 
 
 def test_solutions_at_counts(ref_branch, grid512, ref_model, mu0_ref):
-    two = solutions_at(ref_branch, LAMBDA_MID, grid512, ref_model)
-    assert len(two) == 2
     from radbif import pair_norm
-    gap = abs(pair_norm(two[1]) - pair_norm(two[0]))
-    assert gap > 1e-3
+    # the values near the fold have their upper crossing on the segment
+    # across the fold, where a start interpolated between the segment's
+    # end states falls into the lower solution's basin
+    for lam in (LAMBDA_MID, 0.3329574, 0.3330077, 0.3330580, 0.3331083,
+                0.3331586):
+        two = solutions_at(ref_branch, lam, grid512, ref_model)
+        assert len(two) == 2, lam
+        gap = abs(pair_norm(two[1]) - pair_norm(two[0]))
+        assert gap > 1e-3
+        for st in two:
+            assert scaled_residual_norm(
+                residual(grid512, ref_model, lam, st), st) <= 1e-10
 
     one = solutions_at(ref_branch, mu0_ref - 0.005, grid512, ref_model)
     assert len(one) == 1

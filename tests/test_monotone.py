@@ -107,6 +107,21 @@ def test_iteration_respects_supersolution_ceiling(grid512, ref_model, eig512,
     assert np.all(minimal.u2 <= upper.u2 + 1e-10)
 
 
+def test_iteration_stops_at_a_ceiling_below_the_limit(grid512, ref_model,
+                                                      eig512, ref_branch):
+    # half the minimal solution is no supersolution: the iterates must
+    # cross it and the check must say so
+    sub = build_subsolution(grid512, ref_model, eig512, LAMBDA_MID, 1e-2)
+    lower = solutions_at(ref_branch, LAMBDA_MID, grid512, ref_model)[0]
+    ceiling = SystemState(0.5 * lower.u1, 0.5 * lower.u2)
+    trace = []
+    with pytest.raises(MonotonicityViolationError) as exc:
+        monotone_iterate(grid512, ref_model, LAMBDA_MID, sub, sup=ceiling,
+                         trace=trace)
+    assert "exceeded the supersolution" in str(exc.value)
+    assert 1 <= len(trace) < 2000
+
+
 def test_iteration_rejects_inadmissible_start(grid512, ref_model):
     # traces 0.3 sit between the two crossings where the first component
     # flux inequality fails

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from conftest import trace_system_solve
-from radbif import (CollapsedToZeroError, NewtonConfig, NonConvergenceError,
+from radbif import (ConfigError, NewtonConfig, NonConvergenceError,
                     SystemState, boundary_flux, build_grid, eval_f,
-                    eval_fprime, is_positive_state, jacobian, linear_bvp_solve,
-                    newton_solve, pair_norm, residual, scaled_residual_norm,
-                    solve_flux_bvp, solve_limit_from_eigenfunction,
+                    eval_fprime, is_positive_state, jacobian,
+                    linear_bvp_solve, linear_model, newton_solve, pair_norm,
+                    residual, scaled_residual_norm, solve_flux_bvp,
                     solve_limit_problem)
 from radbif.solver import POSITIVITY_ZERO_FLOOR
 
@@ -237,13 +237,8 @@ def test_fixed_lambda_solution_richardson_order(ref_model):
     assert 1.8 <= order <= 2.2
 
 
-def test_limit_problem_zero_init_collapses(grid512, ref_model):
-    with pytest.raises(CollapsedToZeroError):
-        solve_limit_problem(grid512, ref_model, SystemState.zero(grid512))
-
-
 def test_limit_problem_traces_match_reduced_system(grid512, ref_model,
-                                                   mu_h512, eig512):
+                                                   mu_h512):
     m = ref_model
     g1 = lambda t: m.b2 * max(t, 0.0) ** m.p2
     g2 = lambda t: m.b1 * max(t, 0.0) ** m.p1
@@ -254,21 +249,19 @@ def test_limit_problem_traces_match_reduced_system(grid512, ref_model,
     assert t1 == pytest.approx(0.5985392467650285, abs=2e-6)
     assert t2 == pytest.approx(0.5722186068362778, abs=2e-6)
 
-    result = solve_limit_from_eigenfunction(grid512, ref_model, eig512.phi1)
-    assert result.positive
-    assert result.state.u1[-1] == pytest.approx(t1, abs=1e-9)
-    assert result.state.u2[-1] == pytest.approx(t2, abs=1e-9)
+    state, res = solve_limit_problem(grid512, ref_model)
+    assert is_positive_state(state)
+    assert res <= 1e-10
+    assert state.u1[-1] == pytest.approx(t1, abs=1e-9)
+    assert state.u2[-1] == pytest.approx(t2, abs=1e-9)
     # boundary rows of the limit problem hold at the stated tolerance
-    f1 = boundary_flux(grid512, result.state.u1)
-    f2 = boundary_flux(grid512, result.state.u2)
-    assert f1 == pytest.approx(g1(float(result.state.u2[-1])), abs=1e-9)
-    assert f2 == pytest.approx(g2(float(result.state.u1[-1])), abs=1e-9)
+    f1 = boundary_flux(grid512, state.u1)
+    f2 = boundary_flux(grid512, state.u2)
+    assert f1 == pytest.approx(g1(float(state.u2[-1])), abs=1e-9)
+    assert f2 == pytest.approx(g2(float(state.u1[-1])), abs=1e-9)
 
 
-def test_limit_amplitude_sweep_reports_failure(ref_model):
-    # ladder far outside the nontrivial basin must fail loudly
-    grid = build_grid(3, 1.0, 64)
-    phi = np.ones(grid.M + 1)
-    with pytest.raises(CollapsedToZeroError):
-        solve_limit_from_eigenfunction(grid, ref_model, phi,
-                                       amplitudes=(1e-9, 1e-8))
+def test_limit_problem_needs_superlinear_powers(grid128):
+    # p1 = p2 = 1: the limit rows are linear and have no isolated solution
+    with pytest.raises(ConfigError):
+        solve_limit_problem(grid128, linear_model())
