@@ -34,7 +34,7 @@ from .model import (CheckResult, HypothesesReport, NonlinearityModel,
                     validate_hypotheses, zeta)
 from .monotone import build_subsolution, monotone_iterate, second_solution
 from .solver import (POSITIVITY_REL_FLOOR, POSITIVITY_ZERO_FLOOR,
-                     BandedMatrix, NewtonConfig, NewtonResult,
+                     NewtonConfig, NewtonResult, PairJacobian,
                      is_positive_state, jacobian, linear_bvp_solve,
                      newton_solve, residual, scaled_residual_norm,
                      solve_limit_problem)
@@ -58,7 +58,7 @@ __all__ = [
     # steklov
     "SteklovPair", "steklov_eigenpair", "steklov_shooting_oracle",
     # solver
-    "NewtonConfig", "NewtonResult", "BandedMatrix", "is_positive_state",
+    "NewtonConfig", "NewtonResult", "PairJacobian", "is_positive_state",
     "POSITIVITY_REL_FLOOR", "POSITIVITY_ZERO_FLOOR",
     "residual", "jacobian", "newton_solve", "linear_bvp_solve",
     "solve_limit_problem", "scaled_residual_norm",

@@ -109,8 +109,11 @@ class RunSettings:
         self.grid = build_grid(_int(entries, "grid.N", 3),
                                _float(entries, "grid.R", 1.0),
                                _int(entries, "grid.M", 512))
+        # default residual tolerance: twice the representation floor
+        # eps * 2/h^2 of the 1/h^2 operator rows, and never below 1e-10
+        floor = 2.0 * np.finfo(float).eps * 2.0 / self.grid.h ** 2
         self.newton = NewtonConfig(
-            tol_residual=_float(entries, "newton.tol", 1e-10),
+            tol_residual=_float(entries, "newton.tol", max(1e-10, floor)),
             max_iter=_int(entries, "newton.max_iter", 50))
         self.cont = ContinuationConfig(
             ds0=_float(entries, "cont.ds0", 0.01),

@@ -459,25 +459,43 @@ def solutions_at(branch: Branch, lam: float, grid: RadialGrid,
     Each segment whose end parameters bracket lam is solved on the branch
     itself: lam(x(s)) - lam is bisected along the segment's arclength in
     trace space, and the point found is rebuilt at lam and polished in
-    full space.  Positive states are kept and deduplicated by relative
-    pair_norm gap 1e-3.  Crossings whose solve or polish fails are
-    dropped, not fatal.
+    full space.  When lam lies above both ends of a segment next to the
+    sampled fold but not above the fold, and det F_t changes sign on that
+    segment, it is first split at the exact fold point and each half that
+    brackets lam is solved the same way.  Positive states are kept and
+    deduplicated by relative pair_norm gap 1e-3.  Crossings whose solve or
+    polish fails are dropped, not fatal.
     """
     if lam <= 0:
         raise ConfigError(f"parameter must be positive, got {lam}")
     tol = cfg.newton.tol_residual
     ts = _TraceSystem(model, steklov_eigenpair(grid, tol=min(1e-10, tol)))
+    fold = branch.fold
     states = []
-    for a, b in zip(branch.points[:-1], branch.points[1:]):
-        if (a.lam - lam) * (b.lam - lam) > 0.0 or a.lam == b.lam:
+    for i, (a, b) in enumerate(zip(branch.points[:-1], branch.points[1:])):
+        if (fold is not None and fold.index - 1 <= i <= fold.index
+                and max(a.lam, b.lam) < lam <= fold.lam_bar):
+            xa, xb = _traces(a), _traces(b)
+            if ts.fold_det(xa) * ts.fold_det(xb) > 0.0:
+                continue
+            try:
+                xf = _bisect_segment(ts, xa, xb, ts.fold_det, tol)
+            except _CorrectorFailure:
+                continue
+            segments = [(xa, xf), (xf, xb)]
+        elif (a.lam - lam) * (b.lam - lam) > 0.0 or a.lam == b.lam:
             continue
-        try:
-            x = _bisect_segment(ts, _traces(a), _traces(b),
-                                lambda y: y[2] - lam, tol)
-            states.append(_polish(grid, ts, np.append(x[:2], lam),
-                                  cfg.newton).state)
-        except _CorrectorFailure:
-            continue
+        else:
+            segments = [(_traces(a), _traces(b))]
+        for xa, xb in segments:
+            if (xa[2] - lam) * (xb[2] - lam) > 0.0 or xa[2] == xb[2]:
+                continue
+            try:
+                x = _bisect_segment(ts, xa, xb, lambda y: y[2] - lam, tol)
+                states.append(_polish(grid, ts, np.append(x[:2], lam),
+                                      cfg.newton).state)
+            except _CorrectorFailure:
+                continue
     states.sort(key=pair_norm)
     kept = []
     for st in states:

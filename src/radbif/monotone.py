@@ -151,9 +151,9 @@ def second_solution(grid: RadialGrid, model: NonlinearityModel, lam: float,
     canonical subsolution; the ceiling is the nodewise minimum of the upper
     branch solution at lam and at a larger parameter before the fold.  The
     branch solution is the largest-norm state from solutions_at.  Raises
-    DistinctnessError when the two states' pair norms agree to within the
-    deduplication threshold (e.g. at the fold) or when the branch offers no
-    solution at lam.
+    DistinctnessError when lam is not below the fold, when the two states'
+    pair norms agree to within the deduplication threshold or when the
+    branch offers no solution at lam.
     """
     eig = steklov_eigenpair(grid)
     sigma = math.sqrt(model.fp0_1 * model.fp0_2)
@@ -164,6 +164,10 @@ def second_solution(grid: RadialGrid, model: NonlinearityModel, lam: float,
     if branch.fold is None:
         raise ConfigError("branch has no detected fold; cannot bracket the "
                           "multiplicity window")
+    if lam >= branch.fold.lam_bar:
+        raise DistinctnessError(
+            f"parameter {lam:.6g} is not below the fold {branch.fold.lam_bar:.6g}; "
+            "the branch has no second solution there")
 
     candidates = solutions_at(branch, lam, grid, model)
     if not candidates:

@@ -1,11 +1,11 @@
 """Newton solver for the coupled pair at fixed parameter, the pure-power
 limiting problem in closed form, and the linear auxiliary problem.
 
-The pair (u1, u2) is interleaved as [u1_0, u2_0, u1_1, u2_1, ...], which
-makes the Jacobian banded with bandwidths (l, u) = (4, 2): two decoupled
-operator blocks plus two coupling entries in the flux rows.  All linear
-solves are banded LU with partial pivoting (LAPACK); at desk scale there is
-no reason for an iterative solver.
+The pair (u1, u2) is interleaved as [u1_0, u2_0, u1_1, u2_1, ...].  The
+Jacobian is the grid operator A (operator_bands) on each component plus two
+coupling entries in the flux rows, so a Newton step is one banded LU solve
+of A (LAPACK) with three right-hand sides and a 2x2 system on the boundary
+traces.
 
 Residual norms are measured as max|F| / max(1, sup|u1|, sup|u2|): the
 operator rows scale like 1/h^2, so that quotient is what floating point can
@@ -15,20 +15,22 @@ actually resolve once state amplitudes grow.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, solve_banded
 
 from .errors import ConfigError, NonConvergenceError
-from .grid import (RadialGrid, SystemState, banded_matvec_extended,
-                   cache_per_grid, pair_norm, solve_flux_bvp)
+from .grid import (RadialGrid, SystemState, _bands_extended,
+                   banded_matvec_extended, operator_bands, pair_norm,
+                   solve_flux_bvp)
 from .model import NonlinearityModel, f_extended, fprime_extended
 from .steklov import steklov_eigenpair
 
 __all__ = [
     "NewtonConfig",
     "NewtonResult",
-    "BandedMatrix",
+    "PairJacobian",
     "POSITIVITY_REL_FLOOR",
     "POSITIVITY_ZERO_FLOOR",
     "is_positive_state",
@@ -86,23 +88,45 @@ class NewtonResult:
     history: list = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class BandedMatrix:
-    """LAPACK banded storage with bandwidths (l, u)."""
+class PairJacobian(NamedTuple):
+    """Jacobian of residual: A on each component, plus c1 in flux row 1 at
+    u2(R) and c2 in flux row 2 at u1(R)."""
 
-    l: int
-    u: int
-    ab: np.ndarray
+    grid: RadialGrid
+    c1: float
+    c2: float
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return solve_banded((self.l, self.u), self.ab, rhs, check_finite=False)
+        """Interleaved d with J d = rhs.  With A w_i = rhs_i and A v = e_M,
+        d_i = w_i - c_i d_other(R) v, and the traces solve
+        [[1, c1 v(R)], [c2 v(R), 1]] d(R) = w(R), whose determinant is
+        1 - c1 c2 v(R)^2."""
+        M = self.grid.M
+        b = np.zeros((M + 1, 3))
+        b[:, 0], b[:, 1], b[M, 2] = rhs[0::2], rhs[1::2], 1.0
+        w1, w2, v = solve_banded((2, 1), operator_bands(self.grid), b,
+                                 check_finite=False).T
+        a1, a2 = self.c1 * v[M], self.c2 * v[M]
+        det = 1.0 - a1 * a2
+        if det == 0.0:
+            raise LinAlgError("trace coupling is singular")
+        d1 = (w1[M] - a1 * w2[M]) / det
+        d2 = (w2[M] - a2 * w1[M]) / det
+        out = np.empty(2 * (M + 1))
+        out[0::2] = w1 - self.c1 * d2 * v
+        out[1::2] = w2 - self.c2 * d1 * v
+        return out
 
     def todense(self) -> np.ndarray:
-        n = self.ab.shape[1]
-        out = np.zeros((n, n))
-        for j in range(n):
-            for i in range(max(0, j - self.u), min(n, j + self.l + 1)):
-                out[i, j] = self.ab[self.u + i - j, j]
+        ab = operator_bands(self.grid)
+        n = ab.shape[1]
+        a = sum(np.diag(row[max(d, 0):n + min(d, 0)], d)
+                for row, d in zip(ab, (1, 0, -1, -2)))
+        out = np.zeros((2 * n, 2 * n))
+        out[0::2, 0::2] = a
+        out[1::2, 1::2] = a
+        out[2 * n - 2, 2 * n - 1] = self.c1
+        out[2 * n - 1, 2 * n - 2] = self.c2
         return out
 
 
@@ -134,46 +158,15 @@ def _pair_residual(grid: RadialGrid, state: SystemState, g1, g2) -> np.ndarray:
     scaled norm even at blow-up-tail amplitudes, where plain double
     accumulation drowns below roughly 2e-10 at the 1/h^2 row scale."""
     M = grid.M
-    out = banded_matvec_extended(_pair_bands_extended(grid), 2, state.to_vector())
-    out[2 * M] -= np.longdouble(g1(float(state.u2[M])))
-    out[2 * M + 1] -= np.longdouble(g2(float(state.u1[M])))
-    return np.asarray(out, dtype=float)
-
-
-@cache_per_grid
-def _pair_bands_base(grid: RadialGrid) -> np.ndarray:
-    """State-independent part of the interleaved Jacobian, (l, u) = (4, 2)."""
-    M, h, N = grid.M, grid.h, grid.N_dim
-    n = 2 * (M + 1)
-    ab = np.zeros((7, n))
-    for c in (0, 1):
-        g = c  # row 2*0 + c
-        ab[2, g] = 2.0 * N / h**2 + 1.0
-        ab[0, g + 2] = -2.0 * N / h**2
-    j = np.arange(1, M)
-    rj = grid.r[j]
-    sub = -1.0 / h**2 + (N - 1) / (2.0 * h * rj)
-    sup = -1.0 / h**2 - (N - 1) / (2.0 * h * rj)
-    for c in (0, 1):
-        g = 2 * j + c
-        ab[2, g] = 2.0 / h**2 + 1.0
-        ab[4, g - 2] = sub
-        ab[0, g + 2] = sup
-    for c in (0, 1):
-        g = 2 * M + c
-        ab[6, g - 4] = 1.0 / (2.0 * h)
-        ab[4, g - 2] = -2.0 / h
-        ab[2, g] = 3.0 / (2.0 * h)
-    ab.flags.writeable = False
-    return ab
-
-
-@cache_per_grid
-def _pair_bands_extended(grid: RadialGrid) -> np.ndarray:
-    """Extended-precision copy of _pair_bands_base for the residual."""
-    ab = _pair_bands_base(grid).astype(np.longdouble)
-    ab.flags.writeable = False
-    return ab
+    ab = _bands_extended(grid)
+    r1 = banded_matvec_extended(ab, 1, state.u1)
+    r2 = banded_matvec_extended(ab, 1, state.u2)
+    r1[M] -= np.longdouble(g1(float(state.u2[M])))
+    r2[M] -= np.longdouble(g2(float(state.u1[M])))
+    out = np.empty(2 * (M + 1))
+    out[0::2] = r1
+    out[1::2] = r2
+    return out
 
 
 def residual(grid: RadialGrid, model: NonlinearityModel, lam: float,
@@ -193,16 +186,14 @@ def residual(grid: RadialGrid, model: NonlinearityModel, lam: float,
 
 
 def jacobian(grid: RadialGrid, model: NonlinearityModel, lam: float,
-             state: SystemState) -> BandedMatrix:
-    """Exact banded Jacobian of residual (coupling entries -lam f_i')."""
+             state: SystemState) -> PairJacobian:
+    """Exact Jacobian of residual (coupling entries -lam f_i')."""
     if lam < 0:
         raise ValueError(f"parameter must be nonnegative, got {lam}")
     M = grid.M
-    ab = _pair_bands_base(grid).copy()
-    # coupling entries: row 2M w.r.t. u2_M and row 2M+1 w.r.t. u1_M
-    ab[1, 2 * M + 1] = -lam * fprime_extended(model, 1, float(state.u2[M]))
-    ab[3, 2 * M] = -lam * fprime_extended(model, 2, float(state.u1[M]))
-    return BandedMatrix(l=4, u=2, ab=ab)
+    return PairJacobian(grid,
+                        -lam * fprime_extended(model, 1, float(state.u2[M])),
+                        -lam * fprime_extended(model, 2, float(state.u1[M])))
 
 
 def newton_solve(grid: RadialGrid, model: NonlinearityModel, lam: float,

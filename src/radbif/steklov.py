@@ -1,4 +1,4 @@
-"""First boundary eigenpair of the radial operator and a shooting oracle.
+"""First boundary eigenpair of the radial operator and its continuum value.
 
 The discrete problem is A phi = mu B phi where A carries the operator rows
 plus the flux row and B selects the boundary value in the flux row.  B has
@@ -6,10 +6,9 @@ rank one, so the problem has a single finite eigenvalue, and one solve gives
 it in closed form: with v the unit-flux solution (A v = e_M),
 A v = (1/v(R)) B v, so mu1 = 1/v(R) and phi1 = v/v(R).
 
-steklov_shooting_oracle integrates the regular radial solution of
-g'' + ((N-1)/r) g' - g = 0 with adaptive fourth-order steps (series start
-near r = 0 to sidestep the singular coefficient) and returns g'(R)/g(R),
-an independent high-precision value used to cross-check the grid eigenpair.
+steklov_shooting_oracle returns g'(R)/g(R) for the regular radial solution
+of g'' + ((N-1)/r) g' - g = 0 in closed form, the continuum value used to
+cross-check the grid eigenpair.
 """
 
 from __future__ import annotations
@@ -66,62 +65,18 @@ def steklov_eigenpair(grid: RadialGrid, tol: float = 1e-10) -> SteklovPair:
                        residual_flux=res_flx)
 
 
-def _series_start(N: int, r0: float):
-    # g = sum a_k r^(2k) with a_{k+1} = a_k / ((2k+2)(2k+N)), a_0 = 1
-    a, g, dg = 1.0, 0.0, 0.0
-    for k in range(8):
-        g += a * r0 ** (2 * k)
-        if k > 0:
-            dg += a * (2 * k) * r0 ** (2 * k - 1)
-        a /= (2 * k + 2) * (2 * k + N)
-    return g, dg
+def steklov_shooting_oracle(N_dim: int, R_ball: float) -> float:
+    """Continuum mu1 = I_{N/2}(R) / I_{N/2-1}(R).
 
-
-def steklov_shooting_oracle(N_dim: int, R_ball: float, tol: float = 1e-10) -> float:
-    """High-precision mu1 from adaptive integration of the radial kernel.
-
-    Fourth-order steps with step doubling; the local solutions are combined
-    by Richardson extrapolation, so the accepted step is fifth order.
-    Returns g'(R)/g(R) with relative error of the order of tol.
+    The regular solution is g = r^(1-N/2) I_{N/2-1}(r), and DLMF 10.29.4
+    gives g' = r^(1-N/2) I_{N/2}(r).  The exponentially scaled ive keeps
+    the ratio finite at large R; for N = 3 it is coth R - 1/R.
     """
     if N_dim < 3:
         raise ConfigError(f"spatial dimension must be >= 3, got {N_dim}")
     if R_ball <= 0:
         raise ConfigError(f"ball radius must be positive, got {R_ball}")
-    if tol <= 0:
-        raise ConfigError("tolerance must be positive")
-    r0 = min(1e-3, 0.01 * R_ball)
-    g, dg = _series_start(N_dim, r0)
-    y = np.array([g, dg])
-
-    def rhs(r, y):
-        return np.array([y[1], y[0] - (N_dim - 1) / r * y[1]])
-
-    def rk4(r, y, h):
-        k1 = rhs(r, y)
-        k2 = rhs(r + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(r + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(r + h, y + h * k3)
-        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    r = r0
-    span = R_ball - r0
-    h = span / 64.0
-    steps = 0
-    while r < R_ball:
-        h = min(h, R_ball - r)
-        y_one = rk4(r, y, h)
-        y_mid = rk4(r, y, 0.5 * h)
-        y_two = rk4(r + 0.5 * h, y_mid, 0.5 * h)
-        err = float(np.abs(y_two - y_one).max()) / 15.0
-        scale = max(1.0, float(np.abs(y_two).max()))
-        budget = tol * scale * max(h / span, 1e-3)
-        if err <= budget:
-            y = y_two + (y_two - y_one) / 15.0
-            r += h
-        grow = 0.9 * (budget / err) ** 0.2 if err > 0 else 5.0
-        h *= min(5.0, max(0.2, grow))
-        steps += 1
-        if steps > 200_000:
-            raise NumericalError("step control failed to reach the boundary")
-    return float(y[1] / y[0])
+    # imported here: scipy.special adds about 60 ms to `import radbif`,
+    # and nothing else in the package needs it
+    from scipy.special import ive
+    return float(ive(N_dim / 2, R_ball) / ive(N_dim / 2 - 1, R_ball))

@@ -201,6 +201,17 @@ def test_branch_artifacts_and_determinism(tmp_path, capsys):
         assert r["residual"] <= 1e-10
 
 
+def test_branch_default_tolerance_follows_floor(tmp_path, capsys):
+    # with newton.tol unset the tolerance is max(1e-10, 2 eps 2/h^2); a
+    # fixed 1e-10 lies below the floor at M = 2048 and stops the branch
+    out = tmp_path / "out"
+    assert run(["branch", "--override", "grid.M=2048",
+                "--override", f"out.dir={out}"]) == 0
+    assert "termination=lambda_floor" in capsys.readouterr().out
+    summary = json.loads((out / "branch_summary.json").read_text())
+    assert summary["termination"] == "lambda_floor"
+
+
 def test_branch_truncated_run_fails_loudly(tmp_path, capsys, monkeypatch):
     def truncated(st):
         return continue_branch(st.grid, st.model,

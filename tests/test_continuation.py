@@ -226,8 +226,10 @@ def test_solutions_at_counts(ref_branch, grid512, ref_model, mu0_ref):
     # the values near the fold have their upper crossing on the segment
     # across the fold, where a start interpolated between the segment's
     # end states falls into the lower solution's basin
+    # 0.3332077382 lies between the largest sampled lam and the exact fold,
+    # so both crossings sit on the one segment over the fold
     for lam in (LAMBDA_MID, 0.3329574, 0.3330077, 0.3330580, 0.3331083,
-                0.3331586):
+                0.3331586, 0.3332077382):
         two = solutions_at(ref_branch, lam, grid512, ref_model)
         assert len(two) == 2, lam
         gap = abs(pair_norm(two[1]) - pair_norm(two[0]))

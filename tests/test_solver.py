@@ -13,7 +13,7 @@ import pytest
 
 from conftest import trace_system_solve
 from radbif import (ConfigError, NewtonConfig, NonConvergenceError,
-                    SystemState, boundary_flux, build_grid, eval_f,
+                    SystemState, apply_operator, boundary_flux, build_grid, eval_f,
                     eval_fprime, is_positive_state, jacobian,
                     linear_bvp_solve, linear_model, newton_solve, pair_norm,
                     residual, scaled_residual_norm, solve_flux_bvp,
@@ -161,18 +161,33 @@ def test_is_positive_state_classification(grid128):
 def test_jacobian_decouples_at_lambda_zero(grid128, ref_model):
     state = SystemState(0.3 * np.ones(grid128.M + 1),
                         0.2 * np.ones(grid128.M + 1))
-    jac = jacobian(grid128, ref_model, 0.0, state)
+    dense = jacobian(grid128, ref_model, 0.0, state).todense()
     M = grid128.M
-    assert jac.ab[1, 2 * M + 1] == 0.0
-    assert jac.ab[3, 2 * M] == 0.0
+    assert dense[2 * M, 2 * M + 1] == 0.0
+    assert dense[2 * M + 1, 2 * M] == 0.0
 
 
 def test_jacobian_coupling_entries_at_zero_state(grid128, ref_model):
     lam = 0.4
-    jac = jacobian(grid128, ref_model, lam, SystemState.zero(grid128))
+    dense = jacobian(grid128, ref_model, lam, SystemState.zero(grid128)).todense()
     M = grid128.M
-    assert jac.ab[1, 2 * M + 1] == pytest.approx(-lam * ref_model.fp0_1)
-    assert jac.ab[3, 2 * M] == pytest.approx(-lam * ref_model.fp0_2)
+    assert dense[2 * M, 2 * M + 1] == pytest.approx(-lam * ref_model.fp0_1)
+    assert dense[2 * M + 1, 2 * M] == pytest.approx(-lam * ref_model.fp0_2)
+
+
+def test_residual_rows_match_reference_formulas(ref_model):
+    # at lam = 0 the interleaved residual is the stencil alone: interior
+    # rows are apply_operator and the flux rows boundary_flux, per component
+    grid = build_grid(3, 1.0, 64)
+    rng = np.random.default_rng(11)
+    M = grid.M
+    for _ in range(5):
+        u1, u2 = rng.uniform(-2.0, 2.0, M + 1), rng.uniform(-2.0, 2.0, M + 1)
+        res = residual(grid, ref_model, 0.0, SystemState(u1, u2))
+        for c, u in ((0, u1), (1, u2)):
+            rows = res[c::2]
+            ref = np.append(apply_operator(grid, u), boundary_flux(grid, u))
+            assert np.abs(rows - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_jacobian_matches_finite_differences(ref_model):
@@ -220,7 +235,7 @@ def test_linear_bvp_solve_components_and_linearity(grid128):
 
 def test_fixed_lambda_solution_richardson_order(ref_model):
     # tol sits above the per-grid representation floor eps*(2/h^2), which
-    # reaches ~2.3e-10 at M=1024; solution accuracy stays far below the
+    # reaches ~4.7e-10 at M=1024; solution accuracy stays far below the
     # O(h^2) norm differences the ratio measures
     lam = LAMBDA_MID
     cfg = NewtonConfig(tol_residual=1e-9)

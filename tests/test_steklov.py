@@ -1,8 +1,9 @@
-"""First boundary eigenpair against closed forms and the shooting oracle.
+"""First boundary eigenpair against closed forms and the Bessel-ratio oracle.
 
 For N = 3 the regular kernel is sinh(r)/r, so the first eigenvalue on the
 ball of radius R is coth(R) - 1/R in closed form; the grid eigenpair and
-the adaptive shooting integration must both land on it independently.
+the Bessel-ratio oracle I_{N/2}(R)/I_{N/2-1}(R) must both land on it
+independently.
 """
 
 import math
@@ -68,7 +69,8 @@ def test_shooting_oracle_closed_forms():
 
 
 def test_shooting_oracle_cross_checks_grid_in_five_dimensions():
-    # no closed form used here: two independent methods must agree
+    # no elementary closed form at N = 5: the grid eigenvalue must agree
+    # with the Bessel-ratio oracle, which shares no code with it
     oracle = steklov_shooting_oracle(5, 1.0)
     eig = steklov_eigenpair(build_grid(5, 1.0, 4096))
     assert 0.0 < oracle < 1.0
