@@ -17,7 +17,8 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import ConfigError
 
@@ -69,7 +70,12 @@ def build_grid(N_dim: int, R_ball: float, M: int) -> RadialGrid:
 
 @dataclass
 class SystemState:
-    """Nodal values of the pair (u1, u2) on a radial grid."""
+    """Nodal values of the pair (u1, u2) on a radial grid.
+
+    u1 and u2 may also be (k, M+1) stacks of k states, which residual
+    evaluates in one pass; to_vector and from_vector work along the last
+    axis.
+    """
 
     u1: np.ndarray
     u2: np.ndarray
@@ -77,22 +83,23 @@ class SystemState:
     def __post_init__(self):
         self.u1 = np.asarray(self.u1, dtype=float)
         self.u2 = np.asarray(self.u2, dtype=float)
-        if self.u1.shape != self.u2.shape or self.u1.ndim != 1:
-            raise ValueError("u1 and u2 must be 1-d arrays of equal length")
+        if self.u1.shape != self.u2.shape or self.u1.ndim not in (1, 2):
+            raise ValueError("u1 and u2 must be 1-d arrays (or 2-d stacks) "
+                             "of equal shape")
 
     def copy(self) -> "SystemState":
         return SystemState(self.u1.copy(), self.u2.copy())
 
     def to_vector(self) -> np.ndarray:
         """Interleave as [u1_0, u2_0, u1_1, u2_1, ...] (banded ordering)."""
-        out = np.empty(2 * self.u1.size)
-        out[0::2] = self.u1
-        out[1::2] = self.u2
+        out = np.empty(self.u1.shape[:-1] + (2 * self.u1.shape[-1],))
+        out[..., 0::2] = self.u1
+        out[..., 1::2] = self.u2
         return out
 
     @staticmethod
     def from_vector(x: np.ndarray) -> "SystemState":
-        return SystemState(x[0::2].copy(), x[1::2].copy())
+        return SystemState(x[..., 0::2].copy(), x[..., 1::2].copy())
 
     @staticmethod
     def zero(grid: RadialGrid) -> "SystemState":
@@ -182,7 +189,8 @@ def operator_bands(grid: RadialGrid) -> np.ndarray:
 
 
 def banded_matvec_extended(ab: np.ndarray, n_upper: int, x: np.ndarray) -> np.ndarray:
-    """A @ x for LAPACK-banded A, accumulated in extended precision.
+    """A @ x for LAPACK-banded A along the last axis of x, accumulated in
+    extended precision; a (k, n) stack gives the k products in one pass.
 
     The matrix entries stay the double-precision numbers stored in ab; only
     the products and sums carry extra bits, so this measures the true
@@ -192,47 +200,86 @@ def banded_matvec_extended(ab: np.ndarray, n_upper: int, x: np.ndarray) -> np.nd
     ab may already be an extended-precision copy; the solvers cache one per
     grid so that the conversion is not repeated on every call.
     """
-    n = x.size
+    n = x.shape[-1]
     ab_e = ab if ab.dtype == np.longdouble else ab.astype(np.longdouble)
     x_e = x.astype(np.longdouble)
-    y = np.zeros(n, dtype=np.longdouble)
+    y = np.zeros(x.shape, dtype=np.longdouble)
     for k in range(ab.shape[0]):
         d = n_upper - k
         if d >= 0:
-            y[:n - d] += ab_e[k, d:] * x_e[d:]
+            y[..., :n - d] += ab_e[k, d:] * x_e[..., d:]
         else:
-            y[-d:] += ab_e[k, :d] * x_e[:d]
+            y[..., -d:] += ab_e[k, :d] * x_e[..., :d]
     return y
+
+
+@cache_per_grid
+def _operator_factor(grid: RadialGrid):
+    """(lu, piv, v): banded LU of A (LAPACK dgbtrf on the (2, 1) bands) and
+    the raw unit-flux column v = A^-1 e_M, computed once per grid.
+
+    Raises LinAlgError when A is singular; nothing is cached then, so the
+    error surfaces again at every solve that needs the factor.
+    """
+    ab = _bands_cached(grid)
+    work = np.zeros((6, ab.shape[1]), order="F")  # 2 l + u + 1 rows: LU fill
+    work[2:] = ab
+    lu, piv, info = dgbtrf(work, 2, 1, overwrite_ab=True)
+    if info != 0:
+        raise LinAlgError(f"grid operator is singular (dgbtrf info {info})")
+    e = np.zeros(grid.M + 1)
+    e[grid.M] = 1.0
+    v = dgbtrs(lu, 2, 1, e, piv)[0]
+    for a in (lu, piv, v):
+        a.flags.writeable = False
+    return lu, piv, v
+
+
+def _lu_solve(grid: RadialGrid, b: np.ndarray) -> np.ndarray:
+    """A^-1 b with the cached factor; b is (M+1,) or (M+1, nrhs)."""
+    lu, piv, _ = _operator_factor(grid)
+    return dgbtrs(lu, 2, 1, b, piv)[0]
 
 
 def solve_flux_bvp(grid: RadialGrid, flux: float) -> np.ndarray:
     """Solve -v'' - ((N-1)/r) v' + v = 0 with v'(R) = flux.
 
-    Banded LU via LAPACK plus one iterative-refinement pass with an
-    extended-precision residual, which brings the forward error down to
-    working precision per node.  The matrix is diagonally dominant on the
-    interior rows, so the factorization is stable at any resolution used
-    here.
+    Two solves with the banded LU cached per grid: the solve itself and
+    one iterative-refinement pass with an extended-precision residual,
+    which brings the forward error down to working precision per node.
+    The matrix is diagonally dominant on the interior rows, so the
+    factorization is stable at any resolution used here.
     """
-    ab = operator_bands(grid)
     rhs = np.zeros(grid.M + 1)
     rhs[grid.M] = flux
-    v = solve_banded((2, 1), ab, rhs, check_finite=False)
+    v = _lu_solve(grid, rhs)
     r = banded_matvec_extended(_bands_extended(grid), 1, v)
     r[grid.M] -= np.longdouble(flux)
-    dv = solve_banded((2, 1), ab, np.asarray(r, dtype=float), check_finite=False)
+    dv = _lu_solve(grid, np.asarray(r, dtype=float))
     return v - dv
+
+
+@cache_per_grid
+def _unit_flux_solution(grid: RadialGrid) -> np.ndarray:
+    """solve_flux_bvp(grid, 1.0), solved once per grid and read-only."""
+    v = solve_flux_bvp(grid, 1.0)
+    v.flags.writeable = False
+    return v
+
+
+@cache_per_grid
+def _r_column(grid: RadialGrid) -> list:
+    """The r column of save_state_csv, formatted once per grid."""
+    return [f"{r:.17g}" for r in grid.r.tolist()]
 
 
 def save_state_csv(path, grid: RadialGrid, state: SystemState,
                    comment: str | None = None) -> None:
     """Write columns r, u1, u2 (plot-friendly, '#' comment lines allowed)."""
+    head = (f"# {comment}\n" if comment else "") + "r,u1,u2\n"
+    rows = zip(_r_column(grid), state.u1.tolist(), state.u2.tolist())
     with open(path, "w") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        fh.write("r,u1,u2\n")
-        for r, a, b in zip(grid.r, state.u1, state.u2):
-            fh.write(f"{r:.17g},{a:.17g},{b:.17g}\n")
+        fh.write(head + "".join(f"{r},{a:.17g},{b:.17g}\n" for r, a, b in rows))
 
 
 def load_state_csv(path):

@@ -3,9 +3,14 @@ limiting problem in closed form, and the linear auxiliary problem.
 
 The pair (u1, u2) is interleaved as [u1_0, u2_0, u1_1, u2_1, ...].  The
 Jacobian is the grid operator A (operator_bands) on each component plus two
-coupling entries in the flux rows, so a Newton step is one banded LU solve
-of A (LAPACK) with three right-hand sides and a 2x2 system on the boundary
-traces.
+coupling entries in the flux rows.  A is factored once per grid (LAPACK
+banded LU, cached with the unit-flux column A^-1 e_M), so a Newton step is
+one solve with the cached factor and two right-hand sides plus a 2x2 system
+on the boundary traces.
+
+The residual also takes a stack of k states, (k, M+1) per component, and
+evaluates it in one pass along the last axis; each f_i is evaluated once
+per distinct trace value.  A single state is the k = 1 case.
 
 Residual norms are measured as max|F| / max(1, sup|u1|, sup|u2|): the
 operator rows scale like 1/h^2, so that quotient is what floating point can
@@ -18,12 +23,12 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg import LinAlgError
 
 from .errors import ConfigError, NonConvergenceError
-from .grid import (RadialGrid, SystemState, _bands_extended,
-                   banded_matvec_extended, operator_bands, pair_norm,
-                   solve_flux_bvp)
+from .grid import (RadialGrid, SystemState, _bands_extended, _lu_solve,
+                   _operator_factor, banded_matvec_extended, operator_bands,
+                   pair_norm, solve_flux_bvp)
 from .model import NonlinearityModel, f_extended, fprime_extended
 from .steklov import steklov_eigenpair
 
@@ -100,12 +105,11 @@ class PairJacobian(NamedTuple):
         """Interleaved d with J d = rhs.  With A w_i = rhs_i and A v = e_M,
         d_i = w_i - c_i d_other(R) v, and the traces solve
         [[1, c1 v(R)], [c2 v(R), 1]] d(R) = w(R), whose determinant is
-        1 - c1 c2 v(R)^2."""
+        1 - c1 c2 v(R)^2.  v comes with the cached factor of A, so the
+        solve has two right-hand sides."""
         M = self.grid.M
-        b = np.zeros((M + 1, 3))
-        b[:, 0], b[:, 1], b[M, 2] = rhs[0::2], rhs[1::2], 1.0
-        w1, w2, v = solve_banded((2, 1), operator_bands(self.grid), b,
-                                 check_finite=False).T
+        v = _operator_factor(self.grid)[2]
+        w1, w2 = _lu_solve(self.grid, rhs.reshape(M + 1, 2)).T
         a1, a2 = self.c1 * v[M], self.c2 * v[M]
         det = 1.0 - a1 * a2
         if det == 0.0:
@@ -149,9 +153,21 @@ def scaled_residual_norm(res: np.ndarray, state: SystemState) -> float:
     return float(np.abs(res).max()) / scale
 
 
+def _flux_terms(g, traces: np.ndarray) -> np.ndarray:
+    """g at every trace value, shaped like traces, calling g once per
+    distinct value: a stack of perturbed states shares most of its traces.
+    (0.0 and -0.0 share a call; the operator row they are subtracted from
+    is never -0.0, so the residual does not depend on which sign is used.)"""
+    flat = traces.ravel().tolist()
+    memo = {t: g(t) for t in set(flat)}
+    return np.array([memo[t] for t in flat]).reshape(traces.shape)
+
+
 def _pair_residual(grid: RadialGrid, state: SystemState, g1, g2) -> np.ndarray:
     """Residual with boundary rows flux(u1) - g1(u2(R)), flux(u2) -
     g2(u1(R)): g_i = lam f_i at fixed parameter, pure powers in the limit.
+    Works along the last axis, so a stack of states gives a stack of
+    residuals.
 
     Extended-precision accumulation against the exact double-precision
     stencil coefficients; keeps the evaluation floor near 1e-13 in the
@@ -161,11 +177,11 @@ def _pair_residual(grid: RadialGrid, state: SystemState, g1, g2) -> np.ndarray:
     ab = _bands_extended(grid)
     r1 = banded_matvec_extended(ab, 1, state.u1)
     r2 = banded_matvec_extended(ab, 1, state.u2)
-    r1[M] -= np.longdouble(g1(float(state.u2[M])))
-    r2[M] -= np.longdouble(g2(float(state.u1[M])))
-    out = np.empty(2 * (M + 1))
-    out[0::2] = r1
-    out[1::2] = r2
+    r1[..., M] -= _flux_terms(g1, state.u2[..., M])
+    r2[..., M] -= _flux_terms(g2, state.u1[..., M])
+    out = np.empty(r1.shape[:-1] + (2 * (M + 1),))
+    out[..., 0::2] = r1
+    out[..., 1::2] = r2
     return out
 
 
@@ -176,7 +192,8 @@ def residual(grid: RadialGrid, model: NonlinearityModel, lam: float,
     Operator rows at j = 0..M-1 per component, then the two flux rows
     flux(u_i) - lam f_i(u_other(R)).  The nonlinearities are evaluated
     through their linear extension so off-sign intermediate iterates remain
-    well defined.
+    well defined.  A state holding (k, M+1) stacks gives the (k, 2(M+1))
+    residuals of its k states, each bit-identical to a single call.
     """
     if lam < 0:
         raise ValueError(f"parameter must be nonnegative, got {lam}")

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .grid import RadialGrid, apply_operator, boundary_flux, solve_flux_bvp
+from .grid import (RadialGrid, _unit_flux_solution, apply_operator,
+                   boundary_flux)
 
 __all__ = ["SteklovPair", "steklov_eigenpair", "steklov_shooting_oracle"]
 
@@ -41,14 +42,14 @@ class SteklovPair:
 def steklov_eigenpair(grid: RadialGrid, tol: float = 1e-10) -> SteklovPair:
     """Smallest mu with a positive solution of the flux eigenvalue problem.
 
-    One banded solve of the unit-flux problem v'(R) = 1 gives the pair:
+    The unit-flux solution v'(R) = 1, solved once per grid, gives the pair:
     mu1 = 1/v(R) and phi1 = v/v(R), which peaks at the boundary.  tol
-    bounds the backward errors checked on the result.
+    bounds the backward errors, checked on every call.
     """
     if not 0 < tol <= 1e-4:
         raise ConfigError(f"eigenvalue tolerance must lie in (0, 1e-4], got {tol}")
     M = grid.M
-    v = solve_flux_bvp(grid, 1.0)
+    v = _unit_flux_solution(grid)
     if not v[M] > 0.0:
         raise NumericalError("unit-flux solution has a nonpositive boundary value")
     mu = 1.0 / v[M]

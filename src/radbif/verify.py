@@ -221,33 +221,41 @@ def _check_multiplicity(shared):
     return ok, detail
 
 
+def _fd_error(grid, model, lam, x):
+    """Max |J - J_fd| over max(1, |J|_max) at the interleaved vector x.
+
+    Central differences with per-column step 1e-6 max(1, |x_j|).  Row j of
+    the stack is x with entry j shifted by +delta_j, then by -delta_j, so
+    one stacked residual call per sign gives every column.  Its own
+    function so that the (2(M+1))^2 arrays of one state are freed before
+    the next state's stacks are built."""
+    cols = np.arange(x.size)
+    delta = 1e-6 * np.maximum(1.0, np.abs(x))
+    stack = np.tile(x, (x.size, 1))
+    states = SystemState(stack[:, 0::2], stack[:, 1::2])  # views of stack
+    stack[cols, cols] = x + delta
+    fd = residual(grid, model, lam, states)
+    stack[cols, cols] = x - delta
+    fd -= residual(grid, model, lam, states)
+    fd /= (2.0 * delta)[:, None]
+    dense = jacobian(grid, model, lam, SystemState.from_vector(x)).todense()
+    scale = max(1.0, float(np.abs(dense).max()))
+    return float(np.abs(dense - fd.T).max()) / scale
+
+
 def _check_jacobian_fd(shared):
-    """Max |J - J_fd| over max(1, |J|_max) per state; central differences
-    with per-column step 1e-6 max(1, |x_j|).  The matrix-scale denominator
-    is the honest yardstick: difference noise scales with the 1/h^2 rows."""
+    """Worst _fd_error over 20 seeded states at M=128.  The matrix-scale
+    denominator is the honest yardstick: difference noise scales with the
+    1/h^2 rows."""
     model = shared["model"]
     grid = build_grid(3, 1.0, 128)
     rng = np.random.default_rng(_RNG_SEED)
-    lam = 0.3
-    n = 2 * (grid.M + 1)
     worst = 0.0
     for _ in range(20):
         u1 = rng.uniform(0.05, 2.0, grid.M + 1)
         u2 = rng.uniform(0.05, 2.0, grid.M + 1)
         x = SystemState(u1, u2).to_vector()
-        dense = jacobian(grid, model, lam, SystemState.from_vector(x)).todense()
-        fd = np.empty_like(dense)
-        for j in range(n):
-            delta = 1e-6 * max(1.0, abs(x[j]))
-            xp = x.copy()
-            xm = x.copy()
-            xp[j] += delta
-            xm[j] -= delta
-            fp = residual(grid, model, lam, SystemState.from_vector(xp))
-            fm = residual(grid, model, lam, SystemState.from_vector(xm))
-            fd[:, j] = (fp - fm) / (2.0 * delta)
-        scale = max(1.0, float(np.abs(dense).max()))
-        worst = max(worst, float(np.abs(dense - fd).max()) / scale)
+        worst = max(worst, _fd_error(grid, model, 0.3, x))
     ok = worst <= 1e-6
     return ok, f"max relative error={worst:.2e} over 20 states at M=128"
 

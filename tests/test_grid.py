@@ -176,6 +176,11 @@ def test_system_state_vector_roundtrip():
     np.testing.assert_array_equal(t.u1, s.u1)
     np.testing.assert_array_equal(t.u2, s.u2)
     assert s.to_vector()[0] == s.u1[0] and s.to_vector()[1] == s.u2[0]
+    stack = SystemState(rng.standard_normal((3, 17)), rng.standard_normal((3, 17)))
+    np.testing.assert_array_equal(stack.to_vector()[1], SystemState(
+        stack.u1[1], stack.u2[1]).to_vector())
+    np.testing.assert_array_equal(
+        SystemState.from_vector(stack.to_vector()).u2, stack.u2)
     with pytest.raises(ValueError):
         SystemState(np.zeros(17), np.zeros(16))
 
@@ -189,6 +194,25 @@ def test_state_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(r, g.r)
     np.testing.assert_array_equal(u1, s.u1)
     np.testing.assert_array_equal(u2, s.u2)
+
+
+def test_state_csv_exact_bytes(tmp_path):
+    g = build_grid(3, 1.0, 16)
+    special = [-0.0, 0.0, 1e-300, 0.1, 1.2345678901234567e300]
+    u1 = np.full(17, 0.5)
+    u1[:5] = special
+    u2 = np.full(17, -2.0)
+    u2[12:] = special[::-1]
+    path = tmp_path / "state.csv"
+    save_state_csv(path, g, SystemState(u1, u2), comment="pinned")
+    assert path.read_bytes() == (
+        b"# pinned\nr,u1,u2\n"
+        b"0,-0,-2\n0.0625,0,-2\n0.125,1e-300,-2\n"
+        b"0.1875,0.10000000000000001,-2\n0.25,1.2345678901234567e+300,-2\n"
+        b"0.3125,0.5,-2\n0.375,0.5,-2\n0.4375,0.5,-2\n0.5,0.5,-2\n"
+        b"0.5625,0.5,-2\n0.625,0.5,-2\n0.6875,0.5,-2\n"
+        b"0.75,0.5,1.2345678901234567e+300\n0.8125,0.5,0.10000000000000001\n"
+        b"0.875,0.5,1e-300\n0.9375,0.5,0\n1,0.5,-0\n")
 
 
 @given(st.floats(min_value=-10, max_value=10),

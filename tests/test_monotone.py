@@ -14,8 +14,9 @@ import pytest
 
 from radbif import (ConfigError, DistinctnessError,
                     MonotonicityViolationError, NonConvergenceError,
-                    SubsolutionError, SystemState, boundary_flux,
-                    build_subsolution, monotone_iterate, pair_norm,
+                    SubsolutionError, SystemState, bifurcation_point,
+                    boundary_flux, build_grid, build_subsolution,
+                    continue_branch, monotone_iterate, pair_norm,
                     polynomial_model, residual, scaled_residual_norm,
                     second_solution, solutions_at, solve_flux_bvp,
                     steklov_eigenpair, Branch)
@@ -189,6 +190,23 @@ def test_second_solution_pair(grid512, ref_model, ref_branch):
             residual(grid512, ref_model, LAMBDA_MID, st), st)
         assert rnorm <= 1e-10
         assert st.u1.min() > 0.0 and st.u2.min() > 0.0
+
+
+def test_operator_factored_once_per_grid(ref_model, branch_cfg, monkeypatch):
+    import radbif.grid as grid_module
+    calls = []
+    factor = grid_module.dgbtrf
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(grid_module, "dgbtrf", counting)
+    grid = build_grid(3, 1.0, 128)
+    branch = continue_branch(grid, ref_model, branch_cfg)
+    mu0 = bifurcation_point(ref_model, steklov_eigenpair(grid).mu1)
+    second_solution(grid, ref_model, 0.5 * (mu0 + branch.fold.lam_bar), branch)
+    assert len(calls) == 1
 
 
 def test_second_solution_requires_supercritical_parameter(grid512, ref_model,

@@ -222,6 +222,57 @@ def test_banded_todense_and_solve_agree(grid128, ref_model):
     np.testing.assert_allclose(jac.todense() @ x, rhs, rtol=0, atol=1e-7)
 
 
+def test_stacked_residual_equals_per_state_calls(ref_model):
+    # a (k, M+1) stack goes through the same lines as k single calls, so the
+    # rows must agree bit for bit; negative traces take the linear extension
+    # of f_i, and repeated traces share one f_i evaluation
+    grid = build_grid(3, 1.0, 64)
+    rng = np.random.default_rng(17)
+    n = grid.M + 1
+    u1 = rng.uniform(-1.5, 2.0, (6, n))
+    u2 = rng.uniform(-1.5, 2.0, (6, n))
+    u1[:3, -1], u2[:3, -1] = -0.4, -0.7
+    u2[4, -1] = u2[5, -1]
+    for lam in (0.0, 0.35):
+        for k in (1, 6):
+            stack = residual(grid, ref_model, lam, SystemState(u1[:k], u2[:k]))
+            assert stack.shape == (k, 2 * n)
+            for i in range(k):
+                single = residual(grid, ref_model, lam,
+                                  SystemState(u1[i], u2[i]))
+                assert np.array_equal(stack[i], single)
+
+
+def test_stacked_residual_evaluates_f_once_per_distinct_trace(ref_model):
+    import dataclasses
+    seen = []
+    model = dataclasses.replace(
+        ref_model, f1=lambda t: seen.append(t) or ref_model.f1(t))
+    grid = build_grid(3, 1.0, 32)
+    u = np.tile(np.linspace(0.1, 1.0, grid.M + 1), (40, 1))
+    u[7, -1] = 2.0
+    seen.clear()
+    residual(grid, model, 0.3, SystemState(u, u))
+    assert sorted(seen) == [1.0, 2.0]
+
+
+def test_singular_factor_surfaces_at_the_solve(ref_model, monkeypatch):
+    import radbif.grid as grid_module
+    from scipy.linalg import LinAlgError
+
+    def singular(ab, kl, ku, **kwargs):
+        return ab, np.zeros(ab.shape[1], dtype=np.int32), ab.shape[1]
+
+    monkeypatch.setattr(grid_module, "dgbtrf", singular)
+    grid = build_grid(3, 1.0, 32)
+    state = SystemState(0.3 * np.ones(grid.M + 1), 0.4 * np.ones(grid.M + 1))
+    jac = jacobian(grid, ref_model, 0.3, state)
+    with pytest.raises(LinAlgError):
+        jac.solve(np.ones(2 * (grid.M + 1)))
+    with pytest.raises(NonConvergenceError, match="singular Jacobian"):
+        newton_solve(grid, ref_model, 0.3, state)
+
+
 def test_linear_bvp_solve_components_and_linearity(grid128):
     s = linear_bvp_solve(grid128, 0.4, -0.1)
     np.testing.assert_array_equal(s.u1, solve_flux_bvp(grid128, 0.4))
