@@ -5,8 +5,8 @@ balls.
 The package computes the first boundary (Steklov) eigenpair, locates the
 bifurcation point of the positive branch, traces the branch through its
 fold by pseudo-arclength continuation, verifies the rescaled tail against
-the pure-power limiting problem, and produces second solutions by monotone
-iteration between sub- and supersolutions.
+the pure-power limiting problem, and produces second solutions as roots of
+the scalar trace equation above a subsolution.
 """
 
 from .analysis import (BifurcationReport, Direction, JordanData, RescaleTable,

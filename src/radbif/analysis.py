@@ -172,9 +172,7 @@ def slope_fit(branch: Branch, mu0: float, nu: float) -> float:
         raise InsufficientDataError(
             f"need at least 5 branch points with pair_norm in (0, 0.1), "
             f"found {len(norms)}")
-    slope_coef, intercept = np.polyfit(np.array(norms), np.array(quots), 1)
-    del slope_coef
-    return float(intercept)
+    return float(np.polyfit(np.array(norms), np.array(quots), 1)[1])
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,9 @@ the step.
 The fold is located exactly: the root of det F_t = mu_h^2 - lam^2
 f1'(t2) f2'(t1) along the arclength between the points around the
 tangent sign flip, found by bisection with one corrector solve per
-evaluation.  solutions_at finds each crossing of a given lam the same way
-and polishes the rebuilt state at that lam.
+evaluation.  At a fixed lam, t2 = lam f2(t1)/mu_h, so the states at lam
+are the roots t1 of one scalar equation (_TraceSystem.q); solutions_at
+brackets them by the branch and fold traces and bisects on doubles.
 """
 
 from __future__ import annotations
@@ -61,8 +62,7 @@ MAX_CORRECTOR_ITER = 12
 # Full-space Newton steps allowed when polishing a rebuilt point; one step
 # is the usual need, three the most seen.
 MAX_POLISH_ITER = 4
-# Bisection steps on a branch segment (the fold, or a crossing of a given
-# lam): they shrink the arclength bracket by 2^-40, about 1e-12.
+# Bisection steps across the fold: the arclength bracket shrinks by 2^-40.
 BISECTIONS = 40
 
 
@@ -115,8 +115,11 @@ class BranchPoint:
 
 
 class FoldInfo(NamedTuple):
+    """Fold parameter, nearest branch point index, fold traces (t1, t2)."""
     lam_bar: float
     index: int
+    t1: float
+    t2: float
 
 
 @dataclass
@@ -186,6 +189,32 @@ class _TraceSystem:
         return (self.mu_h ** 2 - lam ** 2 * fprime_extended(self.model, 1, t2)
                 * fprime_extended(self.model, 2, t1))
 
+    def q(self, t: float, lam: float) -> float:
+        """q_lam(t) = G_lam(t)/t - 1, G_lam(t) = lam f1(lam f2(t)/mu_h)/mu_h,
+        whose roots are the t1 of the states at lam; its limit at t = 0."""
+        m, mu = self.model, self.mu_h
+        if t == 0.0:
+            return lam * lam * m.fp0_1 * m.fp0_2 / (mu * mu) - 1.0
+        return lam * f_extended(m, 1, lam * f_extended(m, 2, t) / mu) / (mu * t) - 1.0
+
+    def root(self, lam: float, lo: float, hi: float) -> float:
+        """Root of q_lam on a sign-changing [lo, hi], bisected to the last double."""
+        q_lo = self.q(lo, lam)
+        while q_lo != 0.0:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            q_mid = self.q(mid, lam)
+            if q_mid == 0.0 or (q_mid > 0.0) == (q_lo > 0.0):
+                lo, q_lo = mid, q_mid
+            else:
+                hi = mid
+        return lo
+
+    def at(self, t1: float, lam: float) -> np.ndarray:
+        """The point x = (t1, t2, lam) with t2 from the second flux row."""
+        return np.array([t1, lam * f_extended(self.model, 2, t1) / self.mu_h, lam])
+
     def dist(self, xa: np.ndarray, xb: np.ndarray) -> float:
         d = xa - xb
         return math.sqrt(float(self.metric @ (d * d)))
@@ -198,7 +227,7 @@ def _traces(point: BranchPoint) -> np.ndarray:
     return np.array([point.state.u1[-1], point.state.u2[-1], point.lam])
 
 
-class _CorrectorFailure(Exception):
+class _CorrectorFailure(NonConvergenceError):
     pass
 
 
@@ -378,63 +407,29 @@ def detect_fold(branch: Branch) -> Optional[FoldInfo]:
     """Sampled fold: the largest parameter among the points around the
     first tangent sign flip; None when the parameter is monotone.
     continue_branch refines it to the exact discrete fold."""
-    if not branch.points:
-        return None
-    flips = list(branch.fold_indices)
-    if not flips:
-        last_sign = 0
-        for k, p in enumerate(branch.points):
-            s = p.tangent_lambda_sign
-            if s != 0 and last_sign != 0 and s != last_sign:
-                flips.append(k)
-            if s != 0:
-                last_sign = s
+    flips, last_sign = [], 0
+    for k, p in enumerate(branch.points):
+        s = p.tangent_lambda_sign
+        if s != 0 and last_sign != 0 and s != last_sign:
+            flips.append(k)
+        if s != 0:
+            last_sign = s
     if not flips:
         return None
-    k = flips[0]
-    n = len(branch.points)
-    if k >= 2:
-        idx = [k - 2, k - 1, k]
-    else:
-        idx = [i for i in (k - 1, k, k + 1) if 0 <= i < n]
+    k = flips[0]  # >= 1: a flip follows a nonzero sign
+    idx = ([k - 2, k - 1, k] if k >= 2
+           else [i for i in (k - 1, k, k + 1) if i < len(branch.points)])
     best = max(idx, key=lambda i: branch.points[i].lam)
-    return FoldInfo(lam_bar=branch.points[best].lam, index=best)
-
-
-def _bisect_segment(ts: _TraceSystem, xa: np.ndarray, xb: np.ndarray,
-                    g, tol: float) -> np.ndarray:
-    """Root of g on the branch between the points xa and xb.
-
-    x(s) is the corrected point at arclength s from xa along the secant
-    towards xb, and g(xa), g(xb) must not have the same sign.  g(x(s)) is
-    bisected in s over [0, |xb - xa|] with one corrector solve per
-    evaluation; a failed solve raises _CorrectorFailure.
-    """
-    for x in (xa, xb):
-        if g(x) == 0.0:
-            return x
-    length = ts.dist(xa, xb)
-    tau = (xb - xa) / length
-    lo, hi = 0.0, length
-    positive_lo = g(xa) > 0.0
-    for _ in range(BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        x, _ = _corrector(ts, tau, xa, mid, xa + mid * tau, tol)
-        val = g(x)
-        if val == 0.0:
-            break
-        if (val > 0.0) == positive_lo:
-            lo = mid
-        else:
-            hi = mid
-    return x
+    t1, t2, lam = _traces(branch.points[best])
+    return FoldInfo(lam_bar=float(lam), index=best, t1=float(t1), t2=float(t2))
 
 
 def _exact_fold(ts: _TraceSystem, branch: Branch, sampled: FoldInfo,
                 tol: float) -> FoldInfo:
-    """Root of det F_t on the arclength between the sampled fold point and
-    the neighbour across which det changes sign.  The sampled fold is kept
-    when no neighbour brackets a root or a solve fails.
+    """Root of det F_t between the sampled fold point and the neighbour
+    across which det changes sign, (xa, xb) in branch order: det F_t(x(s))
+    is bisected in the arclength s from xa towards xb, one corrector solve
+    per x(s).  Keeps the sampled fold when no pair brackets or a solve fails.
     """
     k = sampled.index
     xs = {i: _traces(branch.points[i]) for i in (k - 1, k, k + 1)
@@ -444,63 +439,51 @@ def _exact_fold(ts: _TraceSystem, branch: Branch, sampled: FoldInfo,
                  if a in dets and b in dets and dets[a] * dets[b] <= 0.0), None)
     if pair is None:
         return sampled
-    try:
-        x = _bisect_segment(ts, xs[pair[0]], xs[pair[1]], ts.fold_det, tol)
-    except _CorrectorFailure:
-        return sampled
-    return FoldInfo(lam_bar=float(x[2]), index=k)
+    (xa, da), (xb, db) = ((xs[i], dets[i]) for i in pair)
+    x = xa if da == 0.0 else xb
+    if 0.0 not in (da, db):
+        length = ts.dist(xa, xb)
+        tau = (xb - xa) / length
+        lo, hi = 0.0, length
+        try:
+            for _ in range(BISECTIONS):
+                mid = 0.5 * (lo + hi)
+                x, _ = _corrector(ts, tau, xa, mid, xa + mid * tau, tol)
+                val = ts.fold_det(x)
+                if val == 0.0:
+                    break
+                lo, hi = (mid, hi) if (val > 0.0) == (da > 0.0) else (lo, mid)
+        except _CorrectorFailure:
+            return sampled
+    return FoldInfo(float(x[2]), k, float(x[0]), float(x[1]))
 
 
 def solutions_at(branch: Branch, lam: float, grid: RadialGrid,
                  model: NonlinearityModel,
                  cfg: ContinuationConfig = ContinuationConfig()) -> list:
-    """All positive states on the branch at the given parameter value.
+    """All positive states at lam with t1 within the branch, by pair norm.
 
-    Each segment whose end parameters bracket lam is solved on the branch
-    itself: lam(x(s)) - lam is bisected along the segment's arclength in
-    trace space, and the point found is rebuilt at lam and polished in
-    full space.  When lam lies above both ends of a segment next to the
-    sampled fold but not above the fold, and det F_t changes sign on that
-    segment, it is first split at the exact fold point and each half that
-    brackets lam is solved the same way.  Positive states are kept and
-    deduplicated by relative pair_norm gap 1e-3.  Crossings whose solve or
-    polish fails are dropped, not fatal.
+    The nodes are the branch t1 traces and the fold t1, so each sign change
+    of q_lam between adjacent nodes brackets one root, and a root on a node
+    is taken once.  Each root is rebuilt as (t1, lam f2(t1)/mu_h, lam) and
+    polished in full space; a root whose polish fails or ends non-positive
+    is dropped, not fatal.
     """
     if lam <= 0:
         raise ConfigError(f"parameter must be positive, got {lam}")
-    tol = cfg.newton.tol_residual
-    ts = _TraceSystem(model, steklov_eigenpair(grid, tol=min(1e-10, tol)))
-    fold = branch.fold
+    ts = _TraceSystem(model, steklov_eigenpair(
+        grid, tol=min(1e-10, cfg.newton.tol_residual)))
+    fold = [branch.fold.t1] if branch.fold is not None else []
+    nodes = sorted({float(p.state.u1[-1]) for p in branch.points} | set(fold))
+    qs = [ts.q(t, lam) for t in nodes]
+    roots = [t for t, v in zip(nodes, qs) if v == 0.0 and t > 0.0]
+    roots += [ts.root(lam, a, b)
+              for a, b, qa, qb in zip(nodes, nodes[1:], qs, qs[1:])
+              if qa * qb < 0.0]
     states = []
-    for i, (a, b) in enumerate(zip(branch.points[:-1], branch.points[1:])):
-        if (fold is not None and fold.index - 1 <= i <= fold.index
-                and max(a.lam, b.lam) < lam <= fold.lam_bar):
-            xa, xb = _traces(a), _traces(b)
-            if ts.fold_det(xa) * ts.fold_det(xb) > 0.0:
-                continue
-            try:
-                xf = _bisect_segment(ts, xa, xb, ts.fold_det, tol)
-            except _CorrectorFailure:
-                continue
-            segments = [(xa, xf), (xf, xb)]
-        elif (a.lam - lam) * (b.lam - lam) > 0.0 or a.lam == b.lam:
+    for t1 in roots:
+        try:
+            states.append(_polish(grid, ts, ts.at(t1, lam), cfg.newton).state)
+        except _CorrectorFailure:
             continue
-        else:
-            segments = [(_traces(a), _traces(b))]
-        for xa, xb in segments:
-            if (xa[2] - lam) * (xb[2] - lam) > 0.0 or xa[2] == xb[2]:
-                continue
-            try:
-                x = _bisect_segment(ts, xa, xb, lambda y: y[2] - lam, tol)
-                states.append(_polish(grid, ts, np.append(x[:2], lam),
-                                      cfg.newton).state)
-            except _CorrectorFailure:
-                continue
-    states.sort(key=pair_norm)
-    kept = []
-    for st in states:
-        n = pair_norm(st)
-        if kept and abs(n - pair_norm(kept[-1])) <= 1e-3 * max(1.0, n):
-            continue
-        kept.append(st)
-    return kept
+    return sorted(states, key=pair_norm)

@@ -296,6 +296,19 @@ def validate_hypotheses(model: NonlinearityModel, N_dim: int) -> HypothesesRepor
     return HypothesesReport(tuple(checks))
 
 
+def _horner(coeffs) -> Callable[[float], float]:
+    """sum_k coeffs[k] s^k by Horner in numpy polyval's operation order
+    (its leading + s*0 included): the same bits at a fraction of the cost."""
+    top, *rest = [float(a) for a in reversed(coeffs)]
+
+    def f(s):
+        y = top + s * 0
+        for a in rest:
+            y = a + y * s
+        return y
+    return f
+
+
 def polynomial_model(coeffs1: Sequence[float], coeffs2: Sequence[float], *,
                      p1: float, p2: float, b1: float, b2: float,
                      nu1: float, nu2: float, K: float,
@@ -314,10 +327,8 @@ def polynomial_model(coeffs1: Sequence[float], coeffs2: Sequence[float], *,
         if c[1] <= 0.0:
             raise ConfigError(f"{tag}: linear coefficient must be positive")
     d1, d2 = np.polynomial.polynomial.polyder(c1), np.polynomial.polynomial.polyder(c2)
-    pv = np.polynomial.polynomial.polyval
     return NonlinearityModel(
-        f1=lambda s: pv(s, c1), f2=lambda s: pv(s, c2),
-        df1=lambda s: pv(s, d1), df2=lambda s: pv(s, d2),
+        f1=_horner(c1), f2=_horner(c2), df1=_horner(d1), df2=_horner(d2),
         p1=p1, p2=p2, b1=b1, b2=b2,
         fp0_1=float(c1[1]), fp0_2=float(c2[1]),
         nu1=nu1, nu2=nu2, K=K, r_lims=r_lims, name=name)

@@ -2,11 +2,11 @@
 point iteration of the boundary-flux map, and the two-solutions driver.
 
 The iteration u^{k+1} = T(lam f(u^k)) applies the linear solution operator
-with frozen boundary fluxes.  T maps fluxes to multiples of phi_h, so after
-the first step the iteration runs on the two boundary traces.  Starting
-from a subsolution of a monotone nondecreasing model, iterates increase
-nodewise and converge to the minimal solution above the start; ordering is
-checked every step, not assumed.
+with frozen boundary fluxes; on the traces it is t1 <- G_lam(t1) = lam
+f1(lam f2(t1)/mu_h)/mu_h, so for a monotone model the minimal solution
+above a subsolution (Amann) is the first root of G_lam(t) = t above its
+trace.  second_solution bisects for that root; the iteration, whose
+contraction tends to 1 at both ends of (mu0, fold), is the reference.
 """
 
 from __future__ import annotations
@@ -15,12 +15,13 @@ import math
 
 import numpy as np
 
-from .continuation import Branch, solutions_at
+from .analysis import bifurcation_point
+from .continuation import Branch, _polish, _TraceSystem, solutions_at
 from .errors import (ConfigError, MonotonicityViolationError,
                      NonConvergenceError, SubsolutionError, DistinctnessError)
 from .grid import RadialGrid, SystemState, boundary_flux, pair_norm
 from .model import NonlinearityModel, f_extended, validate_hypotheses
-from .solver import linear_bvp_solve
+from .solver import NewtonConfig, linear_bvp_solve
 from .steklov import SteklovPair, steklov_eigenpair
 
 __all__ = [
@@ -144,20 +145,19 @@ def monotone_iterate(grid: RadialGrid, model: NonlinearityModel, lam: float,
 
 def second_solution(grid: RadialGrid, model: NonlinearityModel, lam: float,
                     branch: Branch):
-    """(minimal solution, distinct branch solution) at lam between the
-    bifurcation value and the fold.
+    """(minimal solution, distinct branch solution) at lam in (mu0, fold).
 
-    The minimal solution comes from the increasing iteration started at the
-    canonical subsolution; the ceiling is the nodewise minimum of the upper
-    branch solution at lam and at a larger parameter before the fold.  The
-    branch solution is the largest-norm state from solutions_at.  Raises
-    DistinctnessError when lam is not below the fold, when the two states'
-    pair norms agree to within the deduplication threshold or when the
-    branch offers no solution at lam.
+    The branch solution is the largest-norm state from solutions_at; the
+    minimal one is the root of q_lam = G_lam(t)/t - 1 between the canonical
+    subsolution trace and the fold trace, polished in full space and checked
+    nodewise to lie between the subsolution and the branch solution (else
+    MonotonicityViolationError).  Raises ConfigError for a non-monotone
+    model, NonConvergenceError when that bracket has no sign change or the
+    polish fails, and DistinctnessError when lam is not below the fold, no
+    state is at lam or the two pair norms agree to 1e-3 relative.
     """
     eig = steklov_eigenpair(grid)
-    sigma = math.sqrt(model.fp0_1 * model.fp0_2)
-    mu0 = eig.mu1 / sigma
+    mu0 = bifurcation_point(model, eig.mu1)
     if lam <= mu0:
         raise ConfigError(
             f"parameter {lam:.6g} is not above the bifurcation value {mu0:.6g}")
@@ -168,6 +168,9 @@ def second_solution(grid: RadialGrid, model: NonlinearityModel, lam: float,
         raise DistinctnessError(
             f"parameter {lam:.6g} is not below the fold {branch.fold.lam_bar:.6g}; "
             "the branch has no second solution there")
+    monotone = validate_hypotheses(model, grid.N_dim)["monotone"]
+    if not monotone.passed:
+        raise ConfigError(f"model is not monotone nondecreasing: {monotone.detail}")
 
     candidates = solutions_at(branch, lam, grid, model)
     if not candidates:
@@ -176,20 +179,23 @@ def second_solution(grid: RadialGrid, model: NonlinearityModel, lam: float,
             f"(fold estimate {branch.fold.lam_bar:.6g})")
     upper = max(candidates, key=pair_norm)
 
-    ceiling = upper
-    lam_mid = 0.5 * (lam + branch.fold.lam_bar)
-    if lam_mid > lam:
-        higher = solutions_at(branch, lam_mid, grid, model)
-        if higher:
-            other = max(higher, key=pair_norm)
-            ceiling = SystemState(np.minimum(upper.u1, other.u1),
-                                  np.minimum(upper.u2, other.u2))
-
-    a = math.sqrt(model.fp0_1)
-    b = math.sqrt(model.fp0_2)
-    eps0 = 1e-2 / max(a, b)
-    sub = build_subsolution(grid, model, eig, lam, eps0)
-    minimal = monotone_iterate(grid, model, lam, sub, sup=ceiling)
+    sub = build_subsolution(grid, model, eig, lam,
+                            1e-2 / math.sqrt(max(model.fp0_1, model.fp0_2)))
+    ts = _TraceSystem(model, eig)
+    lo, hi = float(sub.u1[-1]), branch.fold.t1
+    if not ts.q(lo, lam) >= 0.0 > ts.q(hi, lam):
+        raise NonConvergenceError(
+            f"q_lam has no sign change between the subsolution trace {lo:.6g} "
+            f"and the fold trace {hi:.6g} at lam={lam:.6g}")
+    minimal = _polish(grid, ts, ts.at(ts.root(lam, lo, hi), lam),
+                      NewtonConfig()).state
+    slack = ORDER_SLACK_REL * max(1.0, pair_norm(upper))
+    for what, below, above in (("above the subsolution", sub, minimal),
+                               ("below the branch solution", minimal, upper)):
+        over = float(np.max([below.u1 - above.u1, below.u2 - above.u2]))
+        if over > slack:
+            raise MonotonicityViolationError(
+                f"minimal solution not {what} at lam={lam:.6g} (by {over:.3e})")
 
     gap = abs(pair_norm(minimal) - pair_norm(upper))
     if gap <= 1e-3 * max(1.0, pair_norm(upper)):

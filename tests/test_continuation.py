@@ -93,11 +93,18 @@ def test_branch_structure_and_termination(ref_branch, mu0_ref):
     assert lams[-1] <= 1e-3
 
 
-def test_branch_fold_matches_trace_system(ref_branch, mu0_ref):
-    assert ref_branch.fold.lam_bar == pytest.approx(LAMBDA_BAR_512, abs=1e-10)
-    assert ref_branch.fold.lam_bar > mu0_ref  # strictly right of mu0
+def test_branch_fold_matches_trace_system(ref_branch, mu0_ref, ref_model,
+                                          mu_h512):
+    fold = ref_branch.fold
+    assert fold.lam_bar == pytest.approx(LAMBDA_BAR_512, abs=1e-10)
+    assert fold.lam_bar > mu0_ref  # strictly right of mu0
     # the fold is the true maximum: no computed point lies above it
     assert ref_branch.lambdas().max() <= LAMBDA_BAR_512
+    # the fold traces solve the trace system at the fold parameter
+    assert abs(mu_h512 * fold.t1
+               - fold.lam_bar * eval_f(ref_model, 1, fold.t2)) <= 1e-12
+    assert abs(mu_h512 * fold.t2
+               - fold.lam_bar * eval_f(ref_model, 2, fold.t1)) <= 1e-12
 
 
 def test_trace_jacobian_matches_central_differences(ref_model, eig512):
@@ -221,15 +228,31 @@ def test_detect_fold_finds_sign_flip():
     assert b.points[info.index].lam == 0.33
 
 
-def test_solutions_at_counts(ref_branch, grid512, ref_model, mu0_ref):
+def test_solutions_at_counts(ref_branch, grid512, ref_model, mu0_ref,
+                             mu_h512):
     from radbif import pair_norm
-    # the values near the fold have their upper crossing on the segment
-    # across the fold, where a start interpolated between the segment's
-    # end states falls into the lower solution's basin
-    # 0.3332077382 lies between the largest sampled lam and the exact fold,
-    # so both crossings sit on the one segment over the fold
+
+    def check_traces(lam, states):
+        # each state's traces solve the trace system (independent oracle)
+        for st in states:
+            t1, t2 = float(st.u1[-1]), float(st.u2[-1])
+            got = trace_system_solve(
+                mu_h512,
+                lambda t: lam * eval_f(ref_model, 1, t),
+                lambda t: lam * eval_f(ref_model, 2, t),
+                lambda t: lam * eval_fprime(ref_model, 1, t),
+                lambda t: lam * eval_fprime(ref_model, 2, t), t1, t2)
+            scale = max(1.0, t1, t2)
+            assert abs(got[0] - t1) <= 1e-12 * scale, lam
+            assert abs(got[1] - t2) <= 1e-12 * scale, lam
+
+    # the values near the fold have both roots of q_lam in the two branch
+    # intervals next to the fold trace; 0.3332077382 lies between the
+    # largest sampled lam and the exact fold, so only the fold node
+    # separates them.  mu0 + 1e-6 has its lower root between the trivial
+    # anchor and the step-off point.
     for lam in (LAMBDA_MID, 0.3329574, 0.3330077, 0.3330580, 0.3331083,
-                0.3331586, 0.3332077382):
+                0.3331586, 0.3332077382, mu0_ref + 1e-6):
         two = solutions_at(ref_branch, lam, grid512, ref_model)
         assert len(two) == 2, lam
         gap = abs(pair_norm(two[1]) - pair_norm(two[0]))
@@ -237,15 +260,35 @@ def test_solutions_at_counts(ref_branch, grid512, ref_model, mu0_ref):
         for st in two:
             assert scaled_residual_norm(
                 residual(grid512, ref_model, lam, st), st) <= 1e-10
+        check_traces(lam, two)
+    assert 0.0 < two[0].u1[-1] < ref_branch.points[1].state.u1[-1]
 
-    one = solutions_at(ref_branch, mu0_ref - 0.005, grid512, ref_model)
-    assert len(one) == 1
+    for lam in (mu0_ref - 0.005, 0.01):
+        one = solutions_at(ref_branch, lam, grid512, ref_model)
+        assert len(one) == 1, lam
+        check_traces(lam, one)
 
     none = solutions_at(ref_branch, 0.34, grid512, ref_model)
     assert none == []
 
     with pytest.raises(ConfigError):
         solutions_at(ref_branch, 0.0, grid512, ref_model)
+
+
+def test_solutions_at_polishes_once_per_root(ref_branch, grid512, ref_model,
+                                             monkeypatch):
+    # roots come from the scalar trace equation: no corrector solve, one
+    # full-space polish per returned state
+    import radbif.continuation as cont
+    calls = []
+    polish = cont._polish
+    monkeypatch.setattr(cont, "_corrector",
+                        lambda *a, **k: calls.append("corrector"))
+    monkeypatch.setattr(cont, "_polish",
+                        lambda *a, **k: calls.append("polish") or polish(*a, **k))
+    states = solutions_at(ref_branch, LAMBDA_MID, grid512, ref_model)
+    assert len(states) == 2
+    assert calls == ["polish", "polish"]
 
 
 def test_solutions_at_states_reconverged(ref_branch, grid512, ref_model):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -35,6 +36,24 @@ def test_extension_is_linear_below_zero():
     # C1 match at the origin
     assert f_extended(m, 2, 0.0) == 0.0
     assert fprime_extended(m, 2, 0.0) == m.fp0_2
+
+
+def test_polynomial_model_matches_polyval_bitwise():
+    # the scalar Horner loop keeps numpy polyval's operation order
+    pv = np.polynomial.polynomial.polyval
+    rng = np.random.default_rng(20)
+    args = np.concatenate([rng.uniform(0.0, 1e-300, 1000),
+                           rng.uniform(0.0, 10.0, 1000),
+                           10.0 ** rng.uniform(50.0, 100.0, 1000), [0.0]])
+    c1, c2 = [0.0, 1.0, -1.0, 1.0], [0.0, 1.0, 0.5]
+    m = polynomial_model(c1, c2, p1=2.0, p2=3.0, b1=0.5, b2=1.0,
+                         nu1=2.0, nu2=2.0, K=0.75)
+    pairs = [(m.f1, c1), (m.f2, c2),
+             (m.df1, [1.0, -2.0, 3.0]), (m.df2, [1.0, 1.0])]
+    for s in args.tolist():
+        for f, c in pairs:
+            assert (np.float64(f(s)).tobytes()
+                    == np.float64(pv(s, np.array(c))).tobytes()), (s, c)
 
 
 def test_remainder_reference_points():

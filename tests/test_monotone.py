@@ -4,7 +4,9 @@ driver.
 The canonical run at lam = 0.3231227939747531 (between the bifurcation
 value and the fold) must reproduce the lower branch crossing: the
 iteration from a small kernel-direction subsolution converges to the
-minimal solution, which solutions_at reaches independently by bracketing.
+minimal solution, which solutions_at reaches independently as the lower
+root of the scalar trace equation.  second_solution takes that root
+directly; the iteration stays the independent reference.
 """
 
 import math
@@ -190,6 +192,26 @@ def test_second_solution_pair(grid512, ref_model, ref_branch):
             residual(grid512, ref_model, LAMBDA_MID, st), st)
         assert rnorm <= 1e-10
         assert st.u1.min() > 0.0 and st.u2.min() > 0.0
+
+
+def test_second_solution_at_the_window_ends(grid512, ref_model, eig512,
+                                            ref_branch, mu0_ref):
+    # the increasing iteration stalls at both ends of (mu0, fold), where its
+    # contraction tends to 1; the root of q_lam does not
+    fold = ref_branch.fold.lam_bar
+    eps = 1e-2 / math.sqrt(max(ref_model.fp0_1, ref_model.fp0_2))
+    for lam in (mu0_ref + 1e-6, mu0_ref + 1e-4, mu0_ref + 1e-3,
+                mu0_ref + 3e-3, fold - 1e-5, fold - 1e-7):
+        minimal, upper = second_solution(grid512, ref_model, lam, ref_branch)
+        sub = build_subsolution(grid512, ref_model, eig512, lam, eps)
+        assert np.all(minimal.u1 >= sub.u1) and np.all(minimal.u2 >= sub.u2)
+        assert np.all(minimal.u1 <= upper.u1) and np.all(minimal.u2 <= upper.u2)
+        assert pair_norm(minimal) < pair_norm(upper)
+        for st in (minimal, upper):
+            assert scaled_residual_norm(
+                residual(grid512, ref_model, lam, st), st) <= 1e-10, lam
+    with pytest.raises(DistinctnessError):
+        second_solution(grid512, ref_model, fold - 1e-9, ref_branch)
 
 
 def test_operator_factored_once_per_grid(ref_model, branch_cfg, monkeypatch):
