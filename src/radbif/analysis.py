@@ -233,11 +233,10 @@ def nonexistence_bound(model: NonlinearityModel, mu1: float) -> float:
 
 
 def build_report(grid: RadialGrid, model: NonlinearityModel,
-                 branch: Branch | None = None,
-                 steklov_pair: SteklovPair | None = None) -> BifurcationReport:
+                 branch: Branch | None = None) -> BifurcationReport:
     """Assemble the full scalar report; fits the slope when a branch with
     enough small-norm points is supplied, otherwise leaves it None."""
-    eig = steklov_pair if steklov_pair is not None else steklov_eigenpair(grid)
+    eig = steklov_eigenpair(grid)
     jd = jordan_data(model)
     mu0 = bifurcation_point(model, eig.mu1)
     th1, th2 = theta_exponents(model)

@@ -196,7 +196,7 @@ def _g(x: float) -> str:
 
 
 def _cmd_steklov(st: RunSettings, args) -> int:
-    eig = steklov_eigenpair(st.grid, tol=st.newton.tol_residual)
+    eig = steklov_eigenpair(st.grid)
     print(f"mu1={eig.mu1:.7f}")
     with open(st.path("steklov.csv"), "w", encoding="utf-8") as fh:
         fh.write(f"# config={st.config_hash}\n")
@@ -233,7 +233,7 @@ def _cmd_solve(st: RunSettings, args) -> int:
         raise ConfigError(f"lambda must be nonnegative, got {args.lam}")
     if args.amplitude <= 0:
         raise ConfigError(f"amplitude must be positive, got {args.amplitude}")
-    eig = steklov_eigenpair(st.grid, tol=st.newton.tol_residual)
+    eig = steklov_eigenpair(st.grid)
     init = SystemState(args.amplitude * eig.phi1, args.amplitude * eig.phi1)
     result = newton_solve(st.grid, st.model, args.lam, init, st.newton)
     save_state_csv(st.path("solution.csv"), st.grid, result.state,

@@ -29,7 +29,8 @@ f1'(t2) f2'(t1) along the arclength between the points around the
 tangent sign flip, found by bisection with one corrector solve per
 evaluation.  At a fixed lam, t2 = lam f2(t1)/mu_h, so the states at lam
 are the roots t1 of one scalar equation (_TraceSystem.q); solutions_at
-brackets them by the branch and fold traces and bisects on doubles.
+brackets them by the branch and fold traces, bisects on doubles and
+verifies each root in full space at the branch's own Branch.newton.
 """
 
 from __future__ import annotations
@@ -130,7 +131,8 @@ class Branch:
     fold_indices lists every tangent sign flip; more than one entry means
     the computed geometry is not a single fold and callers should look.
     rejections counts rejected step attempts (each halves ds) and
-    last_rejection holds the reason for the latest one.
+    last_rejection holds the reason for the latest one.  newton is the
+    setting every point was verified with (cfg.newton in continue_branch).
     """
 
     points: list = field(default_factory=list)
@@ -139,6 +141,7 @@ class Branch:
     fold_indices: list = field(default_factory=list)
     rejections: int = 0
     last_rejection: str = ""
+    newton: NewtonConfig = NewtonConfig()
 
     def lambdas(self) -> np.ndarray:
         return np.array([p.lam for p in self.points])
@@ -285,20 +288,17 @@ def _polish(grid: RadialGrid, ts: _TraceSystem, x: np.ndarray,
 
 def step_off(grid: RadialGrid, model: NonlinearityModel, mu0: float,
              tangent: SystemState, eps: float,
-             cfg: ContinuationConfig = ContinuationConfig(),
-             eig: Optional[SteklovPair] = None) -> BranchPoint:
+             cfg: ContinuationConfig = ContinuationConfig()) -> BranchPoint:
     """First nontrivial point: amplitude eps along the kernel tangent.
 
     The constraint fixes the component of the traces along the tangent's
     boundary values at eps and leaves the parameter free, so the trivial
     state cannot satisfy it and Newton must land on the bifurcating
-    branch.  eig is the grid's eigenpair, computed when not given.
+    branch.
     """
     if not (0.0 < eps <= 0.1):
         raise ConfigError(f"step-off amplitude must lie in (0, 0.1], got {eps}")
-    if eig is None:
-        eig = steklov_eigenpair(grid, tol=min(1e-10, cfg.newton.tol_residual))
-    ts = _TraceSystem(model, eig)
+    ts = _TraceSystem(model, steklov_eigenpair(grid))
     tau = np.array([tangent.u1[-1], tangent.u2[-1], 0.0])
     anchor = eps * tau + np.array([0.0, 0.0, mu0])
     try:
@@ -327,18 +327,18 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
     comes from step_off; each later point is accepted only after the
     full-space re-check (and polish, if needed) and a positivity check.
     """
-    eig = steklov_eigenpair(grid, tol=min(1e-10, cfg.newton.tol_residual))
+    eig = steklov_eigenpair(grid)
     ts = _TraceSystem(model, eig)
     sigma = math.sqrt(model.fp0_1 * model.fp0_2)
     mu0 = eig.mu1 / sigma
     tangent = initial_tangent(model, eig)
 
-    branch = Branch()
+    branch = Branch(newton=cfg.newton)
     branch.points.append(BranchPoint(
         lam=mu0, state=SystemState.zero(grid), norm=0.0,
         tangent_lambda_sign=0, ds=0.0))
     try:
-        first = step_off(grid, model, mu0, tangent, cfg.eps_step_off, cfg, eig)
+        first = step_off(grid, model, mu0, tangent, cfg.eps_step_off, cfg)
     except StepOffError as exc:
         raise ContinuationError(f"first corrector step failed: {exc}",
                                 last_point=branch.points[0])
@@ -459,20 +459,19 @@ def _exact_fold(ts: _TraceSystem, branch: Branch, sampled: FoldInfo,
 
 
 def solutions_at(branch: Branch, lam: float, grid: RadialGrid,
-                 model: NonlinearityModel,
-                 cfg: ContinuationConfig = ContinuationConfig()) -> list:
+                 model: NonlinearityModel) -> list:
     """All positive states at lam with t1 within the branch, by pair norm.
 
     The nodes are the branch t1 traces and the fold t1, so each sign change
     of q_lam between adjacent nodes brackets one root, and a root on a node
     is taken once.  Each root is rebuilt as (t1, lam f2(t1)/mu_h, lam) and
-    polished in full space; a root whose polish fails or ends non-positive
-    is dropped, not fatal.
+    polished in full space at branch.newton; a root whose polish fails or
+    ends non-positive (pair norm at or below POSITIVITY_ZERO_FLOOR) is
+    dropped, not fatal.
     """
     if lam <= 0:
         raise ConfigError(f"parameter must be positive, got {lam}")
-    ts = _TraceSystem(model, steklov_eigenpair(
-        grid, tol=min(1e-10, cfg.newton.tol_residual)))
+    ts = _TraceSystem(model, steklov_eigenpair(grid))
     fold = [branch.fold.t1] if branch.fold is not None else []
     nodes = sorted({float(p.state.u1[-1]) for p in branch.points} | set(fold))
     qs = [ts.q(t, lam) for t in nodes]
@@ -483,7 +482,7 @@ def solutions_at(branch: Branch, lam: float, grid: RadialGrid,
     states = []
     for t1 in roots:
         try:
-            states.append(_polish(grid, ts, ts.at(t1, lam), cfg.newton).state)
+            states.append(_polish(grid, ts, ts.at(t1, lam), branch.newton).state)
         except _CorrectorFailure:
             continue
     return sorted(states, key=pair_norm)

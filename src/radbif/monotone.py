@@ -5,8 +5,10 @@ The iteration u^{k+1} = T(lam f(u^k)) applies the linear solution operator
 with frozen boundary fluxes; on the traces it is t1 <- G_lam(t1) = lam
 f1(lam f2(t1)/mu_h)/mu_h, so for a monotone model the minimal solution
 above a subsolution (Amann) is the first root of G_lam(t) = t above its
-trace.  second_solution bisects for that root; the iteration, whose
-contraction tends to 1 at both ends of (mu0, fold), is the reference.
+trace.  second_solution takes that root and the branch solution from one
+solutions_at call, so both are verified at the branch's own Newton
+setting; the iteration, whose contraction tends to 1 at both ends of
+(mu0, fold), is the reference.
 """
 
 from __future__ import annotations
@@ -16,13 +18,13 @@ import math
 import numpy as np
 
 from .analysis import bifurcation_point
-from .continuation import Branch, _polish, _TraceSystem, solutions_at
+from .continuation import Branch, solutions_at
 from .errors import (ConfigError, MonotonicityViolationError,
                      NonConvergenceError, SubsolutionError, DistinctnessError)
 from .grid import RadialGrid, SystemState, boundary_flux, pair_norm
 from .model import NonlinearityModel, f_extended, validate_hypotheses
-from .solver import NewtonConfig, linear_bvp_solve
-from .steklov import SteklovPair, steklov_eigenpair
+from .solver import POSITIVITY_ZERO_FLOOR, linear_bvp_solve
+from .steklov import steklov_eigenpair
 
 __all__ = [
     "build_subsolution",
@@ -43,8 +45,7 @@ def _flux_gap(grid, model, lam, state):
     return min(g1, g2)
 
 
-def build_subsolution(grid: RadialGrid, model: NonlinearityModel,
-                      steklov_pair: SteklovPair, lam: float,
+def build_subsolution(grid: RadialGrid, model: NonlinearityModel, lam: float,
                       eps: float) -> SystemState:
     """Kernel-direction subsolution (eps a phi1, eps b phi1), a = sqrt(f1'(0)),
     b = sqrt(f2'(0)).
@@ -60,7 +61,7 @@ def build_subsolution(grid: RadialGrid, model: NonlinearityModel,
         raise ConfigError(f"parameter must be positive, got {lam}")
     a = math.sqrt(model.fp0_1)
     b = math.sqrt(model.fp0_2)
-    phi = steklov_pair.phi1
+    phi = steklov_eigenpair(grid).phi1
     for _ in range(41):
         cand = SystemState(eps * a * phi, eps * b * phi)
         if _flux_gap(grid, model, lam, cand) >= 0.0:
@@ -147,17 +148,18 @@ def second_solution(grid: RadialGrid, model: NonlinearityModel, lam: float,
                     branch: Branch):
     """(minimal solution, distinct branch solution) at lam in (mu0, fold).
 
-    The branch solution is the largest-norm state from solutions_at; the
-    minimal one is the root of q_lam = G_lam(t)/t - 1 between the canonical
-    subsolution trace and the fold trace, polished in full space and checked
-    nodewise to lie between the subsolution and the branch solution (else
-    MonotonicityViolationError).  Raises ConfigError for a non-monotone
-    model, NonConvergenceError when that bracket has no sign change or the
-    polish fails, and DistinctnessError when lam is not below the fold, no
-    state is at lam or the two pair norms agree to 1e-3 relative.
+    Both come from one solutions_at call, verified at branch.newton: the
+    minimal solution is the state of least pair norm, the first root of
+    q_lam = G_lam(t)/t - 1 above the canonical subsolution trace, and the
+    branch solution the one of largest pair norm.  The minimal one is
+    checked nodewise to lie between the subsolution and the branch solution
+    (else MonotonicityViolationError).  Raises ConfigError for a
+    non-monotone model or lam not above mu0, and DistinctnessError when lam
+    is not below the fold, fewer than two positive states are at lam (just
+    above mu0 the minimal one sinks below POSITIVITY_ZERO_FLOOR) or the two
+    pair norms agree to 1e-3 relative.
     """
-    eig = steklov_eigenpair(grid)
-    mu0 = bifurcation_point(model, eig.mu1)
+    mu0 = bifurcation_point(model, steklov_eigenpair(grid).mu1)
     if lam <= mu0:
         raise ConfigError(
             f"parameter {lam:.6g} is not above the bifurcation value {mu0:.6g}")
@@ -172,23 +174,17 @@ def second_solution(grid: RadialGrid, model: NonlinearityModel, lam: float,
     if not monotone.passed:
         raise ConfigError(f"model is not monotone nondecreasing: {monotone.detail}")
 
-    candidates = solutions_at(branch, lam, grid, model)
-    if not candidates:
+    states = solutions_at(branch, lam, grid, model)
+    if len(states) < 2:
         raise DistinctnessError(
-            f"branch offers no positive solution at lam={lam:.6g} "
-            f"(fold estimate {branch.fold.lam_bar:.6g})")
-    upper = max(candidates, key=pair_norm)
+            f"only {len(states)} positive state(s) at lam={lam:.12g} "
+            f"(mu0 + {lam - mu0:.3g}); a state whose pair norm is at or below "
+            f"the zero floor POSITIVITY_ZERO_FLOOR = {POSITIVITY_ZERO_FLOOR:g} "
+            "cannot be told from the trivial one")
+    minimal, upper = states[0], states[-1]
 
-    sub = build_subsolution(grid, model, eig, lam,
+    sub = build_subsolution(grid, model, lam,
                             1e-2 / math.sqrt(max(model.fp0_1, model.fp0_2)))
-    ts = _TraceSystem(model, eig)
-    lo, hi = float(sub.u1[-1]), branch.fold.t1
-    if not ts.q(lo, lam) >= 0.0 > ts.q(hi, lam):
-        raise NonConvergenceError(
-            f"q_lam has no sign change between the subsolution trace {lo:.6g} "
-            f"and the fold trace {hi:.6g} at lam={lam:.6g}")
-    minimal = _polish(grid, ts, ts.at(ts.root(lam, lo, hi), lam),
-                      NewtonConfig()).state
     slack = ORDER_SLACK_REL * max(1.0, pair_norm(upper))
     for what, below, above in (("above the subsolution", sub, minimal),
                                ("below the branch solution", minimal, upper)):

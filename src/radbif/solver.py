@@ -60,19 +60,21 @@ POSITIVITY_REL_FLOOR = 1e-12
 # produces (step-off, branch, limit, monotone iterates) has norm >= 1e-5.
 POSITIVITY_ZERO_FLOOR = 1e-8
 
+# Smallest Newton step fraction tried by backtracking.
+DAMPING_FLOOR = 2.0 ** -20
+
 
 @dataclass(frozen=True)
 class NewtonConfig:
     """Damped Newton settings.
 
     tol_residual bounds max|F| / max(1, sup|u1|, sup|u2|); damping is plain
-    backtracking (halve until the residual norm decreases) with the given
-    floor on the step fraction.
+    backtracking (halve until the residual norm decreases) down to the step
+    fraction DAMPING_FLOOR.
     """
 
     tol_residual: float = 1e-10
     max_iter: int = 50
-    damping_floor: float = 2.0 ** -20
 
     def __post_init__(self):
         if self.tol_residual <= 0:
@@ -238,7 +240,7 @@ def newton_solve(grid: RadialGrid, model: NonlinearityModel, lam: float,
         x = state.to_vector()
         t = 1.0
         accepted = False
-        while t >= cfg.damping_floor:
+        while t >= DAMPING_FLOOR:
             trial = SystemState.from_vector(x + t * step)
             res_t = residual(grid, model, lam, trial)
             rnorm_t = scaled_residual_norm(res_t, trial)

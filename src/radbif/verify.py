@@ -57,7 +57,7 @@ def _shared():
                              max_points=4000)
     branch = continue_branch(grid, model, cfg)
     return {"model": model, "grid": grid, "eig": eig, "mu0": mu0,
-            "cfg": cfg, "branch": branch}
+            "branch": branch}
 
 
 def _check_steklov_oracle(shared):
@@ -188,12 +188,11 @@ def _check_nonexistence(shared):
 
 
 def _check_multiplicity(shared):
-    model, grid, eig = shared["model"], shared["grid"], shared["eig"]
-    branch = shared["branch"]
+    model, grid, branch = shared["model"], shared["grid"], shared["branch"]
     if branch.fold is None:
         return False, "branch has no fold"
     lam = 0.5 * (shared["mu0"] + branch.fold.lam_bar)
-    sols = solutions_at(branch, lam, grid, model, shared["cfg"])
+    sols = solutions_at(branch, lam, grid, model)
     if len(sols) < 2:
         return False, f"only {len(sols)} states at lam={lam:.6f}"
     norms = [pair_norm(s) for s in sols]
@@ -201,7 +200,7 @@ def _check_multiplicity(shared):
 
     a = math.sqrt(model.fp0_1)
     b = math.sqrt(model.fp0_2)
-    sub = build_subsolution(grid, model, eig, lam, 1e-2 / max(a, b))
+    sub = build_subsolution(grid, model, lam, 1e-2 / max(a, b))
     ceiling = max(sols, key=pair_norm)
     minimal = monotone_iterate(grid, model, lam, sub, sup=ceiling)
 

@@ -259,9 +259,8 @@ def test_build_report_without_branch(grid128, ref_model):
 
 
 def test_build_report_with_branch(grid512, ref_model, ref_branch,
-                                  slope_branch, eig512):
-    rep = build_report(grid512, ref_model, branch=slope_branch,
-                       steklov_pair=eig512)
+                                  slope_branch):
+    rep = build_report(grid512, ref_model, branch=slope_branch)
     assert rep.direction is Direction.RIGHT
     assert rep.slope_fitted is not None and rep.slope_fitted < 0.0
     assert rep.slope_fitted == pytest.approx(rep.slope_predicted, abs=1e-3)

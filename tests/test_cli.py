@@ -243,19 +243,23 @@ def test_branch_state_dumps(tmp_path, capsys):
 
 
 def test_multiplicity_command(tmp_path, capsys):
-    out = tmp_path / "out"
-    assert run(["multiplicity", "--lambda", str(LAMBDA_MID),
-                "--override", "cont.lambda_stop_low=0.25",
-                "--override", f"out.dir={out}"]) == 0
-    assert "gap=" in capsys.readouterr().out
-    payload = json.loads((out / "multiplicity.json").read_text())
-    assert payload["ordered_nodewise"] is True
-    assert payload["norm_gap"] == pytest.approx(0.8156, abs=1e-2)
-    assert payload["minimal"]["norm_pair"] == pytest.approx(0.2539, abs=1e-3)
-    assert payload["minimal"]["residual"] <= 1e-9
-    assert payload["branch_solution"]["residual"] <= 1e-9
-    assert (out / "minimal.csv").exists()
-    assert (out / "branch_solution.csv").exists()
+    # at M = 1024 the default newton.tol lies above 1e-10, and both states
+    # must be verified at that tolerance, the one the branch was traced at
+    for M in (512, 1024):
+        out = tmp_path / f"out{M}"
+        assert run(["multiplicity", "--lambda", str(LAMBDA_MID),
+                    "--override", "cont.lambda_stop_low=0.25",
+                    "--override", f"grid.M={M}",
+                    "--override", f"out.dir={out}"]) == 0, M
+        assert "gap=" in capsys.readouterr().out
+        payload = json.loads((out / "multiplicity.json").read_text())
+        assert payload["ordered_nodewise"] is True
+        assert payload["norm_gap"] == pytest.approx(0.8156, abs=1e-2)
+        assert payload["minimal"]["norm_pair"] == pytest.approx(0.2539, abs=1e-3)
+        assert payload["minimal"]["residual"] <= 1e-9
+        assert payload["branch_solution"]["residual"] <= 1e-9
+        assert (out / "minimal.csv").exists()
+        assert (out / "branch_solution.csv").exists()
 
 
 def test_multiplicity_rejects_nonpositive_lambda(tmp_path, capsys):

@@ -5,8 +5,9 @@ The canonical run at lam = 0.3231227939747531 (between the bifurcation
 value and the fold) must reproduce the lower branch crossing: the
 iteration from a small kernel-direction subsolution converges to the
 minimal solution, which solutions_at reaches independently as the lower
-root of the scalar trace equation.  second_solution takes that root
-directly; the iteration stays the independent reference.
+root of the scalar trace equation.  second_solution takes that root and
+the branch solution from solutions_at; the iteration stays the
+independent reference.
 """
 
 import math
@@ -32,19 +33,19 @@ def _flux_gap(grid, model, lam, state):
     return min(g1, g2)
 
 
-def test_subsolution_accepted_at_initial_amplitude(grid512, ref_model, eig512,
+def test_subsolution_accepted_at_initial_amplitude(grid512, ref_model,
                                                    mu0_ref):
     lam = 1.1 * mu0_ref
-    sub = build_subsolution(grid512, ref_model, eig512, lam, 1e-2)
+    sub = build_subsolution(grid512, ref_model, lam, 1e-2)
     assert sub.u1.min() > 0.0 and sub.u2.min() > 0.0
     assert sub.u1.max() == pytest.approx(1e-2, rel=1e-12)  # no halving
     assert _flux_gap(grid512, ref_model, lam, sub) >= 0.0
 
 
-def test_subsolution_halves_until_admissible(grid512, ref_model, eig512,
+def test_subsolution_halves_until_admissible(grid512, ref_model,
                                              mu0_ref):
     # close to the bifurcation value only small amplitudes are admissible
-    sub = build_subsolution(grid512, ref_model, eig512, 1.01 * mu0_ref, 0.5)
+    sub = build_subsolution(grid512, ref_model, 1.01 * mu0_ref, 0.5)
     amp = float(sub.u1.max())
     assert amp == pytest.approx(0.5 / 2 ** 6, rel=1e-12)
     assert _flux_gap(grid512, ref_model, 1.01 * mu0_ref, sub) >= 0.0
@@ -53,25 +54,25 @@ def test_subsolution_halves_until_admissible(grid512, ref_model, eig512,
     assert _flux_gap(grid512, ref_model, 1.01 * mu0_ref, big) < 0.0
 
 
-def test_subsolution_large_amplitude_superlinear(grid512, ref_model, eig512,
+def test_subsolution_large_amplitude_superlinear(grid512, ref_model,
                                                  mu0_ref):
     # cubic growth dominates the linear flux: eps = 1e3 verifies directly
-    sub = build_subsolution(grid512, ref_model, eig512, 1.1 * mu0_ref, 1e3)
+    sub = build_subsolution(grid512, ref_model, 1.1 * mu0_ref, 1e3)
     assert sub.u1.max() == pytest.approx(1e3, rel=1e-12)
 
 
-def test_subsolution_below_bifurcation_fails(grid512, ref_model, eig512,
+def test_subsolution_below_bifurcation_fails(grid512, ref_model,
                                              mu0_ref):
     with pytest.raises(SubsolutionError):
-        build_subsolution(grid512, ref_model, eig512, 0.5 * mu0_ref, 1e-2)
+        build_subsolution(grid512, ref_model, 0.5 * mu0_ref, 1e-2)
 
 
-def test_subsolution_parameter_validation(grid512, ref_model, eig512,
+def test_subsolution_parameter_validation(grid512, ref_model,
                                           mu0_ref):
     with pytest.raises(ConfigError):
-        build_subsolution(grid512, ref_model, eig512, mu0_ref * 1.1, 0.0)
+        build_subsolution(grid512, ref_model, mu0_ref * 1.1, 0.0)
     with pytest.raises(ConfigError):
-        build_subsolution(grid512, ref_model, eig512, -1.0, 1e-2)
+        build_subsolution(grid512, ref_model, -1.0, 1e-2)
 
 
 def test_iteration_fixed_at_zero(grid512, ref_model):
@@ -80,9 +81,9 @@ def test_iteration_fixed_at_zero(grid512, ref_model):
     assert pair_norm(out) == 0.0
 
 
-def test_iteration_reaches_minimal_solution(grid512, ref_model, eig512,
+def test_iteration_reaches_minimal_solution(grid512, ref_model,
                                             ref_branch):
-    sub = build_subsolution(grid512, ref_model, eig512, LAMBDA_MID, 1e-2)
+    sub = build_subsolution(grid512, ref_model, LAMBDA_MID, 1e-2)
     trace = []
     minimal = monotone_iterate(grid512, ref_model, LAMBDA_MID, sub,
                                trace=trace)
@@ -101,9 +102,9 @@ def test_iteration_reaches_minimal_solution(grid512, ref_model, eig512,
     assert float(np.abs(minimal.u1 - lower.u1).max()) <= 1e-8
 
 
-def test_iteration_respects_supersolution_ceiling(grid512, ref_model, eig512,
+def test_iteration_respects_supersolution_ceiling(grid512, ref_model,
                                                   ref_branch):
-    sub = build_subsolution(grid512, ref_model, eig512, LAMBDA_MID, 1e-2)
+    sub = build_subsolution(grid512, ref_model, LAMBDA_MID, 1e-2)
     upper = solutions_at(ref_branch, LAMBDA_MID, grid512, ref_model)[-1]
     minimal = monotone_iterate(grid512, ref_model, LAMBDA_MID, sub, sup=upper)
     assert np.all(minimal.u1 <= upper.u1 + 1e-10)
@@ -111,10 +112,10 @@ def test_iteration_respects_supersolution_ceiling(grid512, ref_model, eig512,
 
 
 def test_iteration_stops_at_a_ceiling_below_the_limit(grid512, ref_model,
-                                                      eig512, ref_branch):
+                                                      ref_branch):
     # half the minimal solution is no supersolution: the iterates must
     # cross it and the check must say so
-    sub = build_subsolution(grid512, ref_model, eig512, LAMBDA_MID, 1e-2)
+    sub = build_subsolution(grid512, ref_model, LAMBDA_MID, 1e-2)
     lower = solutions_at(ref_branch, LAMBDA_MID, grid512, ref_model)[0]
     ceiling = SystemState(0.5 * lower.u1, 0.5 * lower.u2)
     trace = []
@@ -146,8 +147,8 @@ def test_iteration_parameter_validation(grid512, ref_model):
         monotone_iterate(grid512, ref_model, LAMBDA_MID, z, max_iter=0)
 
 
-def test_iteration_budget_exhaustion(grid512, ref_model, eig512):
-    sub = build_subsolution(grid512, ref_model, eig512, LAMBDA_MID, 1e-2)
+def test_iteration_budget_exhaustion(grid512, ref_model):
+    sub = build_subsolution(grid512, ref_model, LAMBDA_MID, 1e-2)
     with pytest.raises(NonConvergenceError) as exc:
         monotone_iterate(grid512, ref_model, LAMBDA_MID, sub, max_iter=1)
     assert len(exc.value.trace) == 1
@@ -194,16 +195,21 @@ def test_second_solution_pair(grid512, ref_model, ref_branch):
         assert st.u1.min() > 0.0 and st.u2.min() > 0.0
 
 
-def test_second_solution_at_the_window_ends(grid512, ref_model, eig512,
+def test_second_solution_at_the_window_ends(grid512, ref_model,
                                             ref_branch, mu0_ref):
     # the increasing iteration stalls at both ends of (mu0, fold), where its
-    # contraction tends to 1; the root of q_lam does not
+    # contraction tends to 1; the roots of q_lam do not.  Both states are
+    # the outer ones of solutions_at, bit for bit.
     fold = ref_branch.fold.lam_bar
     eps = 1e-2 / math.sqrt(max(ref_model.fp0_1, ref_model.fp0_2))
-    for lam in (mu0_ref + 1e-6, mu0_ref + 1e-4, mu0_ref + 1e-3,
+    for lam in (LAMBDA_MID, mu0_ref + 1e-6, mu0_ref + 1e-4, mu0_ref + 1e-3,
                 mu0_ref + 3e-3, fold - 1e-5, fold - 1e-7):
         minimal, upper = second_solution(grid512, ref_model, lam, ref_branch)
-        sub = build_subsolution(grid512, ref_model, eig512, lam, eps)
+        states = solutions_at(ref_branch, lam, grid512, ref_model)
+        for got, want in ((minimal, states[0]), (upper, states[-1])):
+            assert np.array_equal(got.u1, want.u1), lam
+            assert np.array_equal(got.u2, want.u2), lam
+        sub = build_subsolution(grid512, ref_model, lam, eps)
         assert np.all(minimal.u1 >= sub.u1) and np.all(minimal.u2 >= sub.u2)
         assert np.all(minimal.u1 <= upper.u1) and np.all(minimal.u2 <= upper.u2)
         assert pair_norm(minimal) < pair_norm(upper)
@@ -212,6 +218,11 @@ def test_second_solution_at_the_window_ends(grid512, ref_model, eig512,
                 residual(grid512, ref_model, lam, st), st) <= 1e-10, lam
     with pytest.raises(DistinctnessError):
         second_solution(grid512, ref_model, fold - 1e-9, ref_branch)
+    # at mu0 + 1e-10 the minimal state's pair norm (about 3e-9) is below
+    # the zero floor, so only the branch solution is a positive state
+    with pytest.raises(DistinctnessError) as exc:
+        second_solution(grid512, ref_model, mu0_ref + 1e-10, ref_branch)
+    assert "1e-08" in str(exc.value) and "mu0 + 1e-10" in str(exc.value)
 
 
 def test_operator_factored_once_per_grid(ref_model, branch_cfg, monkeypatch):

@@ -44,6 +44,14 @@ def test_eigenpair_residuals_are_small(eig512):
     assert eig512.residual_flux < 1e-10
 
 
+def test_eigenpair_computed_once_per_grid():
+    g = build_grid(3, 1.0, 64)
+    eig = steklov_eigenpair(g)
+    assert steklov_eigenpair(g) is eig
+    assert not eig.phi1.flags.writeable
+    assert steklov_eigenpair(build_grid(3, 1.0, 64)) is not eig
+
+
 def test_eigenpair_is_the_unit_flux_solution(grid512, eig512, mu_h512):
     # one solve: mu1 = 1/v(R), phi1 = v/v(R), the mu_h of the trace system
     v = solve_flux_bvp(grid512, 1.0)
@@ -82,10 +90,6 @@ def test_parameter_validation():
         steklov_shooting_oracle(2, 1.0)
     with pytest.raises(ConfigError):
         steklov_shooting_oracle(3, -1.0)
-    with pytest.raises(ConfigError):
-        steklov_eigenpair(build_grid(3, 1.0, 64), tol=0.0)
-    with pytest.raises(ConfigError):
-        steklov_eigenpair(build_grid(3, 1.0, 64), tol=1e-3)
 
 
 def test_eigenvalue_scales_with_radius():
