@@ -11,6 +11,7 @@ to share across threads.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -35,6 +36,7 @@ __all__ = [
     "estimate_remainder_limits",
     "r0_bounds",
     "zeta",
+    "monotone_check",
     "validate_hypotheses",
 ]
 
@@ -233,6 +235,25 @@ class HypothesesReport:
         raise KeyError(name)
 
 
+# Sample points of the hypothesis checks on small and moderate arguments.
+_SAMPLES = np.geomspace(1e-8, 1e3, 56)
+
+_MONOTONE_CHECKS = weakref.WeakKeyDictionary()
+
+
+def monotone_check(model: NonlinearityModel) -> CheckResult:
+    """The "monotone" entry of validate_hypotheses, sampled once per model
+    object (models are frozen and hash by identity) and kept while it
+    lives."""
+    if model not in _MONOTONE_CHECKS:
+        d1 = np.array([float(model.df1(float(s))) for s in _SAMPLES])
+        d2 = np.array([float(model.df2(float(s))) for s in _SAMPLES])
+        dmin = min(float(d1.min()), float(d2.min()))
+        _MONOTONE_CHECKS[model] = CheckResult(
+            "monotone", dmin >= -1e-12, f"min sampled f_i'(s) = {dmin:.3g}")
+    return _MONOTONE_CHECKS[model]
+
+
 def validate_hypotheses(model: NonlinearityModel, N_dim: int) -> HypothesesReport:
     """Sampled pass/fail report for every structural hypothesis.
 
@@ -243,10 +264,9 @@ def validate_hypotheses(model: NonlinearityModel, N_dim: int) -> HypothesesRepor
     f1/s^p2 -> b2 on s in [1e2, 1e6].  Never raises; callers decide.
     """
     checks = []
-    small = np.geomspace(1e-8, 1e3, 56)
 
     def sample(f):
-        return np.array([float(f(float(s))) for s in small])
+        return np.array([float(f(float(s))) for s in _SAMPLES])
 
     v1, v2 = sample(model.f1), sample(model.f2)
     checks.append(CheckResult(
@@ -259,7 +279,7 @@ def validate_hypotheses(model: NonlinearityModel, N_dim: int) -> HypothesesRepor
     checks.append(CheckResult(
         "positive-derivative-at-zero", model.fp0_1 > 0 and model.fp0_2 > 0,
         f"f1'(0)={model.fp0_1:.6g}, f2'(0)={model.fp0_2:.6g}"))
-    ks = small * model.K
+    ks = _SAMPLES * model.K
     margin = min(float((v1 - ks).min()), float((v2 - ks).min()))
     checks.append(CheckResult(
         "linear-minorant", margin >= -1e-12,
@@ -273,12 +293,7 @@ def validate_hypotheses(model: NonlinearityModel, N_dim: int) -> HypothesesRepor
     checks.append(CheckResult(
         "not-both-critical", n_crit < 2,
         f"{n_crit} exponent(s) at the critical value {crit:.6g}"))
-    d1 = np.array([float(model.df1(float(s))) for s in small])
-    d2 = np.array([float(model.df2(float(s))) for s in small])
-    dmin = min(float(d1.min()), float(d2.min()))
-    checks.append(CheckResult(
-        "monotone", dmin >= -1e-12,
-        f"min sampled f_i'(s) = {dmin:.3g}"))
+    checks.append(monotone_check(model))
     big = np.geomspace(1e2, 1e6, 9)
     try:
         g2 = np.array([float(model.f2(float(s))) / float(s) ** model.p1 for s in big])

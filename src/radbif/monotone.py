@@ -22,7 +22,7 @@ from .continuation import Branch, solutions_at
 from .errors import (ConfigError, MonotonicityViolationError,
                      NonConvergenceError, SubsolutionError, DistinctnessError)
 from .grid import RadialGrid, SystemState, boundary_flux, pair_norm
-from .model import NonlinearityModel, f_extended, validate_hypotheses
+from .model import NonlinearityModel, f_extended, monotone_check
 from .solver import POSITIVITY_ZERO_FLOOR, linear_bvp_solve
 from .steklov import steklov_eigenpair
 
@@ -95,10 +95,10 @@ def monotone_iterate(grid: RadialGrid, model: NonlinearityModel, lam: float,
     if tol <= 0 or max_iter < 1:
         raise ConfigError("tol must be positive and max_iter at least 1")
     if validate:
-        report = validate_hypotheses(model, grid.N_dim)
-        if not report["monotone"].passed:
+        monotone = monotone_check(model)
+        if not monotone.passed:
             raise ConfigError(
-                f"model is not monotone nondecreasing: {report['monotone'].detail}")
+                f"model is not monotone nondecreasing: {monotone.detail}")
     if _flux_gap(grid, model, lam, sub) < 0.0:
         raise SubsolutionError(
             "starting state violates the discrete subsolution inequalities")
@@ -170,7 +170,7 @@ def second_solution(grid: RadialGrid, model: NonlinearityModel, lam: float,
         raise DistinctnessError(
             f"parameter {lam:.6g} is not below the fold {branch.fold.lam_bar:.6g}; "
             "the branch has no second solution there")
-    monotone = validate_hypotheses(model, grid.N_dim)["monotone"]
+    monotone = monotone_check(model)
     if not monotone.passed:
         raise ConfigError(f"model is not monotone nondecreasing: {monotone.detail}")
 

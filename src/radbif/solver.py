@@ -70,7 +70,10 @@ class NewtonConfig:
 
     tol_residual bounds max|F| / max(1, sup|u1|, sup|u2|); damping is plain
     backtracking (halve until the residual norm decreases) down to the step
-    fraction DAMPING_FLOOR.
+    fraction DAMPING_FLOOR.  Halving stops early, failing as at the floor,
+    once the trial x + t d equals the iterate x bit for bit: its residual
+    norm is then that of x, which is never accepted, and rounding is
+    monotone, so every smaller t rounds back to x as well.
     """
 
     tol_residual: float = 1e-10
@@ -221,7 +224,9 @@ def newton_solve(grid: RadialGrid, model: NonlinearityModel, lam: float,
 
     The result carries iteration count, final damping factor, and the
     positivity classification; a converged state with a non-positive node is
-    returned flagged, not raised, so callers decide.
+    returned flagged, not raised, so callers decide.  A step that backtracking
+    cannot make decrease the residual norm (see NewtonConfig) raises
+    NonConvergenceError with the residual history and the last iterate.
     """
     state = init.copy()
     res = residual(grid, model, lam, state)
@@ -241,7 +246,11 @@ def newton_solve(grid: RadialGrid, model: NonlinearityModel, lam: float,
         t = 1.0
         accepted = False
         while t >= DAMPING_FLOOR:
-            trial = SystemState.from_vector(x + t * step)
+            xt = x + t * step
+            if np.array_equal(xt.view(np.int64), x.view(np.int64)):
+                # the trial is the iterate, as for every smaller t
+                break
+            trial = SystemState.from_vector(xt)
             res_t = residual(grid, model, lam, trial)
             rnorm_t = scaled_residual_norm(res_t, trial)
             if np.isfinite(rnorm_t) and rnorm_t < rnorm:

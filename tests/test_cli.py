@@ -152,6 +152,21 @@ def test_solve_success_and_determinism(tmp_path, capsys):
     assert record["norm_pair"] == pytest.approx(1.12575518, abs=1e-6)
 
 
+def test_solve_records_newton_history(tmp_path, capsys):
+    # solve.jsonl carries the scaled residual per Newton iterate, from the
+    # start to the accepted state, and the step fraction of the last step
+    out = tmp_path / "out"
+    assert run(["solve", "--lambda", "0.3", "--override",
+                f"out.dir={out}"]) == 0
+    capsys.readouterr()
+    record = json.loads((out / "solve.jsonl").read_text())
+    history = record["history"]
+    assert len(history) == record["iterations"] + 1
+    assert history[-1] == record["residual"]
+    assert all(b < a for a, b in zip(history, history[1:]))
+    assert 0.0 < record["damping"] <= 1.0
+
+
 def test_solve_rejects_bad_arguments(tmp_path, capsys):
     out = f"out.dir={_out(tmp_path)}"
     assert run(["solve", "--lambda", "-1.0", "--override", out]) == 2

@@ -22,7 +22,7 @@ from radbif import (ConfigError, DistinctnessError,
                     continue_branch, monotone_iterate, pair_norm,
                     polynomial_model, residual, scaled_residual_norm,
                     second_solution, solutions_at, solve_flux_bvp,
-                    steklov_eigenpair, Branch)
+                    steklov_eigenpair, Branch, FoldInfo)
 
 LAMBDA_MID = 0.3231227939747531
 
@@ -162,6 +162,27 @@ def test_validate_rejects_non_monotone_model(grid512):
     z = SystemState.zero(grid512)
     with pytest.raises(ConfigError):
         monotone_iterate(grid512, logistic, 1.0, z, validate=True)
+
+
+def test_second_solution_rejects_non_monotone_model_on_every_call(grid512,
+                                                                  mu_h512):
+    # the monotone check is sampled once per model object and kept: the
+    # second call raises as well, without evaluating f_i' again
+    import dataclasses
+    logistic = polynomial_model([0.0, 1.0, -1.0], [0.0, 1.0, -1.0],
+                                p1=2.0, p2=2.0, b1=1.0, b2=1.0,
+                                nu1=2.0, nu2=2.0, K=0.5)
+    seen = []
+    model = dataclasses.replace(
+        logistic, df1=lambda s: seen.append(s) or logistic.df1(s))
+    lam = 1.5 * bifurcation_point(model, mu_h512)
+    branch = Branch(fold=FoldInfo(10.0 * lam, 0, 1.0, 1.0))
+    counts = []
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="not monotone"):
+            second_solution(grid512, model, lam, branch)
+        counts.append(len(seen))
+    assert counts[0] > 0 and counts[1] == counts[0]
 
 
 def test_ordering_check_catches_decreasing_iterates(grid512, mu_h512):

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import trace_system_solve
 from radbif import (ConfigError, NewtonConfig, NonConvergenceError,
@@ -18,7 +20,7 @@ from radbif import (ConfigError, NewtonConfig, NonConvergenceError,
                     linear_bvp_solve, linear_model, newton_solve, pair_norm,
                     residual, scaled_residual_norm, solve_flux_bvp,
                     solve_limit_problem)
-from radbif.solver import POSITIVITY_ZERO_FLOOR
+from radbif.solver import DAMPING_FLOOR, POSITIVITY_ZERO_FLOOR
 
 LAMBDA_MID = 0.3231227939747531  # halfway between bifurcation point and fold
 
@@ -141,6 +143,100 @@ def test_nonconvergence_raises_with_trace(grid128, ref_model):
         newton_solve(grid128, ref_model, LAMBDA_MID, init, cfg)
     assert len(err.value.trace) >= 1
     assert err.value.last_state is not None
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _near_spacing(draw):
+    # d with 2^-k d near the spacing of x (2^-52 relative) for some k in
+    # 0..20, so that x + 2^-k d turns into a round-back within the range
+    x = draw(FINITE)
+    m = draw(st.floats(0.5, 1.0)) * draw(st.sampled_from((1.0, -1.0)))
+    e = draw(st.integers(-74, -32))
+    return x, math.ldexp(m, min(math.frexp(x)[1] + e, 1023))
+
+
+@given(st.one_of(st.tuples(FINITE, FINITE), _near_spacing()))
+@example((-0.0, -5e-324))
+@example((1.0, 2.0 ** -53))
+@example((1.0, -2.0 ** -54))
+def test_round_back_persists_under_halving(xd):
+    # the lemma behind the backtracking exit: once x + 2^-k d rounds to x
+    # bit for bit, so does x + 2^-(k+1) d (rounding is monotone)
+    x, d = np.float64(xd[0]), np.float64(xd[1])
+    t = np.ldexp(1.0, -np.arange(21))
+    back = (x + t * d).view(np.int64) == x.view(np.int64)
+    assert not np.any(back[:-1] & ~back[1:])
+
+
+def _halve_to_floor(grid, model, lam, init, tol):
+    """The backtracking loop without the round-back exit: every rejected
+    step halves down to DAMPING_FLOOR.  Returns the residual history, the
+    last iterate, the residual evaluations and how many of those were on a
+    trial equal to the iterate bit for bit."""
+    state = init.copy()
+    res = residual(grid, model, lam, state)
+    rnorm = scaled_residual_norm(res, state)
+    history, calls, round_backs = [rnorm], 1, 0
+    while rnorm > tol:
+        step = jacobian(grid, model, lam, state).solve(-res)
+        x, t = state.to_vector(), 1.0
+        while t >= DAMPING_FLOOR:
+            xt = x + t * step
+            round_backs += np.array_equal(xt.view(np.int64), x.view(np.int64))
+            trial = SystemState.from_vector(xt)
+            res_t = residual(grid, model, lam, trial)
+            calls += 1
+            rnorm_t = scaled_residual_norm(res_t, trial)
+            if rnorm_t < rnorm:
+                state, res, rnorm = trial, res_t, rnorm_t
+                break
+            t *= 0.5
+        else:
+            return history, state, calls, round_backs
+        history.append(rnorm)
+    raise AssertionError("converged below the representation floor")
+
+
+def test_backtracking_stops_once_the_trial_rounds_back(grid512, ref_model,
+                                                       mu_h512, monkeypatch):
+    # a branch point rebuilt on the kernel ray sits on the representation
+    # floor (eps 2/h^2, about 1.2e-10 at M = 512); Newton at 1e-13 makes a
+    # few steps of rounding-level progress and then stalls, ending with the
+    # same error, trace and state as halving all the way to the floor, in
+    # fewer residual evaluations
+    lam = 0.3
+    g1 = lambda t: lam * eval_f(ref_model, 1, t)
+    g2 = lambda t: lam * eval_f(ref_model, 2, t)
+    dg1 = lambda t: lam * eval_fprime(ref_model, 1, t)
+    dg2 = lambda t: lam * eval_fprime(ref_model, 2, t)
+    t1, t2 = trace_system_solve(mu_h512, g1, g2, dg1, dg2, 0.6, 0.8)
+    w = solve_flux_bvp(grid512, 1.0)
+    w = w / w[-1]
+    init = SystemState(t1 * w, t2 * w)
+    cfg = NewtonConfig(tol_residual=1e-13)
+    history, last, calls, round_backs = _halve_to_floor(
+        grid512, ref_model, lam, init, cfg.tol_residual)
+    assert len(history) > 1 and round_backs > 0
+
+    import radbif.solver as solver_module
+    counted = []
+
+    def counting(*args):
+        counted.append(1)
+        return residual(*args)
+
+    monkeypatch.setattr(solver_module, "residual", counting)
+    with pytest.raises(NonConvergenceError,
+                       match="backtracking hit the damping floor without "
+                             "progress") as err:
+        newton_solve(grid512, ref_model, lam, init, cfg)
+    assert err.value.trace == history
+    assert np.array_equal(err.value.last_state.u1, last.u1)
+    assert np.array_equal(err.value.last_state.u2, last.u2)
+    assert len(counted) == calls - round_backs
 
 
 def test_is_positive_state_classification(grid128):
