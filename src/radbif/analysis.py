@@ -12,15 +12,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .continuation import Branch
 from .errors import ConfigError, InsufficientDataError, NumericalError
 from .grid import RadialGrid
 from .model import NonlinearityModel, r0_bounds, zeta
 from .steklov import SteklovPair, steklov_eigenpair
+
+if TYPE_CHECKING:  # continuation imports bifurcation_point from here
+    from .continuation import Branch
 
 __all__ = [
     "Direction",
@@ -145,9 +147,9 @@ def slope_prediction(model: NonlinearityModel, steklov_pair: SteklovPair):
     remainder bounds differ beyond 1e-12 the (lower, upper) endpoints are
     returned instead of a single value.
     """
-    lo, hi = r0_bounds(model)
+    mu0 = bifurcation_point(model, steklov_pair.mu1)
     sig = math.sqrt(model.fp0_1 * model.fp0_2)
-    mu0 = steklov_pair.mu1 / sig
+    lo, hi = r0_bounds(model)
     phi_r = float(steklov_pair.phi1[-1]) ** (model.nu - 1.0)
     lo_val = (mu0 / sig) * lo * phi_r
     hi_val = (mu0 / sig) * hi * phi_r

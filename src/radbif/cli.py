@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -75,14 +76,21 @@ def _load_entries(config_path: str | None, overrides: list[str]) -> dict:
     return entries
 
 
+def _finite(value: float, key: str) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return value
+
+
 def _float(entries, key, default):
     raw = entries.get(key)
     if raw is None:
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {raw!r}")
+    return _finite(value, key)
 
 
 def _int(entries, key, default):
@@ -97,9 +105,10 @@ def _int(entries, key, default):
 
 def _float_list(raw: str, key: str) -> list[float]:
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
     except ValueError:
         raise ConfigError(f"{key} must be comma-separated numbers, got {raw!r}")
+    return [_finite(x, key) for x in values]
 
 
 class RunSettings:
@@ -229,6 +238,8 @@ def _cmd_report(st: RunSettings, args) -> int:
 
 
 def _cmd_solve(st: RunSettings, args) -> int:
+    _finite(args.lam, "--lambda")
+    _finite(args.amplitude, "--amplitude")
     if args.lam < 0:
         raise ConfigError(f"lambda must be nonnegative, got {args.lam}")
     if args.amplitude <= 0:
@@ -326,7 +337,7 @@ def _cmd_branch(st: RunSettings, args) -> int:
 
 
 def _cmd_multiplicity(st: RunSettings, args) -> int:
-    if args.lam <= 0:
+    if _finite(args.lam, "--lambda") <= 0:
         raise ConfigError(f"lambda must be positive, got {args.lam}")
     branch = _run_branch(st)
     minimal, upper = second_solution(st.grid, st.model, args.lam, branch)

@@ -41,6 +41,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .analysis import bifurcation_point
 from .errors import ConfigError, ContinuationError, NonConvergenceError, StepOffError
 from .grid import RadialGrid, SystemState, pair_norm
 from .model import NonlinearityModel, f_extended, fprime_extended, zeta
@@ -323,14 +324,14 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
     """Trace the positive branch from the trivial state at the bifurcation
     value through the fold toward the small-parameter tail.
 
-    points[0] is the trivial anchor (norm 0) at lam = mu1/sigma; points[1]
-    comes from step_off; each later point is accepted only after the
-    full-space re-check (and polish, if needed) and a positivity check.
+    points[0] is the trivial anchor (norm 0) at lam = mu0 from
+    bifurcation_point; points[1] comes from step_off; each later point is
+    accepted only after the full-space re-check (and polish, if needed)
+    and a positivity check.
     """
     eig = steklov_eigenpair(grid)
+    mu0 = bifurcation_point(model, eig.mu1)
     ts = _TraceSystem(model, eig)
-    sigma = math.sqrt(model.fp0_1 * model.fp0_2)
-    mu0 = eig.mu1 / sigma
     tangent = initial_tangent(model, eig)
 
     branch = Branch(newton=cfg.newton)

@@ -13,6 +13,7 @@ symmetry, so no surface quadrature appears anywhere in the toolkit.
 from __future__ import annotations
 
 import functools
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -59,8 +60,8 @@ class RadialGrid:
 def build_grid(N_dim: int, R_ball: float, M: int) -> RadialGrid:
     if N_dim < 3:
         raise ConfigError(f"spatial dimension must be >= 3, got {N_dim}")
-    if R_ball <= 0:
-        raise ConfigError(f"ball radius must be positive, got {R_ball}")
+    if not 0 < R_ball < math.inf:
+        raise ConfigError(f"ball radius must be positive and finite, got {R_ball}")
     if M < 16:
         raise ConfigError(f"need at least 16 intervals, got {M}")
     r = np.arange(M + 1) * (R_ball / M)
@@ -155,9 +156,11 @@ def cache_per_grid(fn):
 
 
 @cache_per_grid
-def _bands_cached(grid: RadialGrid) -> np.ndarray:
+def _bands(grid: RadialGrid) -> tuple:
+    """(ab, ab_e): the (l, u) = (2, 1) bands of A and their extended-precision
+    copy for banded_matvec_extended, both read-only."""
     M, h, N = grid.M, grid.h, grid.N_dim
-    ab = np.zeros((4, M + 1))  # (l, u) = (2, 1): rows super, diag, sub, sub2
+    ab = np.zeros((4, M + 1))  # rows super, diag, sub, sub2
     ab[1, 0] = 2.0 * N / h**2 + 1.0
     ab[0, 1] = -2.0 * N / h**2
     j = np.arange(1, M)
@@ -168,16 +171,9 @@ def _bands_cached(grid: RadialGrid) -> np.ndarray:
     ab[3, M - 2] = 1.0 / (2.0 * h)
     ab[2, M - 1] = -2.0 / h
     ab[1, M] = 3.0 / (2.0 * h)
-    ab.flags.writeable = False
-    return ab
-
-
-@cache_per_grid
-def _bands_extended(grid: RadialGrid) -> np.ndarray:
-    """Extended-precision copy of _bands_cached for banded_matvec_extended."""
-    ab = _bands_cached(grid).astype(np.longdouble)
-    ab.flags.writeable = False
-    return ab
+    ab_e = ab.astype(np.longdouble)
+    ab.flags.writeable = ab_e.flags.writeable = False
+    return ab, ab_e
 
 
 def operator_bands(grid: RadialGrid) -> np.ndarray:
@@ -185,7 +181,7 @@ def operator_bands(grid: RadialGrid) -> np.ndarray:
 
     Rows 0..M-1 are apply_operator; the last row is the flux stencil u'(R).
     """
-    return _bands_cached(grid)
+    return _bands(grid)[0]
 
 
 def banded_matvec_extended(ab: np.ndarray, n_upper: int, x: np.ndarray) -> np.ndarray:
@@ -214,14 +210,19 @@ def banded_matvec_extended(ab: np.ndarray, n_upper: int, x: np.ndarray) -> np.nd
 
 
 @cache_per_grid
-def _operator_factor(grid: RadialGrid):
+def _factor(grid: RadialGrid) -> tuple:
     """(lu, piv, v): banded LU of A (LAPACK dgbtrf on the (2, 1) bands) and
-    the raw unit-flux column v = A^-1 e_M, computed once per grid.
+    the unit-flux column v = A^-1 e_M, computed once per grid.
 
-    Raises LinAlgError when A is singular; nothing is cached then, so the
-    error surfaces again at every solve that needs the factor.
+    v takes two solves with the factor: the solve itself and one
+    iterative-refinement pass with an extended-precision residual, which
+    brings the forward error down to working precision per node.  The
+    matrix is diagonally dominant on the interior rows, so the
+    factorization is stable at any resolution used here.  Raises
+    LinAlgError when A is singular; nothing is cached then, so the error
+    surfaces again at every solve that needs the factor.
     """
-    ab = _bands_cached(grid)
+    ab, ab_e = _bands(grid)
     work = np.zeros((6, ab.shape[1]), order="F")  # 2 l + u + 1 rows: LU fill
     work[2:] = ab
     lu, piv, info = dgbtrf(work, 2, 1, overwrite_ab=True)
@@ -230,41 +231,22 @@ def _operator_factor(grid: RadialGrid):
     e = np.zeros(grid.M + 1)
     e[grid.M] = 1.0
     v = dgbtrs(lu, 2, 1, e, piv)[0]
+    r = banded_matvec_extended(ab_e, 1, v)
+    r[grid.M] -= 1.0
+    v = v - dgbtrs(lu, 2, 1, np.asarray(r, dtype=float), piv)[0]
     for a in (lu, piv, v):
         a.flags.writeable = False
     return lu, piv, v
 
 
-def _lu_solve(grid: RadialGrid, b: np.ndarray) -> np.ndarray:
-    """A^-1 b with the cached factor; b is (M+1,) or (M+1, nrhs)."""
-    lu, piv, _ = _operator_factor(grid)
-    return dgbtrs(lu, 2, 1, b, piv)[0]
-
-
 def solve_flux_bvp(grid: RadialGrid, flux: float) -> np.ndarray:
     """Solve -v'' - ((N-1)/r) v' + v = 0 with v'(R) = flux.
 
-    Two solves with the banded LU cached per grid: the solve itself and
-    one iterative-refinement pass with an extended-precision residual,
-    which brings the forward error down to working precision per node.
-    The matrix is diagonally dominant on the interior rows, so the
-    factorization is stable at any resolution used here.
+    The problem is linear in the one scalar flux, so the solution is flux
+    times the unit-flux column that is factored, solved and refined once
+    per grid; no banded solve happens here.
     """
-    rhs = np.zeros(grid.M + 1)
-    rhs[grid.M] = flux
-    v = _lu_solve(grid, rhs)
-    r = banded_matvec_extended(_bands_extended(grid), 1, v)
-    r[grid.M] -= np.longdouble(flux)
-    dv = _lu_solve(grid, np.asarray(r, dtype=float))
-    return v - dv
-
-
-@cache_per_grid
-def _unit_flux_solution(grid: RadialGrid) -> np.ndarray:
-    """solve_flux_bvp(grid, 1.0), solved once per grid and read-only."""
-    v = solve_flux_bvp(grid, 1.0)
-    v.flags.writeable = False
-    return v
+    return float(flux) * _factor(grid)[2]
 
 
 @cache_per_grid

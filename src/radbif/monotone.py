@@ -87,8 +87,9 @@ def monotone_iterate(grid: RadialGrid, model: NonlinearityModel, lam: float,
     most tol.  Pass a list as trace to record the change per iteration.
 
     The solution of that linear problem is (flux1, flux2) phi_h / mu_h, so
-    the steps run on the traces, t_i <- lam f_i(t_other) / mu_h, and only
-    the returned state is solved for in full space.
+    the steps run on the traces, t_i <- lam f_i(t_other) / mu_h, and the
+    returned state is linear_bvp_solve at the last fluxes: each component
+    is its flux times the grid's unit-flux column, with no banded solve.
     """
     if lam <= 0:
         raise ConfigError(f"parameter must be positive, got {lam}")

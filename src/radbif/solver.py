@@ -3,10 +3,11 @@ limiting problem in closed form, and the linear auxiliary problem.
 
 The pair (u1, u2) is interleaved as [u1_0, u2_0, u1_1, u2_1, ...].  The
 Jacobian is the grid operator A (operator_bands) on each component plus two
-coupling entries in the flux rows.  A is factored once per grid (LAPACK
-banded LU, cached with the unit-flux column A^-1 e_M), so a Newton step is
-one solve with the cached factor and two right-hand sides plus a 2x2 system
-on the boundary traces.
+coupling entries in the flux rows.  The grid keeps the banded LU of A and
+the refined unit-flux column v = A^-1 e_M, so a Newton step is one solve
+with the cached factor and two right-hand sides plus a 2x2 system on the
+boundary traces, and the linear problem with fluxes (g1, g2) is
+(g1 v, g2 v) with no solve at all.
 
 The residual also takes a stack of k states, (k, M+1) per component, and
 evaluates it in one pass along the last axis; each f_i is evaluated once
@@ -24,11 +25,12 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgbtrs
 
 from .errors import ConfigError, NonConvergenceError
-from .grid import (RadialGrid, SystemState, _bands_extended, _lu_solve,
-                   _operator_factor, banded_matvec_extended, operator_bands,
-                   pair_norm, solve_flux_bvp)
+from .grid import (RadialGrid, SystemState, _bands, _factor,
+                   banded_matvec_extended, operator_bands, pair_norm,
+                   solve_flux_bvp)
 from .model import NonlinearityModel, f_extended, fprime_extended
 from .steklov import steklov_eigenpair
 
@@ -80,7 +82,7 @@ class NewtonConfig:
     max_iter: int = 50
 
     def __post_init__(self):
-        if self.tol_residual <= 0:
+        if not self.tol_residual > 0:  # also rejects NaN
             raise ConfigError("tol_residual must be positive")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be at least 1")
@@ -111,10 +113,10 @@ class PairJacobian(NamedTuple):
         d_i = w_i - c_i d_other(R) v, and the traces solve
         [[1, c1 v(R)], [c2 v(R), 1]] d(R) = w(R), whose determinant is
         1 - c1 c2 v(R)^2.  v comes with the cached factor of A, so the
-        solve has two right-hand sides."""
+        solve is one dgbtrs call with two right-hand sides."""
         M = self.grid.M
-        v = _operator_factor(self.grid)[2]
-        w1, w2 = _lu_solve(self.grid, rhs.reshape(M + 1, 2)).T
+        lu, piv, v = _factor(self.grid)
+        w1, w2 = dgbtrs(lu, 2, 1, rhs.reshape(M + 1, 2), piv)[0].T
         a1, a2 = self.c1 * v[M], self.c2 * v[M]
         det = 1.0 - a1 * a2
         if det == 0.0:
@@ -179,7 +181,7 @@ def _pair_residual(grid: RadialGrid, state: SystemState, g1, g2) -> np.ndarray:
     scaled norm even at blow-up-tail amplitudes, where plain double
     accumulation drowns below roughly 2e-10 at the 1/h^2 row scale."""
     M = grid.M
-    ab = _bands_extended(grid)
+    ab = _bands(grid)[1]
     r1 = banded_matvec_extended(ab, 1, state.u1)
     r2 = banded_matvec_extended(ab, 1, state.u2)
     r1[..., M] -= _flux_terms(g1, state.u2[..., M])
@@ -275,11 +277,10 @@ def linear_bvp_solve(grid: RadialGrid, flux1: float, flux2: float) -> SystemStat
     """Solve the decoupled linear problems with prescribed boundary fluxes.
 
     This is the discrete solution operator used by the monotone iteration:
-    each component solves -v'' - ((N-1)/r) v' + v = 0 with v'(R) = flux.
-    Linear in the flux pair.
+    each component solves -v'' - ((N-1)/r) v' + v = 0 with v'(R) = flux,
+    which is flux times the grid's unit-flux column (solve_flux_bvp).
     """
-    return SystemState(solve_flux_bvp(grid, float(flux1)),
-                       solve_flux_bvp(grid, float(flux2)))
+    return SystemState(solve_flux_bvp(grid, flux1), solve_flux_bvp(grid, flux2))
 
 
 def solve_limit_problem(grid: RadialGrid,

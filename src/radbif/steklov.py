@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .grid import (RadialGrid, _unit_flux_solution, apply_operator,
-                   boundary_flux, cache_per_grid)
+from .grid import (RadialGrid, _factor, apply_operator, boundary_flux,
+                   cache_per_grid)
 
 __all__ = ["SteklovPair", "steklov_eigenpair", "steklov_shooting_oracle"]
 
@@ -49,7 +49,7 @@ def steklov_eigenpair(grid: RadialGrid) -> SteklovPair:
     must be at most 1e-10; they measure 1e-15 or less.
     """
     M = grid.M
-    v = _unit_flux_solution(grid)
+    v = _factor(grid)[2]
     if not v[M] > 0.0:
         raise NumericalError("unit-flux solution has a nonpositive boundary value")
     mu = 1.0 / v[M]

@@ -18,8 +18,9 @@ from radbif import (BifurcationReport, Branch, BranchPoint, ConfigError,
                     RescaleTable, SystemState, bifurcation_point, build_grid,
                     build_report, continue_branch, direction_of_bifurcation,
                     jordan_data, linear_model, nonexistence_bound,
-                    polynomial_model, quadratic_model, rescale_check,
-                    slope_fit, slope_prediction, theta_exponents)
+                    NonlinearityModel, polynomial_model, quadratic_model,
+                    rescale_check, slope_fit, slope_prediction,
+                    steklov_eigenpair, theta_exponents)
 
 
 def _point(lam, norm, state=None):
@@ -30,6 +31,23 @@ def _point(lam, norm, state=None):
 
 
 # ---------------------------------------------------------------- point
+
+
+def test_every_mu0_goes_through_bifurcation_point(grid128):
+    # f1'(0) = 0: no bifurcation from the trivial branch; every caller
+    # that needs mu0 refuses the model the same way
+    m = NonlinearityModel(
+        f1=lambda s: s * s, f2=lambda s: s,
+        df1=lambda s: 2.0 * s, df2=lambda s: 1.0,
+        p1=2.0, p2=2.0, b1=1.0, b2=1.0, fp0_1=0.0, fp0_2=1.0,
+        nu1=2.0, nu2=2.0, K=1e-8, r_lims=(1.0, 1.0, 0.0, 0.0))
+    eig = steklov_eigenpair(grid128)
+    for call in (lambda: bifurcation_point(m, eig.mu1),
+                 lambda: slope_prediction(m, eig),
+                 lambda: continue_branch(grid128, m),
+                 lambda: build_report(grid128, m)):
+        with pytest.raises(ConfigError, match="derivatives at zero"):
+            call()
 
 
 def test_bifurcation_point_values():

@@ -175,6 +175,29 @@ def test_solve_rejects_bad_arguments(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["steklov", "--override", "grid.R=inf"],
+    ["steklov", "--override", "grid.R=nan"],
+    ["branch", "--override", "newton.tol=nan"],
+    ["solve", "--lambda", "nan"],
+    ["solve", "--lambda", "inf"],
+    ["solve", "--lambda", "0.3", "--amplitude", "nan"],
+    ["multiplicity", "--lambda", "nan"],
+])
+def test_non_finite_input_is_a_config_error(tmp_path, capsys, argv):
+    """A NaN or infinite number is refused where it enters, naming the key,
+    before any solve can fail on it."""
+    assert run(argv + ["--override", f"out.dir={_out(tmp_path)}"]) == 2
+    err = capsys.readouterr().err
+    key = argv[2].split("=")[0] if argv[1] == "--override" else argv[-2]
+    assert f"config error: {key} must be a finite number" in err
+
+
+def test_non_finite_coefficient_is_a_config_error():
+    with pytest.raises(radbif.ConfigError, match="model.coeffs1"):
+        cli._float_list("0.5, nan", "model.coeffs1")
+
+
 def test_limit_values(tmp_path, capsys):
     # the residual bound follows the representation floor eps * 2 / h^2
     for M, max_residual in ((512, 1e-10), (2048, 1e-8)):
@@ -348,6 +371,18 @@ def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "radbif.cli", "--help"],
                           capture_output=True, text=True, env=_child_env())
     _assert_help(proc)
+
+
+def test_import_loads_no_slow_scipy_subpackages():
+    """`import radbif` stays cheap: scipy.special (imported inside
+    steklov_shooting_oracle) and scipy.optimize (the trace roots bisect on
+    doubles) are left unloaded."""
+    code = ("import sys, radbif; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.special', 'scipy.optimize'))))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.skipif(shutil.which("radbif") is None,

@@ -41,6 +41,9 @@ def test_build_grid_rejects_bad_parameters():
         build_grid(2, 1.0, 64)
     with pytest.raises(ConfigError):
         build_grid(3, 0.0, 64)
+    for radius in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match="finite"):
+            build_grid(3, radius, 64)
 
 
 def test_operator_on_constant_is_the_constant():
@@ -130,6 +133,13 @@ def test_solve_flux_bvp_linear_in_flux():
     b = solve_flux_bvp(g, -0.2)
     c = solve_flux_bvp(g, 0.5)
     np.testing.assert_allclose(a + b, c, rtol=0, atol=1e-13)
+
+
+def test_solve_flux_bvp_is_a_multiple_of_the_unit_flux_column():
+    g = build_grid(3, 1.0, 128)
+    v = solve_flux_bvp(g, 1.0)
+    for f in (0.7, -0.2, 3.0e5, 1.0 / 3.0):
+        np.testing.assert_array_equal(solve_flux_bvp(g, f), f * v)
 
 
 def test_banded_matvec_extended_matches_dense():

@@ -19,7 +19,8 @@ from radbif import (ConfigError, DistinctnessError,
                     MonotonicityViolationError, NonConvergenceError,
                     SubsolutionError, SystemState, bifurcation_point,
                     boundary_flux, build_grid, build_subsolution,
-                    continue_branch, monotone_iterate, pair_norm,
+                    continue_branch, jacobian, linear_bvp_solve,
+                    monotone_iterate, pair_norm,
                     polynomial_model, residual, scaled_residual_norm,
                     second_solution, solutions_at, solve_flux_bvp,
                     steklov_eigenpair, Branch, FoldInfo)
@@ -261,6 +262,37 @@ def test_operator_factored_once_per_grid(ref_model, branch_cfg, monkeypatch):
     mu0 = bifurcation_point(ref_model, steklov_eigenpair(grid).mu1)
     second_solution(grid, ref_model, 0.5 * (mu0 + branch.fold.lam_bar), branch)
     assert len(calls) == 1
+
+
+def test_banded_solves_per_grid_and_per_call(ref_model, monkeypatch):
+    """dgbtrs runs twice per grid (the unit-flux column and its refinement
+    pass), once per Jacobian solve, and never for a flux solve: those are
+    multiples of the cached column."""
+    import radbif.grid as grid_module
+    import radbif.solver as solver_module
+    calls = []
+    solve = grid_module.dgbtrs
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(grid_module, "dgbtrs", counting)
+    monkeypatch.setattr(solver_module, "dgbtrs", counting)
+    grid = build_grid(3, 1.0, 128)
+    eig = steklov_eigenpair(grid)
+    assert len(calls) == 2
+    state = SystemState(0.3 * eig.phi1, 0.4 * eig.phi1)
+    jac = jacobian(grid, ref_model, 0.3, state)
+    for k in range(1, 4):
+        jac.solve(np.ones(2 * (grid.M + 1)))
+        assert len(calls) == 2 + k
+    calls.clear()
+    solve_flux_bvp(grid, 0.7)
+    linear_bvp_solve(grid, 0.4, -0.1)
+    sub = build_subsolution(grid, ref_model, LAMBDA_MID, 1e-2)
+    monotone_iterate(grid, ref_model, LAMBDA_MID, sub)
+    assert calls == []
 
 
 def test_second_solution_requires_supercritical_parameter(grid512, ref_model,

@@ -423,6 +423,13 @@ def test_limit_problem_traces_match_reduced_system(grid512, ref_model,
     assert f2 == pytest.approx(g2(float(state.u1[-1])), abs=1e-9)
 
 
+def test_newton_config_rejects_bad_settings():
+    for kwargs in ({"tol_residual": 0.0}, {"tol_residual": math.nan},
+                   {"max_iter": 0}):
+        with pytest.raises(ConfigError):
+            NewtonConfig(**kwargs)
+
+
 def test_limit_problem_needs_superlinear_powers(grid128):
     # p1 = p2 = 1: the limit rows are linear and have no isolated solution
     with pytest.raises(ConfigError):
