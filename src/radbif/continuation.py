@@ -10,11 +10,11 @@ both come from steklov_eigenpair.  The flux rows then reduce exactly to
 
     mu_h t1 = lam f1(t2),    mu_h t2 = lam f2(t1),
 
-and tracing works on x = (t1, t2, lam): a secant predictor and a 3x3
-Newton corrector on these two rows plus the arclength row.  The weighted
-metric (dU.dU)/dim + dlam^2 of the full state U becomes
-w (dt1^2 + dt2^2) + dlam^2 with w = (phi_h.phi_h)/(2(M+1)), so step
-lengths and tangents are those of the full-space metric.
+and tracing keeps lam as its coordinate, x = (t1, t2, lam): a secant
+predictor and a 3x3 bordered Newton corrector on these two rows plus the
+arclength row.  The weighted metric (dU.dU)/dim + dlam^2 of the full
+state U becomes w (dt1^2 + dt2^2) + dlam^2 with w = (phi_h.phi_h)/(2(M+1)),
+so step lengths and tangents are those of the full-space metric.
 
 Each corrected x is rebuilt as (t1 phi_h, t2 phi_h) and handed to the
 fixed-parameter full-space Newton solver.  Its iteration-0 residual is the
@@ -24,13 +24,13 @@ representation floor eps*2/h^2; Newton then polishes the state in at most
 MAX_POLISH_ITER steps.  A polish that fails or ends non-positive rejects
 the step.
 
-The fold is located exactly: the root of det F_t = mu_h^2 - lam^2
-f1'(t2) f2'(t1) along the arclength between the points around the
-tangent sign flip, found by bisection with one corrector solve per
-evaluation.  At a fixed lam, t2 = lam f2(t1)/mu_h, so the states at lam
-are the roots t1 of one scalar equation (_TraceSystem.q); solutions_at
-brackets them by the branch and fold traces, bisects on doubles and
-verifies each root in full space at the branch's own Branch.newton.
+The fold is one solve of the same corrector, started from the sampled
+fold, with the arclength row replaced by det F_t/mu_h^2 = 1 - (lam/mu_h)^2
+f1'(t2) f2'(t1) (Moore & Spence 1980).  At a fixed lam, t2 = lam
+f2(t1)/mu_h, so the states at lam are the roots t1 of one scalar equation
+(_TraceSystem.q); solutions_at brackets them by the branch and fold
+traces, bisects on doubles and verifies each root in full space at the
+branch's own Branch.newton.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .analysis import bifurcation_point
-from .errors import ConfigError, ContinuationError, NonConvergenceError, StepOffError
+from .errors import (ConfigError, ContinuationError, NonConvergenceError,
+                     StepOffError, require_int)
 from .grid import RadialGrid, SystemState, pair_norm
 from .model import NonlinearityModel, f_extended, fprime_extended, zeta
 from .solver import NewtonConfig, NewtonResult, newton_solve
@@ -64,8 +65,6 @@ MAX_CORRECTOR_ITER = 12
 # Full-space Newton steps allowed when polishing a rebuilt point; one step
 # is the usual need, three the most seen.
 MAX_POLISH_ITER = 4
-# Bisection steps across the fold: the arclength bracket shrinks by 2^-40.
-BISECTIONS = 40
 
 
 @dataclass(frozen=True)
@@ -94,10 +93,9 @@ class ContinuationConfig:
         if not (0.0 < self.eps_step_off <= 0.1):
             raise ConfigError(
                 f"eps_step_off must lie in (0, 0.1], got {self.eps_step_off}")
-        if self.lambda_stop_low <= 0:
-            raise ConfigError("lambda_stop_low must be positive")
-        if self.max_points < 2:
-            raise ConfigError("max_points must be at least 2")
+        if not 0 < self.lambda_stop_low < math.inf:
+            raise ConfigError("lambda_stop_low must be positive and finite")
+        require_int(self.max_points, "max_points", 2)
 
 
 @dataclass
@@ -159,6 +157,13 @@ def initial_tangent(model: NonlinearityModel, steklov_pair: SteklovPair) -> Syst
     return SystemState(phi / (1.0 + z), (z / (1.0 + z)) * phi)
 
 
+def _fpp(model: NonlinearityModel, i: int, s: float) -> float:
+    """Central difference of f_i' at s, relative step about eps^(1/3)."""
+    h = 6e-6 * max(1.0, abs(s))
+    return (fprime_extended(model, i, s + h)
+            - fprime_extended(model, i, s - h)) / (2.0 * h)
+
+
 class _TraceSystem:
     """The flux rows on x = (t1, t2, lam) for states (t1 phi_h, t2 phi_h).
 
@@ -187,11 +192,16 @@ class _TraceSystem:
             [self.mu_h, -lam * fprime_extended(m, 1, t2), -f_extended(m, 1, t2)],
             [-lam * fprime_extended(m, 2, t1), self.mu_h, -f_extended(m, 2, t1)]])
 
-    def fold_det(self, x: np.ndarray) -> float:
-        """det of the (t1, t2) block; zero exactly at a fold."""
+    def fold_row(self, x: np.ndarray):
+        """(1 - k^2 f1'(t2) f2'(t1), gradient) with k = lam/mu_h: det F_t /
+        mu_h^2, zero exactly at a fold.  The f_i'' in the gradient are
+        central differences of f_i'; they steer Newton only."""
         t1, t2, lam = x
-        return (self.mu_h ** 2 - lam ** 2 * fprime_extended(self.model, 1, t2)
-                * fprime_extended(self.model, 2, t1))
+        m, k = self.model, lam / self.mu_h
+        d1, d2 = fprime_extended(m, 1, t2), fprime_extended(m, 2, t1)
+        return 1.0 - k * k * d1 * d2, -k * np.array(
+            [k * d1 * _fpp(m, 2, t1), k * _fpp(m, 1, t2) * d2,
+             2.0 * d1 * d2 / self.mu_h])
 
     def q(self, t: float, lam: float) -> float:
         """q_lam(t) = G_lam(t)/t - 1, G_lam(t) = lam f1(lam f2(t)/mu_h)/mu_h,
@@ -239,30 +249,28 @@ def _admissible(x: np.ndarray) -> bool:
     return bool(x[2] > 0.0 and np.all(np.isfinite(x)))
 
 
-def _corrector(ts: _TraceSystem, tau, anchor, ds, x0, tol,
-               max_iter=MAX_CORRECTOR_ITER):
-    """Newton on {flux rows = 0, constraint = 0} in x = (t1, t2, lam).
+def _corrector(ts: _TraceSystem, extra, x0, tol, max_iter=MAX_CORRECTOR_ITER):
+    """Newton on {flux rows = 0, extra row = 0} in x = (t1, t2, lam), where
+    extra(x) gives the row's value and gradient (_arclength, ts.fold_row).
 
-    constraint(x) = (metric * tau) . (x - anchor) - ds.  Convergence uses
-    the full-space scaling: the flux rows over max(1, |t1|, |t2|), the sup
-    norms of the rebuilt state.  Once converged, one more step is taken:
-    it is free here and leaves x with rounding error only.  Returns x and
-    the number of Newton steps, that last one included.
+    Convergence: the flux rows over max(1, |t1|, |t2|), the sup norms of
+    the rebuilt state, and |value| at most tol.  Once converged, one more
+    step is taken: it is free here and leaves x with rounding error only.
+    Returns x and the number of Newton steps, that last one included.
     """
-    row = ts.metric * tau
     x = np.array(x0, dtype=float)
     for it in range(max_iter + 1):
         if not _admissible(x):
             raise _CorrectorFailure("iterate left the admissible region")
         res = ts.residual(x)
-        con = float(row @ (x - anchor)) - ds
+        value, grad = extra(x)
         rnorm = float(np.abs(res).max()) / max(1.0, abs(x[0]), abs(x[1]))
-        converged = rnorm <= tol and abs(con) <= tol * max(1.0, abs(ds))
+        converged = rnorm <= tol and abs(value) <= tol
         if it == max_iter and not converged:
             raise _CorrectorFailure(f"no convergence in {max_iter} iterations")
         try:
-            step = x + np.linalg.solve(np.vstack([ts.jacobian(x), row]),
-                                       -np.append(res, con))
+            step = x + np.linalg.solve(np.vstack([ts.jacobian(x), grad]),
+                                       -np.append(res, value))
         except np.linalg.LinAlgError as exc:
             if not converged:
                 raise _CorrectorFailure(f"singular bordered system: {exc}")
@@ -271,6 +279,12 @@ def _corrector(ts: _TraceSystem, tau, anchor, ds, x0, tol,
             return (step if _admissible(step) else x), it + 1
         x = step
     raise _CorrectorFailure("unreachable")
+
+
+def _arclength(ts: _TraceSystem, tau, anchor, ds):
+    """The row (metric * tau) . (x - anchor) - ds and its gradient."""
+    row = ts.metric * tau
+    return lambda x: (float(row @ (x - anchor)) - ds, row)
 
 
 def _polish(grid: RadialGrid, ts: _TraceSystem, x: np.ndarray,
@@ -292,10 +306,9 @@ def step_off(grid: RadialGrid, model: NonlinearityModel, mu0: float,
              cfg: ContinuationConfig = ContinuationConfig()) -> BranchPoint:
     """First nontrivial point: amplitude eps along the kernel tangent.
 
-    The constraint fixes the component of the traces along the tangent's
-    boundary values at eps and leaves the parameter free, so the trivial
-    state cannot satisfy it and Newton must land on the bifurcating
-    branch.
+    The arclength row with ds = 0 fixes the traces' component along the
+    tangent at eps and leaves lam free, so the trivial state cannot
+    satisfy it and Newton must land on the bifurcating branch.
     """
     if not (0.0 < eps <= 0.1):
         raise ConfigError(f"step-off amplitude must lie in (0, 0.1], got {eps}")
@@ -303,7 +316,7 @@ def step_off(grid: RadialGrid, model: NonlinearityModel, mu0: float,
     tau = np.array([tangent.u1[-1], tangent.u2[-1], 0.0])
     anchor = eps * tau + np.array([0.0, 0.0, mu0])
     try:
-        x, iters = _corrector(ts, tau, anchor, 0.0, anchor,
+        x, iters = _corrector(ts, _arclength(ts, tau, anchor, 0.0), anchor,
                               cfg.newton.tol_residual)
         result = _polish(grid, ts, x, cfg.newton)
     except _CorrectorFailure as exc:
@@ -347,7 +360,6 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
 
     ds = cfg.ds0
     tol = cfg.newton.tol_residual
-    last_sign = first.tangent_lambda_sign
     while True:
         last = branch.points[-1]
         if last.lam <= cfg.lambda_stop_low:
@@ -367,7 +379,8 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
         accepted = None
         while True:
             try:
-                x, iters = _corrector(ts, tau, x_last, ds, x_last + ds * tau, tol)
+                x, iters = _corrector(ts, _arclength(ts, tau, x_last, ds),
+                                      x_last + ds * tau, tol)
                 accepted = (x, iters, _polish(grid, ts, x, cfg.newton))
                 break
             except _CorrectorFailure as exc:
@@ -383,38 +396,37 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
         x, iters, result = accepted
         lam = float(x[2])
         dlam = lam - last.lam
-        sign = last_sign if dlam == 0.0 else (1 if dlam > 0 else -1)
+        sign = (1 if dlam > 0 else -1) if dlam else last.tangent_lambda_sign
         branch.points.append(BranchPoint(
             lam=lam, state=result.state, norm=pair_norm(result.state),
             tangent_lambda_sign=sign, ds=ds, corrector_iterations=iters,
             polish_iterations=result.iterations,
             residual=result.residual_norm))
-        if sign != 0 and last_sign != 0 and sign != last_sign:
-            branch.fold_indices.append(len(branch.points) - 1)
-        if sign != 0:
-            last_sign = sign
         if iters <= 3:
             ds = min(2.0 * ds, cfg.ds_max)
         elif iters >= 8:
             ds = max(0.5 * ds, cfg.ds_min)
 
+    branch.fold_indices = _sign_flips(branch.points)
     branch.fold = detect_fold(branch)
     if branch.fold is not None:
-        branch.fold = _exact_fold(ts, branch, branch.fold, tol)
+        branch.fold = _exact_fold(ts, branch.fold, tol)
     return branch
+
+
+def _sign_flips(points) -> list:
+    """Indices whose tangent sign is nonzero and opposite to the last
+    nonzero sign before them."""
+    signed = [(k, p.tangent_lambda_sign) for k, p in enumerate(points)
+              if p.tangent_lambda_sign != 0]
+    return [k for (_, a), (k, b) in zip(signed, signed[1:]) if a != b]
 
 
 def detect_fold(branch: Branch) -> Optional[FoldInfo]:
     """Sampled fold: the largest parameter among the points around the
     first tangent sign flip; None when the parameter is monotone.
     continue_branch refines it to the exact discrete fold."""
-    flips, last_sign = [], 0
-    for k, p in enumerate(branch.points):
-        s = p.tangent_lambda_sign
-        if s != 0 and last_sign != 0 and s != last_sign:
-            flips.append(k)
-        if s != 0:
-            last_sign = s
+    flips = _sign_flips(branch.points)
     if not flips:
         return None
     k = flips[0]  # >= 1: a flip follows a nonzero sign
@@ -425,38 +437,20 @@ def detect_fold(branch: Branch) -> Optional[FoldInfo]:
     return FoldInfo(lam_bar=float(lam), index=best, t1=float(t1), t2=float(t2))
 
 
-def _exact_fold(ts: _TraceSystem, branch: Branch, sampled: FoldInfo,
-                tol: float) -> FoldInfo:
-    """Root of det F_t between the sampled fold point and the neighbour
-    across which det changes sign, (xa, xb) in branch order: det F_t(x(s))
-    is bisected in the arclength s from xa towards xb, one corrector solve
-    per x(s).  Keeps the sampled fold when no pair brackets or a solve fails.
+def _exact_fold(ts: _TraceSystem, sampled: FoldInfo, tol: float) -> FoldInfo:
+    """The fold as one Newton solve of the minimally extended system
+    {flux rows, fold_row} (Moore & Spence, SIAM J. Numer. Anal. 17, 1980),
+    started from the sampled fold.  Keeps the sampled fold when the solve
+    fails, leaves the positive cone or ends below the sampled lam.
     """
-    k = sampled.index
-    xs = {i: _traces(branch.points[i]) for i in (k - 1, k, k + 1)
-          if 1 <= i < len(branch.points)}
-    dets = {i: ts.fold_det(x) for i, x in xs.items()}
-    pair = next(((a, b) for a, b in ((k - 1, k), (k, k + 1))
-                 if a in dets and b in dets and dets[a] * dets[b] <= 0.0), None)
-    if pair is None:
+    try:
+        x, _ = _corrector(ts, ts.fold_row,
+                          (sampled.t1, sampled.t2, sampled.lam_bar), tol)
+    except _CorrectorFailure:
         return sampled
-    (xa, da), (xb, db) = ((xs[i], dets[i]) for i in pair)
-    x = xa if da == 0.0 else xb
-    if 0.0 not in (da, db):
-        length = ts.dist(xa, xb)
-        tau = (xb - xa) / length
-        lo, hi = 0.0, length
-        try:
-            for _ in range(BISECTIONS):
-                mid = 0.5 * (lo + hi)
-                x, _ = _corrector(ts, tau, xa, mid, xa + mid * tau, tol)
-                val = ts.fold_det(x)
-                if val == 0.0:
-                    break
-                lo, hi = (mid, hi) if (val > 0.0) == (da > 0.0) else (lo, mid)
-        except _CorrectorFailure:
-            return sampled
-    return FoldInfo(float(x[2]), k, float(x[0]), float(x[1]))
+    if min(x[0], x[1]) <= 0.0 or x[2] < sampled.lam_bar:
+        return sampled
+    return FoldInfo(float(x[2]), sampled.index, float(x[0]), float(x[1]))
 
 
 def solutions_at(branch: Branch, lam: float, grid: RadialGrid,

@@ -5,6 +5,8 @@ exit code 1.  Plain ValueError is used for API-level domain errors such as
 evaluating a nonlinearity at a negative argument.
 """
 
+import numbers
+
 
 class ToolkitError(Exception):
     """Base class for all toolkit-specific failures."""
@@ -12,6 +14,13 @@ class ToolkitError(Exception):
 
 class ConfigError(ToolkitError, ValueError):
     """Invalid configuration values, parameters, or input files."""
+
+
+def require_int(value, what: str, low: int) -> int:
+    """value as an int >= low; ConfigError otherwise, for every float too."""
+    if not isinstance(value, numbers.Integral) or value < low:
+        raise ConfigError(f"{what} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 class NumericalError(ToolkitError, RuntimeError):

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .errors import ConfigError
+from .errors import ConfigError, require_int
 
 __all__ = [
     "RadialGrid",
@@ -58,15 +58,13 @@ class RadialGrid:
 
 
 def build_grid(N_dim: int, R_ball: float, M: int) -> RadialGrid:
-    if N_dim < 3:
-        raise ConfigError(f"spatial dimension must be >= 3, got {N_dim}")
+    N_dim = require_int(N_dim, "spatial dimension", 3)
+    M = require_int(M, "number of intervals M", 16)
     if not 0 < R_ball < math.inf:
         raise ConfigError(f"ball radius must be positive and finite, got {R_ball}")
-    if M < 16:
-        raise ConfigError(f"need at least 16 intervals, got {M}")
     r = np.arange(M + 1) * (R_ball / M)
     r.flags.writeable = False
-    return RadialGrid(N_dim=int(N_dim), R_ball=float(R_ball), M=int(M), r=r)
+    return RadialGrid(N_dim=N_dim, R_ball=float(R_ball), M=M, r=r)
 
 
 @dataclass

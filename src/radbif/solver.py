@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgbtrs
 
-from .errors import ConfigError, NonConvergenceError
+from .errors import ConfigError, NonConvergenceError, require_int
 from .grid import (RadialGrid, SystemState, _bands, _factor,
                    banded_matvec_extended, operator_bands, pair_norm,
                    solve_flux_bvp)
@@ -84,8 +84,7 @@ class NewtonConfig:
     def __post_init__(self):
         if not self.tol_residual > 0:  # also rejects NaN
             raise ConfigError("tol_residual must be positive")
-        if self.max_iter < 1:
-            raise ConfigError("max_iter must be at least 1")
+        require_int(self.max_iter, "max_iter", 1)
 
 
 @dataclass

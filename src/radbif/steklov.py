@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, require_int
 from .grid import (RadialGrid, _factor, apply_operator, boundary_flux,
                    cache_per_grid)
 
@@ -74,10 +74,9 @@ def steklov_shooting_oracle(N_dim: int, R_ball: float) -> float:
     gives g' = r^(1-N/2) I_{N/2}(r).  The exponentially scaled ive keeps
     the ratio finite at large R; for N = 3 it is coth R - 1/R.
     """
-    if N_dim < 3:
-        raise ConfigError(f"spatial dimension must be >= 3, got {N_dim}")
-    if R_ball <= 0:
-        raise ConfigError(f"ball radius must be positive, got {R_ball}")
+    require_int(N_dim, "spatial dimension", 3)
+    if not 0 < R_ball < np.inf:
+        raise ConfigError(f"ball radius must be positive and finite, got {R_ball}")
     # imported here: scipy.special adds about 60 ms to `import radbif`,
     # and nothing else in the package needs it
     from scipy.special import ive

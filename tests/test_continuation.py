@@ -13,16 +13,19 @@ import pytest
 
 from conftest import trace_system_solve
 from radbif import (Branch, BranchPoint, ConfigError, ContinuationConfig,
-                    NewtonConfig, StepOffError, SystemState, build_grid,
-                    continue_branch, detect_fold, eval_f, eval_fprime,
-                    initial_tangent, linear_model, quadratic_model, residual,
-                    scaled_residual_norm, solutions_at, steklov_eigenpair,
-                    step_off)
+                    ContinuationError, NewtonConfig, StepOffError, SystemState,
+                    bifurcation_point, build_grid, continue_branch,
+                    detect_fold, eval_f, eval_fprime, initial_tangent,
+                    linear_model, quadratic_model, residual,
+                    scaled_residual_norm, solutions_at, solve_flux_bvp,
+                    steklov_eigenpair, step_off)
 from radbif.continuation import (MAX_CORRECTOR_ITER, MAX_POLISH_ITER,
                                   _TraceSystem)
 
 LAMBDA_BAR_512 = 0.33320994441151214  # trace-system fold at M = 512
 LAMBDA_MID = 0.3231227939747531
+# a short branch through the fold for the tests that patch the corrector
+FAST_CFG = ContinuationConfig(lambda_stop_low=0.2, max_points=1000)
 
 
 def test_initial_tangent_equal_derivatives(ref_model, eig512, grid512):
@@ -78,6 +81,12 @@ def test_config_validation():
         ContinuationConfig(lambda_stop_low=0.0)
     with pytest.raises(ConfigError):
         ContinuationConfig(max_points=1)
+    for low in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            ContinuationConfig(lambda_stop_low=low)
+    for points in (2.5, 100.0, math.nan):
+        with pytest.raises(ConfigError, match="integer"):
+            ContinuationConfig(max_points=points)
 
 
 def test_branch_structure_and_termination(ref_branch, mu0_ref):
@@ -105,6 +114,11 @@ def test_branch_fold_matches_trace_system(ref_branch, mu0_ref, ref_model,
                - fold.lam_bar * eval_f(ref_model, 1, fold.t2)) <= 1e-12
     assert abs(mu_h512 * fold.t2
                - fold.lam_bar * eval_f(ref_model, 2, fold.t1)) <= 1e-12
+    # and make the trace Jacobian singular: fold_row = det F_t / mu_h^2
+    kappa = fold.lam_bar / mu_h512
+    fold_row = 1.0 - kappa ** 2 * (eval_fprime(ref_model, 1, fold.t2)
+                                   * eval_fprime(ref_model, 2, fold.t1))
+    assert abs(fold_row) <= 1e-12
 
 
 def test_trace_jacobian_matches_central_differences(ref_model, eig512):
@@ -192,17 +206,27 @@ def test_branch_determinism(grid512, ref_model, branch_cfg, ref_branch):
     assert np.array_equal(again.norms(), ref_branch.norms())
 
 
-def test_fold_reproducible_across_grids(ref_branch, ref_model):
+def test_fold_reproducible_across_grids(ref_branch, ref_model, mu_h512):
     # tol 1e-9 clears the representation floor eps*(2/h^2) at M = 1024
     cfg = ContinuationConfig(ds0=0.01, ds_min=1e-8, ds_max=0.25,
                              eps_step_off=1e-4, lambda_stop_low=0.2,
                              max_points=1000,
                              newton=NewtonConfig(tol_residual=1e-9))
-    fine = continue_branch(build_grid(3, 1.0, 1024), ref_model, cfg)
-    assert fine.fold is not None
-    rel = abs(fine.fold.lam_bar - ref_branch.fold.lam_bar)
-    rel /= ref_branch.fold.lam_bar
-    assert rel < 0.005
+    kappa512 = ref_branch.fold.lam_bar / mu_h512
+    for M in (128, 1024):
+        grid = build_grid(3, 1.0, M)
+        branch = continue_branch(grid, ref_model, cfg)
+        assert branch.fold is not None
+        # lam = mu_h kappa: the fold kappa is a model constant, the same on
+        # every grid up to rounding
+        mu_h = 1.0 / float(solve_flux_bvp(grid, 1.0)[-1])
+        assert abs(branch.fold.lam_bar / mu_h - kappa512) <= 1e-14 * kappa512
+        # every point solves the grid-free system t1 = k f1(t2), t2 = k f2(t1)
+        for p in branch.points[1:]:
+            t1, t2 = float(p.state.u1[-1]), float(p.state.u2[-1])
+            k, scale = p.lam / mu_h, max(1.0, t1, t2)
+            assert abs(t1 - k * eval_f(ref_model, 1, t2)) <= 1e-12 * scale
+            assert abs(t2 - k * eval_f(ref_model, 2, t1)) <= 1e-12 * scale
 
 
 def _synthetic_branch(lams, signs):
@@ -226,6 +250,93 @@ def test_detect_fold_finds_sign_flip():
     # the sampled fold is the largest parameter around the flip
     assert info.lam_bar == 0.33
     assert b.points[info.index].lam == 0.33
+
+
+def test_exact_fold_is_one_corrector_solve(grid128, ref_model, monkeypatch):
+    # the fold is one Newton solve of the extended system from the sampled
+    # fold, not a bisection of corrector solves along the arclength
+    import radbif.continuation as cont
+    corrector, detect = cont._corrector, cont.detect_fold
+    sampled, fold_steps = [], []
+
+    def counting(*args, **kwargs):
+        out = corrector(*args, **kwargs)
+        if sampled:  # called after detect_fold: a fold solve
+            fold_steps.append(out[1])
+        return out
+
+    monkeypatch.setattr(cont, "_corrector", counting)
+    monkeypatch.setattr(cont, "detect_fold",
+                        lambda b: sampled.append(detect(b)) or sampled[-1])
+    branch = continue_branch(grid128, ref_model, FAST_CFG)
+    assert len(fold_steps) == 1
+    assert fold_steps[0] <= MAX_CORRECTOR_ITER
+    assert branch.fold.index == sampled[0].index
+    assert branch.fold.lam_bar > sampled[0].lam_bar
+    assert branch.lambdas().max() <= branch.fold.lam_bar
+
+
+def test_failed_fold_solve_keeps_the_sampled_fold(grid128, ref_model,
+                                                  monkeypatch):
+    import radbif.continuation as cont
+    corrector = cont._corrector
+
+    def no_fold(ts, extra, *args, **kwargs):
+        if extra == ts.fold_row:
+            raise cont._CorrectorFailure("forced fold failure")
+        return corrector(ts, extra, *args, **kwargs)
+
+    monkeypatch.setattr(cont, "_corrector", no_fold)
+    branch = continue_branch(grid128, ref_model, FAST_CFG)
+    sampled = detect_fold(branch)
+    assert sampled is not None and branch.fold == sampled
+
+    # a solve that leaves the positive cone or ends below the sampled lam
+    # is not a fold either
+    ts = _TraceSystem(ref_model, steklov_eigenpair(grid128))
+    for scale in ([-1.0, 1.0, 1.0], [1.0, 1.0, 0.999]):
+        monkeypatch.setattr(cont, "_corrector", lambda ts, extra, x0, tol:
+                            (np.array(x0) * scale, 1))
+        assert cont._exact_fold(ts, sampled, 1e-10) == sampled
+
+
+def test_branch_ends_on_corrector_failure_keeping_its_points(
+        grid128, ref_model, monkeypatch):
+    import radbif.continuation as cont
+    polish, calls = cont._polish, []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > 4:  # the step-off and three steps pass
+            raise cont._CorrectorFailure("forced polish failure")
+        return polish(*args, **kwargs)
+
+    monkeypatch.setattr(cont, "_polish", failing)
+    cfg = ContinuationConfig(ds0=0.01, ds_min=0.0025, lambda_stop_low=0.2)
+    branch = continue_branch(grid128, ref_model, cfg)
+    assert branch.termination == "corrector_failure"
+    assert len(branch.points) == 5  # the anchor, the step-off, three steps
+    assert all(p.norm > 0.0 for p in branch.points[1:])
+    # every halving from the last ds down to ds_min was tried and counted
+    assert branch.rejections == len(calls) - 4 >= 2
+    assert "forced polish failure" in branch.last_rejection
+
+
+def test_failed_step_off_raises_with_the_trivial_anchor(grid128, ref_model,
+                                                       monkeypatch):
+    import radbif.continuation as cont
+
+    def failing(*args, **kwargs):
+        raise cont._CorrectorFailure("forced corrector failure")
+
+    monkeypatch.setattr(cont, "_corrector", failing)
+    with pytest.raises(ContinuationError,
+                       match="forced corrector failure") as info:
+        continue_branch(grid128, ref_model, FAST_CFG)
+    anchor = info.value.last_point
+    assert anchor.lam == bifurcation_point(ref_model,
+                                           steklov_eigenpair(grid128).mu1)
+    assert anchor.norm == 0.0 and not anchor.state.u1.any()
 
 
 def test_solutions_at_counts(ref_branch, grid512, ref_model, mu0_ref,

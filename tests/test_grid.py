@@ -44,6 +44,14 @@ def test_build_grid_rejects_bad_parameters():
     for radius in (math.inf, math.nan):
         with pytest.raises(ConfigError, match="finite"):
             build_grid(3, radius, 64)
+    # M = 100.5 would build a 102-node grid ending past R_ball, and
+    # N_dim = 3.7 a grid in R^3
+    for args in ((3, 1.0, 100.5), (3.7, 1.0, 64), (3, 1.0, math.nan),
+                 (3, 1.0, 64.0)):
+        with pytest.raises(ConfigError, match="integer"):
+            build_grid(*args)
+    g = build_grid(np.int64(3), 1.0, np.int64(64))
+    assert (g.N_dim, g.M) == (3, 64) and type(g.M) is int
 
 
 def test_operator_on_constant_is_the_constant():

@@ -425,7 +425,7 @@ def test_limit_problem_traces_match_reduced_system(grid512, ref_model,
 
 def test_newton_config_rejects_bad_settings():
     for kwargs in ({"tol_residual": 0.0}, {"tol_residual": math.nan},
-                   {"max_iter": 0}):
+                   {"max_iter": 0}, {"max_iter": 2.5}, {"max_iter": math.nan}):
         with pytest.raises(ConfigError):
             NewtonConfig(**kwargs)
 

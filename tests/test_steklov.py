@@ -90,6 +90,9 @@ def test_parameter_validation():
         steklov_shooting_oracle(2, 1.0)
     with pytest.raises(ConfigError):
         steklov_shooting_oracle(3, -1.0)
+    for radius in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match="finite"):
+            steklov_shooting_oracle(3, radius)
 
 
 def test_eigenvalue_scales_with_radius():
