@@ -16,7 +16,8 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientDataError, NumericalError
+from .errors import (ConfigError, InsufficientDataError, NumericalError,
+                     require_positive)
 from .grid import RadialGrid
 from .model import NonlinearityModel, r0_bounds, zeta
 from .steklov import SteklovPair, steklov_eigenpair
@@ -77,15 +78,18 @@ class BifurcationReport:
     r0_over: float
 
 
-def bifurcation_point(model: NonlinearityModel, mu1: float) -> float:
-    """mu0 = mu1 / sqrt(f1'(0) f2'(0)), where the trivial branch loses
-    stability."""
+def _sigma(model: NonlinearityModel) -> float:
+    """sigma = sqrt(f1'(0) f2'(0)), the eigenvalue of the coupling matrix."""
     if model.fp0_1 <= 0 or model.fp0_2 <= 0:
         raise ConfigError("derivatives at zero must be positive, got "
                           f"({model.fp0_1}, {model.fp0_2})")
-    if mu1 <= 0:
-        raise ConfigError(f"first eigenvalue must be positive, got {mu1}")
-    return mu1 / math.sqrt(model.fp0_1 * model.fp0_2)
+    return math.sqrt(model.fp0_1 * model.fp0_2)
+
+
+def bifurcation_point(model: NonlinearityModel, mu1: float) -> float:
+    """mu0 = mu1 / sigma, where the trivial branch loses stability."""
+    sig = _sigma(model)
+    return require_positive(mu1, "first eigenvalue") / sig
 
 
 def jordan_data(model: NonlinearityModel) -> JordanData:
@@ -96,10 +100,7 @@ def jordan_data(model: NonlinearityModel) -> JordanData:
     (1, -zeta)/(1+zeta); the inverse is closed-form, so the reconstruction
     identity holds to a few ulps and is asserted at 1e-12.
     """
-    if model.fp0_1 <= 0 or model.fp0_2 <= 0:
-        raise ConfigError("derivatives at zero must be positive, got "
-                          f"({model.fp0_1}, {model.fp0_2})")
-    sig = math.sqrt(model.fp0_1 * model.fp0_2)
+    sig = _sigma(model)
     z = zeta(model)
     q = 1.0 / (1.0 + z)
     A = np.array([[0.0, model.fp0_1], [model.fp0_2, 0.0]])
@@ -147,8 +148,8 @@ def slope_prediction(model: NonlinearityModel, steklov_pair: SteklovPair):
     remainder bounds differ beyond 1e-12 the (lower, upper) endpoints are
     returned instead of a single value.
     """
+    sig = _sigma(model)
     mu0 = bifurcation_point(model, steklov_pair.mu1)
-    sig = math.sqrt(model.fp0_1 * model.fp0_2)
     lo, hi = r0_bounds(model)
     phi_r = float(steklov_pair.phi1[-1]) ** (model.nu - 1.0)
     lo_val = (mu0 / sig) * lo * phi_r
@@ -229,9 +230,7 @@ def nonexistence_bound(model: NonlinearityModel, mu1: float) -> float:
     """mu1/K; no positive solution exists for parameters beyond it."""
     if model.K <= 0:
         raise ConfigError(f"growth constant K must be positive, got {model.K}")
-    if mu1 <= 0:
-        raise ConfigError(f"first eigenvalue must be positive, got {mu1}")
-    return mu1 / model.K
+    return require_positive(mu1, "first eigenvalue") / model.K
 
 
 def build_report(grid: RadialGrid, model: NonlinearityModel,

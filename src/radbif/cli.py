@@ -17,8 +17,7 @@ import sys
 
 import numpy as np
 
-from .analysis import (build_report, nonexistence_bound, rescale_check,
-                       theta_exponents)
+from .analysis import build_report, rescale_check, theta_exponents
 from .continuation import ContinuationConfig, continue_branch
 from .errors import ConfigError, ToolkitError
 from .grid import SystemState, build_grid, pair_norm, save_state_csv
@@ -32,19 +31,20 @@ from . import verify as verify_mod
 
 __all__ = ["run", "main", "VALID_KEYS"]
 
-VALID_KEYS = (
-    "model.name", "model.coeffs1", "model.coeffs2",
-    "model.p1", "model.p2", "model.b1", "model.b2",
-    "model.nu1", "model.nu2", "model.K",
-    "grid.N", "grid.R", "grid.M",
-    "newton.tol", "newton.max_iter",
-    "cont.ds0", "cont.ds_min", "cont.ds_max",
-    "cont.eps_step_off", "cont.lambda_stop_low",
-    "out.dir",
-)
-
 _MODEL_PARAM_KEYS = ("model.p1", "model.p2", "model.b1", "model.b2",
                      "model.nu1", "model.nu2", "model.K")
+# Keys named "<section>.<field>" after the ContinuationConfig and
+# NewtonConfig fields they set; an unset key keeps the class default.
+_CONT_KEYS = ("cont.ds0", "cont.ds_min", "cont.ds_max",
+              "cont.eps_step_off", "cont.lambda_stop_low")
+
+VALID_KEYS = (
+    "model.name", "model.coeffs1", "model.coeffs2", *_MODEL_PARAM_KEYS,
+    "grid.N", "grid.R", "grid.M",
+    "newton.tol", "newton.max_iter",
+    *_CONT_KEYS,
+    "out.dir",
+)
 
 
 def _parse_config_text(text: str, source: str) -> dict:
@@ -111,6 +111,13 @@ def _float_list(raw: str, key: str) -> list[float]:
     return [_finite(x, key) for x in values]
 
 
+def _given(entries: dict, keys, parse) -> dict:
+    """{field: parsed value} for the keys set in entries, each key
+    "<section>.<field>"; the keys left unset are not passed at all."""
+    return {key.split(".", 1)[1]: parse(entries, key, None)
+            for key in keys if key in entries}
+
+
 class RunSettings:
     """Effective, fully resolved settings for one invocation."""
 
@@ -118,19 +125,14 @@ class RunSettings:
         self.grid = build_grid(_int(entries, "grid.N", 3),
                                _float(entries, "grid.R", 1.0),
                                _int(entries, "grid.M", 512))
-        # default residual tolerance: twice the representation floor
-        # eps * 2/h^2 of the 1/h^2 operator rows, and never below 1e-10
+        # default tolerance: twice the representation floor eps * 2/h^2 of
+        # the 1/h^2 operator rows, never below the NewtonConfig default
         floor = 2.0 * np.finfo(float).eps * 2.0 / self.grid.h ** 2
-        self.newton = NewtonConfig(
-            tol_residual=_float(entries, "newton.tol", max(1e-10, floor)),
-            max_iter=_int(entries, "newton.max_iter", 50))
+        self.newton = NewtonConfig(tol_residual=_float(
+            entries, "newton.tol", max(NewtonConfig.tol_residual, floor)),
+            **_given(entries, ("newton.max_iter",), _int))
         self.cont = ContinuationConfig(
-            ds0=_float(entries, "cont.ds0", 0.01),
-            ds_min=_float(entries, "cont.ds_min", 1e-8),
-            ds_max=_float(entries, "cont.ds_max", 0.25),
-            eps_step_off=_float(entries, "cont.eps_step_off", 1e-4),
-            lambda_stop_low=_float(entries, "cont.lambda_stop_low", 1e-3),
-            newton=self.newton)
+            newton=self.newton, **_given(entries, _CONT_KEYS, _float))
         self.out_dir = entries.get("out.dir", "out")
         self.model = self._resolve_model(entries)
         self.config_hash = self._hash(entries)
@@ -151,13 +153,7 @@ class RunSettings:
             return polynomial_model(
                 _float_list(entries["model.coeffs1"], "model.coeffs1"),
                 _float_list(entries["model.coeffs2"], "model.coeffs2"),
-                p1=_float(entries, "model.p1", None),
-                p2=_float(entries, "model.p2", None),
-                b1=_float(entries, "model.b1", None),
-                b2=_float(entries, "model.b2", None),
-                nu1=_float(entries, "model.nu1", None),
-                nu2=_float(entries, "model.nu2", None),
-                K=_float(entries, "model.K", None))
+                **_given(entries, _MODEL_PARAM_KEYS, _float))
         name = entries.get("model.name", "reference")
         builtins = {"reference": reference_model, "quadratic": quadratic_model,
                     "linear": linear_model}
@@ -180,12 +176,9 @@ class RunSettings:
             "grid.M": self.grid.M,
             "newton.tol": repr(self.newton.tol_residual),
             "newton.max_iter": self.newton.max_iter,
-            "cont.ds0": repr(self.cont.ds0),
-            "cont.ds_min": repr(self.cont.ds_min),
-            "cont.ds_max": repr(self.cont.ds_max),
-            "cont.eps_step_off": repr(self.cont.eps_step_off),
-            "cont.lambda_stop_low": repr(self.cont.lambda_stop_low),
         }
+        resolved.update((key, repr(getattr(self.cont, key.split(".", 1)[1])))
+                        for key in _CONT_KEYS)
         blob = "\n".join(f"{k}={v}" for k, v in sorted(resolved.items()))
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 

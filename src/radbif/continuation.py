@@ -43,7 +43,7 @@ import numpy as np
 
 from .analysis import bifurcation_point
 from .errors import (ConfigError, ContinuationError, NonConvergenceError,
-                     StepOffError, require_int)
+                     StepOffError, require_int, require_positive)
 from .grid import RadialGrid, SystemState, pair_norm
 from .model import NonlinearityModel, f_extended, fprime_extended, zeta
 from .solver import NewtonConfig, NewtonResult, newton_solve
@@ -93,8 +93,7 @@ class ContinuationConfig:
         if not (0.0 < self.eps_step_off <= 0.1):
             raise ConfigError(
                 f"eps_step_off must lie in (0, 0.1], got {self.eps_step_off}")
-        if not 0 < self.lambda_stop_low < math.inf:
-            raise ConfigError("lambda_stop_low must be positive and finite")
+        require_positive(self.lambda_stop_low, "lambda_stop_low")
         require_int(self.max_points, "max_points", 2)
 
 
@@ -249,25 +248,27 @@ def _admissible(x: np.ndarray) -> bool:
     return bool(x[2] > 0.0 and np.all(np.isfinite(x)))
 
 
-def _corrector(ts: _TraceSystem, extra, x0, tol, max_iter=MAX_CORRECTOR_ITER):
+def _corrector(ts: _TraceSystem, extra, x0, tol):
     """Newton on {flux rows = 0, extra row = 0} in x = (t1, t2, lam), where
     extra(x) gives the row's value and gradient (_arclength, ts.fold_row).
 
-    Convergence: the flux rows over max(1, |t1|, |t2|), the sup norms of
-    the rebuilt state, and |value| at most tol.  Once converged, one more
-    step is taken: it is free here and leaves x with rounding error only.
+    Convergence within MAX_CORRECTOR_ITER steps: the flux rows over
+    max(1, |t1|, |t2|), the sup norms of the rebuilt state, and |value| at
+    most tol.  Once converged, one more step is taken: it is free here and
+    leaves x with rounding error only.
     Returns x and the number of Newton steps, that last one included.
     """
     x = np.array(x0, dtype=float)
-    for it in range(max_iter + 1):
+    for it in range(MAX_CORRECTOR_ITER + 1):
         if not _admissible(x):
             raise _CorrectorFailure("iterate left the admissible region")
         res = ts.residual(x)
         value, grad = extra(x)
         rnorm = float(np.abs(res).max()) / max(1.0, abs(x[0]), abs(x[1]))
         converged = rnorm <= tol and abs(value) <= tol
-        if it == max_iter and not converged:
-            raise _CorrectorFailure(f"no convergence in {max_iter} iterations")
+        if it == MAX_CORRECTOR_ITER and not converged:
+            raise _CorrectorFailure(
+                f"no convergence in {MAX_CORRECTOR_ITER} iterations")
         try:
             step = x + np.linalg.solve(np.vstack([ts.jacobian(x), grad]),
                                        -np.append(res, value))
@@ -464,8 +465,7 @@ def solutions_at(branch: Branch, lam: float, grid: RadialGrid,
     ends non-positive (pair norm at or below POSITIVITY_ZERO_FLOOR) is
     dropped, not fatal.
     """
-    if lam <= 0:
-        raise ConfigError(f"parameter must be positive, got {lam}")
+    require_positive(lam, "parameter")
     ts = _TraceSystem(model, steklov_eigenpair(grid))
     fold = [branch.fold.t1] if branch.fold is not None else []
     nodes = sorted({float(p.state.u1[-1]) for p in branch.points} | set(fold))

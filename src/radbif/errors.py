@@ -5,7 +5,15 @@ exit code 1.  Plain ValueError is used for API-level domain errors such as
 evaluating a nonlinearity at a negative argument.
 """
 
+import math
 import numbers
+
+__all__ = [
+    "ToolkitError", "ConfigError", "NumericalError", "NonConvergenceError",
+    "EstimationFailedError", "StepOffError", "ContinuationError",
+    "SubsolutionError", "MonotonicityViolationError", "DistinctnessError",
+    "InsufficientDataError",
+]
 
 
 class ToolkitError(Exception):
@@ -21,6 +29,13 @@ def require_int(value, what: str, low: int) -> int:
     if not isinstance(value, numbers.Integral) or value < low:
         raise ConfigError(f"{what} must be an integer >= {low}, got {value!r}")
     return int(value)
+
+
+def require_positive(value, what: str) -> float:
+    """float(value) when 0 < value < inf; ConfigError otherwise, NaN too."""
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{what} must be positive and finite, got {value!r}")
+    return float(value)
 
 
 class NumericalError(ToolkitError, RuntimeError):

@@ -13,7 +13,6 @@ symmetry, so no surface quadrature appears anywhere in the toolkit.
 from __future__ import annotations
 
 import functools
-import math
 import weakref
 from dataclasses import dataclass
 
@@ -21,7 +20,7 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .errors import ConfigError, require_int
+from .errors import require_int, require_positive
 
 __all__ = [
     "RadialGrid",
@@ -60,11 +59,10 @@ class RadialGrid:
 def build_grid(N_dim: int, R_ball: float, M: int) -> RadialGrid:
     N_dim = require_int(N_dim, "spatial dimension", 3)
     M = require_int(M, "number of intervals M", 16)
-    if not 0 < R_ball < math.inf:
-        raise ConfigError(f"ball radius must be positive and finite, got {R_ball}")
+    R_ball = require_positive(R_ball, "ball radius")
     r = np.arange(M + 1) * (R_ball / M)
     r.flags.writeable = False
-    return RadialGrid(N_dim=N_dim, R_ball=float(R_ball), M=M, r=r)
+    return RadialGrid(N_dim=N_dim, R_ball=R_ball, M=M, r=r)
 
 
 @dataclass

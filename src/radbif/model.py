@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EstimationFailedError
+from .errors import ConfigError, EstimationFailedError, require_positive
 
 __all__ = [
     "NonlinearityModel",
@@ -76,6 +76,9 @@ class NonlinearityModel:
     name: str = "custom"
 
     def __post_init__(self):
+        for key in ("p1", "p2", "b1", "b2", "fp0_1", "fp0_2", "nu1", "nu2", "K"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)!r}")
         if self.nu1 <= 1 or self.nu2 <= 1:
             raise ConfigError("remainder exponents nu1, nu2 must exceed 1")
         if self.K <= 0:
@@ -85,12 +88,12 @@ class NonlinearityModel:
         if self.b1 < 0 or self.b2 < 0:
             raise ConfigError("asymptotic coefficients b1, b2 must be nonnegative")
         for f, tag in ((self.f1, "f1"), (self.f2, "f2")):
-            if abs(float(f(0.0))) > 1e-12:
+            if not abs(float(f(0.0))) <= 1e-12:  # NaN fails too
                 raise ConfigError(f"{tag}(0) must vanish")
         if self.r_lims is not None:
             lo1, hi1, lo2, hi2 = self.r_lims
-            if lo1 > hi1 or lo2 > hi2:
-                raise ConfigError("remainder limits must satisfy lo <= hi")
+            if not (lo1 <= hi1 and lo2 <= hi2):  # NaN fails too
+                raise ConfigError(f"remainder limits need lo <= hi, got {self.r_lims}")
 
     @property
     def nu(self) -> float:
@@ -146,45 +149,48 @@ def remainder(model: NonlinearityModel, i: int, s: float) -> float:
     return float(f(s)) - fp0 * s
 
 
-def estimate_remainder_limits(model: NonlinearityModel, i: int,
-                              s_hi: float = 1e-2, s_lo: float = 1e-6,
-                              per_decade: int = 25, rel_tol: float = 0.05):
+# R_i(s)/s^nu is sampled at 25 points a decade from s = 1e-2 down to 1e-6;
+# a last-decade spread above 5% is accepted only with a monotone trend.
+_PER_DECADE = 25
+_REMAINDER_S = np.geomspace(1e-2, 1e-6, 4 * _PER_DECADE + 1)
+_REMAINDER_REL_TOL = 0.05
+
+
+def estimate_remainder_limits(model: NonlinearityModel, i: int):
     """Estimate (liminf, limsup) of R_i(s)/s^nu on a decreasing sample.
 
     Returns (lo, hi, uncertainty, samples) where lo/hi are the min/max of the
     quotient over the last (smallest) decade, uncertainty is the drift of
     those values relative to the previous decade, and samples is the full
     (s, quotient) table.  Raises EstimationFailedError when the last decade
-    neither settles within rel_tol nor trends monotonically.
+    neither settles within 5% nor trends monotonically.
     """
-    nu = model.nu
-    n_dec = int(round(math.log10(s_hi / s_lo)))
-    s = np.geomspace(s_hi, s_lo, n_dec * per_decade + 1)
-    q = np.array([remainder(model, i, float(x)) / float(x) ** nu for x in s])
-    samples = np.column_stack([s, q])
-    last = q[-(per_decade + 1):]
-    prev = q[-(2 * per_decade + 1):-per_decade]
+    nu, n = model.nu, _PER_DECADE
+    q = np.array([remainder(model, i, float(s)) / float(s) ** nu
+                  for s in _REMAINDER_S])
+    samples = np.column_stack([_REMAINDER_S, q])
+    last = q[-(n + 1):]
+    prev = q[-(2 * n + 1):-n]
     lo, hi = float(last.min()), float(last.max())
     uncertainty = float(max(abs(lo - prev.min()), abs(hi - prev.max())))
     spread = hi - lo
     scale = max(1.0, abs(lo + hi) / 2)
-    tail = q[-(2 * per_decade + 1):]
-    diffs = np.diff(tail)
+    diffs = np.diff(q[-(2 * n + 1):])
     monotone = bool(np.all(diffs >= -1e-12 * scale) or np.all(diffs <= 1e-12 * scale))
-    if spread > rel_tol * scale and not monotone:
+    if spread > _REMAINDER_REL_TOL * scale and not monotone:
         raise EstimationFailedError(
             f"R{i}(s)/s^nu does not settle: last-decade spread {spread:.3g} "
-            f"exceeds {rel_tol:.3g}*{scale:.3g} with no monotone trend",
+            f"exceeds {_REMAINDER_REL_TOL:.3g}*{scale:.3g} with no monotone trend",
             samples=samples)
     return lo, hi, uncertainty, samples
 
 
-def remainder_limits(model: NonlinearityModel, rel_tol: float = 0.05):
+def remainder_limits(model: NonlinearityModel):
     """(R1_lo, R1_hi, R2_lo, R2_hi): analytic values win, else estimates."""
     if model.r_lims is not None:
         return tuple(float(x) for x in model.r_lims)
-    lo1, hi1, _, _ = estimate_remainder_limits(model, 1, rel_tol=rel_tol)
-    lo2, hi2, _, _ = estimate_remainder_limits(model, 2, rel_tol=rel_tol)
+    lo1, hi1, _, _ = estimate_remainder_limits(model, 1)
+    lo2, hi2, _, _ = estimate_remainder_limits(model, 2)
     return lo1, hi1, lo2, hi2
 
 
@@ -337,6 +343,8 @@ def polynomial_model(coeffs1: Sequence[float], coeffs2: Sequence[float], *,
     for c, tag in ((c1, "coeffs1"), (c2, "coeffs2")):
         if c.ndim != 1 or c.size < 2:
             raise ConfigError(f"{tag} needs at least the s^0 and s^1 coefficients")
+        if not np.all(np.isfinite(c)):
+            raise ConfigError(f"{tag}: coefficients must be finite, got {c.tolist()}")
         if c[0] != 0.0:
             raise ConfigError(f"{tag}: constant term must be 0 (f(0)=0)")
         if c[1] <= 0.0:
@@ -376,8 +384,8 @@ def linear_model(c1: float = 1.0, c2: float = 1.0) -> NonlinearityModel:
     Violates the superlinear growth hypothesis by construction (p_i = 1);
     validate_hypotheses reports that.  Useful for degenerate-case checks.
     """
-    if c1 <= 0 or c2 <= 0:
-        raise ConfigError("linear model needs positive slopes")
+    c1 = require_positive(c1, "linear model slope c1")
+    c2 = require_positive(c2, "linear model slope c2")
     return NonlinearityModel(
         f1=lambda s: c1 * s, f2=lambda s: c2 * s,
         df1=lambda s: c1 + 0.0 * s, df2=lambda s: c2 + 0.0 * s,

@@ -19,8 +19,9 @@ import numpy as np
 
 from .analysis import bifurcation_point
 from .continuation import Branch, solutions_at
-from .errors import (ConfigError, MonotonicityViolationError,
-                     NonConvergenceError, SubsolutionError, DistinctnessError)
+from .errors import (ConfigError, DistinctnessError, MonotonicityViolationError,
+                     NonConvergenceError, SubsolutionError, require_int,
+                     require_positive)
 from .grid import RadialGrid, SystemState, boundary_flux, pair_norm
 from .model import NonlinearityModel, f_extended, monotone_check
 from .solver import POSITIVITY_ZERO_FLOOR, linear_bvp_solve
@@ -55,10 +56,8 @@ def build_subsolution(grid: RadialGrid, model: NonlinearityModel, lam: float,
     failure signals lam at or below the bifurcation value (the inequalities
     then fail for every small amplitude) or a model violation.
     """
-    if eps <= 0:
-        raise ConfigError(f"subsolution amplitude must be positive, got {eps}")
-    if lam <= 0:
-        raise ConfigError(f"parameter must be positive, got {lam}")
+    require_positive(eps, "subsolution amplitude")
+    require_positive(lam, "parameter")
     a = math.sqrt(model.fp0_1)
     b = math.sqrt(model.fp0_2)
     phi = steklov_eigenpair(grid).phi1
@@ -91,10 +90,9 @@ def monotone_iterate(grid: RadialGrid, model: NonlinearityModel, lam: float,
     returned state is linear_bvp_solve at the last fluxes: each component
     is its flux times the grid's unit-flux column, with no banded solve.
     """
-    if lam <= 0:
-        raise ConfigError(f"parameter must be positive, got {lam}")
-    if tol <= 0 or max_iter < 1:
-        raise ConfigError("tol must be positive and max_iter at least 1")
+    require_positive(lam, "parameter")
+    require_positive(tol, "tol")
+    require_int(max_iter, "max_iter", 1)
     if validate:
         monotone = monotone_check(model)
         if not monotone.passed:
@@ -160,6 +158,7 @@ def second_solution(grid: RadialGrid, model: NonlinearityModel, lam: float,
     above mu0 the minimal one sinks below POSITIVITY_ZERO_FLOOR) or the two
     pair norms agree to 1e-3 relative.
     """
+    require_positive(lam, "parameter")
     mu0 = bifurcation_point(model, steklov_eigenpair(grid).mu1)
     if lam <= mu0:
         raise ConfigError(

@@ -27,7 +27,8 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgbtrs
 
-from .errors import ConfigError, NonConvergenceError, require_int
+from .errors import (ConfigError, NonConvergenceError, require_int,
+                     require_positive)
 from .grid import (RadialGrid, SystemState, _bands, _factor,
                    banded_matvec_extended, operator_bands, pair_norm,
                    solve_flux_bvp)
@@ -82,8 +83,7 @@ class NewtonConfig:
     max_iter: int = 50
 
     def __post_init__(self):
-        if not self.tol_residual > 0:  # also rejects NaN
-            raise ConfigError("tol_residual must be positive")
+        require_positive(self.tol_residual, "tol_residual")
         require_int(self.max_iter, "max_iter", 1)
 
 
@@ -201,8 +201,8 @@ def residual(grid: RadialGrid, model: NonlinearityModel, lam: float,
     well defined.  A state holding (k, M+1) stacks gives the (k, 2(M+1))
     residuals of its k states, each bit-identical to a single call.
     """
-    if lam < 0:
-        raise ValueError(f"parameter must be nonnegative, got {lam}")
+    if not 0 <= lam < np.inf:  # NaN fails too
+        raise ValueError(f"parameter must be nonnegative and finite, got {lam}")
     g1 = lambda t: lam * f_extended(model, 1, t)
     g2 = lambda t: lam * f_extended(model, 2, t)
     return _pair_residual(grid, state, g1, g2)
@@ -211,8 +211,8 @@ def residual(grid: RadialGrid, model: NonlinearityModel, lam: float,
 def jacobian(grid: RadialGrid, model: NonlinearityModel, lam: float,
              state: SystemState) -> PairJacobian:
     """Exact Jacobian of residual (coupling entries -lam f_i')."""
-    if lam < 0:
-        raise ValueError(f"parameter must be nonnegative, got {lam}")
+    if not 0 <= lam < np.inf:  # NaN fails too
+        raise ValueError(f"parameter must be nonnegative and finite, got {lam}")
     M = grid.M
     return PairJacobian(grid,
                         -lam * fprime_extended(model, 1, float(state.u2[M])),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, require_int
+from .errors import NumericalError, require_int, require_positive
 from .grid import (RadialGrid, _factor, apply_operator, boundary_flux,
                    cache_per_grid)
 
@@ -75,8 +75,7 @@ def steklov_shooting_oracle(N_dim: int, R_ball: float) -> float:
     the ratio finite at large R; for N = 3 it is coth R - 1/R.
     """
     require_int(N_dim, "spatial dimension", 3)
-    if not 0 < R_ball < np.inf:
-        raise ConfigError(f"ball radius must be positive and finite, got {R_ball}")
+    require_positive(R_ball, "ball radius")
     # imported here: scipy.special adds about 60 ms to `import radbif`,
     # and nothing else in the package needs it
     from scipy.special import ive

@@ -50,6 +50,14 @@ def test_every_mu0_goes_through_bifurcation_point(grid128):
             call()
 
 
+def test_first_eigenvalue_must_be_positive_and_finite(ref_model):
+    for mu1 in (math.nan, math.inf, 0.0):
+        for call in (bifurcation_point, nonexistence_bound):
+            with pytest.raises(ConfigError, match="first eigenvalue must be "
+                               "positive and finite"):
+                call(ref_model, mu1)
+
+
 def test_bifurcation_point_values():
     assert bifurcation_point(linear_model(1.0, 1.0), 0.5) == 0.5
     assert bifurcation_point(linear_model(4.0, 1.0), 0.5) == 0.25

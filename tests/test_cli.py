@@ -198,6 +198,40 @@ def test_non_finite_coefficient_is_a_config_error():
         cli._float_list("0.5, nan", "model.coeffs1")
 
 
+# Hashes of the resolved settings at the time the CLI defaults moved into
+# the config classes: a changed library default must fail here rather
+# than silently re-hash every artifact.
+@pytest.mark.parametrize("entries, digest", [
+    ({}, "b2b04895658a"),
+    ({"grid.M": "4096", "newton.tol": "1e-8"}, "02bada6d586b"),
+    ({"cont.ds0": "0.02", "cont.ds_max": "0.5"}, "bb514073cf05"),
+])
+def test_config_hash_is_pinned(entries, digest):
+    assert cli.RunSettings(entries).config_hash == digest
+
+
+def test_valid_keys_are_pinned():
+    """The unknown-key error prints this tuple, so its order is output."""
+    assert cli.VALID_KEYS == (
+        "model.name", "model.coeffs1", "model.coeffs2",
+        "model.p1", "model.p2", "model.b1", "model.b2",
+        "model.nu1", "model.nu2", "model.K",
+        "grid.N", "grid.R", "grid.M",
+        "newton.tol", "newton.max_iter",
+        "cont.ds0", "cont.ds_min", "cont.ds_max",
+        "cont.eps_step_off", "cont.lambda_stop_low",
+        "out.dir")
+
+
+def test_unset_keys_take_the_config_class_defaults():
+    st = cli.RunSettings({})
+    assert st.cont == radbif.ContinuationConfig(newton=st.newton)
+    assert st.newton.max_iter == radbif.NewtonConfig().max_iter
+    st = cli.RunSettings({"cont.ds_max": "0.5", "newton.max_iter": "20"})
+    assert st.cont == radbif.ContinuationConfig(ds_max=0.5, newton=st.newton)
+    assert st.newton.max_iter == 20
+
+
 def test_limit_values(tmp_path, capsys):
     # the residual bound follows the representation floor eps * 2 / h^2
     for M, max_residual in ((512, 1e-10), (2048, 1e-8)):

@@ -382,8 +382,9 @@ def test_solutions_at_counts(ref_branch, grid512, ref_model, mu0_ref,
     none = solutions_at(ref_branch, 0.34, grid512, ref_model)
     assert none == []
 
-    with pytest.raises(ConfigError):
-        solutions_at(ref_branch, 0.0, grid512, ref_model)
+    for lam in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            solutions_at(ref_branch, lam, grid512, ref_model)
 
 
 def test_solutions_at_polishes_once_per_root(ref_branch, grid512, ref_model,

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from radbif import (ConfigError, NonlinearityModel, eval_f, eval_fprime,
-                    f_extended, fprime_extended, linear_model,
-                    polynomial_model, quadratic_model, r0_bounds,
+from radbif import (ConfigError, EstimationFailedError, NonlinearityModel,
+                    eval_f, eval_fprime, f_extended, fprime_extended,
+                    linear_model, polynomial_model, quadratic_model, r0_bounds,
                     reference_model, remainder, remainder_limits,
                     validate_hypotheses, zeta)
 
@@ -211,15 +211,63 @@ def test_quadratic_model_data():
     assert validate_hypotheses(m, 3).all_pass
 
 
-def test_estimation_unused_when_analytic_limits_given():
-    # a nonpolynomial remainder would not settle; analytic values bypass it
-    m = NonlinearityModel(
+def _sin_log_model(**kw):
+    """f1 = s + s^2 sin^2(log s): R1(s)/s^2 oscillates in [0, 1] forever."""
+    return NonlinearityModel(
         f1=lambda s: s + s * s * math.sin(math.log(max(s, 1e-300))) ** 2,
         f2=lambda s: s + 0.5 * s * s,
         df1=lambda s: 1.0, df2=lambda s: 1.0 + s,
         p1=2.0, p2=2.0, b1=0.5, b2=1.0, fp0_1=1.0, fp0_2=1.0,
-        nu1=2.0, nu2=2.0, K=0.5, r_lims=(0.0, 1.0, 0.5, 0.5))
+        nu1=2.0, nu2=2.0, K=0.5, **kw)
+
+
+def test_estimation_unused_when_analytic_limits_given():
+    # a nonpolynomial remainder would not settle; analytic values bypass it
+    m = _sin_log_model(r_lims=(0.0, 1.0, 0.5, 0.5))
     assert remainder_limits(m) == (0.0, 1.0, 0.5, 0.5)
+
+
+def test_remainder_estimate_fails_when_the_quotient_does_not_settle():
+    with pytest.raises(EstimationFailedError, match="R1.*does not settle") as exc:
+        remainder_limits(_sin_log_model())
+    samples = exc.value.samples
+    # 25 points a decade from 1e-2 down to 1e-6
+    assert samples.shape == (101, 2)
+    assert samples[0, 0] == 1e-2 and samples[-1, 0] == pytest.approx(1e-6)
+    last = samples[-26:, 1]
+    assert last.max() - last.min() > 0.05
+
+
+_LINEAR_FIELDS = dict(f1=lambda s: s, f2=lambda s: s, df1=lambda s: 1.0,
+                      df2=lambda s: 1.0, p1=2.0, p2=2.0, b1=1.0, b2=1.0,
+                      fp0_1=1.0, fp0_2=1.0, nu1=2.0, nu2=2.0, K=1.0)
+
+
+@pytest.mark.parametrize("key", ["p1", "p2", "b1", "b2", "fp0_1", "fp0_2",
+                                 "nu1", "nu2", "K"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_model_constant_is_rejected(key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        NonlinearityModel(**{**_LINEAR_FIELDS, key: value})
+
+
+def test_non_finite_model_inputs_are_rejected():
+    with pytest.raises(ConfigError, match="lo <= hi"):
+        NonlinearityModel(**_LINEAR_FIELDS, r_lims=(0.0, math.nan, 0.0, 0.0))
+    # infinite remainder limits stay legal: a liminf may be -inf
+    NonlinearityModel(**_LINEAR_FIELDS, r_lims=(-math.inf, 0.0, 0.0, math.inf))
+    kw = dict(p1=2, p2=2, b1=1, b2=1, nu1=2, nu2=2, K=1)
+    for coeffs in ([0.0, math.nan], [0.0, 1.0, math.nan], [0.0, 1.0, math.inf]):
+        with pytest.raises(ConfigError, match="coeffs1: coefficients must be finite"):
+            polynomial_model(coeffs, [0.0, 1.0], **kw)
+    for slope in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            linear_model(slope)
+        with pytest.raises(ConfigError, match="positive and finite"):
+            linear_model(1.0, slope)
+    # a custom f with f(0) = NaN does not vanish at zero
+    with pytest.raises(ConfigError, match="f1\\(0\\) must vanish"):
+        NonlinearityModel(**{**_LINEAR_FIELDS, "f1": lambda s: s + math.nan})
 
 
 def test_growth_coefficient_check_detects_wrong_b():

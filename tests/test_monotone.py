@@ -70,10 +70,13 @@ def test_subsolution_below_bifurcation_fails(grid512, ref_model,
 
 def test_subsolution_parameter_validation(grid512, ref_model,
                                           mu0_ref):
-    with pytest.raises(ConfigError):
-        build_subsolution(grid512, ref_model, mu0_ref * 1.1, 0.0)
-    with pytest.raises(ConfigError):
-        build_subsolution(grid512, ref_model, -1.0, 1e-2)
+    # refused up front: a NaN amplitude or parameter fails every halving
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="amplitude must be positive and finite"):
+            build_subsolution(grid512, ref_model, mu0_ref * 1.1, bad)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="parameter must be positive and finite"):
+            build_subsolution(grid512, ref_model, bad, 1e-2)
 
 
 def test_iteration_fixed_at_zero(grid512, ref_model):
@@ -140,10 +143,12 @@ def test_iteration_rejects_inadmissible_start(grid512, ref_model):
 
 def test_iteration_parameter_validation(grid512, ref_model):
     z = SystemState.zero(grid512)
-    with pytest.raises(ConfigError):
-        monotone_iterate(grid512, ref_model, 0.0, z)
-    with pytest.raises(ConfigError):
-        monotone_iterate(grid512, ref_model, LAMBDA_MID, z, tol=0.0)
+    # refused up front: a NaN tolerance never stops the iteration
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="parameter must be positive and finite"):
+            monotone_iterate(grid512, ref_model, bad, z)
+        with pytest.raises(ConfigError, match="tol must be positive and finite"):
+            monotone_iterate(grid512, ref_model, LAMBDA_MID, z, tol=bad)
     with pytest.raises(ConfigError):
         monotone_iterate(grid512, ref_model, LAMBDA_MID, z, max_iter=0)
 
@@ -300,6 +305,9 @@ def test_second_solution_requires_supercritical_parameter(grid512, ref_model,
                                                           mu0_ref):
     with pytest.raises(ConfigError):
         second_solution(grid512, ref_model, 0.9 * mu0_ref, ref_branch)
+    for lam in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="parameter must be positive and finite"):
+            second_solution(grid512, ref_model, lam, ref_branch)
 
 
 def test_second_solution_requires_fold(grid512, ref_model):

@@ -1,0 +1,58 @@
+"""The package surface and the shared argument checks."""
+
+import math
+
+import pytest
+
+import radbif
+from radbif import (analysis, continuation, errors, grid, model, monotone,
+                    solver, steklov, verify)
+from radbif.errors import ConfigError, require_positive
+
+# The 82 names the package exported before its list was built from the
+# modules' own lists.
+_EARLIER_SURFACE = """
+    NonlinearityModel CheckResult HypothesesReport
+    reference_model quadratic_model linear_model polynomial_model eval_f
+    eval_fprime f_extended fprime_extended remainder remainder_limits
+    estimate_remainder_limits r0_bounds zeta validate_hypotheses RadialGrid
+    SystemState build_grid pair_norm apply_operator boundary_flux
+    operator_bands banded_matvec_extended solve_flux_bvp save_state_csv
+    load_state_csv SteklovPair steklov_eigenpair steklov_shooting_oracle
+    NewtonConfig NewtonResult PairJacobian is_positive_state
+    POSITIVITY_REL_FLOOR POSITIVITY_ZERO_FLOOR residual jacobian
+    newton_solve linear_bvp_solve solve_limit_problem scaled_residual_norm
+    ContinuationConfig BranchPoint FoldInfo Branch initial_tangent step_off
+    continue_branch detect_fold solutions_at build_subsolution
+    monotone_iterate second_solution Direction JordanData BifurcationReport
+    RescaleTable bifurcation_point jordan_data theta_exponents
+    direction_of_bifurcation slope_prediction slope_fit rescale_check
+    nonexistence_bound build_report CheckOutcome run_acceptance format_table
+    ToolkitError ConfigError NumericalError NonConvergenceError
+    EstimationFailedError StepOffError ContinuationError SubsolutionError
+    MonotonicityViolationError DistinctnessError InsufficientDataError
+""".split()
+
+
+def test_package_exports_exactly_the_module_lists():
+    modules = (model, grid, steklov, solver, continuation, monotone,
+               analysis, verify, errors)
+    expected = ["__version__"] + [n for m in modules for n in m.__all__]
+    assert radbif.__all__ == expected
+    assert len(set(expected)) == len(expected)
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(radbif, name) is getattr(m, name)
+    assert len(_EARLIER_SURFACE) == 82
+    assert set(_EARLIER_SURFACE) <= set(radbif.__all__)
+    assert {"monotone_check", "ORDER_SLACK_REL"} <= set(radbif.__all__)
+
+
+def test_require_positive():
+    assert require_positive(2, "x") == 2.0
+    assert type(require_positive(2, "x")) is float
+    assert require_positive(5e-324, "x") == 5e-324
+    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError,
+                           match=r"^width must be positive and finite, got "):
+            require_positive(bad, "width")

@@ -32,10 +32,11 @@ def test_residual_vanishes_at_zero_state(grid128, ref_model):
 
 
 def test_residual_rejects_negative_parameter(grid128, ref_model):
-    with pytest.raises(ValueError):
-        residual(grid128, ref_model, -0.1, SystemState.zero(grid128))
-    with pytest.raises(ValueError):
-        jacobian(grid128, ref_model, -0.1, SystemState.zero(grid128))
+    # lam = 0 is legal (test above); NaN and infinity are not
+    for lam in (-0.1, math.nan, math.inf):
+        for call in (residual, jacobian):
+            with pytest.raises(ValueError, match="nonnegative and finite"):
+                call(grid128, ref_model, lam, SystemState.zero(grid128))
 
 
 def test_residual_on_kernel_ray_at_lambda_zero(grid512, ref_model):
@@ -425,7 +426,8 @@ def test_limit_problem_traces_match_reduced_system(grid512, ref_model,
 
 def test_newton_config_rejects_bad_settings():
     for kwargs in ({"tol_residual": 0.0}, {"tol_residual": math.nan},
-                   {"max_iter": 0}, {"max_iter": 2.5}, {"max_iter": math.nan}):
+                   {"tol_residual": math.inf}, {"max_iter": 0},
+                   {"max_iter": 2.5}, {"max_iter": math.nan}):
         with pytest.raises(ConfigError):
             NewtonConfig(**kwargs)
 
