@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (ConfigError, InsufficientDataError, NumericalError,
                      require_positive)
 from .grid import RadialGrid
-from .model import NonlinearityModel, r0_bounds, zeta
+from .model import NonlinearityModel, _slopes_at_zero, r0_bounds, zeta
 from .steklov import SteklovPair, steklov_eigenpair
 
 if TYPE_CHECKING:  # continuation imports bifurcation_point from here
@@ -80,10 +80,8 @@ class BifurcationReport:
 
 def _sigma(model: NonlinearityModel) -> float:
     """sigma = sqrt(f1'(0) f2'(0)), the eigenvalue of the coupling matrix."""
-    if model.fp0_1 <= 0 or model.fp0_2 <= 0:
-        raise ConfigError("derivatives at zero must be positive, got "
-                          f"({model.fp0_1}, {model.fp0_2})")
-    return math.sqrt(model.fp0_1 * model.fp0_2)
+    a, b = _slopes_at_zero(model)
+    return math.sqrt(a * b)
 
 
 def bifurcation_point(model: NonlinearityModel, mu1: float) -> float:
@@ -228,8 +226,6 @@ def rescale_check(branch: Branch, theta: tuple[float, float],
 
 def nonexistence_bound(model: NonlinearityModel, mu1: float) -> float:
     """mu1/K; no positive solution exists for parameters beyond it."""
-    if model.K <= 0:
-        raise ConfigError(f"growth constant K must be positive, got {model.K}")
     return require_positive(mu1, "first eigenvalue") / model.K
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.sparse import csr_array
 
 from .errors import require_int, require_positive
 
@@ -153,8 +154,10 @@ def cache_per_grid(fn):
 
 @cache_per_grid
 def _bands(grid: RadialGrid) -> tuple:
-    """(ab, ab_e): the (l, u) = (2, 1) bands of A and their extended-precision
-    copy for banded_matvec_extended, both read-only."""
+    """(ab, a_e): the (l, u) = (2, 1) bands of A and A as a longdouble CSR
+    array whose rows list their nonzero entries in band order (super, diag,
+    sub, sub2), both read-only.  The compiled matvec then adds the products
+    in the order of a loop over the bands: the same bits for finite x."""
     M, h, N = grid.M, grid.h, grid.N_dim
     ab = np.zeros((4, M + 1))  # rows super, diag, sub, sub2
     ab[1, 0] = 2.0 * N / h**2 + 1.0
@@ -167,9 +170,14 @@ def _bands(grid: RadialGrid) -> tuple:
     ab[3, M - 2] = 1.0 / (2.0 * h)
     ab[2, M - 1] = -2.0 / h
     ab[1, M] = 3.0 / (2.0 * h)
-    ab_e = ab.astype(np.longdouble)
-    ab.flags.writeable = ab_e.flags.writeable = False
-    return ab, ab_e
+    col = np.arange(M + 1)[:, None] + 1 - np.arange(4)  # [i, k]: band k in row i
+    vals = np.where((col >= 0) & (col <= M), ab[range(4), col.clip(0, M)], 0.0)
+    keep = vals != 0.0
+    a_e = csr_array((vals[keep].astype(np.longdouble), col[keep],
+                     np.r_[0, keep.sum(axis=1).cumsum()]), shape=(M + 1, M + 1))
+    for a in (ab, a_e.data, a_e.indices, a_e.indptr):
+        a.flags.writeable = False
+    return ab, a_e
 
 
 def operator_bands(grid: RadialGrid) -> np.ndarray:
@@ -180,29 +188,16 @@ def operator_bands(grid: RadialGrid) -> np.ndarray:
     return _bands(grid)[0]
 
 
-def banded_matvec_extended(ab: np.ndarray, n_upper: int, x: np.ndarray) -> np.ndarray:
-    """A @ x for LAPACK-banded A along the last axis of x, accumulated in
-    extended precision; a (k, n) stack gives the k products in one pass.
+def banded_matvec_extended(grid: RadialGrid, x: np.ndarray) -> np.ndarray:
+    """A @ x along the last axis of x, accumulated in extended precision; a
+    (k, M+1) stack gives the k products in one call.
 
-    The matrix entries stay the double-precision numbers stored in ab; only
-    the products and sums carry extra bits, so this measures the true
+    The matrix entries stay the double-precision numbers of operator_bands;
+    only the products and sums carry extra bits, so this measures the true
     algebraic residual of the double system instead of drowning it in
     cancellation noise at the 1/h^2 row scale.  On platforms where
-    longdouble aliases double this degrades gracefully to a plain matvec.
-    ab may already be an extended-precision copy; the solvers cache one per
-    grid so that the conversion is not repeated on every call.
-    """
-    n = x.shape[-1]
-    ab_e = ab if ab.dtype == np.longdouble else ab.astype(np.longdouble)
-    x_e = x.astype(np.longdouble)
-    y = np.zeros(x.shape, dtype=np.longdouble)
-    for k in range(ab.shape[0]):
-        d = n_upper - k
-        if d >= 0:
-            y[..., :n - d] += ab_e[k, d:] * x_e[..., d:]
-        else:
-            y[..., -d:] += ab_e[k, :d] * x_e[..., :d]
-    return y
+    longdouble aliases double this degrades gracefully to a plain matvec."""
+    return (_bands(grid)[1] @ x.T.astype(np.longdouble)).T
 
 
 @cache_per_grid
@@ -218,16 +213,15 @@ def _factor(grid: RadialGrid) -> tuple:
     LinAlgError when A is singular; nothing is cached then, so the error
     surfaces again at every solve that needs the factor.
     """
-    ab, ab_e = _bands(grid)
-    work = np.zeros((6, ab.shape[1]), order="F")  # 2 l + u + 1 rows: LU fill
-    work[2:] = ab
+    work = np.zeros((6, grid.M + 1), order="F")  # 2 l + u + 1 rows: LU fill
+    work[2:] = operator_bands(grid)
     lu, piv, info = dgbtrf(work, 2, 1, overwrite_ab=True)
     if info != 0:
         raise LinAlgError(f"grid operator is singular (dgbtrf info {info})")
     e = np.zeros(grid.M + 1)
     e[grid.M] = 1.0
     v = dgbtrs(lu, 2, 1, e, piv)[0]
-    r = banded_matvec_extended(ab_e, 1, v)
+    r = banded_matvec_extended(grid, v)
     r[grid.M] -= 1.0
     v = v - dgbtrs(lu, 2, 1, np.asarray(r, dtype=float), piv)[0]
     for a in (lu, piv, v):

@@ -194,11 +194,18 @@ def remainder_limits(model: NonlinearityModel):
     return lo1, hi1, lo2, hi2
 
 
+def _slopes_at_zero(model: NonlinearityModel) -> tuple[float, float]:
+    """(f1'(0), f2'(0)); ConfigError unless both are positive."""
+    if model.fp0_1 <= 0 or model.fp0_2 <= 0:
+        raise ConfigError("derivatives at zero must be positive, got "
+                          f"({model.fp0_1}, {model.fp0_2})")
+    return model.fp0_1, model.fp0_2
+
+
 def zeta(model: NonlinearityModel) -> float:
     """zeta = sqrt(f2'(0) / f1'(0)), the component ratio of the kernel pair."""
-    if model.fp0_1 <= 0 or model.fp0_2 <= 0:
-        raise ValueError("zeta requires positive derivatives at zero")
-    return math.sqrt(model.fp0_2 / model.fp0_1)
+    a, b = _slopes_at_zero(model)
+    return math.sqrt(b / a)
 
 
 def r0_bounds(model: NonlinearityModel) -> tuple[float, float]:

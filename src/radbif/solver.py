@@ -29,7 +29,7 @@ from scipy.linalg.lapack import dgbtrs
 
 from .errors import (ConfigError, NonConvergenceError, require_int,
                      require_positive)
-from .grid import (RadialGrid, SystemState, _bands, _factor,
+from .grid import (RadialGrid, SystemState, _factor,
                    banded_matvec_extended, operator_bands, pair_norm,
                    solve_flux_bvp)
 from .model import NonlinearityModel, f_extended, fprime_extended
@@ -180,9 +180,8 @@ def _pair_residual(grid: RadialGrid, state: SystemState, g1, g2) -> np.ndarray:
     scaled norm even at blow-up-tail amplitudes, where plain double
     accumulation drowns below roughly 2e-10 at the 1/h^2 row scale."""
     M = grid.M
-    ab = _bands(grid)[1]
-    r1 = banded_matvec_extended(ab, 1, state.u1)
-    r2 = banded_matvec_extended(ab, 1, state.u2)
+    r1 = banded_matvec_extended(grid, state.u1)
+    r2 = banded_matvec_extended(grid, state.u2)
     r1[..., M] -= _flux_terms(g1, state.u2[..., M])
     r2[..., M] -= _flux_terms(g2, state.u1[..., M])
     out = np.empty(r1.shape[:-1] + (2 * (M + 1),))

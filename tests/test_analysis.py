@@ -265,8 +265,6 @@ def test_nonexistence_bound_reference(ref_model):
     assert nonexistence_bound(ref_model, 0.3) == pytest.approx(0.4, rel=1e-14)
     with pytest.raises(ConfigError):
         nonexistence_bound(ref_model, 0.0)
-    with pytest.raises(ConfigError):
-        nonexistence_bound(SimpleNamespace(K=-1.0), 0.3)
 
 
 # --------------------------------------------------------------- report

@@ -6,6 +6,7 @@ its fold location is checked against the independent trace-system value
 every branch point against the trace-system oracle in conftest.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -42,6 +43,15 @@ def test_initial_tangent_ratio_from_derivatives(eig512):
     t = initial_tangent(m, eig512)
     np.testing.assert_allclose(t.u1, eig512.phi1 / 3.0, atol=1e-15)
     np.testing.assert_allclose(t.u2, 2.0 * eig512.phi1 / 3.0, atol=1e-15)
+
+
+def test_initial_tangent_rejects_a_zero_slope_at_zero(ref_model, eig512):
+    # zeta and sigma share one rule: both slopes at zero must be positive
+    flat = dataclasses.replace(ref_model, fp0_1=0.0)
+    with pytest.raises(ConfigError, match="derivatives at zero"):
+        initial_tangent(flat, eig512)
+    with pytest.raises(ConfigError, match="derivatives at zero"):
+        bifurcation_point(flat, eig512.mu1)
 
 
 def test_step_off_leaves_to_the_right(grid512, ref_model, eig512, mu0_ref):

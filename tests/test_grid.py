@@ -1,6 +1,7 @@
 """Radial mesh, operator stencils, flux stencil, banded linear solves."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from radbif import (ConfigError, SystemState, apply_operator,
                     banded_matvec_extended, boundary_flux, build_grid,
                     load_state_csv, operator_bands, pair_norm, save_state_csv,
                     solve_flux_bvp)
+from radbif.grid import _bands
 
 MU1_N3_R1 = 2.0 / (math.e ** 2 - 1.0)
 
@@ -151,31 +153,116 @@ def test_solve_flux_bvp_is_a_multiple_of_the_unit_flux_column():
 
 
 def test_banded_matvec_extended_matches_dense():
-    # small tridiagonal-ish banded matrix, compare against dense product
+    # h = 1 keeps the entries O(1), compare against the dense product
+    g = build_grid(3, 16.0, 16)
+    ab = operator_bands(g)
     rng = np.random.default_rng(3)
-    n, n_upper, n_lower = 12, 1, 2
-    ab = rng.standard_normal((n_upper + n_lower + 1, n))
+    n, n_upper, n_lower = g.M + 1, 1, 2
     x = rng.standard_normal(n)
     dense = np.zeros((n, n))
     for j in range(n):
         for i in range(max(0, j - n_upper), min(n, j + n_lower + 1)):
             dense[i, j] = ab[n_upper + i - j, j]
-    got = np.asarray(banded_matvec_extended(ab, n_upper, x), dtype=float)
+    got = np.asarray(banded_matvec_extended(g, x), dtype=float)
     np.testing.assert_allclose(got, dense @ x, rtol=0, atol=1e-13)
-    # a pre-converted extended copy of the bands gives the same bits
-    same = banded_matvec_extended(ab.astype(np.longdouble), n_upper, x)
-    np.testing.assert_array_equal(same, banded_matvec_extended(ab, n_upper, x))
+    # an x already in extended precision gives the same bits
+    same = banded_matvec_extended(g, x.astype(np.longdouble))
+    np.testing.assert_array_equal(same, banded_matvec_extended(g, x))
 
 
 def test_banded_matvec_extended_beats_double_cancellation():
     # residual of the solved system must sit well below the double floor
     g = build_grid(3, 1.0, 512)
-    ab = operator_bands(g)
     v = solve_flux_bvp(g, 1.0)
-    r = np.asarray(banded_matvec_extended(ab, 1, v), dtype=float)
+    r = np.asarray(banded_matvec_extended(g, v), dtype=float)
     r[-1] -= 1.0
     scale = 2.0 / g.h ** 2 + 1.0
     assert np.abs(r).max() / scale < 1e-14
+
+
+def _band_loop(ab, x):
+    """A @ x as one pass per band of the (2, 1) bands ab, accumulated in
+    longdouble: the reference banded_matvec_extended matches bit for bit."""
+    n = x.shape[-1]
+    ab_e = ab.astype(np.longdouble)
+    x_e = x.astype(np.longdouble)
+    y = np.zeros(x.shape, dtype=np.longdouble)
+    for k in range(ab.shape[0]):
+        d = 1 - k
+        if d >= 0:
+            y[..., :n - d] += ab_e[k, d:] * x_e[..., d:]
+        else:
+            y[..., -d:] += ab_e[k, :d] * x_e[..., :d]
+    return y
+
+
+def _bits(y):
+    return np.asarray(y, dtype=float).view(np.int64)
+
+
+def _zero_times_nonfinite(ab, x):
+    """Rows where _band_loop multiplies a zero band entry by an inf or nan
+    of x and so adds a NaN that the CSR operator, which holds no zero
+    entries, does not."""
+    return _band_loop(ab == 0.0, ~np.isfinite(x)) > 0
+
+
+@pytest.mark.parametrize("M", [16, 17, 128, 512, 4096])
+def test_banded_matvec_extended_is_bit_identical_to_the_band_loop(M):
+    g = build_grid(3, 1.0, M)
+    ab = operator_bands(g)
+    n = M + 1
+    rng = np.random.default_rng(M)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1.1e-308,
+                        1e300, -1e300, 1e-300, -1e-300, 1.0, -3.5])
+    inputs = [solve_flux_bvp(g, 1.0)]  # the refined unit-flux column v
+    for _ in range(20):
+        wide = rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n)
+        inputs.append(np.where(rng.random(n) < 0.5, rng.choice(special, n), wide))
+    with_nan = inputs[-1].copy()
+    with_nan[rng.choice(n, 3, replace=False)] = np.nan
+    inputs.append(with_nan)
+    # (k, n) stacks, and strided component views of an interleaved stack
+    # perturbed one entry per row, as the jacobian-fd check builds them
+    inputs.append(rng.standard_normal((5, n)) * 10.0 ** rng.uniform(-20, 20, (5, 1)))
+    rows = np.arange(min(2 * n, 64))
+    stack = np.tile(rng.uniform(0.05, 2.0, 2 * n), (rows.size, 1))
+    stack[rows, rows] += 1e-6
+    inputs += [stack[:, 0::2], stack[:, 1::2]]
+    for x in inputs:
+        keep = ~_zero_times_nonfinite(ab, x)
+        assert keep.all() == bool(np.isfinite(x).all())
+        got = banded_matvec_extended(g, x)
+        assert got.shape == x.shape
+        np.testing.assert_array_equal(_bits(got)[keep], _bits(_band_loop(ab, x))[keep])
+
+
+def test_banded_matvec_extended_drops_zero_times_nonfinite():
+    # The one intended difference from the band loop: there a zero band
+    # entry times an inf or nan x_j (the sub2 band two rows below j) added
+    # NaN to its row, with a RuntimeWarning for inf.  The CSR operator
+    # holds no zero entries, so such a row is the sum of its nonzero
+    # products, which is the band loop with x_j set to 0.
+    g = build_grid(3, 1.0, 16)
+    ab = operator_bands(g)
+    x = np.random.default_rng(5).standard_normal(g.M + 1)
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        _band_loop(ab, np.where(np.arange(g.M + 1) == 0, np.inf, x))
+    for bad in (np.inf, -np.inf, np.nan):
+        for j in range(g.M + 1):
+            xj = x.copy()
+            xj[j] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = banded_matvec_extended(g, xj)
+            with np.errstate(invalid="ignore"):
+                ref = _band_loop(ab, xj)
+            zeroed = _band_loop(ab, np.where(np.isfinite(xj), xj, 0.0))
+            hit = _zero_times_nonfinite(ab, xj)
+            assert hit.any() == (j < g.M - 2)  # A[M, M-2] is the one sub2 entry
+            assert np.isnan(ref[hit]).all() and np.isfinite(got[hit]).all()
+            np.testing.assert_array_equal(_bits(got)[~hit], _bits(ref)[~hit])
+            np.testing.assert_array_equal(_bits(got)[hit], _bits(zeroed)[hit])
 
 
 def test_operator_bands_cached_and_frozen():
@@ -184,6 +271,13 @@ def test_operator_bands_cached_and_frozen():
     ab2 = operator_bands(g)
     assert ab1 is ab2
     assert not ab1.flags.writeable
+    # the CSR copy too: sorting its indices in place would change the
+    # order in which the residual adds its products
+    a_e = _bands(g)[1]
+    assert a_e is _bands(g)[1]
+    assert not any(a.flags.writeable for a in (a_e.data, a_e.indices, a_e.indptr))
+    with pytest.raises(ValueError):
+        a_e.sort_indices()
 
 
 def test_system_state_vector_roundtrip():

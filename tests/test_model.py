@@ -196,7 +196,7 @@ def test_zeta_and_nu_accessors():
     assert zeta(m) == 1.0
     assert m.nu == 2.0
     assert math.isclose(zeta(linear_model(1.0, 4.0)), 2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         zeta(NonlinearityModel(
             f1=lambda s: s * s, f2=lambda s: s,
             df1=lambda s: 2.0 * s, df2=lambda s: 1.0,
