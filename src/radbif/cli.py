@@ -31,15 +31,13 @@ from . import verify as verify_mod
 
 __all__ = ["run", "main", "VALID_KEYS"]
 
-_MODEL_PARAM_KEYS = ("model.p1", "model.p2", "model.b1", "model.b2",
-                     "model.nu1", "model.nu2", "model.K")
 # Keys named "<section>.<field>" after the ContinuationConfig and
 # NewtonConfig fields they set; an unset key keeps the class default.
 _CONT_KEYS = ("cont.ds0", "cont.ds_min", "cont.ds_max",
               "cont.eps_step_off", "cont.lambda_stop_low")
 
 VALID_KEYS = (
-    "model.name", "model.coeffs1", "model.coeffs2", *_MODEL_PARAM_KEYS,
+    "model.name", "model.coeffs1", "model.coeffs2",
     "grid.N", "grid.R", "grid.M",
     "newton.tol", "newton.max_iter",
     *_CONT_KEYS,
@@ -105,7 +103,7 @@ def _int(entries, key, default):
 
 def _float_list(raw: str, key: str) -> list[float]:
     try:
-        values = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in raw.split(",")]
     except ValueError:
         raise ConfigError(f"{key} must be comma-separated numbers, got {raw!r}")
     return [_finite(x, key) for x in values]
@@ -134,44 +132,36 @@ class RunSettings:
         self.cont = ContinuationConfig(
             newton=self.newton, **_given(entries, _CONT_KEYS, _float))
         self.out_dir = entries.get("out.dir", "out")
-        self.model = self._resolve_model(entries)
-        self.config_hash = self._hash(entries)
+        self.model, model_key = self._resolve_model(entries)
+        self.config_hash = self._hash(model_key)
 
     @staticmethod
-    def _resolve_model(entries: dict) -> NonlinearityModel:
-        has_coeffs = "model.coeffs1" in entries or "model.coeffs2" in entries
-        if has_coeffs:
+    def _resolve_model(entries: dict) -> tuple[NonlinearityModel, str]:
+        """The model and the text that stands for it in the config hash: a
+        builtin's name, or a coefficient model's parsed coefficients."""
+        keys = ("model.coeffs1", "model.coeffs2")
+        if any(key in entries for key in keys):
             if "model.name" in entries:
                 raise ConfigError(
                     "give either model.name or model.coeffs1/coeffs2, not both")
-            missing = [k for k in ("model.coeffs1", "model.coeffs2",
-                                   *_MODEL_PARAM_KEYS) if k not in entries]
+            missing = [key for key in keys if key not in entries]
             if missing:
-                raise ConfigError(
-                    "coefficient models need all structural constants; "
-                    "missing: " + ", ".join(missing))
-            return polynomial_model(
-                _float_list(entries["model.coeffs1"], "model.coeffs1"),
-                _float_list(entries["model.coeffs2"], "model.coeffs2"),
-                **_given(entries, _MODEL_PARAM_KEYS, _float))
+                raise ConfigError("coefficient models need both coefficient "
+                                  "lists; missing: " + ", ".join(missing))
+            c1, c2 = (_float_list(entries[key], key) for key in keys)
+            return (polynomial_model(c1, c2),
+                    f"model.coeffs1={c1!r}|model.coeffs2={c2!r}")
         name = entries.get("model.name", "reference")
         builtins = {"reference": reference_model, "quadratic": quadratic_model,
                     "linear": linear_model}
         if name not in builtins:
             raise ConfigError(f"unknown model.name {name!r}; builtins: "
                               + ", ".join(sorted(builtins)))
-        for key in _MODEL_PARAM_KEYS:
-            if key in entries:
-                raise ConfigError(
-                    f"{key} only applies to coefficient models, not model.name={name}")
-        return builtins[name]()
+        return builtins[name](), name
 
-    def _hash(self, entries: dict) -> str:
+    def _hash(self, model_key: str) -> str:
         resolved = {
-            "model": entries.get("model.name", "reference")
-            if "model.coeffs1" not in entries else
-            "|".join(f"{k}={entries[k]}" for k in sorted(entries)
-                     if k.startswith("model.")),
+            "model": model_key,
             "grid.N": self.grid.N_dim, "grid.R": repr(self.grid.R_ball),
             "grid.M": self.grid.M,
             "newton.tol": repr(self.newton.tol_residual),
@@ -279,6 +269,9 @@ def _run_branch(st: RunSettings):
 
 
 def _cmd_branch(st: RunSettings, args) -> int:
+    if args.dump_states < 0:
+        raise ConfigError(
+            f"--dump-states must be nonnegative, got {args.dump_states}")
     branch = _run_branch(st)
     with open(st.path("branch.jsonl"), "w", encoding="utf-8") as fh:
         for p in branch.points:

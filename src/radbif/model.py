@@ -337,17 +337,50 @@ def _horner(coeffs) -> Callable[[float], float]:
     return f
 
 
+def _derivative(c: np.ndarray) -> np.ndarray:
+    """Coefficients of the derivative, k c_k, the products numpy's polyder
+    forms."""
+    return c[1:] * np.arange(1, c.size)
+
+
+def _structure(c: np.ndarray, tag: str):
+    """(c trimmed of trailing zeros, degree, leading coefficient, lowest
+    power >= 2 or None, inf_{s>=0} f(s)/s) of f(s) = sum_k c_k s^k."""
+    c = c[:np.flatnonzero(c)[-1] + 1]
+    if c.size > 2 and c[-1] < 0:
+        raise ConfigError(f"{tag}: leading coefficient must be positive, got {c[-1]}")
+    powers = np.flatnonzero(c[2:]) + 2
+    # g = f(s)/s is constant or grows without bound, so its infimum on
+    # s >= 0 is at 0 or at a critical point.  g(s) bounds that infimum from
+    # above at every s >= 0, so the real part of every root is a safe
+    # candidate, and a true minimiser whose root carries a rounding-level
+    # imaginary part is never dropped.
+    roots = (np.polynomial.polynomial.polyroots(_derivative(c[1:]))
+             if c.size > 3 else np.empty(0))
+    k = float(_horner(c[1:])(np.append(0.0, roots.real[roots.real > 0])).min())
+    if not k > 0:
+        raise ConfigError(f"{tag}: f(s)/s falls to {k:.6g} on s >= 0, so no "
+                          "linear minorant f(s) >= K s with K > 0 exists")
+    return (c, float(c.size - 1), float(c[-1]),
+            float(powers[0]) if powers.size else None, k)
+
+
 def polynomial_model(coeffs1: Sequence[float], coeffs2: Sequence[float], *,
-                     p1: float, p2: float, b1: float, b2: float,
-                     nu1: float, nu2: float, K: float,
-                     r_lims=None, name: str = "polynomial") -> NonlinearityModel:
+                     name: str = "polynomial") -> NonlinearityModel:
     """Model from ascending coefficient lists f_i(s) = sum_k a_k s^k.
 
-    Requires a0 = 0 and a1 > 0 for both components.  Derivatives are exact.
+    Requires a0 = 0 and a1 > 0 for both components.  Derivatives are exact,
+    and every structural constant is read off the coefficients, trailing
+    zeros dropped: f1 ~ b2 s^p2 and f2 ~ b1 s^p1 with p the degree and b
+    the leading coefficient (positive at degree >= 2); nu_i is the lowest
+    power >= 2 of f_i, and a linear f_i (R_i = 0) takes the other's, or 2
+    when both are linear; the limit of R_i(s)/s^nu is the s^nu coefficient
+    of f_i, so r_lims is exact; K = min_i inf_{s>=0} f_i(s)/s must be
+    positive.
     """
-    c1 = np.asarray(coeffs1, dtype=float)
-    c2 = np.asarray(coeffs2, dtype=float)
-    for c, tag in ((c1, "coeffs1"), (c2, "coeffs2")):
+    cs = []
+    for c, tag in ((coeffs1, "coeffs1"), (coeffs2, "coeffs2")):
+        c = np.asarray(c, dtype=float)
         if c.ndim != 1 or c.size < 2:
             raise ConfigError(f"{tag} needs at least the s^0 and s^1 coefficients")
         if not np.all(np.isfinite(c)):
@@ -356,33 +389,36 @@ def polynomial_model(coeffs1: Sequence[float], coeffs2: Sequence[float], *,
             raise ConfigError(f"{tag}: constant term must be 0 (f(0)=0)")
         if c[1] <= 0.0:
             raise ConfigError(f"{tag}: linear coefficient must be positive")
-    d1, d2 = np.polynomial.polynomial.polyder(c1), np.polynomial.polynomial.polyder(c2)
+        cs.append(_structure(c, tag))
+    (c1, p2, b2, nu1, k1), (c2, p1, b1, nu2, k2) = cs
+    nu1, nu2 = nu1 or nu2 or 2.0, nu2 or nu1 or 2.0
+    nu = int(min(nu1, nu2))
+    r1, r2 = (float(c[nu]) if nu < c.size else 0.0 for c in (c1, c2))
     return NonlinearityModel(
-        f1=_horner(c1), f2=_horner(c2), df1=_horner(d1), df2=_horner(d2),
+        f1=_horner(c1), f2=_horner(c2),
+        df1=_horner(_derivative(c1)), df2=_horner(_derivative(c2)),
         p1=p1, p2=p2, b1=b1, b2=b2,
         fp0_1=float(c1[1]), fp0_2=float(c2[1]),
-        nu1=nu1, nu2=nu2, K=K, r_lims=r_lims, name=name)
+        nu1=nu1, nu2=nu2, K=min(k1, k2), r_lims=(r1, r1, r2, r2), name=name)
 
 
 def reference_model() -> NonlinearityModel:
     """Repo-wide test model: f1 = s - s^2 + s^3, f2 = s + s^2/2.
 
-    Exact data: p1=2, p2=3, b1=1/2, b2=1, f_i'(0)=1, nu1=nu2=2,
-    R1 limits -1, R2 limits +1/2, K = min(1 - s + s^2) = 3/4.  Combined
-    remainder bound R0 = -1/8, so the branch leaves to the right.
+    Its constants, as polynomial_model derives them: p1 = deg f2 = 2,
+    p2 = deg f1 = 3, b1 = 1/2 and b2 = 1 the leading coefficients,
+    f_i'(0) = 1, nu1 = nu2 = 2 the lowest powers above the first, R1
+    limits -1 and R2 limits +1/2 the s^2 coefficients, and
+    K = min(1 - s + s^2, 1 + s/2) = 3/4 at s = 1/2.  Combined remainder
+    bound R0 = -1/8, so the branch leaves to the right.
     """
-    return polynomial_model(
-        [0.0, 1.0, -1.0, 1.0], [0.0, 1.0, 0.5],
-        p1=2.0, p2=3.0, b1=0.5, b2=1.0, nu1=2.0, nu2=2.0, K=0.75,
-        r_lims=(-1.0, -1.0, 0.5, 0.5), name="reference")
+    return polynomial_model([0.0, 1.0, -1.0, 1.0], [0.0, 1.0, 0.5],
+                            name="reference")
 
 
 def quadratic_model() -> NonlinearityModel:
     """Symmetric model f1 = f2 = s + s^2 (R0 = +1/2, branch leaves left)."""
-    return polynomial_model(
-        [0.0, 1.0, 1.0], [0.0, 1.0, 1.0],
-        p1=2.0, p2=2.0, b1=1.0, b2=1.0, nu1=2.0, nu2=2.0, K=1.0,
-        r_lims=(1.0, 1.0, 1.0, 1.0), name="quadratic")
+    return polynomial_model([0.0, 1.0, 1.0], [0.0, 1.0, 1.0], name="quadratic")
 
 
 def linear_model(c1: float = 1.0, c2: float = 1.0) -> NonlinearityModel:
@@ -393,9 +429,4 @@ def linear_model(c1: float = 1.0, c2: float = 1.0) -> NonlinearityModel:
     """
     c1 = require_positive(c1, "linear model slope c1")
     c2 = require_positive(c2, "linear model slope c2")
-    return NonlinearityModel(
-        f1=lambda s: c1 * s, f2=lambda s: c2 * s,
-        df1=lambda s: c1 + 0.0 * s, df2=lambda s: c2 + 0.0 * s,
-        p1=1.0, p2=1.0, b1=c2, b2=c1,
-        fp0_1=c1, fp0_2=c2, nu1=2.0, nu2=2.0, K=min(c1, c2),
-        r_lims=(0.0, 0.0, 0.0, 0.0), name="linear")
+    return polynomial_model([0.0, c1], [0.0, c2], name="linear")

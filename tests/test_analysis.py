@@ -6,6 +6,7 @@ the linear, quadratic, and reference models.
 """
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +19,7 @@ from radbif import (BifurcationReport, Branch, BranchPoint, ConfigError,
                     RescaleTable, SystemState, bifurcation_point, build_grid,
                     build_report, continue_branch, direction_of_bifurcation,
                     jordan_data, linear_model, nonexistence_bound,
-                    NonlinearityModel, polynomial_model, quadratic_model,
+                    NonlinearityModel, quadratic_model,
                     rescale_check, slope_fit, slope_prediction,
                     steklov_eigenpair, theta_exponents)
 
@@ -154,10 +155,7 @@ def test_slope_prediction_left_and_zero(eig512):
 
 
 def test_slope_prediction_straddling_bounds(eig512):
-    m = polynomial_model([0.0, 1.0, 1.0], [0.0, 1.0, 1.0],
-                         p1=2.0, p2=2.0, b1=1.0, b2=1.0,
-                         nu1=2.0, nu2=2.0, K=1.0,
-                         r_lims=(-1.0, 1.0, -1.0, 1.0))
+    m = replace(quadratic_model(), r_lims=(-1.0, 1.0, -1.0, 1.0))
     s = slope_prediction(m, eig512)
     assert isinstance(s, tuple)
     lo, hi = s

@@ -77,15 +77,16 @@ def test_model_selection_conflicts(tmp_path, capsys):
     code = run(["report", "--override", "model.name=reference",
                 "--override", "model.coeffs1=0,1", "--override", out])
     assert code == 2
-    # coefficient models need every structural constant
+    # coefficient models need both lists
     code = run(["report", "--override", "model.coeffs1=0,1",
-                "--override", "model.coeffs2=0,1", "--override", out])
+                "--override", out])
     assert code == 2
     assert "missing" in capsys.readouterr().err
-    # structural constants are meaningless for builtin models
+    # structural constants are read off the coefficients, never set
     code = run(["report", "--override", "model.name=quadratic",
                 "--override", "model.K=1.0", "--override", out])
     assert code == 2
+    assert "unknown key 'model.K'" in capsys.readouterr().err
     # unknown builtin
     code = run(["report", "--override", "model.name=cubic",
                 "--override", out])
@@ -93,23 +94,20 @@ def test_model_selection_conflicts(tmp_path, capsys):
 
 
 def test_coefficient_model_roundtrip(tmp_path, capsys):
-    # reference model spelled out as coefficients gives the same report
-    args = ["report",
-            "--override", "model.coeffs1=0,1,-1,1",
-            "--override", "model.coeffs2=0,1,0.5",
-            "--override", "model.p1=2", "--override", "model.p2=3",
-            "--override", "model.b1=0.5", "--override", "model.b2=1",
-            "--override", "model.nu1=2", "--override", "model.nu2=2",
-            "--override", "model.K=0.75",
-            "--override", f"out.dir={_out(tmp_path)}"]
-    assert run(args) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["sigma"] == pytest.approx(1.0)
-    assert payload["theta1"] == pytest.approx(0.8)
-    # remainder limits are estimated numerically on this path
-    assert payload["r0_under"] == pytest.approx(-0.125, abs=1e-3)
-    assert payload["r0_over"] == pytest.approx(-0.125, abs=1e-3)
-    assert payload["direction"] == "Right"
+    # the reference model spelled out as coefficients gives the builtin's
+    # report and limit, field for field, under its own config hash
+    coeffs = ["--override", "model.coeffs1=0,1,-1,1",
+              "--override", "model.coeffs2=0,1,0.5"]
+    for command, name in (("report", "report.json"), ("limit", "limit.json")):
+        payloads = []
+        for extra, out in ((coeffs, "coeffs"), ([], "builtin")):
+            assert run([command, *extra, "--override",
+                        f"out.dir={_out(tmp_path, out)}"]) == 0
+            capsys.readouterr()
+            payloads.append(json.loads((tmp_path / out / name).read_text()))
+        coef, builtin = payloads
+        assert coef.pop("config_hash") != builtin.pop("config_hash")
+        assert coef == builtin
 
 
 # ------------------------------------------------------------- commands
@@ -198,6 +196,22 @@ def test_non_finite_coefficient_is_a_config_error():
         cli._float_list("0.5, nan", "model.coeffs1")
 
 
+def test_empty_coefficient_entry_is_a_config_error():
+    # dropping it would move every later coefficient down one power
+    for raw in ("0,1,,2", "0,1,"):
+        with pytest.raises(radbif.ConfigError, match="model.coeffs1"):
+            cli._float_list(raw, "model.coeffs1")
+
+
+def test_config_hash_reads_the_parsed_coefficients():
+    def digest(c1, c2):
+        return cli.RunSettings({"model.coeffs1": c1,
+                                "model.coeffs2": c2}).config_hash
+    same = digest("0,1,-1,1", "0,1,0.5")
+    assert digest("0, 1, -1, 1.0", "0.0,1e0,.5") == same
+    assert digest("0,1,-1,1", "0,1,0.25") != same
+
+
 # Hashes of the resolved settings at the time the CLI defaults moved into
 # the config classes: a changed library default must fail here rather
 # than silently re-hash every artifact.
@@ -214,8 +228,6 @@ def test_valid_keys_are_pinned():
     """The unknown-key error prints this tuple, so its order is output."""
     assert cli.VALID_KEYS == (
         "model.name", "model.coeffs1", "model.coeffs2",
-        "model.p1", "model.p2", "model.b1", "model.b2",
-        "model.nu1", "model.nu2", "model.K",
         "grid.N", "grid.R", "grid.M",
         "newton.tol", "newton.max_iter",
         "cont.ds0", "cont.ds_min", "cont.ds_max",
@@ -312,6 +324,14 @@ def test_branch_state_dumps(tmp_path, capsys):
     assert dumps and dumps[0].name == "state_000000.csv"
     header = _lines(dumps[0])[0]
     assert header.startswith("# config=") and "lambda=" in header
+
+
+def test_branch_rejects_negative_dump_interval(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["branch", "--dump-states", "-3",
+                "--override", f"out.dir={out}"]) == 2
+    assert "--dump-states must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_multiplicity_command(tmp_path, capsys):

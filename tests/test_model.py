@@ -1,6 +1,7 @@
 """Nonlinearity models: evaluation, remainders, combined bounds, hypotheses."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,8 +47,7 @@ def test_polynomial_model_matches_polyval_bitwise():
                            rng.uniform(0.0, 10.0, 1000),
                            10.0 ** rng.uniform(50.0, 100.0, 1000), [0.0]])
     c1, c2 = [0.0, 1.0, -1.0, 1.0], [0.0, 1.0, 0.5]
-    m = polynomial_model(c1, c2, p1=2.0, p2=3.0, b1=0.5, b2=1.0,
-                         nu1=2.0, nu2=2.0, K=0.75)
+    m = polynomial_model(c1, c2)
     pairs = [(m.f1, c1), (m.f2, c2),
              (m.df1, [1.0, -2.0, 3.0]), (m.df2, [1.0, 1.0])]
     for s in args.tolist():
@@ -78,9 +78,7 @@ def test_remainder_limits_analytic_reference():
 
 def test_remainder_limits_numeric_estimate_matches_analytic():
     # same polynomials, analytic limits withheld
-    m = polynomial_model([0.0, 1.0, -1.0, 1.0], [0.0, 1.0, 0.5],
-                         p1=2.0, p2=3.0, b1=0.5, b2=1.0,
-                         nu1=2.0, nu2=2.0, K=0.75)
+    m = replace(reference_model(), r_lims=None)
     lo1, hi1, lo2, hi2 = remainder_limits(m)
     assert lo1 == pytest.approx(-1.0, rel=0.01)
     assert hi1 == pytest.approx(-1.0, rel=0.01)
@@ -126,31 +124,25 @@ def test_validate_rejects_vanishing_derivative_at_zero():
 
 
 def test_validate_rejects_both_exponents_critical():
-    m = polynomial_model([0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0],
-                         p1=3.0, p2=3.0, b1=1.0, b2=1.0,
-                         nu1=3.0, nu2=3.0, K=1.0)
+    m = polynomial_model([0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0])
     report = validate_hypotheses(m, 3)  # critical exponent N/(N-2) = 3
     assert not report["not-both-critical"].passed
 
 
 def test_polynomial_model_rejects_bad_coefficients():
     with pytest.raises(ConfigError):
-        polynomial_model([1.0, 1.0], [0.0, 1.0], p1=2, p2=2, b1=1, b2=1,
-                         nu1=2, nu2=2, K=1)  # f(0) != 0
+        polynomial_model([1.0, 1.0], [0.0, 1.0])  # f(0) != 0
     with pytest.raises(ConfigError):
-        polynomial_model([0.0, -1.0], [0.0, 1.0], p1=2, p2=2, b1=1, b2=1,
-                         nu1=2, nu2=2, K=1)  # f'(0) <= 0
+        polynomial_model([0.0, -1.0], [0.0, 1.0])  # f'(0) <= 0
 
 
 def test_model_parameter_validation():
     with pytest.raises(ConfigError):
         linear_model(0.0, 1.0)
     with pytest.raises(ConfigError):
-        polynomial_model([0, 1.0], [0, 1.0], p1=2, p2=2, b1=1, b2=1,
-                         nu1=1.0, nu2=2.0, K=1)  # nu must exceed 1
+        replace(polynomial_model([0, 1.0], [0, 1.0]), nu1=1.0)  # nu must exceed 1
     with pytest.raises(ConfigError):
-        polynomial_model([0, 1.0], [0, 1.0], p1=2, p2=2, b1=1, b2=1,
-                         nu1=2.0, nu2=2.0, K=0.0)
+        replace(polynomial_model([0, 1.0], [0, 1.0]), K=0.0)
 
 
 @given(st.floats(min_value=1e-6, max_value=1e3))
@@ -256,10 +248,9 @@ def test_non_finite_model_inputs_are_rejected():
         NonlinearityModel(**_LINEAR_FIELDS, r_lims=(0.0, math.nan, 0.0, 0.0))
     # infinite remainder limits stay legal: a liminf may be -inf
     NonlinearityModel(**_LINEAR_FIELDS, r_lims=(-math.inf, 0.0, 0.0, math.inf))
-    kw = dict(p1=2, p2=2, b1=1, b2=1, nu1=2, nu2=2, K=1)
     for coeffs in ([0.0, math.nan], [0.0, 1.0, math.nan], [0.0, 1.0, math.inf]):
         with pytest.raises(ConfigError, match="coeffs1: coefficients must be finite"):
-            polynomial_model(coeffs, [0.0, 1.0], **kw)
+            polynomial_model(coeffs, [0.0, 1.0])
     for slope in (math.nan, math.inf):
         with pytest.raises(ConfigError, match="positive and finite"):
             linear_model(slope)
@@ -271,8 +262,62 @@ def test_non_finite_model_inputs_are_rejected():
 
 
 def test_growth_coefficient_check_detects_wrong_b():
-    m = polynomial_model([0.0, 1.0, -1.0, 1.0], [0.0, 1.0, 0.5],
-                         p1=2.0, p2=3.0, b1=2.5, b2=1.0,
-                         nu1=2.0, nu2=2.0, K=0.75)  # b1 is wrong (true 0.5)
+    m = replace(reference_model(), b1=2.5)  # b1 is wrong (true 0.5)
     report = validate_hypotheses(m, 3)
     assert not report["growth-coefficient"].passed
+
+
+_FIELDS = ("p1", "p2", "b1", "b2", "fp0_1", "fp0_2", "nu1", "nu2", "K", "r_lims")
+
+
+def _constants(m):
+    return {key: getattr(m, key) for key in _FIELDS}
+
+
+@pytest.mark.parametrize("model, expected", [
+    (reference_model(), (2.0, 3.0, 0.5, 1.0, 1.0, 1.0, 2.0, 2.0, 0.75,
+                         (-1.0, -1.0, 0.5, 0.5))),
+    (quadratic_model(), (2.0, 2.0, 1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 1.0,
+                         (1.0, 1.0, 1.0, 1.0))),
+    (linear_model(2.0, 3.0), (1.0, 1.0, 3.0, 2.0, 2.0, 3.0, 2.0, 2.0, 2.0,
+                              (0.0, 0.0, 0.0, 0.0))),
+])
+def test_builtin_constants_are_derived_exactly(model, expected):
+    # the values these models used to state by hand
+    assert _constants(model) == dict(zip(_FIELDS, expected))
+
+
+def test_trailing_zero_coefficients_change_nothing():
+    m = polynomial_model([0.0, 1.0, -1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.5, 0.0])
+    assert _constants(m) == _constants(reference_model())
+
+
+def test_linear_component_takes_the_other_remainder_exponent():
+    # R1 = 0, so nu1 takes nu2 = 3; the limit of R2(s)/s^3 is 2
+    m = polynomial_model([0.0, 1.0], [0.0, 1.0, 0.0, 2.0])
+    assert (m.nu1, m.nu2, m.r_lims) == (3.0, 3.0, (0.0, 0.0, 2.0, 2.0))
+    # nu2 = 3 > nu = 2: R2(s)/s^2 -> 0
+    m = polynomial_model([0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 2.0])
+    assert (m.nu1, m.nu2, m.r_lims) == (2.0, 3.0, (1.0, 1.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("g, inf_g", [
+    ([4.1, -12.0, 13.0, -6.0, 1.0], 0.1),   # (s-1)^2 (s-2)^2 + 1/10
+    ([1.25, -4.0, 6.0, -4.0, 1.0], 0.25),   # (s-1)^4 + 1/4
+])
+def test_linear_minorant_of_a_quartic_quotient(g, inf_g):
+    # f1 = s g(s) and f2 = s + s^2, so K = inf g; for (s-1)^4 + 1/4, g'
+    # has a triple root, which the root finder returns with imaginary
+    # parts far above eps
+    m = polynomial_model([0.0, *g], [0.0, 1.0, 1.0])
+    s = np.linspace(0.0, 4.0, 400001)[1:]
+    assert m.K <= float((m.f1(s) / s).min()) + 1e-12
+    assert m.K == pytest.approx(inf_g, abs=1e-12)
+
+
+def test_polynomial_model_refuses_what_breaks_the_hypotheses():
+    with pytest.raises(ConfigError, match="coeffs1: leading coefficient"):
+        polynomial_model([0.0, 1.0, -1.0], [0.0, 1.0, 1.0])
+    # f2(s)/s = 1 - 3s + s^2 falls to -1.25 at s = 3/2
+    with pytest.raises(ConfigError, match="coeffs2: f\\(s\\)/s falls to -1.25"):
+        polynomial_model([0.0, 1.0, 1.0], [0.0, 1.0, -3.0, 1.0])

@@ -17,11 +17,12 @@ import pytest
 
 from radbif import (ConfigError, DistinctnessError,
                     MonotonicityViolationError, NonConvergenceError,
+                    NonlinearityModel,
                     SubsolutionError, SystemState, bifurcation_point,
                     boundary_flux, build_grid, build_subsolution,
                     continue_branch, jacobian, linear_bvp_solve,
                     monotone_iterate, pair_norm,
-                    polynomial_model, residual, scaled_residual_norm,
+                    residual, scaled_residual_norm,
                     second_solution, solutions_at, solve_flux_bvp,
                     steklov_eigenpair, Branch, FoldInfo)
 
@@ -32,6 +33,16 @@ def _flux_gap(grid, model, lam, state):
     g1 = lam * model.f1(float(state.u2[-1])) - boundary_flux(grid, state.u1)
     g2 = lam * model.f2(float(state.u1[-1])) - boundary_flux(grid, state.u2)
     return min(g1, g2)
+
+
+def _logistic():
+    """f1 = f2 = s - s^2, decreasing beyond s = 1/2, with its constants set
+    by hand: polynomial_model refuses the negative leading coefficient."""
+    return NonlinearityModel(
+        f1=lambda s: s - s * s, f2=lambda s: s - s * s,
+        df1=lambda s: 1.0 - 2.0 * s, df2=lambda s: 1.0 - 2.0 * s,
+        p1=2.0, p2=2.0, b1=1.0, b2=1.0, fp0_1=1.0, fp0_2=1.0,
+        nu1=2.0, nu2=2.0, K=0.5)
 
 
 def test_subsolution_accepted_at_initial_amplitude(grid512, ref_model,
@@ -162,9 +173,7 @@ def test_iteration_budget_exhaustion(grid512, ref_model):
 
 
 def test_validate_rejects_non_monotone_model(grid512):
-    logistic = polynomial_model([0.0, 1.0, -1.0], [0.0, 1.0, -1.0],
-                                p1=2.0, p2=2.0, b1=1.0, b2=1.0,
-                                nu1=2.0, nu2=2.0, K=0.5)
+    logistic = _logistic()
     z = SystemState.zero(grid512)
     with pytest.raises(ConfigError):
         monotone_iterate(grid512, logistic, 1.0, z, validate=True)
@@ -175,9 +184,7 @@ def test_second_solution_rejects_non_monotone_model_on_every_call(grid512,
     # the monotone check is sampled once per model object and kept: the
     # second call raises as well, without evaluating f_i' again
     import dataclasses
-    logistic = polynomial_model([0.0, 1.0, -1.0], [0.0, 1.0, -1.0],
-                                p1=2.0, p2=2.0, b1=1.0, b2=1.0,
-                                nu1=2.0, nu2=2.0, K=0.5)
+    logistic = _logistic()
     seen = []
     model = dataclasses.replace(
         logistic, df1=lambda s: seen.append(s) or logistic.df1(s))
@@ -194,9 +201,7 @@ def test_second_solution_rejects_non_monotone_model_on_every_call(grid512,
 def test_ordering_check_catches_decreasing_iterates(grid512, mu_h512):
     # f = s - s^2 with lam = 3 mu_h turns the trace map into the logistic
     # map 3t(1-t): 0.4 -> 0.72 -> 0.6048, a decrease the check must catch
-    logistic = polynomial_model([0.0, 1.0, -1.0], [0.0, 1.0, -1.0],
-                                p1=2.0, p2=2.0, b1=1.0, b2=1.0,
-                                nu1=2.0, nu2=2.0, K=0.5)
+    logistic = _logistic()
     v = solve_flux_bvp(grid512, 1.0)
     w = v / v[-1]
     start = SystemState(0.4 * w, 0.4 * w)
