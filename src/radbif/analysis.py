@@ -68,8 +68,8 @@ class BifurcationReport:
     sigma: float
     zeta: float
     mu0: float
-    theta1: float
-    theta2: float
+    theta1: Optional[float]  # None when p1 p2 <= 1: no blow-up tail
+    theta2: Optional[float]
     K_bound: float
     direction: Direction
     slope_predicted: Union[float, tuple]
@@ -232,11 +232,14 @@ def nonexistence_bound(model: NonlinearityModel, mu1: float) -> float:
 def build_report(grid: RadialGrid, model: NonlinearityModel,
                  branch: Branch | None = None) -> BifurcationReport:
     """Assemble the full scalar report; fits the slope when a branch with
-    enough small-norm points is supplied, otherwise leaves it None."""
+    enough small-norm points is supplied, otherwise leaves it None.  The
+    tail exponents are None when p1 p2 <= 1, where theta_exponents is
+    undefined and the branch has no blow-up tail."""
     eig = steklov_eigenpair(grid)
     jd = jordan_data(model)
     mu0 = bifurcation_point(model, eig.mu1)
-    th1, th2 = theta_exponents(model)
+    th1, th2 = (theta_exponents(model) if model.p1 * model.p2 > 1.0
+                else (None, None))
     lo, hi = r0_bounds(model)
     fitted = None
     if branch is not None:

@@ -245,6 +245,12 @@ def _cmd_solve(st: RunSettings, args) -> int:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
     print(f"lambda={_g(args.lam)} norm_pair={_g(record['norm_pair'])} "
           f"positive={result.positive}")
+    if not result.positive:
+        print(f"error: Newton converged to a state that is not positive: "
+              f"norm_pair={_g(record['norm_pair'])}, min u1="
+              f"{_g(float(result.state.u1.min()))}, min u2="
+              f"{_g(float(result.state.u2.min()))}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -12,7 +12,11 @@ both come from steklov_eigenpair.  The flux rows then reduce exactly to
 
 and tracing keeps lam as its coordinate, x = (t1, t2, lam): a secant
 predictor and a 3x3 bordered Newton corrector on these two rows plus the
-arclength row.  The weighted metric (dU.dU)/dim + dlam^2 of the full
+arclength row.  The corrector works on Python floats; per step it builds
+one 3x3 array for np.linalg.solve, and the arclength row keeps its numpy
+dot, so its iterates are bit-identical to the earlier corrector on numpy
+arrays (plain Python arithmetic rounds differently from LAPACK's dgesv
+and the BLAS dot).  The weighted metric (dU.dU)/dim + dlam^2 of the full
 state U becomes w (dt1^2 + dt2^2) + dlam^2 with w = (phi_h.phi_h)/(2(M+1)),
 so step lengths and tangents are those of the full-space metric.
 
@@ -178,29 +182,25 @@ class _TraceSystem:
         self.phi_h = phi
         self.metric = np.array([w, w, 1.0])
 
-    def residual(self, x: np.ndarray) -> np.ndarray:
-        t1, t2, lam = x
-        return np.array([self.mu_h * t1 - lam * f_extended(self.model, 1, t2),
-                         self.mu_h * t2 - lam * f_extended(self.model, 2, t1)])
+    def linearize(self, t1: float, t2: float, lam: float) -> tuple:
+        """The flux rows at (t1, t2, lam) and their 2x3 derivative with
+        respect to (t1, t2, lam), as floats: ((r1, r2), (row1, row2))."""
+        m, mu = self.model, self.mu_h
+        f1, f2 = f_extended(m, 1, t2), f_extended(m, 2, t1)
+        return ((mu * t1 - lam * f1, mu * t2 - lam * f2),
+                ((mu, -lam * fprime_extended(m, 1, t2), -f1),
+                 (-lam * fprime_extended(m, 2, t1), mu, -f2)))
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        """2x3 derivative of residual with respect to (t1, t2, lam)."""
-        t1, t2, lam = x
-        m = self.model
-        return np.array([
-            [self.mu_h, -lam * fprime_extended(m, 1, t2), -f_extended(m, 1, t2)],
-            [-lam * fprime_extended(m, 2, t1), self.mu_h, -f_extended(m, 2, t1)]])
-
-    def fold_row(self, x: np.ndarray):
+    def fold_row(self, x) -> tuple:
         """(1 - k^2 f1'(t2) f2'(t1), gradient) with k = lam/mu_h: det F_t /
         mu_h^2, zero exactly at a fold.  The f_i'' in the gradient are
         central differences of f_i'; they steer Newton only."""
         t1, t2, lam = x
         m, k = self.model, lam / self.mu_h
         d1, d2 = fprime_extended(m, 1, t2), fprime_extended(m, 2, t1)
-        return 1.0 - k * k * d1 * d2, -k * np.array(
-            [k * d1 * _fpp(m, 2, t1), k * _fpp(m, 1, t2) * d2,
-             2.0 * d1 * d2 / self.mu_h])
+        return 1.0 - k * k * d1 * d2, (-k * (k * d1 * _fpp(m, 2, t1)),
+                                       -k * (k * _fpp(m, 1, t2) * d2),
+                                       -k * (2.0 * d1 * d2 / self.mu_h))
 
     def q(self, t: float, lam: float) -> float:
         """q_lam(t) = G_lam(t)/t - 1, G_lam(t) = lam f1(lam f2(t)/mu_h)/mu_h,
@@ -244,8 +244,9 @@ class _CorrectorFailure(NonConvergenceError):
     pass
 
 
-def _admissible(x: np.ndarray) -> bool:
-    return bool(x[2] > 0.0 and np.all(np.isfinite(x)))
+def _admissible(t1: float, t2: float, lam: float) -> bool:
+    return (lam > 0.0 and math.isfinite(t1) and math.isfinite(t2)
+            and math.isfinite(lam))
 
 
 def _corrector(ts: _TraceSystem, extra, x0, tol):
@@ -255,29 +256,34 @@ def _corrector(ts: _TraceSystem, extra, x0, tol):
     Convergence within MAX_CORRECTOR_ITER steps: the flux rows over
     max(1, |t1|, |t2|), the sup norms of the rebuilt state, and |value| at
     most tol.  Once converged, one more step is taken: it is free here and
-    leaves x with rounding error only.
-    Returns x and the number of Newton steps, that last one included.
+    leaves x with rounding error only.  Everything but the 3x3 solve is
+    done on Python floats.
+    Returns x as a tuple of floats and the number of Newton steps, that
+    last one included.
     """
-    x = np.array(x0, dtype=float)
+    x = tuple(map(float, x0))
     for it in range(MAX_CORRECTOR_ITER + 1):
-        if not _admissible(x):
+        if not _admissible(*x):
             raise _CorrectorFailure("iterate left the admissible region")
-        res = ts.residual(x)
+        (r1, r2), (row1, row2) = ts.linearize(*x)
         value, grad = extra(x)
-        rnorm = float(np.abs(res).max()) / max(1.0, abs(x[0]), abs(x[1]))
-        converged = rnorm <= tol and abs(value) <= tol
+        scale = max(1.0, abs(x[0]), abs(x[1]))
+        # max(|r1|, |r2|) / scale <= tol, false for a NaN row as well
+        converged = (abs(r1) / scale <= tol and abs(r2) / scale <= tol
+                     and abs(value) <= tol)
         if it == MAX_CORRECTOR_ITER and not converged:
             raise _CorrectorFailure(
                 f"no convergence in {MAX_CORRECTOR_ITER} iterations")
         try:
-            step = x + np.linalg.solve(np.vstack([ts.jacobian(x), grad]),
-                                       -np.append(res, value))
+            d = np.linalg.solve(np.array((row1, row2, grad)),
+                                np.array((-r1, -r2, -value))).tolist()
+            step = (x[0] + d[0], x[1] + d[1], x[2] + d[2])
         except np.linalg.LinAlgError as exc:
             if not converged:
                 raise _CorrectorFailure(f"singular bordered system: {exc}")
             step = x
         if converged:
-            return (step if _admissible(step) else x), it + 1
+            return (step if _admissible(*step) else x), it + 1
         x = step
     raise _CorrectorFailure("unreachable")
 
@@ -285,7 +291,8 @@ def _corrector(ts: _TraceSystem, extra, x0, tol):
 def _arclength(ts: _TraceSystem, tau, anchor, ds):
     """The row (metric * tau) . (x - anchor) - ds and its gradient."""
     row = ts.metric * tau
-    return lambda x: (float(row @ (x - anchor)) - ds, row)
+    grad = tuple(row.tolist())
+    return lambda x: (float(row @ (np.array(x) - anchor)) - ds, grad)
 
 
 def _polish(grid: RadialGrid, ts: _TraceSystem, x: np.ndarray,

@@ -85,9 +85,6 @@ class SystemState:
             raise ValueError("u1 and u2 must be 1-d arrays (or 2-d stacks) "
                              "of equal shape")
 
-    def copy(self) -> "SystemState":
-        return SystemState(self.u1.copy(), self.u2.copy())
-
     def to_vector(self) -> np.ndarray:
         """Interleave as [u1_0, u2_0, u1_1, u2_1, ...] (banded ordering)."""
         out = np.empty(self.u1.shape[:-1] + (2 * self.u1.shape[-1],))
@@ -154,10 +151,12 @@ def cache_per_grid(fn):
 
 @cache_per_grid
 def _bands(grid: RadialGrid) -> tuple:
-    """(ab, a_e): the (l, u) = (2, 1) bands of A and A as a longdouble CSR
-    array whose rows list their nonzero entries in band order (super, diag,
-    sub, sub2), both read-only.  The compiled matvec then adds the products
-    in the order of a loop over the bands: the same bits for finite x."""
+    """(ab, a_pair): the (l, u) = (2, 1) bands of A, and diag(A, A) on the
+    interleaved pair as a longdouble CSR array, both read-only.  Row 2j
+    (2j+1) of a_pair is row j of A on columns 2k (2k+1), its entries listed
+    in band order (super, diag, sub, sub2), so the compiled matvec adds the
+    products of each row in the order of a loop over the bands: the same
+    bits for finite x."""
     M, h, N = grid.M, grid.h, grid.N_dim
     ab = np.zeros((4, M + 1))  # rows super, diag, sub, sub2
     ab[1, 0] = 2.0 * N / h**2 + 1.0
@@ -172,12 +171,16 @@ def _bands(grid: RadialGrid) -> tuple:
     ab[1, M] = 3.0 / (2.0 * h)
     col = np.arange(M + 1)[:, None] + 1 - np.arange(4)  # [i, k]: band k in row i
     vals = np.where((col >= 0) & (col <= M), ab[range(4), col.clip(0, M)], 0.0)
-    keep = vals != 0.0
-    a_e = csr_array((vals[keep].astype(np.longdouble), col[keep],
-                     np.r_[0, keep.sum(axis=1).cumsum()]), shape=(M + 1, M + 1))
-    for a in (ab, a_e.data, a_e.indices, a_e.indptr):
+    pair = (M + 1, 2, 4)  # [i, c, k]: band k of row i in row 2i + c of a_pair
+    keep = np.broadcast_to((vals != 0.0)[:, None], pair)
+    idx = np.int32  # CSR indices: half the memory of the default int64
+    data = np.broadcast_to(vals[:, None], pair)[keep].astype(np.longdouble)
+    cols = (2 * col[:, None] + np.arange(2)[:, None])[keep].astype(idx)
+    a_pair = csr_array((data, cols, np.r_[0, keep.sum(axis=2).cumsum(dtype=idx)]),
+                       shape=(2 * (M + 1),) * 2)
+    for a in (ab, a_pair.data, a_pair.indices, a_pair.indptr):
         a.flags.writeable = False
-    return ab, a_e
+    return ab, a_pair
 
 
 def operator_bands(grid: RadialGrid) -> np.ndarray:
@@ -188,6 +191,19 @@ def operator_bands(grid: RadialGrid) -> np.ndarray:
     return _bands(grid)[0]
 
 
+def _pair_matvec(grid: RadialGrid, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """diag(A, A) @ [u1_0, u2_0, u1_1, u2_1, ...] along the last axis,
+    accumulated in longdouble; a (k, M+1) stack gives the k products.
+
+    u1 and u2 are written straight into one longdouble buffer, stacks as
+    its columns, the layout that the compiled CSR matvec reads in place;
+    the buffer is freed on return, before the caller copies the result."""
+    z = np.empty((2 * u1.shape[-1],) + u1.shape[:-1], dtype=np.longdouble)
+    z[0::2] = u1.T
+    z[1::2] = u2.T
+    return (_bands(grid)[1] @ z).T
+
+
 def banded_matvec_extended(grid: RadialGrid, x: np.ndarray) -> np.ndarray:
     """A @ x along the last axis of x, accumulated in extended precision; a
     (k, M+1) stack gives the k products in one call.
@@ -196,8 +212,11 @@ def banded_matvec_extended(grid: RadialGrid, x: np.ndarray) -> np.ndarray:
     only the products and sums carry extra bits, so this measures the true
     algebraic residual of the double system instead of drowning it in
     cancellation noise at the 1/h^2 row scale.  On platforms where
-    longdouble aliases double this degrades gracefully to a plain matvec."""
-    return (_bands(grid)[1] @ x.T.astype(np.longdouble)).T
+    longdouble aliases double this degrades gracefully to a plain matvec.
+    x takes the first slot of an interleaved pair whose second is zero;
+    the rows of that slot never read the other, so the bits are those of
+    A alone."""
+    return _pair_matvec(grid, x, np.zeros_like(x))[..., 0::2]
 
 
 @cache_per_grid

@@ -9,9 +9,15 @@ with the cached factor and two right-hand sides plus a 2x2 system on the
 boundary traces, and the linear problem with fluxes (g1, g2) is
 (g1 v, g2 v) with no solve at all.
 
-The residual also takes a stack of k states, (k, M+1) per component, and
-evaluates it in one pass along the last axis; each f_i is evaluated once
-per distinct trace value.  A single state is the k = 1 case.
+The residual interleaves u1 and u2 into one longdouble buffer and makes
+one compiled matvec with the grid's pair operator diag(A, A); the flux
+terms are subtracted in longdouble and the result is rounded to double
+once.  It also takes a stack of k states, (k, M+1) per component, and
+evaluates it in one pass along the last axis, calling each f_i once per
+distinct trace value; a single state takes its two flux terms as
+scalars.  Newton iterates on the interleaved vector and evaluates each
+trial through strided views of it.  Both are bit-identical to the
+earlier two-matvec residual and the Newton loop on SystemState copies.
 
 Residual norms are measured as max|F| / max(1, sup|u1|, sup|u2|): the
 operator rows scale like 1/h^2, so that quotient is what floating point can
@@ -29,9 +35,8 @@ from scipy.linalg.lapack import dgbtrs
 
 from .errors import (ConfigError, NonConvergenceError, require_int,
                      require_positive)
-from .grid import (RadialGrid, SystemState, _factor,
-                   banded_matvec_extended, operator_bands, pair_norm,
-                   solve_flux_bvp)
+from .grid import (RadialGrid, SystemState, _factor, _pair_matvec,
+                   operator_bands, pair_norm, solve_flux_bvp)
 from .model import NonlinearityModel, f_extended, fprime_extended
 from .steklov import steklov_eigenpair
 
@@ -175,19 +180,23 @@ def _pair_residual(grid: RadialGrid, state: SystemState, g1, g2) -> np.ndarray:
     Works along the last axis, so a stack of states gives a stack of
     residuals.
 
-    Extended-precision accumulation against the exact double-precision
-    stencil coefficients; keeps the evaluation floor near 1e-13 in the
-    scaled norm even at blow-up-tail amplitudes, where plain double
-    accumulation drowns below roughly 2e-10 at the 1/h^2 row scale."""
+    One compiled matvec with the grid's pair operator gives both
+    components' operator rows; the flux terms are subtracted in longdouble
+    and the result is rounded to double once.  Extended-precision
+    accumulation against the exact double-precision stencil coefficients
+    keeps the evaluation floor near 1e-13 in the scaled norm even at
+    blow-up-tail amplitudes, where plain double accumulation drowns below
+    roughly 2e-10 at the 1/h^2 row scale."""
     M = grid.M
-    r1 = banded_matvec_extended(grid, state.u1)
-    r2 = banded_matvec_extended(grid, state.u2)
-    r1[..., M] -= _flux_terms(g1, state.u2[..., M])
-    r2[..., M] -= _flux_terms(g2, state.u1[..., M])
-    out = np.empty(r1.shape[:-1] + (2 * (M + 1),))
-    out[..., 0::2] = r1
-    out[..., 1::2] = r2
-    return out
+    u1, u2 = state.u1, state.u2
+    y = _pair_matvec(grid, u1, u2)
+    if u1.ndim == 1:
+        y[2 * M] -= g1(float(u2[M]))
+        y[2 * M + 1] -= g2(float(u1[M]))
+    else:
+        y[:, 2 * M] -= _flux_terms(g1, u2[:, M])
+        y[:, 2 * M + 1] -= _flux_terms(g2, u1[:, M])
+    return y.astype(float, order="C")
 
 
 def residual(grid: RadialGrid, model: NonlinearityModel, lam: float,
@@ -228,21 +237,21 @@ def newton_solve(grid: RadialGrid, model: NonlinearityModel, lam: float,
     cannot make decrease the residual norm (see NewtonConfig) raises
     NonConvergenceError with the residual history and the last iterate.
     """
-    state = init.copy()
+    x = init.to_vector()
+    state = SystemState(x[0::2], x[1::2])  # views into x, as each trial
     res = residual(grid, model, lam, state)
     rnorm = scaled_residual_norm(res, state)
     history = [rnorm]
     damping = 1.0
     for it in range(1, cfg.max_iter + 1):
         if rnorm <= cfg.tol_residual:
-            return NewtonResult(state, it - 1, rnorm, damping,
-                                is_positive_state(state), history)
+            return NewtonResult(SystemState.from_vector(x), it - 1, rnorm,
+                                damping, is_positive_state(state), history)
         try:
             step = jacobian(grid, model, lam, state).solve(-res)
         except LinAlgError as exc:
-            raise NonConvergenceError(f"singular Jacobian: {exc}",
-                                      trace=history, last_state=state)
-        x = state.to_vector()
+            raise NonConvergenceError(f"singular Jacobian: {exc}", trace=history,
+                                      last_state=SystemState.from_vector(x))
         t = 1.0
         accepted = False
         while t >= DAMPING_FLOOR:
@@ -250,25 +259,25 @@ def newton_solve(grid: RadialGrid, model: NonlinearityModel, lam: float,
             if np.array_equal(xt.view(np.int64), x.view(np.int64)):
                 # the trial is the iterate, as for every smaller t
                 break
-            trial = SystemState.from_vector(xt)
+            trial = SystemState(xt[0::2], xt[1::2])
             res_t = residual(grid, model, lam, trial)
             rnorm_t = scaled_residual_norm(res_t, trial)
             if np.isfinite(rnorm_t) and rnorm_t < rnorm:
-                state, res, rnorm, damping = trial, res_t, rnorm_t, t
+                x, state, res, rnorm, damping = xt, trial, res_t, rnorm_t, t
                 accepted = True
                 break
             t *= 0.5
         if not accepted:
             raise NonConvergenceError(
                 "backtracking hit the damping floor without progress",
-                trace=history, last_state=state)
+                trace=history, last_state=SystemState.from_vector(x))
         history.append(rnorm)
     if rnorm <= cfg.tol_residual:
-        return NewtonResult(state, cfg.max_iter, rnorm, damping,
-                            is_positive_state(state), history)
+        return NewtonResult(SystemState.from_vector(x), cfg.max_iter, rnorm,
+                            damping, is_positive_state(state), history)
     raise NonConvergenceError(
         f"no convergence in {cfg.max_iter} iterations (residual {rnorm:.3e})",
-        trace=history, last_state=state)
+        trace=history, last_state=SystemState.from_vector(x))
 
 
 def linear_bvp_solve(grid: RadialGrid, flux1: float, flux2: float) -> SystemState:

@@ -4,6 +4,7 @@ The continuation run is by far the most expensive object the unit tests
 need, so it is computed once and treated as read-only.
 """
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -81,3 +82,21 @@ def mu_h512(grid512):
     # discrete eigenvalue seen by the trace reduction: 1 / v_h(R)
     v = radbif.solve_flux_bvp(grid512, 1.0)
     return 1.0 / float(v[-1])
+
+
+def band_loop(ab, x):
+    """A @ x as one pass per band of the (2, 1) bands ab, accumulated in
+    longdouble along the last axis of x: banded_matvec_extended, and each
+    component of the residual's pair matvec, match it bit for bit on
+    finite x."""
+    n = x.shape[-1]
+    ab_e = ab.astype(np.longdouble)
+    x_e = x.astype(np.longdouble)
+    y = np.zeros(x.shape, dtype=np.longdouble)
+    for k in range(ab.shape[0]):
+        d = 1 - k
+        if d >= 0:
+            y[..., :n - d] += ab_e[k, d:] * x_e[..., d:]
+        else:
+            y[..., -d:] += ab_e[k, :d] * x_e[..., :d]
+    return y

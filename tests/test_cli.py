@@ -136,6 +136,32 @@ def test_report_json(tmp_path, capsys):
     assert printed["slope_fitted"] is None  # report alone traces no branch
 
 
+@pytest.mark.parametrize("name", ["reference", "quadratic", "linear"])
+def test_report_works_for_every_builtin(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    assert run(["report", "--override", f"model.name={name}",
+                "--override", f"out.dir={out}"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed == json.loads((out / "report.json").read_text())
+    if name == "linear":
+        # p1 p2 = 1: no tail exponents; the rest of the report is defined
+        assert printed["theta1"] is None and printed["theta2"] is None
+        assert printed["direction"] == "Indeterminate"
+        assert printed["slope_predicted"] == 0.0
+        assert printed["mu0"] == pytest.approx(0.313035, abs=1e-6)
+        assert printed["K_bound"] == printed["mu0"]
+    else:
+        assert printed["theta1"] > 0.0 and printed["theta2"] > 0.0
+
+
+@pytest.mark.parametrize("command", ["limit", "rescale-check"])
+def test_tail_commands_reject_the_linear_model(tmp_path, capsys, command):
+    assert run([command, "--override", "model.name=linear",
+                "--override", "grid.M=64",
+                "--override", f"out.dir={_out(tmp_path)}"]) == 2
+    assert "p1*p2 > 1" in capsys.readouterr().err
+
+
 def test_solve_success_and_determinism(tmp_path, capsys):
     args = ["solve", "--lambda", "0.32", "--amplitude", "1.0"]
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -163,6 +189,20 @@ def test_solve_records_newton_history(tmp_path, capsys):
     assert history[-1] == record["residual"]
     assert all(b < a for a, b in zip(history, history[1:]))
     assert 0.0 < record["damping"] <= 1.0
+
+
+def test_solve_non_positive_state_exits_1(tmp_path, capsys):
+    # the linear model has only the trivial solution off mu0: Newton lands
+    # on (0, 0) up to rounding, the artifacts are written, the exit is 1
+    out = tmp_path / "out"
+    assert run(["solve", "--lambda", "0.2", "--override", "model.name=linear",
+                "--override", f"out.dir={out}"]) == 1
+    captured = capsys.readouterr()
+    assert "positive=False" in captured.out
+    assert "not positive" in captured.err
+    record = json.loads((out / "solve.jsonl").read_text())
+    assert record["positive"] is False and record["norm_pair"] < 1e-8
+    assert len(_lines(out / "solution.csv")) == 2 + 513
 
 
 def test_solve_rejects_bad_arguments(tmp_path, capsys):

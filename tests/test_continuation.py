@@ -16,12 +16,12 @@ from conftest import trace_system_solve
 from radbif import (Branch, BranchPoint, ConfigError, ContinuationConfig,
                     ContinuationError, NewtonConfig, StepOffError, SystemState,
                     bifurcation_point, build_grid, continue_branch,
-                    detect_fold, eval_f, eval_fprime, initial_tangent,
-                    linear_model, quadratic_model, residual,
-                    scaled_residual_norm, solutions_at, solve_flux_bvp,
-                    steklov_eigenpair, step_off)
+                    detect_fold, eval_f, eval_fprime, f_extended,
+                    fprime_extended, initial_tangent, linear_model,
+                    quadratic_model, residual, scaled_residual_norm,
+                    solutions_at, solve_flux_bvp, steklov_eigenpair, step_off)
 from radbif.continuation import (MAX_CORRECTOR_ITER, MAX_POLISH_ITER,
-                                  _TraceSystem)
+                                  _CorrectorFailure, _TraceSystem)
 
 LAMBDA_BAR_512 = 0.33320994441151214  # trace-system fold at M = 512
 LAMBDA_MID = 0.3231227939747531
@@ -142,8 +142,9 @@ def test_trace_jacobian_matches_central_differences(ref_model, eig512):
             xp, xm = x.copy(), x.copy()
             xp[j] += delta
             xm[j] -= delta
-            fd[:, j] = (ts.residual(xp) - ts.residual(xm)) / (2.0 * delta)
-        jac = ts.jacobian(x)
+            fd[:, j] = (np.array(ts.linearize(*xp)[0])
+                        - np.array(ts.linearize(*xm)[0])) / (2.0 * delta)
+        jac = np.array(ts.linearize(*x)[1])
         assert np.abs(jac - fd).max() <= 1e-6 * max(1.0, np.abs(jac).max())
 
 
@@ -260,6 +261,78 @@ def test_detect_fold_finds_sign_flip():
     # the sampled fold is the largest parameter around the flip
     assert info.lam_bar == 0.33
     assert b.points[info.index].lam == 0.33
+
+
+def _numpy_corrector(ts, extra, x0, tol):
+    """The trace corrector as it was before it worked on floats: x, the
+    flux rows and their Jacobian as numpy arrays, the bordered system
+    stacked with vstack and append.  Kept as the bit-for-bit reference."""
+    m, mu = ts.model, ts.mu_h
+
+    def rows(x):
+        t1, t2, lam = x
+        return np.array([mu * t1 - lam * f_extended(m, 1, t2),
+                         mu * t2 - lam * f_extended(m, 2, t1)])
+
+    def jac(x):
+        t1, t2, lam = x
+        return np.array([
+            [mu, -lam * fprime_extended(m, 1, t2), -f_extended(m, 1, t2)],
+            [-lam * fprime_extended(m, 2, t1), mu, -f_extended(m, 2, t1)]])
+
+    def admissible(x):
+        return bool(x[2] > 0.0 and np.all(np.isfinite(x)))
+
+    x = np.array(x0, dtype=float)
+    for it in range(MAX_CORRECTOR_ITER + 1):
+        if not admissible(x):
+            raise _CorrectorFailure("iterate left the admissible region")
+        res = rows(x)
+        value, grad = extra(x)
+        rnorm = float(np.abs(res).max()) / max(1.0, abs(x[0]), abs(x[1]))
+        converged = rnorm <= tol and abs(value) <= tol
+        if it == MAX_CORRECTOR_ITER and not converged:
+            raise _CorrectorFailure(
+                f"no convergence in {MAX_CORRECTOR_ITER} iterations")
+        try:
+            step = x + np.linalg.solve(np.vstack([jac(x), grad]),
+                                       -np.append(res, value))
+        except np.linalg.LinAlgError as exc:
+            if not converged:
+                raise _CorrectorFailure(f"singular bordered system: {exc}")
+            step = x
+        if converged:
+            return (step if admissible(step) else x), it + 1
+        x = step
+    raise _CorrectorFailure("unreachable")
+
+
+def _branch_bits(branch):
+    """Every recorded bit of a branch."""
+    def bits(*values):
+        return np.array(values, dtype=float).view(np.int64).tolist()
+    points = [(bits(p.lam, p.norm, p.ds, p.residual), p.state.u1.tobytes(),
+               p.state.u2.tobytes(), p.tangent_lambda_sign,
+               p.corrector_iterations, p.polish_iterations)
+              for p in branch.points]
+    fold = None if branch.fold is None else (
+        bits(branch.fold.lam_bar, branch.fold.t1, branch.fold.t2),
+        branch.fold.index)
+    return (points, fold, branch.fold_indices, branch.rejections,
+            branch.last_rejection, branch.termination)
+
+
+@pytest.mark.parametrize("M", [128, 512])
+def test_float_corrector_is_bit_identical_to_the_numpy_one(
+        M, grid512, ref_branch, ref_model, branch_cfg, monkeypatch):
+    import radbif.continuation as cont
+    grid = grid512 if M == 512 else build_grid(3, 1.0, M)
+    new = (ref_branch if M == 512
+           else continue_branch(grid, ref_model, branch_cfg))
+    monkeypatch.setattr(cont, "_corrector", _numpy_corrector)
+    old = continue_branch(grid, ref_model, branch_cfg)
+    assert old.fold is not None and old.termination == "lambda_floor"
+    assert _branch_bits(new) == _branch_bits(old)
 
 
 def test_exact_fold_is_one_corrector_solve(grid128, ref_model, monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import band_loop
 from radbif import (ConfigError, SystemState, apply_operator,
                     banded_matvec_extended, boundary_flux, build_grid,
                     load_state_csv, operator_bands, pair_norm, save_state_csv,
@@ -180,31 +181,15 @@ def test_banded_matvec_extended_beats_double_cancellation():
     assert np.abs(r).max() / scale < 1e-14
 
 
-def _band_loop(ab, x):
-    """A @ x as one pass per band of the (2, 1) bands ab, accumulated in
-    longdouble: the reference banded_matvec_extended matches bit for bit."""
-    n = x.shape[-1]
-    ab_e = ab.astype(np.longdouble)
-    x_e = x.astype(np.longdouble)
-    y = np.zeros(x.shape, dtype=np.longdouble)
-    for k in range(ab.shape[0]):
-        d = 1 - k
-        if d >= 0:
-            y[..., :n - d] += ab_e[k, d:] * x_e[..., d:]
-        else:
-            y[..., -d:] += ab_e[k, :d] * x_e[..., :d]
-    return y
-
-
 def _bits(y):
     return np.asarray(y, dtype=float).view(np.int64)
 
 
 def _zero_times_nonfinite(ab, x):
-    """Rows where _band_loop multiplies a zero band entry by an inf or nan
+    """Rows where band_loop multiplies a zero band entry by an inf or nan
     of x and so adds a NaN that the CSR operator, which holds no zero
     entries, does not."""
-    return _band_loop(ab == 0.0, ~np.isfinite(x)) > 0
+    return band_loop(ab == 0.0, ~np.isfinite(x)) > 0
 
 
 @pytest.mark.parametrize("M", [16, 17, 128, 512, 4096])
@@ -234,7 +219,7 @@ def test_banded_matvec_extended_is_bit_identical_to_the_band_loop(M):
         assert keep.all() == bool(np.isfinite(x).all())
         got = banded_matvec_extended(g, x)
         assert got.shape == x.shape
-        np.testing.assert_array_equal(_bits(got)[keep], _bits(_band_loop(ab, x))[keep])
+        np.testing.assert_array_equal(_bits(got)[keep], _bits(band_loop(ab, x))[keep])
 
 
 def test_banded_matvec_extended_drops_zero_times_nonfinite():
@@ -247,7 +232,7 @@ def test_banded_matvec_extended_drops_zero_times_nonfinite():
     ab = operator_bands(g)
     x = np.random.default_rng(5).standard_normal(g.M + 1)
     with pytest.warns(RuntimeWarning, match="invalid value"):
-        _band_loop(ab, np.where(np.arange(g.M + 1) == 0, np.inf, x))
+        band_loop(ab, np.where(np.arange(g.M + 1) == 0, np.inf, x))
     for bad in (np.inf, -np.inf, np.nan):
         for j in range(g.M + 1):
             xj = x.copy()
@@ -256,13 +241,32 @@ def test_banded_matvec_extended_drops_zero_times_nonfinite():
                 warnings.simplefilter("error")
                 got = banded_matvec_extended(g, xj)
             with np.errstate(invalid="ignore"):
-                ref = _band_loop(ab, xj)
-            zeroed = _band_loop(ab, np.where(np.isfinite(xj), xj, 0.0))
+                ref = band_loop(ab, xj)
+            zeroed = band_loop(ab, np.where(np.isfinite(xj), xj, 0.0))
             hit = _zero_times_nonfinite(ab, xj)
             assert hit.any() == (j < g.M - 2)  # A[M, M-2] is the one sub2 entry
             assert np.isnan(ref[hit]).all() and np.isfinite(got[hit]).all()
             np.testing.assert_array_equal(_bits(got)[~hit], _bits(ref)[~hit])
             np.testing.assert_array_equal(_bits(got)[hit], _bits(zeroed)[hit])
+
+
+@pytest.mark.parametrize("M", [16, 17, 128])
+def test_pair_operator_is_diag_a_a_interleaved(M):
+    # rows 2j and 2j+1 are row j of A on the even and odd columns, each
+    # listing its entries in band order (descending column); it is the
+    # grid's only operator copy
+    g = build_grid(3, 1.0, M)
+    ab = operator_bands(g)
+    a = band_loop(ab, np.eye(M + 1)).T  # column k of A is A e_k
+    pair = _bands(g)[1]
+    assert len(_bands(g)) == 2 and pair.dtype == np.longdouble
+    want = np.zeros((2 * (M + 1), 2 * (M + 1)), dtype=np.longdouble)
+    want[0::2, 0::2] = a
+    want[1::2, 1::2] = a
+    np.testing.assert_array_equal(pair.toarray(), want)
+    for i in range(2 * (M + 1)):
+        cols = pair.indices[pair.indptr[i]:pair.indptr[i + 1]]
+        assert (np.diff(cols) < 0).all() and (cols % 2 == i % 2).all()
 
 
 def test_operator_bands_cached_and_frozen():
@@ -271,7 +275,7 @@ def test_operator_bands_cached_and_frozen():
     ab2 = operator_bands(g)
     assert ab1 is ab2
     assert not ab1.flags.writeable
-    # the CSR copy too: sorting its indices in place would change the
+    # the pair CSR too: sorting its indices in place would change the
     # order in which the residual adds its products
     a_e = _bands(g)[1]
     assert a_e is _bands(g)[1]

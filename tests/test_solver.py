@@ -13,14 +13,16 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import trace_system_solve
-from radbif import (ConfigError, NewtonConfig, NonConvergenceError,
-                    SystemState, apply_operator, boundary_flux, build_grid, eval_f,
-                    eval_fprime, is_positive_state, jacobian,
-                    linear_bvp_solve, linear_model, newton_solve, pair_norm,
-                    residual, scaled_residual_norm, solve_flux_bvp,
-                    solve_limit_problem)
-from radbif.solver import DAMPING_FLOOR, POSITIVITY_ZERO_FLOOR
+from conftest import band_loop, trace_system_solve
+from radbif import (ConfigError, NewtonConfig, NewtonResult,
+                    NonConvergenceError, SystemState, apply_operator,
+                    boundary_flux, build_grid, eval_f, eval_fprime,
+                    f_extended, is_positive_state, jacobian,
+                    linear_bvp_solve, linear_model, newton_solve,
+                    operator_bands, pair_norm, residual,
+                    scaled_residual_norm, solve_flux_bvp, solve_limit_problem)
+from radbif.solver import (DAMPING_FLOOR, POSITIVITY_ZERO_FLOOR, _flux_terms,
+                           _pair_residual)
 
 LAMBDA_MID = 0.3231227939747531  # halfway between bifurcation point and fold
 
@@ -177,7 +179,7 @@ def _halve_to_floor(grid, model, lam, init, tol):
     step halves down to DAMPING_FLOOR.  Returns the residual history, the
     last iterate, the residual evaluations and how many of those were on a
     trial equal to the iterate bit for bit."""
-    state = init.copy()
+    state = init
     res = residual(grid, model, lam, state)
     rnorm = scaled_residual_norm(res, state)
     history, calls, round_backs = [rnorm], 1, 0
@@ -320,9 +322,9 @@ def test_banded_todense_and_solve_agree(grid128, ref_model):
 
 
 def test_stacked_residual_equals_per_state_calls(ref_model):
-    # a (k, M+1) stack goes through the same lines as k single calls, so the
-    # rows must agree bit for bit; negative traces take the linear extension
-    # of f_i, and repeated traces share one f_i evaluation
+    # a (k, M+1) stack and k single calls must agree bit for bit; negative
+    # traces take the linear extension of f_i, and repeated traces share
+    # one f_i evaluation
     grid = build_grid(3, 1.0, 64)
     rng = np.random.default_rng(17)
     n = grid.M + 1
@@ -338,6 +340,147 @@ def test_stacked_residual_equals_per_state_calls(ref_model):
                 single = residual(grid, ref_model, lam,
                                   SystemState(u1[i], u2[i]))
                 assert np.array_equal(stack[i], single)
+
+
+def _two_matvec_residual(grid, state, g1, g2):
+    """The residual as it was before the pair operator: one extended
+    matvec per component (the band loop, bit-identical to the
+    single-component longdouble CSR it replaced), the flux terms through
+    _flux_terms at every shape, then one interleave.  Kept as the
+    bit-for-bit reference of _pair_residual."""
+    M = grid.M
+    ab = operator_bands(grid)
+    r1 = band_loop(ab, state.u1)
+    r2 = band_loop(ab, state.u2)
+    r1[..., M] -= _flux_terms(g1, state.u2[..., M])
+    r2[..., M] -= _flux_terms(g2, state.u1[..., M])
+    out = np.empty(r1.shape[:-1] + (2 * (M + 1),))
+    out[..., 0::2] = r1
+    out[..., 1::2] = r2
+    return out
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("M", [16, 128, 4096])
+def test_pair_residual_is_bit_identical_to_two_matvecs(ref_model, M):
+    grid = build_grid(3, 1.0, M)
+    n = M + 1
+    rng = np.random.default_rng(M)
+    w = solve_flux_bvp(grid, 1.0)
+    w = w / w[-1]
+    mixed = rng.uniform(-1.5, 2.0, (2, n))
+    mixed[0, -1] = -0.0
+    singles = [np.zeros((2, n)), np.full((2, n), -0.0), mixed,
+               np.array([0.3 * w, 0.4 * w]),
+               np.array([2e3 * w, 9e4 * w]),  # tail-scale amplitudes
+               rng.standard_normal((2, n)) * 10.0 ** rng.uniform(-8, 8, (2, 1))]
+    # (k, M+1) stacks with shared, zero and -0.0 traces, and the strided
+    # component views of an interleaved vector that newton_solve passes
+    stack = np.stack(singles, axis=1)
+    stack[:, 2, -1] = stack[:, 3, -1]
+    x = rng.uniform(0.05, 2.0, 2 * n)
+    cases = ([SystemState(*u) for u in singles]
+             + [SystemState(*stack), SystemState(*stack[:, :1]),
+                SystemState(x[0::2], x[1::2])])
+    for lam in (0.0, 0.3):
+        g1 = lambda t: lam * f_extended(ref_model, 1, t)
+        g2 = lambda t: lam * f_extended(ref_model, 2, t)
+        for state in cases:
+            got = residual(grid, ref_model, lam, state)
+            assert got.shape == state.u1.shape[:-1] + (2 * n,)
+            np.testing.assert_array_equal(
+                _bits(got), _bits(_two_matvec_residual(grid, state, g1, g2)))
+    # the pure-power flux rows of solve_limit_problem
+    p1 = lambda t: 0.5 * max(t, 0.0) ** 2
+    p2 = lambda t: max(t, 0.0) ** 3
+    for state in cases:
+        np.testing.assert_array_equal(
+            _bits(_pair_residual(grid, state, p2, p1)),
+            _bits(_two_matvec_residual(grid, state, p2, p1)))
+
+
+def _newton_on_copies(grid, model, lam, init, cfg=NewtonConfig()):
+    """newton_solve as it was before it iterated on the interleaved vector:
+    each trial split into SystemState copies, the iterate re-interleaved
+    per step.  Kept as the bit-for-bit reference."""
+    state = init
+    res = residual(grid, model, lam, state)
+    rnorm = scaled_residual_norm(res, state)
+    history = [rnorm]
+    damping = 1.0
+    for it in range(1, cfg.max_iter + 1):
+        if rnorm <= cfg.tol_residual:
+            return NewtonResult(state, it - 1, rnorm, damping,
+                                is_positive_state(state), history)
+        step = jacobian(grid, model, lam, state).solve(-res)
+        x = state.to_vector()
+        t = 1.0
+        accepted = False
+        while t >= DAMPING_FLOOR:
+            xt = x + t * step
+            if np.array_equal(xt.view(np.int64), x.view(np.int64)):
+                break
+            trial = SystemState.from_vector(xt)
+            res_t = residual(grid, model, lam, trial)
+            rnorm_t = scaled_residual_norm(res_t, trial)
+            if np.isfinite(rnorm_t) and rnorm_t < rnorm:
+                state, res, rnorm, damping = trial, res_t, rnorm_t, t
+                accepted = True
+                break
+            t *= 0.5
+        if not accepted:
+            raise NonConvergenceError(
+                "backtracking hit the damping floor without progress",
+                trace=history, last_state=state)
+        history.append(rnorm)
+    if rnorm <= cfg.tol_residual:
+        return NewtonResult(state, cfg.max_iter, rnorm, damping,
+                            is_positive_state(state), history)
+    raise NonConvergenceError(
+        f"no convergence in {cfg.max_iter} iterations (residual {rnorm:.3e})",
+        trace=history, last_state=state)
+
+
+def _newton_outcome(solve, *args):
+    """Every bit of a Newton run: the result, or the error it raised."""
+    def state_bits(s):
+        return s.u1.tobytes(), s.u2.tobytes()
+    try:
+        r = solve(*args)
+    except NonConvergenceError as exc:
+        return ("raised", str(exc), _bits(exc.trace).tolist(),
+                state_bits(exc.last_state))
+    return ("converged", r.iterations, _bits([r.damping, r.residual_norm]).tolist(),
+            r.positive, _bits(r.history).tolist(), state_bits(r.state))
+
+
+def test_newton_on_the_interleaved_vector_is_bit_identical(
+        grid512, ref_model, eig512, mu_h512):
+    ones = np.ones(grid512.M + 1)
+    runs = [(LAMBDA_MID, SystemState(0.5 * ones, 0.5 * ones), NewtonConfig()),
+            (LAMBDA_MID, SystemState(0.5 * ones, 0.5 * ones),
+             NewtonConfig(max_iter=1)),
+            (0.5, SystemState.zero(grid512), NewtonConfig()),
+            # a sign-mixed start that converges with a last step of 1/4
+            (0.05, SystemState(-10.0 * eig512.phi1, 10.0 * eig512.phi1),
+             NewtonConfig())]
+    # the nonexistence check's starts, just beyond mu1/K
+    lam = 1.01 * eig512.mu1 / ref_model.K
+    runs += [(lam, SystemState(amp * eig512.phi1, amp * eig512.phi1),
+              NewtonConfig()) for amp in np.logspace(-2, 2, 5)]
+    outcomes, dampings = set(), set()
+    for lam, init, cfg in runs:
+        got = _newton_outcome(newton_solve, grid512, ref_model, lam, init, cfg)
+        want = _newton_outcome(_newton_on_copies, grid512, ref_model, lam,
+                               init, cfg)
+        assert got == want
+        outcomes.add(got[0])
+        dampings.add(got[2][0] if got[0] == "converged" else None)
+    assert outcomes == {"converged", "raised"}
+    assert _bits([0.25])[0] in dampings
 
 
 def test_stacked_residual_evaluates_f_once_per_distinct_trace(ref_model):
