@@ -3,8 +3,11 @@ linearization, tail exponents, direction of bifurcation, small-amplitude
 slope (predicted and fitted), rescaling verification, and the nonexistence
 bound.
 
-Everything here is closed-form arithmetic on model constants plus small
+Everything here is closed-form arithmetic on model constants, the grid's
+cached Steklov pair and the closed-form limit solution, plus small
 least-squares fits on branch data; no PDE solves happen in this module.
+A branch carries its grid and model, and the functions that take one read
+the problem from it.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .errors import (ConfigError, InsufficientDataError, NumericalError,
                      require_positive)
 from .grid import RadialGrid
 from .model import NonlinearityModel, _slopes_at_zero, r0_bounds, zeta
+from .solver import solve_limit_problem
 from .steklov import SteklovPair, steklov_eigenpair
 
 if TYPE_CHECKING:  # continuation imports bifurcation_point from here
@@ -139,31 +143,34 @@ def direction_of_bifurcation(model: NonlinearityModel) -> Direction:
 
 def slope_prediction(model: NonlinearityModel, steklov_pair: SteklovPair):
     """Predicted limit of (mu0 - lam) / pair_norm^(nu-1) along the branch
-    as the norm vanishes: (mu0/sigma) * R0 * phi1(R)^(nu-1).
+    as the norm vanishes: (mu0/sigma) * R0.
 
-    On a ball with the sup-normalized radial eigenfunction the surface
-    integral ratio collapses to phi1(R)^(nu-1) = 1.  When the combined
-    remainder bounds differ beyond 1e-12 the (lower, upper) endpoints are
-    returned instead of a single value.
+    The general formula carries the surface integral ratio
+    phi1(R)^(nu-1); on a ball the sup-normalized radial eigenfunction has
+    phi1(R) = 1 exactly, so the factor is 1.  When the combined remainder
+    bounds differ beyond 1e-12 the (lower, upper) endpoints are returned
+    instead of a single value.
     """
     sig = _sigma(model)
     mu0 = bifurcation_point(model, steklov_pair.mu1)
     lo, hi = r0_bounds(model)
-    phi_r = float(steklov_pair.phi1[-1]) ** (model.nu - 1.0)
-    lo_val = (mu0 / sig) * lo * phi_r
-    hi_val = (mu0 / sig) * hi * phi_r
+    lo_val = (mu0 / sig) * lo
+    hi_val = (mu0 / sig) * hi
     if abs(hi_val - lo_val) <= 1e-12 * max(1.0, abs(hi_val), abs(lo_val)):
         return 0.5 * (lo_val + hi_val)
     return (lo_val, hi_val)
 
 
-def slope_fit(branch: Branch, mu0: float, nu: float) -> float:
-    """Extrapolated value of (mu0 - lam)/pair_norm^(nu-1) at vanishing norm.
+def slope_fit(branch: Branch) -> float:
+    """Extrapolated value of (mu0 - lam)/pair_norm^(nu-1) at vanishing norm,
+    with mu0 on the branch's grid and nu of its model.
 
     Ordinary least squares of the quotient against pair_norm over branch
     points with 0 < norm < 0.1; the intercept is returned.  Fewer than five
     such points raise InsufficientDataError.
     """
+    mu0 = bifurcation_point(branch.model, steklov_eigenpair(branch.grid).mu1)
+    nu = branch.model.nu
     norms, quots = [], []
     for p in branch.points:
         if 0.0 < p.norm < 0.1:
@@ -191,19 +198,18 @@ class RescaleTable:
     ok: bool
 
 
-def rescale_check(branch: Branch, theta: tuple[float, float],
-                  limit_solution) -> RescaleTable:
-    """Score the branch tail against the limiting problem.
+def rescale_check(branch: Branch) -> RescaleTable:
+    """Score the branch tail against the limiting problem of its model on
+    its grid (solve_limit_problem), with theta from theta_exponents.
 
     Keeps points with lam <= 1e-2, computes both rescaled-sup ratios, and
     requires the deviation from 1 to improve monotonically over the last
     decade and to end within 2%.  Needs at least 3 tail rows.
     """
-    th1, th2 = theta
-    w1_sup = float(np.abs(limit_solution.u1).max())
-    w2_sup = float(np.abs(limit_solution.u2).max())
-    if w1_sup <= 0 or w2_sup <= 0:
-        raise ConfigError("limit solution must be nontrivial in both components")
+    limit, _ = solve_limit_problem(branch.grid, branch.model)
+    th1, th2 = theta_exponents(branch.model)
+    w1_sup = float(np.abs(limit.u1).max())
+    w2_sup = float(np.abs(limit.u2).max())
     rows = []
     for p in branch.points:
         if 0.0 < p.lam <= RESCALE_LAMBDA_MAX:
@@ -232,7 +238,8 @@ def nonexistence_bound(model: NonlinearityModel, mu1: float) -> float:
 def build_report(grid: RadialGrid, model: NonlinearityModel,
                  branch: Branch | None = None) -> BifurcationReport:
     """Assemble the full scalar report; fits the slope when a branch with
-    enough small-norm points is supplied, otherwise leaves it None.  The
+    enough small-norm points is supplied, otherwise leaves it None.  A
+    branch traced on another grid or model object is a ConfigError.  The
     tail exponents are None when p1 p2 <= 1, where theta_exponents is
     undefined and the branch has no blow-up tail."""
     eig = steklov_eigenpair(grid)
@@ -243,8 +250,9 @@ def build_report(grid: RadialGrid, model: NonlinearityModel,
     lo, hi = r0_bounds(model)
     fitted = None
     if branch is not None:
+        branch.check_problem(grid, model)
         try:
-            fitted = slope_fit(branch, mu0, model.nu)
+            fitted = slope_fit(branch)
         except InsufficientDataError:
             fitted = None
     return BifurcationReport(

@@ -17,9 +17,9 @@ import sys
 
 import numpy as np
 
-from .analysis import build_report, rescale_check, theta_exponents
+from .analysis import build_report, rescale_check
 from .continuation import ContinuationConfig, continue_branch
-from .errors import ConfigError, ToolkitError
+from .errors import ConfigError, ToolkitError, require_positive
 from .grid import SystemState, build_grid, pair_norm, save_state_csv
 from .model import (NonlinearityModel, linear_model, polynomial_model,
                     quadratic_model, reference_model)
@@ -221,12 +221,8 @@ def _cmd_report(st: RunSettings, args) -> int:
 
 
 def _cmd_solve(st: RunSettings, args) -> int:
-    _finite(args.lam, "--lambda")
-    _finite(args.amplitude, "--amplitude")
-    if args.lam < 0:
-        raise ConfigError(f"lambda must be nonnegative, got {args.lam}")
-    if args.amplitude <= 0:
-        raise ConfigError(f"amplitude must be positive, got {args.amplitude}")
+    require_positive(args.lam, "--lambda")
+    require_positive(args.amplitude, "--amplitude")
     eig = steklov_eigenpair(st.grid)
     init = SystemState(args.amplitude * eig.phi1, args.amplitude * eig.phi1)
     result = newton_solve(st.grid, st.model, args.lam, init, st.newton)
@@ -270,15 +266,11 @@ def _cmd_limit(st: RunSettings, args) -> int:
     return 0
 
 
-def _run_branch(st: RunSettings):
-    return continue_branch(st.grid, st.model, st.cont)
-
-
 def _cmd_branch(st: RunSettings, args) -> int:
     if args.dump_states < 0:
         raise ConfigError(
             f"--dump-states must be nonnegative, got {args.dump_states}")
-    branch = _run_branch(st)
+    branch = continue_branch(st.grid, st.model, st.cont)
     with open(st.path("branch.jsonl"), "w", encoding="utf-8") as fh:
         for p in branch.points:
             record = {
@@ -329,9 +321,8 @@ def _cmd_branch(st: RunSettings, args) -> int:
 
 
 def _cmd_multiplicity(st: RunSettings, args) -> int:
-    if _finite(args.lam, "--lambda") <= 0:
-        raise ConfigError(f"lambda must be positive, got {args.lam}")
-    branch = _run_branch(st)
+    require_positive(args.lam, "--lambda")
+    branch = continue_branch(st.grid, st.model, st.cont)
     minimal, upper = second_solution(st.grid, st.model, args.lam, branch)
     save_state_csv(st.path("minimal.csv"), st.grid, minimal,
                    comment=f"config={st.config_hash} minimal lambda={_g(args.lam)}")
@@ -357,9 +348,7 @@ def _cmd_multiplicity(st: RunSettings, args) -> int:
 
 
 def _cmd_rescale_check(st: RunSettings, args) -> int:
-    branch = _run_branch(st)
-    limit, _ = solve_limit_problem(st.grid, st.model)
-    table = rescale_check(branch, theta_exponents(st.model), limit)
+    table = rescale_check(continue_branch(st.grid, st.model, st.cont))
     with open(st.path("rescale.csv"), "w", encoding="utf-8") as fh:
         fh.write(f"# config={st.config_hash}\n")
         fh.write("lambda,ratio1,ratio2\n")

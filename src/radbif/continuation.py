@@ -14,11 +14,12 @@ and tracing keeps lam as its coordinate, x = (t1, t2, lam): a secant
 predictor and a 3x3 bordered Newton corrector on these two rows plus the
 arclength row.  The corrector works on Python floats; per step it builds
 one 3x3 array for np.linalg.solve, and the arclength row keeps its numpy
-dot, so its iterates are bit-identical to the earlier corrector on numpy
-arrays (plain Python arithmetic rounds differently from LAPACK's dgesv
-and the BLAS dot).  The weighted metric (dU.dU)/dim + dlam^2 of the full
-state U becomes w (dt1^2 + dt2^2) + dlam^2 with w = (phi_h.phi_h)/(2(M+1)),
-so step lengths and tangents are those of the full-space metric.
+dot, so its iterates equal those of the same corrector on numpy arrays
+bit for bit (plain Python arithmetic rounds differently from LAPACK's
+dgesv and the BLAS dot).  The weighted metric (dU.dU)/dim + dlam^2 of
+the full state U becomes w (dt1^2 + dt2^2) + dlam^2 with w =
+(phi_h.phi_h)/(2(M+1)), so step lengths and tangents are those of the
+full-space metric.
 
 Each corrected x is rebuilt as (t1 phi_h, t2 phi_h) and handed to the
 fixed-parameter full-space Newton solver.  Its iteration-0 residual is the
@@ -47,7 +48,7 @@ import numpy as np
 
 from .analysis import bifurcation_point
 from .errors import (ConfigError, ContinuationError, NonConvergenceError,
-                     StepOffError, require_int, require_positive)
+                     require_int, require_positive)
 from .grid import RadialGrid, SystemState, pair_norm
 from .model import NonlinearityModel, f_extended, fprime_extended, zeta
 from .solver import NewtonConfig, NewtonResult, newton_solve
@@ -59,7 +60,6 @@ __all__ = [
     "FoldInfo",
     "Branch",
     "initial_tangent",
-    "step_off",
     "continue_branch",
     "detect_fold",
     "solutions_at",
@@ -129,14 +129,18 @@ class FoldInfo(NamedTuple):
 class Branch:
     """Ordered branch points, the fold if one was crossed, and why we stopped.
 
-    termination is one of "lambda_floor", "max_points", "corrector_failure".
-    fold_indices lists every tangent sign flip; more than one entry means
+    grid and model are the problem the branch was traced on; every
+    function that takes a branch reads them from it.  termination is one
+    of "lambda_floor", "max_points", "corrector_failure".  fold_indices
+    lists every tangent sign flip; more than one entry means
     the computed geometry is not a single fold and callers should look.
     rejections counts rejected step attempts (each halves ds) and
     last_rejection holds the reason for the latest one.  newton is the
     setting every point was verified with (cfg.newton in continue_branch).
     """
 
+    grid: RadialGrid
+    model: NonlinearityModel
     points: list = field(default_factory=list)
     fold: Optional[FoldInfo] = None
     termination: str = ""
@@ -144,6 +148,13 @@ class Branch:
     rejections: int = 0
     last_rejection: str = ""
     newton: NewtonConfig = NewtonConfig()
+
+    def check_problem(self, grid: RadialGrid, model: NonlinearityModel) -> None:
+        """ConfigError unless the branch was traced on these very grid and
+        model objects: identity, the rule of the per-grid and per-model
+        caches."""
+        if self.grid is not grid or self.model is not model:
+            raise ConfigError("the branch was traced on another grid or model")
 
     def lambdas(self) -> np.ndarray:
         return np.array([p.lam for p in self.points])
@@ -309,65 +320,47 @@ def _polish(grid: RadialGrid, ts: _TraceSystem, x: np.ndarray,
     return result
 
 
-def step_off(grid: RadialGrid, model: NonlinearityModel, mu0: float,
-             tangent: SystemState, eps: float,
-             cfg: ContinuationConfig = ContinuationConfig()) -> BranchPoint:
-    """First nontrivial point: amplitude eps along the kernel tangent.
-
-    The arclength row with ds = 0 fixes the traces' component along the
-    tangent at eps and leaves lam free, so the trivial state cannot
-    satisfy it and Newton must land on the bifurcating branch.
-    """
-    if not (0.0 < eps <= 0.1):
-        raise ConfigError(f"step-off amplitude must lie in (0, 0.1], got {eps}")
-    ts = _TraceSystem(model, steklov_eigenpair(grid))
-    tau = np.array([tangent.u1[-1], tangent.u2[-1], 0.0])
-    anchor = eps * tau + np.array([0.0, 0.0, mu0])
-    try:
-        x, iters = _corrector(ts, _arclength(ts, tau, anchor, 0.0), anchor,
-                              cfg.newton.tol_residual)
-        result = _polish(grid, ts, x, cfg.newton)
-    except _CorrectorFailure as exc:
-        raise StepOffError(
-            f"could not leave the trivial branch at eps={eps:g} ({exc}); "
-            "try a larger amplitude")
-    lam = float(x[2])
-    sign = 1 if lam > mu0 else (-1 if lam < mu0 else 0)
-    return BranchPoint(lam=lam, state=result.state, norm=pair_norm(result.state),
-                       tangent_lambda_sign=sign, ds=eps,
-                       corrector_iterations=iters,
-                       polish_iterations=result.iterations,
-                       residual=result.residual_norm)
-
-
 def continue_branch(grid: RadialGrid, model: NonlinearityModel,
                     cfg: ContinuationConfig = ContinuationConfig()) -> Branch:
     """Trace the positive branch from the trivial state at the bifurcation
     value through the fold toward the small-parameter tail.
 
     points[0] is the trivial anchor (norm 0) at lam = mu0 from
-    bifurcation_point; points[1] comes from step_off; each later point is
-    accepted only after the full-space re-check (and polish, if needed)
-    and a positivity check.
+    bifurcation_point.  points[1] is the step-off: the arclength row with
+    ds = 0 along the traces (1, zeta, 0)/(1+zeta) of initial_tangent
+    (phi1(R) = 1) fixes their component at cfg.eps_step_off and leaves lam free, so the
+    trivial state cannot satisfy it and Newton must land on the
+    bifurcating branch; its failure raises ContinuationError with the
+    anchor as last_point.  Each point is accepted only after the
+    full-space re-check (and polish, if needed) and a positivity check.
     """
     eig = steklov_eigenpair(grid)
     mu0 = bifurcation_point(model, eig.mu1)
     ts = _TraceSystem(model, eig)
-    tangent = initial_tangent(model, eig)
+    tol = cfg.newton.tol_residual
 
-    branch = Branch(newton=cfg.newton)
-    branch.points.append(BranchPoint(
-        lam=mu0, state=SystemState.zero(grid), norm=0.0,
-        tangent_lambda_sign=0, ds=0.0))
+    branch = Branch(grid, model, newton=cfg.newton)
+    anchor = BranchPoint(lam=mu0, state=SystemState.zero(grid), norm=0.0,
+                         tangent_lambda_sign=0, ds=0.0)
+    branch.points.append(anchor)
+    eps, z = cfg.eps_step_off, zeta(model)
+    tau = np.array([1.0 / (1.0 + z), z / (1.0 + z), 0.0])
+    x0 = eps * tau + np.array([0.0, 0.0, mu0])
     try:
-        first = step_off(grid, model, mu0, tangent, cfg.eps_step_off, cfg)
-    except StepOffError as exc:
-        raise ContinuationError(f"first corrector step failed: {exc}",
-                                last_point=branch.points[0])
-    branch.points.append(first)
+        x, iters = _corrector(ts, _arclength(ts, tau, x0, 0.0), x0, tol)
+        result = _polish(grid, ts, x, cfg.newton)
+    except _CorrectorFailure as exc:
+        raise ContinuationError(
+            f"first corrector step failed: could not leave the trivial branch "
+            f"at eps={eps:g} ({exc}); try a larger amplitude", last_point=anchor)
+    lam = float(x[2])
+    branch.points.append(BranchPoint(
+        lam=lam, state=result.state, norm=pair_norm(result.state),
+        tangent_lambda_sign=(lam > mu0) - (lam < mu0), ds=eps,
+        corrector_iterations=iters, polish_iterations=result.iterations,
+        residual=result.residual_norm))
 
     ds = cfg.ds0
-    tol = cfg.newton.tol_residual
     while True:
         last = branch.points[-1]
         if last.lam <= cfg.lambda_stop_low:
@@ -461,9 +454,9 @@ def _exact_fold(ts: _TraceSystem, sampled: FoldInfo, tol: float) -> FoldInfo:
     return FoldInfo(float(x[2]), sampled.index, float(x[0]), float(x[1]))
 
 
-def solutions_at(branch: Branch, lam: float, grid: RadialGrid,
-                 model: NonlinearityModel) -> list:
-    """All positive states at lam with t1 within the branch, by pair norm.
+def solutions_at(branch: Branch, lam: float) -> list:
+    """All positive states at lam with t1 within the branch, by pair norm,
+    on the branch's grid and model.
 
     The nodes are the branch t1 traces and the fold t1, so each sign change
     of q_lam between adjacent nodes brackets one root, and a root on a node
@@ -473,7 +466,7 @@ def solutions_at(branch: Branch, lam: float, grid: RadialGrid,
     dropped, not fatal.
     """
     require_positive(lam, "parameter")
-    ts = _TraceSystem(model, steklov_eigenpair(grid))
+    ts = _TraceSystem(branch.model, steklov_eigenpair(branch.grid))
     fold = [branch.fold.t1] if branch.fold is not None else []
     nodes = sorted({float(p.state.u1[-1]) for p in branch.points} | set(fold))
     qs = [ts.q(t, lam) for t in nodes]
@@ -484,7 +477,8 @@ def solutions_at(branch: Branch, lam: float, grid: RadialGrid,
     states = []
     for t1 in roots:
         try:
-            states.append(_polish(grid, ts, ts.at(t1, lam), branch.newton).state)
+            states.append(_polish(branch.grid, ts, ts.at(t1, lam),
+                                  branch.newton).state)
         except _CorrectorFailure:
             continue
     return sorted(states, key=pair_norm)

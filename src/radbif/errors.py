@@ -10,7 +10,7 @@ import numbers
 
 __all__ = [
     "ToolkitError", "ConfigError", "NumericalError", "NonConvergenceError",
-    "EstimationFailedError", "StepOffError", "ContinuationError",
+    "EstimationFailedError", "ContinuationError",
     "SubsolutionError", "MonotonicityViolationError", "DistinctnessError",
     "InsufficientDataError",
 ]
@@ -57,10 +57,6 @@ class EstimationFailedError(NumericalError):
     def __init__(self, message, samples=None):
         super().__init__(message)
         self.samples = samples
-
-
-class StepOffError(NumericalError):
-    """Could not leave the trivial branch at the bifurcation point."""
 
 
 class ContinuationError(NumericalError):

@@ -46,20 +46,21 @@ def _flux_gap(grid, model, lam, state):
     return min(g1, g2)
 
 
-def build_subsolution(grid: RadialGrid, model: NonlinearityModel, lam: float,
-                      eps: float) -> SystemState:
+def build_subsolution(grid: RadialGrid, model: NonlinearityModel,
+                      lam: float) -> SystemState:
     """Kernel-direction subsolution (eps a phi1, eps b phi1), a = sqrt(f1'(0)),
-    b = sqrt(f2'(0)).
+    b = sqrt(f2'(0)), from eps = 1e-2 / max(a, b): the larger component
+    starts at amplitude 1e-2.
 
     Verifies the discrete flux inequalities boundary_flux(u_i) <= lam
     f_i(u_other(R)); on violation halves eps up to 40 times.  Persistent
     failure signals lam at or below the bifurcation value (the inequalities
     then fail for every small amplitude) or a model violation.
     """
-    require_positive(eps, "subsolution amplitude")
     require_positive(lam, "parameter")
     a = math.sqrt(model.fp0_1)
     b = math.sqrt(model.fp0_2)
+    eps = 1e-2 / max(a, b)
     phi = steklov_eigenpair(grid).phi1
     for _ in range(41):
         cand = SystemState(eps * a * phi, eps * b * phi)
@@ -156,8 +157,10 @@ def second_solution(grid: RadialGrid, model: NonlinearityModel, lam: float,
     non-monotone model or lam not above mu0, and DistinctnessError when lam
     is not below the fold, fewer than two positive states are at lam (just
     above mu0 the minimal one sinks below POSITIVITY_ZERO_FLOOR) or the two
-    pair norms agree to 1e-3 relative.
+    pair norms agree to 1e-3 relative.  A branch traced on another grid or
+    model object is a ConfigError.
     """
+    branch.check_problem(grid, model)
     require_positive(lam, "parameter")
     mu0 = bifurcation_point(model, steklov_eigenpair(grid).mu1)
     if lam <= mu0:
@@ -174,7 +177,7 @@ def second_solution(grid: RadialGrid, model: NonlinearityModel, lam: float,
     if not monotone.passed:
         raise ConfigError(f"model is not monotone nondecreasing: {monotone.detail}")
 
-    states = solutions_at(branch, lam, grid, model)
+    states = solutions_at(branch, lam)
     if len(states) < 2:
         raise DistinctnessError(
             f"only {len(states)} positive state(s) at lam={lam:.12g} "
@@ -183,8 +186,7 @@ def second_solution(grid: RadialGrid, model: NonlinearityModel, lam: float,
             "cannot be told from the trivial one")
     minimal, upper = states[0], states[-1]
 
-    sub = build_subsolution(grid, model, lam,
-                            1e-2 / math.sqrt(max(model.fp0_1, model.fp0_2)))
+    sub = build_subsolution(grid, model, lam)
     slack = ORDER_SLACK_REL * max(1.0, pair_norm(upper))
     for what, below, above in (("above the subsolution", sub, minimal),
                                ("below the branch solution", minimal, upper)):

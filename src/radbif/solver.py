@@ -16,8 +16,9 @@ once.  It also takes a stack of k states, (k, M+1) per component, and
 evaluates it in one pass along the last axis, calling each f_i once per
 distinct trace value; a single state takes its two flux terms as
 scalars.  Newton iterates on the interleaved vector and evaluates each
-trial through strided views of it.  Both are bit-identical to the
-earlier two-matvec residual and the Newton loop on SystemState copies.
+trial through strided views of it.  The residual equals two
+single-component matvecs with A bit for bit, and Newton's iterates equal
+those of the same loop on SystemState copies.
 
 Residual norms are measured as max|F| / max(1, sup|u1|, sup|u2|): the
 operator rows scale like 1/h^2, so that quotient is what floating point can

@@ -25,7 +25,7 @@ from .grid import SystemState, build_grid, pair_norm
 from .model import linear_model, quadratic_model, reference_model
 from .monotone import build_subsolution, monotone_iterate
 from .solver import (NewtonConfig, jacobian, newton_solve, residual,
-                     scaled_residual_norm, solve_limit_problem)
+                     scaled_residual_norm)
 from .steklov import steklov_eigenpair
 
 __all__ = ["CheckOutcome", "run_acceptance", "format_table"]
@@ -114,16 +114,13 @@ def _check_direction_slope(shared):
     budget = 60.0
 
     t0 = time.perf_counter()
-    model = shared["model"]
-    branch = continue_branch(grid, model, _slope_branch_config())
-    fit_ref = slope_fit(branch, shared["mu0"], model.nu)
+    fit_ref = slope_fit(continue_branch(grid, shared["model"],
+                                        _slope_branch_config()))
     t_ref = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     left = quadratic_model()
-    mu0_left = bifurcation_point(left, eig.mu1)
-    branch_left = continue_branch(grid, left, _slope_branch_config())
-    fit_left = slope_fit(branch_left, mu0_left, left.nu)
+    fit_left = slope_fit(continue_branch(grid, left, _slope_branch_config()))
     pred_left = slope_prediction(left, eig)
     t_left = time.perf_counter() - t0
 
@@ -151,9 +148,7 @@ def _check_theta_exponents(shared):
 
 def _check_rescale_tail(shared):
     t0 = time.perf_counter()
-    model = shared["model"]
-    limit, _ = solve_limit_problem(shared["grid"], model)
-    table = rescale_check(shared["branch"], theta_exponents(model), limit)
+    table = rescale_check(shared["branch"])
     seconds = time.perf_counter() - t0
     first_dev = max(abs(table.rows[0][1] - 1.0), abs(table.rows[0][2] - 1.0))
     ok = table.ok and seconds < 180.0
@@ -192,15 +187,13 @@ def _check_multiplicity(shared):
     if branch.fold is None:
         return False, "branch has no fold"
     lam = 0.5 * (shared["mu0"] + branch.fold.lam_bar)
-    sols = solutions_at(branch, lam, grid, model)
+    sols = solutions_at(branch, lam)
     if len(sols) < 2:
         return False, f"only {len(sols)} states at lam={lam:.6f}"
     norms = [pair_norm(s) for s in sols]
     gap = min(b - a for a, b in zip(norms[:-1], norms[1:]))
 
-    a = math.sqrt(model.fp0_1)
-    b = math.sqrt(model.fp0_2)
-    sub = build_subsolution(grid, model, lam, 1e-2 / max(a, b))
+    sub = build_subsolution(grid, model, lam)
     ceiling = max(sols, key=pair_norm)
     minimal = monotone_iterate(grid, model, lam, sub, sup=ceiling)
 

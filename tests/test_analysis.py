@@ -19,16 +19,25 @@ from radbif import (BifurcationReport, Branch, BranchPoint, ConfigError,
                     RescaleTable, SystemState, bifurcation_point, build_grid,
                     build_report, continue_branch, direction_of_bifurcation,
                     jordan_data, linear_model, nonexistence_bound,
-                    NonlinearityModel, quadratic_model,
+                    NonlinearityModel, quadratic_model, reference_model,
                     rescale_check, slope_fit, slope_prediction,
-                    steklov_eigenpair, theta_exponents)
+                    solve_limit_problem, steklov_eigenpair, theta_exponents)
+
+# The grid and model of the synthetic branches below.
+GRID16 = build_grid(3, 1.0, 16)
+MODEL = reference_model()
+MU0_16 = bifurcation_point(MODEL, steklov_eigenpair(GRID16).mu1)
 
 
 def _point(lam, norm, state=None):
     if state is None:
-        state = SystemState.zero(build_grid(3, 1.0, 16))
+        state = SystemState.zero(GRID16)
     return BranchPoint(lam=lam, state=state, norm=norm,
                        tangent_lambda_sign=-1, ds=0.01)
+
+
+def _branch(pts):
+    return Branch(GRID16, MODEL, points=pts)
 
 
 # ---------------------------------------------------------------- point
@@ -163,23 +172,22 @@ def test_slope_prediction_straddling_bounds(eig512):
 
 
 def test_slope_fit_exact_linear_law():
-    mu0, a, b = 0.313, -0.04, 0.3
-    pts = [_point(mu0 - (a + b * n) * n, n)
+    # nu = 2 for the reference model: the quotient is (mu0 - lam)/norm
+    a, b = -0.04, 0.3
+    pts = [_point(MU0_16 - (a + b * n) * n, n)
            for n in np.linspace(0.01, 0.09, 9)]
-    fitted = slope_fit(Branch(points=pts), mu0, 2.0)
-    assert fitted == pytest.approx(a, abs=1e-12)
+    assert slope_fit(_branch(pts)) == pytest.approx(a, abs=1e-12)
 
 
 def test_slope_fit_zero_when_parameter_constant():
-    pts = [_point(0.313, n) for n in np.linspace(0.01, 0.09, 9)]
-    assert slope_fit(Branch(points=pts), 0.313, 2.0) == pytest.approx(
-        0.0, abs=1e-14)
+    pts = [_point(MU0_16, n) for n in np.linspace(0.01, 0.09, 9)]
+    assert slope_fit(_branch(pts)) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_slope_fit_needs_small_norm_points():
     pts = [_point(0.3, n) for n in (0.2, 0.5, 1.0, 2.0, 4.0)]
     with pytest.raises(InsufficientDataError):
-        slope_fit(Branch(points=pts), 0.313, 2.0)
+        slope_fit(_branch(pts))
 
 
 @pytest.fixture(scope="module")
@@ -193,7 +201,7 @@ def slope_branch(grid512, ref_model):
 
 def test_slope_fit_matches_prediction_on_branch(slope_branch, ref_model,
                                                 eig512, mu0_ref):
-    fitted = slope_fit(slope_branch, mu0_ref, ref_model.nu)
+    fitted = slope_fit(slope_branch)
     predicted = slope_prediction(ref_model, eig512)
     assert fitted < 0.0
     assert fitted == pytest.approx(predicted, abs=1e-3)
@@ -202,22 +210,25 @@ def test_slope_fit_matches_prediction_on_branch(slope_branch, ref_model,
 # ------------------------------------------------------------- rescaling
 
 
-def _tail_branch(theta, w_star, lams, extra=0.0):
+# The reference model's own tail exponents and limit on GRID16.
+THETA = (0.8, 0.6)
+W_STAR = solve_limit_problem(GRID16, MODEL)[0]
+
+
+def _tail_branch(lams, extra=0.0):
     pts = []
     for lam in lams:
-        u1 = lam ** -(theta[0] - extra) * w_star.u1
-        u2 = lam ** -(theta[1] - extra) * w_star.u2
+        u1 = lam ** -(THETA[0] - extra) * W_STAR.u1
+        u2 = lam ** -(THETA[1] - extra) * W_STAR.u2
         st_ = SystemState(u1, u2)
         pts.append(_point(lam, float(u1.max() + u2.max()), st_))
-    return Branch(points=pts)
+    return _branch(pts)
 
 
 def test_rescale_check_exact_power_tail():
-    g = build_grid(3, 1.0, 16)
-    w_star = SystemState(1.0 + g.r ** 2, 2.0 + g.r)
-    theta = (0.8, 0.6)
+    assert theta_exponents(MODEL) == pytest.approx(THETA, abs=1e-15)
     lams = np.logspace(-2, -4, 6)
-    table = rescale_check(_tail_branch(theta, w_star, lams), theta, w_star)
+    table = rescale_check(_tail_branch(lams))
     assert table.ok and table.monotone
     assert table.final_dev <= 1e-12
     assert len(table.rows) == 6
@@ -229,30 +240,17 @@ def test_rescale_check_exact_power_tail():
 
 
 def test_rescale_check_flags_wrong_exponent():
-    g = build_grid(3, 1.0, 16)
-    w_star = SystemState(1.0 + g.r ** 2, 2.0 + g.r)
-    theta = (0.8, 0.6)
     lams = np.logspace(-2, -4, 6)
     # states decay with exponents off by 0.1: ratios drift like lam^0.1
-    table = rescale_check(_tail_branch(theta, w_star, lams, extra=0.1),
-                          theta, w_star)
+    table = rescale_check(_tail_branch(lams, extra=0.1))
     assert not table.ok
     assert table.final_dev > 0.02
 
 
 def test_rescale_check_needs_tail_rows():
-    g = build_grid(3, 1.0, 16)
-    w_star = SystemState(1.0 + g.r ** 2, 2.0 + g.r)
-    pts = [_point(lam, 1.0, w_star) for lam in (0.3, 0.2, 0.1)]
+    pts = [_point(lam, 1.0, W_STAR) for lam in (0.3, 0.2, 0.1)]
     with pytest.raises(InsufficientDataError):
-        rescale_check(Branch(points=pts), (0.8, 0.6), w_star)
-
-
-def test_rescale_check_rejects_trivial_limit():
-    g = build_grid(3, 1.0, 16)
-    w_star = SystemState(np.zeros_like(g.r), 2.0 + g.r)
-    with pytest.raises(ConfigError):
-        rescale_check(Branch(), (0.8, 0.6), w_star)
+        rescale_check(_branch(pts))
 
 
 # ---------------------------------------------------------------- bound
@@ -296,3 +294,13 @@ def test_build_report_coarse_branch_leaves_fit_unset(grid512, ref_model,
     # below norm 0.1; the report records that honestly instead of fitting
     rep = build_report(grid512, ref_model, branch=ref_branch)
     assert rep.slope_fitted is None
+
+
+def test_build_report_refuses_a_branch_of_another_problem(grid128, grid512,
+                                                          ref_model,
+                                                          slope_branch):
+    # the M = 512 branch fitted against the M = 128 mu0 would report -0.052
+    # instead of -0.039
+    for grid, model in ((grid128, ref_model), (grid512, reference_model())):
+        with pytest.raises(ConfigError, match="another grid or model"):
+            build_report(grid, model, branch=slope_branch)

@@ -208,6 +208,8 @@ def test_solve_non_positive_state_exits_1(tmp_path, capsys):
 def test_solve_rejects_bad_arguments(tmp_path, capsys):
     out = f"out.dir={_out(tmp_path)}"
     assert run(["solve", "--lambda", "-1.0", "--override", out]) == 2
+    # lam = 0 can only reach the trivial state
+    assert run(["solve", "--lambda", "0", "--override", out]) == 2
     assert run(["solve", "--lambda", "0.3", "--amplitude", "0",
                 "--override", out]) == 2
     capsys.readouterr()
@@ -224,11 +226,13 @@ def test_solve_rejects_bad_arguments(tmp_path, capsys):
 ])
 def test_non_finite_input_is_a_config_error(tmp_path, capsys, argv):
     """A NaN or infinite number is refused where it enters, naming the key,
-    before any solve can fail on it."""
+    before any solve can fail on it: a config key as not a finite number,
+    --lambda and --amplitude as not positive and finite."""
     assert run(argv + ["--override", f"out.dir={_out(tmp_path)}"]) == 2
     err = capsys.readouterr().err
     key = argv[2].split("=")[0] if argv[1] == "--override" else argv[-2]
-    assert f"config error: {key} must be a finite number" in err
+    assert (f"config error: {key} must be a finite number" in err
+            or f"config error: {key} must be positive and finite" in err)
 
 
 def test_non_finite_coefficient_is_a_config_error():
@@ -337,11 +341,11 @@ def test_branch_default_tolerance_follows_floor(tmp_path, capsys):
 
 
 def test_branch_truncated_run_fails_loudly(tmp_path, capsys, monkeypatch):
-    def truncated(st):
-        return continue_branch(st.grid, st.model,
-                               dataclasses.replace(st.cont, max_points=5))
+    def truncated(grid, model, cfg):
+        return continue_branch(grid, model,
+                               dataclasses.replace(cfg, max_points=5))
 
-    monkeypatch.setattr(cli, "_run_branch", truncated)
+    monkeypatch.setattr(cli, "continue_branch", truncated)
     out = tmp_path / "out"
     assert run(["branch", "--override", "grid.M=128",
                 "--override", f"out.dir={out}"]) == 1

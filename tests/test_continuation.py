@@ -14,12 +14,13 @@ import pytest
 
 from conftest import trace_system_solve
 from radbif import (Branch, BranchPoint, ConfigError, ContinuationConfig,
-                    ContinuationError, NewtonConfig, StepOffError, SystemState,
+                    ContinuationError, NewtonConfig, SystemState,
                     bifurcation_point, build_grid, continue_branch,
                     detect_fold, eval_f, eval_fprime, f_extended,
                     fprime_extended, initial_tangent, linear_model,
-                    quadratic_model, residual, scaled_residual_norm,
-                    solutions_at, solve_flux_bvp, steklov_eigenpair, step_off)
+                    quadratic_model, reference_model, residual,
+                    scaled_residual_norm, solutions_at, solve_flux_bvp,
+                    steklov_eigenpair)
 from radbif.continuation import (MAX_CORRECTOR_ITER, MAX_POLISH_ITER,
                                   _CorrectorFailure, _TraceSystem)
 
@@ -54,32 +55,39 @@ def test_initial_tangent_rejects_a_zero_slope_at_zero(ref_model, eig512):
         bifurcation_point(flat, eig512.mu1)
 
 
-def test_step_off_leaves_to_the_right(grid512, ref_model, eig512, mu0_ref):
-    t = initial_tangent(ref_model, eig512)
-    pt = step_off(grid512, ref_model, mu0_ref, t, 1e-3)
+def _step_off(grid, model, eps):
+    """points[1] of a two-point branch: the step-off alone."""
+    branch = continue_branch(
+        grid, model, ContinuationConfig(eps_step_off=eps, max_points=2))
+    assert branch.termination == "max_points" and len(branch.points) == 2
+    return branch.points[1]
+
+
+def test_step_off_leaves_to_the_right(grid512, ref_model, mu0_ref):
+    pt = _step_off(grid512, ref_model, 1e-3)
     assert pt.lam > mu0_ref
     assert pt.tangent_lambda_sign == 1
     assert pt.norm == pytest.approx(1e-3, rel=1e-3)
 
 
 def test_step_off_leaves_to_the_left(grid512, eig512):
-    m = quadratic_model()
     mu0 = eig512.mu1  # sigma = 1
-    t = initial_tangent(m, eig512)
-    pt = step_off(grid512, m, mu0, t, 1e-3)
+    pt = _step_off(grid512, quadratic_model(), 1e-3)
     assert pt.lam < mu0
     assert pt.tangent_lambda_sign == -1
 
 
-def test_step_off_amplitude_validation(grid512, ref_model, eig512, mu0_ref):
-    t = initial_tangent(ref_model, eig512)
-    with pytest.raises(ConfigError):
-        step_off(grid512, ref_model, mu0_ref, t, 0.0)
-    with pytest.raises(ConfigError):
-        step_off(grid512, ref_model, mu0_ref, t, 0.2)
-    # amplitudes below the numerical zero floor cannot certify positivity
-    with pytest.raises(StepOffError):
-        step_off(grid512, ref_model, mu0_ref, t, 1e-30)
+def test_step_off_amplitude_validation(grid512, ref_model, mu0_ref):
+    for eps in (0.0, 0.2):
+        with pytest.raises(ConfigError, match="eps_step_off"):
+            ContinuationConfig(eps_step_off=eps)
+    # amplitudes below the numerical zero floor cannot certify positivity;
+    # the failure keeps the trivial anchor
+    with pytest.raises(ContinuationError, match="could not leave the trivial "
+                       "branch at eps=1e-30") as info:
+        continue_branch(grid512, ref_model, ContinuationConfig(eps_step_off=1e-30))
+    anchor = info.value.last_point
+    assert anchor.lam == mu0_ref and anchor.norm == 0.0
 
 
 def test_config_validation():
@@ -245,13 +253,13 @@ def _synthetic_branch(lams, signs):
     pts = [BranchPoint(lam=l, state=SystemState.zero(g), norm=float(k),
                        tangent_lambda_sign=s, ds=0.01)
            for k, (l, s) in enumerate(zip(lams, signs))]
-    return Branch(points=pts, termination="max_points")
+    return Branch(g, reference_model(), points=pts, termination="max_points")
 
 
 def test_detect_fold_none_for_monotone_parameter():
     b = _synthetic_branch([0.5, 0.4, 0.3, 0.2], [-1, -1, -1, -1])
     assert detect_fold(b) is None
-    assert detect_fold(Branch()) is None
+    assert detect_fold(Branch(b.grid, b.model)) is None
 
 
 def test_detect_fold_finds_sign_flip():
@@ -447,7 +455,7 @@ def test_solutions_at_counts(ref_branch, grid512, ref_model, mu0_ref,
     # anchor and the step-off point.
     for lam in (LAMBDA_MID, 0.3329574, 0.3330077, 0.3330580, 0.3331083,
                 0.3331586, 0.3332077382, mu0_ref + 1e-6):
-        two = solutions_at(ref_branch, lam, grid512, ref_model)
+        two = solutions_at(ref_branch, lam)
         assert len(two) == 2, lam
         gap = abs(pair_norm(two[1]) - pair_norm(two[0]))
         assert gap > 1e-3
@@ -458,16 +466,16 @@ def test_solutions_at_counts(ref_branch, grid512, ref_model, mu0_ref,
     assert 0.0 < two[0].u1[-1] < ref_branch.points[1].state.u1[-1]
 
     for lam in (mu0_ref - 0.005, 0.01):
-        one = solutions_at(ref_branch, lam, grid512, ref_model)
+        one = solutions_at(ref_branch, lam)
         assert len(one) == 1, lam
         check_traces(lam, one)
 
-    none = solutions_at(ref_branch, 0.34, grid512, ref_model)
+    none = solutions_at(ref_branch, 0.34)
     assert none == []
 
     for lam in (0.0, math.nan, math.inf):
         with pytest.raises(ConfigError, match="positive and finite"):
-            solutions_at(ref_branch, lam, grid512, ref_model)
+            solutions_at(ref_branch, lam)
 
 
 def test_solutions_at_polishes_once_per_root(ref_branch, grid512, ref_model,
@@ -481,13 +489,13 @@ def test_solutions_at_polishes_once_per_root(ref_branch, grid512, ref_model,
                         lambda *a, **k: calls.append("corrector"))
     monkeypatch.setattr(cont, "_polish",
                         lambda *a, **k: calls.append("polish") or polish(*a, **k))
-    states = solutions_at(ref_branch, LAMBDA_MID, grid512, ref_model)
+    states = solutions_at(ref_branch, LAMBDA_MID)
     assert len(states) == 2
     assert calls == ["polish", "polish"]
 
 
 def test_solutions_at_states_reconverged(ref_branch, grid512, ref_model):
-    for st in solutions_at(ref_branch, LAMBDA_MID, grid512, ref_model):
+    for st in solutions_at(ref_branch, LAMBDA_MID):
         rnorm = scaled_residual_norm(
             residual(grid512, ref_model, LAMBDA_MID, st), st)
         assert rnorm <= 1e-10

@@ -21,7 +21,8 @@ from radbif import (ConfigError, DistinctnessError,
                     SubsolutionError, SystemState, bifurcation_point,
                     boundary_flux, build_grid, build_subsolution,
                     continue_branch, jacobian, linear_bvp_solve,
-                    monotone_iterate, pair_norm,
+                    linear_model, monotone_iterate, pair_norm,
+                    quadratic_model,
                     residual, scaled_residual_norm,
                     second_solution, solutions_at, solve_flux_bvp,
                     steklov_eigenpair, Branch, FoldInfo)
@@ -47,47 +48,47 @@ def _logistic():
 
 def test_subsolution_accepted_at_initial_amplitude(grid512, ref_model,
                                                    mu0_ref):
+    # f1'(0) = f2'(0) = 1: both components start at amplitude 1e-2
     lam = 1.1 * mu0_ref
-    sub = build_subsolution(grid512, ref_model, lam, 1e-2)
+    sub = build_subsolution(grid512, ref_model, lam)
     assert sub.u1.min() > 0.0 and sub.u2.min() > 0.0
-    assert sub.u1.max() == pytest.approx(1e-2, rel=1e-12)  # no halving
+    assert sub.u1.max() == sub.u2.max() == 1e-2  # no halving
     assert _flux_gap(grid512, ref_model, lam, sub) >= 0.0
+
+
+def test_subsolution_start_amplitude_follows_the_larger_slope(grid512,
+                                                              mu_h512):
+    # f1'(0) = 1, f2'(0) = 4: eps = 1e-2/2, components (eps, 2 eps) phi1
+    model = linear_model(1.0, 4.0)
+    sub = build_subsolution(grid512, model,
+                            1.1 * bifurcation_point(model, mu_h512))
+    assert sub.u1.max() == 5e-3 and sub.u2.max() == 1e-2
 
 
 def test_subsolution_halves_until_admissible(grid512, ref_model,
                                              mu0_ref):
-    # close to the bifurcation value only small amplitudes are admissible
-    sub = build_subsolution(grid512, ref_model, 1.01 * mu0_ref, 0.5)
-    amp = float(sub.u1.max())
-    assert amp == pytest.approx(0.5 / 2 ** 6, rel=1e-12)
-    assert _flux_gap(grid512, ref_model, 1.01 * mu0_ref, sub) >= 0.0
+    # close to the bifurcation value only small amplitudes are admissible:
+    # at 1.005 mu0 the start 1e-2 is halved once
+    lam = 1.005 * mu0_ref
+    sub = build_subsolution(grid512, ref_model, lam)
+    assert float(sub.u1.max()) == 1e-2 / 2
+    assert _flux_gap(grid512, ref_model, lam, sub) >= 0.0
     # the amplitude one halving earlier was rejected
     big = SystemState(2.0 * sub.u1, 2.0 * sub.u2)
-    assert _flux_gap(grid512, ref_model, 1.01 * mu0_ref, big) < 0.0
-
-
-def test_subsolution_large_amplitude_superlinear(grid512, ref_model,
-                                                 mu0_ref):
-    # cubic growth dominates the linear flux: eps = 1e3 verifies directly
-    sub = build_subsolution(grid512, ref_model, 1.1 * mu0_ref, 1e3)
-    assert sub.u1.max() == pytest.approx(1e3, rel=1e-12)
+    assert _flux_gap(grid512, ref_model, lam, big) < 0.0
 
 
 def test_subsolution_below_bifurcation_fails(grid512, ref_model,
                                              mu0_ref):
     with pytest.raises(SubsolutionError):
-        build_subsolution(grid512, ref_model, 0.5 * mu0_ref, 1e-2)
+        build_subsolution(grid512, ref_model, 0.5 * mu0_ref)
 
 
-def test_subsolution_parameter_validation(grid512, ref_model,
-                                          mu0_ref):
-    # refused up front: a NaN amplitude or parameter fails every halving
-    for bad in (0.0, math.nan, math.inf):
-        with pytest.raises(ConfigError, match="amplitude must be positive and finite"):
-            build_subsolution(grid512, ref_model, mu0_ref * 1.1, bad)
+def test_subsolution_parameter_validation(grid512, ref_model):
+    # refused up front: a NaN parameter fails every halving
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ConfigError, match="parameter must be positive and finite"):
-            build_subsolution(grid512, ref_model, bad, 1e-2)
+            build_subsolution(grid512, ref_model, bad)
 
 
 def test_iteration_fixed_at_zero(grid512, ref_model):
@@ -98,7 +99,7 @@ def test_iteration_fixed_at_zero(grid512, ref_model):
 
 def test_iteration_reaches_minimal_solution(grid512, ref_model,
                                             ref_branch):
-    sub = build_subsolution(grid512, ref_model, LAMBDA_MID, 1e-2)
+    sub = build_subsolution(grid512, ref_model, LAMBDA_MID)
     trace = []
     minimal = monotone_iterate(grid512, ref_model, LAMBDA_MID, sub,
                                trace=trace)
@@ -112,15 +113,15 @@ def test_iteration_reaches_minimal_solution(grid512, ref_model,
     assert np.all(minimal.u1 >= sub.u1 - 1e-12)
     assert np.all(minimal.u2 >= sub.u2 - 1e-12)
     # agrees with the lower branch crossing found by continuation
-    lower = solutions_at(ref_branch, LAMBDA_MID, grid512, ref_model)[0]
+    lower = solutions_at(ref_branch, LAMBDA_MID)[0]
     assert pair_norm(minimal) == pytest.approx(pair_norm(lower), abs=1e-8)
     assert float(np.abs(minimal.u1 - lower.u1).max()) <= 1e-8
 
 
 def test_iteration_respects_supersolution_ceiling(grid512, ref_model,
                                                   ref_branch):
-    sub = build_subsolution(grid512, ref_model, LAMBDA_MID, 1e-2)
-    upper = solutions_at(ref_branch, LAMBDA_MID, grid512, ref_model)[-1]
+    sub = build_subsolution(grid512, ref_model, LAMBDA_MID)
+    upper = solutions_at(ref_branch, LAMBDA_MID)[-1]
     minimal = monotone_iterate(grid512, ref_model, LAMBDA_MID, sub, sup=upper)
     assert np.all(minimal.u1 <= upper.u1 + 1e-10)
     assert np.all(minimal.u2 <= upper.u2 + 1e-10)
@@ -130,8 +131,8 @@ def test_iteration_stops_at_a_ceiling_below_the_limit(grid512, ref_model,
                                                       ref_branch):
     # half the minimal solution is no supersolution: the iterates must
     # cross it and the check must say so
-    sub = build_subsolution(grid512, ref_model, LAMBDA_MID, 1e-2)
-    lower = solutions_at(ref_branch, LAMBDA_MID, grid512, ref_model)[0]
+    sub = build_subsolution(grid512, ref_model, LAMBDA_MID)
+    lower = solutions_at(ref_branch, LAMBDA_MID)[0]
     ceiling = SystemState(0.5 * lower.u1, 0.5 * lower.u2)
     trace = []
     with pytest.raises(MonotonicityViolationError) as exc:
@@ -165,7 +166,7 @@ def test_iteration_parameter_validation(grid512, ref_model):
 
 
 def test_iteration_budget_exhaustion(grid512, ref_model):
-    sub = build_subsolution(grid512, ref_model, LAMBDA_MID, 1e-2)
+    sub = build_subsolution(grid512, ref_model, LAMBDA_MID)
     with pytest.raises(NonConvergenceError) as exc:
         monotone_iterate(grid512, ref_model, LAMBDA_MID, sub, max_iter=1)
     assert len(exc.value.trace) == 1
@@ -189,7 +190,7 @@ def test_second_solution_rejects_non_monotone_model_on_every_call(grid512,
     model = dataclasses.replace(
         logistic, df1=lambda s: seen.append(s) or logistic.df1(s))
     lam = 1.5 * bifurcation_point(model, mu_h512)
-    branch = Branch(fold=FoldInfo(10.0 * lam, 0, 1.0, 1.0))
+    branch = Branch(grid512, model, fold=FoldInfo(10.0 * lam, 0, 1.0, 1.0))
     counts = []
     for _ in range(2):
         with pytest.raises(ConfigError, match="not monotone"):
@@ -233,15 +234,14 @@ def test_second_solution_at_the_window_ends(grid512, ref_model,
     # contraction tends to 1; the roots of q_lam do not.  Both states are
     # the outer ones of solutions_at, bit for bit.
     fold = ref_branch.fold.lam_bar
-    eps = 1e-2 / math.sqrt(max(ref_model.fp0_1, ref_model.fp0_2))
     for lam in (LAMBDA_MID, mu0_ref + 1e-6, mu0_ref + 1e-4, mu0_ref + 1e-3,
                 mu0_ref + 3e-3, fold - 1e-5, fold - 1e-7):
         minimal, upper = second_solution(grid512, ref_model, lam, ref_branch)
-        states = solutions_at(ref_branch, lam, grid512, ref_model)
+        states = solutions_at(ref_branch, lam)
         for got, want in ((minimal, states[0]), (upper, states[-1])):
             assert np.array_equal(got.u1, want.u1), lam
             assert np.array_equal(got.u2, want.u2), lam
-        sub = build_subsolution(grid512, ref_model, lam, eps)
+        sub = build_subsolution(grid512, ref_model, lam)
         assert np.all(minimal.u1 >= sub.u1) and np.all(minimal.u2 >= sub.u2)
         assert np.all(minimal.u1 <= upper.u1) and np.all(minimal.u2 <= upper.u2)
         assert pair_norm(minimal) < pair_norm(upper)
@@ -300,7 +300,7 @@ def test_banded_solves_per_grid_and_per_call(ref_model, monkeypatch):
     calls.clear()
     solve_flux_bvp(grid, 0.7)
     linear_bvp_solve(grid, 0.4, -0.1)
-    sub = build_subsolution(grid, ref_model, LAMBDA_MID, 1e-2)
+    sub = build_subsolution(grid, ref_model, LAMBDA_MID)
     monotone_iterate(grid, ref_model, LAMBDA_MID, sub)
     assert calls == []
 
@@ -317,7 +317,19 @@ def test_second_solution_requires_supercritical_parameter(grid512, ref_model,
 
 def test_second_solution_requires_fold(grid512, ref_model):
     with pytest.raises(ConfigError):
-        second_solution(grid512, ref_model, LAMBDA_MID, Branch())
+        second_solution(grid512, ref_model, LAMBDA_MID,
+                        Branch(grid512, ref_model))
+
+
+def test_second_solution_refuses_a_branch_of_another_problem(
+        grid512, ref_model, ref_branch):
+    # the reference branch with the quadratic model would end in a
+    # DistinctnessError blaming the zero floor; a grid equal in value but
+    # another object is refused too, as the rule is identity
+    for grid, model in ((grid512, quadratic_model()),
+                        (build_grid(3, 1.0, 512), ref_model)):
+        with pytest.raises(ConfigError, match="another grid or model"):
+            second_solution(grid, model, LAMBDA_MID, ref_branch)
 
 
 def test_second_solution_degenerate_at_fold(grid512, ref_model, ref_branch):
