@@ -248,6 +248,28 @@ def _factor(grid: RadialGrid) -> tuple:
     return lu, piv, v
 
 
+@cache_per_grid
+def _unit_trace_extended(grid: RadialGrid) -> np.ndarray:
+    """The unit-trace profile v/v(R) in longdouble, read-only, computed
+    once per grid.
+
+    Starts from the double v of _factor and makes three more refinement
+    passes, each a longdouble residual A w - e_M and a dgbtrs correction
+    accumulated in longdouble, then divides by its own last entry, which
+    makes that entry exactly 1.  t times it rounds to double once, so the
+    rebuilt (t phi_h) keeps t as its trace exactly.  Nothing else reads
+    it: the double v, mu_h and phi1 are those of _factor."""
+    lu, piv, v = _factor(grid)
+    w = v.astype(np.longdouble)
+    for _ in range(3):
+        r = banded_matvec_extended(grid, w)
+        r[grid.M] -= 1
+        w -= dgbtrs(lu, 2, 1, r.astype(float), piv)[0]
+    phi = w / w[grid.M]
+    phi.flags.writeable = False
+    return phi
+
+
 def solve_flux_bvp(grid: RadialGrid, flux: float) -> np.ndarray:
     """Solve -v'' - ((N-1)/r) v' + v = 0 with v'(R) = flux.
 
@@ -270,7 +292,7 @@ def save_state_csv(path, grid: RadialGrid, state: SystemState,
     head = (f"# {comment}\n" if comment else "") + "r,u1,u2\n"
     rows = zip(_r_column(grid), state.u1.tolist(), state.u2.tolist())
     with open(path, "w") as fh:
-        fh.write(head + "".join(f"{r},{a:.17g},{b:.17g}\n" for r, a, b in rows))
+        fh.write(head + "".join(map("%s,%.17g,%.17g\n".__mod__, rows)))
 
 
 def load_state_csv(path):

@@ -12,17 +12,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import trace_system_solve
+from conftest import band_loop, trace_system_solve
 from radbif import (Branch, BranchPoint, ConfigError, ContinuationConfig,
                     ContinuationError, NewtonConfig, SystemState,
                     bifurcation_point, build_grid, continue_branch,
                     detect_fold, eval_f, eval_fprime, f_extended,
                     fprime_extended, initial_tangent, linear_model,
-                    quadratic_model, reference_model, residual,
+                    operator_bands, quadratic_model, reference_model, residual,
                     scaled_residual_norm, solutions_at, solve_flux_bvp,
                     steklov_eigenpair)
 from radbif.continuation import (MAX_CORRECTOR_ITER, MAX_POLISH_ITER,
                                   _CorrectorFailure, _TraceSystem)
+from radbif.grid import _unit_trace_extended
 
 LAMBDA_BAR_512 = 0.33320994441151214  # trace-system fold at M = 512
 LAMBDA_MID = 0.3231227939747531
@@ -124,6 +125,7 @@ def test_branch_fold_matches_trace_system(ref_branch, mu0_ref, ref_model,
                                           mu_h512):
     fold = ref_branch.fold
     assert fold.lam_bar == pytest.approx(LAMBDA_BAR_512, abs=1e-10)
+    assert fold.lam_bar == 0.3332099444119068  # pinned to the bit
     assert fold.lam_bar > mu0_ref  # strictly right of mu0
     # the fold is the true maximum: no computed point lies above it
     assert ref_branch.lambdas().max() <= LAMBDA_BAR_512
@@ -139,8 +141,8 @@ def test_branch_fold_matches_trace_system(ref_branch, mu0_ref, ref_model,
     assert abs(fold_row) <= 1e-12
 
 
-def test_trace_jacobian_matches_central_differences(ref_model, eig512):
-    ts = _TraceSystem(ref_model, eig512)
+def test_trace_jacobian_matches_central_differences(grid512, ref_model):
+    ts = _TraceSystem(grid512, ref_model)
     rng = np.random.default_rng(7)
     for _ in range(20):
         x = np.array([*rng.uniform(0.01, 50.0, 2), rng.uniform(0.01, 0.5)])
@@ -384,7 +386,7 @@ def test_failed_fold_solve_keeps_the_sampled_fold(grid128, ref_model,
 
     # a solve that leaves the positive cone or ends below the sampled lam
     # is not a fold either
-    ts = _TraceSystem(ref_model, steklov_eigenpair(grid128))
+    ts = _TraceSystem(grid128, ref_model)
     for scale in ([-1.0, 1.0, 1.0], [1.0, 1.0, 0.999]):
         monkeypatch.setattr(cont, "_corrector", lambda ts, extra, x0, tol:
                             (np.array(x0) * scale, 1))
@@ -502,8 +504,66 @@ def test_solutions_at_states_reconverged(ref_branch, grid512, ref_model):
         assert st.u1.min() > 0.0 and st.u2.min() > 0.0
 
 
-def test_continuation_requires_valid_grid_eigenpair(grid512):
-    # degenerate linear model: sigma = K, the branch has nowhere to go
-    # (kept as a smoke check that the entry point validates eagerly)
-    eig = steklov_eigenpair(grid512)
-    assert eig.mu1 > 0.0
+def test_linear_model_branch_is_vertical(grid512):
+    # degenerate linear model: sigma = K, so every nontrivial state sits at
+    # lam = mu0 and the branch cannot reach the tail; it ends, without
+    # raising, on max_points or on the singular trace coupling
+    model = linear_model()
+    mu0 = bifurcation_point(model, steklov_eigenpair(grid512).mu1)
+    branch = continue_branch(grid512, model, ContinuationConfig(max_points=50))
+    assert branch.termination != "lambda_floor"
+    assert len(branch.points) >= 2
+    assert all(p.lam == mu0 for p in branch.points)
+    assert all(p.norm > 0.0 for p in branch.points[1:])
+
+
+def test_rebuild_rounds_once_from_the_longdouble_profile(grid512, ref_model,
+                                                          eig512, ref_branch):
+    phi_ext = _unit_trace_extended(grid512)
+    assert phi_ext.dtype == np.longdouble and phi_ext[-1] == 1.0
+    assert _unit_trace_extended(grid512) is phi_ext
+    # the profile solves the interior rows to longdouble rounding, far
+    # below what the double phi1 can (about 2e-16 of the row scale)
+    scale = 2.0 / grid512.h ** 2 + 1.0
+    res = band_loop(operator_bands(grid512), phi_ext)[:-1]
+    assert float(np.abs(res).max()) / scale <= 1e-18
+    assert np.abs(phi_ext - eig512.phi1).max() <= 1e-15
+    ts = _TraceSystem(grid512, ref_model)
+    rng = np.random.default_rng(3)
+    for x in (*rng.uniform(0.0, 50.0, (10, 3)), (1e-4, 3e-4, 0.3), (1e5, 7.5, 1e-3)):
+        st = ts.state(np.array(x))
+        for t, u in zip(x, (st.u1, st.u2)):
+            np.testing.assert_array_equal(
+                u, (np.longdouble(t) * phi_ext).astype(float))
+            assert u[-1] == t
+    # a point accepted without a polish step is the rebuild itself
+    for p in ref_branch.points[1:]:
+        if p.polish_iterations == 0:
+            st = ts.state(np.array([p.state.u1[-1], p.state.u2[-1]]))
+            np.testing.assert_array_equal(st.u1, p.state.u1)
+            np.testing.assert_array_equal(st.u2, p.state.u2)
+
+
+def test_most_rebuilt_points_need_no_polish_step(ref_branch):
+    # tol 1e-10 lies below the representation floor eps*2/h^2 = 1.16e-10 of
+    # M = 512; the once-rounded rebuild passes the re-check as it stands at
+    # about 80 % of the points
+    accepted = ref_branch.points[1:]
+    zero = sum(p.polish_iterations == 0 for p in accepted)
+    assert zero >= 0.7 * len(accepted)
+
+
+def test_fine_grid_branch_keeps_its_fold_and_skips_the_polish(ref_model):
+    # M = 4096 at tol 1e-8: about 94 % of the points pass the re-check with
+    # no Newton step, and the fold keeps its bits
+    grid = build_grid(3, 1.0, 4096)
+    cfg = ContinuationConfig(newton=NewtonConfig(tol_residual=1e-8))
+    branch = continue_branch(grid, ref_model, cfg)
+    assert branch.termination == "lambda_floor"
+    assert branch.fold.lam_bar == 0.3332102968730778
+    accepted = branch.points[1:]
+    zero = sum(p.polish_iterations == 0 for p in accepted)
+    assert zero >= 0.9 * len(accepted)
+    for p in accepted:
+        assert p.residual <= 1e-8
+        assert p.state.u1.min() > 0.0 and p.state.u2.min() > 0.0

@@ -6,6 +6,7 @@ the Bessel-ratio oracle I_{N/2}(R)/I_{N/2-1}(R) must both land on it
 independently.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -57,6 +58,19 @@ def test_eigenpair_is_the_unit_flux_solution(grid512, eig512, mu_h512):
     v = solve_flux_bvp(grid512, 1.0)
     assert eig512.mu1 == mu_h512 == 1.0 / v[-1]
     np.testing.assert_array_equal(eig512.phi1, v / v[-1])
+
+
+@pytest.mark.parametrize("M, mu1, digest", [
+    (512, 0.313034949139349,
+     "edcece31b9e4db1ace458b1b9e72c1e87f119c019f7218fb2b0ca4f61eaaf20a"),
+    (4096, 0.313035280259913,
+     "414ae4f648698acec06c7dc0fe1ef23f6517728b442c6649e9bf62c834f786bf")])
+def test_eigenpair_bits_are_pinned(M, mu1, digest):
+    # the pair comes from the double v alone; the longdouble profile the
+    # continuation rebuild reads must leave it bit for bit as it is
+    eig = steklov_eigenpair(build_grid(3, 1.0, M))
+    assert eig.mu1 == mu1
+    assert hashlib.sha256(eig.phi1.tobytes()).hexdigest() == digest
 
 
 def test_grid_convergence_order():
