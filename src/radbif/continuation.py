@@ -48,7 +48,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .analysis import bifurcation_point
+from .analysis import bifurcation_point, theta_exponents
 from .errors import (ConfigError, ContinuationError, NonConvergenceError,
                      require_int, require_positive)
 from .grid import RadialGrid, SystemState, _unit_trace_extended, pair_norm
@@ -339,7 +339,11 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
     bifurcating branch; its failure raises ContinuationError with the
     anchor as last_point.  Each point is accepted only after the
     full-space re-check (and polish, if needed) and a positivity check.
+    A model with p1*p2 <= 1 has no branch to trace toward the tail (the
+    linear model's stands vertical at mu0) and raises ConfigError, as
+    theta_exponents does, before any step.
     """
+    theta_exponents(model)
     ts = _TraceSystem(grid, model)
     mu0 = bifurcation_point(model, ts.mu_h)
     tol = cfg.newton.tol_residual
@@ -348,6 +352,19 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
     anchor = BranchPoint(lam=mu0, state=SystemState.zero(grid), norm=0.0,
                          tangent_lambda_sign=0, ds=0.0)
     branch.points.append(anchor)
+
+    def accept(x, iters, result, ds):
+        """Append the point at x; its tangent sign is that of dlam against
+        the previous point, or the previous sign when dlam is 0."""
+        lam, last = float(x[2]), branch.points[-1]
+        dlam = lam - last.lam
+        sign = (1 if dlam > 0 else -1) if dlam else last.tangent_lambda_sign
+        branch.points.append(BranchPoint(
+            lam=lam, state=result.state, norm=pair_norm(result.state),
+            tangent_lambda_sign=sign, ds=ds, corrector_iterations=iters,
+            polish_iterations=result.iterations,
+            residual=result.residual_norm))
+
     eps, z = cfg.eps_step_off, zeta(model)
     tau = np.array([1.0 / (1.0 + z), z / (1.0 + z), 0.0])
     x0 = eps * tau + np.array([0.0, 0.0, mu0])
@@ -358,12 +375,7 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
         raise ContinuationError(
             f"first corrector step failed: could not leave the trivial branch "
             f"at eps={eps:g} ({exc}); try a larger amplitude", last_point=anchor)
-    lam = float(x[2])
-    branch.points.append(BranchPoint(
-        lam=lam, state=result.state, norm=pair_norm(result.state),
-        tangent_lambda_sign=(lam > mu0) - (lam < mu0), ds=eps,
-        corrector_iterations=iters, polish_iterations=result.iterations,
-        residual=result.residual_norm))
+    accept(x, iters, result, eps)
 
     ds = cfg.ds0
     while True:
@@ -382,32 +394,23 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
             break
         tau = (x_last - x_prev) / dist
 
-        accepted = None
-        while True:
+        result = None
+        while result is None:
             try:
                 x, iters = _corrector(ts, _arclength(ts, tau, x_last, ds),
                                       x_last + ds * tau, tol)
-                accepted = (x, iters, _polish(grid, ts, x, cfg.newton))
-                break
+                result = _polish(grid, ts, x, cfg.newton)
             except _CorrectorFailure as exc:
                 branch.rejections += 1
                 branch.last_rejection = str(exc)
                 if ds <= cfg.ds_min * (1.0 + 1e-12):
                     break
                 ds = max(0.5 * ds, cfg.ds_min)
-        if accepted is None:
+        if result is None:
             branch.termination = "corrector_failure"
             break
 
-        x, iters, result = accepted
-        lam = float(x[2])
-        dlam = lam - last.lam
-        sign = (1 if dlam > 0 else -1) if dlam else last.tangent_lambda_sign
-        branch.points.append(BranchPoint(
-            lam=lam, state=result.state, norm=pair_norm(result.state),
-            tangent_lambda_sign=sign, ds=ds, corrector_iterations=iters,
-            polish_iterations=result.iterations,
-            residual=result.residual_norm))
+        accept(x, iters, result, ds)
         if iters <= 3:
             ds = min(2.0 * ds, cfg.ds_max)
         elif iters >= 8:

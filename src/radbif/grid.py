@@ -68,12 +68,8 @@ def build_grid(N_dim: int, R_ball: float, M: int) -> RadialGrid:
 
 @dataclass
 class SystemState:
-    """Nodal values of the pair (u1, u2) on a radial grid.
-
-    u1 and u2 may also be (k, M+1) stacks of k states, which residual
-    evaluates in one pass; to_vector and from_vector work along the last
-    axis.
-    """
+    """Nodal values of the pair (u1, u2) on a radial grid: two 1-d arrays
+    of equal length."""
 
     u1: np.ndarray
     u2: np.ndarray
@@ -81,20 +77,19 @@ class SystemState:
     def __post_init__(self):
         self.u1 = np.asarray(self.u1, dtype=float)
         self.u2 = np.asarray(self.u2, dtype=float)
-        if self.u1.shape != self.u2.shape or self.u1.ndim not in (1, 2):
-            raise ValueError("u1 and u2 must be 1-d arrays (or 2-d stacks) "
-                             "of equal shape")
+        if self.u1.shape != self.u2.shape or self.u1.ndim != 1:
+            raise ValueError("u1 and u2 must be 1-d arrays of equal length")
 
     def to_vector(self) -> np.ndarray:
         """Interleave as [u1_0, u2_0, u1_1, u2_1, ...] (banded ordering)."""
-        out = np.empty(self.u1.shape[:-1] + (2 * self.u1.shape[-1],))
-        out[..., 0::2] = self.u1
-        out[..., 1::2] = self.u2
+        out = np.empty(2 * self.u1.size)
+        out[0::2] = self.u1
+        out[1::2] = self.u2
         return out
 
     @staticmethod
     def from_vector(x: np.ndarray) -> "SystemState":
-        return SystemState(x[..., 0::2].copy(), x[..., 1::2].copy())
+        return SystemState(x[0::2].copy(), x[1::2].copy())
 
     @staticmethod
     def zero(grid: RadialGrid) -> "SystemState":
@@ -192,21 +187,20 @@ def operator_bands(grid: RadialGrid) -> np.ndarray:
 
 
 def _pair_matvec(grid: RadialGrid, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """diag(A, A) @ [u1_0, u2_0, u1_1, u2_1, ...] along the last axis,
-    accumulated in longdouble; a (k, M+1) stack gives the k products.
+    """diag(A, A) @ [u1_0, u2_0, u1_1, u2_1, ...], accumulated in
+    longdouble.
 
-    u1 and u2 are written straight into one longdouble buffer, stacks as
-    its columns, the layout that the compiled CSR matvec reads in place;
-    the buffer is freed on return, before the caller copies the result."""
-    z = np.empty((2 * u1.shape[-1],) + u1.shape[:-1], dtype=np.longdouble)
-    z[0::2] = u1.T
-    z[1::2] = u2.T
-    return (_bands(grid)[1] @ z).T
+    u1 and u2 are written straight into one longdouble buffer, the layout
+    that the compiled CSR matvec reads in place; the buffer is freed on
+    return, before the caller copies the result."""
+    z = np.empty(2 * u1.size, dtype=np.longdouble)
+    z[0::2] = u1
+    z[1::2] = u2
+    return _bands(grid)[1] @ z
 
 
 def banded_matvec_extended(grid: RadialGrid, x: np.ndarray) -> np.ndarray:
-    """A @ x along the last axis of x, accumulated in extended precision; a
-    (k, M+1) stack gives the k products in one call.
+    """A @ x for a 1-d x, accumulated in extended precision.
 
     The matrix entries stay the double-precision numbers of operator_bands;
     only the products and sums carry extra bits, so this measures the true
@@ -216,7 +210,7 @@ def banded_matvec_extended(grid: RadialGrid, x: np.ndarray) -> np.ndarray:
     x takes the first slot of an interleaved pair whose second is zero;
     the rows of that slot never read the other, so the bits are those of
     A alone."""
-    return _pair_matvec(grid, x, np.zeros_like(x))[..., 0::2]
+    return _pair_matvec(grid, x, np.zeros_like(x))[0::2]
 
 
 @cache_per_grid

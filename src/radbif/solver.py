@@ -12,10 +12,7 @@ boundary traces, and the linear problem with fluxes (g1, g2) is
 The residual interleaves u1 and u2 into one longdouble buffer and makes
 one compiled matvec with the grid's pair operator diag(A, A); the flux
 terms are subtracted in longdouble and the result is rounded to double
-once.  It also takes a stack of k states, (k, M+1) per component, and
-evaluates it in one pass along the last axis, calling each f_i once per
-distinct trace value; a single state takes its two flux terms as
-scalars.  Newton iterates on the interleaved vector and evaluates each
+once.  Newton iterates on the interleaved vector and evaluates each
 trial through strided views of it.  The residual equals two
 single-component matvecs with A bit for bit, and Newton's iterates equal
 those of the same loop on SystemState copies.
@@ -165,25 +162,13 @@ def scaled_residual_norm(res: np.ndarray, state: SystemState) -> float:
     return float(np.abs(res).max()) / scale
 
 
-def _flux_terms(g, traces: np.ndarray) -> np.ndarray:
-    """g at every trace value, shaped like traces, calling g once per
-    distinct value: a stack of perturbed states shares most of its traces.
-    (0.0 and -0.0 share a call; the operator row they are subtracted from
-    is never -0.0, so the residual does not depend on which sign is used.)"""
-    flat = traces.ravel().tolist()
-    memo = {t: g(t) for t in set(flat)}
-    return np.array([memo[t] for t in flat]).reshape(traces.shape)
-
-
 def _pair_residual(grid: RadialGrid, state: SystemState, g1, g2) -> np.ndarray:
     """Residual with boundary rows flux(u1) - g1(u2(R)), flux(u2) -
     g2(u1(R)): g_i = lam f_i at fixed parameter, pure powers in the limit.
-    Works along the last axis, so a stack of states gives a stack of
-    residuals.
 
     One compiled matvec with the grid's pair operator gives both
-    components' operator rows; the flux terms are subtracted in longdouble
-    and the result is rounded to double once.  Extended-precision
+    components' operator rows; the two scalar flux terms are subtracted in
+    longdouble and the result is rounded to double once.  Extended-precision
     accumulation against the exact double-precision stencil coefficients
     keeps the evaluation floor near 1e-13 in the scaled norm even at
     blow-up-tail amplitudes, where plain double accumulation drowns below
@@ -191,13 +176,9 @@ def _pair_residual(grid: RadialGrid, state: SystemState, g1, g2) -> np.ndarray:
     M = grid.M
     u1, u2 = state.u1, state.u2
     y = _pair_matvec(grid, u1, u2)
-    if u1.ndim == 1:
-        y[2 * M] -= g1(float(u2[M]))
-        y[2 * M + 1] -= g2(float(u1[M]))
-    else:
-        y[:, 2 * M] -= _flux_terms(g1, u2[:, M])
-        y[:, 2 * M + 1] -= _flux_terms(g2, u1[:, M])
-    return y.astype(float, order="C")
+    y[2 * M] -= g1(float(u2[M]))
+    y[2 * M + 1] -= g2(float(u1[M]))
+    return y.astype(float)
 
 
 def residual(grid: RadialGrid, model: NonlinearityModel, lam: float,
@@ -207,8 +188,7 @@ def residual(grid: RadialGrid, model: NonlinearityModel, lam: float,
     Operator rows at j = 0..M-1 per component, then the two flux rows
     flux(u_i) - lam f_i(u_other(R)).  The nonlinearities are evaluated
     through their linear extension so off-sign intermediate iterates remain
-    well defined.  A state holding (k, M+1) stacks gives the (k, 2(M+1))
-    residuals of its k states, each bit-identical to a single call.
+    well defined.
     """
     if not 0 <= lam < np.inf:  # NaN fails too
         raise ValueError(f"parameter must be nonnegative and finite, got {lam}")

@@ -216,23 +216,35 @@ def _check_multiplicity(shared):
 def _fd_error(grid, model, lam, x):
     """Max |J - J_fd| over max(1, |J|_max) at the interleaved vector x.
 
-    Central differences with per-column step 1e-6 max(1, |x_j|).  Row j of
-    the stack is x with entry j shifted by +delta_j, then by -delta_j, so
-    one stacked residual call per sign gives every column.  Its own
-    function so that the (2(M+1))^2 arrays of one state are freed before
-    the next state's stacks are built."""
-    cols = np.arange(x.size)
+    Central differences with per-column step delta_j = 1e-6 max(1, |x_j|),
+    taken eight column classes at a time (Curtis, Powell & Reid, IMA J.
+    Appl. Math. 13, 1974).  Row i of the residual reads only columns
+    i-4 .. i+2: the (l, u) = (2, 1) bands of A, two apart in each
+    interleaved component, and the two flux couplings at offsets +-1.  So
+    the columns j = c (mod 8) of class c reach disjoint rows; one residual
+    call at x + s_c and one at x - s_c, with s_c holding delta_j on those
+    columns, give every entry of the class, and row i is credited to the
+    class column in i-4 .. i+2.  A row that no column of the class reaches
+    must not change; if one does, the residual depends on a column outside
+    the reach and the error is inf."""
+    n = x.size
+    rows = np.arange(n)
     delta = 1e-6 * np.maximum(1.0, np.abs(x))
-    stack = np.tile(x, (x.size, 1))
-    states = SystemState(stack[:, 0::2], stack[:, 1::2])  # views of stack
-    stack[cols, cols] = x + delta
-    fd = residual(grid, model, lam, states)
-    stack[cols, cols] = x - delta
-    fd -= residual(grid, model, lam, states)
-    fd /= (2.0 * delta)[:, None]
+    fd = np.zeros((n, n))
+    for c in range(8):
+        xp, xm = x.copy(), x.copy()
+        xp[c::8] += delta[c::8]
+        xm[c::8] -= delta[c::8]
+        diff = (residual(grid, model, lam, SystemState.from_vector(xp))
+                - residual(grid, model, lam, SystemState.from_vector(xm)))
+        cols = rows - 4 + (c - rows + 4) % 8
+        hit = (cols >= 0) & (cols <= np.minimum(rows + 2, n - 1))
+        if diff[~hit].any():
+            return math.inf
+        fd[rows[hit], cols[hit]] = diff[hit] / (2.0 * delta)[cols[hit]]
     dense = jacobian(grid, model, lam, SystemState.from_vector(x)).todense()
     scale = max(1.0, float(np.abs(dense).max()))
-    return float(np.abs(dense - fd.T).max()) / scale
+    return float(np.abs(dense - fd).max()) / scale
 
 
 def _check_jacobian_fd(shared):

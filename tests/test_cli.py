@@ -154,12 +154,17 @@ def test_report_works_for_every_builtin(tmp_path, capsys, name):
         assert printed["theta1"] > 0.0 and printed["theta2"] > 0.0
 
 
-@pytest.mark.parametrize("command", ["limit", "rescale-check"])
+@pytest.mark.parametrize("command", [
+    "limit", "rescale-check", "branch",
+    pytest.param("multiplicity --lambda 0.32", id="multiplicity")])
 def test_tail_commands_reject_the_linear_model(tmp_path, capsys, command):
-    assert run([command, "--override", "model.name=linear",
-                "--override", "grid.M=64",
-                "--override", f"out.dir={_out(tmp_path)}"]) == 2
+    # refused before any branch is traced: exit 2 and no artifact
+    out = tmp_path / "out"
+    assert run(command.split() + ["--override", "model.name=linear",
+                                  "--override", "grid.M=64",
+                                  "--override", f"out.dir={out}"]) == 2
     assert "p1*p2 > 1" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_solve_success_and_determinism(tmp_path, capsys):

@@ -504,17 +504,18 @@ def test_solutions_at_states_reconverged(ref_branch, grid512, ref_model):
         assert st.u1.min() > 0.0 and st.u2.min() > 0.0
 
 
-def test_linear_model_branch_is_vertical(grid512):
-    # degenerate linear model: sigma = K, so every nontrivial state sits at
-    # lam = mu0 and the branch cannot reach the tail; it ends, without
-    # raising, on max_points or on the singular trace coupling
-    model = linear_model()
-    mu0 = bifurcation_point(model, steklov_eigenpair(grid512).mu1)
-    branch = continue_branch(grid512, model, ContinuationConfig(max_points=50))
-    assert branch.termination != "lambda_floor"
-    assert len(branch.points) >= 2
-    assert all(p.lam == mu0 for p in branch.points)
-    assert all(p.norm > 0.0 for p in branch.points[1:])
+def test_linear_model_branch_is_refused(grid512, monkeypatch):
+    # degenerate linear model: p1 p2 = 1, so every nontrivial state sits at
+    # lam = mu0 and there is no tail to trace; continue_branch refuses it
+    # with the rule of theta_exponents before its first corrector step
+    import radbif.continuation as cont
+
+    def no_step(*args):
+        raise AssertionError("corrector ran for a refused model")
+
+    monkeypatch.setattr(cont, "_corrector", no_step)
+    with pytest.raises(ConfigError, match=r"p1\*p2 > 1"):
+        continue_branch(grid512, linear_model(), ContinuationConfig(max_points=50))
 
 
 def test_rebuild_rounds_once_from_the_longdouble_profile(grid512, ref_model,

@@ -21,8 +21,7 @@ from radbif import (ConfigError, NewtonConfig, NewtonResult,
                     linear_bvp_solve, linear_model, newton_solve,
                     operator_bands, pair_norm, residual,
                     scaled_residual_norm, solve_flux_bvp, solve_limit_problem)
-from radbif.solver import (DAMPING_FLOOR, POSITIVITY_ZERO_FLOOR, _flux_terms,
-                           _pair_residual)
+from radbif.solver import DAMPING_FLOOR, POSITIVITY_ZERO_FLOOR, _pair_residual
 
 LAMBDA_MID = 0.3231227939747531  # halfway between bifurcation point and fold
 
@@ -321,42 +320,21 @@ def test_banded_todense_and_solve_agree(grid128, ref_model):
     np.testing.assert_allclose(jac.todense() @ x, rhs, rtol=0, atol=1e-7)
 
 
-def test_stacked_residual_equals_per_state_calls(ref_model):
-    # a (k, M+1) stack and k single calls must agree bit for bit; negative
-    # traces take the linear extension of f_i, and repeated traces share
-    # one f_i evaluation
-    grid = build_grid(3, 1.0, 64)
-    rng = np.random.default_rng(17)
-    n = grid.M + 1
-    u1 = rng.uniform(-1.5, 2.0, (6, n))
-    u2 = rng.uniform(-1.5, 2.0, (6, n))
-    u1[:3, -1], u2[:3, -1] = -0.4, -0.7
-    u2[4, -1] = u2[5, -1]
-    for lam in (0.0, 0.35):
-        for k in (1, 6):
-            stack = residual(grid, ref_model, lam, SystemState(u1[:k], u2[:k]))
-            assert stack.shape == (k, 2 * n)
-            for i in range(k):
-                single = residual(grid, ref_model, lam,
-                                  SystemState(u1[i], u2[i]))
-                assert np.array_equal(stack[i], single)
-
-
 def _two_matvec_residual(grid, state, g1, g2):
     """The residual as it was before the pair operator: one extended
     matvec per component (the band loop, bit-identical to the
-    single-component longdouble CSR it replaced), the flux terms through
-    _flux_terms at every shape, then one interleave.  Kept as the
-    bit-for-bit reference of _pair_residual."""
+    single-component longdouble CSR it replaced), the two scalar flux
+    terms, then one interleave.  Kept as the bit-for-bit reference of
+    _pair_residual."""
     M = grid.M
     ab = operator_bands(grid)
     r1 = band_loop(ab, state.u1)
     r2 = band_loop(ab, state.u2)
-    r1[..., M] -= _flux_terms(g1, state.u2[..., M])
-    r2[..., M] -= _flux_terms(g2, state.u1[..., M])
-    out = np.empty(r1.shape[:-1] + (2 * (M + 1),))
-    out[..., 0::2] = r1
-    out[..., 1::2] = r2
+    r1[M] -= g1(float(state.u2[M]))
+    r2[M] -= g2(float(state.u1[M]))
+    out = np.empty(2 * (M + 1))
+    out[0::2] = r1
+    out[1::2] = r2
     return out
 
 
@@ -377,20 +355,17 @@ def test_pair_residual_is_bit_identical_to_two_matvecs(ref_model, M):
                np.array([0.3 * w, 0.4 * w]),
                np.array([2e3 * w, 9e4 * w]),  # tail-scale amplitudes
                rng.standard_normal((2, n)) * 10.0 ** rng.uniform(-8, 8, (2, 1))]
-    # (k, M+1) stacks with shared, zero and -0.0 traces, and the strided
-    # component views of an interleaved vector that newton_solve passes
-    stack = np.stack(singles, axis=1)
-    stack[:, 2, -1] = stack[:, 3, -1]
+    # the strided component views of an interleaved vector that
+    # newton_solve and the jacobian-fd check pass
     x = rng.uniform(0.05, 2.0, 2 * n)
     cases = ([SystemState(*u) for u in singles]
-             + [SystemState(*stack), SystemState(*stack[:, :1]),
-                SystemState(x[0::2], x[1::2])])
+             + [SystemState(x[0::2], x[1::2])])
     for lam in (0.0, 0.3):
         g1 = lambda t: lam * f_extended(ref_model, 1, t)
         g2 = lambda t: lam * f_extended(ref_model, 2, t)
         for state in cases:
             got = residual(grid, ref_model, lam, state)
-            assert got.shape == state.u1.shape[:-1] + (2 * n,)
+            assert got.shape == (2 * n,)
             np.testing.assert_array_equal(
                 _bits(got), _bits(_two_matvec_residual(grid, state, g1, g2)))
     # the pure-power flux rows of solve_limit_problem
@@ -481,19 +456,6 @@ def test_newton_on_the_interleaved_vector_is_bit_identical(
         dampings.add(got[2][0] if got[0] == "converged" else None)
     assert outcomes == {"converged", "raised"}
     assert _bits([0.25])[0] in dampings
-
-
-def test_stacked_residual_evaluates_f_once_per_distinct_trace(ref_model):
-    import dataclasses
-    seen = []
-    model = dataclasses.replace(
-        ref_model, f1=lambda t: seen.append(t) or ref_model.f1(t))
-    grid = build_grid(3, 1.0, 32)
-    u = np.tile(np.linspace(0.1, 1.0, grid.M + 1), (40, 1))
-    u[7, -1] = 2.0
-    seen.clear()
-    residual(grid, model, 0.3, SystemState(u, u))
-    assert sorted(seen) == [1.0, 2.0]
 
 
 def test_singular_factor_surfaces_at_the_solve(ref_model, monkeypatch):
