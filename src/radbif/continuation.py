@@ -35,13 +35,16 @@ The fold is one solve of the same corrector, started from the sampled
 fold, with the arclength row replaced by det F_t/mu_h^2 = 1 - (lam/mu_h)^2
 f1'(t2) f2'(t1) (Moore & Spence 1980).  At a fixed lam, t2 = lam
 f2(t1)/mu_h, so the states at lam are the roots t1 of one scalar equation
-(_TraceSystem.q); solutions_at brackets them by the branch and fold
-traces, bisects on doubles and verifies each root in full space at the
-branch's own Branch.newton.
+(_TraceSystem.q).  For a monotone model G_lam grows with lam, so t1
+increases along the branch and q_lam at a branch node has the sign of lam
+- lam_k: solutions_at evaluates q only around the node pairs whose lam
+values enclose lam, bisects each bracket on doubles and verifies each
+root in full space at the branch's own Branch.newton.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
@@ -52,7 +55,8 @@ from .analysis import bifurcation_point, theta_exponents
 from .errors import (ConfigError, ContinuationError, NonConvergenceError,
                      require_int, require_positive)
 from .grid import RadialGrid, SystemState, _unit_trace_extended, pair_norm
-from .model import NonlinearityModel, f_extended, fprime_extended, zeta
+from .model import (NonlinearityModel, f_extended, fprime_extended,
+                    monotone_check, zeta)
 from .solver import NewtonConfig, NewtonResult, newton_solve
 from .steklov import SteklovPair, steklov_eigenpair
 
@@ -251,6 +255,10 @@ class _TraceSystem:
         profile: its traces are t1 and t2 exactly."""
         return SystemState((np.longdouble(x[0]) * self.phi_ext).astype(float),
                            (np.longdouble(x[1]) * self.phi_ext).astype(float))
+
+
+def _t1(point: BranchPoint) -> float:
+    return float(point.state.u1[-1])
 
 
 def _traces(point: BranchPoint) -> np.ndarray:
@@ -466,22 +474,45 @@ def solutions_at(branch: Branch, lam: float) -> list:
     """All positive states at lam with t1 within the branch, by pair norm,
     on the branch's grid and model.
 
-    The nodes are the branch t1 traces and the fold t1, so each sign change
-    of q_lam between adjacent nodes brackets one root, and a root on a node
-    is taken once.  Each root is rebuilt as (t1, lam f2(t1)/mu_h, lam) and
-    polished in full space at branch.newton; a root whose polish fails or
-    ends non-positive (pair norm at or below POSITIVITY_ZERO_FLOOR) is
-    dropped, not fatal.
+    The nodes are the branch points in branch order, with the fold placed
+    among them by its t1.  The model must be monotone (else ConfigError),
+    so G_lam(t) grows with lam: the solution set is the graph lam =
+    Lambda(t1), t1 increases along the branch, and q_lam at a node has the
+    sign of lam - lam_k up to the node's corrector error.  So only the
+    node pairs whose lam values enclose lam (their level crossings) can
+    bracket a root.  q_lam is evaluated on the nodes k-1 .. k+2 around
+    each crossing pair (k, k+1) alone; each sign change between adjacent
+    evaluated nodes brackets one root, and a root on a node is taken
+    once.  The cost is a few q values per crossing, whatever the number
+    of branch points.  Each root is rebuilt as (t1, lam f2(t1)/mu_h, lam)
+    and polished in full space at branch.newton; a root whose polish
+    fails or ends non-positive (pair norm at or below
+    POSITIVITY_ZERO_FLOOR) is dropped, not fatal.
     """
     require_positive(lam, "parameter")
+    monotone = monotone_check(branch.model)
+    if not monotone.passed:
+        raise ConfigError(
+            f"model is not monotone nondecreasing: {monotone.detail}")
     ts = _TraceSystem(branch.grid, branch.model)
-    fold = [branch.fold.t1] if branch.fold is not None else []
-    nodes = sorted({float(p.state.u1[-1]) for p in branch.points} | set(fold))
-    qs = [ts.q(t, lam) for t in nodes]
-    roots = [t for t, v in zip(nodes, qs) if v == 0.0 and t > 0.0]
-    roots += [ts.root(lam, a, b)
-              for a, b, qa, qb in zip(nodes, nodes[1:], qs, qs[1:])
-              if qa * qb < 0.0]
+    fold, nodes = branch.fold, list(branch.points)
+    lams = [p.lam for p in nodes]
+    if fold is not None:
+        k = bisect.bisect(nodes, fold.t1, key=_t1)
+        if k == 0 or _t1(nodes[k - 1]) != fold.t1:
+            nodes.insert(k, fold)
+            lams.insert(k, fold.lam_bar)
+
+    def node_t1(k):
+        return fold.t1 if nodes[k] is fold else _t1(nodes[k])
+
+    d = lam - np.array(lams)
+    ks = sorted({j for k in np.flatnonzero(d[:-1] * d[1:] <= 0.0).tolist()
+                 for j in range(max(k - 1, 0), min(k + 3, len(lams)))})
+    qs = {j: ts.q(node_t1(j), lam) for j in ks}
+    roots = [node_t1(j) for j in ks if qs[j] == 0.0 and node_t1(j) > 0.0]
+    roots += [ts.root(lam, node_t1(i), node_t1(j))
+              for i, j in zip(ks, ks[1:]) if j == i + 1 and qs[i] * qs[j] < 0.0]
     states = []
     for t1 in roots:
         try:

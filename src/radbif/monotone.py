@@ -153,12 +153,12 @@ def second_solution(grid: RadialGrid, model: NonlinearityModel, lam: float,
     q_lam = G_lam(t)/t - 1 above the canonical subsolution trace, and the
     branch solution the one of largest pair norm.  The minimal one is
     checked nodewise to lie between the subsolution and the branch solution
-    (else MonotonicityViolationError).  Raises ConfigError for a
-    non-monotone model or lam not above mu0, and DistinctnessError when lam
-    is not below the fold, fewer than two positive states are at lam (just
-    above mu0 the minimal one sinks below POSITIVITY_ZERO_FLOOR) or the two
-    pair norms agree to 1e-3 relative.  A branch traced on another grid or
-    model object is a ConfigError.
+    (else MonotonicityViolationError).  Raises ConfigError for lam not
+    above mu0 and, through solutions_at, for a non-monotone model, and
+    DistinctnessError when lam is not below the fold, fewer than two
+    positive states are at lam (just above mu0 the minimal one sinks below
+    POSITIVITY_ZERO_FLOOR) or the two pair norms agree to 1e-3 relative.
+    A branch traced on another grid or model object is a ConfigError.
     """
     branch.check_problem(grid, model)
     require_positive(lam, "parameter")
@@ -173,10 +173,6 @@ def second_solution(grid: RadialGrid, model: NonlinearityModel, lam: float,
         raise DistinctnessError(
             f"parameter {lam:.6g} is not below the fold {branch.fold.lam_bar:.6g}; "
             "the branch has no second solution there")
-    monotone = monotone_check(model)
-    if not monotone.passed:
-        raise ConfigError(f"model is not monotone nondecreasing: {monotone.detail}")
-
     states = solutions_at(branch, lam)
     if len(states) < 2:
         raise DistinctnessError(

@@ -20,6 +20,28 @@ settings.register_profile(
 settings.load_profile("ci")
 
 
+@pytest.fixture(scope="session", autouse=True)
+def t1_increases_along_every_traced_branch():
+    """Every branch continue_branch returns in this suite has its t1
+    strictly increasing in branch order, the rule solutions_at brackets
+    its roots by.  Checked where continue_branch locates the fold; the
+    package name is patched with the module's so both stay one object,
+    while the tests that imported detect_fold call it unchecked."""
+    import radbif.continuation as cont
+    detect = cont.detect_fold
+
+    def checked(branch):
+        t1 = [float(p.state.u1[-1]) for p in branch.points]
+        assert all(a < b for a, b in zip(t1, t1[1:])), \
+            "t1 does not increase along the traced branch"
+        return detect(branch)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cont, "detect_fold", checked)
+        mp.setattr(radbif, "detect_fold", checked)
+        yield
+
+
 @pytest.fixture(scope="session")
 def ref_model():
     return radbif.reference_model()
@@ -100,3 +122,27 @@ def band_loop(ab, x):
         else:
             y[..., -d:] += ab_e[k, :d] * x_e[..., :d]
     return y
+
+
+def scan_solutions_at(branch, lam):
+    """solutions_at by the exhaustive node scan: q_lam at every branch t1
+    and at the fold t1, sorted, each sign change between neighbours
+    bisected and each exact zero at t > 0 taken.  The oracle that
+    solutions_at's level-crossing brackets must match bit for bit."""
+    from radbif.continuation import _CorrectorFailure, _polish, _TraceSystem
+    ts = _TraceSystem(branch.grid, branch.model)
+    fold = [branch.fold.t1] if branch.fold is not None else []
+    nodes = sorted({float(p.state.u1[-1]) for p in branch.points} | set(fold))
+    qs = [ts.q(t, lam) for t in nodes]
+    roots = [t for t, v in zip(nodes, qs) if v == 0.0 and t > 0.0]
+    roots += [ts.root(lam, a, b)
+              for a, b, qa, qb in zip(nodes, nodes[1:], qs, qs[1:])
+              if qa * qb < 0.0]
+    states = []
+    for t1 in roots:
+        try:
+            states.append(_polish(branch.grid, ts, ts.at(t1, lam),
+                                  branch.newton).state)
+        except _CorrectorFailure:
+            continue
+    return sorted(states, key=radbif.pair_norm)

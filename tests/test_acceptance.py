@@ -56,8 +56,8 @@ def _one_column_fd_error(grid, model, lam, x):
                     - verify.residual(grid, model, lam, SystemState.from_vector(xm))
                     ) / (2.0 * delta)[j]
     dense = verify.jacobian(grid, model, lam, SystemState.from_vector(x)).todense()
-    scale = max(1.0, float(np.abs(dense).max()))
-    return float(np.abs(dense - fd).max()) / scale
+    scale = np.maximum(1.0, np.abs(dense).max(axis=1))
+    return float((np.abs(dense - fd).max(axis=1) / scale).max())
 
 
 def _fd_states(M, count=4):
@@ -89,12 +89,11 @@ def test_fd_check_sees_a_wrong_coupling(monkeypatch):
             return j._replace(c1=j.c1 * (1.0 + rel))
         monkeypatch.setattr(verify, "jacobian", jac)
 
-    # c1 off by 1e-3 lifts the error over tenfold, yet the matrix-scale
-    # yardstick (about 1e5 at M = 128) keeps it below the 1e-6 bound; off
-    # by 1e-1 it fails the check
+    # each row is measured against its own scale, so a coupling off by
+    # 1e-3 relative is an error of about 1e-5 in its flux row: the check
+    # fails
     wrong_c1(1e-3)
     assert verify._fd_error(grid, shared["model"], 0.3, x) > 10.0 * base
-    wrong_c1(1e-1)
     ok, detail = verify._check_jacobian_fd(shared)
     assert not ok, detail
 

@@ -504,6 +504,97 @@ def test_solutions_at_states_reconverged(ref_branch, grid512, ref_model):
         assert st.u1.min() > 0.0 and st.u2.min() > 0.0
 
 
+@pytest.fixture(scope="module")
+def quad_branch128(grid128, branch_cfg):
+    # quadratic_model's branch has no fold: lam falls from mu0 all the way
+    return continue_branch(grid128, quadratic_model(), branch_cfg)
+
+
+def _top(branch):
+    """Index and lam of the branch's highest node: the fold, or the
+    anchor at mu0 when the branch has none."""
+    if branch.fold is not None:
+        return branch.fold.index, branch.fold.lam_bar
+    return 0, branch.points[0].lam
+
+
+def _node_lams(branch):
+    """The lam values of the nodes in t1 order, fold included: the
+    levels solutions_at's brackets are read from."""
+    nodes = {float(p.state.u1[-1]): p.lam for p in branch.points}
+    if branch.fold is not None:
+        nodes.setdefault(branch.fold.t1, branch.fold.lam_bar)
+    return [nodes[t] for t in sorted(nodes)]
+
+
+@pytest.mark.parametrize("which", ["reference-512", "quadratic-128"])
+def test_solutions_at_equals_the_node_scan_bit_for_bit(which, ref_branch,
+                                                        quad_branch128):
+    # the level-crossing brackets give the states of the exhaustive scan,
+    # bit for bit: across the range, on and next to every node lam near
+    # the top, on and one ulp either side of the fold, and just above mu0
+    from conftest import scan_solutions_at
+    branch = ref_branch if which == "reference-512" else quad_branch128
+    mu0 = branch.points[0].lam
+    top, high = _top(branch)
+    lams = list(np.linspace(0.5 * mu0, 1.05 * high, 200))
+    for p in branch.points[max(top - 20, 0):top + 21]:
+        lams += [p.lam, np.nextafter(p.lam, 0.0), np.nextafter(p.lam, 1.0)]
+    lams += [high, np.nextafter(high, 0.0), np.nextafter(high, 1.0),
+             mu0 + 1e-6, mu0 + 1e-10]
+    counts = set()
+    for lam in map(float, lams):
+        got, want = solutions_at(branch, lam), scan_solutions_at(branch, lam)
+        assert len(got) == len(want), lam
+        for a, b in zip(got, want):
+            assert np.array_equal(a.u1, b.u1) and np.array_equal(a.u2, b.u2), lam
+        counts.add(len(got))
+    assert counts == ({0, 1, 2} if branch.fold is not None else {0, 1})
+
+
+@pytest.mark.parametrize("which", ["reference-128", "quadratic-128"])
+def test_solutions_at_evaluates_q_per_level_crossing(which, grid128,
+                                                     ref_model, branch_cfg,
+                                                     quad_branch128,
+                                                     monkeypatch):
+    # at most four q values per node pair whose lam values enclose lam,
+    # outside the bisection: the same bound on a branch of about 400
+    # points and one of about 1100
+    import radbif.continuation as cont
+    branch = (continue_branch(grid128, ref_model, branch_cfg)
+              if which == "reference-128" else quad_branch128)
+    levels = _node_lams(branch)
+    mu0 = branch.points[0].lam
+    top, high = _top(branch)
+    calls, in_root = [], []
+    q, root = _TraceSystem.q, _TraceSystem.root
+
+    def counting_q(self, t, lam):
+        if not in_root:
+            calls.append(t)
+        return q(self, t, lam)
+
+    def flagged_root(self, *args):
+        in_root.append(1)
+        try:
+            return root(self, *args)
+        finally:
+            in_root.pop()
+
+    monkeypatch.setattr(_TraceSystem, "q", counting_q)
+    monkeypatch.setattr(_TraceSystem, "root", flagged_root)
+    lams = list(np.linspace(0.5 * mu0, 1.05 * high, 40))
+    lams += [branch.points[top + 1].lam, np.nextafter(high, 0.0),
+             mu0 + 1e-6, 2.0 * branch.points[-1].lam]
+    for lam in map(float, lams):
+        calls.clear()
+        solutions_at(branch, lam)
+        crossings = sum((lam - a) * (lam - b) <= 0.0
+                        for a, b in zip(levels, levels[1:]))
+        assert len(calls) <= 4 * crossings, lam
+    assert len(branch.points) > 400
+
+
 def test_linear_model_branch_is_refused(grid512, monkeypatch):
     # degenerate linear model: p1 p2 = 1, so every nontrivial state sits at
     # lam = mu0 and there is no tail to trace; continue_branch refuses it

@@ -199,6 +199,16 @@ def test_second_solution_rejects_non_monotone_model_on_every_call(grid512,
     assert counts[0] > 0 and counts[1] == counts[0]
 
 
+def test_solutions_at_rejects_non_monotone_model(grid512, mu_h512):
+    # its brackets rest on G_lam growing with lam, which a decreasing f_i
+    # breaks: refused before any node is read
+    logistic = _logistic()
+    lam = 1.5 * bifurcation_point(logistic, mu_h512)
+    branch = Branch(grid512, logistic, fold=FoldInfo(10.0 * lam, 0, 1.0, 1.0))
+    with pytest.raises(ConfigError, match="not monotone"):
+        solutions_at(branch, lam)
+
+
 def test_ordering_check_catches_decreasing_iterates(grid512, mu_h512):
     # f = s - s^2 with lam = 3 mu_h turns the trace map into the logistic
     # map 3t(1-t): 0.4 -> 0.72 -> 0.6048, a decrease the check must catch
