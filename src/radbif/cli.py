@@ -9,6 +9,7 @@ settings; identical configs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -198,22 +199,11 @@ def _cmd_steklov(st: RunSettings, args) -> int:
     return 0
 
 
-def _report_payload(st: RunSettings, report) -> dict:
-    slope = report.slope_predicted
-    return {
-        "config_hash": st.config_hash,
-        "mu1": report.mu1, "sigma": report.sigma, "zeta": report.zeta,
-        "mu0": report.mu0, "theta1": report.theta1, "theta2": report.theta2,
-        "K_bound": report.K_bound, "direction": report.direction.value,
-        "slope_predicted": list(slope) if isinstance(slope, tuple) else slope,
-        "slope_fitted": report.slope_fitted,
-        "r0_under": report.r0_under, "r0_over": report.r0_over,
-    }
-
-
 def _cmd_report(st: RunSettings, args) -> int:
     report = build_report(st.grid, st.model)
-    payload = _report_payload(st, report)
+    payload = {**dataclasses.asdict(report),
+               "direction": report.direction.value,
+               "config_hash": st.config_hash}
     text = json.dumps(payload, sort_keys=True, indent=2)
     print(text)
     _write_json(st.path("report.json"), payload)

@@ -10,9 +10,8 @@ import numbers
 
 __all__ = [
     "ToolkitError", "ConfigError", "NumericalError", "NonConvergenceError",
-    "EstimationFailedError", "ContinuationError",
-    "SubsolutionError", "MonotonicityViolationError", "DistinctnessError",
-    "InsufficientDataError",
+    "ContinuationError", "SubsolutionError", "MonotonicityViolationError",
+    "DistinctnessError", "InsufficientDataError",
 ]
 
 
@@ -49,14 +48,6 @@ class NonConvergenceError(NumericalError):
         super().__init__(message)
         self.trace = list(trace) if trace is not None else []
         self.last_state = last_state
-
-
-class EstimationFailedError(NumericalError):
-    """A numeric limit estimate did not settle; carries the sample table."""
-
-    def __init__(self, message, samples=None):
-        super().__init__(message)
-        self.samples = samples
 
 
 class ContinuationError(NumericalError):

@@ -3,9 +3,9 @@
 A model bundles two scalar functions f1, f2 on [0, inf) together with the
 constants that the bifurcation analysis reads off them: growth exponents and
 coefficients at infinity (f2(s)/s^p1 -> b1, f1(s)/s^p2 -> b2), derivatives at
-zero, remainder exponents nu1, nu2 for R_i(s) = f_i(s) - f_i'(0) s, and a
-linear-minorant constant K with f_i(s) >= K s.  Models are immutable and safe
-to share across threads.
+zero, remainder exponents nu1, nu2 for R_i(s) = f_i(s) - f_i'(0) s and the
+limits of R_i(s)/s^nu, and a linear-minorant constant K with f_i(s) >= K s.
+Models are immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EstimationFailedError, require_positive
+from .errors import ConfigError, require_positive
 
 __all__ = [
     "NonlinearityModel",
@@ -31,9 +31,6 @@ __all__ = [
     "eval_fprime",
     "f_extended",
     "fprime_extended",
-    "remainder",
-    "remainder_limits",
-    "estimate_remainder_limits",
     "r0_bounds",
     "zeta",
     "monotone_check",
@@ -54,9 +51,9 @@ class NonlinearityModel:
     fp0_1, fp0_2 : f1'(0), f2'(0).
     nu1, nu2 : remainder exponents (> 1); nu = min(nu1, nu2).
     K : linear-minorant constant, f_i(s) >= K s for all s >= 0.
-    r_lims : optional analytic (R1_lo, R1_hi, R2_lo, R2_hi), the liminf and
-        limsup of R_i(s)/s^nu as s -> 0+.  When absent they are estimated
-        numerically by remainder_limits.
+    r_lims : (R1_lo, R1_hi, R2_lo, R2_hi), the liminf and limsup of
+        R_i(s)/s^nu as s -> 0+.  Optional, but r0_bounds and everything
+        built on it refuse a model that leaves it unset.
     """
 
     f1: Callable[[float], float]
@@ -141,59 +138,6 @@ def fprime_extended(model: NonlinearityModel, i: int, s: float) -> float:
     return float(df(s)) if s >= 0 else float(fp0)
 
 
-def remainder(model: NonlinearityModel, i: int, s: float) -> float:
-    """Remainder R_i(s) = f_i(s) - f_i'(0) s for s > 0."""
-    if s <= 0:
-        raise ValueError(f"remainder is defined for s > 0, got {s}")
-    f, _, fp0 = _as_pair(model, i)
-    return float(f(s)) - fp0 * s
-
-
-# R_i(s)/s^nu is sampled at 25 points a decade from s = 1e-2 down to 1e-6;
-# a last-decade spread above 5% is accepted only with a monotone trend.
-_PER_DECADE = 25
-_REMAINDER_S = np.geomspace(1e-2, 1e-6, 4 * _PER_DECADE + 1)
-_REMAINDER_REL_TOL = 0.05
-
-
-def estimate_remainder_limits(model: NonlinearityModel, i: int):
-    """Estimate (liminf, limsup) of R_i(s)/s^nu on a decreasing sample.
-
-    Returns (lo, hi, uncertainty, samples) where lo/hi are the min/max of the
-    quotient over the last (smallest) decade, uncertainty is the drift of
-    those values relative to the previous decade, and samples is the full
-    (s, quotient) table.  Raises EstimationFailedError when the last decade
-    neither settles within 5% nor trends monotonically.
-    """
-    nu, n = model.nu, _PER_DECADE
-    q = np.array([remainder(model, i, float(s)) / float(s) ** nu
-                  for s in _REMAINDER_S])
-    samples = np.column_stack([_REMAINDER_S, q])
-    last = q[-(n + 1):]
-    prev = q[-(2 * n + 1):-n]
-    lo, hi = float(last.min()), float(last.max())
-    uncertainty = float(max(abs(lo - prev.min()), abs(hi - prev.max())))
-    spread = hi - lo
-    scale = max(1.0, abs(lo + hi) / 2)
-    diffs = np.diff(q[-(2 * n + 1):])
-    monotone = bool(np.all(diffs >= -1e-12 * scale) or np.all(diffs <= 1e-12 * scale))
-    if spread > _REMAINDER_REL_TOL * scale and not monotone:
-        raise EstimationFailedError(
-            f"R{i}(s)/s^nu does not settle: last-decade spread {spread:.3g} "
-            f"exceeds {_REMAINDER_REL_TOL:.3g}*{scale:.3g} with no monotone trend",
-            samples=samples)
-    return lo, hi, uncertainty, samples
-
-
-def remainder_limits(model: NonlinearityModel):
-    """(R1_lo, R1_hi, R2_lo, R2_hi): analytic values win, else estimates."""
-    if model.r_lims is not None:
-        return tuple(float(x) for x in model.r_lims)
-    lo1, hi1, _, _ = estimate_remainder_limits(model, 1)
-    lo2, hi2, _, _ = estimate_remainder_limits(model, 2)
-    return lo1, hi1, lo2, hi2
-
-
 def _slopes_at_zero(model: NonlinearityModel) -> tuple[float, float]:
     """(f1'(0), f2'(0)); ConfigError unless both are positive."""
     if model.fp0_1 <= 0 or model.fp0_2 <= 0:
@@ -213,9 +157,13 @@ def r0_bounds(model: NonlinearityModel) -> tuple[float, float]:
 
     R0_hi = 1/2 (z/(1+z))^(nu-1) R1_hi + 1/2 (1/(1+z))^(nu-1) R2_hi with
     z = zeta(model); R0_lo analogously from the lower limits.  The weights
-    are positive, so lo pairs with lo and hi with hi.
+    are positive, so lo pairs with lo and hi with hi.  The limits are the
+    model's r_lims; a model without them is a ConfigError.
     """
-    lo1, hi1, lo2, hi2 = remainder_limits(model)
+    if model.r_lims is None:
+        raise ConfigError(f"model {model.name!r} states no remainder limits "
+                          "r_lims, which the remainder bounds need")
+    lo1, hi1, lo2, hi2 = model.r_lims
     z = zeta(model)
     e = model.nu - 1.0
     w1 = 0.5 * (z / (1.0 + z)) ** e

@@ -20,10 +20,10 @@ import numpy as np
 from .analysis import bifurcation_point
 from .continuation import Branch, solutions_at
 from .errors import (ConfigError, DistinctnessError, MonotonicityViolationError,
-                     NonConvergenceError, SubsolutionError, require_int,
-                     require_positive)
+                     NonConvergenceError, SubsolutionError, require_positive)
 from .grid import RadialGrid, SystemState, boundary_flux, pair_norm
-from .model import NonlinearityModel, f_extended, monotone_check
+from .model import (NonlinearityModel, _slopes_at_zero, f_extended,
+                    monotone_check)
 from .solver import POSITIVITY_ZERO_FLOOR, linear_bvp_solve
 from .steklov import steklov_eigenpair
 
@@ -36,6 +36,11 @@ __all__ = [
 
 # Nodewise ordering tolerance, relative to the iterate's pair norm.
 ORDER_SLACK_REL = 1e-12
+
+# monotone_iterate stops once no node moves by more than ITER_TOL and
+# fails after MAX_ITER steps.
+ITER_TOL = 1e-12
+MAX_ITER = 2000
 
 
 def _flux_gap(grid, model, lam, state):
@@ -50,7 +55,8 @@ def build_subsolution(grid: RadialGrid, model: NonlinearityModel,
                       lam: float) -> SystemState:
     """Kernel-direction subsolution (eps a phi1, eps b phi1), a = sqrt(f1'(0)),
     b = sqrt(f2'(0)), from eps = 1e-2 / max(a, b): the larger component
-    starts at amplitude 1e-2.
+    starts at amplitude 1e-2.  A derivative at zero that is not positive
+    is a ConfigError.
 
     Verifies the discrete flux inequalities boundary_flux(u_i) <= lam
     f_i(u_other(R)); on violation halves eps up to 40 times.  Persistent
@@ -58,8 +64,7 @@ def build_subsolution(grid: RadialGrid, model: NonlinearityModel,
     then fail for every small amplitude) or a model violation.
     """
     require_positive(lam, "parameter")
-    a = math.sqrt(model.fp0_1)
-    b = math.sqrt(model.fp0_2)
+    a, b = (math.sqrt(d) for d in _slopes_at_zero(model))
     eps = 1e-2 / max(a, b)
     phi = steklov_eigenpair(grid).phi1
     for _ in range(41):
@@ -73,18 +78,17 @@ def build_subsolution(grid: RadialGrid, model: NonlinearityModel,
 
 
 def monotone_iterate(grid: RadialGrid, model: NonlinearityModel, lam: float,
-                     sub: SystemState, sup: SystemState | None = None,
-                     tol: float = 1e-12, max_iter: int = 2000,
-                     validate: bool = True,
-                     trace: list | None = None) -> SystemState:
+                     sub: SystemState,
+                     sup: SystemState | None = None) -> SystemState:
     """Increasing iteration from a verified subsolution; returns the minimal
     solution above it.
 
-    Each step solves the linear problem with fluxes (lam f1(u2(R)),
-    lam f2(u1(R))) and must not decrease any node by more than
-    ORDER_SLACK_REL times the current pair norm; when sup is given, iterates
-    must also stay below it nodewise.  Stops when the max node change is at
-    most tol.  Pass a list as trace to record the change per iteration.
+    The model must pass monotone_check (else ConfigError).  Each step
+    solves the linear problem with fluxes (lam f1(u2(R)), lam f2(u1(R)))
+    and must not decrease any node by more than ORDER_SLACK_REL times the
+    current pair norm; when sup is given, iterates must also stay below it
+    nodewise.  Stops when the max node change is at most ITER_TOL; after
+    MAX_ITER steps it raises NonConvergenceError with the change per step.
 
     The solution of that linear problem is (flux1, flux2) phi_h / mu_h, so
     the steps run on the traces, t_i <- lam f_i(t_other) / mu_h, and the
@@ -92,13 +96,10 @@ def monotone_iterate(grid: RadialGrid, model: NonlinearityModel, lam: float,
     is its flux times the grid's unit-flux column, with no banded solve.
     """
     require_positive(lam, "parameter")
-    require_positive(tol, "tol")
-    require_int(max_iter, "max_iter", 1)
-    if validate:
-        monotone = monotone_check(model)
-        if not monotone.passed:
-            raise ConfigError(
-                f"model is not monotone nondecreasing: {monotone.detail}")
+    monotone = monotone_check(model)
+    if not monotone.passed:
+        raise ConfigError(
+            f"model is not monotone nondecreasing: {monotone.detail}")
     if _flux_gap(grid, model, lam, sub) < 0.0:
         raise SubsolutionError(
             "starting state violates the discrete subsolution inequalities")
@@ -114,8 +115,8 @@ def monotone_iterate(grid: RadialGrid, model: NonlinearityModel, lam: float,
     # phi_h(R) = 1 make nodewise order, change and norm those of the
     # boundary node, so the loop goes on with that node alone.
     cur1, cur2, shape = sub.u1, sub.u2, eig.phi1
-    changes = trace if trace is not None else []
-    for _ in range(max_iter):
+    changes = []
+    for _ in range(MAX_ITER):
         flux1 = lam * f_extended(model, 1, float(cur2[-1]))
         flux2 = lam * f_extended(model, 2, float(cur1[-1]))
         nxt1 = (flux1 / eig.mu1) * shape
@@ -136,10 +137,10 @@ def monotone_iterate(grid: RadialGrid, model: NonlinearityModel, lam: float,
                      float(np.abs(nxt2 - cur2).max()))
         changes.append(change)
         cur1, cur2, shape = nxt1[-1:], nxt2[-1:], eig.phi1[-1:]
-        if change <= tol:
+        if change <= ITER_TOL:
             return linear_bvp_solve(grid, flux1, flux2)
     raise NonConvergenceError(
-        f"monotone iteration did not settle in {max_iter} steps "
+        f"monotone iteration did not settle in {MAX_ITER} steps "
         f"(last change {changes[-1]:.3e})", trace=changes,
         last_state=linear_bvp_solve(grid, flux1, flux2))
 

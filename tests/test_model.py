@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from radbif import (ConfigError, EstimationFailedError, NonlinearityModel,
+from radbif import (ConfigError, NonlinearityModel, build_grid, build_report,
                     eval_f, eval_fprime, f_extended, fprime_extended,
                     linear_model, polynomial_model, quadratic_model, r0_bounds,
-                    reference_model, remainder, remainder_limits,
-                    validate_hypotheses, zeta)
+                    reference_model, validate_hypotheses, zeta)
 
 
 def test_reference_values_at_zero_and_one():
@@ -56,34 +55,14 @@ def test_polynomial_model_matches_polyval_bitwise():
                     == np.float64(pv(s, np.array(c))).tobytes()), (s, c)
 
 
-def test_remainder_reference_points():
-    m = reference_model()
-    assert remainder(m, 1, 0.1) == pytest.approx(-0.009, abs=1e-15)
-    assert remainder(m, 2, 0.2) == pytest.approx(0.02, abs=1e-15)
-    with pytest.raises(ValueError):
-        remainder(m, 1, 0.0)
-
-
 def test_linear_model_remainder_vanishes():
     m = linear_model(2.0, 3.0)
-    for s in (1e-6, 0.1, 1.0, 50.0):
-        assert remainder(m, 1, s) == 0.0
-        assert remainder(m, 2, s) == 0.0
+    assert m.r_lims == (0.0, 0.0, 0.0, 0.0)
     assert r0_bounds(m) == (0.0, 0.0)
 
 
 def test_remainder_limits_analytic_reference():
-    assert remainder_limits(reference_model()) == (-1.0, -1.0, 0.5, 0.5)
-
-
-def test_remainder_limits_numeric_estimate_matches_analytic():
-    # same polynomials, analytic limits withheld
-    m = replace(reference_model(), r_lims=None)
-    lo1, hi1, lo2, hi2 = remainder_limits(m)
-    assert lo1 == pytest.approx(-1.0, rel=0.01)
-    assert hi1 == pytest.approx(-1.0, rel=0.01)
-    assert lo2 == pytest.approx(0.5, rel=0.01)
-    assert hi2 == pytest.approx(0.5, rel=0.01)
+    assert reference_model().r_lims == (-1.0, -1.0, 0.5, 0.5)
 
 
 def test_r0_bounds_reference_is_minus_one_eighth():
@@ -145,16 +124,6 @@ def test_model_parameter_validation():
         replace(polynomial_model([0, 1.0], [0, 1.0]), K=0.0)
 
 
-@given(st.floats(min_value=1e-6, max_value=1e3))
-def test_remainder_identity(s):
-    # f_i(s) = f_i'(0) s + R_i(s) exactly, up to rounding of f_i(s)
-    m = reference_model()
-    for i in (1, 2):
-        fp0 = m.fp0_1 if i == 1 else m.fp0_2
-        err = abs(eval_f(m, i, s) - fp0 * s - remainder(m, i, s))
-        assert err <= 1e-12 * max(1.0, abs(eval_f(m, i, s)))
-
-
 @given(st.floats(min_value=1e-3, max_value=1e2))
 def test_derivative_matches_central_difference(s):
     m = reference_model()
@@ -198,36 +167,45 @@ def test_zeta_and_nu_accessors():
 
 def test_quadratic_model_data():
     m = quadratic_model()
-    assert remainder_limits(m) == (1.0, 1.0, 1.0, 1.0)
+    assert m.r_lims == (1.0, 1.0, 1.0, 1.0)
     assert r0_bounds(m) == (0.5, 0.5)
     assert validate_hypotheses(m, 3).all_pass
 
 
-def _sin_log_model(**kw):
-    """f1 = s + s^2 sin^2(log s): R1(s)/s^2 oscillates in [0, 1] forever."""
+def _log_model(**kw):
+    """f1 = s + s^2/log(e + 1/s), f2 = s + s^2/2: R1(s)/s^2 tends to 0 as
+    1/log(1/s), too slowly for any sample near zero to show it."""
+    def f1(s):
+        return s + s * s / math.log(math.e + 1.0 / s) if s > 0 else 0.0
+
+    def df1(s):
+        if s == 0:
+            return 1.0
+        log = math.log(math.e + 1.0 / s)
+        return 1.0 + 2.0 * s / log + 1.0 / ((math.e + 1.0 / s) * log * log)
+
     return NonlinearityModel(
-        f1=lambda s: s + s * s * math.sin(math.log(max(s, 1e-300))) ** 2,
-        f2=lambda s: s + 0.5 * s * s,
-        df1=lambda s: 1.0, df2=lambda s: 1.0 + s,
+        f1=f1, f2=lambda s: s + 0.5 * s * s, df1=df1, df2=lambda s: 1.0 + s,
         p1=2.0, p2=2.0, b1=0.5, b2=1.0, fp0_1=1.0, fp0_2=1.0,
-        nu1=2.0, nu2=2.0, K=0.5, **kw)
+        nu1=2.0, nu2=2.0, K=1.0, **kw)
 
 
-def test_estimation_unused_when_analytic_limits_given():
-    # a nonpolynomial remainder would not settle; analytic values bypass it
-    m = _sin_log_model(r_lims=(0.0, 1.0, 0.5, 0.5))
-    assert remainder_limits(m) == (0.0, 1.0, 0.5, 0.5)
+def test_remainder_limits_are_model_data():
+    # bounds come from r_lims as stated, however f_i behaves near zero
+    m = _log_model(r_lims=(0.0, 0.0, 0.5, 0.5))
+    assert r0_bounds(m) == (0.125, 0.125)
 
 
-def test_remainder_estimate_fails_when_the_quotient_does_not_settle():
-    with pytest.raises(EstimationFailedError, match="R1.*does not settle") as exc:
-        remainder_limits(_sin_log_model())
-    samples = exc.value.samples
-    # 25 points a decade from 1e-2 down to 1e-6
-    assert samples.shape == (101, 2)
-    assert samples[0, 0] == 1e-2 and samples[-1, 0] == pytest.approx(1e-6)
-    last = samples[-26:, 1]
-    assert last.max() - last.min() > 0.05
+def test_bounds_refuse_a_model_without_remainder_limits():
+    # R0 = 1/8 here; no sample of f1 may stand in for the limits
+    m = _log_model()
+    with pytest.raises(ConfigError, match="r_lims"):
+        r0_bounds(m)
+    with pytest.raises(ConfigError, match="r_lims"):
+        build_report(build_grid(3, 1.0, 64), m)
+    # what does not read the limits still works
+    assert zeta(m) == 1.0
+    assert validate_hypotheses(m, 3)["nonneg"].passed
 
 
 _LINEAR_FIELDS = dict(f1=lambda s: s, f2=lambda s: s, df1=lambda s: 1.0,

@@ -15,7 +15,9 @@ import math
 import numpy as np
 import pytest
 
-from radbif import (ConfigError, DistinctnessError,
+from radbif import monotone
+
+from radbif import (CheckResult, ConfigError, DistinctnessError,
                     MonotonicityViolationError, NonConvergenceError,
                     NonlinearityModel,
                     SubsolutionError, SystemState, bifurcation_point,
@@ -91,6 +93,20 @@ def test_subsolution_parameter_validation(grid512, ref_model):
             build_subsolution(grid512, ref_model, bad)
 
 
+@pytest.mark.parametrize("fp0_1, fp0_2", [(0.0, 0.0), (-1.0, 1.0)])
+def test_subsolution_refuses_a_derivative_at_zero_not_positive(grid512,
+                                                               fp0_1, fp0_2):
+    # zero slopes would divide by zero and a negative one take a square
+    # root of it: both are the model's fault, so both are ConfigError
+    model = NonlinearityModel(
+        f1=lambda s: s * s, f2=lambda s: s * s,
+        df1=lambda s: 2.0 * s, df2=lambda s: 2.0 * s,
+        p1=2.0, p2=2.0, b1=1.0, b2=1.0, fp0_1=fp0_1, fp0_2=fp0_2,
+        nu1=2.0, nu2=2.0, K=1e-8)
+    with pytest.raises(ConfigError, match="derivatives at zero must be positive"):
+        build_subsolution(grid512, model, 1.0)
+
+
 def test_iteration_fixed_at_zero(grid512, ref_model):
     z = SystemState.zero(grid512)
     out = monotone_iterate(grid512, ref_model, LAMBDA_MID, z)
@@ -100,11 +116,7 @@ def test_iteration_fixed_at_zero(grid512, ref_model):
 def test_iteration_reaches_minimal_solution(grid512, ref_model,
                                             ref_branch):
     sub = build_subsolution(grid512, ref_model, LAMBDA_MID)
-    trace = []
-    minimal = monotone_iterate(grid512, ref_model, LAMBDA_MID, sub,
-                               trace=trace)
-    assert trace[-1] <= 1e-12
-    assert len(trace) < 2000
+    minimal = monotone_iterate(grid512, ref_model, LAMBDA_MID, sub)
     # the limit solves the nonlinear system
     rnorm = scaled_residual_norm(
         residual(grid512, ref_model, LAMBDA_MID, minimal), minimal)
@@ -134,12 +146,9 @@ def test_iteration_stops_at_a_ceiling_below_the_limit(grid512, ref_model,
     sub = build_subsolution(grid512, ref_model, LAMBDA_MID)
     lower = solutions_at(ref_branch, LAMBDA_MID)[0]
     ceiling = SystemState(0.5 * lower.u1, 0.5 * lower.u2)
-    trace = []
     with pytest.raises(MonotonicityViolationError) as exc:
-        monotone_iterate(grid512, ref_model, LAMBDA_MID, sub, sup=ceiling,
-                         trace=trace)
+        monotone_iterate(grid512, ref_model, LAMBDA_MID, sub, sup=ceiling)
     assert "exceeded the supersolution" in str(exc.value)
-    assert 1 <= len(trace) < 2000
 
 
 def test_iteration_rejects_inadmissible_start(grid512, ref_model):
@@ -155,20 +164,16 @@ def test_iteration_rejects_inadmissible_start(grid512, ref_model):
 
 def test_iteration_parameter_validation(grid512, ref_model):
     z = SystemState.zero(grid512)
-    # refused up front: a NaN tolerance never stops the iteration
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(ConfigError, match="parameter must be positive and finite"):
             monotone_iterate(grid512, ref_model, bad, z)
-        with pytest.raises(ConfigError, match="tol must be positive and finite"):
-            monotone_iterate(grid512, ref_model, LAMBDA_MID, z, tol=bad)
-    with pytest.raises(ConfigError):
-        monotone_iterate(grid512, ref_model, LAMBDA_MID, z, max_iter=0)
 
 
-def test_iteration_budget_exhaustion(grid512, ref_model):
+def test_iteration_budget_exhaustion(grid512, ref_model, monkeypatch):
+    monkeypatch.setattr(monotone, "MAX_ITER", 1)
     sub = build_subsolution(grid512, ref_model, LAMBDA_MID)
-    with pytest.raises(NonConvergenceError) as exc:
-        monotone_iterate(grid512, ref_model, LAMBDA_MID, sub, max_iter=1)
+    with pytest.raises(NonConvergenceError, match="did not settle in 1 steps") as exc:
+        monotone_iterate(grid512, ref_model, LAMBDA_MID, sub)
     assert len(exc.value.trace) == 1
     assert exc.value.last_state is not None
 
@@ -176,8 +181,8 @@ def test_iteration_budget_exhaustion(grid512, ref_model):
 def test_validate_rejects_non_monotone_model(grid512):
     logistic = _logistic()
     z = SystemState.zero(grid512)
-    with pytest.raises(ConfigError):
-        monotone_iterate(grid512, logistic, 1.0, z, validate=True)
+    with pytest.raises(ConfigError, match="not monotone"):
+        monotone_iterate(grid512, logistic, 1.0, z)
 
 
 def test_second_solution_rejects_non_monotone_model_on_every_call(grid512,
@@ -209,16 +214,19 @@ def test_solutions_at_rejects_non_monotone_model(grid512, mu_h512):
         solutions_at(branch, lam)
 
 
-def test_ordering_check_catches_decreasing_iterates(grid512, mu_h512):
+def test_ordering_check_catches_decreasing_iterates(grid512, mu_h512,
+                                                    monkeypatch):
     # f = s - s^2 with lam = 3 mu_h turns the trace map into the logistic
     # map 3t(1-t): 0.4 -> 0.72 -> 0.6048, a decrease the check must catch
+    # once the model check, which refuses this model, is passed over
+    monkeypatch.setattr(monotone, "monotone_check",
+                        lambda model: CheckResult("monotone", True, ""))
     logistic = _logistic()
     v = solve_flux_bvp(grid512, 1.0)
     w = v / v[-1]
     start = SystemState(0.4 * w, 0.4 * w)
     with pytest.raises(MonotonicityViolationError) as exc:
-        monotone_iterate(grid512, logistic, 3.0 * mu_h512, start,
-                         validate=False)
+        monotone_iterate(grid512, logistic, 3.0 * mu_h512, start)
     assert "decreased" in str(exc.value)
 
 

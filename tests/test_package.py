@@ -11,12 +11,14 @@ from radbif.errors import ConfigError, require_positive
 
 # The names the package exported before its list was built from the
 # modules' own lists, less step_off and StepOffError: the step-off is the
-# first step of continue_branch, and its failure a ContinuationError.
+# first step of continue_branch, and its failure a ContinuationError.  Less
+# remainder, remainder_limits, estimate_remainder_limits and
+# EstimationFailedError too: remainder limits are model data (r_lims).
 _EARLIER_SURFACE = """
     NonlinearityModel CheckResult HypothesesReport
     reference_model quadratic_model linear_model polynomial_model eval_f
-    eval_fprime f_extended fprime_extended remainder remainder_limits
-    estimate_remainder_limits r0_bounds zeta validate_hypotheses RadialGrid
+    eval_fprime f_extended fprime_extended r0_bounds zeta validate_hypotheses
+    RadialGrid
     SystemState build_grid pair_norm apply_operator boundary_flux
     operator_bands banded_matvec_extended solve_flux_bvp save_state_csv
     load_state_csv SteklovPair steklov_eigenpair steklov_shooting_oracle
@@ -30,7 +32,7 @@ _EARLIER_SURFACE = """
     direction_of_bifurcation slope_prediction slope_fit rescale_check
     nonexistence_bound build_report CheckOutcome run_acceptance format_table
     ToolkitError ConfigError NumericalError NonConvergenceError
-    EstimationFailedError ContinuationError SubsolutionError
+    ContinuationError SubsolutionError
     MonotonicityViolationError DistinctnessError InsufficientDataError
 """.split()
 
@@ -44,9 +46,13 @@ def test_package_exports_exactly_the_module_lists():
     for m in modules:
         for name in m.__all__:
             assert getattr(radbif, name) is getattr(m, name)
-    assert len(_EARLIER_SURFACE) == 80
+    assert len(_EARLIER_SURFACE) == 76
     assert set(_EARLIER_SURFACE) <= set(radbif.__all__)
     assert {"monotone_check", "ORDER_SLACK_REL"} <= set(radbif.__all__)
+    removed = {"remainder", "remainder_limits", "estimate_remainder_limits",
+               "EstimationFailedError"}
+    assert not removed & set(radbif.__all__)
+    assert not any(hasattr(radbif, name) for name in removed)
 
 
 def test_require_positive():
