@@ -31,10 +31,11 @@ of the M = 512 branch at tol 1e-10, 94 % at M = 4096 and tol 1e-8); the
 rest are polished by Newton in at most MAX_POLISH_ITER steps.  A polish
 that fails or ends non-positive rejects the step.
 
-The fold is one solve of the same corrector, started from the sampled
-fold, with the arclength row replaced by det F_t/mu_h^2 = 1 - (lam/mu_h)^2
-f1'(t2) f2'(t1) (Moore & Spence 1980).  At a fixed lam, t2 = lam
-f2(t1)/mu_h, so the states at lam are the roots t1 of one scalar equation
+Every turn of lam along the branch is one solve of the same corrector,
+started at the extreme branch point around its tangent sign flip, with
+the arclength row replaced by det F_t/mu_h^2 = 1 - (lam/mu_h)^2 f1'(t2)
+f2'(t1) (Moore & Spence 1980); a solve that fails raises.  At a fixed
+lam, t2 = lam f2(t1)/mu_h, so the states at lam are the roots t1 of one scalar equation
 (_TraceSystem.q).  For a monotone model G_lam grows with lam, so t1
 increases along the branch and q_lam at a branch node has the sign of lam
 - lam_k: solutions_at evaluates q only around the node pairs whose lam
@@ -67,7 +68,6 @@ __all__ = [
     "Branch",
     "initial_tangent",
     "continue_branch",
-    "detect_fold",
     "solutions_at",
 ]
 
@@ -133,16 +133,17 @@ class FoldInfo(NamedTuple):
 
 @dataclass
 class Branch:
-    """Ordered branch points, the fold if one was crossed, and why we stopped.
+    """Ordered branch points, every turn of lam, and why we stopped.
 
     grid and model are the problem the branch was traced on; every
     function that takes a branch reads them from it.  termination is one
-    of "lambda_floor", "max_points", "corrector_failure".  fold_indices
-    lists every tangent sign flip; more than one entry means
-    the computed geometry is not a single fold and callers should look.
-    rejections counts rejected step attempts (each halves ds) and
-    last_rejection holds the reason for the latest one.  newton is the
-    setting every point was verified with (cfg.newton in continue_branch).
+    of "lambda_floor", "max_points", "corrector_failure".  folds holds
+    the exact fold of every tangent sign flip, maxima and minima of lam,
+    in branch order; fold is the maximum of largest lam, None when lam
+    has no maximum along the branch.  rejections counts rejected step
+    attempts (each halves ds) and last_rejection holds the reason for the
+    latest one.  newton is the setting every point was verified with
+    (cfg.newton in continue_branch).
     """
 
     grid: RadialGrid
@@ -150,7 +151,7 @@ class Branch:
     points: list = field(default_factory=list)
     fold: Optional[FoldInfo] = None
     termination: str = ""
-    fold_indices: list = field(default_factory=list)
+    folds: list = field(default_factory=list)
     rejections: int = 0
     last_rejection: str = ""
     newton: NewtonConfig = NewtonConfig()
@@ -257,8 +258,9 @@ class _TraceSystem:
                            (np.longdouble(x[1]) * self.phi_ext).astype(float))
 
 
-def _t1(point: BranchPoint) -> float:
-    return float(point.state.u1[-1])
+def _t1(node) -> float:
+    """t1 of a branch point or of a FoldInfo."""
+    return node.t1 if isinstance(node, FoldInfo) else float(node.state.u1[-1])
 
 
 def _traces(point: BranchPoint) -> np.ndarray:
@@ -337,7 +339,7 @@ def _polish(grid: RadialGrid, ts: _TraceSystem, x: np.ndarray,
 def continue_branch(grid: RadialGrid, model: NonlinearityModel,
                     cfg: ContinuationConfig = ContinuationConfig()) -> Branch:
     """Trace the positive branch from the trivial state at the bifurcation
-    value through the fold toward the small-parameter tail.
+    value through its folds toward the small-parameter tail.
 
     points[0] is the trivial anchor (norm 0) at lam = mu0 from
     bifurcation_point.  points[1] is the step-off: the arclength row with
@@ -349,7 +351,9 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
     full-space re-check (and polish, if needed) and a positivity check.
     A model with p1*p2 <= 1 has no branch to trace toward the tail (the
     linear model's stands vertical at mu0) and raises ConfigError, as
-    theta_exponents does, before any step.
+    theta_exponents does, before any step.  Once the tracing stops, every
+    turn of lam is solved exactly into branch.folds (_locate_folds); a
+    fold solve that fails raises ContinuationError.
     """
     theta_exponents(model)
     ts = _TraceSystem(grid, model)
@@ -424,61 +428,62 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
         elif iters >= 8:
             ds = max(0.5 * ds, cfg.ds_min)
 
-    branch.fold_indices = _sign_flips(branch.points)
-    branch.fold = detect_fold(branch)
-    if branch.fold is not None:
-        branch.fold = _exact_fold(ts, branch.fold, tol)
+    _locate_folds(ts, branch, tol)
     return branch
 
 
-def _sign_flips(points) -> list:
-    """Indices whose tangent sign is nonzero and opposite to the last
-    nonzero sign before them."""
+def _locate_folds(ts: _TraceSystem, branch: Branch, tol: float) -> None:
+    """Set branch.folds and branch.fold: at every tangent sign flip, one
+    Newton solve of the minimally extended system {flux rows, fold_row}
+    (Moore & Spence, SIAM J. Numer. Anal. 17, 1980).
+
+    A flip at point k, whose sign differs from the last nonzero one
+    before it, is looked for among points k-2 .. k (k-1 .. k+1 when
+    k < 2); the solve starts at the point of largest lam there when lam
+    turns from rising to falling (a maximum), of least lam otherwise.
+    FoldInfo.index is that start point.  A solve that fails, leaves the
+    positive cone or ends on the wrong side of its start lam raises
+    ContinuationError with the start point as last_point.
+    """
+    points = branch.points
     signed = [(k, p.tangent_lambda_sign) for k, p in enumerate(points)
               if p.tangent_lambda_sign != 0]
-    return [k for (_, a), (k, b) in zip(signed, signed[1:]) if a != b]
-
-
-def detect_fold(branch: Branch) -> Optional[FoldInfo]:
-    """Sampled fold: the largest parameter among the points around the
-    first tangent sign flip; None when the parameter is monotone.
-    continue_branch refines it to the exact discrete fold."""
-    flips = _sign_flips(branch.points)
-    if not flips:
-        return None
-    k = flips[0]  # >= 1: a flip follows a nonzero sign
-    idx = ([k - 2, k - 1, k] if k >= 2
-           else [i for i in (k - 1, k, k + 1) if i < len(branch.points)])
-    best = max(idx, key=lambda i: branch.points[i].lam)
-    t1, t2, lam = _traces(branch.points[best])
-    return FoldInfo(lam_bar=float(lam), index=best, t1=float(t1), t2=float(t2))
-
-
-def _exact_fold(ts: _TraceSystem, sampled: FoldInfo, tol: float) -> FoldInfo:
-    """The fold as one Newton solve of the minimally extended system
-    {flux rows, fold_row} (Moore & Spence, SIAM J. Numer. Anal. 17, 1980),
-    started from the sampled fold.  Keeps the sampled fold when the solve
-    fails, leaves the positive cone or ends below the sampled lam.
-    """
-    try:
-        x, _ = _corrector(ts, ts.fold_row,
-                          (sampled.t1, sampled.t2, sampled.lam_bar), tol)
-    except _CorrectorFailure:
-        return sampled
-    if min(x[0], x[1]) <= 0.0 or x[2] < sampled.lam_bar:
-        return sampled
-    return FoldInfo(float(x[2]), sampled.index, float(x[0]), float(x[1]))
+    for (_, before), (k, after) in zip(signed, signed[1:]):
+        if before == after:
+            continue
+        window = ([k - 2, k - 1, k] if k >= 2  # k >= 1: a flip follows a sign
+                  else [i for i in (k - 1, k, k + 1) if i < len(points)])
+        top = before > 0  # lam turns from rising to falling
+        start = (max if top else min)(window, key=lambda i: points[i].lam)
+        x0 = _traces(points[start])
+        try:
+            x, _ = _corrector(ts, ts.fold_row, x0, tol)
+            if min(x[0], x[1]) <= 0.0:
+                raise _CorrectorFailure("left the positive cone")
+            if (x[2] - x0[2]) * before < 0.0:
+                raise _CorrectorFailure(
+                    f"ended at lam={x[2]:.17g}, on the wrong side of its start")
+        except _CorrectorFailure as exc:
+            raise ContinuationError(
+                f"fold solve for the lam {'maximum' if top else 'minimum'} "
+                f"near point {start} (lam={points[start].lam:.17g}) failed: "
+                f"{exc}",
+                last_point=points[start])
+        branch.folds.append(
+            FoldInfo(float(x[2]), start, float(x[0]), float(x[1])))
+        if top and (branch.fold is None or x[2] > branch.fold.lam_bar):
+            branch.fold = branch.folds[-1]
 
 
 def solutions_at(branch: Branch, lam: float) -> list:
     """All positive states at lam with t1 within the branch, by pair norm,
     on the branch's grid and model.
 
-    The nodes are the branch points in branch order, with the fold placed
-    among them by its t1.  The model must be monotone (else ConfigError),
-    so G_lam(t) grows with lam: the solution set is the graph lam =
-    Lambda(t1), t1 increases along the branch, and q_lam at a node has the
-    sign of lam - lam_k up to the node's corrector error.  So only the
+    The nodes are the branch points in branch order, with every fold
+    placed among them by its t1.  The model must be monotone (else
+    ConfigError), so G_lam(t) grows with lam: the solution set is the
+    graph lam = Lambda(t1), t1 increases along the branch, and q_lam at a
+    node has the sign of lam - lam_k up to the node's corrector error.  So only the
     node pairs whose lam values enclose lam (their level crossings) can
     bracket a root.  q_lam is evaluated on the nodes k-1 .. k+2 around
     each crossing pair (k, k+1) alone; each sign change between adjacent
@@ -495,23 +500,20 @@ def solutions_at(branch: Branch, lam: float) -> list:
         raise ConfigError(
             f"model is not monotone nondecreasing: {monotone.detail}")
     ts = _TraceSystem(branch.grid, branch.model)
-    fold, nodes = branch.fold, list(branch.points)
-    lams = [p.lam for p in nodes]
-    if fold is not None:
+    nodes, lams = list(branch.points), [p.lam for p in branch.points]
+    for fold in branch.folds:
         k = bisect.bisect(nodes, fold.t1, key=_t1)
         if k == 0 or _t1(nodes[k - 1]) != fold.t1:
             nodes.insert(k, fold)
             lams.insert(k, fold.lam_bar)
 
-    def node_t1(k):
-        return fold.t1 if nodes[k] is fold else _t1(nodes[k])
-
     d = lam - np.array(lams)
     ks = sorted({j for k in np.flatnonzero(d[:-1] * d[1:] <= 0.0).tolist()
                  for j in range(max(k - 1, 0), min(k + 3, len(lams)))})
-    qs = {j: ts.q(node_t1(j), lam) for j in ks}
-    roots = [node_t1(j) for j in ks if qs[j] == 0.0 and node_t1(j) > 0.0]
-    roots += [ts.root(lam, node_t1(i), node_t1(j))
+    t1s = {j: _t1(nodes[j]) for j in ks}
+    qs = {j: ts.q(t1s[j], lam) for j in ks}
+    roots = [t1s[j] for j in ks if qs[j] == 0.0 and t1s[j] > 0.0]
+    roots += [ts.root(lam, t1s[i], t1s[j])
               for i, j in zip(ks, ks[1:]) if j == i + 1 and qs[i] * qs[j] < 0.0]
     states = []
     for t1 in roots:

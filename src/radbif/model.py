@@ -11,6 +11,7 @@ Models are immutable and safe to share across threads.
 from __future__ import annotations
 
 import math
+import numbers
 import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -87,10 +88,15 @@ class NonlinearityModel:
         for f, tag in ((self.f1, "f1"), (self.f2, "f2")):
             if not abs(float(f(0.0))) <= 1e-12:  # NaN fails too
                 raise ConfigError(f"{tag}(0) must vanish")
-        if self.r_lims is not None:
-            lo1, hi1, lo2, hi2 = self.r_lims
-            if not (lo1 <= hi1 and lo2 <= hi2):  # NaN fails too
-                raise ConfigError(f"remainder limits need lo <= hi, got {self.r_lims}")
+        lims = self.r_lims
+        if lims is not None and not (
+                isinstance(lims, Sequence) and len(lims) == 4
+                and all(isinstance(v, numbers.Real) and math.isfinite(v)
+                        for v in lims)
+                and lims[0] <= lims[1] and lims[2] <= lims[3]):
+            raise ConfigError(
+                "r_lims must be 4 finite real numbers (R1_lo, R1_hi, R2_lo, "
+                f"R2_hi) with lo <= hi, got {lims!r}")
 
     @property
     def nu(self) -> float:

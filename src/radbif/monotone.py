@@ -7,8 +7,9 @@ f1(lam f2(t1)/mu_h)/mu_h, so for a monotone model the minimal solution
 above a subsolution (Amann) is the first root of G_lam(t) = t above its
 trace.  second_solution takes that root and the branch solution from one
 solutions_at call, so both are verified at the branch's own Newton
-setting; the iteration, whose contraction tends to 1 at both ends of
-(mu0, fold), is the reference.
+setting, wherever solutions_at finds two states above mu0; the
+iteration, whose contraction tends to 1 at mu0 and at a fold, is the
+reference.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ def monotone_iterate(grid: RadialGrid, model: NonlinearityModel, lam: float,
 
 def second_solution(grid: RadialGrid, model: NonlinearityModel, lam: float,
                     branch: Branch):
-    """(minimal solution, distinct branch solution) at lam in (mu0, fold).
+    """(minimal solution, distinct branch solution) at lam above mu0.
 
     Both come from one solutions_at call, verified at branch.newton: the
     minimal solution is the state of least pair norm, the first root of
@@ -155,9 +156,10 @@ def second_solution(grid: RadialGrid, model: NonlinearityModel, lam: float,
     branch solution the one of largest pair norm.  The minimal one is
     checked nodewise to lie between the subsolution and the branch solution
     (else MonotonicityViolationError).  Raises ConfigError for lam not
-    above mu0 and, through solutions_at, for a non-monotone model, and
-    DistinctnessError when lam is not below the fold, fewer than two
-    positive states are at lam (just above mu0 the minimal one sinks below
+    above mu0 (the subsolution's flux inequalities fail there) and,
+    through solutions_at, for a non-monotone model, and DistinctnessError
+    when fewer than two positive states are at lam (above the fold, or
+    just above mu0, where the minimal one sinks below
     POSITIVITY_ZERO_FLOOR) or the two pair norms agree to 1e-3 relative.
     A branch traced on another grid or model object is a ConfigError.
     """
@@ -167,20 +169,13 @@ def second_solution(grid: RadialGrid, model: NonlinearityModel, lam: float,
     if lam <= mu0:
         raise ConfigError(
             f"parameter {lam:.6g} is not above the bifurcation value {mu0:.6g}")
-    if branch.fold is None:
-        raise ConfigError("branch has no detected fold; cannot bracket the "
-                          "multiplicity window")
-    if lam >= branch.fold.lam_bar:
-        raise DistinctnessError(
-            f"parameter {lam:.6g} is not below the fold {branch.fold.lam_bar:.6g}; "
-            "the branch has no second solution there")
     states = solutions_at(branch, lam)
     if len(states) < 2:
         raise DistinctnessError(
             f"only {len(states)} positive state(s) at lam={lam:.12g} "
-            f"(mu0 + {lam - mu0:.3g}); a state whose pair norm is at or below "
-            f"the zero floor POSITIVITY_ZERO_FLOOR = {POSITIVITY_ZERO_FLOOR:g} "
-            "cannot be told from the trivial one")
+            f"(mu0 + {lam - mu0:.3g}) along the branch; a state whose pair "
+            f"norm is at or below the zero floor POSITIVITY_ZERO_FLOOR = "
+            f"{POSITIVITY_ZERO_FLOOR:g} cannot be told from the trivial one")
     minimal, upper = states[0], states[-1]
 
     sub = build_subsolution(grid, model, lam)

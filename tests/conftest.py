@@ -24,27 +24,36 @@ settings.load_profile("ci")
 def t1_increases_along_every_traced_branch():
     """Every branch continue_branch returns in this suite has its t1
     strictly increasing in branch order, the rule solutions_at brackets
-    its roots by.  Checked where continue_branch locates the fold; the
-    package name is patched with the module's so both stay one object,
-    while the tests that imported detect_fold call it unchecked."""
+    its roots by.  Checked where continue_branch locates the folds:
+    _locate_folds is looked up as a module global, so this one patch
+    covers every caller."""
     import radbif.continuation as cont
-    detect = cont.detect_fold
+    locate = cont._locate_folds
 
-    def checked(branch):
+    def checked(ts, branch, tol):
         t1 = [float(p.state.u1[-1]) for p in branch.points]
         assert all(a < b for a, b in zip(t1, t1[1:])), \
             "t1 does not increase along the traced branch"
-        return detect(branch)
+        return locate(ts, branch, tol)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cont, "detect_fold", checked)
-        mp.setattr(radbif, "detect_fold", checked)
+        mp.setattr(cont, "_locate_folds", checked)
         yield
 
 
 @pytest.fixture(scope="session")
 def ref_model():
     return radbif.reference_model()
+
+
+# A monotone model whose branch turns twice: lam has a minimum near
+# 0.3126 and a maximum near 0.3708 at M = 512
+TWO_FOLD_COEFFS = ([0.0, 1.0, -1.5, 1.0], [0.0, 1.0, 1.72])
+
+
+@pytest.fixture(scope="session")
+def two_fold_model():
+    return radbif.polynomial_model(*TWO_FOLD_COEFFS)
 
 
 @pytest.fixture(scope="session")
@@ -77,6 +86,11 @@ def branch_cfg():
 @pytest.fixture(scope="session")
 def ref_branch(grid512, ref_model, branch_cfg):
     return radbif.continue_branch(grid512, ref_model, branch_cfg)
+
+
+@pytest.fixture(scope="session")
+def two_fold_branch(grid512, two_fold_model, branch_cfg):
+    return radbif.continue_branch(grid512, two_fold_model, branch_cfg)
 
 
 def trace_system_solve(mu_h, g1, g2, dg1, dg2, t1, t2, tol=1e-14):
@@ -126,13 +140,13 @@ def band_loop(ab, x):
 
 def scan_solutions_at(branch, lam):
     """solutions_at by the exhaustive node scan: q_lam at every branch t1
-    and at the fold t1, sorted, each sign change between neighbours
+    and at every fold t1, sorted, each sign change between neighbours
     bisected and each exact zero at t > 0 taken.  The oracle that
     solutions_at's level-crossing brackets must match bit for bit."""
     from radbif.continuation import _CorrectorFailure, _polish, _TraceSystem
     ts = _TraceSystem(branch.grid, branch.model)
-    fold = [branch.fold.t1] if branch.fold is not None else []
-    nodes = sorted({float(p.state.u1[-1]) for p in branch.points} | set(fold))
+    nodes = sorted({float(p.state.u1[-1]) for p in branch.points}
+                   | {f.t1 for f in branch.folds})
     qs = [ts.q(t, lam) for t in nodes]
     roots = [t for t, v in zip(nodes, qs) if v == 0.0 and t > 0.0]
     roots += [ts.root(lam, a, b)

@@ -10,6 +10,7 @@ installed `radbif` script when it is on PATH.  Exit code convention:
 
 import dataclasses
 import json
+import math
 import os
 import re
 import shutil
@@ -327,6 +328,8 @@ def test_branch_artifacts_and_determinism(tmp_path, capsys):
     assert summary["n_points"] == len(records)
     assert summary["fold_lambda"] == pytest.approx(0.333210, abs=5e-4)
     assert summary["n_sign_flips"] == 1
+    assert summary["fold_lambdas"] == [summary["fold_lambda"]]
+    assert summary["fold_lambda"] >= summary["lambda_max"]
     assert summary["rejections"] >= 0 and "last_rejection" in summary
     for r in records[1:]:
         assert r["corrector_iterations"] >= 1
@@ -401,6 +404,41 @@ def test_multiplicity_command(tmp_path, capsys):
         assert payload["branch_solution"]["residual"] <= 1e-9
         assert (out / "minimal.csv").exists()
         assert (out / "branch_solution.csv").exists()
+
+
+TWO_FOLD = ["--override", "model.coeffs1=0,1,-1.5,1",
+            "--override", "model.coeffs2=0,1,1.72"]
+TWO_FOLD_MAX = 0.3708241728439862  # bench/fold_oracle.py at M = 512
+
+
+def test_two_fold_model_reports_its_maximum(tmp_path, capsys):
+    # lam turns at a minimum (about 0.31257) before its maximum: branch
+    # prints the maximum, and multiplicity takes a lam between mu0 and it
+    out = tmp_path / "out"
+    assert run(["branch", *TWO_FOLD, "--override", f"out.dir={out}"]) == 0
+    printed = re.search(r"fold lambda=(\S+)", capsys.readouterr().out)
+    fold = float(printed.group(1))
+    assert abs(fold - TWO_FOLD_MAX) <= math.ulp(TWO_FOLD_MAX), fold
+    summary = json.loads((out / "branch_summary.json").read_text())
+    assert summary["fold_lambda"] == fold >= summary["lambda_max"]
+    low, high = summary["fold_lambdas"]
+    assert summary["n_sign_flips"] == 2
+    assert low == pytest.approx(0.312568, abs=1e-6) and high == fold
+    assert run(["multiplicity", "--lambda", "0.35", *TWO_FOLD,
+                "--override", f"out.dir={out}"]) == 0
+    payload = json.loads((out / "multiplicity.json").read_text())
+    assert payload["minimal"]["norm_pair"] == pytest.approx(0.653, abs=1e-3)
+    assert payload["branch_solution"]["norm_pair"] == pytest.approx(1.321,
+                                                                   abs=1e-3)
+
+
+def test_multiplicity_without_two_states_exits_1(tmp_path, capsys):
+    # the quadratic model's branch has no fold and one state at each lam
+    # above mu0: a numerical outcome, not a configuration error
+    assert run(["multiplicity", "--lambda", "0.4", "--override",
+                "model.name=quadratic", "--override", "grid.M=128",
+                "--override", f"out.dir={_out(tmp_path)}"]) == 1
+    assert "positive state(s)" in capsys.readouterr().err
 
 
 def test_multiplicity_rejects_nonpositive_lambda(tmp_path, capsys):

@@ -13,12 +13,11 @@ import numpy as np
 import pytest
 
 from conftest import band_loop, trace_system_solve
-from radbif import (Branch, BranchPoint, ConfigError, ContinuationConfig,
-                    ContinuationError, NewtonConfig, SystemState,
-                    bifurcation_point, build_grid, continue_branch,
-                    detect_fold, eval_f, eval_fprime, f_extended,
-                    fprime_extended, initial_tangent, linear_model,
-                    operator_bands, quadratic_model, reference_model, residual,
+from radbif import (Branch, ConfigError, ContinuationConfig,
+                    ContinuationError, NewtonConfig, bifurcation_point,
+                    build_grid, continue_branch, eval_f, eval_fprime,
+                    f_extended, fprime_extended, initial_tangent,
+                    linear_model, operator_bands, quadratic_model, residual,
                     scaled_residual_norm, solutions_at, solve_flux_bvp,
                     steklov_eigenpair)
 from radbif.continuation import (MAX_CORRECTOR_ITER, MAX_POLISH_ITER,
@@ -112,7 +111,7 @@ def test_branch_structure_and_termination(ref_branch, mu0_ref):
     assert ref_branch.termination == "lambda_floor"
     assert ref_branch.points[0].lam == pytest.approx(mu0_ref, abs=1e-14)
     assert ref_branch.points[0].norm == 0.0
-    assert len(ref_branch.fold_indices) == 1  # a single fold
+    assert ref_branch.folds == [ref_branch.fold]  # a single fold
     assert ref_branch.fold is not None
     assert len(ref_branch.points) > 100
     lams = ref_branch.lambdas()
@@ -250,29 +249,6 @@ def test_fold_reproducible_across_grids(ref_branch, ref_model, mu_h512):
             assert abs(t2 - k * eval_f(ref_model, 2, t1)) <= 1e-12 * scale
 
 
-def _synthetic_branch(lams, signs):
-    g = build_grid(3, 1.0, 16)
-    pts = [BranchPoint(lam=l, state=SystemState.zero(g), norm=float(k),
-                       tangent_lambda_sign=s, ds=0.01)
-           for k, (l, s) in enumerate(zip(lams, signs))]
-    return Branch(g, reference_model(), points=pts, termination="max_points")
-
-
-def test_detect_fold_none_for_monotone_parameter():
-    b = _synthetic_branch([0.5, 0.4, 0.3, 0.2], [-1, -1, -1, -1])
-    assert detect_fold(b) is None
-    assert detect_fold(Branch(b.grid, b.model)) is None
-
-
-def test_detect_fold_finds_sign_flip():
-    b = _synthetic_branch([0.30, 0.32, 0.33, 0.32, 0.29], [1, 1, 1, -1, -1])
-    info = detect_fold(b)
-    assert info is not None
-    # the sampled fold is the largest parameter around the flip
-    assert info.lam_bar == 0.33
-    assert b.points[info.index].lam == 0.33
-
-
 def _numpy_corrector(ts, extra, x0, tol):
     """The trace corrector as it was before it worked on floats: x, the
     flux rows and their Jacobian as numpy arrays, the bordered system
@@ -328,7 +304,8 @@ def _branch_bits(branch):
     fold = None if branch.fold is None else (
         bits(branch.fold.lam_bar, branch.fold.t1, branch.fold.t2),
         branch.fold.index)
-    return (points, fold, branch.fold_indices, branch.rejections,
+    folds = [(bits(f.lam_bar, f.t1, f.t2), f.index) for f in branch.folds]
+    return (points, fold, folds, branch.rejections,
             branch.last_rejection, branch.termination)
 
 
@@ -345,32 +322,53 @@ def test_float_corrector_is_bit_identical_to_the_numpy_one(
     assert _branch_bits(new) == _branch_bits(old)
 
 
-def test_exact_fold_is_one_corrector_solve(grid128, ref_model, monkeypatch):
-    # the fold is one Newton solve of the extended system from the sampled
-    # fold, not a bisection of corrector solves along the arclength
-    import radbif.continuation as cont
-    corrector, detect = cont._corrector, cont.detect_fold
-    sampled, fold_steps = [], []
+def _sign_flips(branch):
+    """Count of tangent signs opposite to the last nonzero one before them."""
+    signs = [p.tangent_lambda_sign for p in branch.points
+             if p.tangent_lambda_sign != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    def counting(*args, **kwargs):
-        out = corrector(*args, **kwargs)
-        if sampled:  # called after detect_fold: a fold solve
-            fold_steps.append(out[1])
+
+@pytest.mark.parametrize("which", ["reference", "two-fold"])
+def test_every_flip_is_one_fold_row_solve(which, grid128, ref_model,
+                                          two_fold_model, monkeypatch):
+    # each turn of lam is one Newton solve of the extended system, started
+    # at the extreme point of its sample window, not a bisection of
+    # corrector solves along the arclength
+    import radbif.continuation as cont
+    model = ref_model if which == "reference" else two_fold_model
+    corrector, solves = cont._corrector, []
+
+    def counting(ts, extra, x0, tol):
+        out = corrector(ts, extra, x0, tol)
+        if extra == ts.fold_row:
+            solves.append((np.array(x0), out[1]))
         return out
 
     monkeypatch.setattr(cont, "_corrector", counting)
-    monkeypatch.setattr(cont, "detect_fold",
-                        lambda b: sampled.append(detect(b)) or sampled[-1])
-    branch = continue_branch(grid128, ref_model, FAST_CFG)
-    assert len(fold_steps) == 1
-    assert fold_steps[0] <= MAX_CORRECTOR_ITER
-    assert branch.fold.index == sampled[0].index
-    assert branch.fold.lam_bar > sampled[0].lam_bar
-    assert branch.lambdas().max() <= branch.fold.lam_bar
+    branch = continue_branch(grid128, model, FAST_CFG)
+    assert len(solves) == len(branch.folds) == _sign_flips(branch)
+    assert len(branch.folds) == (1 if which == "reference" else 2)
+    lams = branch.lambdas()
+    for (x0, steps), fold in zip(solves, branch.folds):
+        assert steps <= MAX_CORRECTOR_ITER
+        start = branch.points[fold.index]
+        assert np.array_equal(x0, [start.state.u1[-1], start.state.u2[-1],
+                                   start.lam])
+        # the start is the window's extreme: a maximum from above no
+        # sample, a minimum from below none
+        k = fold.index
+        window = lams[max(k - 2, 0):k + 3]
+        if fold is branch.fold:
+            assert start.lam == window.max() and fold.lam_bar >= start.lam
+        else:
+            assert start.lam == window.min() and fold.lam_bar <= start.lam
+    assert lams.max() <= branch.fold.lam_bar
 
 
-def test_failed_fold_solve_keeps_the_sampled_fold(grid128, ref_model,
-                                                  monkeypatch):
+def test_failed_fold_solve_raises(grid128, ref_model, two_fold_model,
+                                  monkeypatch):
+    # a fold solve that fails is an error, never replaced by a sample
     import radbif.continuation as cont
     corrector = cont._corrector
 
@@ -380,17 +378,30 @@ def test_failed_fold_solve_keeps_the_sampled_fold(grid128, ref_model,
         return corrector(ts, extra, *args, **kwargs)
 
     monkeypatch.setattr(cont, "_corrector", no_fold)
-    branch = continue_branch(grid128, ref_model, FAST_CFG)
-    sampled = detect_fold(branch)
-    assert sampled is not None and branch.fold == sampled
+    with pytest.raises(ContinuationError, match="forced fold failure") as exc:
+        continue_branch(grid128, ref_model, FAST_CFG)
+    assert exc.value.last_point is not None and exc.value.last_point.norm > 0.0
+    monkeypatch.setattr(cont, "_corrector", corrector)
 
-    # a solve that leaves the positive cone or ends below the sampled lam
-    # is not a fold either
-    ts = _TraceSystem(grid128, ref_model)
-    for scale in ([-1.0, 1.0, 1.0], [1.0, 1.0, 0.999]):
-        monkeypatch.setattr(cont, "_corrector", lambda ts, extra, x0, tol:
-                            (np.array(x0) * scale, 1))
-        assert cont._exact_fold(ts, sampled, 1e-10) == sampled
+    # a solve that leaves the positive cone, or ends above the start of a
+    # minimum or below the start of a maximum, is not a fold either
+    branch = continue_branch(grid128, two_fold_model, FAST_CFG)
+    ts = _TraceSystem(grid128, two_fold_model)
+    for scale, why in (([-1.0, 1.0, 1.0], "positive cone"),
+                       ([1.0, 1.0, 1.001], "wrong side"),
+                       ([1.0, 1.0, 0.999], "wrong side")):
+        solves = []
+
+        def scaled(ts, extra, x0, tol):
+            solves.append(x0)
+            return tuple((np.array(x0) * scale).tolist()), 1
+
+        monkeypatch.setattr(cont, "_corrector", scaled)
+        with pytest.raises(ContinuationError, match=why):
+            cont._locate_folds(ts, Branch(grid128, two_fold_model,
+                                          points=branch.points), 1e-10)
+        # 1.001 fails at the first turn, a minimum; 0.999 at the maximum
+        assert len(solves) == (2 if scale[2] == 0.999 else 1)
 
 
 def test_branch_ends_on_corrector_failure_keeping_its_points(
@@ -519,29 +530,33 @@ def _top(branch):
 
 
 def _node_lams(branch):
-    """The lam values of the nodes in t1 order, fold included: the
+    """The lam values of the nodes in t1 order, every fold included: the
     levels solutions_at's brackets are read from."""
     nodes = {float(p.state.u1[-1]): p.lam for p in branch.points}
-    if branch.fold is not None:
-        nodes.setdefault(branch.fold.t1, branch.fold.lam_bar)
+    for fold in branch.folds:
+        nodes.setdefault(fold.t1, fold.lam_bar)
     return [nodes[t] for t in sorted(nodes)]
 
 
-@pytest.mark.parametrize("which", ["reference-512", "quadratic-128"])
+@pytest.mark.parametrize("which", ["reference-512", "quadratic-128",
+                                   "two-fold-512"])
 def test_solutions_at_equals_the_node_scan_bit_for_bit(which, ref_branch,
-                                                        quad_branch128):
+                                                        quad_branch128,
+                                                        two_fold_branch):
     # the level-crossing brackets give the states of the exhaustive scan,
     # bit for bit: across the range, on and next to every node lam near
-    # the top, on and one ulp either side of the fold, and just above mu0
+    # the top, on and one ulp either side of every fold, and just above mu0
     from conftest import scan_solutions_at
-    branch = ref_branch if which == "reference-512" else quad_branch128
+    branch = {"reference-512": ref_branch, "quadratic-128": quad_branch128,
+              "two-fold-512": two_fold_branch}[which]
     mu0 = branch.points[0].lam
     top, high = _top(branch)
     lams = list(np.linspace(0.5 * mu0, 1.05 * high, 200))
     for p in branch.points[max(top - 20, 0):top + 21]:
         lams += [p.lam, np.nextafter(p.lam, 0.0), np.nextafter(p.lam, 1.0)]
-    lams += [high, np.nextafter(high, 0.0), np.nextafter(high, 1.0),
-             mu0 + 1e-6, mu0 + 1e-10]
+    for level in [high] + [f.lam_bar for f in branch.folds]:
+        lams += [level, np.nextafter(level, 0.0), np.nextafter(level, 1.0)]
+    lams += [mu0 + 1e-6, mu0 + 1e-10]
     counts = set()
     for lam in map(float, lams):
         got, want = solutions_at(branch, lam), scan_solutions_at(branch, lam)
@@ -549,7 +564,7 @@ def test_solutions_at_equals_the_node_scan_bit_for_bit(which, ref_branch,
         for a, b in zip(got, want):
             assert np.array_equal(a.u1, b.u1) and np.array_equal(a.u2, b.u2), lam
         counts.add(len(got))
-    assert counts == ({0, 1, 2} if branch.fold is not None else {0, 1})
+    assert counts == set(range(len(branch.folds) + 2))
 
 
 @pytest.mark.parametrize("which", ["reference-128", "quadratic-128"])
@@ -659,3 +674,69 @@ def test_fine_grid_branch_keeps_its_fold_and_skips_the_polish(ref_model):
     for p in accepted:
         assert p.residual <= 1e-8
         assert p.state.u1.min() > 0.0 and p.state.u2.min() > 0.0
+
+
+def _fold_oracle():
+    """bench/fold_oracle.py, loaded by path: the fold as the maximum of
+    lam(t1) along the trace curve, with no continuation code."""
+    import importlib.util
+    import pathlib
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "fold_oracle.py"
+    spec = importlib.util.spec_from_file_location("fold_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def two_fold_branches(two_fold_model, grid128, grid512, two_fold_branch):
+    """The two-fold model's branch at M = 128 and 512 (tol 1e-10) and
+    M = 4096 (tol 1e-8, above its representation floor)."""
+    grid4096 = build_grid(3, 1.0, 4096)
+    cfg4096 = ContinuationConfig(newton=NewtonConfig(tol_residual=1e-8))
+    return {128: (grid128, continue_branch(grid128, two_fold_model,
+                                           ContinuationConfig())),
+            512: (grid512, two_fold_branch),
+            4096: (grid4096, continue_branch(grid4096, two_fold_model,
+                                             cfg4096))}
+
+
+@pytest.mark.parametrize("M", [128, 512, 4096])
+def test_two_fold_branch_reports_the_true_maximum(M, two_fold_model,
+                                                  two_fold_branches):
+    # lam turns at a minimum and then at a maximum; branch.fold is the
+    # maximum, within an ulp of the oracle's, and no point lies above it
+    grid, branch = two_fold_branches[M]
+    assert branch.termination == "lambda_floor"
+    low, high = branch.folds
+    assert branch.fold is high and low.lam_bar < high.lam_bar
+    want = _fold_oracle().exact_fold(grid, two_fold_model)
+    assert abs(high.lam_bar - want) <= np.spacing(want), (high.lam_bar, want)
+    assert branch.lambdas().max() <= high.lam_bar
+
+
+@pytest.mark.parametrize("M", [128, 512, 4096])
+def test_two_fold_branch_solves_its_minimum_exactly(M, two_fold_model,
+                                                    two_fold_branches):
+    # the first turn is a minimum of lam below mu0: the fold row vanishes
+    # there, the traces solve the flux rows, and no point before the
+    # maximum lies below it
+    grid, branch = two_fold_branches[M]
+    low, high = branch.folds
+    ts = _TraceSystem(grid, two_fold_model)
+    assert abs(ts.fold_row((low.t1, low.t2, low.lam_bar))[0]) <= 1e-12
+    (r1, r2), _ = ts.linearize(low.t1, low.t2, low.lam_bar)
+    assert max(abs(r1), abs(r2)) <= 1e-12 * max(1.0, low.t1, low.t2)
+    assert 0.0 < low.t1 < high.t1
+    assert low.lam_bar < branch.points[0].lam
+    assert low.lam_bar <= branch.lambdas()[:high.index + 1].min()
+
+
+def test_solutions_at_counts_every_turn_of_the_two_fold_branch(
+        two_fold_branch):
+    # three states between the minimum and mu0, two up to the maximum,
+    # none above it
+    counts = {lam: len(solutions_at(two_fold_branch, lam))
+              for lam in (0.3127, 0.313, 0.3135, 0.35, 0.3708, 0.3709)}
+    assert counts == {0.3127: 3, 0.313: 3, 0.3135: 2, 0.35: 2, 0.3708: 2,
+                      0.3709: 0}

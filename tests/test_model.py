@@ -213,6 +213,18 @@ _LINEAR_FIELDS = dict(f1=lambda s: s, f2=lambda s: s, df1=lambda s: 1.0,
                       fp0_1=1.0, fp0_2=1.0, nu1=2.0, nu2=2.0, K=1.0)
 
 
+def test_remainder_limits_must_be_four_finite_reals():
+    # r0_bounds reads r_lims as four numbers and weighs them; an infinite
+    # limit gives an infinite or NaN bound, so each is refused up front
+    for lims in ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0, 0.0), ("a", "b", "c", "d"),
+                 "abcd", 1.0, (-math.inf, math.inf, 0.0, 0.0),
+                 (-math.inf, 0.0, 0.0, math.inf), (0.0, 0.0, 1.0, 0.0)):
+        with pytest.raises(ConfigError, match="r_lims must be 4 finite real"):
+            NonlinearityModel(**_LINEAR_FIELDS, r_lims=lims)
+    for lims in ((-1.0, 2.0, 0.0, 0.0), [0, 1, np.float64(0.5), 0.5]):
+        assert NonlinearityModel(**_LINEAR_FIELDS, r_lims=lims).r_lims == lims
+
+
 @pytest.mark.parametrize("key", ["p1", "p2", "b1", "b2", "fp0_1", "fp0_2",
                                  "nu1", "nu2", "K"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -224,8 +236,6 @@ def test_non_finite_model_constant_is_rejected(key, value):
 def test_non_finite_model_inputs_are_rejected():
     with pytest.raises(ConfigError, match="lo <= hi"):
         NonlinearityModel(**_LINEAR_FIELDS, r_lims=(0.0, math.nan, 0.0, 0.0))
-    # infinite remainder limits stay legal: a liminf may be -inf
-    NonlinearityModel(**_LINEAR_FIELDS, r_lims=(-math.inf, 0.0, 0.0, math.inf))
     for coeffs in ([0.0, math.nan], [0.0, 1.0, math.nan], [0.0, 1.0, math.inf]):
         with pytest.raises(ConfigError, match="coeffs1: coefficients must be finite"):
             polynomial_model(coeffs, [0.0, 1.0])

@@ -334,9 +334,26 @@ def test_second_solution_requires_supercritical_parameter(grid512, ref_model,
 
 
 def test_second_solution_requires_fold(grid512, ref_model):
-    with pytest.raises(ConfigError):
+    # a branch without a fold has fewer than two states at lam: the count
+    # of solutions_at refuses it, as it refuses lam above the fold
+    with pytest.raises(DistinctnessError, match="only 0 positive state"):
         second_solution(grid512, ref_model, LAMBDA_MID,
                         Branch(grid512, ref_model))
+
+
+def test_second_solution_on_the_two_fold_branch(grid512, two_fold_model,
+                                                two_fold_branch):
+    # lam = 0.35 lies between mu0 (about 0.31303) and the maximum fold,
+    # above the first turn of lam, a minimum
+    minimal, upper = second_solution(grid512, two_fold_model, 0.35,
+                                     two_fold_branch)
+    assert pair_norm(minimal) == pytest.approx(0.653, abs=1e-3)
+    assert pair_norm(upper) == pytest.approx(1.321, abs=1e-3)
+    for st in (minimal, upper):
+        assert scaled_residual_norm(
+            residual(grid512, two_fold_model, 0.35, st), st) <= 1e-10
+    with pytest.raises(DistinctnessError, match="only 0 positive state"):
+        second_solution(grid512, two_fold_model, 0.3709, two_fold_branch)
 
 
 def test_second_solution_refuses_a_branch_of_another_problem(

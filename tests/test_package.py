@@ -14,6 +14,8 @@ from radbif.errors import ConfigError, require_positive
 # first step of continue_branch, and its failure a ContinuationError.  Less
 # remainder, remainder_limits, estimate_remainder_limits and
 # EstimationFailedError too: remainder limits are model data (r_lims).
+# Less detect_fold: every turn of the branch is solved exactly, with no
+# sampled fold.
 _EARLIER_SURFACE = """
     NonlinearityModel CheckResult HypothesesReport
     reference_model quadratic_model linear_model polynomial_model eval_f
@@ -26,7 +28,7 @@ _EARLIER_SURFACE = """
     POSITIVITY_REL_FLOOR POSITIVITY_ZERO_FLOOR residual jacobian
     newton_solve linear_bvp_solve solve_limit_problem scaled_residual_norm
     ContinuationConfig BranchPoint FoldInfo Branch initial_tangent
-    continue_branch detect_fold solutions_at build_subsolution
+    continue_branch solutions_at build_subsolution
     monotone_iterate second_solution Direction JordanData BifurcationReport
     RescaleTable bifurcation_point jordan_data theta_exponents
     direction_of_bifurcation slope_prediction slope_fit rescale_check
@@ -46,11 +48,11 @@ def test_package_exports_exactly_the_module_lists():
     for m in modules:
         for name in m.__all__:
             assert getattr(radbif, name) is getattr(m, name)
-    assert len(_EARLIER_SURFACE) == 76
+    assert len(_EARLIER_SURFACE) == 75
     assert set(_EARLIER_SURFACE) <= set(radbif.__all__)
     assert {"monotone_check", "ORDER_SLACK_REL"} <= set(radbif.__all__)
     removed = {"remainder", "remainder_limits", "estimate_remainder_limits",
-               "EstimationFailedError"}
+               "EstimationFailedError", "detect_fold"}
     assert not removed & set(radbif.__all__)
     assert not any(hasattr(radbif, name) for name in removed)
 
