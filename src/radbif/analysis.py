@@ -77,7 +77,6 @@ class BifurcationReport:
     K_bound: float
     direction: Direction
     slope_predicted: Union[float, tuple]
-    slope_fitted: Optional[float]
     r0_under: float
     r0_over: float
 
@@ -235,11 +234,9 @@ def nonexistence_bound(model: NonlinearityModel, mu1: float) -> float:
     return require_positive(mu1, "first eigenvalue") / model.K
 
 
-def build_report(grid: RadialGrid, model: NonlinearityModel,
-                 branch: Branch | None = None) -> BifurcationReport:
-    """Assemble the full scalar report; fits the slope when a branch with
-    enough small-norm points is supplied, otherwise leaves it None.  A
-    branch traced on another grid or model object is a ConfigError.  The
+def build_report(grid: RadialGrid, model: NonlinearityModel) -> BifurcationReport:
+    """Assemble the full scalar report of model on grid; it traces no
+    branch, and slope_fit(branch) is the fitted slope beside it.  The
     tail exponents are None when p1 p2 <= 1, where theta_exponents is
     undefined and the branch has no blow-up tail."""
     eig = steklov_eigenpair(grid)
@@ -248,17 +245,10 @@ def build_report(grid: RadialGrid, model: NonlinearityModel,
     th1, th2 = (theta_exponents(model) if model.p1 * model.p2 > 1.0
                 else (None, None))
     lo, hi = r0_bounds(model)
-    fitted = None
-    if branch is not None:
-        branch.check_problem(grid, model)
-        try:
-            fitted = slope_fit(branch)
-        except InsufficientDataError:
-            fitted = None
     return BifurcationReport(
         mu1=eig.mu1, sigma=jd.sigma, zeta=jd.zeta, mu0=mu0,
         theta1=th1, theta2=th2,
         K_bound=nonexistence_bound(model, eig.mu1),
         direction=direction_of_bifurcation(model),
         slope_predicted=slope_prediction(model, eig),
-        slope_fitted=fitted, r0_under=lo, r0_over=hi)
+        r0_under=lo, r0_over=hi)

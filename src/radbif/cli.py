@@ -20,7 +20,8 @@ import numpy as np
 
 from .analysis import build_report, rescale_check
 from .continuation import ContinuationConfig, continue_branch
-from .errors import ConfigError, ToolkitError, require_positive
+from .errors import (ConfigError, ContinuationError, ToolkitError,
+                     require_positive)
 from .grid import SystemState, build_grid, pair_norm, save_state_csv
 from .model import (NonlinearityModel, linear_model, polynomial_model,
                     quadratic_model, reference_model)
@@ -131,7 +132,8 @@ class RunSettings:
             entries, "newton.tol", max(NewtonConfig.tol_residual, floor)),
             **_given(entries, ("newton.max_iter",), _int))
         self.cont = ContinuationConfig(
-            newton=self.newton, **_given(entries, _CONT_KEYS, _float))
+            tol_residual=self.newton.tol_residual,
+            **_given(entries, _CONT_KEYS, _float))
         self.out_dir = entries.get("out.dir", "out")
         self.model, model_key = self._resolve_model(entries)
         self.config_hash = self._hash(model_key)
@@ -186,6 +188,18 @@ def _write_json(path: str, payload) -> None:
 
 def _g(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _require_lambda_floor(branch) -> None:
+    """ContinuationError (exit 1) unless the branch ran down to
+    cont.lambda_stop_low: a branch that stopped early is not one to
+    compute from."""
+    if branch.termination != "lambda_floor":
+        raise ContinuationError(
+            f"branch stopped early ({branch.termination}) at "
+            f"lambda={_g(branch.points[-1].lam)} after {len(branch.points)} "
+            f"points; last rejection: {branch.last_rejection or 'none'}",
+            last_point=branch.points[-1])
 
 
 def _cmd_steklov(st: RunSettings, args) -> int:
@@ -302,18 +316,14 @@ def _cmd_branch(st: RunSettings, args) -> int:
                  else "no fold")
     print(f"points={len(branch.points)} termination={branch.termination} "
           + fold_text)
-    if branch.termination != "lambda_floor":
-        print(f"error: branch stopped early ({branch.termination}) at "
-              f"lambda={_g(branch.points[-1].lam)} after {len(branch.points)} "
-              f"points; last rejection: {branch.last_rejection or 'none'}",
-              file=sys.stderr)
-        return 1
+    _require_lambda_floor(branch)
     return 0
 
 
 def _cmd_multiplicity(st: RunSettings, args) -> int:
     require_positive(args.lam, "--lambda")
     branch = continue_branch(st.grid, st.model, st.cont)
+    _require_lambda_floor(branch)
     minimal, upper = second_solution(st.grid, st.model, args.lam, branch)
     save_state_csv(st.path("minimal.csv"), st.grid, minimal,
                    comment=f"config={st.config_hash} minimal lambda={_g(args.lam)}")
@@ -339,7 +349,9 @@ def _cmd_multiplicity(st: RunSettings, args) -> int:
 
 
 def _cmd_rescale_check(st: RunSettings, args) -> int:
-    table = rescale_check(continue_branch(st.grid, st.model, st.cont))
+    branch = continue_branch(st.grid, st.model, st.cont)
+    _require_lambda_floor(branch)
+    table = rescale_check(branch)
     with open(st.path("rescale.csv"), "w", encoding="utf-8") as fh:
         fh.write(f"# config={st.config_hash}\n")
         fh.write("lambda,ratio1,ratio2\n")

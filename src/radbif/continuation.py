@@ -32,7 +32,7 @@ rest are polished by Newton in at most MAX_POLISH_ITER steps.  A polish
 that fails or ends non-positive rejects the step.
 
 Every turn of lam along the branch is one solve of the same corrector,
-started at the extreme branch point around its tangent sign flip, with
+started at the branch point before its tangent sign flip, with
 the arclength row replaced by det F_t/mu_h^2 = 1 - (lam/mu_h)^2 f1'(t2)
 f2'(t1) (Moore & Spence 1980); a solve that fails raises.  At a fixed
 lam, t2 = lam f2(t1)/mu_h, so the states at lam are the roots t1 of one scalar equation
@@ -40,14 +40,14 @@ lam, t2 = lam f2(t1)/mu_h, so the states at lam are the roots t1 of one scalar e
 increases along the branch and q_lam at a branch node has the sign of lam
 - lam_k: solutions_at evaluates q only around the node pairs whose lam
 values enclose lam, bisects each bracket on doubles and verifies each
-root in full space at the branch's own Branch.newton.
+root in full space at the branch's own tolerance, Branch.tol.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -85,6 +85,8 @@ class ContinuationConfig:
     it takes >= 8 or the step is rejected, clipped to [ds_min, ds_max].  lambda_stop_low > 0
     is the tail cutoff: the zero-parameter end is a bifurcation from
     infinity and is analyzed by rescaling, not chased to blow-up.
+    tol_residual is the tolerance of the corrector, of the fold solves and
+    of the full-space re-check and polish of every point.
     """
 
     ds0: float = 0.01
@@ -93,7 +95,7 @@ class ContinuationConfig:
     eps_step_off: float = 1e-4
     lambda_stop_low: float = 1e-3
     max_points: int = 2000
-    newton: NewtonConfig = NewtonConfig()
+    tol_residual: float = NewtonConfig.tol_residual
 
     def __post_init__(self):
         if not (0.0 < self.ds_min <= self.ds0 <= self.ds_max):
@@ -105,6 +107,7 @@ class ContinuationConfig:
                 f"eps_step_off must lie in (0, 0.1], got {self.eps_step_off}")
         require_positive(self.lambda_stop_low, "lambda_stop_low")
         require_int(self.max_points, "max_points", 2)
+        require_positive(self.tol_residual, "tol_residual")
 
 
 @dataclass
@@ -124,7 +127,8 @@ class BranchPoint:
 
 
 class FoldInfo(NamedTuple):
-    """Fold parameter, nearest branch point index, fold traces (t1, t2)."""
+    """Fold parameter, index of the branch point its solve started from
+    (the point before the tangent sign flip), fold traces (t1, t2)."""
     lam_bar: float
     index: int
     t1: float
@@ -142,8 +146,8 @@ class Branch:
     in branch order; fold is the maximum of largest lam, None when lam
     has no maximum along the branch.  rejections counts rejected step
     attempts (each halves ds) and last_rejection holds the reason for the
-    latest one.  newton is the setting every point was verified with
-    (cfg.newton in continue_branch).
+    latest one.  tol is the tolerance every point was verified at
+    (cfg.tol_residual in continue_branch).
     """
 
     grid: RadialGrid
@@ -154,7 +158,7 @@ class Branch:
     folds: list = field(default_factory=list)
     rejections: int = 0
     last_rejection: str = ""
-    newton: NewtonConfig = NewtonConfig()
+    tol: float = NewtonConfig.tol_residual
 
     def check_problem(self, grid: RadialGrid, model: NonlinearityModel) -> None:
         """ConfigError unless the branch was traced on these very grid and
@@ -323,12 +327,12 @@ def _arclength(ts: _TraceSystem, tau, anchor, ds):
 
 
 def _polish(grid: RadialGrid, ts: _TraceSystem, x: np.ndarray,
-            cfg: NewtonConfig) -> NewtonResult:
-    """Rebuild x in full space and re-check it with newton_solve, whose
-    iteration-0 residual is the check and whose later steps polish."""
+            tol: float) -> NewtonResult:
+    """Rebuild x in full space and re-check it with newton_solve at tol,
+    whose iteration-0 residual is the check and whose later steps polish."""
     try:
         result = newton_solve(grid, ts.model, float(x[2]), ts.state(x),
-                              replace(cfg, max_iter=MAX_POLISH_ITER))
+                              NewtonConfig(tol, MAX_POLISH_ITER))
     except NonConvergenceError as exc:
         raise _CorrectorFailure(f"full-space polish failed: {exc}")
     if not result.positive:
@@ -358,9 +362,9 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
     theta_exponents(model)
     ts = _TraceSystem(grid, model)
     mu0 = bifurcation_point(model, ts.mu_h)
-    tol = cfg.newton.tol_residual
+    tol = cfg.tol_residual
 
-    branch = Branch(grid, model, newton=cfg.newton)
+    branch = Branch(grid, model, tol=tol)
     anchor = BranchPoint(lam=mu0, state=SystemState.zero(grid), norm=0.0,
                          tangent_lambda_sign=0, ds=0.0)
     branch.points.append(anchor)
@@ -382,7 +386,7 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
     x0 = eps * tau + np.array([0.0, 0.0, mu0])
     try:
         x, iters = _corrector(ts, _arclength(ts, tau, x0, 0.0), x0, tol)
-        result = _polish(grid, ts, x, cfg.newton)
+        result = _polish(grid, ts, x, tol)
     except _CorrectorFailure as exc:
         raise ContinuationError(
             f"first corrector step failed: could not leave the trivial branch "
@@ -411,7 +415,7 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
             try:
                 x, iters = _corrector(ts, _arclength(ts, tau, x_last, ds),
                                       x_last + ds * tau, tol)
-                result = _polish(grid, ts, x, cfg.newton)
+                result = _polish(grid, ts, x, tol)
             except _CorrectorFailure as exc:
                 branch.rejections += 1
                 branch.last_rejection = str(exc)
@@ -437,24 +441,21 @@ def _locate_folds(ts: _TraceSystem, branch: Branch, tol: float) -> None:
     Newton solve of the minimally extended system {flux rows, fold_row}
     (Moore & Spence, SIAM J. Numer. Anal. 17, 1980).
 
-    A flip at point k, whose sign differs from the last nonzero one
-    before it, is looked for among points k-2 .. k (k-1 .. k+1 when
-    k < 2); the solve starts at the point of largest lam there when lam
-    turns from rising to falling (a maximum), of least lam otherwise.
-    FoldInfo.index is that start point.  A solve that fails, leaves the
-    positive cone or ends on the wrong side of its start lam raises
-    ContinuationError with the start point as last_point.
+    A flip at point k is a sign opposite to the nonzero sign of point k-1
+    (a sign carries over a step with dlam = 0 and the anchor's is 0, so
+    k >= 2).  The solve starts at point k-1, whose lam is the largest
+    among points k-2 .. k when lam turns from rising to falling (a
+    maximum) and the least otherwise; FoldInfo.index is k-1.  A solve
+    that fails, leaves the positive cone or ends on the wrong side of its
+    start lam raises ContinuationError with the start point as
+    last_point.
     """
     points = branch.points
-    signed = [(k, p.tangent_lambda_sign) for k, p in enumerate(points)
-              if p.tangent_lambda_sign != 0]
-    for (_, before), (k, after) in zip(signed, signed[1:]):
-        if before == after:
+    for start in range(1, len(points) - 1):  # the flip is at start + 1
+        before = points[start].tangent_lambda_sign
+        if before * points[start + 1].tangent_lambda_sign >= 0:
             continue
-        window = ([k - 2, k - 1, k] if k >= 2  # k >= 1: a flip follows a sign
-                  else [i for i in (k - 1, k, k + 1) if i < len(points)])
         top = before > 0  # lam turns from rising to falling
-        start = (max if top else min)(window, key=lambda i: points[i].lam)
         x0 = _traces(points[start])
         try:
             x, _ = _corrector(ts, ts.fold_row, x0, tol)
@@ -490,7 +491,7 @@ def solutions_at(branch: Branch, lam: float) -> list:
     evaluated nodes brackets one root, and a root on a node is taken
     once.  The cost is a few q values per crossing, whatever the number
     of branch points.  Each root is rebuilt as (t1, lam f2(t1)/mu_h, lam)
-    and polished in full space at branch.newton; a root whose polish
+    and polished in full space at branch.tol; a root whose polish
     fails or ends non-positive (pair norm at or below
     POSITIVITY_ZERO_FLOOR) is dropped, not fatal.
     """
@@ -519,7 +520,7 @@ def solutions_at(branch: Branch, lam: float) -> list:
     for t1 in roots:
         try:
             states.append(_polish(branch.grid, ts, ts.at(t1, lam),
-                                  branch.newton).state)
+                                  branch.tol).state)
         except _CorrectorFailure:
             continue
     return sorted(states, key=pair_norm)

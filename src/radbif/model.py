@@ -29,7 +29,6 @@ __all__ = [
     "linear_model",
     "polynomial_model",
     "eval_f",
-    "eval_fprime",
     "f_extended",
     "fprime_extended",
     "r0_bounds",
@@ -117,14 +116,6 @@ def eval_f(model: NonlinearityModel, i: int, s: float) -> float:
         raise ValueError(f"f{i} is only defined for s >= 0, got {s}")
     f, _, _ = _as_pair(model, i)
     return float(f(s))
-
-
-def eval_fprime(model: NonlinearityModel, i: int, s: float) -> float:
-    """Evaluate f_i'(s) for s >= 0."""
-    if s < 0:
-        raise ValueError(f"f{i}' is only defined for s >= 0, got {s}")
-    _, df, _ = _as_pair(model, i)
-    return float(df(s))
 
 
 def f_extended(model: NonlinearityModel, i: int, s: float) -> float:

@@ -6,8 +6,8 @@ with frozen boundary fluxes; on the traces it is t1 <- G_lam(t1) = lam
 f1(lam f2(t1)/mu_h)/mu_h, so for a monotone model the minimal solution
 above a subsolution (Amann) is the first root of G_lam(t) = t above its
 trace.  second_solution takes that root and the branch solution from one
-solutions_at call, so both are verified at the branch's own Newton
-setting, wherever solutions_at finds two states above mu0; the
+solutions_at call, so both are verified at the branch's own tolerance,
+wherever solutions_at finds two states above mu0; the
 iteration, whose contraction tends to 1 at mu0 and at a fold, is the
 reference.
 """
@@ -150,7 +150,7 @@ def second_solution(grid: RadialGrid, model: NonlinearityModel, lam: float,
                     branch: Branch):
     """(minimal solution, distinct branch solution) at lam above mu0.
 
-    Both come from one solutions_at call, verified at branch.newton: the
+    Both come from one solutions_at call, verified at branch.tol: the
     minimal solution is the state of least pair norm, the first root of
     q_lam = G_lam(t)/t - 1 above the canonical subsolution trace, and the
     branch solution the one of largest pair norm.  The minimal one is
@@ -158,9 +158,10 @@ def second_solution(grid: RadialGrid, model: NonlinearityModel, lam: float,
     (else MonotonicityViolationError).  Raises ConfigError for lam not
     above mu0 (the subsolution's flux inequalities fail there) and,
     through solutions_at, for a non-monotone model, and DistinctnessError
-    when fewer than two positive states are at lam (above the fold, or
-    just above mu0, where the minimal one sinks below
-    POSITIVITY_ZERO_FLOOR) or the two pair norms agree to 1e-3 relative.
+    when fewer than two positive states are at lam or the two pair norms
+    agree to 1e-3 relative.  Its message names the largest lam of the
+    branch when lam lies above it, and POSITIVITY_ZERO_FLOOR otherwise:
+    just above mu0 the minimal state sinks below that floor.
     A branch traced on another grid or model object is a ConfigError.
     """
     branch.check_problem(grid, model)
@@ -171,6 +172,12 @@ def second_solution(grid: RadialGrid, model: NonlinearityModel, lam: float,
             f"parameter {lam:.6g} is not above the bifurcation value {mu0:.6g}")
     states = solutions_at(branch, lam)
     if len(states) < 2:
+        lams = ([p.lam for p in branch.points]
+                + [f.lam_bar for f in branch.folds])
+        if lams and lam > max(lams):
+            raise DistinctnessError(
+                f"no positive state at lam={lam:.12g} (mu0 + {lam - mu0:.3g})"
+                f" along the branch: its largest lam is {max(lams):.17g}")
         raise DistinctnessError(
             f"only {len(states)} positive state(s) at lam={lam:.12g} "
             f"(mu0 + {lam - mu0:.3g}) along the branch; a state whose pair "

@@ -156,7 +156,7 @@ def scan_solutions_at(branch, lam):
     for t1 in roots:
         try:
             states.append(_polish(branch.grid, ts, ts.at(t1, lam),
-                                  branch.newton).state)
+                                  branch.tol).state)
         except _CorrectorFailure:
             continue
     return sorted(states, key=radbif.pair_norm)

@@ -274,33 +274,19 @@ def test_build_report_without_branch(grid128, ref_model):
     assert (rep.theta1, rep.theta2) == pytest.approx((0.8, 0.6))
     assert rep.direction is Direction.RIGHT
     assert rep.r0_under == rep.r0_over == pytest.approx(-0.125)
-    assert rep.slope_fitted is None
+    assert not hasattr(rep, "slope_fitted")  # slope_fit(branch) stands beside
     assert rep.K_bound == pytest.approx(4.0 * rep.mu1 / 3.0, rel=1e-14)
 
 
 def test_build_report_with_branch(grid512, ref_model, ref_branch,
                                   slope_branch):
-    rep = build_report(grid512, ref_model, branch=slope_branch)
+    # the report takes no branch; the fit from one stands beside it
+    rep = build_report(grid512, ref_model)
     assert rep.direction is Direction.RIGHT
-    assert rep.slope_fitted is not None and rep.slope_fitted < 0.0
-    assert rep.slope_fitted == pytest.approx(rep.slope_predicted, abs=1e-3)
+    fitted = slope_fit(slope_branch)
+    assert fitted < 0.0
+    assert fitted == pytest.approx(rep.slope_predicted, abs=1e-3)
     # ordering: bifurcation point < fold < nonexistence bound
     assert rep.mu0 < ref_branch.fold.lam_bar <= rep.K_bound + 1e-8
-
-
-def test_build_report_coarse_branch_leaves_fit_unset(grid512, ref_model,
-                                                     ref_branch):
-    # the session branch doubles its steps too fast to collect 5 points
-    # below norm 0.1; the report records that honestly instead of fitting
-    rep = build_report(grid512, ref_model, branch=ref_branch)
-    assert rep.slope_fitted is None
-
-
-def test_build_report_refuses_a_branch_of_another_problem(grid128, grid512,
-                                                          ref_model,
-                                                          slope_branch):
-    # the M = 512 branch fitted against the M = 128 mu0 would report -0.052
-    # instead of -0.039
-    for grid, model in ((grid128, ref_model), (grid512, reference_model())):
-        with pytest.raises(ConfigError, match="another grid or model"):
-            build_report(grid, model, branch=slope_branch)
+    with pytest.raises(TypeError):
+        build_report(grid512, ref_model, branch=slope_branch)

@@ -134,7 +134,7 @@ def test_report_json(tmp_path, capsys):
     assert printed == on_disk
     assert printed["direction"] == "Right"
     assert printed["slope_predicted"] == pytest.approx(-0.0391294, abs=1e-5)
-    assert printed["slope_fitted"] is None  # report alone traces no branch
+    assert "slope_fitted" not in printed  # report traces no branch
 
 
 @pytest.mark.parametrize("name", ["reference", "quadratic", "linear"])
@@ -287,10 +287,12 @@ def test_valid_keys_are_pinned():
 
 def test_unset_keys_take_the_config_class_defaults():
     st = cli.RunSettings({})
-    assert st.cont == radbif.ContinuationConfig(newton=st.newton)
+    assert st.cont == radbif.ContinuationConfig(
+        tol_residual=st.newton.tol_residual)
     assert st.newton.max_iter == radbif.NewtonConfig().max_iter
     st = cli.RunSettings({"cont.ds_max": "0.5", "newton.max_iter": "20"})
-    assert st.cont == radbif.ContinuationConfig(ds_max=0.5, newton=st.newton)
+    assert st.cont == radbif.ContinuationConfig(
+        ds_max=0.5, tol_residual=st.newton.tol_residual)
     assert st.newton.max_iter == 20
 
 
@@ -433,12 +435,52 @@ def test_two_fold_model_reports_its_maximum(tmp_path, capsys):
 
 
 def test_multiplicity_without_two_states_exits_1(tmp_path, capsys):
-    # the quadratic model's branch has no fold and one state at each lam
-    # above mu0: a numerical outcome, not a configuration error
+    # the quadratic model's branch bifurcates to the left and has no state
+    # above mu0: a numerical outcome, not a configuration error, whose
+    # message names the largest lam of the branch, not the zero floor
     assert run(["multiplicity", "--lambda", "0.4", "--override",
                 "model.name=quadratic", "--override", "grid.M=128",
                 "--override", f"out.dir={_out(tmp_path)}"]) == 1
-    assert "positive state(s)" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "no positive state at lam=0.4" in err
+    assert "its largest lam is 0.313" in err and "zero floor" not in err
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(["multiplicity", "--lambda", str(LAMBDA_MID)],
+                 id="multiplicity"),
+    pytest.param(["rescale-check"], id="rescale-check")])
+def test_commands_refuse_a_branch_that_stopped_early(tmp_path, capsys,
+                                                     monkeypatch, command):
+    # a branch cut at max_points is not computed from: the stderr line of
+    # radbif branch, exit 1 and no artifact
+    def truncated(grid, model, cfg):
+        return continue_branch(grid, model,
+                               dataclasses.replace(cfg, max_points=5))
+
+    monkeypatch.setattr(cli, "continue_branch", truncated)
+    out = tmp_path / "out"
+    argv = ["--override", "grid.M=128", "--override", f"out.dir={out}"]
+    assert run(["branch", *argv]) == 1
+    want = capsys.readouterr().err
+    assert want.startswith("error: branch stopped early (max_points)")
+    shutil.rmtree(out)
+    assert run([*command, *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == want and captured.out == ""
+    assert not out.exists()
+
+
+def test_multiplicity_refuses_a_branch_that_failed(tmp_path, capsys):
+    # at M = 1024 an explicit newton.tol=1e-10 lies below the representation
+    # floor and the branch ends in corrector_failure before its fold
+    out = tmp_path / "out"
+    assert run(["multiplicity", "--lambda", "0.325",
+                "--override", "grid.M=1024", "--override", "newton.tol=1e-10",
+                "--override", f"out.dir={out}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: branch stopped early (corrector_failure)")
+    assert "zero floor" not in err and not out.exists()
 
 
 def test_multiplicity_rejects_nonpositive_lambda(tmp_path, capsys):

@@ -14,12 +14,11 @@ import pytest
 
 from conftest import band_loop, trace_system_solve
 from radbif import (Branch, ConfigError, ContinuationConfig,
-                    ContinuationError, NewtonConfig, bifurcation_point,
-                    build_grid, continue_branch, eval_f, eval_fprime,
-                    f_extended, fprime_extended, initial_tangent,
-                    linear_model, operator_bands, quadratic_model, residual,
-                    scaled_residual_norm, solutions_at, solve_flux_bvp,
-                    steklov_eigenpair)
+                    ContinuationError, bifurcation_point, build_grid,
+                    continue_branch, eval_f, f_extended, fprime_extended,
+                    initial_tangent, linear_model, operator_bands,
+                    quadratic_model, residual, scaled_residual_norm,
+                    solutions_at, solve_flux_bvp, steklov_eigenpair)
 from radbif.continuation import (MAX_CORRECTOR_ITER, MAX_POLISH_ITER,
                                   _CorrectorFailure, _TraceSystem)
 from radbif.grid import _unit_trace_extended
@@ -105,6 +104,12 @@ def test_config_validation():
     for points in (2.5, 100.0, math.nan):
         with pytest.raises(ConfigError, match="integer"):
             ContinuationConfig(max_points=points)
+    for tol in (0.0, -1e-10, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="tol_residual"):
+            ContinuationConfig(tol_residual=tol)
+    # one tolerance, no Newton settings that the tracing would ignore
+    with pytest.raises(TypeError):
+        ContinuationConfig(newton=None)
 
 
 def test_branch_structure_and_termination(ref_branch, mu0_ref):
@@ -135,8 +140,8 @@ def test_branch_fold_matches_trace_system(ref_branch, mu0_ref, ref_model,
                - fold.lam_bar * eval_f(ref_model, 2, fold.t1)) <= 1e-12
     # and make the trace Jacobian singular: fold_row = det F_t / mu_h^2
     kappa = fold.lam_bar / mu_h512
-    fold_row = 1.0 - kappa ** 2 * (eval_fprime(ref_model, 1, fold.t2)
-                                   * eval_fprime(ref_model, 2, fold.t1))
+    fold_row = 1.0 - kappa ** 2 * (fprime_extended(ref_model, 1, fold.t2)
+                                   * fprime_extended(ref_model, 2, fold.t1))
     assert abs(fold_row) <= 1e-12
 
 
@@ -166,15 +171,15 @@ def test_branch_traces_solve_the_trace_system(ref_branch, ref_model,
             mu_h512,
             lambda t: lam * eval_f(ref_model, 1, t),
             lambda t: lam * eval_f(ref_model, 2, t),
-            lambda t: lam * eval_fprime(ref_model, 1, t),
-            lambda t: lam * eval_fprime(ref_model, 2, t), t1, t2)
+            lambda t: lam * fprime_extended(ref_model, 1, t),
+            lambda t: lam * fprime_extended(ref_model, 2, t), t1, t2)
         scale = max(1.0, t1, t2)
         assert abs(got[0] - t1) <= 1e-10 * scale
         assert abs(got[1] - t2) <= 1e-10 * scale
 
 
 def test_branch_records_diagnostics(ref_branch, branch_cfg):
-    tol = branch_cfg.newton.tol_residual
+    tol = branch_cfg.tol_residual
     for p in ref_branch.points[1:]:
         # the count includes the refinement step taken after convergence
         assert 1 <= p.corrector_iterations <= MAX_CORRECTOR_ITER + 1
@@ -231,7 +236,7 @@ def test_fold_reproducible_across_grids(ref_branch, ref_model, mu_h512):
     cfg = ContinuationConfig(ds0=0.01, ds_min=1e-8, ds_max=0.25,
                              eps_step_off=1e-4, lambda_stop_low=0.2,
                              max_points=1000,
-                             newton=NewtonConfig(tol_residual=1e-9))
+                             tol_residual=1e-9)
     kappa512 = ref_branch.fold.lam_bar / mu_h512
     for M in (128, 1024):
         grid = build_grid(3, 1.0, M)
@@ -333,8 +338,8 @@ def _sign_flips(branch):
 def test_every_flip_is_one_fold_row_solve(which, grid128, ref_model,
                                           two_fold_model, monkeypatch):
     # each turn of lam is one Newton solve of the extended system, started
-    # at the extreme point of its sample window, not a bisection of
-    # corrector solves along the arclength
+    # at the extreme point of the three around its flip, not a bisection
+    # of corrector solves along the arclength
     import radbif.continuation as cont
     model = ref_model if which == "reference" else two_fold_model
     corrector, solves = cont._corrector, []
@@ -364,6 +369,27 @@ def test_every_flip_is_one_fold_row_solve(which, grid128, ref_model,
         else:
             assert start.lam == window.min() and fold.lam_bar <= start.lam
     assert lams.max() <= branch.fold.lam_bar
+
+
+@pytest.mark.parametrize("which", ["reference", "two-fold"])
+def test_fold_solve_starts_at_the_point_before_the_flip(which, ref_branch,
+                                                         two_fold_branch):
+    # a flip at point k, a tangent sign opposite to that of point k-1, is
+    # solved from point k-1; no two neighbours share a lam, so k-1 is the
+    # strict extreme of points k-2 .. k
+    branch = ref_branch if which == "reference" else two_fold_branch
+    signs = [p.tangent_lambda_sign for p in branch.points]
+    assert signs[0] == 0 and 0 not in signs[1:]
+    flips = [k for k in range(2, len(signs)) if signs[k] != signs[k - 1]]
+    assert [f.index for f in branch.folds] == [k - 1 for k in flips]
+    assert len(flips) == (1 if which == "reference" else 2)
+    lams = branch.lambdas()
+    for k in flips:
+        others = (lams[k - 2], lams[k])
+        if signs[k - 1] > 0:  # a maximum
+            assert lams[k - 1] > max(others)
+        else:
+            assert lams[k - 1] < min(others)
 
 
 def test_failed_fold_solve_raises(grid128, ref_model, two_fold_model,
@@ -455,8 +481,8 @@ def test_solutions_at_counts(ref_branch, grid512, ref_model, mu0_ref,
                 mu_h512,
                 lambda t: lam * eval_f(ref_model, 1, t),
                 lambda t: lam * eval_f(ref_model, 2, t),
-                lambda t: lam * eval_fprime(ref_model, 1, t),
-                lambda t: lam * eval_fprime(ref_model, 2, t), t1, t2)
+                lambda t: lam * fprime_extended(ref_model, 1, t),
+                lambda t: lam * fprime_extended(ref_model, 2, t), t1, t2)
             scale = max(1.0, t1, t2)
             assert abs(got[0] - t1) <= 1e-12 * scale, lam
             assert abs(got[1] - t2) <= 1e-12 * scale, lam
@@ -489,6 +515,39 @@ def test_solutions_at_counts(ref_branch, grid512, ref_model, mu0_ref,
     for lam in (0.0, math.nan, math.inf):
         with pytest.raises(ConfigError, match="positive and finite"):
             solutions_at(ref_branch, lam)
+
+
+def test_the_continuation_tolerance_verifies_every_state(grid128, ref_model,
+                                                        monkeypatch):
+    # cfg.tol_residual is the branch's tol and the one tolerance of the
+    # corrector, the fold solves and every polish, solutions_at's too
+    import radbif.continuation as cont
+    cfg = dataclasses.replace(FAST_CFG, tol_residual=1e-9)
+    newton_solve, corrector = cont.newton_solve, cont._corrector
+    tols, corrector_tols = [], set()
+
+    def recording(grid, model, lam, init, ncfg):
+        tols.append((ncfg.tol_residual, ncfg.max_iter))
+        return newton_solve(grid, model, lam, init, ncfg)
+
+    def recording_corrector(ts, extra, x0, tol):
+        corrector_tols.add(tol)
+        return corrector(ts, extra, x0, tol)
+
+    monkeypatch.setattr(cont, "newton_solve", recording)
+    monkeypatch.setattr(cont, "_corrector", recording_corrector)
+    branch = continue_branch(grid128, ref_model, cfg)
+    assert branch.tol == 1e-9 and corrector_tols == {1e-9}
+    assert set(tols) == {(1e-9, MAX_POLISH_ITER)}
+    assert len(tols) >= len(branch.points) - 1  # a polish per point
+    assert all(p.residual <= 1e-9 for p in branch.points[1:])
+    tols.clear()
+    states = solutions_at(branch, 0.5 * (branch.points[0].lam
+                                         + branch.fold.lam_bar))
+    assert len(states) == 2
+    assert tols == [(1e-9, MAX_POLISH_ITER)] * 2
+    assert ContinuationConfig().tol_residual == 1e-10
+    assert continue_branch(grid128, ref_model, FAST_CFG).tol == 1e-10
 
 
 def test_solutions_at_polishes_once_per_root(ref_branch, grid512, ref_model,
@@ -664,7 +723,7 @@ def test_fine_grid_branch_keeps_its_fold_and_skips_the_polish(ref_model):
     # M = 4096 at tol 1e-8: about 94 % of the points pass the re-check with
     # no Newton step, and the fold keeps its bits
     grid = build_grid(3, 1.0, 4096)
-    cfg = ContinuationConfig(newton=NewtonConfig(tol_residual=1e-8))
+    cfg = ContinuationConfig(tol_residual=1e-8)
     branch = continue_branch(grid, ref_model, cfg)
     assert branch.termination == "lambda_floor"
     assert branch.fold.lam_bar == 0.3332102968730778
@@ -693,7 +752,7 @@ def two_fold_branches(two_fold_model, grid128, grid512, two_fold_branch):
     """The two-fold model's branch at M = 128 and 512 (tol 1e-10) and
     M = 4096 (tol 1e-8, above its representation floor)."""
     grid4096 = build_grid(3, 1.0, 4096)
-    cfg4096 = ContinuationConfig(newton=NewtonConfig(tol_residual=1e-8))
+    cfg4096 = ContinuationConfig(tol_residual=1e-8)
     return {128: (grid128, continue_branch(grid128, two_fold_model,
                                            ContinuationConfig())),
             512: (grid512, two_fold_branch),

@@ -352,8 +352,25 @@ def test_second_solution_on_the_two_fold_branch(grid512, two_fold_model,
     for st in (minimal, upper):
         assert scaled_residual_norm(
             residual(grid512, two_fold_model, 0.35, st), st) <= 1e-10
-    with pytest.raises(DistinctnessError, match="only 0 positive state"):
+    with pytest.raises(DistinctnessError, match="its largest lam is 0.3708"):
         second_solution(grid512, two_fold_model, 0.3709, two_fold_branch)
+
+
+def test_second_solution_above_the_branch_names_its_largest_lam(
+        grid128, grid512, ref_model, ref_branch, branch_cfg):
+    # above every lam a branch reaches there is no state to miss: the error
+    # names the largest lam (the fold, or mu0 on a branch that bifurcates
+    # to the left) and does not blame the zero floor
+    quad = quadratic_model()
+    quad_branch = continue_branch(grid128, quad, branch_cfg)
+    cases = ((grid512, ref_model, ref_branch, 0.34, ref_branch.fold.lam_bar),
+             (grid128, quad, quad_branch, 0.4, quad_branch.points[0].lam))
+    for grid, model, branch, lam, top in cases:
+        with pytest.raises(DistinctnessError) as exc:
+            second_solution(grid, model, lam, branch)
+        msg = str(exc.value)
+        assert f"its largest lam is {top:.17g}" in msg, msg
+        assert "zero floor" not in msg and "POSITIVITY_ZERO_FLOOR" not in msg
 
 
 def test_second_solution_refuses_a_branch_of_another_problem(

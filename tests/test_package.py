@@ -15,11 +15,11 @@ from radbif.errors import ConfigError, require_positive
 # remainder, remainder_limits, estimate_remainder_limits and
 # EstimationFailedError too: remainder limits are model data (r_lims).
 # Less detect_fold: every turn of the branch is solved exactly, with no
-# sampled fold.
+# sampled fold.  Less eval_fprime: fprime_extended gives its values.
 _EARLIER_SURFACE = """
     NonlinearityModel CheckResult HypothesesReport
     reference_model quadratic_model linear_model polynomial_model eval_f
-    eval_fprime f_extended fprime_extended r0_bounds zeta validate_hypotheses
+    f_extended fprime_extended r0_bounds zeta validate_hypotheses
     RadialGrid
     SystemState build_grid pair_norm apply_operator boundary_flux
     operator_bands banded_matvec_extended solve_flux_bvp save_state_csv
@@ -48,11 +48,11 @@ def test_package_exports_exactly_the_module_lists():
     for m in modules:
         for name in m.__all__:
             assert getattr(radbif, name) is getattr(m, name)
-    assert len(_EARLIER_SURFACE) == 75
+    assert len(_EARLIER_SURFACE) == 74
     assert set(_EARLIER_SURFACE) <= set(radbif.__all__)
     assert {"monotone_check", "ORDER_SLACK_REL"} <= set(radbif.__all__)
     removed = {"remainder", "remainder_limits", "estimate_remainder_limits",
-               "EstimationFailedError", "detect_fold"}
+               "EstimationFailedError", "detect_fold", "eval_fprime"}
     assert not removed & set(radbif.__all__)
     assert not any(hasattr(radbif, name) for name in removed)
 

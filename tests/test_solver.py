@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from conftest import band_loop, trace_system_solve
 from radbif import (ConfigError, NewtonConfig, NewtonResult,
                     NonConvergenceError, SystemState, apply_operator,
-                    boundary_flux, build_grid, eval_f, eval_fprime,
-                    f_extended, is_positive_state, jacobian,
+                    boundary_flux, build_grid, eval_f, f_extended,
+                    fprime_extended, is_positive_state, jacobian,
                     linear_bvp_solve, linear_model, newton_solve,
                     operator_bands, pair_norm, residual,
                     scaled_residual_norm, solve_flux_bvp, solve_limit_problem)
@@ -72,8 +72,8 @@ def test_converged_traces_solve_the_reduced_system(grid512, ref_model,
     lam = LAMBDA_MID
     g1 = lambda t: lam * eval_f(ref_model, 1, t)
     g2 = lambda t: lam * eval_f(ref_model, 2, t)
-    dg1 = lambda t: lam * eval_fprime(ref_model, 1, t)
-    dg2 = lambda t: lam * eval_fprime(ref_model, 2, t)
+    dg1 = lambda t: lam * fprime_extended(ref_model, 1, t)
+    dg2 = lambda t: lam * fprime_extended(ref_model, 2, t)
     # the two crossings of the reduced system at this parameter
     lower = trace_system_solve(mu_h512, g1, g2, dg1, dg2, 0.12, 0.13)
     upper = trace_system_solve(mu_h512, g1, g2, dg1, dg2, 0.47, 0.60)
@@ -212,8 +212,8 @@ def test_backtracking_stops_once_the_trial_rounds_back(grid512, ref_model,
     lam = 0.3
     g1 = lambda t: lam * eval_f(ref_model, 1, t)
     g2 = lambda t: lam * eval_f(ref_model, 2, t)
-    dg1 = lambda t: lam * eval_fprime(ref_model, 1, t)
-    dg2 = lambda t: lam * eval_fprime(ref_model, 2, t)
+    dg1 = lambda t: lam * fprime_extended(ref_model, 1, t)
+    dg2 = lambda t: lam * fprime_extended(ref_model, 2, t)
     t1, t2 = trace_system_solve(mu_h512, g1, g2, dg1, dg2, 0.6, 0.8)
     w = solve_flux_bvp(grid512, 1.0)
     w = w / w[-1]
