@@ -39,8 +39,10 @@ lam, t2 = lam f2(t1)/mu_h, so the states at lam are the roots t1 of one scalar e
 (_TraceSystem.q).  For a monotone model G_lam grows with lam, so t1
 increases along the branch and q_lam at a branch node has the sign of lam
 - lam_k: solutions_at evaluates q only around the node pairs whose lam
-values enclose lam, bisects each bracket on doubles and verifies each
-root in full space at the branch's own tolerance, Branch.tol.
+values enclose lam, closes each bracket by an Illinois iteration on
+doubles down to a sign change of the computed q (_TraceSystem.root) and
+verifies each root in full space at the branch's own tolerance,
+Branch.tol.
 """
 
 from __future__ import annotations
@@ -233,19 +235,40 @@ class _TraceSystem:
             return lam * lam * m.fp0_1 * m.fp0_2 / (mu * mu) - 1.0
         return lam * f_extended(m, 1, lam * f_extended(m, 2, t) / mu) / (mu * t) - 1.0
 
-    def root(self, lam: float, lo: float, hi: float) -> float:
-        """Root of q_lam on a sign-changing [lo, hi], bisected to the last double."""
-        q_lo = self.q(lo, lam)
-        while q_lo != 0.0:
-            mid = 0.5 * (lo + hi)
-            if mid in (lo, hi):
-                break
-            q_mid = self.q(mid, lam)
-            if q_mid == 0.0 or (q_mid > 0.0) == (q_lo > 0.0):
-                lo, q_lo = mid, q_mid
+    def root(self, lam: float, lo: float, hi: float, q_lo: float,
+             q_hi: float) -> float:
+        """Root of q_lam on [lo, hi], where q_lo = q(lo) and q_hi = q(hi)
+        have opposite signs: an exact zero of q, or the lo end of two
+        adjacent doubles where the computed q changes sign.
+
+        Illinois iteration (modified regula falsi; Dowell & Jarratt, BIT
+        11, 1971): the secant point of the bracket, with the kept end's
+        weight halved whenever the same end moves twice running.  It
+        bisects instead when that point is not finite or not strictly
+        inside (lo, hi), and once the bracket is at most 64 ulps wide.
+        Computed q has a noise band of a few ulps around each root, so
+        the double found may differ from plain bisection's inside it.
+        """
+        lo_positive, moved = q_lo > 0.0, 0
+        while True:
+            t = lo + (hi - lo) * (q_lo / (q_lo - q_hi))
+            if not lo < t < hi or hi - lo <= 64.0 * math.ulp(hi):
+                t = 0.5 * (lo + hi)
+                if t in (lo, hi):
+                    return lo
+            q_t = self.q(t, lam)
+            if q_t == 0.0:
+                return t
+            if (q_t > 0.0) == lo_positive:
+                lo, q_lo = t, q_t
+                if moved < 0:
+                    q_hi *= 0.5
+                moved = -1
             else:
-                hi = mid
-        return lo
+                hi, q_hi = t, q_t
+                if moved > 0:
+                    q_lo *= 0.5
+                moved = 1
 
     def at(self, t1: float, lam: float) -> np.ndarray:
         """The point x = (t1, t2, lam) with t2 from the second flux row."""
@@ -514,7 +537,7 @@ def solutions_at(branch: Branch, lam: float) -> list:
     t1s = {j: _t1(nodes[j]) for j in ks}
     qs = {j: ts.q(t1s[j], lam) for j in ks}
     roots = [t1s[j] for j in ks if qs[j] == 0.0 and t1s[j] > 0.0]
-    roots += [ts.root(lam, t1s[i], t1s[j])
+    roots += [ts.root(lam, t1s[i], t1s[j], qs[i], qs[j])
               for i, j in zip(ks, ks[1:]) if j == i + 1 and qs[i] * qs[j] < 0.0]
     states = []
     for t1 in roots:

@@ -284,9 +284,14 @@ def save_state_csv(path, grid: RadialGrid, state: SystemState,
                    comment: str | None = None) -> None:
     """Write columns r, u1, u2 (plot-friendly, '#' comment lines allowed)."""
     head = (f"# {comment}\n" if comment else "") + "r,u1,u2\n"
-    rows = zip(_r_column(grid), state.u1.tolist(), state.u2.tolist())
+    r = _r_column(grid)
+    # one % over the row format repeated per row: the same bytes as a
+    # call per row, with a fraction of the calls
+    values = [None] * (3 * len(r))
+    values[0::3] = r
+    values[1::3], values[2::3] = state.u1.tolist(), state.u2.tolist()
     with open(path, "w") as fh:
-        fh.write(head + "".join(map("%s,%.17g,%.17g\n".__mod__, rows)))
+        fh.write(head + ("%s,%.17g,%.17g\n" * len(r)) % tuple(values))
 
 
 def load_state_csv(path):

@@ -186,16 +186,18 @@ def second_solution(grid: RadialGrid, model: NonlinearityModel, lam: float,
     minimal, upper = states[0], states[-1]
 
     sub = build_subsolution(grid, model, lam)
-    slack = ORDER_SLACK_REL * max(1.0, pair_norm(upper))
+    norm_min, norm_up = pair_norm(minimal), pair_norm(upper)
+    slack = ORDER_SLACK_REL * max(1.0, norm_up)
     for what, below, above in (("above the subsolution", sub, minimal),
                                ("below the branch solution", minimal, upper)):
-        over = float(np.max([below.u1 - above.u1, below.u2 - above.u2]))
+        over = max(float((below.u1 - above.u1).max()),
+                   float((below.u2 - above.u2).max()))
         if over > slack:
             raise MonotonicityViolationError(
                 f"minimal solution not {what} at lam={lam:.6g} (by {over:.3e})")
 
-    gap = abs(pair_norm(minimal) - pair_norm(upper))
-    if gap <= 1e-3 * max(1.0, pair_norm(upper)):
+    gap = abs(norm_min - norm_up)
+    if gap <= 1e-3 * max(1.0, norm_up):
         raise DistinctnessError(
             f"minimal and branch solutions coincide at lam={lam:.6g} "
             f"(pair norm gap {gap:.3e}); the parameter may be at the fold")

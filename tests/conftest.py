@@ -138,10 +138,28 @@ def band_loop(ab, x):
     return y
 
 
+def bisect_root(q, lo, hi):
+    """Plain bisection of the callable q on a sign-changing [lo, hi] down
+    to the last double: an exact zero of q, or the lo end of two adjacent
+    doubles where q changes sign.  The root finder solutions_at used
+    before its Illinois iteration, kept as an oracle for it."""
+    q_lo = q(lo)
+    while q_lo != 0.0:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        q_mid = q(mid)
+        if q_mid == 0.0 or (q_mid > 0.0) == (q_lo > 0.0):
+            lo, q_lo = mid, q_mid
+        else:
+            hi = mid
+    return lo
+
+
 def scan_solutions_at(branch, lam):
     """solutions_at by the exhaustive node scan: q_lam at every branch t1
     and at every fold t1, sorted, each sign change between neighbours
-    bisected and each exact zero at t > 0 taken.  The oracle that
+    closed by ts.root and each exact zero at t > 0 taken.  The oracle that
     solutions_at's level-crossing brackets must match bit for bit."""
     from radbif.continuation import _CorrectorFailure, _polish, _TraceSystem
     ts = _TraceSystem(branch.grid, branch.model)
@@ -149,7 +167,7 @@ def scan_solutions_at(branch, lam):
                    | {f.t1 for f in branch.folds})
     qs = [ts.q(t, lam) for t in nodes]
     roots = [t for t, v in zip(nodes, qs) if v == 0.0 and t > 0.0]
-    roots += [ts.root(lam, a, b)
+    roots += [ts.root(lam, a, b, qa, qb)
               for a, b, qa, qb in zip(nodes, nodes[1:], qs, qs[1:])
               if qa * qb < 0.0]
     states = []

@@ -558,8 +558,8 @@ def test_module_entry_point():
 
 def test_import_loads_no_slow_scipy_subpackages():
     """`import radbif` stays cheap: scipy.special (imported inside
-    steklov_shooting_oracle) and scipy.optimize (the trace roots bisect on
-    doubles) are left unloaded."""
+    steklov_shooting_oracle) and scipy.optimize (the trace roots come from
+    an Illinois iteration on Python floats) are left unloaded."""
     code = ("import sys, radbif; print(sorted(m for m in sys.modules "
             "if m.startswith(('scipy.special', 'scipy.optimize'))))")
     proc = subprocess.run([sys.executable, "-c", code],

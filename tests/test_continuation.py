@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import band_loop, trace_system_solve
+from conftest import band_loop, bisect_root, trace_system_solve
 from radbif import (Branch, ConfigError, ContinuationConfig,
                     ContinuationError, bifurcation_point, build_grid,
                     continue_branch, eval_f, f_extended, fprime_extended,
@@ -626,13 +626,115 @@ def test_solutions_at_equals_the_node_scan_bit_for_bit(which, ref_branch,
     assert counts == set(range(len(branch.folds) + 2))
 
 
+def _probe_lams(branch):
+    """300 lam across (mu0 / 2, top), mu0 + 1e-10, mu0 + 1e-6, and every
+    fold with one ulp either side: where q_lam is flattest and its roots
+    meet."""
+    mu0 = branch.points[0].lam
+    lams = list(np.linspace(0.5 * mu0, _top(branch)[1], 300))
+    lams += [mu0 + 1e-10, mu0 + 1e-6]
+    for fold in branch.folds:
+        lams += [fold.lam_bar, np.nextafter(fold.lam_bar, 0.0),
+                 np.nextafter(fold.lam_bar, 1.0)]
+    return [float(lam) for lam in lams]
+
+
+@pytest.fixture(scope="module")
+def root_probes(ref_branch, two_fold_branch):
+    """Per branch, every root solutions_at finds at the _probe_lams as
+    (lam, lo, hi, q_lo, q_hi, root, q values spent)."""
+    q, root = _TraceSystem.q, _TraceSystem.root
+    spent = []
+
+    def counting_q(self, t, lam):
+        spent.append(t)
+        return q(self, t, lam)
+
+    def recording_root(self, lam, lo, hi, q_lo, q_hi):
+        spent.clear()
+        t = root(self, lam, lo, hi, q_lo, q_hi)
+        found.append((lam, lo, hi, q_lo, q_hi, t, len(spent)))
+        return t
+
+    probes = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_TraceSystem, "q", counting_q)
+        mp.setattr(_TraceSystem, "root", recording_root)
+        for which, branch in (("reference-512", ref_branch),
+                              ("two-fold-512", two_fold_branch)):
+            found = probes[which] = []
+            for lam in _probe_lams(branch):
+                solutions_at(branch, lam)
+    return probes
+
+
+@pytest.mark.parametrize("which", ["reference-512", "two-fold-512"])
+def test_every_root_is_a_sign_change_of_q(which, ref_branch, two_fold_branch,
+                                          root_probes):
+    # the root contract, read from q itself: an exact zero, or the lo end
+    # of two adjacent doubles whose computed q values have opposite signs
+    branch = {"reference-512": ref_branch,
+              "two-fold-512": two_fold_branch}[which]
+    ts = _TraceSystem(branch.grid, branch.model)
+    probes = root_probes[which]
+    assert len(probes) >= 300
+    for lam, lo, hi, q_lo, q_hi, t, _ in probes:
+        assert q_lo == ts.q(lo, lam) and q_hi == ts.q(hi, lam)
+        assert lo <= t < hi, lam
+        q_t, q_next = ts.q(t, lam), ts.q(math.nextafter(t, math.inf), lam)
+        assert (q_t == 0.0 or (q_t > 0.0 and q_next < 0.0)
+                or (q_t < 0.0 and q_next > 0.0)), lam
+
+
+@pytest.mark.parametrize("which", ["reference-512", "two-fold-512"])
+def test_roots_spend_few_q_values(which, root_probes):
+    # plain bisection spent about 50 q values on every root
+    spent = [n for *_, n in root_probes[which]]
+    assert np.mean(spent) <= 16 and max(spent) <= 64
+
+
+@pytest.mark.parametrize("which", ["reference-512", "two-fold-512"])
+def test_solutions_at_agrees_with_the_bisected_roots(which, ref_branch,
+                                                     two_fold_branch,
+                                                     monkeypatch):
+    # away from mu0 and the folds, where q_lam is not flat, the roots move
+    # only inside q's noise band: the same states as with plain bisection,
+    # up to 1e-12 relative in pair norm.  The states are verified at the
+    # command line's tolerance for this grid, twice the representation
+    # floor eps 2/h^2.  At the branches' own 1e-10, below that floor at
+    # M = 512, about one root in nine below mu0 fails its polish with
+    # either root finder, so whether a state is kept there turns on which
+    # double of the noise band is rebuilt.
+    from radbif import pair_norm
+    branch = {"reference-512": ref_branch,
+              "two-fold-512": two_fold_branch}[which]
+    floor = np.finfo(float).eps * 2.0 / branch.grid.h ** 2
+    branch = dataclasses.replace(branch, tol=2.0 * floor)
+    levels = [branch.points[0].lam] + [f.lam_bar for f in branch.folds]
+    lams = [lam for lam in _probe_lams(branch)
+            if min(abs(lam - level) for level in levels) >= 1e-6]
+    assert len(lams) >= 290
+    got = [solutions_at(branch, lam) for lam in lams]
+    monkeypatch.setattr(
+        _TraceSystem, "root", lambda self, lam, lo, hi, q_lo, q_hi:
+        bisect_root(lambda t: self.q(t, lam), lo, hi))
+    counts = set()
+    for lam, states in zip(lams, got):
+        want = solutions_at(branch, lam)
+        assert len(states) == len(want), lam
+        for a, b in zip(states, want):
+            assert pair_norm(a) == pytest.approx(pair_norm(b), rel=1e-12), lam
+        counts.add(len(states))
+    assert counts == set(range(1, len(branch.folds) + 2))
+
+
 @pytest.mark.parametrize("which", ["reference-128", "quadratic-128"])
 def test_solutions_at_evaluates_q_per_level_crossing(which, grid128,
                                                      ref_model, branch_cfg,
                                                      quad_branch128,
                                                      monkeypatch):
     # at most four q values per node pair whose lam values enclose lam,
-    # outside the bisection: the same bound on a branch of about 400
+    # outside the root iteration: the same bound on a branch of about 400
     # points and one of about 1100
     import radbif.continuation as cont
     branch = (continue_branch(grid128, ref_model, branch_cfg)

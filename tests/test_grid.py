@@ -328,6 +328,23 @@ def test_state_csv_exact_bytes(tmp_path):
         b"0.875,0.5,1e-300\n0.9375,0.5,0\n1,0.5,-0\n")
 
 
+def test_state_csv_equals_the_row_by_row_formatting(tmp_path):
+    # a 4097-node state, subnormal, tiny, signed-zero, inexact and integer
+    # values among random ones, formatted one row at a time
+    g = build_grid(3, 1.0, 4096)
+    rng = np.random.default_rng(7)
+    u1 = rng.standard_normal(4097) * 10.0 ** rng.integers(-300, 300, 4097)
+    u2 = rng.random(4097)
+    special = [5e-324, 1e-300, -0.0, 0.0, 1.0 / 3.0, 3.0, -17.0, 2.0 ** 53]
+    u1[:len(special)] = special
+    u2[-len(special):] = special
+    path = tmp_path / "state.csv"
+    save_state_csv(path, g, SystemState(u1, u2), comment="rows")
+    rows = "".join("%.17g,%.17g,%.17g\n" % row
+                   for row in zip(g.r.tolist(), u1.tolist(), u2.tolist()))
+    assert path.read_bytes() == ("# rows\nr,u1,u2\n" + rows).encode()
+
+
 @given(st.floats(min_value=-10, max_value=10),
        st.floats(min_value=-10, max_value=10))
 def test_flux_bvp_superposition(f1, f2):
