@@ -101,10 +101,11 @@ def jordan_data(model: NonlinearityModel) -> JordanData:
     (1, -zeta)/(1+zeta); the inverse is closed-form, so the reconstruction
     identity holds to a few ulps and is asserted at 1e-12.
     """
+    a, b = _slopes_at_zero(model)
     sig = _sigma(model)
     z = zeta(model)
     q = 1.0 / (1.0 + z)
-    A = np.array([[0.0, model.fp0_1], [model.fp0_2, 0.0]])
+    A = np.array([[0.0, a], [b, 0.0]])
     P = np.array([[q, q], [z * q, -z * q]])
     Pinv = np.array([[(1.0 + z) / 2.0, (1.0 + z) / (2.0 * z)],
                      [(1.0 + z) / 2.0, -(1.0 + z) / (2.0 * z)]])

@@ -232,7 +232,8 @@ class _TraceSystem:
         whose roots are the t1 of the states at lam; its limit at t = 0."""
         m, mu = self.model, self.mu_h
         if t == 0.0:
-            return lam * lam * m.fp0_1 * m.fp0_2 / (mu * mu) - 1.0
+            return (lam * lam * fprime_extended(m, 1, 0.0)
+                    * fprime_extended(m, 2, 0.0) / (mu * mu) - 1.0)
         return lam * f_extended(m, 1, lam * f_extended(m, 2, t) / mu) / (mu * t) - 1.0
 
     def root(self, lam: float, lo: float, hi: float, q_lo: float,

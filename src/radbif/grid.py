@@ -130,21 +130,22 @@ def boundary_flux(grid: RadialGrid, u: np.ndarray) -> float:
     return float((3.0 * u[M] - 4.0 * u[M - 1] + u[M - 2]) / (2.0 * grid.h))
 
 
-def cache_per_grid(fn):
-    """Memoize fn(grid) for as long as the grid object lives, so assembled
-    bands are built once per grid and freed with it."""
+def cache_per_object(fn):
+    """Memoize fn(obj) for as long as obj lives, so a value derived from a
+    grid or model (assembled bands, a sampled check) is built once per
+    object and freed with it.  obj hashes by identity."""
     cache = weakref.WeakKeyDictionary()
 
     @functools.wraps(fn)
-    def cached(grid):
-        if grid not in cache:
-            cache[grid] = fn(grid)
-        return cache[grid]
+    def cached(obj):
+        if obj not in cache:
+            cache[obj] = fn(obj)
+        return cache[obj]
 
     return cached
 
 
-@cache_per_grid
+@cache_per_object
 def _bands(grid: RadialGrid) -> tuple:
     """(ab, a_pair): the (l, u) = (2, 1) bands of A, and diag(A, A) on the
     interleaved pair as a longdouble CSR array, both read-only.  Row 2j
@@ -213,7 +214,7 @@ def banded_matvec_extended(grid: RadialGrid, x: np.ndarray) -> np.ndarray:
     return _pair_matvec(grid, x, np.zeros_like(x))[0::2]
 
 
-@cache_per_grid
+@cache_per_object
 def _factor(grid: RadialGrid) -> tuple:
     """(lu, piv, v): banded LU of A (LAPACK dgbtrf on the (2, 1) bands) and
     the unit-flux column v = A^-1 e_M, computed once per grid.
@@ -242,7 +243,7 @@ def _factor(grid: RadialGrid) -> tuple:
     return lu, piv, v
 
 
-@cache_per_grid
+@cache_per_object
 def _unit_trace_extended(grid: RadialGrid) -> np.ndarray:
     """The unit-trace profile v/v(R) in longdouble, read-only, computed
     once per grid.
@@ -274,7 +275,7 @@ def solve_flux_bvp(grid: RadialGrid, flux: float) -> np.ndarray:
     return float(flux) * _factor(grid)[2]
 
 
-@cache_per_grid
+@cache_per_object
 def _r_column(grid: RadialGrid) -> list:
     """The r column of save_state_csv, formatted once per grid."""
     return [f"{r:.17g}" for r in grid.r.tolist()]

@@ -2,9 +2,10 @@
 
 A model bundles two scalar functions f1, f2 on [0, inf) together with the
 constants that the bifurcation analysis reads off them: growth exponents and
-coefficients at infinity (f2(s)/s^p1 -> b1, f1(s)/s^p2 -> b2), derivatives at
-zero, remainder exponents nu1, nu2 for R_i(s) = f_i(s) - f_i'(0) s and the
-limits of R_i(s)/s^nu, and a linear-minorant constant K with f_i(s) >= K s.
+coefficients at infinity (f2(s)/s^p1 -> b1, f1(s)/s^p2 -> b2), remainder
+exponents nu1, nu2 for R_i(s) = f_i(s) - f_i'(0) s and the limits of
+R_i(s)/s^nu, and a linear-minorant constant K with f_i(s) >= K s.  The
+slope at zero is no separate constant: f_i'(0) is df_i(0).
 Models are immutable and safe to share across threads.
 """
 
@@ -12,18 +13,17 @@ from __future__ import annotations
 
 import math
 import numbers
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, require_positive
+from .grid import cache_per_object
 
 __all__ = [
     "NonlinearityModel",
     "CheckResult",
-    "HypothesesReport",
     "reference_model",
     "quadratic_model",
     "linear_model",
@@ -45,10 +45,11 @@ class NonlinearityModel:
     Fields
     ------
     f1, f2 : callables on [0, inf), vanishing at 0, with evaluable derivatives
-        df1, df2.
+        df1, df2.  f_i'(0) is df_i(0), which must be finite; every use of
+        the slope at zero (mu0, zeta, the linear extension below 0) reads it
+        there.
     p1, p2 : growth exponents at infinity (f2 ~ b1 s^p1, f1 ~ b2 s^p2).
     b1, b2 : positive asymptotic coefficients.
-    fp0_1, fp0_2 : f1'(0), f2'(0).
     nu1, nu2 : remainder exponents (> 1); nu = min(nu1, nu2).
     K : linear-minorant constant, f_i(s) >= K s for all s >= 0.
     r_lims : (R1_lo, R1_hi, R2_lo, R2_hi), the liminf and limsup of
@@ -64,8 +65,6 @@ class NonlinearityModel:
     p2: float
     b1: float
     b2: float
-    fp0_1: float
-    fp0_2: float
     nu1: float
     nu2: float
     K: float
@@ -73,7 +72,7 @@ class NonlinearityModel:
     name: str = "custom"
 
     def __post_init__(self):
-        for key in ("p1", "p2", "b1", "b2", "fp0_1", "fp0_2", "nu1", "nu2", "K"):
+        for key in ("p1", "p2", "b1", "b2", "nu1", "nu2", "K"):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite, got {getattr(self, key)!r}")
         if self.nu1 <= 1 or self.nu2 <= 1:
@@ -84,9 +83,12 @@ class NonlinearityModel:
             raise ConfigError("growth exponents p1, p2 must be positive")
         if self.b1 < 0 or self.b2 < 0:
             raise ConfigError("asymptotic coefficients b1, b2 must be nonnegative")
-        for f, tag in ((self.f1, "f1"), (self.f2, "f2")):
+        for f, df, tag in ((self.f1, self.df1, "f1"), (self.f2, self.df2, "f2")):
             if not abs(float(f(0.0))) <= 1e-12:  # NaN fails too
                 raise ConfigError(f"{tag}(0) must vanish")
+            if not math.isfinite(float(df(0.0))):
+                raise ConfigError(f"{tag}'(0) = d{tag}(0) must be finite, "
+                                  f"got {float(df(0.0))!r}")
         lims = self.r_lims
         if lims is not None and not (
                 isinstance(lims, Sequence) and len(lims) == 4
@@ -104,9 +106,9 @@ class NonlinearityModel:
 
 def _as_pair(model: NonlinearityModel, i: int):
     if i == 1:
-        return model.f1, model.df1, model.fp0_1
+        return model.f1, model.df1
     if i == 2:
-        return model.f2, model.df2, model.fp0_2
+        return model.f2, model.df2
     raise ValueError(f"component index must be 1 or 2, got {i}")
 
 
@@ -114,33 +116,34 @@ def eval_f(model: NonlinearityModel, i: int, s: float) -> float:
     """Evaluate f_i(s) for s >= 0; negative arguments are a domain error."""
     if s < 0:
         raise ValueError(f"f{i} is only defined for s >= 0, got {s}")
-    f, _, _ = _as_pair(model, i)
+    f, _ = _as_pair(model, i)
     return float(f(s))
 
 
 def f_extended(model: NonlinearityModel, i: int, s: float) -> float:
-    """f_i extended linearly below zero (f_i(s) = f_i'(0) s for s < 0).
+    """f_i extended linearly below zero (f_i(s) = f_i'(0) s for s < 0, with
+    f_i'(0) = df_i(0)).
 
     Used inside Newton solvers so intermediate iterates with small negative
     excursions stay evaluable; converged positive solutions never hit it.
     The extension is C1 because R_i'(0) = 0 under nu_i > 1.
     """
-    f, _, fp0 = _as_pair(model, i)
-    return float(f(s)) if s >= 0 else fp0 * float(s)
+    f, df = _as_pair(model, i)
+    return float(f(s)) if s >= 0 else float(df(0.0)) * float(s)
 
 
 def fprime_extended(model: NonlinearityModel, i: int, s: float) -> float:
     """Derivative of the linear extension (constant f_i'(0) below 0)."""
-    _, df, fp0 = _as_pair(model, i)
-    return float(df(s)) if s >= 0 else float(fp0)
+    _, df = _as_pair(model, i)
+    return float(df(s if s >= 0 else 0.0))
 
 
 def _slopes_at_zero(model: NonlinearityModel) -> tuple[float, float]:
     """(f1'(0), f2'(0)); ConfigError unless both are positive."""
-    if model.fp0_1 <= 0 or model.fp0_2 <= 0:
-        raise ConfigError("derivatives at zero must be positive, got "
-                          f"({model.fp0_1}, {model.fp0_2})")
-    return model.fp0_1, model.fp0_2
+    a, b = fprime_extended(model, 1, 0.0), fprime_extended(model, 2, 0.0)
+    if a <= 0 or b <= 0:
+        raise ConfigError(f"derivatives at zero must be positive, got ({a}, {b})")
+    return a, b
 
 
 def zeta(model: NonlinearityModel) -> float:
@@ -175,51 +178,34 @@ class CheckResult:
     detail: str
 
 
-@dataclass(frozen=True)
-class HypothesesReport:
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failed(self):
-        return [c for c in self.checks if not c.passed]
-
-    def __getitem__(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
 # Sample points of the hypothesis checks on small and moderate arguments.
 _SAMPLES = np.geomspace(1e-8, 1e3, 56)
 
-_MONOTONE_CHECKS = weakref.WeakKeyDictionary()
 
-
+@cache_per_object
 def monotone_check(model: NonlinearityModel) -> CheckResult:
     """The "monotone" entry of validate_hypotheses, sampled once per model
     object (models are frozen and hash by identity) and kept while it
     lives."""
-    if model not in _MONOTONE_CHECKS:
-        d1 = np.array([float(model.df1(float(s))) for s in _SAMPLES])
-        d2 = np.array([float(model.df2(float(s))) for s in _SAMPLES])
-        dmin = min(float(d1.min()), float(d2.min()))
-        _MONOTONE_CHECKS[model] = CheckResult(
-            "monotone", dmin >= -1e-12, f"min sampled f_i'(s) = {dmin:.3g}")
-    return _MONOTONE_CHECKS[model]
+    d1 = np.array([float(model.df1(float(s))) for s in _SAMPLES])
+    d2 = np.array([float(model.df2(float(s))) for s in _SAMPLES])
+    dmin = min(float(d1.min()), float(d2.min()))
+    return CheckResult(
+        "monotone", dmin >= -1e-12, f"min sampled f_i'(s) = {dmin:.3g}")
 
 
-def validate_hypotheses(model: NonlinearityModel, N_dim: int) -> HypothesesReport:
-    """Sampled pass/fail report for every structural hypothesis.
+def validate_hypotheses(model: NonlinearityModel,
+                        N_dim: int) -> tuple[CheckResult, ...]:
+    """Sampled pass/fail result for every structural hypothesis, one
+    CheckResult each.
 
-    Checks nonnegativity, vanishing at zero, positive derivatives at zero,
-    the linear minorant f_i >= K s, the exponent window p_i in (1, N/(N-2)]
-    with at most one critical exponent, monotonicity of f_i (needed by the
-    multiplicity machinery), and the empirical growth f2/s^p1 -> b1,
-    f1/s^p2 -> b2 on s in [1e2, 1e6].  Never raises; callers decide.
+    Checks nonnegativity, positive derivatives at zero, the linear minorant
+    f_i >= K s, the exponent window p_i in (1, N/(N-2)] with at most one
+    critical exponent, monotonicity of f_i (needed by the multiplicity
+    machinery), and the empirical growth f2/s^p1 -> b1, f1/s^p2 -> b2 on s
+    in [1e2, 1e6].  f_i(0) = 0 is no entry: the model
+    refuses |f_i(0)| > 1e-12 when it is built.  Never raises; callers
+    decide.
     """
     checks = []
 
@@ -230,13 +216,10 @@ def validate_hypotheses(model: NonlinearityModel, N_dim: int) -> HypothesesRepor
     checks.append(CheckResult(
         "nonneg", bool((v1 >= 0).all() and (v2 >= 0).all()),
         f"min f1={v1.min():.3g}, min f2={v2.min():.3g} on s in [1e-8, 1e3]"))
-    z1, z2 = abs(float(model.f1(0.0))), abs(float(model.f2(0.0)))
+    d1, d2 = fprime_extended(model, 1, 0.0), fprime_extended(model, 2, 0.0)
     checks.append(CheckResult(
-        "zero-at-zero", z1 <= 1e-12 and z2 <= 1e-12,
-        f"|f1(0)|={z1:.3g}, |f2(0)|={z2:.3g}"))
-    checks.append(CheckResult(
-        "positive-derivative-at-zero", model.fp0_1 > 0 and model.fp0_2 > 0,
-        f"f1'(0)={model.fp0_1:.6g}, f2'(0)={model.fp0_2:.6g}"))
+        "positive-derivative-at-zero", d1 > 0 and d2 > 0,
+        f"f1'(0)={d1:.6g}, f2'(0)={d2:.6g}"))
     ks = _SAMPLES * model.K
     margin = min(float((v1 - ks).min()), float((v2 - ks).min()))
     checks.append(CheckResult(
@@ -266,7 +249,7 @@ def validate_hypotheses(model: NonlinearityModel, N_dim: int) -> HypothesesRepor
     except (OverflowError, FloatingPointError, ZeroDivisionError) as exc:
         ok, detail = False, f"growth sampling failed: {exc}"
     checks.append(CheckResult("growth-coefficient", bool(ok), detail))
-    return HypothesesReport(tuple(checks))
+    return tuple(checks)
 
 
 def _horner(coeffs) -> Callable[[float], float]:
@@ -342,9 +325,8 @@ def polynomial_model(coeffs1: Sequence[float], coeffs2: Sequence[float], *,
     return NonlinearityModel(
         f1=_horner(c1), f2=_horner(c2),
         df1=_horner(_derivative(c1)), df2=_horner(_derivative(c2)),
-        p1=p1, p2=p2, b1=b1, b2=b2,
-        fp0_1=float(c1[1]), fp0_2=float(c2[1]),
-        nu1=nu1, nu2=nu2, K=min(k1, k2), r_lims=(r1, r1, r2, r2), name=name)
+        p1=p1, p2=p2, b1=b1, b2=b2, nu1=nu1, nu2=nu2, K=min(k1, k2),
+        r_lims=(r1, r1, r2, r2), name=name)
 
 
 def reference_model() -> NonlinearityModel:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NumericalError, require_int, require_positive
 from .grid import (RadialGrid, _factor, apply_operator, boundary_flux,
-                   cache_per_grid)
+                   cache_per_object)
 
 __all__ = ["SteklovPair", "steklov_eigenpair", "steklov_shooting_oracle"]
 
@@ -39,7 +39,7 @@ class SteklovPair:
     residual_flux: float
 
 
-@cache_per_grid
+@cache_per_object
 def steklov_eigenpair(grid: RadialGrid) -> SteklovPair:
     """Smallest mu with a positive solution of the flux eigenvalue problem.
 

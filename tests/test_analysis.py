@@ -49,7 +49,7 @@ def test_every_mu0_goes_through_bifurcation_point(grid128):
     m = NonlinearityModel(
         f1=lambda s: s * s, f2=lambda s: s,
         df1=lambda s: 2.0 * s, df2=lambda s: 1.0,
-        p1=2.0, p2=2.0, b1=1.0, b2=1.0, fp0_1=0.0, fp0_2=1.0,
+        p1=2.0, p2=2.0, b1=1.0, b2=1.0,
         nu1=2.0, nu2=2.0, K=1e-8, r_lims=(1.0, 1.0, 0.0, 0.0))
     eig = steklov_eigenpair(grid128)
     for call in (lambda: bifurcation_point(m, eig.mu1),
@@ -83,7 +83,9 @@ def test_bifurcation_point_validation(ref_model):
     with pytest.raises(ConfigError):
         bifurcation_point(ref_model, 0.0)
     with pytest.raises(ConfigError):
-        bifurcation_point(SimpleNamespace(fp0_1=0.0, fp0_2=1.0), 0.5)
+        bifurcation_point(SimpleNamespace(f1=lambda s: s * s, df1=lambda s: 0.0,
+                                          f2=lambda s: s, df2=lambda s: 1.0),
+                          0.5)
 
 
 @given(st.floats(min_value=1e-3, max_value=1e3),

@@ -241,6 +241,18 @@ def test_non_finite_input_is_a_config_error(tmp_path, capsys, argv):
             or f"config error: {key} must be positive and finite" in err)
 
 
+@pytest.mark.parametrize("entry, kind", [("grid.R=abc", "a number"),
+                                         ("grid.M=1.5", "an integer")])
+def test_malformed_number_is_a_config_error(tmp_path, capsys, entry, kind):
+    """A value that does not parse as its key's type exits 2, names the
+    key and writes no artifact."""
+    assert run(["steklov", "--override", entry,
+                "--override", f"out.dir={_out(tmp_path)}"]) == 2
+    key = entry.split("=")[0]
+    assert f"config error: {key} must be {kind}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_finite_coefficient_is_a_config_error():
     with pytest.raises(radbif.ConfigError, match="model.coeffs1"):
         cli._float_list("0.5, nan", "model.coeffs1")

@@ -47,7 +47,7 @@ def test_initial_tangent_ratio_from_derivatives(eig512):
 
 def test_initial_tangent_rejects_a_zero_slope_at_zero(ref_model, eig512):
     # zeta and sigma share one rule: both slopes at zero must be positive
-    flat = dataclasses.replace(ref_model, fp0_1=0.0)
+    flat = dataclasses.replace(ref_model, df1=lambda s: 0.0)
     with pytest.raises(ConfigError, match="derivatives at zero"):
         initial_tangent(flat, eig512)
     with pytest.raises(ConfigError, match="derivatives at zero"):

@@ -98,6 +98,15 @@ def test_boundary_flux_exact_on_quadratics():
     assert boundary_flux(g, g.r ** 2) == pytest.approx(2.0, abs=1e-12)
 
 
+def test_operator_and_flux_refuse_a_wrong_length_array():
+    g = build_grid(3, 1.0, 32)
+    for n in (32, 34):
+        with pytest.raises(ValueError, match="expected 33 nodal values"):
+            apply_operator(g, np.ones(n))
+        with pytest.raises(ValueError, match="expected 33 nodal values"):
+            boundary_flux(g, np.ones(n))
+
+
 def test_boundary_flux_on_kernel():
     # u = sinh(r)/r at R=1: u'(1) = cosh(1) - sinh(1)
     exact = math.cosh(1.0) - math.sinh(1.0)

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from radbif import (ConfigError, NonlinearityModel, build_grid, build_report,
-                    eval_f, f_extended, fprime_extended,
-                    linear_model, polynomial_model, quadratic_model, r0_bounds,
-                    reference_model, validate_hypotheses, zeta)
+from radbif import (ConfigError, NonlinearityModel, bifurcation_point,
+                    build_grid, build_report, eval_f, f_extended,
+                    fprime_extended, linear_model, polynomial_model,
+                    quadratic_model, r0_bounds, reference_model,
+                    validate_hypotheses, zeta)
 
 
 def test_reference_values_at_zero_and_one():
@@ -29,11 +30,31 @@ def test_negative_argument_is_domain_error():
 
 def test_extension_is_linear_below_zero():
     m = reference_model()
-    assert f_extended(m, 1, -0.25) == -0.25 * m.fp0_1
-    assert fprime_extended(m, 1, -0.25) == m.fp0_1
+    assert f_extended(m, 1, -0.25) == -0.25 * fprime_extended(m, 1, 0.0)
+    assert fprime_extended(m, 1, -0.25) == fprime_extended(m, 1, 0.0)
     # C1 match at the origin
     assert f_extended(m, 2, 0.0) == 0.0
-    assert fprime_extended(m, 2, 0.0) == m.fp0_2
+    assert fprime_extended(m, 2, 0.0) == m.df2(0.0) == 1.0
+
+
+def test_slopes_at_zero_are_read_off_df():
+    # f_i'(0) is stated once, as df_i(0): mu0, zeta and the extension
+    # below zero all read it there
+    fields = dict(f1=lambda s: 2.0 * s + s * s, f2=lambda s: 0.5 * s + s * s,
+                  df1=lambda s: 2.0 + 2.0 * s, df2=lambda s: 0.5 + 2.0 * s,
+                  p1=2.0, p2=2.0, b1=1.0, b2=1.0, nu1=2.0, nu2=2.0, K=0.5,
+                  r_lims=(1.0, 1.0, 1.0, 1.0))
+    m = NonlinearityModel(**fields)
+    assert bifurcation_point(m, 0.3) == 0.3  # sigma = sqrt(2 * 0.5) = 1
+    assert zeta(m) == 0.5  # sqrt(0.5 / 2)
+    assert f_extended(m, 1, -0.25) == -0.5
+    assert f_extended(m, 2, -0.25) == -0.125
+    assert fprime_extended(m, 1, -0.25) == 2.0
+    assert fprime_extended(m, 2, -1.0) == 0.5
+    with pytest.raises(TypeError):
+        NonlinearityModel(**fields, fp0_1=2.0)
+    with pytest.raises(ConfigError, match="f1'\\(0\\)"):
+        replace(m, df1=lambda s: math.nan)
 
 
 def test_polynomial_model_matches_polyval_bitwise():
@@ -75,7 +96,7 @@ def test_r0_bounds_weighted_combination():
     m = NonlinearityModel(
         f1=lambda s: s, f2=lambda s: 4.0 * s,
         df1=lambda s: 1.0, df2=lambda s: 4.0,
-        p1=2.0, p2=2.0, b1=1.0, b2=1.0, fp0_1=1.0, fp0_2=4.0,
+        p1=2.0, p2=2.0, b1=1.0, b2=1.0,
         nu1=2.0, nu2=2.0, K=1.0, r_lims=(3.0, 3.0, 0.0, 0.0))
     assert zeta(m) == pytest.approx(2.0, abs=1e-15)
     lo, hi = r0_bounds(m)
@@ -85,25 +106,26 @@ def test_r0_bounds_weighted_combination():
 
 def test_validate_reference_model_passes():
     report = validate_hypotheses(reference_model(), 3)
-    assert report.all_pass, [c.name for c in report.failed()]
-    assert report["exponent-range"].passed  # p1=2, p2=3, window (1, 3]
+    assert [c.name for c in report if not c.passed] == []
+    # p1=2, p2=3, window (1, 3]
+    assert {c.name: c.passed for c in report}["exponent-range"]
 
 
 def test_validate_rejects_vanishing_derivative_at_zero():
     m = NonlinearityModel(
         f1=lambda s: s * s, f2=lambda s: s,
         df1=lambda s: 2.0 * s, df2=lambda s: 1.0,
-        p1=2.0, p2=2.0, b1=1.0, b2=1.0, fp0_1=0.0, fp0_2=1.0,
+        p1=2.0, p2=2.0, b1=1.0, b2=1.0,
         nu1=2.0, nu2=2.0, K=1e-8)
-    report = validate_hypotheses(m, 3)
-    assert not report["positive-derivative-at-zero"].passed
-    assert not report.all_pass
+    passed = {c.name: c.passed for c in validate_hypotheses(m, 3)}
+    assert not passed["positive-derivative-at-zero"]
+    assert not all(passed.values())
 
 
 def test_validate_rejects_both_exponents_critical():
     m = polynomial_model([0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0])
     report = validate_hypotheses(m, 3)  # critical exponent N/(N-2) = 3
-    assert not report["not-both-critical"].passed
+    assert not {c.name: c.passed for c in report}["not-both-critical"]
 
 
 def test_polynomial_model_rejects_bad_coefficients():
@@ -111,6 +133,8 @@ def test_polynomial_model_rejects_bad_coefficients():
         polynomial_model([1.0, 1.0], [0.0, 1.0])  # f(0) != 0
     with pytest.raises(ConfigError):
         polynomial_model([0.0, -1.0], [0.0, 1.0])  # f'(0) <= 0
+    with pytest.raises(ConfigError, match="coeffs1 needs at least"):
+        polynomial_model([0.0], [0.0, 1.0])  # no s^1 coefficient
 
 
 def test_model_parameter_validation():
@@ -120,6 +144,10 @@ def test_model_parameter_validation():
         replace(polynomial_model([0, 1.0], [0, 1.0]), nu1=1.0)  # nu must exceed 1
     with pytest.raises(ConfigError):
         replace(polynomial_model([0, 1.0], [0, 1.0]), K=0.0)
+    with pytest.raises(ConfigError, match="growth exponents"):
+        replace(reference_model(), p1=0.0)
+    with pytest.raises(ConfigError, match="asymptotic coefficients"):
+        replace(reference_model(), b1=-0.5)
 
 
 @given(st.floats(min_value=1e-3, max_value=1e2))
@@ -139,7 +167,7 @@ def test_r0_bounds_monotone_in_remainder_limits(base, bump):
         m = NonlinearityModel(
             f1=lambda s: s, f2=lambda s: s,
             df1=lambda s: 1.0, df2=lambda s: 1.0,
-            p1=2.0, p2=2.0, b1=1.0, b2=1.0, fp0_1=1.0, fp0_2=1.0,
+            p1=2.0, p2=2.0, b1=1.0, b2=1.0,
             nu1=2.0, nu2=2.0, K=1.0,
             r_lims=(base - 1.0, hi1, base - 1.0, hi2))
         return r0_bounds(m)
@@ -159,7 +187,7 @@ def test_zeta_and_nu_accessors():
         zeta(NonlinearityModel(
             f1=lambda s: s * s, f2=lambda s: s,
             df1=lambda s: 2.0 * s, df2=lambda s: 1.0,
-            p1=2.0, p2=2.0, b1=1.0, b2=1.0, fp0_1=0.0, fp0_2=1.0,
+            p1=2.0, p2=2.0, b1=1.0, b2=1.0,
             nu1=2.0, nu2=2.0, K=1.0))
 
 
@@ -167,7 +195,7 @@ def test_quadratic_model_data():
     m = quadratic_model()
     assert m.r_lims == (1.0, 1.0, 1.0, 1.0)
     assert r0_bounds(m) == (0.5, 0.5)
-    assert validate_hypotheses(m, 3).all_pass
+    assert all(c.passed for c in validate_hypotheses(m, 3))
 
 
 def _log_model(**kw):
@@ -184,7 +212,7 @@ def _log_model(**kw):
 
     return NonlinearityModel(
         f1=f1, f2=lambda s: s + 0.5 * s * s, df1=df1, df2=lambda s: 1.0 + s,
-        p1=2.0, p2=2.0, b1=0.5, b2=1.0, fp0_1=1.0, fp0_2=1.0,
+        p1=2.0, p2=2.0, b1=0.5, b2=1.0,
         nu1=2.0, nu2=2.0, K=1.0, **kw)
 
 
@@ -203,12 +231,12 @@ def test_bounds_refuse_a_model_without_remainder_limits():
         build_report(build_grid(3, 1.0, 64), m)
     # what does not read the limits still works
     assert zeta(m) == 1.0
-    assert validate_hypotheses(m, 3)["nonneg"].passed
+    assert {c.name: c.passed for c in validate_hypotheses(m, 3)}["nonneg"]
 
 
 _LINEAR_FIELDS = dict(f1=lambda s: s, f2=lambda s: s, df1=lambda s: 1.0,
                       df2=lambda s: 1.0, p1=2.0, p2=2.0, b1=1.0, b2=1.0,
-                      fp0_1=1.0, fp0_2=1.0, nu1=2.0, nu2=2.0, K=1.0)
+                      nu1=2.0, nu2=2.0, K=1.0)
 
 
 def test_remainder_limits_must_be_four_finite_reals():
@@ -223,12 +251,17 @@ def test_remainder_limits_must_be_four_finite_reals():
         assert NonlinearityModel(**_LINEAR_FIELDS, r_lims=lims).r_lims == lims
 
 
-@pytest.mark.parametrize("key", ["p1", "p2", "b1", "b2", "fp0_1", "fp0_2",
+@pytest.mark.parametrize("key", ["p1", "p2", "b1", "b2", "df1", "df2",
                                  "nu1", "nu2", "K"])
-@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_model_constant_is_rejected(key, value):
-    with pytest.raises(ConfigError, match=f"{key} must be finite"):
-        NonlinearityModel(**{**_LINEAR_FIELDS, key: value})
+    # f_i'(0) is no field but df_i(0), refused where the model is built
+    if key.startswith("df"):
+        field, name = (lambda s: value + s), f"f{key[2]}'\\(0\\) = {key}"
+    else:
+        field, name = value, key
+    with pytest.raises(ConfigError, match=f"{name}.* must be finite"):
+        NonlinearityModel(**{**_LINEAR_FIELDS, key: field})
 
 
 def test_non_finite_model_inputs_are_rejected():
@@ -250,14 +283,19 @@ def test_non_finite_model_inputs_are_rejected():
 def test_growth_coefficient_check_detects_wrong_b():
     m = replace(reference_model(), b1=2.5)  # b1 is wrong (true 0.5)
     report = validate_hypotheses(m, 3)
-    assert not report["growth-coefficient"].passed
+    assert not {c.name: c.passed for c in report}["growth-coefficient"]
 
 
-_FIELDS = ("p1", "p2", "b1", "b2", "fp0_1", "fp0_2", "nu1", "nu2", "K", "r_lims")
+_FIELDS = ("p1", "p2", "b1", "b2", "f1'(0)", "f2'(0)", "nu1", "nu2", "K",
+           "r_lims")
 
 
 def _constants(m):
-    return {key: getattr(m, key) for key in _FIELDS}
+    """The model's constants, with f_i'(0) read off df_i as every caller
+    reads it."""
+    out = {key: getattr(m, key) for key in _FIELDS if "'" not in key}
+    out["f1'(0)"], out["f2'(0)"] = (fprime_extended(m, i, 0.0) for i in (1, 2))
+    return out
 
 
 @pytest.mark.parametrize("model, expected", [

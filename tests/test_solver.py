@@ -269,8 +269,10 @@ def test_jacobian_coupling_entries_at_zero_state(grid128, ref_model):
     lam = 0.4
     dense = jacobian(grid128, ref_model, lam, SystemState.zero(grid128)).todense()
     M = grid128.M
-    assert dense[2 * M, 2 * M + 1] == pytest.approx(-lam * ref_model.fp0_1)
-    assert dense[2 * M + 1, 2 * M] == pytest.approx(-lam * ref_model.fp0_2)
+    assert dense[2 * M, 2 * M + 1] == pytest.approx(
+        -lam * fprime_extended(ref_model, 1, 0.0))
+    assert dense[2 * M + 1, 2 * M] == pytest.approx(
+        -lam * fprime_extended(ref_model, 2, 0.0))
 
 
 def test_residual_rows_match_reference_formulas(ref_model):
