@@ -202,7 +202,8 @@ def rescale_check(branch: Branch) -> RescaleTable:
     """Score the branch tail against the limiting problem of its model on
     its grid (solve_limit_problem), with theta from theta_exponents.
 
-    Keeps points with lam <= 1e-2, computes both rescaled-sup ratios, and
+    Keeps points with lam <= 1e-2, computes both rescaled-sup ratios (a
+    point's sups are its traces t1, t2), and
     requires the deviation from 1 to improve monotonically over the last
     decade and to end within 2%.  Needs at least 3 tail rows.
     """
@@ -213,8 +214,8 @@ def rescale_check(branch: Branch) -> RescaleTable:
     rows = []
     for p in branch.points:
         if 0.0 < p.lam <= RESCALE_LAMBDA_MAX:
-            r1 = p.lam ** th1 * float(np.abs(p.state.u1).max()) / w1_sup
-            r2 = p.lam ** th2 * float(np.abs(p.state.u2).max()) / w2_sup
+            r1 = p.lam ** th1 * p.t1 / w1_sup
+            r2 = p.lam ** th2 * p.t2 / w2_sup
             rows.append((p.lam, r1, r2))
     rows.sort(key=lambda r: -r[0])
     if len(rows) < 3:

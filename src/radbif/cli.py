@@ -26,22 +26,23 @@ from .grid import SystemState, build_grid, pair_norm, save_state_csv
 from .model import (NonlinearityModel, linear_model, polynomial_model,
                     quadratic_model, reference_model)
 from .monotone import second_solution
-from .solver import (NewtonConfig, newton_solve, residual,
+from .solver import (TOL_RESIDUAL, newton_solve, residual,
                      scaled_residual_norm, solve_limit_problem)
 from .steklov import steklov_eigenpair
 from . import verify as verify_mod
 
 __all__ = ["run", "main", "VALID_KEYS"]
 
-# Keys named "<section>.<field>" after the ContinuationConfig and
-# NewtonConfig fields they set; an unset key keeps the class default.
+# Keys named "<section>.<field>" after the ContinuationConfig fields they
+# set; an unset key keeps the class default.  newton.tol sets the one
+# residual tolerance, of newton_solve and of continuation.
 _CONT_KEYS = ("cont.ds0", "cont.ds_min", "cont.ds_max",
               "cont.eps_step_off", "cont.lambda_stop_low")
 
 VALID_KEYS = (
     "model.name", "model.coeffs1", "model.coeffs2",
     "grid.N", "grid.R", "grid.M",
-    "newton.tol", "newton.max_iter",
+    "newton.tol",
     *_CONT_KEYS,
     "out.dir",
 )
@@ -111,11 +112,16 @@ def _float_list(raw: str, key: str) -> list[float]:
     return [_finite(x, key) for x in values]
 
 
-def _given(entries: dict, keys, parse) -> dict:
-    """{field: parsed value} for the keys set in entries, each key
-    "<section>.<field>"; the keys left unset are not passed at all."""
-    return {key.split(".", 1)[1]: parse(entries, key, None)
-            for key in keys if key in entries}
+def _out_dir(path: str) -> str:
+    """path, unless it is empty or it, or the nearest of its ancestors
+    that exists, is not a directory: then ConfigError, before any run
+    and with nothing created."""
+    existing = path
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not path or not os.path.isdir(existing or "."):
+        raise ConfigError(f"out.dir must name a directory, got {path!r}")
+    return path
 
 
 class RunSettings:
@@ -126,15 +132,15 @@ class RunSettings:
                                _float(entries, "grid.R", 1.0),
                                _int(entries, "grid.M", 512))
         # default tolerance: twice the representation floor eps * 2/h^2 of
-        # the 1/h^2 operator rows, never below the NewtonConfig default
+        # the 1/h^2 operator rows, never below TOL_RESIDUAL; a cont.<field>
+        # key left unset is not passed at all
         floor = 2.0 * np.finfo(float).eps * 2.0 / self.grid.h ** 2
-        self.newton = NewtonConfig(tol_residual=_float(
-            entries, "newton.tol", max(NewtonConfig.tol_residual, floor)),
-            **_given(entries, ("newton.max_iter",), _int))
         self.cont = ContinuationConfig(
-            tol_residual=self.newton.tol_residual,
-            **_given(entries, _CONT_KEYS, _float))
-        self.out_dir = entries.get("out.dir", "out")
+            tol_residual=_float(entries, "newton.tol",
+                                max(TOL_RESIDUAL, floor)),
+            **{key.split(".", 1)[1]: _float(entries, key, None)
+               for key in _CONT_KEYS if key in entries})
+        self.out_dir = _out_dir(entries.get("out.dir", "out"))
         self.model, model_key = self._resolve_model(entries)
         self.config_hash = self._hash(model_key)
 
@@ -167,8 +173,7 @@ class RunSettings:
             "model": model_key,
             "grid.N": self.grid.N_dim, "grid.R": repr(self.grid.R_ball),
             "grid.M": self.grid.M,
-            "newton.tol": repr(self.newton.tol_residual),
-            "newton.max_iter": self.newton.max_iter,
+            "newton.tol": repr(self.cont.tol_residual),
         }
         resolved.update((key, repr(getattr(self.cont, key.split(".", 1)[1])))
                         for key in _CONT_KEYS)
@@ -229,7 +234,8 @@ def _cmd_solve(st: RunSettings, args) -> int:
     require_positive(args.amplitude, "--amplitude")
     eig = steklov_eigenpair(st.grid)
     init = SystemState(args.amplitude * eig.phi1, args.amplitude * eig.phi1)
-    result = newton_solve(st.grid, st.model, args.lam, init, st.newton)
+    result = newton_solve(st.grid, st.model, args.lam, init,
+                          st.cont.tol_residual)
     save_state_csv(st.path("solution.csv"), st.grid, result.state,
                    comment=f"config={st.config_hash} lambda={_g(args.lam)}")
     record = {
@@ -279,12 +285,11 @@ def _cmd_branch(st: RunSettings, args) -> int:
         for p in branch.points:
             record = {
                 "lambda": p.lam,
-                "norm_u1": float(np.abs(p.state.u1).max()),
-                "norm_u2": float(np.abs(p.state.u2).max()),
+                "norm_u1": p.t1, "norm_u2": p.t2,
                 "norm_pair": p.norm, "ds": p.ds,
                 "tangent_sign": p.tangent_lambda_sign,
                 "corrector_iterations": p.corrector_iterations,
-                "polish_iterations": p.polish_iterations,
+                "ulp_shift": p.ulp_shift,
                 "residual": p.residual,
                 "config_hash": st.config_hash,
             }

@@ -21,15 +21,18 @@ the full state U becomes w (dt1^2 + dt2^2) + dlam^2 with w =
 (phi_h.phi_h)/(2(M+1)), so step lengths and tangents are those of the
 full-space metric.
 
-Each corrected x is rebuilt as (t1 phi_h, t2 phi_h) and handed to the
-fixed-parameter full-space Newton solver.  Its iteration-0 residual is the
-independent re-check.  The rebuild rounds once: t_i times the grid's
-longdouble unit-trace profile, rounded to double, so the state's traces
-are t1 and t2 exactly.  Even at a tolerance near the representation
-floor eps*2/h^2 most rebuilt points pass the re-check as they stand (80 %
-of the M = 512 branch at tol 1e-10, 94 % at M = 4096 and tol 1e-8); the
-rest are polished by Newton in at most MAX_POLISH_ITER steps.  A polish
-that fails or ends non-positive rejects the step.
+Each corrected x is checked on the kernel ray itself, with no full-space
+Newton step (_verify): the state (t1 phi_h, t2 phi_h) is rebuilt by
+rounding t_i times the grid's longdouble unit-trace profile to double
+once, so its traces are t1 and t2 exactly, and its full-space scaled
+residual is the independent re-check.  Even at a tolerance near the
+representation floor eps*2/h^2 most rebuilt points pass as they stand
+(81 % of the M = 512 branch at tol 1e-10, 95 % at M = 4096 and tol
+1e-8); for the rest the traces t_i + k ulp(t_i) are tried for k in
+ULP_SHIFTS, and the first rounding that passes is the point.  A point
+whose roundings all fail, or whose passing state is not positive, is
+rejected.  A branch point is its traces (BranchPoint): its state is
+rebuilt from them on demand.
 
 Every turn of lam along the branch is one solve of the same corrector,
 started at the branch point before its tangent sign flip, with
@@ -41,8 +44,7 @@ increases along the branch and q_lam at a branch node has the sign of lam
 - lam_k: solutions_at evaluates q only around the node pairs whose lam
 values enclose lam, closes each bracket by an Illinois iteration on
 doubles down to a sign change of the computed q (_TraceSystem.root) and
-verifies each root in full space at the branch's own tolerance,
-Branch.tol.
+verifies each root by _verify at the branch's own tolerance, Branch.tol.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ from .errors import (ConfigError, ContinuationError, NonConvergenceError,
 from .grid import RadialGrid, SystemState, _unit_trace_extended, pair_norm
 from .model import (NonlinearityModel, f_extended, fprime_extended,
                     monotone_check, zeta)
-from .solver import NewtonConfig, NewtonResult, newton_solve
+from .solver import (TOL_RESIDUAL, is_positive_state, residual,
+                     scaled_residual_norm)
 from .steklov import SteklovPair, steklov_eigenpair
 
 __all__ = [
@@ -74,9 +77,9 @@ __all__ = [
 ]
 
 MAX_CORRECTOR_ITER = 12
-# Full-space Newton steps allowed when polishing a rebuilt point; most
-# points need none, the others one, two the most seen.
-MAX_POLISH_ITER = 4
+# The roundings of corrected traces that _verify tries, in ulps of each
+# trace and in this order; most points pass unshifted.
+ULP_SHIFTS = (0, 1, -1, 2, -2)
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,7 @@ class ContinuationConfig:
     is the tail cutoff: the zero-parameter end is a bifurcation from
     infinity and is analyzed by rescaling, not chased to blow-up.
     tol_residual is the tolerance of the corrector, of the fold solves and
-    of the full-space re-check and polish of every point.
+    of the full-space re-check of every point.
     """
 
     ds0: float = 0.01
@@ -97,7 +100,7 @@ class ContinuationConfig:
     eps_step_off: float = 1e-4
     lambda_stop_low: float = 1e-3
     max_points: int = 2000
-    tol_residual: float = NewtonConfig.tol_residual
+    tol_residual: float = TOL_RESIDUAL
 
     def __post_init__(self):
         if not (0.0 < self.ds_min <= self.ds0 <= self.ds_max):
@@ -114,18 +117,32 @@ class ContinuationConfig:
 
 @dataclass
 class BranchPoint:
-    """One accepted point.  residual is the full-space scaled residual of
-    state after the re-check and polish; the iteration counts are those of
-    the trace corrector and of the full-space polish."""
+    """One accepted point, stored as its traces: the state is (t1 phi_h,
+    t2 phi_h), rebuilt from profile, the grid's read-only longdouble
+    unit-trace profile, which every point of a branch shares.  The profile
+    rises strictly to exactly 1 at R, so t_i is also sup|u_i|.
+    corrector_iterations counts the trace corrector's steps, ulp_shift is
+    the k of ULP_SHIFTS whose rounding passed the re-check, and residual
+    is that state's full-space scaled residual."""
 
     lam: float
-    state: SystemState
-    norm: float
+    t1: float
+    t2: float
+    profile: np.ndarray = field(repr=False, compare=False)
     tangent_lambda_sign: int
     ds: float
     corrector_iterations: int = 0
-    polish_iterations: int = 0
+    ulp_shift: int = 0
     residual: float = 0.0
+
+    @property
+    def state(self) -> SystemState:
+        return _on_ray(self.profile, self.t1, self.t2)
+
+    @property
+    def norm(self) -> float:
+        """The pair norm sup|u1| + sup|u2| of state."""
+        return self.t1 + self.t2
 
 
 class FoldInfo(NamedTuple):
@@ -160,7 +177,7 @@ class Branch:
     folds: list = field(default_factory=list)
     rejections: int = 0
     last_rejection: str = ""
-    tol: float = NewtonConfig.tol_residual
+    tol: float = TOL_RESIDUAL
 
     def check_problem(self, grid: RadialGrid, model: NonlinearityModel) -> None:
         """ConfigError unless the branch was traced on these very grid and
@@ -195,7 +212,8 @@ class _TraceSystem:
     """The flux rows on x = (t1, t2, lam) for states (t1 phi_h, t2 phi_h).
 
     metric holds the weights (w, w, 1) that make the trace metric equal the
-    full-space one.
+    full-space one; profile is the grid's longdouble unit-trace profile,
+    from which _on_ray rebuilds states.
     """
 
     def __init__(self, grid: RadialGrid, model: NonlinearityModel):
@@ -204,7 +222,7 @@ class _TraceSystem:
         w = float(phi @ phi) / (2 * phi.size)
         self.model = model
         self.mu_h = eig.mu1
-        self.phi_ext = _unit_trace_extended(grid)
+        self.profile = _unit_trace_extended(grid)
         self.metric = np.array([w, w, 1.0])
 
     def linearize(self, t1: float, t2: float, lam: float) -> tuple:
@@ -279,20 +297,16 @@ class _TraceSystem:
         d = xa - xb
         return math.sqrt(float(self.metric @ (d * d)))
 
-    def state(self, x: np.ndarray) -> SystemState:
-        """(t1 phi_h, t2 phi_h) rounded to double once, from the longdouble
-        profile: its traces are t1 and t2 exactly."""
-        return SystemState((np.longdouble(x[0]) * self.phi_ext).astype(float),
-                           (np.longdouble(x[1]) * self.phi_ext).astype(float))
 
-
-def _t1(node) -> float:
-    """t1 of a branch point or of a FoldInfo."""
-    return node.t1 if isinstance(node, FoldInfo) else float(node.state.u1[-1])
+def _on_ray(profile: np.ndarray, t1: float, t2: float) -> SystemState:
+    """(t1 phi_h, t2 phi_h) rounded to double once, from the longdouble
+    profile: its traces are t1 and t2 exactly."""
+    return SystemState((np.longdouble(t1) * profile).astype(float),
+                       (np.longdouble(t2) * profile).astype(float))
 
 
 def _traces(point: BranchPoint) -> np.ndarray:
-    return np.array([point.state.u1[-1], point.state.u2[-1], point.lam])
+    return np.array([point.t1, point.t2, point.lam])
 
 
 class _CorrectorFailure(NonConvergenceError):
@@ -350,18 +364,24 @@ def _arclength(ts: _TraceSystem, tau, anchor, ds):
     return lambda x: (float(row @ (np.array(x) - anchor)) - ds, grad)
 
 
-def _polish(grid: RadialGrid, ts: _TraceSystem, x: np.ndarray,
-            tol: float) -> NewtonResult:
-    """Rebuild x in full space and re-check it with newton_solve at tol,
-    whose iteration-0 residual is the check and whose later steps polish."""
-    try:
-        result = newton_solve(grid, ts.model, float(x[2]), ts.state(x),
-                              NewtonConfig(tol, MAX_POLISH_ITER))
-    except NonConvergenceError as exc:
-        raise _CorrectorFailure(f"full-space polish failed: {exc}")
-    if not result.positive:
-        raise _CorrectorFailure("corrected state not positive")
-    return result
+def _verify(grid: RadialGrid, ts: _TraceSystem, x, tol: float) -> tuple:
+    """Re-check x = (t1, t2, lam) on the kernel ray in full space at tol.
+
+    For k in ULP_SHIFTS, in order, rebuild the state at a = t1 + k ulp(t1),
+    b = t2 + k ulp(t2) and return (a, b, k, residual, state) for the
+    first whose full-space scaled residual is at most tol.  That state
+    not positive, or no shift passing, raises _CorrectorFailure."""
+    t1, t2, lam = map(float, x)
+    for k in ULP_SHIFTS:
+        a, b = t1 + k * math.ulp(t1), t2 + k * math.ulp(t2)
+        state = _on_ray(ts.profile, a, b)
+        res = scaled_residual_norm(residual(grid, ts.model, lam, state), state)
+        if res <= tol:
+            if not is_positive_state(state):
+                raise _CorrectorFailure("corrected state not positive")
+            return a, b, k, res, state
+    raise _CorrectorFailure(f"full-space re-check failed: residual > {tol:g} "
+                            f"at every shift ({res:.3e} at {k:+d} ulps)")
 
 
 def continue_branch(grid: RadialGrid, model: NonlinearityModel,
@@ -376,7 +396,7 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
     trivial state cannot satisfy it and Newton must land on the
     bifurcating branch; its failure raises ContinuationError with the
     anchor as last_point.  Each point is accepted only after the
-    full-space re-check (and polish, if needed) and a positivity check.
+    full-space re-check of _verify and its positivity check.
     A model with p1*p2 <= 1 has no branch to trace toward the tail (the
     linear model's stands vertical at mu0) and raises ConfigError, as
     theta_exponents does, before any step.  Once the tracing stops, every
@@ -388,34 +408,31 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
     mu0 = bifurcation_point(model, ts.mu_h)
     tol = cfg.tol_residual
 
-    branch = Branch(grid, model, tol=tol)
-    anchor = BranchPoint(lam=mu0, state=SystemState.zero(grid), norm=0.0,
-                         tangent_lambda_sign=0, ds=0.0)
-    branch.points.append(anchor)
+    anchor = BranchPoint(mu0, 0.0, 0.0, ts.profile, 0, 0.0)
+    branch = Branch(grid, model, [anchor], tol=tol)
 
-    def accept(x, iters, result, ds):
-        """Append the point at x; its tangent sign is that of dlam against
-        the previous point, or the previous sign when dlam is 0."""
+    def accept(x, iters, checked, ds):
+        """Append the point at x with the traces, shift and residual of
+        _verify; its tangent sign is that of dlam against the previous
+        point, or the previous sign when dlam is 0."""
         lam, last = float(x[2]), branch.points[-1]
         dlam = lam - last.lam
         sign = (1 if dlam > 0 else -1) if dlam else last.tangent_lambda_sign
-        branch.points.append(BranchPoint(
-            lam=lam, state=result.state, norm=pair_norm(result.state),
-            tangent_lambda_sign=sign, ds=ds, corrector_iterations=iters,
-            polish_iterations=result.iterations,
-            residual=result.residual_norm))
+        t1, t2, shift, res, _ = checked
+        branch.points.append(BranchPoint(lam, t1, t2, ts.profile, sign, ds,
+                                         iters, shift, res))
 
     eps, z = cfg.eps_step_off, zeta(model)
     tau = np.array([1.0 / (1.0 + z), z / (1.0 + z), 0.0])
     x0 = eps * tau + np.array([0.0, 0.0, mu0])
     try:
         x, iters = _corrector(ts, _arclength(ts, tau, x0, 0.0), x0, tol)
-        result = _polish(grid, ts, x, tol)
+        checked = _verify(grid, ts, x, tol)
     except _CorrectorFailure as exc:
         raise ContinuationError(
             f"first corrector step failed: could not leave the trivial branch "
             f"at eps={eps:g} ({exc}); try a larger amplitude", last_point=anchor)
-    accept(x, iters, result, eps)
+    accept(x, iters, checked, eps)
 
     ds = cfg.ds0
     while True:
@@ -434,23 +451,23 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
             break
         tau = (x_last - x_prev) / dist
 
-        result = None
-        while result is None:
+        checked = None
+        while checked is None:
             try:
                 x, iters = _corrector(ts, _arclength(ts, tau, x_last, ds),
                                       x_last + ds * tau, tol)
-                result = _polish(grid, ts, x, tol)
+                checked = _verify(grid, ts, x, tol)
             except _CorrectorFailure as exc:
                 branch.rejections += 1
                 branch.last_rejection = str(exc)
                 if ds <= cfg.ds_min * (1.0 + 1e-12):
                     break
                 ds = max(0.5 * ds, cfg.ds_min)
-        if result is None:
+        if checked is None:
             branch.termination = "corrector_failure"
             break
 
-        accept(x, iters, result, ds)
+        accept(x, iters, checked, ds)
         if iters <= 3:
             ds = min(2.0 * ds, cfg.ds_max)
         elif iters >= 8:
@@ -515,8 +532,8 @@ def solutions_at(branch: Branch, lam: float) -> list:
     evaluated nodes brackets one root, and a root on a node is taken
     once.  The cost is a few q values per crossing, whatever the number
     of branch points.  Each root is rebuilt as (t1, lam f2(t1)/mu_h, lam)
-    and polished in full space at branch.tol; a root whose polish
-    fails or ends non-positive (pair norm at or below
+    and re-checked by _verify at branch.tol; a root whose re-check
+    fails or whose state is not positive (pair norm at or below
     POSITIVITY_ZERO_FLOOR) is dropped, not fatal.
     """
     require_positive(lam, "parameter")
@@ -527,15 +544,15 @@ def solutions_at(branch: Branch, lam: float) -> list:
     ts = _TraceSystem(branch.grid, branch.model)
     nodes, lams = list(branch.points), [p.lam for p in branch.points]
     for fold in branch.folds:
-        k = bisect.bisect(nodes, fold.t1, key=_t1)
-        if k == 0 or _t1(nodes[k - 1]) != fold.t1:
+        k = bisect.bisect(nodes, fold.t1, key=lambda node: node.t1)
+        if k == 0 or nodes[k - 1].t1 != fold.t1:
             nodes.insert(k, fold)
             lams.insert(k, fold.lam_bar)
 
     d = lam - np.array(lams)
     ks = sorted({j for k in np.flatnonzero(d[:-1] * d[1:] <= 0.0).tolist()
                  for j in range(max(k - 1, 0), min(k + 3, len(lams)))})
-    t1s = {j: _t1(nodes[j]) for j in ks}
+    t1s = {j: nodes[j].t1 for j in ks}
     qs = {j: ts.q(t1s[j], lam) for j in ks}
     roots = [t1s[j] for j in ks if qs[j] == 0.0 and t1s[j] > 0.0]
     roots += [ts.root(lam, t1s[i], t1s[j], qs[i], qs[j])
@@ -543,8 +560,8 @@ def solutions_at(branch: Branch, lam: float) -> list:
     states = []
     for t1 in roots:
         try:
-            states.append(_polish(branch.grid, ts, ts.at(t1, lam),
-                                  branch.tol).state)
+            states.append(_verify(branch.grid, ts, ts.at(t1, lam),
+                                  branch.tol)[-1])
         except _CorrectorFailure:
             continue
     return sorted(states, key=pair_norm)

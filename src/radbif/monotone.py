@@ -6,8 +6,9 @@ with frozen boundary fluxes; on the traces it is t1 <- G_lam(t1) = lam
 f1(lam f2(t1)/mu_h)/mu_h, so for a monotone model the minimal solution
 above a subsolution (Amann) is the first root of G_lam(t) = t above its
 trace.  second_solution takes that root and the branch solution from one
-solutions_at call, so both are verified at the branch's own tolerance,
-wherever solutions_at finds two states above mu0; the
+solutions_at call, so both are re-checked in full space on the kernel
+ray, with no Newton step, at the branch's own tolerance, wherever
+solutions_at finds two states above mu0; the
 iteration, whose contraction tends to 1 at mu0 and at a fold, is the
 reference.
 """
@@ -150,7 +151,8 @@ def second_solution(grid: RadialGrid, model: NonlinearityModel, lam: float,
                     branch: Branch):
     """(minimal solution, distinct branch solution) at lam above mu0.
 
-    Both come from one solutions_at call, verified at branch.tol: the
+    Both come from one solutions_at call, each the rebuild of a root of
+    the trace equation re-checked in full space at branch.tol: the
     minimal solution is the state of least pair norm, the first root of
     q_lam = G_lam(t)/t - 1 above the canonical subsolution trace, and the
     branch solution the one of largest pair norm.  The minimal one is

@@ -15,7 +15,10 @@ terms are subtracted in longdouble and the result is rounded to double
 once.  Newton iterates on the interleaved vector and evaluates each
 trial through strided views of it.  The residual equals two
 single-component matvecs with A bit for bit, and Newton's iterates equal
-those of the same loop on SystemState copies.
+those of the same loop on SystemState copies.  newton_solve serves
+`radbif solve` and the nonexistence check of the acceptance suite;
+continuation takes no Newton step in full space, since its points are
+checked on the kernel ray (continuation._verify).
 
 Residual norms are measured as max|F| / max(1, sup|u1|, sup|u2|): the
 operator rows scale like 1/h^2, so that quotient is what floating point can
@@ -31,19 +34,18 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgbtrs
 
-from .errors import (ConfigError, NonConvergenceError, require_int,
-                     require_positive)
+from .errors import ConfigError, NonConvergenceError, require_positive
 from .grid import (RadialGrid, SystemState, _factor, _pair_matvec,
                    operator_bands, pair_norm, solve_flux_bvp)
 from .model import NonlinearityModel, f_extended, fprime_extended
 from .steklov import steklov_eigenpair
 
 __all__ = [
-    "NewtonConfig",
     "NewtonResult",
     "PairJacobian",
     "POSITIVITY_REL_FLOOR",
     "POSITIVITY_ZERO_FLOOR",
+    "TOL_RESIDUAL",
     "is_positive_state",
     "residual",
     "jacobian",
@@ -66,28 +68,15 @@ POSITIVITY_REL_FLOOR = 1e-12
 # produces (step-off, branch, limit, monotone iterates) has norm >= 1e-5.
 POSITIVITY_ZERO_FLOOR = 1e-8
 
+# Default tolerance of max|F| / max(1, sup|u1|, sup|u2|), the scaled
+# residual norm, for Newton and for continuation.
+TOL_RESIDUAL = 1e-10
+
+# Newton steps allowed per solve.
+MAX_NEWTON_ITER = 50
+
 # Smallest Newton step fraction tried by backtracking.
 DAMPING_FLOOR = 2.0 ** -20
-
-
-@dataclass(frozen=True)
-class NewtonConfig:
-    """Damped Newton settings.
-
-    tol_residual bounds max|F| / max(1, sup|u1|, sup|u2|); damping is plain
-    backtracking (halve until the residual norm decreases) down to the step
-    fraction DAMPING_FLOOR.  Halving stops early, failing as at the floor,
-    once the trial x + t d equals the iterate x bit for bit: its residual
-    norm is then that of x, which is never accepted, and rounding is
-    monotone, so every smaller t rounds back to x as well.
-    """
-
-    tol_residual: float = 1e-10
-    max_iter: int = 50
-
-    def __post_init__(self):
-        require_positive(self.tol_residual, "tol_residual")
-        require_int(self.max_iter, "max_iter", 1)
 
 
 @dataclass
@@ -209,23 +198,31 @@ def jacobian(grid: RadialGrid, model: NonlinearityModel, lam: float,
 
 
 def newton_solve(grid: RadialGrid, model: NonlinearityModel, lam: float,
-                 init: SystemState, cfg: NewtonConfig = NewtonConfig()) -> NewtonResult:
-    """Solve the coupled system at fixed lam by damped Newton.
+                 init: SystemState, tol: float = TOL_RESIDUAL) -> NewtonResult:
+    """Solve the coupled system at fixed lam by damped Newton, to scaled
+    residual norm at most tol (positive and finite, else ConfigError) in
+    at most MAX_NEWTON_ITER steps.
 
-    The result carries iteration count, final damping factor, and the
-    positivity classification; a converged state with a non-positive node is
-    returned flagged, not raised, so callers decide.  A step that backtracking
-    cannot make decrease the residual norm (see NewtonConfig) raises
+    Damping is plain backtracking (halve until the residual norm
+    decreases) down to the step fraction DAMPING_FLOOR.  Halving stops
+    early, failing as at the floor, once the trial x + t d equals the
+    iterate x bit for bit: its residual norm is then that of x, which is
+    never accepted, and rounding is monotone, so every smaller t rounds
+    back to x as well.  The result carries iteration count, final damping
+    factor, and the positivity classification; a converged state with a
+    non-positive node is returned flagged, not raised, so callers decide.
+    A step that backtracking cannot make decrease the residual norm raises
     NonConvergenceError with the residual history and the last iterate.
     """
+    require_positive(tol, "tol_residual")
     x = init.to_vector()
     state = SystemState(x[0::2], x[1::2])  # views into x, as each trial
     res = residual(grid, model, lam, state)
     rnorm = scaled_residual_norm(res, state)
     history = [rnorm]
     damping = 1.0
-    for it in range(1, cfg.max_iter + 1):
-        if rnorm <= cfg.tol_residual:
+    for it in range(1, MAX_NEWTON_ITER + 1):
+        if rnorm <= tol:
             return NewtonResult(SystemState.from_vector(x), it - 1, rnorm,
                                 damping, is_positive_state(state), history)
         try:
@@ -253,11 +250,11 @@ def newton_solve(grid: RadialGrid, model: NonlinearityModel, lam: float,
                 "backtracking hit the damping floor without progress",
                 trace=history, last_state=SystemState.from_vector(x))
         history.append(rnorm)
-    if rnorm <= cfg.tol_residual:
-        return NewtonResult(SystemState.from_vector(x), cfg.max_iter, rnorm,
+    if rnorm <= tol:
+        return NewtonResult(SystemState.from_vector(x), MAX_NEWTON_ITER, rnorm,
                             damping, is_positive_state(state), history)
     raise NonConvergenceError(
-        f"no convergence in {cfg.max_iter} iterations (residual {rnorm:.3e})",
+        f"no convergence in {MAX_NEWTON_ITER} iterations (residual {rnorm:.3e})",
         trace=history, last_state=SystemState.from_vector(x))
 
 

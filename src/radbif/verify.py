@@ -24,8 +24,7 @@ from .errors import NonConvergenceError
 from .grid import SystemState, build_grid, pair_norm
 from .model import linear_model, quadratic_model, reference_model
 from .monotone import build_subsolution, monotone_iterate
-from .solver import (NewtonConfig, jacobian, newton_solve, residual,
-                     scaled_residual_norm)
+from .solver import jacobian, newton_solve, residual, scaled_residual_norm
 from .steklov import steklov_eigenpair
 
 __all__ = ["CheckOutcome", "run_acceptance", "format_table"]
@@ -161,7 +160,6 @@ def _check_rescale_tail(shared):
 def _check_nonexistence(shared):
     model, grid, eig = shared["model"], shared["grid"], shared["eig"]
     bound = nonexistence_bound(model, eig.mu1)
-    cfg = NewtonConfig()
     positives = 0
     attempts = 0
     for factor in (1.01, 1.5, 3.0):
@@ -170,7 +168,7 @@ def _check_nonexistence(shared):
             attempts += 1
             init = SystemState(amp * eig.phi1, amp * eig.phi1)
             try:
-                result = newton_solve(grid, model, lam, init, cfg)
+                result = newton_solve(grid, model, lam, init)
             except NonConvergenceError:
                 continue
             if result.positive:

@@ -31,7 +31,7 @@ def t1_increases_along_every_traced_branch():
     locate = cont._locate_folds
 
     def checked(ts, branch, tol):
-        t1 = [float(p.state.u1[-1]) for p in branch.points]
+        t1 = [p.t1 for p in branch.points]
         assert all(a < b for a, b in zip(t1, t1[1:])), \
             "t1 does not increase along the traced branch"
         return locate(ts, branch, tol)
@@ -161,9 +161,9 @@ def scan_solutions_at(branch, lam):
     and at every fold t1, sorted, each sign change between neighbours
     closed by ts.root and each exact zero at t > 0 taken.  The oracle that
     solutions_at's level-crossing brackets must match bit for bit."""
-    from radbif.continuation import _CorrectorFailure, _polish, _TraceSystem
+    from radbif.continuation import _CorrectorFailure, _TraceSystem, _verify
     ts = _TraceSystem(branch.grid, branch.model)
-    nodes = sorted({float(p.state.u1[-1]) for p in branch.points}
+    nodes = sorted({p.t1 for p in branch.points}
                    | {f.t1 for f in branch.folds})
     qs = [ts.q(t, lam) for t in nodes]
     roots = [t for t, v in zip(nodes, qs) if v == 0.0 and t > 0.0]
@@ -173,8 +173,8 @@ def scan_solutions_at(branch, lam):
     states = []
     for t1 in roots:
         try:
-            states.append(_polish(branch.grid, ts, ts.at(t1, lam),
-                                  branch.tol).state)
+            states.append(_verify(branch.grid, ts, ts.at(t1, lam),
+                                  branch.tol)[-1])
         except _CorrectorFailure:
             continue
     return sorted(states, key=radbif.pair_norm)

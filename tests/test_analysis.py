@@ -16,12 +16,13 @@ from hypothesis import strategies as st
 
 from radbif import (BifurcationReport, Branch, BranchPoint, ConfigError,
                     ContinuationConfig, Direction, InsufficientDataError,
-                    RescaleTable, SystemState, bifurcation_point, build_grid,
+                    RescaleTable, bifurcation_point, build_grid,
                     build_report, continue_branch, direction_of_bifurcation,
                     jordan_data, linear_model, nonexistence_bound,
                     NonlinearityModel, quadratic_model, reference_model,
                     rescale_check, slope_fit, slope_prediction,
                     solve_limit_problem, steklov_eigenpair, theta_exponents)
+from radbif.grid import _unit_trace_extended
 
 # The grid and model of the synthetic branches below.
 GRID16 = build_grid(3, 1.0, 16)
@@ -29,11 +30,10 @@ MODEL = reference_model()
 MU0_16 = bifurcation_point(MODEL, steklov_eigenpair(GRID16).mu1)
 
 
-def _point(lam, norm, state=None):
-    if state is None:
-        state = SystemState.zero(GRID16)
-    return BranchPoint(lam=lam, state=state, norm=norm,
-                       tangent_lambda_sign=-1, ds=0.01)
+def _point(lam, t1, t2=0.0):
+    """A point with traces (t1, t2); where only the norm is read, t1 is
+    the norm and t2 is 0."""
+    return BranchPoint(lam, t1, t2, _unit_trace_extended(GRID16), -1, 0.01)
 
 
 def _branch(pts):
@@ -222,8 +222,7 @@ def _tail_branch(lams, extra=0.0):
     for lam in lams:
         u1 = lam ** -(THETA[0] - extra) * W_STAR.u1
         u2 = lam ** -(THETA[1] - extra) * W_STAR.u2
-        st_ = SystemState(u1, u2)
-        pts.append(_point(lam, float(u1.max() + u2.max()), st_))
+        pts.append(_point(lam, float(u1.max()), float(u2.max())))
     return _branch(pts)
 
 
@@ -250,7 +249,8 @@ def test_rescale_check_flags_wrong_exponent():
 
 
 def test_rescale_check_needs_tail_rows():
-    pts = [_point(lam, 1.0, W_STAR) for lam in (0.3, 0.2, 0.1)]
+    pts = [_point(lam, float(W_STAR.u1.max()), float(W_STAR.u2.max()))
+           for lam in (0.3, 0.2, 0.1)]
     with pytest.raises(InsufficientDataError):
         rescale_check(_branch(pts))
 

@@ -23,6 +23,7 @@ import pytest
 import radbif
 from radbif import cli, continue_branch
 from radbif.cli import run
+from radbif.continuation import ULP_SHIFTS
 
 LAMBDA_MID = 0.3231227939747531
 SUBCOMMANDS = ("steklov", "report", "solve", "limit", "branch",
@@ -52,12 +53,32 @@ def test_config_file_with_comments(tmp_path, capsys):
 
 
 def test_unknown_key_rejected(tmp_path, capsys):
-    code = run(["steklov", "--override", "grid.X=1",
-                "--override", f"out.dir={_out(tmp_path)}"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "unknown key" in err
-    assert "grid.M" in err  # the valid set is listed
+    # newton.max_iter is no key: Newton's step limit is the constant
+    # solver.MAX_NEWTON_ITER
+    for key in ("grid.X", "newton.max_iter"):
+        code = run(["steklov", "--override", f"{key}=1",
+                    "--override", f"out.dir={_out(tmp_path)}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown key" in err and repr(key) in err
+        assert "grid.M" in err  # the valid set is listed
+
+
+@pytest.mark.parametrize("kind", ["empty", "a-file", "below-a-file"])
+def test_bad_out_dir_is_a_config_error(kind, tmp_path, capsys, monkeypatch):
+    # refused with exit 2 before any computation, and nothing is created
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out = {"empty": "", "a-file": str(afile),
+           "below-a-file": str(afile / "sub")}[kind]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "continue_branch",
+                        lambda *a, **k: pytest.fail("the branch was traced"))
+    for command in ("steklov", "branch"):
+        assert run([command, "--override", f"out.dir={out}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "out.dir" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
 
 def test_malformed_line_rejected(tmp_path, capsys):
@@ -278,9 +299,9 @@ def test_config_hash_reads_the_parsed_coefficients():
 # the config classes: a changed library default must fail here rather
 # than silently re-hash every artifact.
 @pytest.mark.parametrize("entries, digest", [
-    ({}, "b2b04895658a"),
-    ({"grid.M": "4096", "newton.tol": "1e-8"}, "02bada6d586b"),
-    ({"cont.ds0": "0.02", "cont.ds_max": "0.5"}, "bb514073cf05"),
+    ({}, "caad14e8ae92"),
+    ({"grid.M": "4096", "newton.tol": "1e-8"}, "abc9c5495006"),
+    ({"cont.ds0": "0.02", "cont.ds_max": "0.5"}, "90676c63a63e"),
 ])
 def test_config_hash_is_pinned(entries, digest):
     assert cli.RunSettings(entries).config_hash == digest
@@ -291,7 +312,7 @@ def test_valid_keys_are_pinned():
     assert cli.VALID_KEYS == (
         "model.name", "model.coeffs1", "model.coeffs2",
         "grid.N", "grid.R", "grid.M",
-        "newton.tol", "newton.max_iter",
+        "newton.tol",
         "cont.ds0", "cont.ds_min", "cont.ds_max",
         "cont.eps_step_off", "cont.lambda_stop_low",
         "out.dir")
@@ -300,12 +321,10 @@ def test_valid_keys_are_pinned():
 def test_unset_keys_take_the_config_class_defaults():
     st = cli.RunSettings({})
     assert st.cont == radbif.ContinuationConfig(
-        tol_residual=st.newton.tol_residual)
-    assert st.newton.max_iter == radbif.NewtonConfig().max_iter
-    st = cli.RunSettings({"cont.ds_max": "0.5", "newton.max_iter": "20"})
+        tol_residual=st.cont.tol_residual)
+    st = cli.RunSettings({"cont.ds_max": "0.5"})
     assert st.cont == radbif.ContinuationConfig(
-        ds_max=0.5, tol_residual=st.newton.tol_residual)
-    assert st.newton.max_iter == 20
+        ds_max=0.5, tol_residual=st.cont.tol_residual)
 
 
 def test_limit_values(tmp_path, capsys):
@@ -347,7 +366,7 @@ def test_branch_artifacts_and_determinism(tmp_path, capsys):
     assert summary["rejections"] >= 0 and "last_rejection" in summary
     for r in records[1:]:
         assert r["corrector_iterations"] >= 1
-        assert r["polish_iterations"] >= 0
+        assert r["ulp_shift"] in ULP_SHIFTS
         assert r["residual"] <= 1e-10
 
 

@@ -18,9 +18,10 @@ from radbif import (Branch, ConfigError, ContinuationConfig,
                     continue_branch, eval_f, f_extended, fprime_extended,
                     initial_tangent, linear_model, operator_bands,
                     quadratic_model, residual, scaled_residual_norm,
-                    solutions_at, solve_flux_bvp, steklov_eigenpair)
-from radbif.continuation import (MAX_CORRECTOR_ITER, MAX_POLISH_ITER,
-                                  _CorrectorFailure, _TraceSystem)
+                    second_solution, solutions_at, solve_flux_bvp,
+                    steklov_eigenpair)
+from radbif.continuation import (MAX_CORRECTOR_ITER, ULP_SHIFTS,
+                                  _CorrectorFailure, _on_ray, _TraceSystem)
 from radbif.grid import _unit_trace_extended
 
 LAMBDA_BAR_512 = 0.33320994441151214  # trace-system fold at M = 512
@@ -183,7 +184,7 @@ def test_branch_records_diagnostics(ref_branch, branch_cfg):
     for p in ref_branch.points[1:]:
         # the count includes the refinement step taken after convergence
         assert 1 <= p.corrector_iterations <= MAX_CORRECTOR_ITER + 1
-        assert 0 <= p.polish_iterations <= MAX_POLISH_ITER
+        assert p.ulp_shift in ULP_SHIFTS
         assert 0.0 <= p.residual <= tol
     # every rejected attempt is counted and the latest keeps its reason
     assert (ref_branch.rejections > 0) == bool(ref_branch.last_rejection)
@@ -304,7 +305,7 @@ def _branch_bits(branch):
         return np.array(values, dtype=float).view(np.int64).tolist()
     points = [(bits(p.lam, p.norm, p.ds, p.residual), p.state.u1.tobytes(),
                p.state.u2.tobytes(), p.tangent_lambda_sign,
-               p.corrector_iterations, p.polish_iterations)
+               p.corrector_iterations, p.ulp_shift)
               for p in branch.points]
     fold = None if branch.fold is None else (
         bits(branch.fold.lam_bar, branch.fold.t1, branch.fold.t2),
@@ -433,15 +434,15 @@ def test_failed_fold_solve_raises(grid128, ref_model, two_fold_model,
 def test_branch_ends_on_corrector_failure_keeping_its_points(
         grid128, ref_model, monkeypatch):
     import radbif.continuation as cont
-    polish, calls = cont._polish, []
+    verify, calls = cont._verify, []
 
     def failing(*args, **kwargs):
         calls.append(None)
         if len(calls) > 4:  # the step-off and three steps pass
-            raise cont._CorrectorFailure("forced polish failure")
-        return polish(*args, **kwargs)
+            raise cont._CorrectorFailure("forced re-check failure")
+        return verify(*args, **kwargs)
 
-    monkeypatch.setattr(cont, "_polish", failing)
+    monkeypatch.setattr(cont, "_verify", failing)
     cfg = ContinuationConfig(ds0=0.01, ds_min=0.0025, lambda_stop_low=0.2)
     branch = continue_branch(grid128, ref_model, cfg)
     assert branch.termination == "corrector_failure"
@@ -449,7 +450,7 @@ def test_branch_ends_on_corrector_failure_keeping_its_points(
     assert all(p.norm > 0.0 for p in branch.points[1:])
     # every halving from the last ds down to ds_min was tried and counted
     assert branch.rejections == len(calls) - 4 >= 2
-    assert "forced polish failure" in branch.last_rejection
+    assert "forced re-check failure" in branch.last_rejection
 
 
 def test_failed_step_off_raises_with_the_trivial_anchor(grid128, ref_model,
@@ -520,32 +521,32 @@ def test_solutions_at_counts(ref_branch, grid512, ref_model, mu0_ref,
 def test_the_continuation_tolerance_verifies_every_state(grid128, ref_model,
                                                         monkeypatch):
     # cfg.tol_residual is the branch's tol and the one tolerance of the
-    # corrector, the fold solves and every polish, solutions_at's too
+    # corrector, the fold solves and every re-check, solutions_at's too
     import radbif.continuation as cont
     cfg = dataclasses.replace(FAST_CFG, tol_residual=1e-9)
-    newton_solve, corrector = cont.newton_solve, cont._corrector
+    verify, corrector = cont._verify, cont._corrector
     tols, corrector_tols = [], set()
 
-    def recording(grid, model, lam, init, ncfg):
-        tols.append((ncfg.tol_residual, ncfg.max_iter))
-        return newton_solve(grid, model, lam, init, ncfg)
+    def recording(grid, ts, x, tol):
+        tols.append(tol)
+        return verify(grid, ts, x, tol)
 
     def recording_corrector(ts, extra, x0, tol):
         corrector_tols.add(tol)
         return corrector(ts, extra, x0, tol)
 
-    monkeypatch.setattr(cont, "newton_solve", recording)
+    monkeypatch.setattr(cont, "_verify", recording)
     monkeypatch.setattr(cont, "_corrector", recording_corrector)
     branch = continue_branch(grid128, ref_model, cfg)
     assert branch.tol == 1e-9 and corrector_tols == {1e-9}
-    assert set(tols) == {(1e-9, MAX_POLISH_ITER)}
-    assert len(tols) >= len(branch.points) - 1  # a polish per point
+    assert set(tols) == {1e-9}
+    assert len(tols) >= len(branch.points) - 1  # a re-check per point
     assert all(p.residual <= 1e-9 for p in branch.points[1:])
     tols.clear()
     states = solutions_at(branch, 0.5 * (branch.points[0].lam
                                          + branch.fold.lam_bar))
     assert len(states) == 2
-    assert tols == [(1e-9, MAX_POLISH_ITER)] * 2
+    assert tols == [1e-9] * 2
     assert ContinuationConfig().tol_residual == 1e-10
     assert continue_branch(grid128, ref_model, FAST_CFG).tol == 1e-10
 
@@ -553,17 +554,17 @@ def test_the_continuation_tolerance_verifies_every_state(grid128, ref_model,
 def test_solutions_at_polishes_once_per_root(ref_branch, grid512, ref_model,
                                              monkeypatch):
     # roots come from the scalar trace equation: no corrector solve, one
-    # full-space polish per returned state
+    # full-space re-check per returned state
     import radbif.continuation as cont
     calls = []
-    polish = cont._polish
+    verify = cont._verify
     monkeypatch.setattr(cont, "_corrector",
                         lambda *a, **k: calls.append("corrector"))
-    monkeypatch.setattr(cont, "_polish",
-                        lambda *a, **k: calls.append("polish") or polish(*a, **k))
+    monkeypatch.setattr(cont, "_verify",
+                        lambda *a, **k: calls.append("verify") or verify(*a, **k))
     states = solutions_at(ref_branch, LAMBDA_MID)
     assert len(states) == 2
-    assert calls == ["polish", "polish"]
+    assert calls == ["verify", "verify"]
 
 
 def test_solutions_at_states_reconverged(ref_branch, grid512, ref_model):
@@ -702,7 +703,7 @@ def test_solutions_at_agrees_with_the_bisected_roots(which, ref_branch,
     # up to 1e-12 relative in pair norm.  The states are verified at the
     # command line's tolerance for this grid, twice the representation
     # floor eps 2/h^2.  At the branches' own 1e-10, below that floor at
-    # M = 512, about one root in nine below mu0 fails its polish with
+    # M = 512, about one root in nine below mu0 fails its re-check with
     # either root finder, so whether a state is kept there turns on which
     # double of the noise band is rebuilt.
     from radbif import pair_norm
@@ -796,41 +797,86 @@ def test_rebuild_rounds_once_from_the_longdouble_profile(grid512, ref_model,
     res = band_loop(operator_bands(grid512), phi_ext)[:-1]
     assert float(np.abs(res).max()) / scale <= 1e-18
     assert np.abs(phi_ext - eig512.phi1).max() <= 1e-15
-    ts = _TraceSystem(grid512, ref_model)
     rng = np.random.default_rng(3)
     for x in (*rng.uniform(0.0, 50.0, (10, 3)), (1e-4, 3e-4, 0.3), (1e5, 7.5, 1e-3)):
-        st = ts.state(np.array(x))
+        st = _on_ray(phi_ext, x[0], x[1])
         for t, u in zip(x, (st.u1, st.u2)):
             np.testing.assert_array_equal(
                 u, (np.longdouble(t) * phi_ext).astype(float))
             assert u[-1] == t
-    # a point accepted without a polish step is the rebuild itself
+    # every accepted point is the rebuild from its own traces
     for p in ref_branch.points[1:]:
-        if p.polish_iterations == 0:
-            st = ts.state(np.array([p.state.u1[-1], p.state.u2[-1]]))
-            np.testing.assert_array_equal(st.u1, p.state.u1)
-            np.testing.assert_array_equal(st.u2, p.state.u2)
+        st = _on_ray(phi_ext, p.state.u1[-1], p.state.u2[-1])
+        np.testing.assert_array_equal(st.u1, p.state.u1)
+        np.testing.assert_array_equal(st.u2, p.state.u2)
+
+
+@pytest.mark.parametrize("which", ["reference-512", "two-fold-512",
+                                   "reference-4096"])
+def test_branch_points_are_their_traces(which, ref_branch, two_fold_branch,
+                                        ref_model):
+    # a point stores (t1, t2) and the grid's one profile; its state is
+    # their rebuild, and its sups and norm are read off the traces
+    from radbif import pair_norm
+    if which == "reference-4096":
+        branch = continue_branch(build_grid(3, 1.0, 4096), ref_model,
+                                 ContinuationConfig(tol_residual=1e-8))
+    else:
+        branch = {"reference-512": ref_branch,
+                  "two-fold-512": two_fold_branch}[which]
+    profile = _unit_trace_extended(branch.grid)
+    for p in branch.points:
+        assert p.profile is profile
+        state, rebuilt = p.state, _on_ray(profile, p.t1, p.t2)
+        assert state.u1.tobytes() == rebuilt.u1.tobytes()
+        assert state.u2.tobytes() == rebuilt.u2.tobytes()
+        assert state.u1[-1] == p.t1 and state.u2[-1] == p.t2
+        assert p.norm == p.t1 + p.t2 == pair_norm(state)
+        assert p.residual <= branch.tol
+
+
+def test_continuation_makes_no_newton_step(grid512, ref_model, two_fold_model,
+                                           monkeypatch):
+    # every point is checked on the kernel ray: tracing, solutions_at and
+    # second_solution make no full-space Newton step and no Jacobian solve
+    import radbif
+    import radbif.continuation as cont
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a full-space Newton step")
+
+    assert not hasattr(cont, "newton_solve")
+    monkeypatch.setattr(radbif.solver, "newton_solve", forbidden)
+    monkeypatch.setattr(radbif.solver.PairJacobian, "solve", forbidden)
+    ref = continue_branch(grid512, ref_model, FAST_CFG)
+    two = continue_branch(grid512, two_fold_model, FAST_CFG)
+    assert ref.termination == two.termination == "lambda_floor"
+    assert len(ref.folds) == 1 and len(two.folds) == 2
+    assert len(solutions_at(ref, LAMBDA_MID)) == 2
+    assert len(solutions_at(two, 0.35)) == 2
+    minimal, upper = second_solution(grid512, ref_model, LAMBDA_MID, ref)
+    assert radbif.pair_norm(minimal) < radbif.pair_norm(upper)
 
 
 def test_most_rebuilt_points_need_no_polish_step(ref_branch):
     # tol 1e-10 lies below the representation floor eps*2/h^2 = 1.16e-10 of
-    # M = 512; the once-rounded rebuild passes the re-check as it stands at
-    # about 80 % of the points
+    # M = 512; the once-rounded rebuild passes the re-check as it stands,
+    # with no ulp shift, at about 81 % of the points
     accepted = ref_branch.points[1:]
-    zero = sum(p.polish_iterations == 0 for p in accepted)
+    zero = sum(p.ulp_shift == 0 for p in accepted)
     assert zero >= 0.7 * len(accepted)
 
 
 def test_fine_grid_branch_keeps_its_fold_and_skips_the_polish(ref_model):
-    # M = 4096 at tol 1e-8: about 94 % of the points pass the re-check with
-    # no Newton step, and the fold keeps its bits
+    # M = 4096 at tol 1e-8: about 95 % of the points pass the re-check with
+    # no ulp shift, and the fold keeps its bits
     grid = build_grid(3, 1.0, 4096)
     cfg = ContinuationConfig(tol_residual=1e-8)
     branch = continue_branch(grid, ref_model, cfg)
     assert branch.termination == "lambda_floor"
     assert branch.fold.lam_bar == 0.3332102968730778
     accepted = branch.points[1:]
-    zero = sum(p.polish_iterations == 0 for p in accepted)
+    zero = sum(p.ulp_shift == 0 for p in accepted)
     assert zero >= 0.9 * len(accepted)
     for p in accepted:
         assert p.residual <= 1e-8

@@ -14,13 +14,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import band_loop, trace_system_solve
-from radbif import (ConfigError, NewtonConfig, NewtonResult,
+from radbif import (ConfigError, NewtonResult, TOL_RESIDUAL,
                     NonConvergenceError, SystemState, apply_operator,
                     boundary_flux, build_grid, eval_f, f_extended,
                     fprime_extended, is_positive_state, jacobian,
                     linear_bvp_solve, linear_model, newton_solve,
                     operator_bands, pair_norm, residual,
                     scaled_residual_norm, solve_flux_bvp, solve_limit_problem)
+import radbif.solver as solver_module
 from radbif.solver import DAMPING_FLOOR, POSITIVITY_ZERO_FLOOR, _pair_residual
 
 LAMBDA_MID = 0.3231227939747531  # halfway between bifurcation point and fold
@@ -100,8 +101,7 @@ def test_newton_zero_init_returns_zero_in_zero_iterations(grid128, ref_model):
 def test_newton_postcondition_residual_below_tolerance(grid512, ref_model):
     init = SystemState(0.5 * np.ones(grid512.M + 1),
                        0.5 * np.ones(grid512.M + 1))
-    cfg = NewtonConfig(tol_residual=1e-10)
-    result = newton_solve(grid512, ref_model, LAMBDA_MID, init, cfg)
+    result = newton_solve(grid512, ref_model, LAMBDA_MID, init, tol=1e-10)
     res = residual(grid512, ref_model, LAMBDA_MID, result.state)
     assert scaled_residual_norm(res, result.state) <= 1e-10
     assert result.positive
@@ -137,12 +137,12 @@ def test_newton_never_returns_positive_beyond_the_bound(grid512, ref_model,
         assert pair_norm(result.state) <= POSITIVITY_ZERO_FLOOR
 
 
-def test_nonconvergence_raises_with_trace(grid128, ref_model):
-    cfg = NewtonConfig(tol_residual=1e-10, max_iter=1)
+def test_nonconvergence_raises_with_trace(grid128, ref_model, monkeypatch):
+    monkeypatch.setattr(solver_module, "MAX_NEWTON_ITER", 1)
     init = SystemState(0.5 * np.ones(grid128.M + 1),
                        0.5 * np.ones(grid128.M + 1))
     with pytest.raises(NonConvergenceError) as err:
-        newton_solve(grid128, ref_model, LAMBDA_MID, init, cfg)
+        newton_solve(grid128, ref_model, LAMBDA_MID, init, tol=1e-10)
     assert len(err.value.trace) >= 1
     assert err.value.last_state is not None
 
@@ -218,12 +218,11 @@ def test_backtracking_stops_once_the_trial_rounds_back(grid512, ref_model,
     w = solve_flux_bvp(grid512, 1.0)
     w = w / w[-1]
     init = SystemState(t1 * w, t2 * w)
-    cfg = NewtonConfig(tol_residual=1e-13)
+    tol = 1e-13
     history, last, calls, round_backs = _halve_to_floor(
-        grid512, ref_model, lam, init, cfg.tol_residual)
+        grid512, ref_model, lam, init, tol)
     assert len(history) > 1 and round_backs > 0
 
-    import radbif.solver as solver_module
     counted = []
 
     def counting(*args):
@@ -234,7 +233,7 @@ def test_backtracking_stops_once_the_trial_rounds_back(grid512, ref_model,
     with pytest.raises(NonConvergenceError,
                        match="backtracking hit the damping floor without "
                              "progress") as err:
-        newton_solve(grid512, ref_model, lam, init, cfg)
+        newton_solve(grid512, ref_model, lam, init, tol=tol)
     assert err.value.trace == history
     assert np.array_equal(err.value.last_state.u1, last.u1)
     assert np.array_equal(err.value.last_state.u2, last.u2)
@@ -379,17 +378,19 @@ def test_pair_residual_is_bit_identical_to_two_matvecs(ref_model, M):
             _bits(_two_matvec_residual(grid, state, p2, p1)))
 
 
-def _newton_on_copies(grid, model, lam, init, cfg=NewtonConfig()):
+def _newton_on_copies(grid, model, lam, init, tol=TOL_RESIDUAL):
     """newton_solve as it was before it iterated on the interleaved vector:
     each trial split into SystemState copies, the iterate re-interleaved
-    per step.  Kept as the bit-for-bit reference."""
+    per step.  Kept as the bit-for-bit reference; it reads the step limit
+    solver.MAX_NEWTON_ITER as newton_solve does."""
+    max_iter = solver_module.MAX_NEWTON_ITER
     state = init
     res = residual(grid, model, lam, state)
     rnorm = scaled_residual_norm(res, state)
     history = [rnorm]
     damping = 1.0
-    for it in range(1, cfg.max_iter + 1):
-        if rnorm <= cfg.tol_residual:
+    for it in range(1, max_iter + 1):
+        if rnorm <= tol:
             return NewtonResult(state, it - 1, rnorm, damping,
                                 is_positive_state(state), history)
         step = jacobian(grid, model, lam, state).solve(-res)
@@ -413,11 +414,11 @@ def _newton_on_copies(grid, model, lam, init, cfg=NewtonConfig()):
                 "backtracking hit the damping floor without progress",
                 trace=history, last_state=state)
         history.append(rnorm)
-    if rnorm <= cfg.tol_residual:
-        return NewtonResult(state, cfg.max_iter, rnorm, damping,
+    if rnorm <= tol:
+        return NewtonResult(state, max_iter, rnorm, damping,
                             is_positive_state(state), history)
     raise NonConvergenceError(
-        f"no convergence in {cfg.max_iter} iterations (residual {rnorm:.3e})",
+        f"no convergence in {max_iter} iterations (residual {rnorm:.3e})",
         trace=history, last_state=state)
 
 
@@ -435,24 +436,25 @@ def _newton_outcome(solve, *args):
 
 
 def test_newton_on_the_interleaved_vector_is_bit_identical(
-        grid512, ref_model, eig512, mu_h512):
+        grid512, ref_model, eig512, mu_h512, monkeypatch):
     ones = np.ones(grid512.M + 1)
-    runs = [(LAMBDA_MID, SystemState(0.5 * ones, 0.5 * ones), NewtonConfig()),
-            (LAMBDA_MID, SystemState(0.5 * ones, 0.5 * ones),
-             NewtonConfig(max_iter=1)),
-            (0.5, SystemState.zero(grid512), NewtonConfig()),
+    steps = solver_module.MAX_NEWTON_ITER
+    runs = [(LAMBDA_MID, SystemState(0.5 * ones, 0.5 * ones), steps),
+            (LAMBDA_MID, SystemState(0.5 * ones, 0.5 * ones), 1),
+            (0.5, SystemState.zero(grid512), steps),
             # a sign-mixed start that converges with a last step of 1/4
             (0.05, SystemState(-10.0 * eig512.phi1, 10.0 * eig512.phi1),
-             NewtonConfig())]
+             steps)]
     # the nonexistence check's starts, just beyond mu1/K
     lam = 1.01 * eig512.mu1 / ref_model.K
     runs += [(lam, SystemState(amp * eig512.phi1, amp * eig512.phi1),
-              NewtonConfig()) for amp in np.logspace(-2, 2, 5)]
+              steps) for amp in np.logspace(-2, 2, 5)]
     outcomes, dampings = set(), set()
-    for lam, init, cfg in runs:
-        got = _newton_outcome(newton_solve, grid512, ref_model, lam, init, cfg)
+    for lam, init, max_iter in runs:
+        monkeypatch.setattr(solver_module, "MAX_NEWTON_ITER", max_iter)
+        got = _newton_outcome(newton_solve, grid512, ref_model, lam, init)
         want = _newton_outcome(_newton_on_copies, grid512, ref_model, lam,
-                               init, cfg)
+                               init)
         assert got == want
         outcomes.add(got[0])
         dampings.add(got[2][0] if got[0] == "converged" else None)
@@ -493,7 +495,6 @@ def test_fixed_lambda_solution_richardson_order(ref_model):
     # reaches ~4.7e-10 at M=1024; solution accuracy stays far below the
     # O(h^2) norm differences the ratio measures
     lam = LAMBDA_MID
-    cfg = NewtonConfig(tol_residual=1e-9)
     norms = []
     for M in (256, 512, 1024):
         grid = build_grid(3, 1.0, M)
@@ -501,7 +502,7 @@ def test_fixed_lambda_solution_richardson_order(ref_model):
         w = w / w[-1]
         init = SystemState(0.47 * w, 0.60 * w)
         norms.append(pair_norm(
-            newton_solve(grid, ref_model, lam, init, cfg).state))
+            newton_solve(grid, ref_model, lam, init, tol=1e-9).state))
     ratio = (norms[0] - norms[1]) / (norms[1] - norms[2])
     order = math.log2(abs(ratio))
     assert 1.8 <= order <= 2.2
@@ -531,12 +532,13 @@ def test_limit_problem_traces_match_reduced_system(grid512, ref_model,
     assert f2 == pytest.approx(g2(float(state.u1[-1])), abs=1e-9)
 
 
-def test_newton_config_rejects_bad_settings():
-    for kwargs in ({"tol_residual": 0.0}, {"tol_residual": math.nan},
-                   {"tol_residual": math.inf}, {"max_iter": 0},
-                   {"max_iter": 2.5}, {"max_iter": math.nan}):
-        with pytest.raises(ConfigError):
-            NewtonConfig(**kwargs)
+def test_newton_config_rejects_bad_settings(grid128, ref_model):
+    # the tolerance is newton_solve's one setting; the step limit is the
+    # module constant MAX_NEWTON_ITER
+    init = SystemState.zero(grid128)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="tol_residual"):
+            newton_solve(grid128, ref_model, 0.3, init, tol=tol)
 
 
 def test_limit_problem_needs_superlinear_powers(grid128):
