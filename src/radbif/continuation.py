@@ -10,7 +10,8 @@ both come from steklov_eigenpair.  The flux rows then reduce exactly to
 
     mu_h t1 = lam f1(t2),    mu_h t2 = lam f2(t1),
 
-and tracing keeps lam as its coordinate, x = (t1, t2, lam): a secant
+and tracing keeps lam as its coordinate, x = (t1, t2, lam), on the flux
+rows of solver._TraceSystem, which newton_solve shares: a secant
 predictor and a 3x3 bordered Newton corrector on these two rows plus the
 arclength row.  The corrector works on Python floats; per step it builds
 one 3x3 array for np.linalg.solve, and the arclength row keeps its numpy
@@ -22,10 +23,10 @@ the full state U becomes w (dt1^2 + dt2^2) + dlam^2 with w =
 full-space metric.
 
 Each corrected x is checked on the kernel ray itself, with no full-space
-Newton step (_verify): the state (t1 phi_h, t2 phi_h) is rebuilt by
-rounding t_i times the grid's longdouble unit-trace profile to double
-once, so its traces are t1 and t2 exactly, and its full-space scaled
-residual is the independent re-check.  Even at a tolerance near the
+Newton step (_verify, on solver._recheck): the state (t1 phi_h, t2
+phi_h) is rebuilt by rounding t_i times the grid's longdouble unit-trace
+profile to double once, so its traces are t1 and t2 exactly, and its
+full-space scaled residual is the independent re-check.  Even at a tolerance near the
 representation floor eps*2/h^2 most rebuilt points pass as they stand
 (81 % of the M = 512 branch at tol 1e-10, 95 % at M = 4096 and tol
 1e-8); for the rest the traces t_i + k ulp(t_i) are tried for k in
@@ -59,12 +60,11 @@ import numpy as np
 from .analysis import bifurcation_point, theta_exponents
 from .errors import (ConfigError, ContinuationError, NonConvergenceError,
                      require_int, require_positive)
-from .grid import RadialGrid, SystemState, _unit_trace_extended, pair_norm
-from .model import (NonlinearityModel, f_extended, fprime_extended,
-                    monotone_check, zeta)
-from .solver import (TOL_RESIDUAL, is_positive_state, residual,
-                     scaled_residual_norm)
-from .steklov import SteklovPair, steklov_eigenpair
+from .grid import RadialGrid, SystemState, pair_norm
+from .model import NonlinearityModel, monotone_check, zeta
+from .solver import (TOL_RESIDUAL, ULP_SHIFTS, _on_ray, _recheck,
+                     _TraceSystem, is_positive_state)
+from .steklov import SteklovPair
 
 __all__ = [
     "ContinuationConfig",
@@ -77,9 +77,6 @@ __all__ = [
 ]
 
 MAX_CORRECTOR_ITER = 12
-# The roundings of corrected traces that _verify tries, in ulps of each
-# trace and in this order; most points pass unshifted.
-ULP_SHIFTS = (0, 1, -1, 2, -2)
 
 
 @dataclass(frozen=True)
@@ -201,110 +198,6 @@ def initial_tangent(model: NonlinearityModel, steklov_pair: SteklovPair) -> Syst
     return SystemState(phi / (1.0 + z), (z / (1.0 + z)) * phi)
 
 
-def _fpp(model: NonlinearityModel, i: int, s: float) -> float:
-    """Central difference of f_i' at s, relative step about eps^(1/3)."""
-    h = 6e-6 * max(1.0, abs(s))
-    return (fprime_extended(model, i, s + h)
-            - fprime_extended(model, i, s - h)) / (2.0 * h)
-
-
-class _TraceSystem:
-    """The flux rows on x = (t1, t2, lam) for states (t1 phi_h, t2 phi_h).
-
-    metric holds the weights (w, w, 1) that make the trace metric equal the
-    full-space one; profile is the grid's longdouble unit-trace profile,
-    from which _on_ray rebuilds states.
-    """
-
-    def __init__(self, grid: RadialGrid, model: NonlinearityModel):
-        eig = steklov_eigenpair(grid)
-        phi = eig.phi1
-        w = float(phi @ phi) / (2 * phi.size)
-        self.model = model
-        self.mu_h = eig.mu1
-        self.profile = _unit_trace_extended(grid)
-        self.metric = np.array([w, w, 1.0])
-
-    def linearize(self, t1: float, t2: float, lam: float) -> tuple:
-        """The flux rows at (t1, t2, lam) and their 2x3 derivative with
-        respect to (t1, t2, lam), as floats: ((r1, r2), (row1, row2))."""
-        m, mu = self.model, self.mu_h
-        f1, f2 = f_extended(m, 1, t2), f_extended(m, 2, t1)
-        return ((mu * t1 - lam * f1, mu * t2 - lam * f2),
-                ((mu, -lam * fprime_extended(m, 1, t2), -f1),
-                 (-lam * fprime_extended(m, 2, t1), mu, -f2)))
-
-    def fold_row(self, x) -> tuple:
-        """(1 - k^2 f1'(t2) f2'(t1), gradient) with k = lam/mu_h: det F_t /
-        mu_h^2, zero exactly at a fold.  The f_i'' in the gradient are
-        central differences of f_i'; they steer Newton only."""
-        t1, t2, lam = x
-        m, k = self.model, lam / self.mu_h
-        d1, d2 = fprime_extended(m, 1, t2), fprime_extended(m, 2, t1)
-        return 1.0 - k * k * d1 * d2, (-k * (k * d1 * _fpp(m, 2, t1)),
-                                       -k * (k * _fpp(m, 1, t2) * d2),
-                                       -k * (2.0 * d1 * d2 / self.mu_h))
-
-    def q(self, t: float, lam: float) -> float:
-        """q_lam(t) = G_lam(t)/t - 1, G_lam(t) = lam f1(lam f2(t)/mu_h)/mu_h,
-        whose roots are the t1 of the states at lam; its limit at t = 0."""
-        m, mu = self.model, self.mu_h
-        if t == 0.0:
-            return (lam * lam * fprime_extended(m, 1, 0.0)
-                    * fprime_extended(m, 2, 0.0) / (mu * mu) - 1.0)
-        return lam * f_extended(m, 1, lam * f_extended(m, 2, t) / mu) / (mu * t) - 1.0
-
-    def root(self, lam: float, lo: float, hi: float, q_lo: float,
-             q_hi: float) -> float:
-        """Root of q_lam on [lo, hi], where q_lo = q(lo) and q_hi = q(hi)
-        have opposite signs: an exact zero of q, or the lo end of two
-        adjacent doubles where the computed q changes sign.
-
-        Illinois iteration (modified regula falsi; Dowell & Jarratt, BIT
-        11, 1971): the secant point of the bracket, with the kept end's
-        weight halved whenever the same end moves twice running.  It
-        bisects instead when that point is not finite or not strictly
-        inside (lo, hi), and once the bracket is at most 64 ulps wide.
-        Computed q has a noise band of a few ulps around each root, so
-        the double found may differ from plain bisection's inside it.
-        """
-        lo_positive, moved = q_lo > 0.0, 0
-        while True:
-            t = lo + (hi - lo) * (q_lo / (q_lo - q_hi))
-            if not lo < t < hi or hi - lo <= 64.0 * math.ulp(hi):
-                t = 0.5 * (lo + hi)
-                if t in (lo, hi):
-                    return lo
-            q_t = self.q(t, lam)
-            if q_t == 0.0:
-                return t
-            if (q_t > 0.0) == lo_positive:
-                lo, q_lo = t, q_t
-                if moved < 0:
-                    q_hi *= 0.5
-                moved = -1
-            else:
-                hi, q_hi = t, q_t
-                if moved > 0:
-                    q_lo *= 0.5
-                moved = 1
-
-    def at(self, t1: float, lam: float) -> np.ndarray:
-        """The point x = (t1, t2, lam) with t2 from the second flux row."""
-        return np.array([t1, lam * f_extended(self.model, 2, t1) / self.mu_h, lam])
-
-    def dist(self, xa: np.ndarray, xb: np.ndarray) -> float:
-        d = xa - xb
-        return math.sqrt(float(self.metric @ (d * d)))
-
-
-def _on_ray(profile: np.ndarray, t1: float, t2: float) -> SystemState:
-    """(t1 phi_h, t2 phi_h) rounded to double once, from the longdouble
-    profile: its traces are t1 and t2 exactly."""
-    return SystemState((np.longdouble(t1) * profile).astype(float),
-                       (np.longdouble(t2) * profile).astype(float))
-
-
 def _traces(point: BranchPoint) -> np.ndarray:
     return np.array([point.t1, point.t2, point.lam])
 
@@ -365,23 +258,15 @@ def _arclength(ts: _TraceSystem, tau, anchor, ds):
 
 
 def _verify(grid: RadialGrid, ts: _TraceSystem, x, tol: float) -> tuple:
-    """Re-check x = (t1, t2, lam) on the kernel ray in full space at tol.
-
-    For k in ULP_SHIFTS, in order, rebuild the state at a = t1 + k ulp(t1),
-    b = t2 + k ulp(t2) and return (a, b, k, residual, state) for the
-    first whose full-space scaled residual is at most tol.  That state
-    not positive, or no shift passing, raises _CorrectorFailure."""
-    t1, t2, lam = map(float, x)
-    for k in ULP_SHIFTS:
-        a, b = t1 + k * math.ulp(t1), t2 + k * math.ulp(t2)
-        state = _on_ray(ts.profile, a, b)
-        res = scaled_residual_norm(residual(grid, ts.model, lam, state), state)
-        if res <= tol:
-            if not is_positive_state(state):
-                raise _CorrectorFailure("corrected state not positive")
-            return a, b, k, res, state
-    raise _CorrectorFailure(f"full-space re-check failed: residual > {tol:g} "
-                            f"at every shift ({res:.3e} at {k:+d} ulps)")
+    """_recheck of x = (t1, t2, lam) at tol, as _CorrectorFailure, with
+    the state of the passing shift required to be positive."""
+    try:
+        checked = _recheck(grid, ts, x, tol)
+    except NonConvergenceError as exc:
+        raise _CorrectorFailure(str(exc)) from None
+    if not is_positive_state(checked[-1]):
+        raise _CorrectorFailure("corrected state not positive")
+    return checked
 
 
 def continue_branch(grid: RadialGrid, model: NonlinearityModel,

@@ -1,24 +1,32 @@
-"""Newton solver for the coupled pair at fixed parameter, the pure-power
-limiting problem in closed form, and the linear auxiliary problem.
+"""The coupled pair at fixed parameter: residual, Jacobian, the kernel-ray
+facts shared with continuation, the damped Newton solver on the two
+traces, the pure-power limiting problem in closed form, and the linear
+auxiliary problem.
 
-The pair (u1, u2) is interleaved as [u1_0, u2_0, u1_1, u2_1, ...].  The
-Jacobian is the grid operator A (operator_bands) on each component plus two
-coupling entries in the flux rows.  The grid keeps the banded LU of A and
-the refined unit-flux column v = A^-1 e_M, so a Newton step is one solve
-with the cached factor and two right-hand sides plus a 2x2 system on the
-boundary traces, and the linear problem with fluxes (g1, g2) is
-(g1 v, g2 v) with no solve at all.
+The interior rows of the discrete system are linear with no source term,
+so they pin every solution to the kernel ray: it is (t1 phi_h, t2 phi_h),
+with phi_h = v/v(R) the unit-trace profile, v = A^-1 e_M the grid's
+unit-flux column and mu_h = 1/v(R).  Only the two flux rows
+
+    mu_h t1 = lam f1(t2),    mu_h t2 = lam f2(t1)
+
+are nonlinear; _TraceSystem holds them, their derivative and the scalar
+forms continuation needs.  A state on the ray is rebuilt from its traces
+by rounding t_i times the grid's longdouble profile to double once
+(_on_ray), and its full-space scaled residual is the independent
+re-check (_recheck), tried at the roundings t_i + k ulp(t_i) of
+ULP_SHIFTS.  newton_solve iterates on the traces alone, so once the grid
+is set up (the banded LU of A, v and the longdouble profile, each cached
+per grid) it makes no banded solve.
 
 The residual interleaves u1 and u2 into one longdouble buffer and makes
 one compiled matvec with the grid's pair operator diag(A, A); the flux
 terms are subtracted in longdouble and the result is rounded to double
-once.  Newton iterates on the interleaved vector and evaluates each
-trial through strided views of it.  The residual equals two
-single-component matvecs with A bit for bit, and Newton's iterates equal
-those of the same loop on SystemState copies.  newton_solve serves
-`radbif solve` and the nonexistence check of the acceptance suite;
-continuation takes no Newton step in full space, since its points are
-checked on the kernel ray (continuation._verify).
+once.  It equals two single-component matvecs with A bit for bit.  The
+Jacobian is A on each component plus two coupling entries in the flux
+rows; the jacobian-fd check of the acceptance suite tests it.  The
+linear problem with fluxes (g1, g2) is (g1 v, g2 v), with no solve at
+all.
 
 Residual norms are measured as max|F| / max(1, sup|u1|, sup|u2|): the
 operator rows scale like 1/h^2, so that quotient is what floating point can
@@ -27,16 +35,16 @@ actually resolve once state amplitudes grow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgbtrs
 
 from .errors import ConfigError, NonConvergenceError, require_positive
-from .grid import (RadialGrid, SystemState, _factor, _pair_matvec,
-                   operator_bands, pair_norm, solve_flux_bvp)
+from .grid import (RadialGrid, SystemState, _pair_matvec,
+                   _unit_trace_extended, operator_bands, pair_norm,
+                   solve_flux_bvp)
 from .model import NonlinearityModel, f_extended, fprime_extended
 from .steklov import steklov_eigenpair
 
@@ -72,11 +80,15 @@ POSITIVITY_ZERO_FLOOR = 1e-8
 # residual norm, for Newton and for continuation.
 TOL_RESIDUAL = 1e-10
 
-# Newton steps allowed per solve.
+# Newton steps allowed per solve to reach the tolerance.
 MAX_NEWTON_ITER = 50
 
 # Smallest Newton step fraction tried by backtracking.
 DAMPING_FLOOR = 2.0 ** -20
+
+# The roundings of traces that _recheck tries, in ulps of each trace and
+# in this order; most states pass unshifted.
+ULP_SHIFTS = (0, 1, -1, 2, -2)
 
 
 @dataclass
@@ -93,31 +105,11 @@ class NewtonResult:
 
 class PairJacobian(NamedTuple):
     """Jacobian of residual: A on each component, plus c1 in flux row 1 at
-    u2(R) and c2 in flux row 2 at u1(R)."""
+    u2(R) and c2 in flux row 2 at u1(R), as a dense interleaved matrix."""
 
     grid: RadialGrid
     c1: float
     c2: float
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Interleaved d with J d = rhs.  With A w_i = rhs_i and A v = e_M,
-        d_i = w_i - c_i d_other(R) v, and the traces solve
-        [[1, c1 v(R)], [c2 v(R), 1]] d(R) = w(R), whose determinant is
-        1 - c1 c2 v(R)^2.  v comes with the cached factor of A, so the
-        solve is one dgbtrs call with two right-hand sides."""
-        M = self.grid.M
-        lu, piv, v = _factor(self.grid)
-        w1, w2 = dgbtrs(lu, 2, 1, rhs.reshape(M + 1, 2), piv)[0].T
-        a1, a2 = self.c1 * v[M], self.c2 * v[M]
-        det = 1.0 - a1 * a2
-        if det == 0.0:
-            raise LinAlgError("trace coupling is singular")
-        d1 = (w1[M] - a1 * w2[M]) / det
-        d2 = (w2[M] - a2 * w1[M]) / det
-        out = np.empty(2 * (M + 1))
-        out[0::2] = w1 - self.c1 * d2 * v
-        out[1::2] = w2 - self.c2 * d1 * v
-        return out
 
     def todense(self) -> np.ndarray:
         ab = operator_bands(self.grid)
@@ -170,6 +162,11 @@ def _pair_residual(grid: RadialGrid, state: SystemState, g1, g2) -> np.ndarray:
     return y.astype(float)
 
 
+def _require_parameter(lam: float) -> None:
+    if not 0 <= lam < np.inf:  # NaN fails too
+        raise ValueError(f"parameter must be nonnegative and finite, got {lam}")
+
+
 def residual(grid: RadialGrid, model: NonlinearityModel, lam: float,
              state: SystemState) -> np.ndarray:
     """Interleaved residual of the coupled system at parameter lam.
@@ -179,8 +176,7 @@ def residual(grid: RadialGrid, model: NonlinearityModel, lam: float,
     through their linear extension so off-sign intermediate iterates remain
     well defined.
     """
-    if not 0 <= lam < np.inf:  # NaN fails too
-        raise ValueError(f"parameter must be nonnegative and finite, got {lam}")
+    _require_parameter(lam)
     g1 = lambda t: lam * f_extended(model, 1, t)
     g2 = lambda t: lam * f_extended(model, 2, t)
     return _pair_residual(grid, state, g1, g2)
@@ -189,73 +185,212 @@ def residual(grid: RadialGrid, model: NonlinearityModel, lam: float,
 def jacobian(grid: RadialGrid, model: NonlinearityModel, lam: float,
              state: SystemState) -> PairJacobian:
     """Exact Jacobian of residual (coupling entries -lam f_i')."""
-    if not 0 <= lam < np.inf:  # NaN fails too
-        raise ValueError(f"parameter must be nonnegative and finite, got {lam}")
+    _require_parameter(lam)
     M = grid.M
     return PairJacobian(grid,
                         -lam * fprime_extended(model, 1, float(state.u2[M])),
                         -lam * fprime_extended(model, 2, float(state.u1[M])))
 
 
+def _fpp(model: NonlinearityModel, i: int, s: float) -> float:
+    """Central difference of f_i' at s, relative step about eps^(1/3)."""
+    h = 6e-6 * max(1.0, abs(s))
+    return (fprime_extended(model, i, s + h)
+            - fprime_extended(model, i, s - h)) / (2.0 * h)
+
+
+class _TraceSystem:
+    """The flux rows on x = (t1, t2, lam) for states (t1 phi_h, t2 phi_h).
+
+    metric holds the weights (w, w, 1) that make the trace metric equal the
+    full-space one; profile is the grid's longdouble unit-trace profile,
+    from which _on_ray rebuilds states.
+    """
+
+    def __init__(self, grid: RadialGrid, model: NonlinearityModel):
+        eig = steklov_eigenpair(grid)
+        phi = eig.phi1
+        w = float(phi @ phi) / (2 * phi.size)
+        self.model = model
+        self.mu_h = eig.mu1
+        self.profile = _unit_trace_extended(grid)
+        self.metric = np.array([w, w, 1.0])
+
+    def linearize(self, t1: float, t2: float, lam: float) -> tuple:
+        """The flux rows at (t1, t2, lam) and their 2x3 derivative with
+        respect to (t1, t2, lam), as floats: ((r1, r2), (row1, row2))."""
+        m, mu = self.model, self.mu_h
+        f1, f2 = f_extended(m, 1, t2), f_extended(m, 2, t1)
+        return ((mu * t1 - lam * f1, mu * t2 - lam * f2),
+                ((mu, -lam * fprime_extended(m, 1, t2), -f1),
+                 (-lam * fprime_extended(m, 2, t1), mu, -f2)))
+
+    def fold_row(self, x) -> tuple:
+        """(1 - k^2 f1'(t2) f2'(t1), gradient) with k = lam/mu_h: det F_t /
+        mu_h^2, zero exactly at a fold.  The f_i'' in the gradient are
+        central differences of f_i'; they steer Newton only."""
+        t1, t2, lam = x
+        m, k = self.model, lam / self.mu_h
+        d1, d2 = fprime_extended(m, 1, t2), fprime_extended(m, 2, t1)
+        return 1.0 - k * k * d1 * d2, (-k * (k * d1 * _fpp(m, 2, t1)),
+                                       -k * (k * _fpp(m, 1, t2) * d2),
+                                       -k * (2.0 * d1 * d2 / self.mu_h))
+
+    def q(self, t: float, lam: float) -> float:
+        """q_lam(t) = G_lam(t)/t - 1, G_lam(t) = lam f1(lam f2(t)/mu_h)/mu_h,
+        whose roots are the t1 of the states at lam; its limit at t = 0."""
+        m, mu = self.model, self.mu_h
+        if t == 0.0:
+            return (lam * lam * fprime_extended(m, 1, 0.0)
+                    * fprime_extended(m, 2, 0.0) / (mu * mu) - 1.0)
+        return lam * f_extended(m, 1, lam * f_extended(m, 2, t) / mu) / (mu * t) - 1.0
+
+    def root(self, lam: float, lo: float, hi: float, q_lo: float,
+             q_hi: float) -> float:
+        """Root of q_lam on [lo, hi], where q_lo = q(lo) and q_hi = q(hi)
+        have opposite signs: an exact zero of q, or the lo end of two
+        adjacent doubles where the computed q changes sign.
+
+        Illinois iteration (modified regula falsi; Dowell & Jarratt, BIT
+        11, 1971): the secant point of the bracket, with the kept end's
+        weight halved whenever the same end moves twice running.  It
+        bisects instead when that point is not finite or not strictly
+        inside (lo, hi), and once the bracket is at most 64 ulps wide.
+        Computed q has a noise band of a few ulps around each root, so
+        the double found may differ from plain bisection's inside it.
+        """
+        lo_positive, moved = q_lo > 0.0, 0
+        while True:
+            t = lo + (hi - lo) * (q_lo / (q_lo - q_hi))
+            if not lo < t < hi or hi - lo <= 64.0 * math.ulp(hi):
+                t = 0.5 * (lo + hi)
+                if t in (lo, hi):
+                    return lo
+            q_t = self.q(t, lam)
+            if q_t == 0.0:
+                return t
+            if (q_t > 0.0) == lo_positive:
+                lo, q_lo = t, q_t
+                if moved < 0:
+                    q_hi *= 0.5
+                moved = -1
+            else:
+                hi, q_hi = t, q_t
+                if moved > 0:
+                    q_lo *= 0.5
+                moved = 1
+
+    def at(self, t1: float, lam: float) -> np.ndarray:
+        """The point x = (t1, t2, lam) with t2 from the second flux row."""
+        return np.array([t1, lam * f_extended(self.model, 2, t1) / self.mu_h, lam])
+
+    def dist(self, xa: np.ndarray, xb: np.ndarray) -> float:
+        d = xa - xb
+        return math.sqrt(float(self.metric @ (d * d)))
+
+
+def _on_ray(profile: np.ndarray, t1: float, t2: float) -> SystemState:
+    """(t1 phi_h, t2 phi_h) rounded to double once, from the longdouble
+    profile: its traces are t1 and t2 exactly."""
+    return SystemState((np.longdouble(t1) * profile).astype(float),
+                       (np.longdouble(t2) * profile).astype(float))
+
+
+def _recheck(grid: RadialGrid, ts: _TraceSystem, x, tol: float) -> tuple:
+    """Re-check x = (t1, t2, lam) on the kernel ray in full space at tol.
+
+    For k in ULP_SHIFTS, in order, rebuild the state at a = t1 + k ulp(t1),
+    b = t2 + k ulp(t2) and return (a, b, k, residual, state) for the
+    first whose full-space scaled residual is at most tol; no shift
+    passing raises NonConvergenceError."""
+    t1, t2, lam = map(float, x)
+    for k in ULP_SHIFTS:
+        a, b = t1 + k * math.ulp(t1), t2 + k * math.ulp(t2)
+        state = _on_ray(ts.profile, a, b)
+        res = scaled_residual_norm(residual(grid, ts.model, lam, state), state)
+        if res <= tol:
+            return a, b, k, res, state
+    raise NonConvergenceError(f"full-space re-check failed: residual > {tol:g} "
+                              f"at every shift ({res:.3e} at {k:+d} ulps)")
+
+
 def newton_solve(grid: RadialGrid, model: NonlinearityModel, lam: float,
                  init: SystemState, tol: float = TOL_RESIDUAL) -> NewtonResult:
-    """Solve the coupled system at fixed lam by damped Newton, to scaled
-    residual norm at most tol (positive and finite, else ConfigError) in
-    at most MAX_NEWTON_ITER steps.
+    """Solve the coupled system at fixed lam by damped Newton on the two
+    traces, to scaled residual norm at most tol (positive and finite, else
+    ConfigError; lam nonnegative and finite, else ValueError).
 
-    Damping is plain backtracking (halve until the residual norm
-    decreases) down to the step fraction DAMPING_FLOOR.  Halving stops
-    early, failing as at the floor, once the trial x + t d equals the
-    iterate x bit for bit: its residual norm is then that of x, which is
-    never accepted, and rounding is monotone, so every smaller t rounds
-    back to x as well.  The result carries iteration count, final damping
-    factor, and the positivity classification; a converged state with a
-    non-positive node is returned flagged, not raised, so callers decide.
-    A step that backtracking cannot make decrease the residual norm raises
-    NonConvergenceError with the residual history and the last iterate.
+    The iteration starts at init's traces (u1(R), u2(R)) and works on the
+    flux rows of _TraceSystem with the scaled trace residual
+    max|r_i| / max(1, |t1|, |t2|).  Each step solves the 2x2 flux-row
+    system and is halved until that residual decreases, down to the step
+    fraction DAMPING_FLOOR.  Once the residual is at most tol, within
+    MAX_NEWTON_ITER steps, one more full step is taken, as the
+    continuation corrector does: it leaves rounding error only, and it
+    sends a near-trivial iterate to about zero.  The traces are then
+    rebuilt on the kernel ray and re-checked in full space (_recheck).
+
+    This is full-space Newton: the interior rows are linear with no
+    source term, so one undamped full-space step from any state lands on
+    the ray, at the trace step from that state's traces.
+
+    The result carries the step count (the last step included), the step
+    fraction of the last step before it, the full-space residual of the
+    returned state, the trace residual of each iterate in history
+    (iterations + 1 entries) and the positivity classification; a state
+    with a non-positive node is returned flagged, not raised, so callers
+    decide.  A zero 2x2 determinant, backtracking without progress, no
+    convergence or a failed re-check raises NonConvergenceError with the
+    trace-residual history and the last iterate rebuilt on the ray.
     """
     require_positive(tol, "tol_residual")
-    x = init.to_vector()
-    state = SystemState(x[0::2], x[1::2])  # views into x, as each trial
-    res = residual(grid, model, lam, state)
-    rnorm = scaled_residual_norm(res, state)
-    history = [rnorm]
-    damping = 1.0
-    for it in range(1, MAX_NEWTON_ITER + 1):
-        if rnorm <= tol:
-            return NewtonResult(SystemState.from_vector(x), it - 1, rnorm,
-                                damping, is_positive_state(state), history)
-        try:
-            step = jacobian(grid, model, lam, state).solve(-res)
-        except LinAlgError as exc:
-            raise NonConvergenceError(f"singular Jacobian: {exc}", trace=history,
-                                      last_state=SystemState.from_vector(x))
-        t = 1.0
-        accepted = False
-        while t >= DAMPING_FLOOR:
-            xt = x + t * step
-            if np.array_equal(xt.view(np.int64), x.view(np.int64)):
-                # the trial is the iterate, as for every smaller t
+    _require_parameter(lam)
+    ts = _TraceSystem(grid, model)
+
+    def evaluate(t1, t2):
+        rows, jac = ts.linearize(t1, t2, lam)
+        # numpy's max, unlike Python's, keeps a NaN row NaN
+        return float(np.abs(rows).max()) / max(1.0, abs(t1), abs(t2)), rows, jac
+
+    def failure(message):
+        return NonConvergenceError(message, trace=history,
+                                   last_state=_on_ray(ts.profile, t1, t2))
+
+    t1, t2 = float(init.u1[grid.M]), float(init.u2[grid.M])
+    rnorm, rows, jac = evaluate(t1, t2)
+    history, damping = [rnorm], 1.0
+    while True:
+        converged = rnorm <= tol
+        if not converged and len(history) > MAX_NEWTON_ITER:
+            raise failure(f"no convergence in {MAX_NEWTON_ITER} iterations "
+                          f"(residual {rnorm:.3e})")
+        (r1, r2), ((a, b, _), (c, d, _)) = rows, jac
+        det = a * d - b * c
+        if det == 0.0:
+            if converged:
                 break
-            trial = SystemState(xt[0::2], xt[1::2])
-            res_t = residual(grid, model, lam, trial)
-            rnorm_t = scaled_residual_norm(res_t, trial)
-            if np.isfinite(rnorm_t) and rnorm_t < rnorm:
-                x, state, res, rnorm, damping = xt, trial, res_t, rnorm_t, t
-                accepted = True
-                break
+            raise failure("singular Jacobian: trace coupling is singular")
+        d1, d2 = (b * r2 - d * r1) / det, (c * r1 - a * r2) / det
+        t, trial = 1.0, evaluate(t1 + d1, t2 + d2)
+        while not (converged or trial[0] < rnorm):
             t *= 0.5
-        if not accepted:
-            raise NonConvergenceError(
-                "backtracking hit the damping floor without progress",
-                trace=history, last_state=SystemState.from_vector(x))
+            if t < DAMPING_FLOOR:
+                raise failure("backtracking hit the damping floor without progress")
+            trial = evaluate(t1 + t * d1, t2 + t * d2)
+        if not math.isfinite(trial[0]):  # a finishing step that overflowed
+            break
+        t1, t2 = t1 + t * d1, t2 + t * d2
+        rnorm, rows, jac = trial
         history.append(rnorm)
-    if rnorm <= tol:
-        return NewtonResult(SystemState.from_vector(x), MAX_NEWTON_ITER, rnorm,
-                            damping, is_positive_state(state), history)
-    raise NonConvergenceError(
-        f"no convergence in {MAX_NEWTON_ITER} iterations (residual {rnorm:.3e})",
-        trace=history, last_state=SystemState.from_vector(x))
+        if converged:
+            break
+        damping = t
+    try:
+        _, _, _, res, state = _recheck(grid, ts, (t1, t2, lam), tol)
+    except NonConvergenceError as exc:
+        raise failure(str(exc)) from None
+    return NewtonResult(state, len(history) - 1, res, damping,
+                        is_positive_state(state), history)
 
 
 def linear_bvp_solve(grid: RadialGrid, flux1: float, flux2: float) -> SystemState:

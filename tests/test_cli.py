@@ -204,18 +204,41 @@ def test_solve_success_and_determinism(tmp_path, capsys):
 
 
 def test_solve_records_newton_history(tmp_path, capsys):
-    # solve.jsonl carries the scaled residual per Newton iterate, from the
-    # start to the accepted state, and the step fraction of the last step
+    # solve.jsonl carries the scaled trace residual per Newton iterate,
+    # from the start to the state after the full step taken once it met
+    # the tolerance, the step fraction of the last step before that, and
+    # the full-space residual of the written state
     out = tmp_path / "out"
     assert run(["solve", "--lambda", "0.3", "--override",
                 f"out.dir={out}"]) == 0
     capsys.readouterr()
     record = json.loads((out / "solve.jsonl").read_text())
     history = record["history"]
+    tol = 2.0 * sys.float_info.epsilon * 2.0 * 512 ** 2  # the M = 512 default
     assert len(history) == record["iterations"] + 1
-    assert history[-1] == record["residual"]
-    assert all(b < a for a, b in zip(history, history[1:]))
+    assert all(b < a for a, b in zip(history[:-1], history[1:-1]))
+    assert history[-3] > tol >= history[-2] and history[-1] <= tol
+    assert record["residual"] <= tol
     assert 0.0 < record["damping"] <= 1.0
+
+
+@pytest.mark.parametrize("M,amp", [(512, "0.0046"), (4096, "0.01")])
+def test_solve_near_the_trivial_state_is_not_positive(M, amp, tmp_path,
+                                                      capsys):
+    # the quadratic model has no positive state at lam = 0.32 > mu0 (its
+    # branch leaves to the left); Newton from a small amplitude meets the
+    # tolerance near (0, 0), where the scaled residual is absolute, and
+    # the finished iterate is the trivial state: exit 1, not positive
+    out = tmp_path / "out"
+    assert run(["solve", "--lambda", "0.32", "--amplitude", amp,
+                "--override", "model.name=quadratic",
+                "--override", f"grid.M={M}",
+                "--override", f"out.dir={out}"]) == 1
+    captured = capsys.readouterr()
+    assert "positive=False" in captured.out
+    assert "not positive" in captured.err
+    record = json.loads((out / "solve.jsonl").read_text())
+    assert record["positive"] is False and record["norm_pair"] < 1e-8
 
 
 def test_solve_non_positive_state_exits_1(tmp_path, capsys):

@@ -837,17 +837,21 @@ def test_branch_points_are_their_traces(which, ref_branch, two_fold_branch,
 
 def test_continuation_makes_no_newton_step(grid512, ref_model, two_fold_model,
                                            monkeypatch):
-    # every point is checked on the kernel ray: tracing, solutions_at and
-    # second_solution make no full-space Newton step and no Jacobian solve
+    # every point is checked on the kernel ray: once the grid is set up,
+    # tracing, solutions_at and second_solution make no Newton solve and
+    # no banded solve
     import radbif
     import radbif.continuation as cont
+    import radbif.grid as grid_module
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a full-space Newton step")
+        raise AssertionError("a Newton solve or a banded solve")
 
     assert not hasattr(cont, "newton_solve")
+    steklov_eigenpair(grid512)
     monkeypatch.setattr(radbif.solver, "newton_solve", forbidden)
-    monkeypatch.setattr(radbif.solver.PairJacobian, "solve", forbidden)
+    monkeypatch.setattr(grid_module, "dgbtrf", forbidden)
+    monkeypatch.setattr(grid_module, "dgbtrs", forbidden)
     ref = continue_branch(grid512, ref_model, FAST_CFG)
     two = continue_branch(grid512, two_fold_model, FAST_CFG)
     assert ref.termination == two.termination == "lambda_floor"

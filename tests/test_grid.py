@@ -217,7 +217,7 @@ def test_banded_matvec_extended_is_bit_identical_to_the_band_loop(M):
     with_nan[rng.choice(n, 3, replace=False)] = np.nan
     inputs.append(with_nan)
     # strided component views of an interleaved vector, as the residual
-    # receives them from newton_solve and the jacobian-fd check
+    # receives them from the jacobian-fd check
     pair = rng.uniform(0.05, 2.0, 2 * n)
     inputs += [pair[0::2], pair[1::2]]
     for x in inputs:

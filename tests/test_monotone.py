@@ -22,8 +22,8 @@ from radbif import (CheckResult, ConfigError, DistinctnessError,
                     NonlinearityModel,
                     SubsolutionError, SystemState, bifurcation_point,
                     boundary_flux, build_grid, build_subsolution,
-                    continue_branch, jacobian, linear_bvp_solve,
-                    linear_model, monotone_iterate, pair_norm,
+                    continue_branch, linear_bvp_solve,
+                    linear_model, monotone_iterate, newton_solve, pair_norm,
                     quadratic_model,
                     residual, scaled_residual_norm,
                     second_solution, solutions_at, solve_flux_bvp,
@@ -294,11 +294,12 @@ def test_operator_factored_once_per_grid(ref_model, branch_cfg, monkeypatch):
 
 
 def test_banded_solves_per_grid_and_per_call(ref_model, monkeypatch):
-    """dgbtrs runs twice per grid (the unit-flux column and its refinement
-    pass), once per Jacobian solve, and never for a flux solve: those are
-    multiples of the cached column."""
+    """dgbtrs runs twice per grid for the unit-flux column and its
+    refinement pass, three times more for the longdouble unit-trace
+    profile, and never after that, nor is A factored again: Newton works
+    on the two traces, and a flux solve is a multiple of the cached
+    column."""
     import radbif.grid as grid_module
-    import radbif.solver as solver_module
     calls = []
     solve = grid_module.dgbtrs
 
@@ -307,16 +308,18 @@ def test_banded_solves_per_grid_and_per_call(ref_model, monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(grid_module, "dgbtrs", counting)
-    monkeypatch.setattr(solver_module, "dgbtrs", counting)
     grid = build_grid(3, 1.0, 128)
     eig = steklov_eigenpair(grid)
     assert len(calls) == 2
-    state = SystemState(0.3 * eig.phi1, 0.4 * eig.phi1)
-    jac = jacobian(grid, ref_model, 0.3, state)
-    for k in range(1, 4):
-        jac.solve(np.ones(2 * (grid.M + 1)))
-        assert len(calls) == 2 + k
+    grid_module._unit_trace_extended(grid)
+    assert len(calls) == 5
     calls.clear()
+    monkeypatch.setattr(grid_module, "dgbtrf",
+                        lambda *args, **kwargs: pytest.fail("a second factor"))
+    for amp in (0.3, 1.0, 3.0):  # to the trivial state, then the upper one
+        init = SystemState(amp * eig.phi1, amp * eig.phi1)
+        newton_solve(grid, ref_model, LAMBDA_MID, init)
+    assert calls == []
     solve_flux_bvp(grid, 0.7)
     linear_bvp_solve(grid, 0.4, -0.1)
     sub = build_subsolution(grid, ref_model, LAMBDA_MID)

@@ -10,19 +10,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 from conftest import band_loop, trace_system_solve
-from radbif import (ConfigError, NewtonResult, TOL_RESIDUAL,
-                    NonConvergenceError, SystemState, apply_operator,
-                    boundary_flux, build_grid, eval_f, f_extended,
-                    fprime_extended, is_positive_state, jacobian,
+from radbif import (ConfigError, NonConvergenceError, SystemState,
+                    apply_operator, boundary_flux, build_grid, eval_f,
+                    f_extended, fprime_extended, is_positive_state, jacobian,
                     linear_bvp_solve, linear_model, newton_solve,
                     operator_bands, pair_norm, residual,
-                    scaled_residual_norm, solve_flux_bvp, solve_limit_problem)
+                    scaled_residual_norm, solve_flux_bvp, solve_limit_problem,
+                    steklov_eigenpair)
 import radbif.solver as solver_module
-from radbif.solver import DAMPING_FLOOR, POSITIVITY_ZERO_FLOOR, _pair_residual
+from radbif.solver import POSITIVITY_ZERO_FLOOR, _pair_residual
 
 LAMBDA_MID = 0.3231227939747531  # halfway between bifurcation point and fold
 
@@ -56,16 +54,26 @@ def test_residual_on_kernel_ray_at_lambda_zero(grid512, ref_model):
     assert res[-1] == pytest.approx(c * gp, abs=1e-5)
 
 
-def test_interior_rows_pin_solutions_to_the_kernel_ray(grid512, ref_model):
-    """Any converged state is t_i * w with w the unit-trace kernel vector."""
-    init = SystemState(0.5 * np.ones(grid512.M + 1),
-                       0.5 * np.ones(grid512.M + 1))
-    result = newton_solve(grid512, ref_model, LAMBDA_MID, init)
-    w = solve_flux_bvp(grid512, 1.0)
-    w = w / w[-1]
-    for u in (result.state.u1, result.state.u2):
-        t = float(u[-1])
-        assert np.abs(u - t * w).max() <= 1e-10 * max(1.0, abs(t))
+def test_interior_rows_pin_solutions_to_the_kernel_ray(grid512, ref_model,
+                                                       eig512, monkeypatch):
+    """The interior rows are linear with no source term: one undamped
+    full-space Newton step (dense solve) from a state off the ray lands on
+    t_i * phi, at the traces of newton_solve's first step, which works on
+    the traces alone."""
+    ones, phi = np.ones(grid512.M + 1), eig512.phi1
+    monkeypatch.setattr(solver_module, "MAX_NEWTON_ITER", 1)
+    for lam, init in ((LAMBDA_MID, SystemState(0.5 * ones, 0.5 * ones)),
+                      (0.05, SystemState(-10.0 * phi, 10.0 * phi))):
+        dense = jacobian(grid512, ref_model, lam, init).todense()
+        step = np.linalg.solve(dense, -residual(grid512, ref_model, lam, init))
+        landed = SystemState.from_vector(init.to_vector() + step)
+        with pytest.raises(NonConvergenceError, match="no convergence") as err:
+            newton_solve(grid512, ref_model, lam, init)
+        traced = err.value.last_state
+        for u, w in ((landed.u1, traced.u1), (landed.u2, traced.u2)):
+            t, scale = float(u[-1]), max(1.0, abs(float(u[-1])))
+            assert np.abs(u - t * phi).max() <= 1e-12 * scale
+            assert abs(t - float(w[-1])) <= 1e-12 * scale
 
 
 def test_converged_traces_solve_the_reduced_system(grid512, ref_model,
@@ -91,9 +99,11 @@ def test_converged_traces_solve_the_reduced_system(grid512, ref_model,
     assert got_hi.u2[-1] == pytest.approx(upper[1], abs=1e-9)
 
 
-def test_newton_zero_init_returns_zero_in_zero_iterations(grid128, ref_model):
+def test_newton_zero_init_returns_zero_in_one_step(grid128, ref_model):
+    # the zero state meets every tolerance; the one full step taken after
+    # convergence is zero, and the state is flagged, not positive
     result = newton_solve(grid128, ref_model, 0.5, SystemState.zero(grid128))
-    assert result.iterations == 0
+    assert result.iterations == 1 and result.history == [0.0, 0.0]
     assert np.all(result.state.u1 == 0.0) and np.all(result.state.u2 == 0.0)
     assert not result.positive
 
@@ -147,68 +157,11 @@ def test_nonconvergence_raises_with_trace(grid128, ref_model, monkeypatch):
     assert err.value.last_state is not None
 
 
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def _near_spacing(draw):
-    # d with 2^-k d near the spacing of x (2^-52 relative) for some k in
-    # 0..20, so that x + 2^-k d turns into a round-back within the range
-    x = draw(FINITE)
-    m = draw(st.floats(0.5, 1.0)) * draw(st.sampled_from((1.0, -1.0)))
-    e = draw(st.integers(-74, -32))
-    return x, math.ldexp(m, min(math.frexp(x)[1] + e, 1023))
-
-
-@given(st.one_of(st.tuples(FINITE, FINITE), _near_spacing()))
-@example((-0.0, -5e-324))
-@example((1.0, 2.0 ** -53))
-@example((1.0, -2.0 ** -54))
-def test_round_back_persists_under_halving(xd):
-    # the lemma behind the backtracking exit: once x + 2^-k d rounds to x
-    # bit for bit, so does x + 2^-(k+1) d (rounding is monotone)
-    x, d = np.float64(xd[0]), np.float64(xd[1])
-    t = np.ldexp(1.0, -np.arange(21))
-    back = (x + t * d).view(np.int64) == x.view(np.int64)
-    assert not np.any(back[:-1] & ~back[1:])
-
-
-def _halve_to_floor(grid, model, lam, init, tol):
-    """The backtracking loop without the round-back exit: every rejected
-    step halves down to DAMPING_FLOOR.  Returns the residual history, the
-    last iterate, the residual evaluations and how many of those were on a
-    trial equal to the iterate bit for bit."""
-    state = init
-    res = residual(grid, model, lam, state)
-    rnorm = scaled_residual_norm(res, state)
-    history, calls, round_backs = [rnorm], 1, 0
-    while rnorm > tol:
-        step = jacobian(grid, model, lam, state).solve(-res)
-        x, t = state.to_vector(), 1.0
-        while t >= DAMPING_FLOOR:
-            xt = x + t * step
-            round_backs += np.array_equal(xt.view(np.int64), x.view(np.int64))
-            trial = SystemState.from_vector(xt)
-            res_t = residual(grid, model, lam, trial)
-            calls += 1
-            rnorm_t = scaled_residual_norm(res_t, trial)
-            if rnorm_t < rnorm:
-                state, res, rnorm = trial, res_t, rnorm_t
-                break
-            t *= 0.5
-        else:
-            return history, state, calls, round_backs
-        history.append(rnorm)
-    raise AssertionError("converged below the representation floor")
-
-
-def test_backtracking_stops_once_the_trial_rounds_back(grid512, ref_model,
-                                                       mu_h512, monkeypatch):
-    # a branch point rebuilt on the kernel ray sits on the representation
-    # floor (eps 2/h^2, about 1.2e-10 at M = 512); Newton at 1e-13 makes a
-    # few steps of rounding-level progress and then stalls, ending with the
-    # same error, trace and state as halving all the way to the floor, in
-    # fewer residual evaluations
+def test_newton_below_the_representation_floor_fails_the_recheck(
+        grid512, ref_model, mu_h512):
+    # the traces meet tol = 1e-13 and the finishing step leaves rounding
+    # error only, but no rounding of them passes the full-space re-check:
+    # its floor is eps 2/h^2, about 1.2e-10 at M = 512
     lam = 0.3
     g1 = lambda t: lam * eval_f(ref_model, 1, t)
     g2 = lambda t: lam * eval_f(ref_model, 2, t)
@@ -217,27 +170,16 @@ def test_backtracking_stops_once_the_trial_rounds_back(grid512, ref_model,
     t1, t2 = trace_system_solve(mu_h512, g1, g2, dg1, dg2, 0.6, 0.8)
     w = solve_flux_bvp(grid512, 1.0)
     w = w / w[-1]
-    init = SystemState(t1 * w, t2 * w)
     tol = 1e-13
-    history, last, calls, round_backs = _halve_to_floor(
-        grid512, ref_model, lam, init, tol)
-    assert len(history) > 1 and round_backs > 0
-
-    counted = []
-
-    def counting(*args):
-        counted.append(1)
-        return residual(*args)
-
-    monkeypatch.setattr(solver_module, "residual", counting)
     with pytest.raises(NonConvergenceError,
-                       match="backtracking hit the damping floor without "
-                             "progress") as err:
-        newton_solve(grid512, ref_model, lam, init, tol=tol)
-    assert err.value.trace == history
-    assert np.array_equal(err.value.last_state.u1, last.u1)
-    assert np.array_equal(err.value.last_state.u2, last.u2)
-    assert len(counted) == calls - round_backs
+                       match="full-space re-check failed: residual > 1e-13 "
+                             "at every shift") as err:
+        newton_solve(grid512, ref_model, lam, SystemState(t1 * w, t2 * w),
+                     tol=tol)
+    assert err.value.trace[-2] <= tol
+    last = err.value.last_state
+    assert last.u1[-1] == pytest.approx(t1, rel=1e-12)
+    assert last.u2[-1] == pytest.approx(t2, rel=1e-12)
 
 
 def test_is_positive_state_classification(grid128):
@@ -311,16 +253,6 @@ def test_jacobian_matches_finite_differences(ref_model):
         assert np.abs(dense - fd).max() / scale <= 1e-6
 
 
-def test_banded_todense_and_solve_agree(grid128, ref_model):
-    state = SystemState(0.3 * np.ones(grid128.M + 1),
-                        0.4 * np.ones(grid128.M + 1))
-    jac = jacobian(grid128, ref_model, 0.3, state)
-    rng = np.random.default_rng(1)
-    rhs = rng.standard_normal(2 * (grid128.M + 1))
-    x = jac.solve(rhs)
-    np.testing.assert_allclose(jac.todense() @ x, rhs, rtol=0, atol=1e-7)
-
-
 def _two_matvec_residual(grid, state, g1, g2):
     """The residual as it was before the pair operator: one extended
     matvec per component (the band loop, bit-identical to the
@@ -356,8 +288,8 @@ def test_pair_residual_is_bit_identical_to_two_matvecs(ref_model, M):
                np.array([0.3 * w, 0.4 * w]),
                np.array([2e3 * w, 9e4 * w]),  # tail-scale amplitudes
                rng.standard_normal((2, n)) * 10.0 ** rng.uniform(-8, 8, (2, 1))]
-    # the strided component views of an interleaved vector that
-    # newton_solve and the jacobian-fd check pass
+    # the strided component views of an interleaved vector that the
+    # jacobian-fd check passes
     x = rng.uniform(0.05, 2.0, 2 * n)
     cases = ([SystemState(*u) for u in singles]
              + [SystemState(x[0::2], x[1::2])])
@@ -378,91 +310,8 @@ def test_pair_residual_is_bit_identical_to_two_matvecs(ref_model, M):
             _bits(_two_matvec_residual(grid, state, p2, p1)))
 
 
-def _newton_on_copies(grid, model, lam, init, tol=TOL_RESIDUAL):
-    """newton_solve as it was before it iterated on the interleaved vector:
-    each trial split into SystemState copies, the iterate re-interleaved
-    per step.  Kept as the bit-for-bit reference; it reads the step limit
-    solver.MAX_NEWTON_ITER as newton_solve does."""
-    max_iter = solver_module.MAX_NEWTON_ITER
-    state = init
-    res = residual(grid, model, lam, state)
-    rnorm = scaled_residual_norm(res, state)
-    history = [rnorm]
-    damping = 1.0
-    for it in range(1, max_iter + 1):
-        if rnorm <= tol:
-            return NewtonResult(state, it - 1, rnorm, damping,
-                                is_positive_state(state), history)
-        step = jacobian(grid, model, lam, state).solve(-res)
-        x = state.to_vector()
-        t = 1.0
-        accepted = False
-        while t >= DAMPING_FLOOR:
-            xt = x + t * step
-            if np.array_equal(xt.view(np.int64), x.view(np.int64)):
-                break
-            trial = SystemState.from_vector(xt)
-            res_t = residual(grid, model, lam, trial)
-            rnorm_t = scaled_residual_norm(res_t, trial)
-            if np.isfinite(rnorm_t) and rnorm_t < rnorm:
-                state, res, rnorm, damping = trial, res_t, rnorm_t, t
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            raise NonConvergenceError(
-                "backtracking hit the damping floor without progress",
-                trace=history, last_state=state)
-        history.append(rnorm)
-    if rnorm <= tol:
-        return NewtonResult(state, max_iter, rnorm, damping,
-                            is_positive_state(state), history)
-    raise NonConvergenceError(
-        f"no convergence in {max_iter} iterations (residual {rnorm:.3e})",
-        trace=history, last_state=state)
-
-
-def _newton_outcome(solve, *args):
-    """Every bit of a Newton run: the result, or the error it raised."""
-    def state_bits(s):
-        return s.u1.tobytes(), s.u2.tobytes()
-    try:
-        r = solve(*args)
-    except NonConvergenceError as exc:
-        return ("raised", str(exc), _bits(exc.trace).tolist(),
-                state_bits(exc.last_state))
-    return ("converged", r.iterations, _bits([r.damping, r.residual_norm]).tolist(),
-            r.positive, _bits(r.history).tolist(), state_bits(r.state))
-
-
-def test_newton_on_the_interleaved_vector_is_bit_identical(
-        grid512, ref_model, eig512, mu_h512, monkeypatch):
-    ones = np.ones(grid512.M + 1)
-    steps = solver_module.MAX_NEWTON_ITER
-    runs = [(LAMBDA_MID, SystemState(0.5 * ones, 0.5 * ones), steps),
-            (LAMBDA_MID, SystemState(0.5 * ones, 0.5 * ones), 1),
-            (0.5, SystemState.zero(grid512), steps),
-            # a sign-mixed start that converges with a last step of 1/4
-            (0.05, SystemState(-10.0 * eig512.phi1, 10.0 * eig512.phi1),
-             steps)]
-    # the nonexistence check's starts, just beyond mu1/K
-    lam = 1.01 * eig512.mu1 / ref_model.K
-    runs += [(lam, SystemState(amp * eig512.phi1, amp * eig512.phi1),
-              steps) for amp in np.logspace(-2, 2, 5)]
-    outcomes, dampings = set(), set()
-    for lam, init, max_iter in runs:
-        monkeypatch.setattr(solver_module, "MAX_NEWTON_ITER", max_iter)
-        got = _newton_outcome(newton_solve, grid512, ref_model, lam, init)
-        want = _newton_outcome(_newton_on_copies, grid512, ref_model, lam,
-                               init)
-        assert got == want
-        outcomes.add(got[0])
-        dampings.add(got[2][0] if got[0] == "converged" else None)
-    assert outcomes == {"converged", "raised"}
-    assert _bits([0.25])[0] in dampings
-
-
 def test_singular_factor_surfaces_at_the_solve(ref_model, monkeypatch):
+    # the grid's factor is newton_solve's set-up, not one of its steps
     import radbif.grid as grid_module
     from scipy.linalg import LinAlgError
 
@@ -472,11 +321,18 @@ def test_singular_factor_surfaces_at_the_solve(ref_model, monkeypatch):
     monkeypatch.setattr(grid_module, "dgbtrf", singular)
     grid = build_grid(3, 1.0, 32)
     state = SystemState(0.3 * np.ones(grid.M + 1), 0.4 * np.ones(grid.M + 1))
-    jac = jacobian(grid, ref_model, 0.3, state)
-    with pytest.raises(LinAlgError):
-        jac.solve(np.ones(2 * (grid.M + 1)))
-    with pytest.raises(NonConvergenceError, match="singular Jacobian"):
+    with pytest.raises(LinAlgError, match="grid operator is singular"):
         newton_solve(grid, ref_model, 0.3, state)
+
+
+def test_singular_trace_coupling_raises(grid128):
+    # linear fluxes at lam = mu_h: the 2x2 determinant mu_h^2 - lam^2 is
+    # exactly zero, and the traces (1, 2) leave a nonzero residual
+    eig = steklov_eigenpair(grid128)
+    with pytest.raises(NonConvergenceError,
+                       match="singular Jacobian: trace coupling is singular"):
+        newton_solve(grid128, linear_model(), eig.mu1,
+                     SystemState(eig.phi1, 2.0 * eig.phi1))
 
 
 def test_linear_bvp_solve_components_and_linearity(grid128):
