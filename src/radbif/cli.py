@@ -245,7 +245,7 @@ def _cmd_solve(st: RunSettings, args) -> int:
         "norm_pair": pair_norm(result.state),
         "iterations": result.iterations,
         "residual": result.residual_norm, "positive": result.positive,
-        "history": result.history, "damping": result.damping,
+        "history": result.history,
     }
     with open(st.path("solve.jsonl"), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")

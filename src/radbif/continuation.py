@@ -11,16 +11,17 @@ both come from steklov_eigenpair.  The flux rows then reduce exactly to
     mu_h t1 = lam f1(t2),    mu_h t2 = lam f2(t1),
 
 and tracing keeps lam as its coordinate, x = (t1, t2, lam), on the flux
-rows of solver._TraceSystem, which newton_solve shares: a secant
-predictor and a 3x3 bordered Newton corrector on these two rows plus the
-arclength row.  The corrector works on Python floats; per step it builds
-one 3x3 array for np.linalg.solve, and the arclength row keeps its numpy
-dot, so its iterates equal those of the same corrector on numpy arrays
-bit for bit (plain Python arithmetic rounds differently from LAPACK's
-dgesv and the BLAS dot).  The weighted metric (dU.dU)/dim + dlam^2 of
-the full state U becomes w (dt1^2 + dt2^2) + dlam^2 with w =
-(phi_h.phi_h)/(2(M+1)), so step lengths and tangents are those of the
-full-space metric.
+rows of solver._TraceSystem: a secant predictor and, as corrector,
+solver._trace_newton, the Newton iteration newton_solve runs too, here
+on these two rows plus the arclength row.  It works on Python floats;
+per step it builds one 3x3 array for np.linalg.solve, and the arclength
+row keeps its numpy dot, so its iterates equal those of the same
+iteration on numpy arrays bit for bit (plain Python arithmetic rounds
+differently from LAPACK's dgesv and the BLAS dot).  A failed solve or
+re-check raises NonConvergenceError, which rejects the step.  The
+weighted metric (dU.dU)/dim + dlam^2 of the full state U becomes
+w (dt1^2 + dt2^2) + dlam^2 with w = (phi_h.phi_h)/(2(M+1)), so step
+lengths and tangents are those of the full-space metric.
 
 Each corrected x is checked on the kernel ray itself, with no full-space
 Newton step (_verify, on solver._recheck): the state (t1 phi_h, t2
@@ -35,7 +36,7 @@ whose roundings all fail, or whose passing state is not positive, is
 rejected.  A branch point is its traces (BranchPoint): its state is
 rebuilt from them on demand.
 
-Every turn of lam along the branch is one solve of the same corrector,
+Every turn of lam along the branch is one solve of the same iteration,
 started at the branch point before its tangent sign flip, with
 the arclength row replaced by det F_t/mu_h^2 = 1 - (lam/mu_h)^2 f1'(t2)
 f2'(t1) (Moore & Spence 1980); a solve that fails raises.  At a fixed
@@ -51,7 +52,6 @@ verifies each root by _verify at the branch's own tolerance, Branch.tol.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -63,7 +63,7 @@ from .errors import (ConfigError, ContinuationError, NonConvergenceError,
 from .grid import RadialGrid, SystemState, pair_norm
 from .model import NonlinearityModel, monotone_check, zeta
 from .solver import (TOL_RESIDUAL, ULP_SHIFTS, _on_ray, _recheck,
-                     _TraceSystem, is_positive_state)
+                     _trace_newton, _TraceSystem, is_positive_state)
 from .steklov import SteklovPair
 
 __all__ = [
@@ -75,9 +75,6 @@ __all__ = [
     "continue_branch",
     "solutions_at",
 ]
-
-MAX_CORRECTOR_ITER = 12
-
 
 @dataclass(frozen=True)
 class ContinuationConfig:
@@ -202,54 +199,6 @@ def _traces(point: BranchPoint) -> np.ndarray:
     return np.array([point.t1, point.t2, point.lam])
 
 
-class _CorrectorFailure(NonConvergenceError):
-    pass
-
-
-def _admissible(t1: float, t2: float, lam: float) -> bool:
-    return (lam > 0.0 and math.isfinite(t1) and math.isfinite(t2)
-            and math.isfinite(lam))
-
-
-def _corrector(ts: _TraceSystem, extra, x0, tol):
-    """Newton on {flux rows = 0, extra row = 0} in x = (t1, t2, lam), where
-    extra(x) gives the row's value and gradient (_arclength, ts.fold_row).
-
-    Convergence within MAX_CORRECTOR_ITER steps: the flux rows over
-    max(1, |t1|, |t2|), the sup norms of the rebuilt state, and |value| at
-    most tol.  Once converged, one more step is taken: it is free here and
-    leaves x with rounding error only.  Everything but the 3x3 solve is
-    done on Python floats.
-    Returns x as a tuple of floats and the number of Newton steps, that
-    last one included.
-    """
-    x = tuple(map(float, x0))
-    for it in range(MAX_CORRECTOR_ITER + 1):
-        if not _admissible(*x):
-            raise _CorrectorFailure("iterate left the admissible region")
-        (r1, r2), (row1, row2) = ts.linearize(*x)
-        value, grad = extra(x)
-        scale = max(1.0, abs(x[0]), abs(x[1]))
-        # max(|r1|, |r2|) / scale <= tol, false for a NaN row as well
-        converged = (abs(r1) / scale <= tol and abs(r2) / scale <= tol
-                     and abs(value) <= tol)
-        if it == MAX_CORRECTOR_ITER and not converged:
-            raise _CorrectorFailure(
-                f"no convergence in {MAX_CORRECTOR_ITER} iterations")
-        try:
-            d = np.linalg.solve(np.array((row1, row2, grad)),
-                                np.array((-r1, -r2, -value))).tolist()
-            step = (x[0] + d[0], x[1] + d[1], x[2] + d[2])
-        except np.linalg.LinAlgError as exc:
-            if not converged:
-                raise _CorrectorFailure(f"singular bordered system: {exc}")
-            step = x
-        if converged:
-            return (step if _admissible(*step) else x), it + 1
-        x = step
-    raise _CorrectorFailure("unreachable")
-
-
 def _arclength(ts: _TraceSystem, tau, anchor, ds):
     """The row (metric * tau) . (x - anchor) - ds and its gradient."""
     row = ts.metric * tau
@@ -258,14 +207,11 @@ def _arclength(ts: _TraceSystem, tau, anchor, ds):
 
 
 def _verify(grid: RadialGrid, ts: _TraceSystem, x, tol: float) -> tuple:
-    """_recheck of x = (t1, t2, lam) at tol, as _CorrectorFailure, with
-    the state of the passing shift required to be positive."""
-    try:
-        checked = _recheck(grid, ts, x, tol)
-    except NonConvergenceError as exc:
-        raise _CorrectorFailure(str(exc)) from None
+    """_recheck of x = (t1, t2, lam) at tol, with the state of the passing
+    shift required to be positive (NonConvergenceError otherwise)."""
+    checked = _recheck(grid, ts, x, tol)
     if not is_positive_state(checked[-1]):
-        raise _CorrectorFailure("corrected state not positive")
+        raise NonConvergenceError("corrected state not positive")
     return checked
 
 
@@ -311,13 +257,13 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
     tau = np.array([1.0 / (1.0 + z), z / (1.0 + z), 0.0])
     x0 = eps * tau + np.array([0.0, 0.0, mu0])
     try:
-        x, iters = _corrector(ts, _arclength(ts, tau, x0, 0.0), x0, tol)
+        x, history = _trace_newton(ts, _arclength(ts, tau, x0, 0.0), x0, tol)
         checked = _verify(grid, ts, x, tol)
-    except _CorrectorFailure as exc:
+    except NonConvergenceError as exc:
         raise ContinuationError(
             f"first corrector step failed: could not leave the trivial branch "
             f"at eps={eps:g} ({exc}); try a larger amplitude", last_point=anchor)
-    accept(x, iters, checked, eps)
+    accept(x, len(history) - 1, checked, eps)
 
     ds = cfg.ds0
     while True:
@@ -339,10 +285,10 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
         checked = None
         while checked is None:
             try:
-                x, iters = _corrector(ts, _arclength(ts, tau, x_last, ds),
-                                      x_last + ds * tau, tol)
+                x, history = _trace_newton(ts, _arclength(ts, tau, x_last, ds),
+                                           x_last + ds * tau, tol)
                 checked = _verify(grid, ts, x, tol)
-            except _CorrectorFailure as exc:
+            except NonConvergenceError as exc:
                 branch.rejections += 1
                 branch.last_rejection = str(exc)
                 if ds <= cfg.ds_min * (1.0 + 1e-12):
@@ -352,6 +298,7 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
             branch.termination = "corrector_failure"
             break
 
+        iters = len(history) - 1
         accept(x, iters, checked, ds)
         if iters <= 3:
             ds = min(2.0 * ds, cfg.ds_max)
@@ -384,13 +331,13 @@ def _locate_folds(ts: _TraceSystem, branch: Branch, tol: float) -> None:
         top = before > 0  # lam turns from rising to falling
         x0 = _traces(points[start])
         try:
-            x, _ = _corrector(ts, ts.fold_row, x0, tol)
+            x, _ = _trace_newton(ts, ts.fold_row, x0, tol)
             if min(x[0], x[1]) <= 0.0:
-                raise _CorrectorFailure("left the positive cone")
+                raise NonConvergenceError("left the positive cone")
             if (x[2] - x0[2]) * before < 0.0:
-                raise _CorrectorFailure(
+                raise NonConvergenceError(
                     f"ended at lam={x[2]:.17g}, on the wrong side of its start")
-        except _CorrectorFailure as exc:
+        except NonConvergenceError as exc:
             raise ContinuationError(
                 f"fold solve for the lam {'maximum' if top else 'minimum'} "
                 f"near point {start} (lam={points[start].lam:.17g}) failed: "
@@ -447,6 +394,6 @@ def solutions_at(branch: Branch, lam: float) -> list:
         try:
             states.append(_verify(branch.grid, ts, ts.at(t1, lam),
                                   branch.tol)[-1])
-        except _CorrectorFailure:
+        except NonConvergenceError:
             continue
     return sorted(states, key=pair_norm)

@@ -1,7 +1,7 @@
 """The coupled pair at fixed parameter: residual, Jacobian, the kernel-ray
-facts shared with continuation, the damped Newton solver on the two
-traces, the pure-power limiting problem in closed form, and the linear
-auxiliary problem.
+facts shared with continuation, the package's one Newton iteration on the
+two traces, the pure-power limiting problem in closed form, and the
+linear auxiliary problem.
 
 The interior rows of the discrete system are linear with no source term,
 so they pin every solution to the kernel ray: it is (t1 phi_h, t2 phi_h),
@@ -11,13 +11,15 @@ unit-flux column and mu_h = 1/v(R).  Only the two flux rows
     mu_h t1 = lam f1(t2),    mu_h t2 = lam f2(t1)
 
 are nonlinear; _TraceSystem holds them, their derivative and the scalar
-forms continuation needs.  A state on the ray is rebuilt from its traces
-by rounding t_i times the grid's longdouble profile to double once
-(_on_ray), and its full-space scaled residual is the independent
-re-check (_recheck), tried at the roundings t_i + k ulp(t_i) of
-ULP_SHIFTS.  newton_solve iterates on the traces alone, so once the grid
-is set up (the banded LU of A, v and the longdouble profile, each cached
-per grid) it makes no banded solve.
+forms continuation needs.  _trace_newton is Newton on these two rows
+plus one extra row in x = (t1, t2, lam): the arclength row or the fold
+row in continuation, lam = lam0 in newton_solve.  A state on the ray is
+rebuilt from its traces by rounding t_i times the grid's longdouble
+profile to double once (_on_ray), and its full-space scaled residual is
+the independent re-check (_recheck), tried at the roundings
+t_i + k ulp(t_i) of ULP_SHIFTS.  So once the grid is set up (the banded
+LU of A, v and the longdouble profile, each cached per grid) neither
+newton_solve nor continuation makes a banded solve.
 
 The residual interleaves u1 and u2 into one longdouble buffer and makes
 one compiled matvec with the grid's pair operator diag(A, A); the flux
@@ -80,11 +82,8 @@ POSITIVITY_ZERO_FLOOR = 1e-8
 # residual norm, for Newton and for continuation.
 TOL_RESIDUAL = 1e-10
 
-# Newton steps allowed per solve to reach the tolerance.
+# Newton steps allowed per solve of _trace_newton to reach the tolerance.
 MAX_NEWTON_ITER = 50
-
-# Smallest Newton step fraction tried by backtracking.
-DAMPING_FLOOR = 2.0 ** -20
 
 # The roundings of traces that _recheck tries, in ulps of each trace and
 # in this order; most states pass unshifted.
@@ -98,7 +97,6 @@ class NewtonResult:
     state: SystemState
     iterations: int
     residual_norm: float
-    damping: float
     positive: bool
     history: list = field(default_factory=list)
 
@@ -314,82 +312,112 @@ def _recheck(grid: RadialGrid, ts: _TraceSystem, x, tol: float) -> tuple:
                               f"at every shift ({res:.3e} at {k:+d} ulps)")
 
 
+def _admissible(t1: float, t2: float, lam: float) -> bool:
+    return (lam > 0.0 and math.isfinite(t1) and math.isfinite(t2)
+            and math.isfinite(lam))
+
+
+def _trace_newton(ts: _TraceSystem, extra, x0, tol: float) -> tuple:
+    """Newton on {flux rows = 0, extra row = 0} in x = (t1, t2, lam), where
+    extra(x) gives the row's value and gradient: continuation's arclength
+    row, ts.fold_row, or lam - lam0 at a fixed lam0 (newton_solve).
+
+    Convergence within MAX_NEWTON_ITER steps: the flux rows over
+    max(1, |t1|, |t2|), the sup norms of the rebuilt state, and |value| at
+    most tol.  Once converged, one more step is taken: it leaves x with
+    rounding error only, and it sends a near-trivial iterate to about
+    zero, where that scaled test is absolute.  Everything but the 3x3
+    solve (np.linalg.solve) is done on Python floats.
+
+    Returns x as a tuple of floats and the history of the scaled flux-row
+    residual of each iterate, the returned x last, so the step count, the
+    finishing step included, is len(history) - 1.  An iterate outside
+    lam > 0 with finite coordinates, a singular 3x3 system (a zero
+    determinant or a zero LU pivot) before convergence or no convergence
+    raises NonConvergenceError with the history and the last iterate
+    rebuilt on the ray.
+    """
+    x, history = tuple(map(float, x0)), []
+
+    def failure(message):
+        return NonConvergenceError(message, trace=history,
+                                   last_state=_on_ray(ts.profile, x[0], x[1]))
+
+    for it in range(MAX_NEWTON_ITER + 1):
+        if not _admissible(*x):
+            raise failure("iterate left the admissible region")
+        (r1, r2), (row1, row2) = ts.linearize(*x)
+        value, grad = extra(x)
+        scale = max(1.0, abs(x[0]), abs(x[1]))
+        e1, e2 = abs(r1) / scale, abs(r2) / scale
+        history.append(max(e1, e2))
+        # false for a NaN row as well
+        converged = e1 <= tol and e2 <= tol and abs(value) <= tol
+        if it == MAX_NEWTON_ITER and not converged:
+            raise failure(f"no convergence in {MAX_NEWTON_ITER} iterations "
+                          f"(residual {history[-1]:.3e})")
+        (a, b, c), (d, e, f), (g, h, k) = row1, row2, grad
+        # by cofactors along the extra row: for the fixed-lam row (0, 0, 1)
+        # exactly the flux rows' a e - b d, where LU's rounding can leave a
+        # tiny nonzero pivot instead of zero
+        det = g * (b * f - c * e) - h * (a * f - c * d) + k * (a * e - b * d)
+        try:
+            if det == 0.0:
+                raise np.linalg.LinAlgError
+            dx = np.linalg.solve(np.array((row1, row2, grad)),
+                                 np.array((-r1, -r2, -value))).tolist()
+            step = (x[0] + dx[0], x[1] + dx[1], x[2] + dx[2])
+        except np.linalg.LinAlgError:
+            if not converged:
+                raise failure("singular Jacobian: the 3x3 trace system "
+                              "is singular") from None
+            step = x
+        if converged:
+            if _admissible(*step):
+                x = step
+            (r1, r2), _ = ts.linearize(*x)
+            history.append(max(abs(r1), abs(r2)) / max(1.0, abs(x[0]),
+                                                         abs(x[1])))
+            return x, history
+        x = step
+
+
 def newton_solve(grid: RadialGrid, model: NonlinearityModel, lam: float,
                  init: SystemState, tol: float = TOL_RESIDUAL) -> NewtonResult:
-    """Solve the coupled system at fixed lam by damped Newton on the two
-    traces, to scaled residual norm at most tol (positive and finite, else
-    ConfigError; lam nonnegative and finite, else ValueError).
+    """Solve the coupled system at fixed lam by Newton on the two traces,
+    to scaled residual norm at most tol (lam and tol positive and finite,
+    else ConfigError).
 
-    The iteration starts at init's traces (u1(R), u2(R)) and works on the
-    flux rows of _TraceSystem with the scaled trace residual
-    max|r_i| / max(1, |t1|, |t2|).  Each step solves the 2x2 flux-row
-    system and is halved until that residual decreases, down to the step
-    fraction DAMPING_FLOOR.  Once the residual is at most tol, within
-    MAX_NEWTON_ITER steps, one more full step is taken, as the
-    continuation corrector does: it leaves rounding error only, and it
-    sends a near-trivial iterate to about zero.  The traces are then
-    rebuilt on the kernel ray and re-checked in full space (_recheck).
+    This is _trace_newton with the extra row lam' - lam, started at
+    init's traces (u1(R), u2(R)) and lam: that row's step component is
+    exactly 0, so every iterate stays at lam, and the steps are those of
+    the 2x2 flux-row system.  The traces are then rebuilt on the kernel
+    ray and re-checked in full space (_recheck).
 
     This is full-space Newton: the interior rows are linear with no
     source term, so one undamped full-space step from any state lands on
     the ray, at the trace step from that state's traces.
 
-    The result carries the step count (the last step included), the step
-    fraction of the last step before it, the full-space residual of the
-    returned state, the trace residual of each iterate in history
-    (iterations + 1 entries) and the positivity classification; a state
-    with a non-positive node is returned flagged, not raised, so callers
-    decide.  A zero 2x2 determinant, backtracking without progress, no
-    convergence or a failed re-check raises NonConvergenceError with the
-    trace-residual history and the last iterate rebuilt on the ray.
+    The result carries the step count (the finishing step included), the
+    full-space residual of the returned state, the trace residual of each
+    iterate in history (iterations + 1 entries) and the positivity
+    classification; a state with a non-positive node is returned flagged,
+    not raised, so callers decide.  A failed iteration or re-check raises
+    NonConvergenceError with the trace-residual history and the last
+    iterate rebuilt on the ray.
     """
     require_positive(tol, "tol_residual")
-    _require_parameter(lam)
+    require_positive(lam, "parameter")
     ts = _TraceSystem(grid, model)
-
-    def evaluate(t1, t2):
-        rows, jac = ts.linearize(t1, t2, lam)
-        # numpy's max, unlike Python's, keeps a NaN row NaN
-        return float(np.abs(rows).max()) / max(1.0, abs(t1), abs(t2)), rows, jac
-
-    def failure(message):
-        return NonConvergenceError(message, trace=history,
-                                   last_state=_on_ray(ts.profile, t1, t2))
-
-    t1, t2 = float(init.u1[grid.M]), float(init.u2[grid.M])
-    rnorm, rows, jac = evaluate(t1, t2)
-    history, damping = [rnorm], 1.0
-    while True:
-        converged = rnorm <= tol
-        if not converged and len(history) > MAX_NEWTON_ITER:
-            raise failure(f"no convergence in {MAX_NEWTON_ITER} iterations "
-                          f"(residual {rnorm:.3e})")
-        (r1, r2), ((a, b, _), (c, d, _)) = rows, jac
-        det = a * d - b * c
-        if det == 0.0:
-            if converged:
-                break
-            raise failure("singular Jacobian: trace coupling is singular")
-        d1, d2 = (b * r2 - d * r1) / det, (c * r1 - a * r2) / det
-        t, trial = 1.0, evaluate(t1 + d1, t2 + d2)
-        while not (converged or trial[0] < rnorm):
-            t *= 0.5
-            if t < DAMPING_FLOOR:
-                raise failure("backtracking hit the damping floor without progress")
-            trial = evaluate(t1 + t * d1, t2 + t * d2)
-        if not math.isfinite(trial[0]):  # a finishing step that overflowed
-            break
-        t1, t2 = t1 + t * d1, t2 + t * d2
-        rnorm, rows, jac = trial
-        history.append(rnorm)
-        if converged:
-            break
-        damping = t
+    x, history = _trace_newton(ts, lambda x: (x[2] - lam, (0.0, 0.0, 1.0)),
+                               (init.u1[grid.M], init.u2[grid.M], lam), tol)
     try:
-        _, _, _, res, state = _recheck(grid, ts, (t1, t2, lam), tol)
+        _, _, _, res, state = _recheck(grid, ts, x, tol)
     except NonConvergenceError as exc:
-        raise failure(str(exc)) from None
-    return NewtonResult(state, len(history) - 1, res, damping,
+        raise NonConvergenceError(
+            str(exc), trace=history,
+            last_state=_on_ray(ts.profile, x[0], x[1])) from None
+    return NewtonResult(state, len(history) - 1, res,
                         is_positive_state(state), history)
 
 

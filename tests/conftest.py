@@ -161,7 +161,7 @@ def scan_solutions_at(branch, lam):
     and at every fold t1, sorted, each sign change between neighbours
     closed by ts.root and each exact zero at t > 0 taken.  The oracle that
     solutions_at's level-crossing brackets must match bit for bit."""
-    from radbif.continuation import _CorrectorFailure, _TraceSystem, _verify
+    from radbif.continuation import _TraceSystem, _verify
     ts = _TraceSystem(branch.grid, branch.model)
     nodes = sorted({p.t1 for p in branch.points}
                    | {f.t1 for f in branch.folds})
@@ -175,6 +175,6 @@ def scan_solutions_at(branch, lam):
         try:
             states.append(_verify(branch.grid, ts, ts.at(t1, lam),
                                   branch.tol)[-1])
-        except _CorrectorFailure:
+        except radbif.NonConvergenceError:
             continue
     return sorted(states, key=radbif.pair_norm)

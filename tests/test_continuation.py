@@ -14,14 +14,15 @@ import pytest
 
 from conftest import band_loop, bisect_root, trace_system_solve
 from radbif import (Branch, ConfigError, ContinuationConfig,
-                    ContinuationError, bifurcation_point, build_grid,
-                    continue_branch, eval_f, f_extended, fprime_extended,
-                    initial_tangent, linear_model, operator_bands,
+                    ContinuationError, NonConvergenceError, SystemState,
+                    bifurcation_point, build_grid, continue_branch, eval_f,
+                    f_extended, fprime_extended, initial_tangent,
+                    linear_model, newton_solve, operator_bands,
                     quadratic_model, residual, scaled_residual_norm,
                     second_solution, solutions_at, solve_flux_bvp,
                     steklov_eigenpair)
-from radbif.continuation import (MAX_CORRECTOR_ITER, ULP_SHIFTS,
-                                  _CorrectorFailure, _on_ray, _TraceSystem)
+from radbif.continuation import ULP_SHIFTS, _on_ray, _TraceSystem
+from radbif.solver import MAX_NEWTON_ITER
 from radbif.grid import _unit_trace_extended
 
 LAMBDA_BAR_512 = 0.33320994441151214  # trace-system fold at M = 512
@@ -183,7 +184,7 @@ def test_branch_records_diagnostics(ref_branch, branch_cfg):
     tol = branch_cfg.tol_residual
     for p in ref_branch.points[1:]:
         # the count includes the refinement step taken after convergence
-        assert 1 <= p.corrector_iterations <= MAX_CORRECTOR_ITER + 1
+        assert 1 <= p.corrector_iterations <= MAX_NEWTON_ITER + 1
         assert p.ulp_shift in ULP_SHIFTS
         assert 0.0 <= p.residual <= tol
     # every rejected attempt is counted and the latest keeps its reason
@@ -256,8 +257,8 @@ def test_fold_reproducible_across_grids(ref_branch, ref_model, mu_h512):
 
 
 def _numpy_corrector(ts, extra, x0, tol):
-    """The trace corrector as it was before it worked on floats: x, the
-    flux rows and their Jacobian as numpy arrays, the bordered system
+    """The trace Newton iteration as it was before it worked on floats: x,
+    the flux rows and their Jacobian as numpy arrays, the bordered system
     stacked with vstack and append.  Kept as the bit-for-bit reference."""
     m, mu = ts.model, ts.mu_h
 
@@ -275,28 +276,31 @@ def _numpy_corrector(ts, extra, x0, tol):
     def admissible(x):
         return bool(x[2] > 0.0 and np.all(np.isfinite(x)))
 
-    x = np.array(x0, dtype=float)
-    for it in range(MAX_CORRECTOR_ITER + 1):
+    def rnorm(x):
+        return float(np.abs(rows(x)).max()) / max(1.0, abs(x[0]), abs(x[1]))
+
+    x, history = np.array(x0, dtype=float), []
+    for it in range(MAX_NEWTON_ITER + 1):
         if not admissible(x):
-            raise _CorrectorFailure("iterate left the admissible region")
+            raise NonConvergenceError("iterate left the admissible region")
         res = rows(x)
         value, grad = extra(x)
-        rnorm = float(np.abs(res).max()) / max(1.0, abs(x[0]), abs(x[1]))
-        converged = rnorm <= tol and abs(value) <= tol
-        if it == MAX_CORRECTOR_ITER and not converged:
-            raise _CorrectorFailure(
-                f"no convergence in {MAX_CORRECTOR_ITER} iterations")
+        history.append(rnorm(x))
+        converged = history[-1] <= tol and abs(value) <= tol
+        if it == MAX_NEWTON_ITER and not converged:
+            raise NonConvergenceError(
+                f"no convergence in {MAX_NEWTON_ITER} iterations")
         try:
             step = x + np.linalg.solve(np.vstack([jac(x), grad]),
                                        -np.append(res, value))
         except np.linalg.LinAlgError as exc:
             if not converged:
-                raise _CorrectorFailure(f"singular bordered system: {exc}")
+                raise NonConvergenceError(f"singular Jacobian: {exc}")
             step = x
         if converged:
-            return (step if admissible(step) else x), it + 1
+            x = step if admissible(step) else x
+            return tuple(x.tolist()), history + [rnorm(x)]
         x = step
-    raise _CorrectorFailure("unreachable")
 
 
 def _branch_bits(branch):
@@ -315,17 +319,36 @@ def _branch_bits(branch):
             branch.last_rejection, branch.termination)
 
 
+def _fixed_lambda_solves(grid, model):
+    """Every bit of newton_solve's states and histories from a few
+    starts on both sides of the fold, at a tolerance above the M = 512
+    representation floor."""
+    phi, out = steklov_eigenpair(grid).phi1, []
+    for lam in (0.05, LAMBDA_MID, 0.5):
+        for amp in (0.01, 0.5, 3.0):
+            r = newton_solve(grid, model, lam,
+                             SystemState(amp * phi, amp * phi), tol=1e-9)
+            out.append((r.state.u1.tobytes(), r.state.u2.tobytes(),
+                        r.history))
+    return out
+
+
 @pytest.mark.parametrize("M", [128, 512])
 def test_float_corrector_is_bit_identical_to_the_numpy_one(
         M, grid512, ref_branch, ref_model, branch_cfg, monkeypatch):
+    # continuation and newton_solve run the one trace Newton iteration
     import radbif.continuation as cont
+    import radbif.solver as solver
     grid = grid512 if M == 512 else build_grid(3, 1.0, M)
     new = (ref_branch if M == 512
            else continue_branch(grid, ref_model, branch_cfg))
-    monkeypatch.setattr(cont, "_corrector", _numpy_corrector)
+    new_solves = _fixed_lambda_solves(grid, ref_model)
+    monkeypatch.setattr(cont, "_trace_newton", _numpy_corrector)
+    monkeypatch.setattr(solver, "_trace_newton", _numpy_corrector)
     old = continue_branch(grid, ref_model, branch_cfg)
     assert old.fold is not None and old.termination == "lambda_floor"
     assert _branch_bits(new) == _branch_bits(old)
+    assert new_solves == _fixed_lambda_solves(grid, ref_model)
 
 
 def _sign_flips(branch):
@@ -343,21 +366,21 @@ def test_every_flip_is_one_fold_row_solve(which, grid128, ref_model,
     # of corrector solves along the arclength
     import radbif.continuation as cont
     model = ref_model if which == "reference" else two_fold_model
-    corrector, solves = cont._corrector, []
+    corrector, solves = cont._trace_newton, []
 
     def counting(ts, extra, x0, tol):
         out = corrector(ts, extra, x0, tol)
         if extra == ts.fold_row:
-            solves.append((np.array(x0), out[1]))
+            solves.append((np.array(x0), len(out[1]) - 1))
         return out
 
-    monkeypatch.setattr(cont, "_corrector", counting)
+    monkeypatch.setattr(cont, "_trace_newton", counting)
     branch = continue_branch(grid128, model, FAST_CFG)
     assert len(solves) == len(branch.folds) == _sign_flips(branch)
     assert len(branch.folds) == (1 if which == "reference" else 2)
     lams = branch.lambdas()
     for (x0, steps), fold in zip(solves, branch.folds):
-        assert steps <= MAX_CORRECTOR_ITER
+        assert steps <= MAX_NEWTON_ITER
         start = branch.points[fold.index]
         assert np.array_equal(x0, [start.state.u1[-1], start.state.u2[-1],
                                    start.lam])
@@ -397,18 +420,18 @@ def test_failed_fold_solve_raises(grid128, ref_model, two_fold_model,
                                   monkeypatch):
     # a fold solve that fails is an error, never replaced by a sample
     import radbif.continuation as cont
-    corrector = cont._corrector
+    corrector = cont._trace_newton
 
     def no_fold(ts, extra, *args, **kwargs):
         if extra == ts.fold_row:
-            raise cont._CorrectorFailure("forced fold failure")
+            raise NonConvergenceError("forced fold failure")
         return corrector(ts, extra, *args, **kwargs)
 
-    monkeypatch.setattr(cont, "_corrector", no_fold)
+    monkeypatch.setattr(cont, "_trace_newton", no_fold)
     with pytest.raises(ContinuationError, match="forced fold failure") as exc:
         continue_branch(grid128, ref_model, FAST_CFG)
     assert exc.value.last_point is not None and exc.value.last_point.norm > 0.0
-    monkeypatch.setattr(cont, "_corrector", corrector)
+    monkeypatch.setattr(cont, "_trace_newton", corrector)
 
     # a solve that leaves the positive cone, or ends above the start of a
     # minimum or below the start of a maximum, is not a fold either
@@ -421,9 +444,9 @@ def test_failed_fold_solve_raises(grid128, ref_model, two_fold_model,
 
         def scaled(ts, extra, x0, tol):
             solves.append(x0)
-            return tuple((np.array(x0) * scale).tolist()), 1
+            return tuple((np.array(x0) * scale).tolist()), [0.0, 0.0]
 
-        monkeypatch.setattr(cont, "_corrector", scaled)
+        monkeypatch.setattr(cont, "_trace_newton", scaled)
         with pytest.raises(ContinuationError, match=why):
             cont._locate_folds(ts, Branch(grid128, two_fold_model,
                                           points=branch.points), 1e-10)
@@ -439,7 +462,7 @@ def test_branch_ends_on_corrector_failure_keeping_its_points(
     def failing(*args, **kwargs):
         calls.append(None)
         if len(calls) > 4:  # the step-off and three steps pass
-            raise cont._CorrectorFailure("forced re-check failure")
+            raise NonConvergenceError("forced re-check failure")
         return verify(*args, **kwargs)
 
     monkeypatch.setattr(cont, "_verify", failing)
@@ -458,9 +481,9 @@ def test_failed_step_off_raises_with_the_trivial_anchor(grid128, ref_model,
     import radbif.continuation as cont
 
     def failing(*args, **kwargs):
-        raise cont._CorrectorFailure("forced corrector failure")
+        raise NonConvergenceError("forced corrector failure")
 
-    monkeypatch.setattr(cont, "_corrector", failing)
+    monkeypatch.setattr(cont, "_trace_newton", failing)
     with pytest.raises(ContinuationError,
                        match="forced corrector failure") as info:
         continue_branch(grid128, ref_model, FAST_CFG)
@@ -524,7 +547,7 @@ def test_the_continuation_tolerance_verifies_every_state(grid128, ref_model,
     # corrector, the fold solves and every re-check, solutions_at's too
     import radbif.continuation as cont
     cfg = dataclasses.replace(FAST_CFG, tol_residual=1e-9)
-    verify, corrector = cont._verify, cont._corrector
+    verify, corrector = cont._verify, cont._trace_newton
     tols, corrector_tols = [], set()
 
     def recording(grid, ts, x, tol):
@@ -536,7 +559,7 @@ def test_the_continuation_tolerance_verifies_every_state(grid128, ref_model,
         return corrector(ts, extra, x0, tol)
 
     monkeypatch.setattr(cont, "_verify", recording)
-    monkeypatch.setattr(cont, "_corrector", recording_corrector)
+    monkeypatch.setattr(cont, "_trace_newton", recording_corrector)
     branch = continue_branch(grid128, ref_model, cfg)
     assert branch.tol == 1e-9 and corrector_tols == {1e-9}
     assert set(tols) == {1e-9}
@@ -558,7 +581,7 @@ def test_solutions_at_polishes_once_per_root(ref_branch, grid512, ref_model,
     import radbif.continuation as cont
     calls = []
     verify = cont._verify
-    monkeypatch.setattr(cont, "_corrector",
+    monkeypatch.setattr(cont, "_trace_newton",
                         lambda *a, **k: calls.append("corrector"))
     monkeypatch.setattr(cont, "_verify",
                         lambda *a, **k: calls.append("verify") or verify(*a, **k))
@@ -781,7 +804,7 @@ def test_linear_model_branch_is_refused(grid512, monkeypatch):
     def no_step(*args):
         raise AssertionError("corrector ran for a refused model")
 
-    monkeypatch.setattr(cont, "_corrector", no_step)
+    monkeypatch.setattr(cont, "_trace_newton", no_step)
     with pytest.raises(ConfigError, match=r"p1\*p2 > 1"):
         continue_branch(grid512, linear_model(), ContinuationConfig(max_points=50))
 

@@ -147,6 +147,52 @@ def test_newton_never_returns_positive_beyond_the_bound(grid512, ref_model,
         assert pair_norm(result.state) <= POSITIVITY_ZERO_FLOOR
 
 
+@pytest.mark.parametrize("M", [512, 4096])
+def test_newton_from_far_above_a_small_lambda_reaches_the_trivial_state(
+        M, ref_model):
+    # at lam = 0.05 the reference model has (0, 0) and a tail state of
+    # norm about 9.3; from 10^(1/3) phi full Newton steps reach (0, 0),
+    # where halving each step until the trace residual fell stalled at
+    # its smallest fraction
+    grid = build_grid(3, 1.0, M)
+    phi = steklov_eigenpair(grid).phi1
+    amp = 10.0 ** (1.0 / 3.0)
+    result = newton_solve(grid, ref_model, 0.05,
+                          SystemState(amp * phi, amp * phi))
+    assert not result.positive
+    assert pair_norm(result.state) <= POSITIVITY_ZERO_FLOOR
+
+
+@pytest.mark.parametrize("which", ["reference", "two-fold"])
+def test_newton_start_sweep_lands_on_a_solution(which, grid128, ref_model,
+                                                two_fold_model):
+    # from every start amp * phi over lam in [0.05, 1]: a positive state
+    # whose traces solve the reduced system, or the trivial state; none
+    # raises
+    model = ref_model if which == "reference" else two_fold_model
+    eig = steklov_eigenpair(grid128)
+    mu_h = 1.0 / float(solve_flux_bvp(grid128, 1.0)[-1])
+    positives = 0
+    for lam in np.linspace(0.05, 1.0, 16):
+        lam = float(lam)
+        g1 = lambda t: lam * eval_f(model, 1, t)
+        g2 = lambda t: lam * eval_f(model, 2, t)
+        dg1 = lambda t: lam * fprime_extended(model, 1, t)
+        dg2 = lambda t: lam * fprime_extended(model, 2, t)
+        for amp in np.logspace(-3, 2, 10):
+            init = SystemState(amp * eig.phi1, amp * eig.phi1)
+            result = newton_solve(grid128, model, lam, init)
+            if not result.positive:
+                assert pair_norm(result.state) <= POSITIVITY_ZERO_FLOOR
+                continue
+            positives += 1
+            t1, t2 = float(result.state.u1[-1]), float(result.state.u2[-1])
+            want = trace_system_solve(mu_h, g1, g2, dg1, dg2, t1, t2)
+            assert t1 == pytest.approx(want[0], rel=1e-12)
+            assert t2 == pytest.approx(want[1], rel=1e-12)
+    assert positives > 0
+
+
 def test_nonconvergence_raises_with_trace(grid128, ref_model, monkeypatch):
     monkeypatch.setattr(solver_module, "MAX_NEWTON_ITER", 1)
     init = SystemState(0.5 * np.ones(grid128.M + 1),
@@ -329,8 +375,7 @@ def test_singular_trace_coupling_raises(grid128):
     # linear fluxes at lam = mu_h: the 2x2 determinant mu_h^2 - lam^2 is
     # exactly zero, and the traces (1, 2) leave a nonzero residual
     eig = steklov_eigenpair(grid128)
-    with pytest.raises(NonConvergenceError,
-                       match="singular Jacobian: trace coupling is singular"):
+    with pytest.raises(NonConvergenceError, match="singular Jacobian"):
         newton_solve(grid128, linear_model(), eig.mu1,
                      SystemState(eig.phi1, 2.0 * eig.phi1))
 
@@ -395,6 +440,11 @@ def test_newton_config_rejects_bad_settings(grid128, ref_model):
     for tol in (0.0, math.nan, math.inf):
         with pytest.raises(ConfigError, match="tol_residual"):
             newton_solve(grid128, ref_model, 0.3, init, tol=tol)
+    # lam = 0 could only reach the trivial state, as solutions_at and the
+    # command line say too
+    for lam in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="parameter"):
+            newton_solve(grid128, ref_model, lam, init)
 
 
 def test_limit_problem_needs_superlinear_powers(grid128):
