@@ -381,7 +381,8 @@ def solutions_at(branch: Branch, lam: float) -> list:
             nodes.insert(k, fold)
             lams.insert(k, fold.lam_bar)
 
-    d = lam - np.array(lams)
+    # signs, not d[:-1] * d[1:], which overflows once lam passes 1e154
+    d = np.sign(lam - np.array(lams))
     ks = sorted({j for k in np.flatnonzero(d[:-1] * d[1:] <= 0.0).tolist()
                  for j in range(max(k - 1, 0), min(k + 3, len(lams)))})
     t1s = {j: nodes[j].t1 for j in ks}

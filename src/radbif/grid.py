@@ -101,16 +101,23 @@ def pair_norm(state: SystemState) -> float:
     return float(np.abs(state.u1).max() + np.abs(state.u2).max())
 
 
+def _nodal_values(grid: RadialGrid, u) -> np.ndarray:
+    """u as a float array of the grid's M + 1 nodal values; ValueError for
+    any other shape."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (grid.M + 1,):
+        raise ValueError(f"expected {grid.M + 1} nodal values, got shape {u.shape}")
+    return u
+
+
 def apply_operator(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
     """Rows j = 0..M-1 of -u'' - ((N-1)/r) u' + u on the grid.
 
     The row at j = M is not produced here; that node is governed by the flux
     boundary condition and is assembled by the solvers.
     """
-    u = np.asarray(u, dtype=float)
+    u = _nodal_values(grid, u)
     M, h, N = grid.M, grid.h, grid.N_dim
-    if u.shape != (M + 1,):
-        raise ValueError(f"expected {M + 1} nodal values, got shape {u.shape}")
     res = np.empty(M)
     res[0] = -2.0 * N * (u[1] - u[0]) / h**2 + u[0]
     j = np.arange(1, M)
@@ -123,10 +130,8 @@ def apply_operator(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
 
 def boundary_flux(grid: RadialGrid, u: np.ndarray) -> float:
     """One-sided second-order u'(R_ball): (3 u_M - 4 u_{M-1} + u_{M-2})/(2h)."""
-    u = np.asarray(u, dtype=float)
+    u = _nodal_values(grid, u)
     M = grid.M
-    if u.shape != (M + 1,):
-        raise ValueError(f"expected {M + 1} nodal values, got shape {u.shape}")
     return float((3.0 * u[M] - 4.0 * u[M - 1] + u[M - 2]) / (2.0 * grid.h))
 
 

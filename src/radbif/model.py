@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, require_positive
+from .errors import ConfigError, require_int, require_positive
 from .grid import cache_per_object
 
 __all__ = [
@@ -204,9 +204,11 @@ def validate_hypotheses(model: NonlinearityModel,
     critical exponent, monotonicity of f_i (needed by the multiplicity
     machinery), and the empirical growth f2/s^p1 -> b1, f1/s^p2 -> b2 on s
     in [1e2, 1e6].  f_i(0) = 0 is no entry: the model
-    refuses |f_i(0)| > 1e-12 when it is built.  Never raises; callers
-    decide.
+    refuses |f_i(0)| > 1e-12 when it is built.  N_dim must be an integer
+    >= 3, as build_grid requires (ConfigError otherwise); beyond that it
+    never raises, callers decide.
     """
+    N_dim = require_int(N_dim, "spatial dimension", 3)
     checks = []
 
     def sample(f):

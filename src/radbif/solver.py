@@ -25,10 +25,11 @@ The residual interleaves u1 and u2 into one longdouble buffer and makes
 one compiled matvec with the grid's pair operator diag(A, A); the flux
 terms are subtracted in longdouble and the result is rounded to double
 once.  It equals two single-component matvecs with A bit for bit.  The
-Jacobian is A on each component plus two coupling entries in the flux
-rows; the jacobian-fd check of the acceptance suite tests it.  The
-linear problem with fluxes (g1, g2) is (g1 v, g2 v), with no solve at
-all.
+Jacobian is that same pair operator as a double CSR array plus two
+coupling entries in the flux rows; the jacobian-fd check of the
+acceptance suite tests it.  residual, jacobian and newton_solve refuse
+a state without the grid's M + 1 nodes (ValueError).  The linear
+problem with fluxes (g1, g2) is (g1 v, g2 v), with no solve at all.
 
 Residual norms are measured as max|F| / max(1, sup|u1|, sup|u2|): the
 operator rows scale like 1/h^2, so that quotient is what floating point can
@@ -39,20 +40,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import ConfigError, NonConvergenceError, require_positive
-from .grid import (RadialGrid, SystemState, _pair_matvec,
-                   _unit_trace_extended, operator_bands, pair_norm,
+from .grid import (RadialGrid, SystemState, _bands, _nodal_values,
+                   _pair_matvec, _unit_trace_extended, pair_norm,
                    solve_flux_bvp)
 from .model import NonlinearityModel, f_extended, fprime_extended
 from .steklov import steklov_eigenpair
 
 __all__ = [
     "NewtonResult",
-    "PairJacobian",
     "POSITIVITY_REL_FLOOR",
     "POSITIVITY_ZERO_FLOOR",
     "TOL_RESIDUAL",
@@ -101,27 +101,6 @@ class NewtonResult:
     history: list = field(default_factory=list)
 
 
-class PairJacobian(NamedTuple):
-    """Jacobian of residual: A on each component, plus c1 in flux row 1 at
-    u2(R) and c2 in flux row 2 at u1(R), as a dense interleaved matrix."""
-
-    grid: RadialGrid
-    c1: float
-    c2: float
-
-    def todense(self) -> np.ndarray:
-        ab = operator_bands(self.grid)
-        n = ab.shape[1]
-        a = sum(np.diag(row[max(d, 0):n + min(d, 0)], d)
-                for row, d in zip(ab, (1, 0, -1, -2)))
-        out = np.zeros((2 * n, 2 * n))
-        out[0::2, 0::2] = a
-        out[1::2, 1::2] = a
-        out[2 * n - 2, 2 * n - 1] = self.c1
-        out[2 * n - 1, 2 * n - 2] = self.c2
-        return out
-
-
 def is_positive_state(state: SystemState) -> bool:
     """Every node above POSITIVITY_REL_FLOOR times the pair norm.
 
@@ -160,9 +139,13 @@ def _pair_residual(grid: RadialGrid, state: SystemState, g1, g2) -> np.ndarray:
     return y.astype(float)
 
 
-def _require_parameter(lam: float) -> None:
+def _require_arguments(grid: RadialGrid, lam: float,
+                       state: SystemState) -> None:
+    """ValueError unless lam is nonnegative and finite and the state has
+    the grid's M + 1 nodes (u2 has the shape of u1)."""
     if not 0 <= lam < np.inf:  # NaN fails too
         raise ValueError(f"parameter must be nonnegative and finite, got {lam}")
+    _nodal_values(grid, state.u1)
 
 
 def residual(grid: RadialGrid, model: NonlinearityModel, lam: float,
@@ -174,20 +157,25 @@ def residual(grid: RadialGrid, model: NonlinearityModel, lam: float,
     through their linear extension so off-sign intermediate iterates remain
     well defined.
     """
-    _require_parameter(lam)
+    _require_arguments(grid, lam, state)
     g1 = lambda t: lam * f_extended(model, 1, t)
     g2 = lambda t: lam * f_extended(model, 2, t)
     return _pair_residual(grid, state, g1, g2)
 
 
 def jacobian(grid: RadialGrid, model: NonlinearityModel, lam: float,
-             state: SystemState) -> PairJacobian:
-    """Exact Jacobian of residual (coupling entries -lam f_i')."""
-    _require_parameter(lam)
-    M = grid.M
-    return PairJacobian(grid,
-                        -lam * fprime_extended(model, 1, float(state.u2[M])),
-                        -lam * fprime_extended(model, 2, float(state.u1[M])))
+             state: SystemState) -> csr_array:
+    """Exact Jacobian of residual as a double CSR array: the residual's
+    own pair operator diag(A, A), plus the coupling entries
+    c1 = -lam f1'(u2(R)) at (2M, 2M+1) and c2 = -lam f2'(u1(R)) at
+    (2M+1, 2M).  The sum stores no zero, so a zero coupling is absent."""
+    _require_arguments(grid, lam, state)
+    n = 2 * grid.M + 2
+    c1 = -lam * fprime_extended(model, 1, float(state.u2[-1]))
+    c2 = -lam * fprime_extended(model, 2, float(state.u1[-1]))
+    coupling = csr_array(([c1, c2], ([n - 2, n - 1], [n - 1, n - 2])),
+                         shape=(n, n))
+    return _bands(grid)[1].astype(float) + coupling
 
 
 def _fpp(model: NonlinearityModel, i: int, s: float) -> float:
@@ -386,7 +374,7 @@ def newton_solve(grid: RadialGrid, model: NonlinearityModel, lam: float,
                  init: SystemState, tol: float = TOL_RESIDUAL) -> NewtonResult:
     """Solve the coupled system at fixed lam by Newton on the two traces,
     to scaled residual norm at most tol (lam and tol positive and finite,
-    else ConfigError).
+    else ConfigError; init with the grid's M + 1 nodes, else ValueError).
 
     This is _trace_newton with the extra row lam' - lam, started at
     init's traces (u1(R), u2(R)) and lam: that row's step component is
@@ -408,6 +396,7 @@ def newton_solve(grid: RadialGrid, model: NonlinearityModel, lam: float,
     """
     require_positive(tol, "tol_residual")
     require_positive(lam, "parameter")
+    _nodal_values(grid, init.u1)
     ts = _TraceSystem(grid, model)
     x, history = _trace_newton(ts, lambda x: (x[2] - lam, (0.0, 0.0, 1.0)),
                                (init.u1[grid.M], init.u2[grid.M], lam), tol)

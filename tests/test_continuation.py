@@ -191,6 +191,32 @@ def test_branch_records_diagnostics(ref_branch, branch_cfg):
     assert (ref_branch.rejections > 0) == bool(ref_branch.last_rejection)
 
 
+def test_eight_corrector_steps_halve_the_next_step(grid128, ref_model,
+                                                   monkeypatch):
+    # the fourth corrector solve (step-off included) reports 8 steps; the
+    # step after its point is half as long, where 4..7 steps keep it
+    import radbif.continuation as cont
+    corrector, calls = cont._trace_newton, []
+
+    def slow(ts, extra, x0, tol):
+        x, history = corrector(ts, extra, x0, tol)
+        if extra != ts.fold_row:
+            calls.append(x0)
+            if len(calls) == 4:
+                assert len(history) <= 9
+                history = history + [history[-1]] * (9 - len(history))
+        return x, history
+
+    monkeypatch.setattr(cont, "_trace_newton", slow)
+    branch = continue_branch(grid128, ref_model, FAST_CFG)
+    assert branch.rejections == 0
+    iters = [p.corrector_iterations for p in branch.points]
+    assert iters.count(8) == 1
+    k = iters.index(8)
+    assert k == 4 and branch.points[k].ds > FAST_CFG.ds_min
+    assert branch.points[k + 1].ds == 0.5 * branch.points[k].ds
+
+
 def test_branch_respects_nonexistence_bound(ref_branch, ref_model, eig512):
     bound = eig512.mu1 / ref_model.K
     assert ref_branch.lambdas().max() <= bound + 1e-8

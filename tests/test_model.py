@@ -128,6 +128,15 @@ def test_validate_rejects_both_exponents_critical():
     assert not {c.name: c.passed for c in report}["not-both-critical"]
 
 
+def test_validate_refuses_a_dimension_build_grid_refuses():
+    # the window (1, N/(N-2)] needs N >= 3: at N = 2 it divides by zero,
+    # at N = 1 and 0 it is empty
+    for N_dim in (2, 1, 0, 3.0):
+        with pytest.raises(ConfigError, match="spatial dimension must be an "
+                                              "integer >= 3"):
+            validate_hypotheses(reference_model(), N_dim)
+
+
 def test_polynomial_model_rejects_bad_coefficients():
     with pytest.raises(ConfigError):
         polynomial_model([1.0, 1.0], [0.0, 1.0])  # f(0) != 0

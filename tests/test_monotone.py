@@ -11,6 +11,7 @@ independent reference.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -375,6 +376,20 @@ def test_second_solution_above_the_branch_names_its_largest_lam(
         msg = str(exc.value)
         assert f"its largest lam is {top:.17g}" in msg, msg
         assert "zero floor" not in msg and "POSITIVITY_ZERO_FLOOR" not in msg
+
+
+def test_a_huge_lambda_has_no_state_and_no_overflow(grid512, ref_model,
+                                                     ref_branch):
+    # lam - lam_k near 1e200: the level crossings are found by sign, not
+    # by a product of two such differences, which overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solutions_at(ref_branch, 1e200) == []
+        with pytest.raises(DistinctnessError) as exc:
+            second_solution(grid512, ref_model, 1e200, ref_branch)
+    top = max([p.lam for p in ref_branch.points]
+              + [f.lam_bar for f in ref_branch.folds])
+    assert f"its largest lam is {top:.17g}" in str(exc.value)
 
 
 def test_second_solution_refuses_a_branch_of_another_problem(

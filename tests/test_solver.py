@@ -7,6 +7,7 @@ That system is solved independently in conftest and used as an oracle here.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ def test_interior_rows_pin_solutions_to_the_kernel_ray(grid512, ref_model,
     monkeypatch.setattr(solver_module, "MAX_NEWTON_ITER", 1)
     for lam, init in ((LAMBDA_MID, SystemState(0.5 * ones, 0.5 * ones)),
                       (0.05, SystemState(-10.0 * phi, 10.0 * phi))):
-        dense = jacobian(grid512, ref_model, lam, init).todense()
+        dense = jacobian(grid512, ref_model, lam, init).toarray()
         step = np.linalg.solve(dense, -residual(grid512, ref_model, lam, init))
         landed = SystemState.from_vector(init.to_vector() + step)
         with pytest.raises(NonConvergenceError, match="no convergence") as err:
@@ -246,7 +247,7 @@ def test_is_positive_state_classification(grid128):
 def test_jacobian_decouples_at_lambda_zero(grid128, ref_model):
     state = SystemState(0.3 * np.ones(grid128.M + 1),
                         0.2 * np.ones(grid128.M + 1))
-    dense = jacobian(grid128, ref_model, 0.0, state).todense()
+    dense = jacobian(grid128, ref_model, 0.0, state).toarray()
     M = grid128.M
     assert dense[2 * M, 2 * M + 1] == 0.0
     assert dense[2 * M + 1, 2 * M] == 0.0
@@ -254,7 +255,7 @@ def test_jacobian_decouples_at_lambda_zero(grid128, ref_model):
 
 def test_jacobian_coupling_entries_at_zero_state(grid128, ref_model):
     lam = 0.4
-    dense = jacobian(grid128, ref_model, lam, SystemState.zero(grid128)).todense()
+    dense = jacobian(grid128, ref_model, lam, SystemState.zero(grid128)).toarray()
     M = grid128.M
     assert dense[2 * M, 2 * M + 1] == pytest.approx(
         -lam * fprime_extended(ref_model, 1, 0.0))
@@ -284,7 +285,7 @@ def test_jacobian_matches_finite_differences(ref_model):
     lam = 0.35
     for _ in range(3):
         state = SystemState(rng.uniform(0.05, 1.5, n), rng.uniform(0.05, 1.5, n))
-        dense = jacobian(grid, ref_model, lam, state).todense()
+        dense = jacobian(grid, ref_model, lam, state).toarray()
         x = state.to_vector()
         fd = np.zeros_like(dense)
         for j in range(x.size):
@@ -445,6 +446,30 @@ def test_newton_config_rejects_bad_settings(grid128, ref_model):
     for lam in (0.0, -0.1, math.nan, math.inf):
         with pytest.raises(ConfigError, match="parameter"):
             newton_solve(grid128, ref_model, lam, init)
+
+
+def test_state_must_have_the_grid_nodes(grid128, ref_model):
+    # node M of a longer state is no trace, and a shorter one has no node M
+    for n in (grid128.M, grid128.M + 2):
+        state = SystemState(np.ones(n), np.ones(n))
+        for call in (residual, jacobian, newton_solve):
+            with pytest.raises(ValueError, match="expected 129 nodal values"):
+                call(grid128, ref_model, 0.3, state)
+
+
+def test_newton_iterate_leaving_the_admissible_region_raises(grid128,
+                                                            ref_model):
+    # from traces of 1e200 the flux rows overflow to inf and the first step
+    # is not finite: a failure with its history and last iterate, and no
+    # floating-point warning on the way
+    phi = steklov_eigenpair(grid128).phi1
+    init = SystemState(1e200 * phi, 1e200 * phi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergenceError,
+                           match="iterate left the admissible region") as exc:
+            newton_solve(grid128, ref_model, 0.3, init)
+    assert exc.value.trace and exc.value.last_state is not None
 
 
 def test_limit_problem_needs_superlinear_powers(grid128):
