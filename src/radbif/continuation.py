@@ -21,7 +21,12 @@ differently from LAPACK's dgesv and the BLAS dot).  A failed solve or
 re-check raises NonConvergenceError, which rejects the step.  The
 weighted metric (dU.dU)/dim + dlam^2 of the full state U becomes
 w (dt1^2 + dt2^2) + dlam^2 with w = (phi_h.phi_h)/(2(M+1)), so step
-lengths and tangents are those of the full-space metric.
+lengths and tangents are those of the full-space metric.  Each step is
+ds * max(1, t1 + t2) of the last point: the tail bifurcates from infinity,
+with a pair norm that grows like lam^-theta1, so a step relative to the
+state crosses it in tens of points where a fixed one would take
+thousands.  The arclength row is divided by the same factor, so that its
+convergence test stays relative.
 
 Each corrected x is checked on the kernel ray itself, with no full-space
 Newton step (_verify, on solver._recheck): the state (t1 phi_h, t2
@@ -29,7 +34,7 @@ phi_h) is rebuilt by rounding t_i times the grid's longdouble unit-trace
 profile to double once, so its traces are t1 and t2 exactly, and its
 full-space scaled residual is the independent re-check.  Even at a tolerance near the
 representation floor eps*2/h^2 most rebuilt points pass as they stand
-(81 % of the M = 512 branch at tol 1e-10, 95 % at M = 4096 and tol
+(83 % of the M = 512 branch at tol 1e-10, 92 % at M = 4096 and tol
 1e-8); for the rest the traces t_i + k ulp(t_i) are tried for k in
 ULP_SHIFTS, and the first rounding that passes is the point.  A point
 whose roundings all fail, or whose passing state is not positive, is
@@ -37,8 +42,9 @@ rejected.  A branch point is its traces (BranchPoint): its state is
 rebuilt from them on demand.
 
 Every turn of lam along the branch is one solve of the same iteration,
-started at the branch point before its tangent sign flip, with
-the arclength row replaced by det F_t/mu_h^2 = 1 - (lam/mu_h)^2 f1'(t2)
+bracketed by a sign change of the fold row between neighbouring branch
+points and started at one end of the bracket, with the arclength row
+replaced by det F_t/mu_h^2 = 1 - (lam/mu_h)^2 f1'(t2)
 f2'(t1) (Moore & Spence 1980); a solve that fails raises.  At a fixed
 lam, t2 = lam f2(t1)/mu_h, so the states at lam are the roots t1 of one scalar equation
 (_TraceSystem.q).  For a monotone model G_lam grows with lam, so t1
@@ -80,8 +86,10 @@ __all__ = [
 class ContinuationConfig:
     """Arclength stepping parameters.
 
-    ds doubles when the corrector takes <= 3 Newton steps and halves when
-    it takes >= 8 or the step is rejected, clipped to [ds_min, ds_max].  lambda_stop_low > 0
+    A step has length ds * max(1, t1 + t2) of the last point in the trace
+    metric.  ds doubles when the corrector takes <= 3 Newton steps and
+    halves when it takes >= 8 or the step is rejected, clipped to
+    [ds_min, ds_max]: these bound ds, not the step.  lambda_stop_low > 0
     is the tail cutoff: the zero-parameter end is a bifurcation from
     infinity and is analyzed by rescaling, not chased to blow-up.
     tol_residual is the tolerance of the corrector, of the fold solves and
@@ -115,9 +123,10 @@ class BranchPoint:
     t2 phi_h), rebuilt from profile, the grid's read-only longdouble
     unit-trace profile, which every point of a branch shares.  The profile
     rises strictly to exactly 1 at R, so t_i is also sup|u_i|.
-    corrector_iterations counts the trace corrector's steps, ulp_shift is
-    the k of ULP_SHIFTS whose rounding passed the re-check, and residual
-    is that state's full-space scaled residual."""
+    ds is the arclength of the step that reached the point (eps_step_off
+    for the step-off), corrector_iterations counts the trace corrector's
+    steps, ulp_shift is the k of ULP_SHIFTS whose rounding passed the
+    re-check, and residual is that state's full-space scaled residual."""
 
     lam: float
     t1: float
@@ -141,7 +150,7 @@ class BranchPoint:
 
 class FoldInfo(NamedTuple):
     """Fold parameter, index of the branch point its solve started from
-    (the point before the tangent sign flip), fold traces (t1, t2)."""
+    (an end of the fold row's sign change), fold traces (t1, t2)."""
     lam_bar: float
     index: int
     t1: float
@@ -155,9 +164,9 @@ class Branch:
     grid and model are the problem the branch was traced on; every
     function that takes a branch reads them from it.  termination is one
     of "lambda_floor", "max_points", "corrector_failure".  folds holds
-    the exact fold of every tangent sign flip, maxima and minima of lam,
-    in branch order; fold is the maximum of largest lam, None when lam
-    has no maximum along the branch.  rejections counts rejected step
+    the exact fold of every sign change of the fold row, maxima and
+    minima of lam, in branch order; fold is the maximum of largest lam,
+    None when lam has no maximum along the branch.  rejections counts rejected step
     attempts (each halves ds) and last_rejection holds the reason for the
     latest one.  tol is the tolerance every point was verified at
     (cfg.tol_residual in continue_branch).
@@ -226,8 +235,11 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
     (phi1(R) = 1) fixes their component at cfg.eps_step_off and leaves lam free, so the
     trivial state cannot satisfy it and Newton must land on the
     bifurcating branch; its failure raises ContinuationError with the
-    anchor as last_point.  Each point is accepted only after the
-    full-space re-check of _verify and its positivity check.
+    anchor as last_point.  Every later step predicts along the unit
+    secant tau of the last two points, with length ds * s where s =
+    max(1, t1 + t2) of the last point, and corrects with the row
+    (metric * tau / s) . (x - x_last) = ds.  Each point is accepted only
+    after the full-space re-check of _verify and its positivity check.
     A model with p1*p2 <= 1 has no branch to trace toward the tail (the
     linear model's stands vertical at mu0) and raises ConfigError, as
     theta_exponents does, before any step.  Once the tracing stops, every
@@ -281,12 +293,14 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
             branch.termination = "corrector_failure"
             break
         tau = (x_last - x_prev) / dist
+        scale = max(1.0, last.norm)
 
         checked = None
         while checked is None:
             try:
-                x, history = _trace_newton(ts, _arclength(ts, tau, x_last, ds),
-                                           x_last + ds * tau, tol)
+                x, history = _trace_newton(
+                    ts, _arclength(ts, tau / scale, x_last, ds),
+                    x_last + (ds * scale) * tau, tol)
                 checked = _verify(grid, ts, x, tol)
             except NonConvergenceError as exc:
                 branch.rejections += 1
@@ -299,7 +313,7 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
             break
 
         iters = len(history) - 1
-        accept(x, iters, checked, ds)
+        accept(x, iters, checked, ds * scale)
         if iters <= 3:
             ds = min(2.0 * ds, cfg.ds_max)
         elif iters >= 8:
@@ -310,39 +324,55 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
 
 
 def _locate_folds(ts: _TraceSystem, branch: Branch, tol: float) -> None:
-    """Set branch.folds and branch.fold: at every tangent sign flip, one
-    Newton solve of the minimally extended system {flux rows, fold_row}
-    (Moore & Spence, SIAM J. Numer. Anal. 17, 1980).
+    """Set branch.folds and branch.fold: at every sign change of
+    ts.fold_row's value between neighbouring points, one Newton solve of
+    the minimally extended system {flux rows, fold_row} (Moore & Spence,
+    SIAM J. Numer. Anal. 17, 1980).
 
-    A flip at point k is a sign opposite to the nonzero sign of point k-1
-    (a sign carries over a step with dlam = 0 and the anchor's is 0, so
-    k >= 2).  The solve starts at point k-1, whose lam is the largest
-    among points k-2 .. k when lam turns from rising to falling (a
-    maximum) and the least otherwise; FoldInfo.index is k-1.  A solve
-    that fails, leaves the positive cone or ends on the wrong side of its
-    start lam raises ContinuationError with the start point as
-    last_point.
+    Along the branch dlam/dt1 = det F_t / (lam f1'(t2) f2(t1) + mu_h
+    f1(t2)), so for a monotone model the fold row has the sign of dlam/dt1
+    and changes sign at every turn of lam, also where one long step passes
+    a minimum and a maximum and no tangent sign flips.  The anchor is
+    skipped (det F_t = 0 at t = 0).  A change from + to - brackets a
+    maximum, from - to + a minimum.  The solve starts at the bracket's end
+    with the larger lam for a maximum and the smaller for a minimum (the
+    point before the tangent sign flip, where there is one) and then at
+    the other end; FoldInfo.index is the start whose solve is accepted.  A
+    solve is accepted when it stays in the positive cone, its t1 lies in
+    the bracket and its lam is not on the wrong side of its start; when
+    neither start gives one, ContinuationError is raised with the first
+    start as last_point.
     """
     points = branch.points
-    for start in range(1, len(points) - 1):  # the flip is at start + 1
-        before = points[start].tangent_lambda_sign
-        if before * points[start + 1].tangent_lambda_sign >= 0:
+    rows = [bool(ts.fold_row(_traces(p))[0] > 0.0) for p in points]
+    for a in range(1, len(points) - 1):
+        if rows[a] == rows[a + 1]:
             continue
-        top = before > 0  # lam turns from rising to falling
-        x0 = _traces(points[start])
-        try:
-            x, _ = _trace_newton(ts, ts.fold_row, x0, tol)
-            if min(x[0], x[1]) <= 0.0:
-                raise NonConvergenceError("left the positive cone")
-            if (x[2] - x0[2]) * before < 0.0:
-                raise NonConvergenceError(
-                    f"ended at lam={x[2]:.17g}, on the wrong side of its start")
-        except NonConvergenceError as exc:
+        top = rows[a]  # lam turns from rising to falling
+        ends = sorted((a, a + 1), key=lambda k: points[k].lam, reverse=top)
+        lo, hi = sorted((points[a].t1, points[a + 1].t1))
+        for start in ends:
+            x0 = _traces(points[start])
+            try:
+                x, _ = _trace_newton(ts, ts.fold_row, x0, tol)
+                if min(x[0], x[1]) <= 0.0:
+                    raise NonConvergenceError("left the positive cone")
+                if not lo <= x[0] <= hi:
+                    raise NonConvergenceError(
+                        f"ended at t1={x[0]:.17g}, outside its bracket")
+                if (x[2] - x0[2]) * (1 if top else -1) < 0.0:
+                    raise NonConvergenceError(
+                        f"ended at lam={x[2]:.17g}, on the wrong side of "
+                        f"its start")
+                break
+            except NonConvergenceError as exc:
+                reason = exc
+        else:
             raise ContinuationError(
                 f"fold solve for the lam {'maximum' if top else 'minimum'} "
-                f"near point {start} (lam={points[start].lam:.17g}) failed: "
-                f"{exc}",
-                last_point=points[start])
+                f"between points {a} and {a + 1} (lam={points[a].lam:.17g}) "
+                f"failed: {reason}",
+                last_point=points[ends[0]])
         branch.folds.append(
             FoldInfo(float(x[2]), start, float(x[0]), float(x[1])))
         if top and (branch.fold is None or x[2] > branch.fold.lam_bar):

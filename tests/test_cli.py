@@ -545,11 +545,32 @@ def test_rescale_check_command(tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["rescale-check", "--override", "grid.M=256",
                 "--override", f"out.dir={out}"]) == 0
-    assert "rescale-check: ok" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "rescale-check: ok" in printed
     lines = _lines(out / "rescale.csv")
     assert lines[0].startswith("# config=")
     assert lines[1] == "lambda,ratio1,ratio2"
-    assert len(lines) > 100  # the tail has many points below lam = 1e-2
+    # one row per tail point, lam falling from at most 1e-2 past the floor
+    # 1e-3, the last ratios within 2 % of 1
+    assert f"rows={len(lines) - 2})" in printed
+    rows = [[float(v) for v in line.split(",")] for line in lines[2:]]
+    lams = [r[0] for r in rows]
+    assert len(rows) >= 3 and lams == sorted(lams, reverse=True)
+    assert lams[0] <= 1e-2 and lams[-1] <= 1e-3
+    assert max(abs(rows[-1][1] - 1.0), abs(rows[-1][2] - 1.0)) <= 0.02
+
+
+def test_branch_with_a_long_tail_reaches_the_floor(tmp_path, capsys):
+    # a monotone model whose tail took more than max_points = 2000 fixed
+    # steps: steps that grow with the pair norm reach lambda_floor
+    out = tmp_path / "out"
+    assert run(["branch", "--override", "model.coeffs1=0,0.345,0.552",
+                "--override", "model.coeffs2=0,0.665,0.291",
+                "--override", f"out.dir={out}"]) == 0
+    assert "termination=lambda_floor" in capsys.readouterr().out
+    summary = json.loads((out / "branch_summary.json").read_text())
+    assert summary["termination"] == "lambda_floor"
+    assert summary["n_points"] < 100
 
 
 def test_verify_command(tmp_path, capsys):

@@ -11,7 +11,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import radbif
 from conftest import band_loop, bisect_root, trace_system_solve
 from radbif import (Branch, ConfigError, ContinuationConfig,
                     ContinuationError, NonConvergenceError, SystemState,
@@ -120,7 +123,8 @@ def test_branch_structure_and_termination(ref_branch, mu0_ref):
     assert ref_branch.points[0].norm == 0.0
     assert ref_branch.folds == [ref_branch.fold]  # a single fold
     assert ref_branch.fold is not None
-    assert len(ref_branch.points) > 100
+    # steps grow with the pair norm: 47 points where fixed steps took 439
+    assert len(ref_branch.points) < 60
     lams = ref_branch.lambdas()
     norms = ref_branch.norms()
     assert lams.shape == norms.shape == (len(ref_branch.points),)
@@ -476,8 +480,9 @@ def test_failed_fold_solve_raises(grid128, ref_model, two_fold_model,
         with pytest.raises(ContinuationError, match=why):
             cont._locate_folds(ts, Branch(grid128, two_fold_model,
                                           points=branch.points), 1e-10)
-        # 1.001 fails at the first turn, a minimum; 0.999 at the maximum
-        assert len(solves) == (2 if scale[2] == 0.999 else 1)
+        # each failing turn is tried from both ends of its bracket: 1.001
+        # fails at the first turn, a minimum; 0.999 at the maximum
+        assert len(solves) == (3 if scale[2] == 0.999 else 2)
 
 
 def test_branch_ends_on_corrector_failure_keeping_its_points(
@@ -780,15 +785,13 @@ def test_solutions_at_agrees_with_the_bisected_roots(which, ref_branch,
 
 @pytest.mark.parametrize("which", ["reference-128", "quadratic-128"])
 def test_solutions_at_evaluates_q_per_level_crossing(which, grid128,
-                                                     ref_model, branch_cfg,
-                                                     quad_branch128,
-                                                     monkeypatch):
+                                                     ref_model, monkeypatch):
     # at most four q values per node pair whose lam values enclose lam,
-    # outside the root iteration: the same bound on a branch of about 400
-    # points and one of about 1100
-    import radbif.continuation as cont
-    branch = (continue_branch(grid128, ref_model, branch_cfg)
-              if which == "reference-128" else quad_branch128)
+    # outside the root iteration: the same bound on long branches, traced
+    # with ds_max = 0.005 to about 600 and 700 points
+    model = ref_model if which == "reference-128" else quadratic_model()
+    cfg = ContinuationConfig(ds0=0.005, ds_max=0.005, max_points=4000)
+    branch = continue_branch(grid128, model, cfg)
     levels = _node_lams(branch)
     mu0 = branch.points[0].lam
     top, high = _top(branch)
@@ -914,14 +917,14 @@ def test_continuation_makes_no_newton_step(grid512, ref_model, two_fold_model,
 def test_most_rebuilt_points_need_no_polish_step(ref_branch):
     # tol 1e-10 lies below the representation floor eps*2/h^2 = 1.16e-10 of
     # M = 512; the once-rounded rebuild passes the re-check as it stands,
-    # with no ulp shift, at about 81 % of the points
+    # with no ulp shift, at about 83 % of the points
     accepted = ref_branch.points[1:]
     zero = sum(p.ulp_shift == 0 for p in accepted)
     assert zero >= 0.7 * len(accepted)
 
 
 def test_fine_grid_branch_keeps_its_fold_and_skips_the_polish(ref_model):
-    # M = 4096 at tol 1e-8: about 95 % of the points pass the re-check with
+    # M = 4096 at tol 1e-8: about 92 % of the points pass the re-check with
     # no ulp shift, and the fold keeps its bits
     grid = build_grid(3, 1.0, 4096)
     cfg = ContinuationConfig(tol_residual=1e-8)
@@ -931,8 +934,11 @@ def test_fine_grid_branch_keeps_its_fold_and_skips_the_polish(ref_model):
     accepted = branch.points[1:]
     zero = sum(p.ulp_shift == 0 for p in accepted)
     assert zero >= 0.9 * len(accepted)
+    # every rebuilt state passes the full-space residual itself, not only
+    # the figure the branch recorded
     for p in accepted:
-        assert p.residual <= 1e-8
+        assert scaled_residual_norm(
+            residual(grid, ref_model, p.lam, p.state), p.state) <= 1e-8
         assert p.state.u1.min() > 0.0 and p.state.u2.min() > 0.0
 
 
@@ -1000,3 +1006,105 @@ def test_solutions_at_counts_every_turn_of_the_two_fold_branch(
               for lam in (0.3127, 0.313, 0.3135, 0.35, 0.3708, 0.3709)}
     assert counts == {0.3127: 3, 0.313: 3, 0.3135: 2, 0.35: 2, 0.3708: 2,
                       0.3709: 0}
+
+
+@pytest.mark.parametrize("a, want", [
+    (-1.145, (0.30777841954580626, 0.30847192233096715)),
+    (-1.15, (0.30793275458015024, 0.3088448741699297))])
+def test_close_turns_are_both_found(a, want, grid128):
+    # f1 = s + a s^2 + s^3, f2 = s + 1.72 s^2: lam turns at a minimum and
+    # then at a maximum less than 1e-3 above it.  At a = -1.145 one step
+    # passes both turns while lam keeps falling, so no tangent sign flips;
+    # the fold row's sign still changes twice.  A branch traced with
+    # ds_max = 0.01 gives the same two values within an ulp
+    model = radbif.polynomial_model([0.0, 1.0, a, 1.0], [0.0, 1.0, 1.72])
+    branch = continue_branch(grid128, model, ContinuationConfig())
+    assert branch.termination == "lambda_floor"
+    assert [f.lam_bar for f in branch.folds] == pytest.approx(want, rel=1e-12)
+    assert branch.fold is branch.folds[1]
+    if a == -1.145:
+        assert _sign_flips(branch) == 0
+
+
+P = np.polynomial.polynomial
+
+
+def _lam_curve(mu_h, c1, c2, t1):
+    """lam(t1) = mu_h t1 / f1(t2) on an array t1 > 0, where t2 = H(t1)
+    solves t2 f1(t2) = t1 f2(t1) for the coefficient lists c1, c2: a
+    vectorized bisection down to adjacent doubles, with no radbif code."""
+    target = t1 * P.polyval(t1, c2)
+    lo, hi = np.zeros_like(t1), np.maximum(t1, 1.0)
+    while np.any(short := hi * P.polyval(hi, c1) < target):
+        hi = np.where(short, 2.0 * hi, hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break
+        below = mid * P.polyval(mid, c1) < target
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return mu_h * t1 / P.polyval(hi, c1)
+
+
+def _turns(mu_h, c1, c2, t1):
+    """lam at every turn of lam(t1) inside the sorted grid t1, each
+    refined by three rounds of a 1001-point zoom around the extreme."""
+    lam = _lam_curve(mu_h, c1, c2, t1)
+    d = np.sign(np.diff(lam))
+    values = []
+    for k in np.flatnonzero(d[:-1] != d[1:]) + 1:
+        sign, t = d[k - 1], t1[k - 1:k + 2]
+        for _ in range(3):
+            t = np.linspace(t[0], t[-1], 1001)
+            curve = sign * _lam_curve(mu_h, c1, c2, t)
+            j = min(max(int(np.argmax(curve)), 1), t.size - 2)
+            t = t[j - 1:j + 2]
+        values.append(float(curve.max() * sign))
+    return values
+
+
+def _random_model(rng):
+    """Coefficients of f1, f2 of degree 3 or 2 with f(0) = 0, f'(0) > 0
+    and a positive leading coefficient, each strictly increasing on s >= 0:
+    a cubic's middle coefficient is b = c sqrt(3 f'(0) lead) with |c| < 1.
+    A negative b can make the branch leave to the right and turn twice."""
+    coeffs = []
+    for _ in range(2):
+        slope, lead = rng.uniform(0.2, 2.0), rng.uniform(0.05, 2.0)
+        if rng.random() < 0.5:
+            b = rng.uniform(-0.99, 0.99) * math.sqrt(3.0 * slope * lead)
+            coeffs.append([0.0, slope, b, lead])
+        else:
+            coeffs.append([0.0, slope, lead])
+    return coeffs
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_generated_models_keep_every_turn_and_every_state(seed, grid128):
+    # on a random monotone model the branch reaches its floor, every turn
+    # of the independent curve lam(t1) over the branch's t1 range is a
+    # fold, the state counts equal the curve's level crossings at ten
+    # random lam, and every point passes the full-space re-check
+    rng = np.random.default_rng(seed)
+    c1, c2 = _random_model(rng)
+    model = radbif.polynomial_model(c1, c2)
+    branch = continue_branch(grid128, model, ContinuationConfig())
+    assert branch.termination == "lambda_floor"
+    for p in branch.points:
+        assert scaled_residual_norm(residual(grid128, model, p.lam, p.state),
+                                    p.state) <= branch.tol
+
+    mu_h = steklov_eigenpair(grid128).mu1
+    t1 = np.geomspace(branch.points[1].t1, branch.points[-1].t1, 4000)
+    turns = _turns(mu_h, c1, c2, t1)
+    assert [f.lam_bar for f in branch.folds] == pytest.approx(turns, rel=1e-9)
+
+    mu0 = branch.points[0].lam
+    curve = np.concatenate(([mu0], _lam_curve(mu_h, c1, c2, t1)))
+    low, high = branch.points[-1].lam, 1.05 * curve.max()
+    for u in rng.uniform(size=10):
+        lam = low + u * (high - low)
+        if any(abs(lam - v) <= 1e-4 * v for v in turns + [mu0, low]):
+            continue  # two roots may share a grid cell, or a root the end
+        crossings = int(np.count_nonzero(np.diff(np.sign(curve - lam))))
+        assert len(solutions_at(branch, lam)) == crossings, lam
