@@ -305,7 +305,6 @@ def _cmd_branch(st: RunSettings, args) -> int:
         "fold_lambda": branch.fold.lam_bar if branch.fold else None,
         "fold_index": branch.fold.index if branch.fold else None,
         "fold_lambdas": [f.lam_bar for f in branch.folds],
-        "n_sign_flips": len(branch.folds),
         "lambda_max": float(branch.lambdas().max()),
         "norm_max": float(branch.norms().max()),
         "rejections": branch.rejections,

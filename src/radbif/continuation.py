@@ -68,8 +68,8 @@ from .errors import (ConfigError, ContinuationError, NonConvergenceError,
                      require_int, require_positive)
 from .grid import RadialGrid, SystemState, pair_norm
 from .model import NonlinearityModel, monotone_check, zeta
-from .solver import (TOL_RESIDUAL, ULP_SHIFTS, _on_ray, _recheck,
-                     _trace_newton, _TraceSystem, is_positive_state)
+from .solver import (TOL_RESIDUAL, _on_ray, _recheck, _trace_newton,
+                     _TraceSystem, is_positive_state)
 from .steklov import SteklovPair
 
 __all__ = [

@@ -220,64 +220,57 @@ def banded_matvec_extended(grid: RadialGrid, x: np.ndarray) -> np.ndarray:
 
 
 @cache_per_object
-def _factor(grid: RadialGrid) -> tuple:
-    """(lu, piv, v): banded LU of A (LAPACK dgbtrf on the (2, 1) bands) and
-    the unit-flux column v = A^-1 e_M, computed once per grid.
+def _ray(grid: RadialGrid) -> tuple:
+    """(v, profile): the unit-flux column v = A^-1 e_M in double and the
+    unit-trace profile v/v(R) in longdouble, both read-only, computed once
+    per grid.  Every discrete solution lies on this ray.
 
-    v takes two solves with the factor: the solve itself and one
-    iterative-refinement pass with an extended-precision residual, which
-    brings the forward error down to working precision per node.  The
-    matrix is diagonally dominant on the interior rows, so the
-    factorization is stable at any resolution used here.  Raises
-    LinAlgError when A is singular; nothing is cached then, so the error
-    surfaces again at every solve that needs the factor.
+    A is factored (LAPACK dgbtrf on the (2, 1) bands) and solved for e_M;
+    each refinement pass subtracts the dgbtrs solve of the longdouble
+    residual A w - e_M.  One pass on doubles gives v, accurate to working
+    precision per node.  Three more, accumulated in longdouble from v,
+    give the profile, divided by its own last entry, which makes that
+    entry exactly 1: t times it rounds to double once, so the rebuilt
+    (t phi_h) keeps t as its trace exactly.  The factor is not kept, so
+    once a grid is set up nothing can make a banded solve.  The matrix is
+    diagonally dominant on the interior rows, so the factorization is
+    stable at any resolution used here.  Raises LinAlgError when A is
+    singular; nothing is cached then, so the error surfaces again at
+    every call that needs the ray.
     """
-    work = np.zeros((6, grid.M + 1), order="F")  # 2 l + u + 1 rows: LU fill
+    M = grid.M
+    work = np.zeros((6, M + 1), order="F")  # 2 l + u + 1 rows: LU fill
     work[2:] = operator_bands(grid)
     lu, piv, info = dgbtrf(work, 2, 1, overwrite_ab=True)
     if info != 0:
         raise LinAlgError(f"grid operator is singular (dgbtrf info {info})")
-    e = np.zeros(grid.M + 1)
-    e[grid.M] = 1.0
+
+    def correction(w):
+        r = banded_matvec_extended(grid, w)
+        r[M] -= 1
+        return dgbtrs(lu, 2, 1, r.astype(float), piv)[0]
+
+    e = np.zeros(M + 1)
+    e[M] = 1.0
     v = dgbtrs(lu, 2, 1, e, piv)[0]
-    r = banded_matvec_extended(grid, v)
-    r[grid.M] -= 1.0
-    v = v - dgbtrs(lu, 2, 1, np.asarray(r, dtype=float), piv)[0]
-    for a in (lu, piv, v):
-        a.flags.writeable = False
-    return lu, piv, v
-
-
-@cache_per_object
-def _unit_trace_extended(grid: RadialGrid) -> np.ndarray:
-    """The unit-trace profile v/v(R) in longdouble, read-only, computed
-    once per grid.
-
-    Starts from the double v of _factor and makes three more refinement
-    passes, each a longdouble residual A w - e_M and a dgbtrs correction
-    accumulated in longdouble, then divides by its own last entry, which
-    makes that entry exactly 1.  t times it rounds to double once, so the
-    rebuilt (t phi_h) keeps t as its trace exactly.  Nothing else reads
-    it: the double v, mu_h and phi1 are those of _factor."""
-    lu, piv, v = _factor(grid)
+    v = v - correction(v)
     w = v.astype(np.longdouble)
     for _ in range(3):
-        r = banded_matvec_extended(grid, w)
-        r[grid.M] -= 1
-        w -= dgbtrs(lu, 2, 1, r.astype(float), piv)[0]
-    phi = w / w[grid.M]
-    phi.flags.writeable = False
-    return phi
+        w -= correction(w)
+    profile = w / w[M]
+    for a in (v, profile):
+        a.flags.writeable = False
+    return v, profile
 
 
 def solve_flux_bvp(grid: RadialGrid, flux: float) -> np.ndarray:
     """Solve -v'' - ((N-1)/r) v' + v = 0 with v'(R) = flux.
 
     The problem is linear in the one scalar flux, so the solution is flux
-    times the unit-flux column that is factored, solved and refined once
-    per grid; no banded solve happens here.
+    times the grid's unit-flux column (_ray); no banded solve happens
+    here.
     """
-    return float(flux) * _factor(grid)[2]
+    return float(flux) * _ray(grid)[0]
 
 
 @cache_per_object

@@ -89,8 +89,10 @@ def monotone_iterate(grid: RadialGrid, model: NonlinearityModel, lam: float,
     solves the linear problem with fluxes (lam f1(u2(R)), lam f2(u1(R)))
     and must not decrease any node by more than ORDER_SLACK_REL times the
     current pair norm; when sup is given, iterates must also stay below it
-    nodewise.  Stops when the max node change is at most ITER_TOL; after
-    MAX_ITER steps it raises NonConvergenceError with the change per step.
+    nodewise.  Stops when the max node change is at most ITER_TOL; a
+    change that is not finite (the iterates overflowed: no solution lies
+    above the start) or MAX_ITER steps raise NonConvergenceError with the
+    change per step.
 
     The solution of that linear problem is (flux1, flux2) phi_h / mu_h, so
     the steps run on the traces, t_i <- lam f_i(t_other) / mu_h, and the
@@ -141,10 +143,13 @@ def monotone_iterate(grid: RadialGrid, model: NonlinearityModel, lam: float,
         cur1, cur2, shape = nxt1[-1:], nxt2[-1:], eig.phi1[-1:]
         if change <= ITER_TOL:
             return linear_bvp_solve(grid, flux1, flux2)
+        if not math.isfinite(change):
+            break
+    reason = (f"did not settle in {MAX_ITER} steps" if math.isfinite(change)
+              else f"diverged at step {len(changes)}")
     raise NonConvergenceError(
-        f"monotone iteration did not settle in {MAX_ITER} steps "
-        f"(last change {changes[-1]:.3e})", trace=changes,
-        last_state=linear_bvp_solve(grid, flux1, flux2))
+        f"monotone iteration {reason} (last change {change:.3e})",
+        trace=changes, last_state=linear_bvp_solve(grid, flux1, flux2))
 
 
 def second_solution(grid: RadialGrid, model: NonlinearityModel, lam: float,

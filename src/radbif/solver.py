@@ -17,9 +17,10 @@ row in continuation, lam = lam0 in newton_solve.  A state on the ray is
 rebuilt from its traces by rounding t_i times the grid's longdouble
 profile to double once (_on_ray), and its full-space scaled residual is
 the independent re-check (_recheck), tried at the roundings
-t_i + k ulp(t_i) of ULP_SHIFTS.  So once the grid is set up (the banded
-LU of A, v and the longdouble profile, each cached per grid) neither
-newton_solve nor continuation makes a banded solve.
+t_i + k ulp(t_i) of ULP_SHIFTS.  So once the grid is set up (its ray:
+v and the longdouble profile, made by one call that factors A, cached
+per grid, with no LU kept) neither newton_solve nor continuation makes
+a banded solve.
 
 The residual interleaves u1 and u2 into one longdouble buffer and makes
 one compiled matvec with the grid's pair operator diag(A, A); the flux
@@ -46,7 +47,7 @@ from scipy.sparse import csr_array
 
 from .errors import ConfigError, NonConvergenceError, require_positive
 from .grid import (RadialGrid, SystemState, _bands, _nodal_values,
-                   _pair_matvec, _unit_trace_extended, pair_norm,
+                   _pair_matvec, _ray, pair_norm,
                    solve_flux_bvp)
 from .model import NonlinearityModel, f_extended, fprime_extended
 from .steklov import steklov_eigenpair
@@ -199,7 +200,7 @@ class _TraceSystem:
         w = float(phi @ phi) / (2 * phi.size)
         self.model = model
         self.mu_h = eig.mu1
-        self.profile = _unit_trace_extended(grid)
+        self.profile = _ray(grid)[1]
         self.metric = np.array([w, w, 1.0])
 
     def linearize(self, t1: float, t2: float, lam: float) -> tuple:

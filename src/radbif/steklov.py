@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, require_int, require_positive
-from .grid import (RadialGrid, _factor, apply_operator, boundary_flux,
+from .grid import (RadialGrid, _ray, apply_operator, boundary_flux,
                    cache_per_object)
 
 __all__ = ["SteklovPair", "steklov_eigenpair", "steklov_shooting_oracle"]
@@ -49,7 +49,7 @@ def steklov_eigenpair(grid: RadialGrid) -> SteklovPair:
     must be at most 1e-10; they measure 1e-15 or less.
     """
     M = grid.M
-    v = _factor(grid)[2]
+    v = _ray(grid)[0]
     if not v[M] > 0.0:
         raise NumericalError("unit-flux solution has a nonpositive boundary value")
     mu = 1.0 / v[M]

@@ -23,7 +23,7 @@ import pytest
 import radbif
 from radbif import cli, continue_branch
 from radbif.cli import run
-from radbif.continuation import ULP_SHIFTS
+from radbif.solver import ULP_SHIFTS
 
 LAMBDA_MID = 0.3231227939747531
 SUBCOMMANDS = ("steklov", "report", "solve", "limit", "branch",
@@ -381,7 +381,7 @@ def test_branch_artifacts_and_determinism(tmp_path, capsys):
     assert summary["termination"] == "lambda_floor"
     assert summary["n_points"] == len(records)
     assert summary["fold_lambda"] == pytest.approx(0.333210, abs=5e-4)
-    assert summary["n_sign_flips"] == 1
+    assert len(summary["fold_lambdas"]) == 1
     assert summary["fold_lambdas"] == [summary["fold_lambda"]]
     assert summary["fold_lambda"] >= summary["lambda_max"]
     assert summary["rejections"] >= 0 and "last_rejection" in summary
@@ -421,15 +421,32 @@ def test_branch_truncated_run_fails_loudly(tmp_path, capsys, monkeypatch):
 
 
 def test_branch_state_dumps(tmp_path, capsys):
+    # every fifth point is dumped, the tail included; each reloaded state,
+    # on the grid rebuilt from its r column, has the scaled residual that
+    # branch.jsonl records for it, bit for bit
     out = tmp_path / "out"
-    assert run(["branch", "--dump-states", "100",
+    assert run(["branch", "--dump-states", "5",
                 "--override", "grid.M=128",
                 "--override", f"out.dir={out}"]) == 0
     capsys.readouterr()
+    records = [json.loads(line) for line in _lines(out / "branch.jsonl")]
     dumps = sorted(out.glob("state_*.csv"))
-    assert dumps and dumps[0].name == "state_000000.csv"
-    header = _lines(dumps[0])[0]
-    assert header.startswith("# config=") and "lambda=" in header
+    assert [p.name for p in dumps] == [
+        f"state_{k:06d}.csv" for k in range(0, len(records), 5)]
+    assert len(dumps) >= 3
+    model = radbif.reference_model()
+    for path in dumps:
+        header = _lines(path)[0]
+        assert header.startswith("# config=") and "lambda=" in header
+        k = int(path.stem.split("_")[1])
+        r, u1, u2 = radbif.load_state_csv(path)
+        grid = radbif.build_grid(3, r[-1], r.size - 1)
+        assert grid.r.tobytes() == r.tobytes()
+        state = radbif.SystemState(u1, u2)
+        res = radbif.scaled_residual_norm(
+            radbif.residual(grid, model, records[k]["lambda"], state), state)
+        assert res == records[k]["residual"], path.name
+        assert (radbif.pair_norm(state) > 0.0) == (k > 0), path.name
 
 
 def test_branch_rejects_negative_dump_interval(tmp_path, capsys):
@@ -476,7 +493,7 @@ def test_two_fold_model_reports_its_maximum(tmp_path, capsys):
     summary = json.loads((out / "branch_summary.json").read_text())
     assert summary["fold_lambda"] == fold >= summary["lambda_max"]
     low, high = summary["fold_lambdas"]
-    assert summary["n_sign_flips"] == 2
+    assert len(summary["fold_lambdas"]) == 2
     assert low == pytest.approx(0.312568, abs=1e-6) and high == fold
     assert run(["multiplicity", "--lambda", "0.35", *TWO_FOLD,
                 "--override", f"out.dir={out}"]) == 0

@@ -24,9 +24,9 @@ from radbif import (Branch, ConfigError, ContinuationConfig,
                     quadratic_model, residual, scaled_residual_norm,
                     second_solution, solutions_at, solve_flux_bvp,
                     steklov_eigenpair)
-from radbif.continuation import ULP_SHIFTS, _on_ray, _TraceSystem
-from radbif.solver import MAX_NEWTON_ITER
-from radbif.grid import _unit_trace_extended
+from radbif.continuation import _on_ray, _TraceSystem
+from radbif.solver import MAX_NEWTON_ITER, ULP_SHIFTS
+from radbif.grid import _ray
 
 LAMBDA_BAR_512 = 0.33320994441151214  # trace-system fold at M = 512
 LAMBDA_MID = 0.3231227939747531
@@ -840,9 +840,9 @@ def test_linear_model_branch_is_refused(grid512, monkeypatch):
 
 def test_rebuild_rounds_once_from_the_longdouble_profile(grid512, ref_model,
                                                           eig512, ref_branch):
-    phi_ext = _unit_trace_extended(grid512)
+    phi_ext = _ray(grid512)[1]
     assert phi_ext.dtype == np.longdouble and phi_ext[-1] == 1.0
-    assert _unit_trace_extended(grid512) is phi_ext
+    assert _ray(grid512)[1] is phi_ext
     # the profile solves the interior rows to longdouble rounding, far
     # below what the double phi1 can (about 2e-16 of the row scale)
     scale = 2.0 / grid512.h ** 2 + 1.0
@@ -876,7 +876,7 @@ def test_branch_points_are_their_traces(which, ref_branch, two_fold_branch,
     else:
         branch = {"reference-512": ref_branch,
                   "two-fold-512": two_fold_branch}[which]
-    profile = _unit_trace_extended(branch.grid)
+    profile = _ray(branch.grid)[1]
     for p in branch.points:
         assert p.profile is profile
         state, rebuilt = p.state, _on_ray(profile, p.t1, p.t2)

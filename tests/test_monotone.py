@@ -170,6 +170,20 @@ def test_iteration_parameter_validation(grid512, ref_model):
             monotone_iterate(grid512, ref_model, bad, z)
 
 
+def test_iteration_above_the_fold_stops_at_its_first_overflow(ref_model):
+    # no solution at lam = 0.36 > fold: the traces grow without bound and
+    # overflow at step 50; the error says so there, instead of running the
+    # rest of the budget on NaN
+    grid = build_grid(3, 1.0, 128)
+    sub = build_subsolution(grid, ref_model, 0.36)
+    with pytest.raises(NonConvergenceError, match="diverged at step 50") as exc:
+        monotone_iterate(grid, ref_model, 0.36, sub)
+    trace = exc.value.trace
+    assert len(trace) == 50 and not math.isfinite(trace[-1])
+    assert all(math.isfinite(c) for c in trace[:-1])
+    assert exc.value.last_state is not None
+
+
 def test_iteration_budget_exhaustion(grid512, ref_model, monkeypatch):
     monkeypatch.setattr(monotone, "MAX_ITER", 1)
     sub = build_subsolution(grid512, ref_model, LAMBDA_MID)
@@ -295,11 +309,11 @@ def test_operator_factored_once_per_grid(ref_model, branch_cfg, monkeypatch):
 
 
 def test_banded_solves_per_grid_and_per_call(ref_model, monkeypatch):
-    """dgbtrs runs twice per grid for the unit-flux column and its
-    refinement pass, three times more for the longdouble unit-trace
-    profile, and never after that, nor is A factored again: Newton works
-    on the two traces, and a flux solve is a multiple of the cached
-    column."""
+    """dgbtrs runs five times at a grid's first steklov_eigenpair: the
+    unit-flux column, its refinement pass and three longdouble passes for
+    the unit-trace profile.  It never runs after that, nor is A factored
+    again: the profile is already there, Newton works on the two traces,
+    and a flux solve is a multiple of the cached column."""
     import radbif.grid as grid_module
     calls = []
     solve = grid_module.dgbtrs
@@ -311,10 +325,10 @@ def test_banded_solves_per_grid_and_per_call(ref_model, monkeypatch):
     monkeypatch.setattr(grid_module, "dgbtrs", counting)
     grid = build_grid(3, 1.0, 128)
     eig = steklov_eigenpair(grid)
-    assert len(calls) == 2
-    grid_module._unit_trace_extended(grid)
     assert len(calls) == 5
     calls.clear()
+    profile = grid_module._ray(grid)[1]
+    assert profile.dtype == np.longdouble and profile[-1] == 1.0
     monkeypatch.setattr(grid_module, "dgbtrf",
                         lambda *args, **kwargs: pytest.fail("a second factor"))
     for amp in (0.3, 1.0, 3.0):  # to the trivial state, then the upper one
@@ -326,6 +340,30 @@ def test_banded_solves_per_grid_and_per_call(ref_model, monkeypatch):
     sub = build_subsolution(grid, ref_model, LAMBDA_MID)
     monotone_iterate(grid, ref_model, LAMBDA_MID, sub)
     assert calls == []
+
+
+def test_no_banded_solve_once_the_grid_is_set_up(ref_model, branch_cfg,
+                                                 monkeypatch):
+    # the grid's first steklov_eigenpair builds its whole ray, the
+    # longdouble profile included, and keeps no factor: tracing, the
+    # states at one lam, the second solution and Newton make no banded
+    # solve on that grid after it
+    import radbif.grid as grid_module
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a banded factor or solve after set-up")
+
+    grid = build_grid(3, 1.0, 128)
+    eig = steklov_eigenpair(grid)
+    monkeypatch.setattr(grid_module, "dgbtrf", forbidden)
+    monkeypatch.setattr(grid_module, "dgbtrs", forbidden)
+    branch = continue_branch(grid, ref_model, branch_cfg)
+    assert branch.termination == "lambda_floor"
+    assert len(solutions_at(branch, LAMBDA_MID)) == 2
+    minimal, upper = second_solution(grid, ref_model, LAMBDA_MID, branch)
+    assert pair_norm(minimal) < pair_norm(upper)
+    init = SystemState(3.0 * eig.phi1, 3.0 * eig.phi1)
+    assert newton_solve(grid, ref_model, LAMBDA_MID, init).positive
 
 
 def test_second_solution_requires_supercritical_parameter(grid512, ref_model,

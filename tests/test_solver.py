@@ -358,7 +358,8 @@ def test_pair_residual_is_bit_identical_to_two_matvecs(ref_model, M):
 
 
 def test_singular_factor_surfaces_at_the_solve(ref_model, monkeypatch):
-    # the grid's factor is newton_solve's set-up, not one of its steps
+    # the grid's ray, factor and all, is newton_solve's set-up, not one
+    # of its steps
     import radbif.grid as grid_module
     from scipy.linalg import LinAlgError
 
