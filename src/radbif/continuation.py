@@ -31,15 +31,16 @@ convergence test stays relative.
 Each corrected x is checked on the kernel ray itself, with no full-space
 Newton step (_verify, on solver._recheck): the state (t1 phi_h, t2
 phi_h) is rebuilt by rounding t_i times the grid's longdouble unit-trace
-profile to double once, so its traces are t1 and t2 exactly, and its
-full-space scaled residual is the independent re-check.  Even at a tolerance near the
-representation floor eps*2/h^2 most rebuilt points pass as they stand
-(83 % of the M = 512 branch at tol 1e-10, 92 % at M = 4096 and tol
-1e-8); for the rest the traces t_i + k ulp(t_i) are tried for k in
-ULP_SHIFTS, and the first rounding that passes is the point.  A point
-whose roundings all fail, or whose passing state is not positive, is
-rejected.  A branch point is its traces (BranchPoint): its state is
-rebuilt from them on demand.
+profile to double once, so its traces are t1 and t2 exactly, with u_0
+rounded from row 0 given the rounded u_1 (solver._on_ray), and its
+full-space scaled residual is the independent re-check.  Even at a
+tolerance near the representation floor eps*2/h^2 rebuilt points pass
+as they stand (every point of the reference branch at M = 512 and tol
+1e-10 and at M = 4096 and tol 1e-8); for any other the traces
+t_i + k ulp(t_i) are tried for k in ULP_SHIFTS, and the first rounding
+that passes is the point.  A point whose roundings all fail, or whose
+passing state is not positive, is rejected.  A branch point is its
+traces (BranchPoint): its state is rebuilt from them on demand.
 
 Every turn of lam along the branch is one solve of the same iteration,
 bracketed by a sign change of the fold row between neighbouring branch
@@ -389,7 +390,9 @@ def solutions_at(branch: Branch, lam: float) -> list:
     graph lam = Lambda(t1), t1 increases along the branch, and q_lam at a
     node has the sign of lam - lam_k up to the node's corrector error.  So only the
     node pairs whose lam values enclose lam (their level crossings) can
-    bracket a root.  q_lam is evaluated on the nodes k-1 .. k+2 around
+    bracket a root; a node within 8 ulps of lam counts as on the level,
+    so the noise of q_lam next to a fold cannot hide a crossing from
+    both of its pairs.  q_lam is evaluated on the nodes k-1 .. k+2 around
     each crossing pair (k, k+1) alone; each sign change between adjacent
     evaluated nodes brackets one root, and a root on a node is taken
     once.  The cost is a few q values per crossing, whatever the number
@@ -412,7 +415,8 @@ def solutions_at(branch: Branch, lam: float) -> list:
             lams.insert(k, fold.lam_bar)
 
     # signs, not d[:-1] * d[1:], which overflows once lam passes 1e154
-    d = np.sign(lam - np.array(lams))
+    d = lam - np.array(lams)
+    d = np.where(np.abs(d) <= 8.0 * np.spacing(lam), 0.0, np.sign(d))
     ks = sorted({j for k in np.flatnonzero(d[:-1] * d[1:] <= 0.0).tolist()
                  for j in range(max(k - 1, 0), min(k + 3, len(lams)))})
     t1s = {j: nodes[j].t1 for j in ks}

@@ -6,6 +6,12 @@ symmetry limit (the Laplacian of a radial function at the origin equals
 N u''(0), discretized with the ghost value u_{-1} = u_1); the boundary flux
 u'(R_ball) uses the one-sided second-order stencil, exact on quadratics.
 
+The grid keeps A's (2, 1) bands, which the LU of the ray and the
+Jacobian read, and evaluates A once, in difference form (_stencil): the
+residual applies it in double, the ray's refinement in longdouble, so
+the ray solves the operator that the residual checks.  apply_operator
+and boundary_flux are the independent reference formulas.
+
 Boundary integrals over the sphere reduce to area x boundary value by radial
 symmetry, so no surface quadrature appears anywhere in the toolkit.
 """
@@ -19,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgbtrf, dgbtrs
-from scipy.sparse import csr_array
 
 from .errors import require_int, require_positive
 
@@ -31,7 +36,6 @@ __all__ = [
     "boundary_flux",
     "pair_norm",
     "operator_bands",
-    "banded_matvec_extended",
     "solve_flux_bvp",
     "save_state_csv",
     "load_state_csv",
@@ -152,36 +156,25 @@ def cache_per_object(fn):
 
 @cache_per_object
 def _bands(grid: RadialGrid) -> tuple:
-    """(ab, a_pair): the (l, u) = (2, 1) bands of A, and diag(A, A) on the
-    interleaved pair as a longdouble CSR array, both read-only.  Row 2j
-    (2j+1) of a_pair is row j of A on columns 2k (2k+1), its entries listed
-    in band order (super, diag, sub, sub2), so the compiled matvec adds the
-    products of each row in the order of a loop over the bands: the same
-    bits for finite x."""
+    """(ab, w): the (l, u) = (2, 1) bands of A, and the weights
+    w_j = (N-1)/(2 h r_j) of _stencil's interior rows as an (M - 1, 1)
+    column, both read-only."""
     M, h, N = grid.M, grid.h, grid.N_dim
     ab = np.zeros((4, M + 1))  # rows super, diag, sub, sub2
     ab[1, 0] = 2.0 * N / h**2 + 1.0
     ab[0, 1] = -2.0 * N / h**2
     j = np.arange(1, M)
-    rj = grid.r[j]
+    w = (N - 1) / (2.0 * h * grid.r[j])
     ab[1, j] = 2.0 / h**2 + 1.0
-    ab[2, j - 1] = -1.0 / h**2 + (N - 1) / (2.0 * h * rj)
-    ab[0, j + 1] = -1.0 / h**2 - (N - 1) / (2.0 * h * rj)
+    ab[2, j - 1] = -1.0 / h**2 + w
+    ab[0, j + 1] = -1.0 / h**2 - w
     ab[3, M - 2] = 1.0 / (2.0 * h)
     ab[2, M - 1] = -2.0 / h
     ab[1, M] = 3.0 / (2.0 * h)
-    col = np.arange(M + 1)[:, None] + 1 - np.arange(4)  # [i, k]: band k in row i
-    vals = np.where((col >= 0) & (col <= M), ab[range(4), col.clip(0, M)], 0.0)
-    pair = (M + 1, 2, 4)  # [i, c, k]: band k of row i in row 2i + c of a_pair
-    keep = np.broadcast_to((vals != 0.0)[:, None], pair)
-    idx = np.int32  # CSR indices: half the memory of the default int64
-    data = np.broadcast_to(vals[:, None], pair)[keep].astype(np.longdouble)
-    cols = (2 * col[:, None] + np.arange(2)[:, None])[keep].astype(idx)
-    a_pair = csr_array((data, cols, np.r_[0, keep.sum(axis=2).cumsum(dtype=idx)]),
-                       shape=(2 * (M + 1),) * 2)
-    for a in (ab, a_pair.data, a_pair.indices, a_pair.indptr):
+    w = w[:, None]
+    for a in (ab, w):
         a.flags.writeable = False
-    return ab, a_pair
+    return ab, w
 
 
 def operator_bands(grid: RadialGrid) -> np.ndarray:
@@ -192,31 +185,26 @@ def operator_bands(grid: RadialGrid) -> np.ndarray:
     return _bands(grid)[0]
 
 
-def _pair_matvec(grid: RadialGrid, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """diag(A, A) @ [u1_0, u2_0, u1_1, u2_1, ...], accumulated in
-    longdouble.
+def _stencil(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
+    """A applied along axis 0 of an (M + 1, k) array u, in u's dtype, as
+    differences of neighbouring values: with d = u[1:] - u[:-1],
 
-    u1 and u2 are written straight into one longdouble buffer, the layout
-    that the compiled CSR matvec reads in place; the buffer is freed on
-    return, before the caller copies the result."""
-    z = np.empty(2 * u1.size, dtype=np.longdouble)
-    z[0::2] = u1
-    z[1::2] = u2
-    return _bands(grid)[1] @ z
+        row 0:  u_0 - (2N/h^2) d_0
+        row j:  u_j - (d_j - d_{j-1})/h^2 - w_j (d_j + d_{j-1})
+        row M:  (3 d_{M-1} - d_{M-2}) / (2h).
 
-
-def banded_matvec_extended(grid: RadialGrid, x: np.ndarray) -> np.ndarray:
-    """A @ x for a 1-d x, accumulated in extended precision.
-
-    The matrix entries stay the double-precision numbers of operator_bands;
-    only the products and sums carry extra bits, so this measures the true
-    algebraic residual of the double system instead of drowning it in
-    cancellation noise at the 1/h^2 row scale.  On platforms where
-    longdouble aliases double this degrades gracefully to a plain matvec.
-    x takes the first slot of an interleaved pair whose second is zero;
-    the rows of that slot never read the other, so the bits are those of
-    A alone."""
-    return _pair_matvec(grid, x, np.zeros_like(x))[0::2]
+    On a smooth u neighbouring values and neighbouring differences lie
+    within a factor 2 of each other, so both subtractions are exact
+    (Sterbenz) and each row rounds about once at the scale of u; the
+    band sums of A cancel at the 1/h^2 row scale instead.  A non-finite
+    u_j reaches rows j - 1 to j + 1 only, and row M from j = M - 2."""
+    M, h, w = grid.M, grid.h, _bands(grid)[1]
+    d = u[1:] - u[:-1]
+    out = np.empty_like(u)
+    out[0] = u[0] - (2.0 * grid.N_dim / h**2) * d[0]
+    out[1:M] = u[1:M] - (d[1:] - d[:-1]) / h**2 - w * (d[1:] + d[:-1])
+    out[M] = (3.0 * d[M - 1] - d[M - 2]) / (2.0 * h)
+    return out
 
 
 @cache_per_object
@@ -226,10 +214,11 @@ def _ray(grid: RadialGrid) -> tuple:
     per grid.  Every discrete solution lies on this ray.
 
     A is factored (LAPACK dgbtrf on the (2, 1) bands) and solved for e_M;
-    each refinement pass subtracts the dgbtrs solve of the longdouble
-    residual A w - e_M.  One pass on doubles gives v, accurate to working
-    precision per node.  Three more, accumulated in longdouble from v,
-    give the profile, divided by its own last entry, which makes that
+    each refinement pass subtracts the dgbtrs solve of the residual
+    A w - e_M, evaluated by _stencil in longdouble.  One pass from the
+    double solve gives v, accurate to working precision per node.  Three
+    more, accumulated in longdouble from v, give the profile, divided by
+    its own last entry, which makes that
     entry exactly 1: t times it rounds to double once, so the rebuilt
     (t phi_h) keeps t as its trace exactly.  The factor is not kept, so
     once a grid is set up nothing can make a banded solve.  The matrix is
@@ -246,18 +235,18 @@ def _ray(grid: RadialGrid) -> tuple:
         raise LinAlgError(f"grid operator is singular (dgbtrf info {info})")
 
     def correction(w):
-        r = banded_matvec_extended(grid, w)
+        r = _stencil(grid, w.astype(np.longdouble))
         r[M] -= 1
         return dgbtrs(lu, 2, 1, r.astype(float), piv)[0]
 
-    e = np.zeros(M + 1)
+    e = np.zeros((M + 1, 1))
     e[M] = 1.0
     v = dgbtrs(lu, 2, 1, e, piv)[0]
     v = v - correction(v)
     w = v.astype(np.longdouble)
     for _ in range(3):
         w -= correction(w)
-    profile = w / w[M]
+    v, profile = v[:, 0], (w / w[M])[:, 0]
     for a in (v, profile):
         a.flags.writeable = False
     return v, profile

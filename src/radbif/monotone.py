@@ -92,7 +92,8 @@ def monotone_iterate(grid: RadialGrid, model: NonlinearityModel, lam: float,
     nodewise.  Stops when the max node change is at most ITER_TOL; a
     change that is not finite (the iterates overflowed: no solution lies
     above the start) or MAX_ITER steps raise NonConvergenceError with the
-    change per step.
+    change per step and the last finite iterate (the start, when the first
+    step overflows).
 
     The solution of that linear problem is (flux1, flux2) phi_h / mu_h, so
     the steps run on the traces, t_i <- lam f_i(t_other) / mu_h, and the
@@ -119,7 +120,7 @@ def monotone_iterate(grid: RadialGrid, model: NonlinearityModel, lam: float,
     # phi_h(R) = 1 make nodewise order, change and norm those of the
     # boundary node, so the loop goes on with that node alone.
     cur1, cur2, shape = sub.u1, sub.u2, eig.phi1
-    changes = []
+    changes, fluxes = [], None
     for _ in range(MAX_ITER):
         flux1 = lam * f_extended(model, 1, float(cur2[-1]))
         flux2 = lam * f_extended(model, 2, float(cur1[-1]))
@@ -141,15 +142,17 @@ def monotone_iterate(grid: RadialGrid, model: NonlinearityModel, lam: float,
                      float(np.abs(nxt2 - cur2).max()))
         changes.append(change)
         cur1, cur2, shape = nxt1[-1:], nxt2[-1:], eig.phi1[-1:]
-        if change <= ITER_TOL:
-            return linear_bvp_solve(grid, flux1, flux2)
         if not math.isfinite(change):
             break
+        fluxes = flux1, flux2
+        if change <= ITER_TOL:
+            return linear_bvp_solve(grid, *fluxes)
     reason = (f"did not settle in {MAX_ITER} steps" if math.isfinite(change)
               else f"diverged at step {len(changes)}")
     raise NonConvergenceError(
         f"monotone iteration {reason} (last change {change:.3e})",
-        trace=changes, last_state=linear_bvp_solve(grid, flux1, flux2))
+        trace=changes,
+        last_state=sub if fluxes is None else linear_bvp_solve(grid, *fluxes))
 
 
 def second_solution(grid: RadialGrid, model: NonlinearityModel, lam: float,

@@ -15,20 +15,20 @@ forms continuation needs.  _trace_newton is Newton on these two rows
 plus one extra row in x = (t1, t2, lam): the arclength row or the fold
 row in continuation, lam = lam0 in newton_solve.  A state on the ray is
 rebuilt from its traces by rounding t_i times the grid's longdouble
-profile to double once (_on_ray), and its full-space scaled residual is
+profile to double once, u_0 from row 0 given the rounded u_1 (_on_ray),
+and its full-space scaled residual is
 the independent re-check (_recheck), tried at the roundings
 t_i + k ulp(t_i) of ULP_SHIFTS.  So once the grid is set up (its ray:
 v and the longdouble profile, made by one call that factors A, cached
 per grid, with no LU kept) neither newton_solve nor continuation makes
 a banded solve.
 
-The residual interleaves u1 and u2 into one longdouble buffer and makes
-one compiled matvec with the grid's pair operator diag(A, A); the flux
-terms are subtracted in longdouble and the result is rounded to double
-once.  It equals two single-component matvecs with A bit for bit.  The
-Jacobian is that same pair operator as a double CSR array plus two
-coupling entries in the flux rows; the jacobian-fd check of the
-acceptance suite tests it.  residual, jacobian and newton_solve refuse
+The residual applies the grid's difference stencil in double to the
+interleaved state viewed as its (M + 1, 2) array of nodes and subtracts
+the two flux terms; each row rounds about once at the scale of the
+state.  The Jacobian is diag(A, A) read off A's bands as a double CSR
+array plus two coupling entries in the flux rows; the jacobian-fd check
+of the acceptance suite tests it.  residual, jacobian and newton_solve refuse
 a state without the grid's M + 1 nodes (ValueError).  The linear
 problem with fluxes (g1, g2) is (g1 v, g2 v), with no solve at all.
 
@@ -43,12 +43,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import csr_array, dia_array
 
 from .errors import ConfigError, NonConvergenceError, require_positive
-from .grid import (RadialGrid, SystemState, _bands, _nodal_values,
-                   _pair_matvec, _ray, pair_norm,
-                   solve_flux_bvp)
+from .grid import (RadialGrid, SystemState, _bands, _nodal_values, _ray,
+                   _stencil, pair_norm, solve_flux_bvp)
 from .model import NonlinearityModel, f_extended, fprime_extended
 from .steklov import steklov_eigenpair
 
@@ -125,19 +124,17 @@ def _pair_residual(grid: RadialGrid, state: SystemState, g1, g2) -> np.ndarray:
     """Residual with boundary rows flux(u1) - g1(u2(R)), flux(u2) -
     g2(u1(R)): g_i = lam f_i at fixed parameter, pure powers in the limit.
 
-    One compiled matvec with the grid's pair operator gives both
-    components' operator rows; the two scalar flux terms are subtracted in
-    longdouble and the result is rounded to double once.  Extended-precision
-    accumulation against the exact double-precision stencil coefficients
-    keeps the evaluation floor near 1e-13 in the scaled norm even at
-    blow-up-tail amplitudes, where plain double accumulation drowns below
-    roughly 2e-10 at the 1/h^2 row scale."""
+    The interleaved state, viewed as the (M + 1, 2) array of its nodes,
+    goes through the grid's difference stencil in double, and the two
+    scalar flux terms are subtracted from its last row.  Each row rounds
+    about once at the scale of the state, so the evaluation floor stays
+    near 1e-16 in the scaled norm even at blow-up-tail amplitudes, where
+    band sums drown below roughly 2e-10 at the 1/h^2 row scale."""
     M = grid.M
-    u1, u2 = state.u1, state.u2
-    y = _pair_matvec(grid, u1, u2)
-    y[2 * M] -= g1(float(u2[M]))
-    y[2 * M + 1] -= g2(float(u1[M]))
-    return y.astype(float)
+    y = _stencil(grid, state.to_vector().reshape(M + 1, 2)).ravel()
+    y[2 * M] -= g1(float(state.u2[M]))
+    y[2 * M + 1] -= g2(float(state.u1[M]))
+    return y
 
 
 def _require_arguments(grid: RadialGrid, lam: float,
@@ -166,8 +163,9 @@ def residual(grid: RadialGrid, model: NonlinearityModel, lam: float,
 
 def jacobian(grid: RadialGrid, model: NonlinearityModel, lam: float,
              state: SystemState) -> csr_array:
-    """Exact Jacobian of residual as a double CSR array: the residual's
-    own pair operator diag(A, A), plus the coupling entries
+    """Jacobian of residual as a double CSR array: the pair operator
+    diag(A, A) on the interleaved state, whose bands are A's with each
+    value repeated at doubled offsets, plus the coupling entries
     c1 = -lam f1'(u2(R)) at (2M, 2M+1) and c2 = -lam f2'(u1(R)) at
     (2M+1, 2M).  The sum stores no zero, so a zero coupling is absent."""
     _require_arguments(grid, lam, state)
@@ -176,7 +174,8 @@ def jacobian(grid: RadialGrid, model: NonlinearityModel, lam: float,
     c2 = -lam * fprime_extended(model, 2, float(state.u1[-1]))
     coupling = csr_array(([c1, c2], ([n - 2, n - 1], [n - 1, n - 2])),
                          shape=(n, n))
-    return _bands(grid)[1].astype(float) + coupling
+    return dia_array((np.repeat(_bands(grid)[0], 2, axis=1), [2, 0, -2, -4]),
+                     shape=(n, n)) + coupling
 
 
 def _fpp(model: NonlinearityModel, i: int, s: float) -> float:
@@ -277,10 +276,19 @@ class _TraceSystem:
 
 
 def _on_ray(profile: np.ndarray, t1: float, t2: float) -> SystemState:
-    """(t1 phi_h, t2 phi_h) rounded to double once, from the longdouble
-    profile: its traces are t1 and t2 exactly."""
-    return SystemState((np.longdouble(t1) * profile).astype(float),
-                       (np.longdouble(t2) * profile).astype(float))
+    """(t1 phi_h, t2 phi_h) from the longdouble profile, each value rounded
+    to double once: its traces are t1 and t2 exactly.
+
+    u_0 is rounded from (phi_0/phi_1) u_1, the root of row 0 given the
+    rounded u_1, not from t phi_0.  Row 0's coefficient 2N/h^2 is N times
+    the interior rows', so independent roundings of u_0 and u_1 leave up
+    to about eps 2N/h^2 of the state in it (above tol 1e-8 at M = 4096);
+    solved for u_0, it keeps half an ulp of u_0 times 2N/h^2 + 1."""
+    u1 = (np.longdouble(t1) * profile).astype(float)
+    u2 = (np.longdouble(t2) * profile).astype(float)
+    r = profile[0] / profile[1]
+    u1[0], u2[0] = r * u1[1], r * u2[1]
+    return SystemState(u1, u2)
 
 
 def _recheck(grid: RadialGrid, ts: _TraceSystem, x, tol: float) -> tuple:

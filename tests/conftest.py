@@ -120,22 +120,21 @@ def mu_h512(grid512):
     return 1.0 / float(v[-1])
 
 
-def band_loop(ab, x):
-    """A @ x as one pass per band of the (2, 1) bands ab, accumulated in
-    longdouble along the last axis of x: banded_matvec_extended, and each
-    component of the residual's pair matvec, match it bit for bit on
-    finite x."""
-    n = x.shape[-1]
-    ab_e = ab.astype(np.longdouble)
-    x_e = x.astype(np.longdouble)
-    y = np.zeros(x.shape, dtype=np.longdouble)
-    for k in range(ab.shape[0]):
-        d = 1 - k
-        if d >= 0:
-            y[..., :n - d] += ab_e[k, d:] * x_e[..., d:]
-        else:
-            y[..., -d:] += ab_e[k, :d] * x_e[..., :d]
-    return y
+def exact_stencil(grid, u):
+    """grid._stencil's formula on the 1-d double array u, evaluated
+    exactly in fractions.Fraction, with the grid's own weights w_j: the
+    reference that the double evaluation must round about once per row
+    against."""
+    from fractions import Fraction
+    from radbif.grid import _bands
+    M, h = grid.M, Fraction(grid.h)
+    u = [Fraction(x) for x in u.tolist()]
+    w = [Fraction(x) for x in _bands(grid)[1][:, 0].tolist()]
+    d = [b - a for a, b in zip(u, u[1:])]
+    return ([u[0] - 2 * grid.N_dim / h ** 2 * d[0]]
+            + [u[j] - (d[j] - d[j - 1]) / h ** 2 - w[j - 1] * (d[j] + d[j - 1])
+               for j in range(1, M)]
+            + [(3 * d[M - 1] - d[M - 2]) / (2 * h)])
 
 
 def bisect_root(q, lo, hi):

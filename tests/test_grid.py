@@ -1,19 +1,18 @@
 """Radial mesh, operator stencils, flux stencil, banded linear solves."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import band_loop
-from radbif import (ConfigError, SystemState, apply_operator,
-                    banded_matvec_extended, boundary_flux, build_grid,
-                    load_state_csv, operator_bands, pair_norm, save_state_csv,
+from conftest import exact_stencil
+from radbif import (ConfigError, SystemState, apply_operator, boundary_flux,
+                    build_grid, jacobian, load_state_csv, operator_bands,
+                    pair_norm, reference_model, save_state_csv,
                     solve_flux_bvp)
-from radbif.grid import _bands
+from radbif.grid import _bands, _stencil
 
 MU1_N3_R1 = 2.0 / (math.e ** 2 - 1.0)
 
@@ -162,117 +161,87 @@ def test_solve_flux_bvp_is_a_multiple_of_the_unit_flux_column():
         np.testing.assert_array_equal(solve_flux_bvp(g, f), f * v)
 
 
-def test_banded_matvec_extended_matches_dense():
-    # h = 1 keeps the entries O(1), compare against the dense product
-    g = build_grid(3, 16.0, 16)
+def _dense(g):
+    """A as a dense array, read off its (2, 1) bands."""
     ab = operator_bands(g)
-    rng = np.random.default_rng(3)
-    n, n_upper, n_lower = g.M + 1, 1, 2
-    x = rng.standard_normal(n)
+    n = g.M + 1
     dense = np.zeros((n, n))
     for j in range(n):
-        for i in range(max(0, j - n_upper), min(n, j + n_lower + 1)):
-            dense[i, j] = ab[n_upper + i - j, j]
-    got = np.asarray(banded_matvec_extended(g, x), dtype=float)
-    np.testing.assert_allclose(got, dense @ x, rtol=0, atol=1e-13)
-    # an x already in extended precision gives the same bits
-    same = banded_matvec_extended(g, x.astype(np.longdouble))
-    np.testing.assert_array_equal(same, banded_matvec_extended(g, x))
+        for i in range(max(0, j - 1), min(n, j + 3)):
+            dense[i, j] = ab[1 + i - j, j]
+    return dense
 
 
-def test_banded_matvec_extended_beats_double_cancellation():
-    # residual of the solved system must sit well below the double floor
+def test_stencil_matches_dense():
+    # h = 1 keeps the entries O(1), compare against the dense product
+    g = build_grid(3, 16.0, 16)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((g.M + 1, 2))
+    got = _stencil(g, x)
+    assert got.shape == x.shape and got.dtype == x.dtype
+    np.testing.assert_allclose(got, _dense(g) @ x, rtol=0, atol=1e-13)
+    # each column on its own gives the same bits, and a longdouble
+    # column is evaluated in longdouble
+    for k in range(2):
+        np.testing.assert_array_equal(_stencil(g, x[:, k:k + 1])[:, 0], got[:, k])
+    wide = _stencil(g, x[:, :1].astype(np.longdouble))
+    assert wide.dtype == np.longdouble
+    np.testing.assert_allclose(wide.astype(float), got[:, :1], rtol=0, atol=1e-13)
+
+
+def test_stencil_beats_double_cancellation():
+    # the unit-flux column solves its rows to well below the double floor
+    # at the 1/h^2 row scale, and the stencil sees that: it lies within
+    # eps max|v| of the exact value of its formula on every row, where the
+    # double band sums of A miss it by far more
     g = build_grid(3, 1.0, 512)
     v = solve_flux_bvp(g, 1.0)
-    r = np.asarray(banded_matvec_extended(g, v), dtype=float)
+    r = _stencil(g, v[:, None])[:, 0]
     r[-1] -= 1.0
     scale = 2.0 / g.h ** 2 + 1.0
     assert np.abs(r).max() / scale < 1e-14
+    exact = np.array([float(y) for y in exact_stencil(g, v)])
+    err = np.abs(_stencil(g, v[:, None])[:, 0] - exact).max()
+    band_err = np.abs(_dense(g) @ v - exact).max()
+    eps_v = np.finfo(float).eps * np.abs(v).max()
+    assert err <= eps_v < 1e-3 * band_err
 
 
-def _bits(y):
-    return np.asarray(y, dtype=float).view(np.int64)
-
-
-def _zero_times_nonfinite(ab, x):
-    """Rows where band_loop multiplies a zero band entry by an inf or nan
-    of x and so adds a NaN that the CSR operator, which holds no zero
-    entries, does not."""
-    return band_loop(ab == 0.0, ~np.isfinite(x)) > 0
-
-
-@pytest.mark.parametrize("M", [16, 17, 128, 512, 4096])
-def test_banded_matvec_extended_is_bit_identical_to_the_band_loop(M):
-    g = build_grid(3, 1.0, M)
-    ab = operator_bands(g)
-    n = M + 1
-    rng = np.random.default_rng(M)
-    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1.1e-308,
-                        1e300, -1e300, 1e-300, -1e-300, 1.0, -3.5])
-    inputs = [solve_flux_bvp(g, 1.0)]  # the refined unit-flux column v
-    for _ in range(20):
-        wide = rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n)
-        inputs.append(np.where(rng.random(n) < 0.5, rng.choice(special, n), wide))
-    with_nan = inputs[-1].copy()
-    with_nan[rng.choice(n, 3, replace=False)] = np.nan
-    inputs.append(with_nan)
-    # strided component views of an interleaved vector, as the residual
-    # receives them from the jacobian-fd check
-    pair = rng.uniform(0.05, 2.0, 2 * n)
-    inputs += [pair[0::2], pair[1::2]]
-    for x in inputs:
-        keep = ~_zero_times_nonfinite(ab, x)
-        assert keep.all() == bool(np.isfinite(x).all())
-        got = banded_matvec_extended(g, x)
-        assert got.shape == x.shape
-        np.testing.assert_array_equal(_bits(got)[keep], _bits(band_loop(ab, x))[keep])
-
-
-def test_banded_matvec_extended_drops_zero_times_nonfinite():
-    # The one intended difference from the band loop: there a zero band
-    # entry times an inf or nan x_j (the sub2 band two rows below j) added
-    # NaN to its row, with a RuntimeWarning for inf.  The CSR operator
-    # holds no zero entries, so such a row is the sum of its nonzero
-    # products, which is the band loop with x_j set to 0.
+def test_stencil_keeps_a_nonfinite_value_within_reach():
+    # an inf or nan u_j makes exactly the rows j - 1 .. j + 1 non-finite,
+    # and row M from u_{M-2}; every other row keeps its bits.  (A[1, 0] is
+    # 0 at N = 3, but row 1 reads u_0 through d_0.)
     g = build_grid(3, 1.0, 16)
-    ab = operator_bands(g)
-    x = np.random.default_rng(5).standard_normal(g.M + 1)
-    with pytest.warns(RuntimeWarning, match="invalid value"):
-        band_loop(ab, np.where(np.arange(g.M + 1) == 0, np.inf, x))
+    i = np.arange(g.M + 1)
+    reach = abs(i[:, None] - i) <= 1  # [i, j]: row i reads u_j
+    reach[g.M, g.M - 2] = True
+    x = np.random.default_rng(5).standard_normal((g.M + 1, 1))
+    clean = _stencil(g, x)
     for bad in (np.inf, -np.inf, np.nan):
         for j in range(g.M + 1):
             xj = x.copy()
             xj[j] = bad
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                got = banded_matvec_extended(g, xj)
-            with np.errstate(invalid="ignore"):
-                ref = band_loop(ab, xj)
-            zeroed = band_loop(ab, np.where(np.isfinite(xj), xj, 0.0))
-            hit = _zero_times_nonfinite(ab, xj)
-            assert hit.any() == (j < g.M - 2)  # A[M, M-2] is the one sub2 entry
-            assert np.isnan(ref[hit]).all() and np.isfinite(got[hit]).all()
-            np.testing.assert_array_equal(_bits(got)[~hit], _bits(ref)[~hit])
-            np.testing.assert_array_equal(_bits(got)[hit], _bits(zeroed)[hit])
+            with np.errstate(invalid="ignore"):  # inf - inf in a reached row
+                got = _stencil(g, xj)[:, 0]
+            hit = reach[:, j]
+            assert not np.isfinite(got[hit]).any()
+            np.testing.assert_array_equal(got[~hit], clean[~hit, 0])
 
 
 @pytest.mark.parametrize("M", [16, 17, 128])
 def test_pair_operator_is_diag_a_a_interleaved(M):
-    # rows 2j and 2j+1 are row j of A on the even and odd columns, each
-    # listing its entries in band order (descending column); it is the
-    # grid's only operator copy
+    # the Jacobian's pair operator: rows 2j and 2j+1 are row j of A on the
+    # even and odd columns, read straight from A's bands; at lam = 0 the
+    # coupling entries are zero and not stored
     g = build_grid(3, 1.0, M)
-    ab = operator_bands(g)
-    a = band_loop(ab, np.eye(M + 1)).T  # column k of A is A e_k
-    pair = _bands(g)[1]
-    assert len(_bands(g)) == 2 and pair.dtype == np.longdouble
-    want = np.zeros((2 * (M + 1), 2 * (M + 1)), dtype=np.longdouble)
+    a = _dense(g)
+    want = np.zeros((2 * (M + 1), 2 * (M + 1)))
     want[0::2, 0::2] = a
     want[1::2, 1::2] = a
+    state = SystemState(np.ones(M + 1), np.ones(M + 1))
+    pair = jacobian(g, reference_model(), 0.0, state)
     np.testing.assert_array_equal(pair.toarray(), want)
-    for i in range(2 * (M + 1)):
-        cols = pair.indices[pair.indptr[i]:pair.indptr[i + 1]]
-        assert (np.diff(cols) < 0).all() and (cols % 2 == i % 2).all()
+    assert pair.nnz == np.count_nonzero(want)
 
 
 def test_operator_bands_cached_and_frozen():
@@ -281,13 +250,11 @@ def test_operator_bands_cached_and_frozen():
     ab2 = operator_bands(g)
     assert ab1 is ab2
     assert not ab1.flags.writeable
-    # the pair CSR too: sorting its indices in place would change the
-    # order in which the residual adds its products
-    a_e = _bands(g)[1]
-    assert a_e is _bands(g)[1]
-    assert not any(a.flags.writeable for a in (a_e.data, a_e.indices, a_e.indptr))
-    with pytest.raises(ValueError):
-        a_e.sort_indices()
+    # the stencil's weights w_j = (N-1)/(2 h r_j) too
+    w = _bands(g)[1]
+    assert w is _bands(g)[1] and w.shape == (g.M - 1, 1)
+    assert not w.flags.writeable
+    np.testing.assert_array_equal(w[:, 0], 2.0 / (2.0 * g.h * g.r[1:-1]))
 
 
 def test_system_state_vector_roundtrip():

@@ -181,7 +181,12 @@ def test_iteration_above_the_fold_stops_at_its_first_overflow(ref_model):
     trace = exc.value.trace
     assert len(trace) == 50 and not math.isfinite(trace[-1])
     assert all(math.isfinite(c) for c in trace[:-1])
-    assert exc.value.last_state is not None
+    # the error carries the last finite iterate, step 49's, not the
+    # overflowed one
+    last = exc.value.last_state
+    assert np.isfinite(last.u1).all() and np.isfinite(last.u2).all()
+    assert last.u1.min() > 0.0 and last.u2.min() > 0.0
+    assert last.u1[-1] > sub.u1[-1]
 
 
 def test_iteration_budget_exhaustion(grid512, ref_model, monkeypatch):

@@ -8,19 +8,21 @@ That system is solved independently in conftest and used as an oracle here.
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import band_loop, trace_system_solve
+from conftest import bisect_root, exact_stencil, trace_system_solve
 from radbif import (ConfigError, NonConvergenceError, SystemState,
                     apply_operator, boundary_flux, build_grid, eval_f,
                     f_extended, fprime_extended, is_positive_state, jacobian,
                     linear_bvp_solve, linear_model, newton_solve,
-                    operator_bands, pair_norm, residual,
+                    pair_norm, residual,
                     scaled_residual_norm, solve_flux_bvp, solve_limit_problem,
                     steklov_eigenpair)
 import radbif.solver as solver_module
+from radbif.grid import _stencil
 from radbif.solver import POSITIVITY_ZERO_FLOOR, _pair_residual
 
 LAMBDA_MID = 0.3231227939747531  # halfway between bifurcation point and fold
@@ -301,15 +303,16 @@ def test_jacobian_matches_finite_differences(ref_model):
 
 
 def _two_matvec_residual(grid, state, g1, g2):
-    """The residual as it was before the pair operator: one extended
-    matvec per component (the band loop, bit-identical to the
-    single-component longdouble CSR it replaced), the two scalar flux
-    terms, then one interleave.  Kept as the bit-for-bit reference of
-    _pair_residual."""
+    """The residual as two single-component calls of the grid's stencil
+    (each component as a column), the two scalar flux terms, then one
+    interleave.  It shares _pair_residual's operator, so comparing the
+    two checks only the pair layout: the (M + 1, 2) view of the
+    interleaved state, the flux rows and the interleave.  The operator's
+    values are checked against the exact formula elsewhere
+    (test_residual_rounds_once_against_the_exact_difference_formula)."""
     M = grid.M
-    ab = operator_bands(grid)
-    r1 = band_loop(ab, state.u1)
-    r2 = band_loop(ab, state.u2)
+    r1 = _stencil(grid, state.u1[:, None])[:, 0]
+    r2 = _stencil(grid, state.u2[:, None])[:, 0]
     r1[M] -= g1(float(state.u2[M]))
     r2[M] -= g2(float(state.u1[M]))
     out = np.empty(2 * (M + 1))
@@ -318,12 +321,44 @@ def _two_matvec_residual(grid, state, g1, g2):
     return out
 
 
+@pytest.mark.parametrize("M", [128, 1024])
+def test_residual_rounds_once_against_the_exact_difference_formula(ref_model, M):
+    # on discrete solutions (t1 phi_h, t2 phi_h) from t1 = 0.01 to 2000,
+    # every row of the residual lies within eps max(1, sup|u|) of the same
+    # formula evaluated exactly in fractions, with the double flux terms
+    # subtracted exactly; band sums of A miss this by their rounding,
+    # about 1.6e-12 at M = 128
+    grid = build_grid(3, 1.0, M)
+    eig = steklov_eigenpair(grid)
+    eps = np.finfo(float).eps
+    for t1 in ((0.01, 0.7, 13.0, 2000.0) if M == 128 else (0.7, 2000.0)):
+        # t1 f2(t1) = t2 f1(t2) fixes t2, and the flux rows fix lam
+        target = t1 * eval_f(ref_model, 2, t1)
+        t2 = bisect_root(lambda s: s * eval_f(ref_model, 1, s) - target,
+                         0.0, 2.0 * max(1.0, t1))
+        lam = eig.mu1 * t2 / eval_f(ref_model, 2, t1)
+        state = SystemState(t1 * eig.phi1, t2 * eig.phi1)
+        got = residual(grid, ref_model, lam, state)
+        scale = max(1.0, float(state.u1.max()), float(state.u2.max()))
+        for k, (u, other) in enumerate(((state.u1, state.u2),
+                                        (state.u2, state.u1))):
+            exact = exact_stencil(grid, u)
+            exact[-1] -= Fraction(lam * f_extended(ref_model, k + 1,
+                                                   float(other[-1])))
+            err = max(abs(Fraction(float(y)) - e)
+                      for y, e in zip(got[k::2], exact))
+            assert err <= eps * scale, (t1, k, float(err))
+
+
 def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
 @pytest.mark.parametrize("M", [16, 128, 4096])
 def test_pair_residual_is_bit_identical_to_two_matvecs(ref_model, M):
+    # the pair layout only (see _two_matvec_residual), on inputs the
+    # exactness test does not take: signed zeros, magnitudes from 1e-8 to
+    # 1e8 and the strided views of an interleaved vector
     grid = build_grid(3, 1.0, M)
     n = M + 1
     rng = np.random.default_rng(M)
