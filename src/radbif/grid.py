@@ -6,11 +6,14 @@ symmetry limit (the Laplacian of a radial function at the origin equals
 N u''(0), discretized with the ghost value u_{-1} = u_1); the boundary flux
 u'(R_ball) uses the one-sided second-order stencil, exact on quadratics.
 
-The grid keeps A's (2, 1) bands, which the LU of the ray and the
-Jacobian read, and evaluates A once, in difference form (_stencil): the
-residual applies it in double, the ray's refinement in longdouble, so
-the ray solves the operator that the residual checks.  apply_operator
-and boundary_flux are the independent reference formulas.
+The grid keeps A's (2, 1) bands, which the Jacobian reads, and
+evaluates A once, in difference form (_stencil): the residual applies it
+in double, the ray's refinement in longdouble, so the ray solves the
+operator that the residual checks.  The ray's solves need no matrix:
+the rows below the flux row are a forward recurrence from the origin
+(_regular_solution), and a solve is reduction of order on its solution
+(_kernel_solver), in numpy alone.  apply_operator and boundary_flux are
+the independent reference formulas.
 
 Boundary integrals over the sphere reduce to area x boundary value by radial
 symmetry, so no surface quadrature appears anywhere in the toolkit.
@@ -23,8 +26,6 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import require_int, require_positive
 
@@ -207,46 +208,102 @@ def _stencil(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _regular_solution(grid: RadialGrid) -> np.ndarray:
+    """phi, the solution of rows 0..M-1 of A u = 0 with phi_0 = 1, by a
+    forward recurrence on Python floats.  With d_j = phi_{j+1} - phi_j
+    and q_j = (N-1)/(2j), row 0 gives d_0 = h^2/(2N) and row j
+
+        d_j = (d_{j-1} (1 - q_j) + h^2 phi_j) / (1 + q_j),
+
+    here as alpha_j d_{j-1} + (h^2/(1 + q_j)) phi_j.
+
+    phi is the regular solution, the one that grows with r, so the
+    recurrence is stable."""
+    M, N, h2 = grid.M, grid.N_dim, grid.h ** 2
+    q = (N - 1) / (2.0 * np.arange(1, M))
+    x, xj, d = [1.0], 1.0, h2 / (2 * N)
+    for a, b in zip(((1 - q) / (1 + q)).tolist(), (h2 / (1 + q)).tolist()):
+        xj += d
+        x.append(xj)
+        d = a * d + b * xj
+    x.append(xj + d)
+    return np.array(x)
+
+
+def _kernel_solver(grid: RadialGrid):
+    """s -> A^-1 s for a double column s of M + 1 entries, in double, by
+    reduction of order on the regular solution phi (_regular_solution).
+
+    With x = phi y and e_j = y_{j+1} - y_j, rows 0..M-1 of A x = s are
+    the first-order scan e_j = alpha_j (phi_{j-1}/phi_{j+1}) e_{j-1} +
+    sigma_j, alpha_j = (1 - q_j)/(1 + q_j).  It is solved for
+    f_j = phi_j phi_{j+1} e_j, which takes the phi ratios out of the
+    products:
+
+        f_0 = -h^2 phi_0 s_0 / (2N),
+        f_j = alpha_j f_{j-1} - h^2 phi_j s_j / (1 + q_j),
+
+    with cumprod and cumsum.  The products of alpha fall like
+    j^-(N-1), so they stay in double range at any radius.  alpha_j is
+    exactly 0 at j = (N-1)/2 for odd N, and the scan restarts there.
+    y_0 = 0; the multiple of phi added to x then meets the flux row.
+
+    A is singular exactly when flux(phi) is 0: that, or a flux that is
+    not finite (phi overflows for a ball radius above about 700), raises
+    LinAlgError."""
+    M, N, h = grid.M, grid.N_dim, grid.h
+    phi = _regular_solution(grid)
+    with np.errstate(invalid="ignore"):  # inf - inf for an overflowed phi
+        flux = boundary_flux(grid, phi)
+    if flux == 0.0 or not np.isfinite(flux):
+        raise np.linalg.LinAlgError(f"grid operator is singular "
+                                    f"(flux of the regular solution {flux})")
+    q = (N - 1) / (2.0 * np.arange(1, M))
+    alpha = np.concatenate(([0.0], (1 - q) / (1 + q)))  # 0 starts a scan
+    g = -h * h * phi[:M] / np.concatenate(([2.0 * N], 1 + q))
+    starts = [*np.flatnonzero(alpha == 0.0), M]
+    scans = []
+    for a, b in zip(starts, starts[1:]):
+        p = np.cumprod(np.concatenate(([1.0], alpha[a + 1:b])))
+        scans.append((slice(a, b), p, g[a:b] / p))
+
+    def solve(s):
+        f = np.empty(M)
+        for part, p, k in scans:
+            f[part] = p * np.cumsum(k * s[part])
+        x = phi * np.concatenate(([0.0], np.cumsum(f / phi[:M] / phi[1:])))
+        return x + (s[M] - boundary_flux(grid, x)) / flux * phi
+
+    return solve
+
+
 @cache_per_object
 def _ray(grid: RadialGrid) -> tuple:
     """(v, profile): the unit-flux column v = A^-1 e_M in double and the
     unit-trace profile v/v(R) in longdouble, both read-only, computed once
     per grid.  Every discrete solution lies on this ray.
 
-    A is factored (LAPACK dgbtrf on the (2, 1) bands) and solved for e_M;
-    each refinement pass subtracts the dgbtrs solve of the residual
-    A w - e_M, evaluated by _stencil in longdouble.  One pass from the
-    double solve gives v, accurate to working precision per node.  Three
-    more, accumulated in longdouble from v, give the profile, divided by
-    its own last entry, which makes that
-    entry exactly 1: t times it rounds to double once, so the rebuilt
-    (t phi_h) keeps t as its trace exactly.  The factor is not kept, so
-    once a grid is set up nothing can make a banded solve.  The matrix is
-    diagonally dominant on the interior rows, so the factorization is
-    stable at any resolution used here.  Raises LinAlgError when A is
-    singular; nothing is cached then, so the error surfaces again at
-    every call that needs the ray.
+    w starts as the double solve (_kernel_solver) of A w = e_M, which is
+    phi / flux(phi).  Two refinement passes, each subtracting the solve of
+    the residual A w - e_M evaluated by _stencil in longdouble and
+    accumulated in longdouble, make w accurate to longdouble per node.  v
+    is w rounded to double once, and the profile is w divided by its own
+    last entry, which makes that entry exactly 1: t times it rounds to
+    double once, so the rebuilt (t phi_h) keeps t as its trace exactly.
+    The solver is not kept, so once a grid is set up nothing can make a
+    solve.  Raises LinAlgError when A is singular; nothing is cached then,
+    so the error surfaces again at every call that needs the ray.
     """
     M = grid.M
-    work = np.zeros((6, M + 1), order="F")  # 2 l + u + 1 rows: LU fill
-    work[2:] = operator_bands(grid)
-    lu, piv, info = dgbtrf(work, 2, 1, overwrite_ab=True)
-    if info != 0:
-        raise LinAlgError(f"grid operator is singular (dgbtrf info {info})")
-
-    def correction(w):
-        r = _stencil(grid, w.astype(np.longdouble))
-        r[M] -= 1
-        return dgbtrs(lu, 2, 1, r.astype(float), piv)[0]
-
-    e = np.zeros((M + 1, 1))
+    solve = _kernel_solver(grid)
+    e = np.zeros(M + 1)
     e[M] = 1.0
-    v = dgbtrs(lu, 2, 1, e, piv)[0]
-    v = v - correction(v)
-    w = v.astype(np.longdouble)
-    for _ in range(3):
-        w -= correction(w)
-    v, profile = v[:, 0], (w / w[M])[:, 0]
+    w = solve(e).astype(np.longdouble)[:, None]
+    for _ in range(2):
+        r = _stencil(grid, w)[:, 0]
+        r[M] -= 1
+        w[:, 0] -= solve(r.astype(float))
+    v, profile = w[:, 0].astype(float), (w / w[M])[:, 0]
     for a in (v, profile):
         a.flags.writeable = False
     return v, profile
@@ -256,8 +313,7 @@ def solve_flux_bvp(grid: RadialGrid, flux: float) -> np.ndarray:
     """Solve -v'' - ((N-1)/r) v' + v = 0 with v'(R) = flux.
 
     The problem is linear in the one scalar flux, so the solution is flux
-    times the grid's unit-flux column (_ray); no banded solve happens
-    here.
+    times the grid's unit-flux column (_ray); no solve happens here.
     """
     return float(flux) * _ray(grid)[0]
 

@@ -98,7 +98,7 @@ def monotone_iterate(grid: RadialGrid, model: NonlinearityModel, lam: float,
     The solution of that linear problem is (flux1, flux2) phi_h / mu_h, so
     the steps run on the traces, t_i <- lam f_i(t_other) / mu_h, and the
     returned state is linear_bvp_solve at the last fluxes: each component
-    is its flux times the grid's unit-flux column, with no banded solve.
+    is its flux times the grid's unit-flux column, with no solve.
     """
     require_positive(lam, "parameter")
     monotone = monotone_check(model)

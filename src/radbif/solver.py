@@ -19,16 +19,17 @@ profile to double once, u_0 from row 0 given the rounded u_1 (_on_ray),
 and its full-space scaled residual is
 the independent re-check (_recheck), tried at the roundings
 t_i + k ulp(t_i) of ULP_SHIFTS.  So once the grid is set up (its ray:
-v and the longdouble profile, made by one call that factors A, cached
-per grid, with no LU kept) neither newton_solve nor continuation makes
-a banded solve.
+v and the longdouble profile, made by one call, cached per grid, with
+no solver kept) neither newton_solve nor continuation makes a linear
+solve.
 
 The residual applies the grid's difference stencil in double to the
 interleaved state viewed as its (M + 1, 2) array of nodes and subtracts
 the two flux terms; each row rounds about once at the scale of the
-state.  The Jacobian is diag(A, A) read off A's bands as a double CSR
+state.  The Jacobian is diag(A, A) read off A's bands as a dense double
 array plus two coupling entries in the flux rows; the jacobian-fd check
-of the acceptance suite tests it.  residual, jacobian and newton_solve refuse
+of the acceptance suite tests it, and nothing else in the package
+builds it.  residual, jacobian and newton_solve refuse
 a state without the grid's M + 1 nodes (ValueError).  The linear
 problem with fluxes (g1, g2) is (g1 v, g2 v), with no solve at all.
 
@@ -43,7 +44,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_array, dia_array
 
 from .errors import ConfigError, NonConvergenceError, require_positive
 from .grid import (RadialGrid, SystemState, _bands, _nodal_values, _ray,
@@ -162,20 +162,21 @@ def residual(grid: RadialGrid, model: NonlinearityModel, lam: float,
 
 
 def jacobian(grid: RadialGrid, model: NonlinearityModel, lam: float,
-             state: SystemState) -> csr_array:
-    """Jacobian of residual as a double CSR array: the pair operator
-    diag(A, A) on the interleaved state, whose bands are A's with each
-    value repeated at doubled offsets, plus the coupling entries
-    c1 = -lam f1'(u2(R)) at (2M, 2M+1) and c2 = -lam f2'(u1(R)) at
-    (2M+1, 2M).  The sum stores no zero, so a zero coupling is absent."""
+             state: SystemState) -> np.ndarray:
+    """Jacobian of residual as a dense (2M + 2, 2M + 2) double array, so
+    O(M^2) memory: the pair operator diag(A, A) on the interleaved state,
+    whose bands are A's with each value repeated at doubled offsets,
+    plus the coupling entries c1 = -lam f1'(u2(R)) at (2M, 2M+1) and
+    c2 = -lam f2'(u1(R)) at (2M+1, 2M)."""
     _require_arguments(grid, lam, state)
     n = 2 * grid.M + 2
-    c1 = -lam * fprime_extended(model, 1, float(state.u2[-1]))
-    c2 = -lam * fprime_extended(model, 2, float(state.u1[-1]))
-    coupling = csr_array(([c1, c2], ([n - 2, n - 1], [n - 1, n - 2])),
-                         shape=(n, n))
-    return dia_array((np.repeat(_bands(grid)[0], 2, axis=1), [2, 0, -2, -4]),
-                     shape=(n, n)) + coupling
+    jac = np.zeros((n, n))
+    for k, band in zip((2, 0, -2, -4), np.repeat(_bands(grid)[0], 2, axis=1)):
+        i = np.arange(max(0, -k), min(n, n - k))
+        jac[i, i + k] = band[i + k]
+    jac[n - 2, n - 1] = -lam * fprime_extended(model, 1, float(state.u2[-1]))
+    jac[n - 1, n - 2] = -lam * fprime_extended(model, 2, float(state.u1[-1]))
+    return jac
 
 
 def _fpp(model: NonlinearityModel, i: int, s: float) -> float:

@@ -241,7 +241,7 @@ def _fd_error(grid, model, lam, x):
         if diff[~hit].any():
             return math.inf
         fd[rows[hit], cols[hit]] = diff[hit] / (2.0 * delta)[cols[hit]]
-    dense = jacobian(grid, model, lam, SystemState.from_vector(x)).toarray()
+    dense = jacobian(grid, model, lam, SystemState.from_vector(x))
     scale = np.maximum(1.0, np.abs(dense).max(axis=1))
     return float((np.abs(dense - fd).max(axis=1) / scale).max())
 

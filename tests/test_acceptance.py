@@ -55,7 +55,7 @@ def _one_column_fd_error(grid, model, lam, x):
         fd[:, j] = (verify.residual(grid, model, lam, SystemState.from_vector(xp))
                     - verify.residual(grid, model, lam, SystemState.from_vector(xm))
                     ) / (2.0 * delta)[j]
-    dense = verify.jacobian(grid, model, lam, SystemState.from_vector(x)).toarray()
+    dense = verify.jacobian(grid, model, lam, SystemState.from_vector(x))
     scale = np.maximum(1.0, np.abs(dense).max(axis=1))
     return float((np.abs(dense - fd).max(axis=1) / scale).max())
 

@@ -1,10 +1,13 @@
 """Command-line interface: config parsing, artifacts, determinism, exit
 codes.
 
-All invocations go through radbif.cli.run in-process.  Two subprocess
-tests check the console script: one always runs the entry point declared
-in pyproject.toml against the tree under test, the other runs the
-installed `radbif` script when it is on PATH.  Exit code convention:
+All invocations go through radbif.cli.run in-process, except for the
+subprocess tests.  Two of them check the console script: one always runs
+the entry point declared in pyproject.toml against the tree under test,
+the other runs the installed `radbif` script when it is on PATH.  Others
+run `python -m radbif.cli`, check what `import radbif` loads, and run
+commands in an interpreter where scipy cannot be imported.  Exit code
+convention:
 0 success, 1 numerical failure, 2 configuration error.
 """
 
@@ -647,15 +650,29 @@ def test_module_entry_point():
 
 
 def test_import_loads_no_slow_scipy_subpackages():
-    """`import radbif` stays cheap: scipy.special (imported inside
-    steklov_shooting_oracle) and scipy.optimize (the trace roots come from
-    an Illinois iteration on Python floats) are left unloaded."""
-    code = ("import sys, radbif; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.special', 'scipy.optimize'))))")
+    """`import radbif` stays cheap: no scipy module is loaded at all.
+    numpy is the only run-time import; scipy serves steklov_shooting_oracle
+    alone, which imports it inside."""
+    code = ("import sys, radbif, radbif.cli; print(sorted(m for m in "
+            "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_commands_run_without_scipy(tmp_path):
+    """verify and a small branch run in an interpreter where any scipy
+    import fails."""
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from radbif.cli import run; sys.exit(run(sys.argv[1:]))")
+    for args in (["verify"], ["branch", "--override", "grid.M=128"]):
+        out = tmp_path / args[0]
+        proc = subprocess.run([sys.executable, "-c", code, *args,
+                               "--override", f"out.dir={out}"],
+                              capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert any(out.iterdir())
 
 
 @pytest.mark.skipif(shutil.which("radbif") is None,

@@ -915,19 +915,19 @@ def test_continuation_makes_no_newton_step(grid512, ref_model, two_fold_model,
                                            monkeypatch):
     # every point is checked on the kernel ray: once the grid is set up,
     # tracing, solutions_at and second_solution make no Newton solve and
-    # no banded solve
+    # no linear solve, which would need a new set-up of the grid's solver
     import radbif
     import radbif.continuation as cont
     import radbif.grid as grid_module
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a Newton solve or a banded solve")
+        raise AssertionError("a Newton solve or a linear solve")
 
     assert not hasattr(cont, "newton_solve")
     steklov_eigenpair(grid512)
     monkeypatch.setattr(radbif.solver, "newton_solve", forbidden)
-    monkeypatch.setattr(grid_module, "dgbtrf", forbidden)
-    monkeypatch.setattr(grid_module, "dgbtrs", forbidden)
+    monkeypatch.setattr(grid_module, "_kernel_solver", forbidden)
+    monkeypatch.setattr(grid_module, "_regular_solution", forbidden)
     ref = continue_branch(grid512, ref_model, FAST_CFG)
     two = continue_branch(grid512, two_fold_model, FAST_CFG)
     assert ref.termination == two.termination == "lambda_floor"

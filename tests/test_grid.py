@@ -1,4 +1,4 @@
-"""Radial mesh, operator stencils, flux stencil, banded linear solves."""
+"""Radial mesh, operator stencils, flux stencil, the grid's ray."""
 
 import math
 
@@ -12,7 +12,7 @@ from radbif import (ConfigError, SystemState, apply_operator, boundary_flux,
                     build_grid, jacobian, load_state_csv, operator_bands,
                     pair_norm, reference_model, save_state_csv,
                     solve_flux_bvp)
-from radbif.grid import _bands, _stencil
+from radbif.grid import _bands, _kernel_solver, _ray, _stencil
 
 MU1_N3_R1 = 2.0 / (math.e ** 2 - 1.0)
 
@@ -161,6 +161,63 @@ def test_solve_flux_bvp_is_a_multiple_of_the_unit_flux_column():
         np.testing.assert_array_equal(solve_flux_bvp(g, f), f * v)
 
 
+# mu_h = 1/v(R) at M = 16, 17, 128 and 4096 per (N, R); the earlier set-up
+# by banded LU gave these same bits
+MU_H = {
+    (3, 1): (0.3127047064756864, 0.31274171121630456, 0.3130299247378532, 0.31303528023771793),
+    (3, 3): (0.6655388222083879, 0.6662028487263452, 0.6715325472192255, 0.671636387270638),
+    (3, 10): (0.822179223193553, 0.8294559812440779, 0.8982935321218006, 0.8999982602456729),
+    (4, 1): (0.23997699984785575, 0.24000128034500962, 0.24019021494957188, 0.24019372042681036),
+    (4, 3): (0.5633514863129285, 0.5638513657064509, 0.5678462804645962, 0.5679235729351085),
+    (4, 10): (0.7840788758068423, 0.7906898988151002, 0.8526704659452549, 0.8541837638608678),
+    (5, 1): (0.19437540931950173, 0.19439252018033484, 0.19452558077248566, 0.19452804704316956),
+    (5, 3): (0.48538834398501995, 0.48577353440886234, 0.48884154252422657, 0.4889005820383438),
+    (5, 10): (0.7479270305374152, 0.7539328775984768, 0.8097645232096085, 0.8111097360276392),
+    (10, 1): (0.09913183998921678, 0.09913706487850361, 0.09917763165084569, 0.09917838166338006),
+    (10, 3): (0.2787683242327406, 0.27890767607909095, 0.2800068639141997, 0.28002769386466814),
+    (10, 10): (0.5955188239562761, 0.5992673067961336, 0.6328999378298555, 0.6336676162616696),
+}
+
+
+@pytest.mark.parametrize("N, R", list(MU_H))
+def test_ray_keeps_mu_h_and_solves_its_rows_in_longdouble(N, R):
+    # odd N needs the solver's scan to restart at j = (N-1)/2, where
+    # alpha_j is exactly 0
+    for M, mu_h in zip((16, 17, 128, 4096), MU_H[N, R]):
+        g = build_grid(N, R, M)
+        v, profile = _ray(g)
+        assert 1.0 / v[M] == mu_h, M
+        scale = 2.0 / g.h ** 2 + 1.0
+        rows = _stencil(g, profile[:, None])[:-1]
+        assert float(np.abs(rows).max()) / scale <= 1e-18, M
+
+
+@pytest.mark.parametrize("M", [4096, 32768])
+def test_unit_flux_column_is_the_longdouble_column_rounded_once(M):
+    # three more refinement passes from v leave every node of v within
+    # half an ulp: v is the refined column rounded to double once
+    g = build_grid(3, 1.0, M)
+    v = _ray(g)[0]
+    solve = _kernel_solver(g)
+    w = v.astype(np.longdouble)[:, None]
+    for _ in range(3):
+        r = _stencil(g, w)[:, 0]
+        r[M] -= 1
+        w[:, 0] -= solve(r.astype(float))
+    miss = np.abs(v - w[:, 0]) / np.spacing(v).astype(np.longdouble)
+    assert miss.max() <= 0.5
+
+
+def test_kernel_solver_inverts_the_operator():
+    # A^-1 s for a random s, against a dense solve, for odd and even N
+    for N in (3, 4, 5):
+        g = build_grid(N, 2.0, 64)
+        s = np.random.default_rng(N).standard_normal(g.M + 1)
+        x = _kernel_solver(g)(s)
+        np.testing.assert_allclose(x, np.linalg.solve(_dense(g), s),
+                                   rtol=1e-12, atol=1e-12 * np.abs(x).max())
+
+
 def _dense(g):
     """A as a dense array, read off its (2, 1) bands."""
     ab = operator_bands(g)
@@ -232,7 +289,7 @@ def test_stencil_keeps_a_nonfinite_value_within_reach():
 def test_pair_operator_is_diag_a_a_interleaved(M):
     # the Jacobian's pair operator: rows 2j and 2j+1 are row j of A on the
     # even and odd columns, read straight from A's bands; at lam = 0 the
-    # coupling entries are zero and not stored
+    # coupling entries are zero
     g = build_grid(3, 1.0, M)
     a = _dense(g)
     want = np.zeros((2 * (M + 1), 2 * (M + 1)))
@@ -240,8 +297,8 @@ def test_pair_operator_is_diag_a_a_interleaved(M):
     want[1::2, 1::2] = a
     state = SystemState(np.ones(M + 1), np.ones(M + 1))
     pair = jacobian(g, reference_model(), 0.0, state)
-    np.testing.assert_array_equal(pair.toarray(), want)
-    assert pair.nnz == np.count_nonzero(want)
+    assert isinstance(pair, np.ndarray) and pair.dtype == float
+    np.testing.assert_array_equal(pair, want)
 
 
 def test_operator_bands_cached_and_frozen():

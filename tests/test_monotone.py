@@ -297,15 +297,16 @@ def test_second_solution_at_the_window_ends(grid512, ref_model,
 
 
 def test_operator_factored_once_per_grid(ref_model, branch_cfg, monkeypatch):
+    # the grid's solver (its regular solution) is set up once per grid
     import radbif.grid as grid_module
     calls = []
-    factor = grid_module.dgbtrf
+    setup = grid_module._kernel_solver
 
-    def counting(*args, **kwargs):
+    def counting(grid):
         calls.append(1)
-        return factor(*args, **kwargs)
+        return setup(grid)
 
-    monkeypatch.setattr(grid_module, "dgbtrf", counting)
+    monkeypatch.setattr(grid_module, "_kernel_solver", counting)
     grid = build_grid(3, 1.0, 128)
     branch = continue_branch(grid, ref_model, branch_cfg)
     mu0 = bifurcation_point(ref_model, steklov_eigenpair(grid).mu1)
@@ -314,28 +315,34 @@ def test_operator_factored_once_per_grid(ref_model, branch_cfg, monkeypatch):
 
 
 def test_banded_solves_per_grid_and_per_call(ref_model, monkeypatch):
-    """dgbtrs runs five times at a grid's first steklov_eigenpair: the
-    unit-flux column, its refinement pass and three longdouble passes for
-    the unit-trace profile.  It never runs after that, nor is A factored
-    again: the profile is already there, Newton works on the two traces,
-    and a flux solve is a multiple of the cached column."""
+    """The grid's solver solves three times at its first
+    steklov_eigenpair: the unit-flux column and two longdouble refinement
+    passes, which give v and the unit-trace profile.  It never solves after
+    that, nor is it set up again: the profile is already there, Newton
+    works on the two traces, and a flux solve is a multiple of the cached
+    column."""
     import radbif.grid as grid_module
     calls = []
-    solve = grid_module.dgbtrs
+    setup = grid_module._kernel_solver
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
+    def counting_setup(grid):
+        solve = setup(grid)
 
-    monkeypatch.setattr(grid_module, "dgbtrs", counting)
+        def counting(s):
+            calls.append(1)
+            return solve(s)
+
+        return counting
+
+    monkeypatch.setattr(grid_module, "_kernel_solver", counting_setup)
     grid = build_grid(3, 1.0, 128)
     eig = steklov_eigenpair(grid)
-    assert len(calls) == 5
+    assert len(calls) == 3
     calls.clear()
     profile = grid_module._ray(grid)[1]
     assert profile.dtype == np.longdouble and profile[-1] == 1.0
-    monkeypatch.setattr(grid_module, "dgbtrf",
-                        lambda *args, **kwargs: pytest.fail("a second factor"))
+    monkeypatch.setattr(grid_module, "_kernel_solver",
+                        lambda grid: pytest.fail("a second set-up"))
     for amp in (0.3, 1.0, 3.0):  # to the trivial state, then the upper one
         init = SystemState(amp * eig.phi1, amp * eig.phi1)
         newton_solve(grid, ref_model, LAMBDA_MID, init)
@@ -350,18 +357,18 @@ def test_banded_solves_per_grid_and_per_call(ref_model, monkeypatch):
 def test_no_banded_solve_once_the_grid_is_set_up(ref_model, branch_cfg,
                                                  monkeypatch):
     # the grid's first steklov_eigenpair builds its whole ray, the
-    # longdouble profile included, and keeps no factor: tracing, the
-    # states at one lam, the second solution and Newton make no banded
-    # solve on that grid after it
+    # longdouble profile included, and keeps no solver: tracing, the
+    # states at one lam, the second solution and Newton make no solve on
+    # that grid after it, which would need a new set-up
     import radbif.grid as grid_module
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a banded factor or solve after set-up")
+        raise AssertionError("a set-up or solve after set-up")
 
     grid = build_grid(3, 1.0, 128)
     eig = steklov_eigenpair(grid)
-    monkeypatch.setattr(grid_module, "dgbtrf", forbidden)
-    monkeypatch.setattr(grid_module, "dgbtrs", forbidden)
+    monkeypatch.setattr(grid_module, "_kernel_solver", forbidden)
+    monkeypatch.setattr(grid_module, "_regular_solution", forbidden)
     branch = continue_branch(grid, ref_model, branch_cfg)
     assert branch.termination == "lambda_floor"
     assert len(solutions_at(branch, LAMBDA_MID)) == 2

@@ -19,7 +19,7 @@ from radbif.errors import ConfigError, require_positive
 # Less HypothesesReport: validate_hypotheses returns a tuple of CheckResult.
 # Less NewtonConfig: newton_solve takes tol, its step limit is the module
 # constant MAX_NEWTON_ITER, and TOL_RESIDUAL is the exported default.
-# Less PairJacobian: jacobian returns a scipy CSR array.  Less
+# Less PairJacobian: jacobian returns a dense array.  Less
 # banded_matvec_extended: the operator is evaluated in difference form by
 # the grid's private stencil.
 _EARLIER_SURFACE = """

@@ -67,7 +67,7 @@ def test_interior_rows_pin_solutions_to_the_kernel_ray(grid512, ref_model,
     monkeypatch.setattr(solver_module, "MAX_NEWTON_ITER", 1)
     for lam, init in ((LAMBDA_MID, SystemState(0.5 * ones, 0.5 * ones)),
                       (0.05, SystemState(-10.0 * phi, 10.0 * phi))):
-        dense = jacobian(grid512, ref_model, lam, init).toarray()
+        dense = jacobian(grid512, ref_model, lam, init)
         step = np.linalg.solve(dense, -residual(grid512, ref_model, lam, init))
         landed = SystemState.from_vector(init.to_vector() + step)
         with pytest.raises(NonConvergenceError, match="no convergence") as err:
@@ -249,7 +249,7 @@ def test_is_positive_state_classification(grid128):
 def test_jacobian_decouples_at_lambda_zero(grid128, ref_model):
     state = SystemState(0.3 * np.ones(grid128.M + 1),
                         0.2 * np.ones(grid128.M + 1))
-    dense = jacobian(grid128, ref_model, 0.0, state).toarray()
+    dense = jacobian(grid128, ref_model, 0.0, state)
     M = grid128.M
     assert dense[2 * M, 2 * M + 1] == 0.0
     assert dense[2 * M + 1, 2 * M] == 0.0
@@ -257,7 +257,7 @@ def test_jacobian_decouples_at_lambda_zero(grid128, ref_model):
 
 def test_jacobian_coupling_entries_at_zero_state(grid128, ref_model):
     lam = 0.4
-    dense = jacobian(grid128, ref_model, lam, SystemState.zero(grid128)).toarray()
+    dense = jacobian(grid128, ref_model, lam, SystemState.zero(grid128))
     M = grid128.M
     assert dense[2 * M, 2 * M + 1] == pytest.approx(
         -lam * fprime_extended(ref_model, 1, 0.0))
@@ -287,7 +287,7 @@ def test_jacobian_matches_finite_differences(ref_model):
     lam = 0.35
     for _ in range(3):
         state = SystemState(rng.uniform(0.05, 1.5, n), rng.uniform(0.05, 1.5, n))
-        dense = jacobian(grid, ref_model, lam, state).toarray()
+        dense = jacobian(grid, ref_model, lam, state)
         x = state.to_vector()
         fd = np.zeros_like(dense)
         for j in range(x.size):
@@ -393,19 +393,27 @@ def test_pair_residual_is_bit_identical_to_two_matvecs(ref_model, M):
 
 
 def test_singular_factor_surfaces_at_the_solve(ref_model, monkeypatch):
-    # the grid's ray, factor and all, is newton_solve's set-up, not one
-    # of its steps
+    # the grid's ray is newton_solve's set-up, not one of its steps.  A is
+    # singular exactly when the regular solution has zero flux; a
+    # constant one does, so the set-up raises at every call and caches
+    # nothing
     import radbif.grid as grid_module
-    from scipy.linalg import LinAlgError
+    calls = []
 
-    def singular(ab, kl, ku, **kwargs):
-        return ab, np.zeros(ab.shape[1], dtype=np.int32), ab.shape[1]
+    def constant(grid):
+        calls.append(1)
+        return np.ones(grid.M + 1)
 
-    monkeypatch.setattr(grid_module, "dgbtrf", singular)
+    monkeypatch.setattr(grid_module, "_regular_solution", constant)
     grid = build_grid(3, 1.0, 32)
     state = SystemState(0.3 * np.ones(grid.M + 1), 0.4 * np.ones(grid.M + 1))
-    with pytest.raises(LinAlgError, match="grid operator is singular"):
-        newton_solve(grid, ref_model, 0.3, state)
+    for n in (1, 2):
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="grid operator is singular"):
+            newton_solve(grid, ref_model, 0.3, state)
+        assert len(calls) == n
+    monkeypatch.undo()
+    assert steklov_eigenpair(grid).mu1 > 0.0
 
 
 def test_singular_trace_coupling_raises(grid128):
