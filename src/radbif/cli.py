@@ -131,10 +131,12 @@ class RunSettings:
         self.grid = build_grid(_int(entries, "grid.N", 3),
                                _float(entries, "grid.R", 1.0),
                                _int(entries, "grid.M", 512))
-        # default tolerance: twice the representation floor eps * 2/h^2 of
-        # the 1/h^2 operator rows, never below TOL_RESIDUAL; a cont.<field>
+        # default tolerance: twice the representation floor eps c/h^2 of
+        # the operator rows, c = (N + 1)/2 the largest coefficient of row 1
+        # times h^2 (2 at N = 3), never below TOL_RESIDUAL; a cont.<field>
         # key left unset is not passed at all
-        floor = 2.0 * np.finfo(float).eps * 2.0 / self.grid.h ** 2
+        floor = (2.0 * np.finfo(float).eps * ((self.grid.N_dim + 1) / 2)
+                 / self.grid.h ** 2)
         self.cont = ContinuationConfig(
             tol_residual=_float(entries, "newton.tol",
                                 max(TOL_RESIDUAL, floor)),

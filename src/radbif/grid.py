@@ -6,14 +6,14 @@ symmetry limit (the Laplacian of a radial function at the origin equals
 N u''(0), discretized with the ghost value u_{-1} = u_1); the boundary flux
 u'(R_ball) uses the one-sided second-order stencil, exact on quadratics.
 
-The grid keeps A's (2, 1) bands, which the Jacobian reads, and
-evaluates A once, in difference form (_stencil): the residual applies it
-in double, the ray's refinement in longdouble, so the ray solves the
-operator that the residual checks.  The ray's solves need no matrix:
-the rows below the flux row are a forward recurrence from the origin
-(_regular_solution), and a solve is reduction of order on its solution
-(_kernel_solver), in numpy alone.  apply_operator and boundary_flux are
-the independent reference formulas.
+A exists once, in difference form (_stencil): the residual applies it
+in double, the ray's refinement in longdouble, and the Jacobian reads it
+off as the stencil of the identity, so the ray solves the operator that
+the residual checks and the Jacobian differentiates.  The ray's solves
+need no matrix: the rows below the flux row are a forward recurrence
+from the origin (_regular_solution), and a solve is reduction of order
+on its solution (_kernel_solver), in numpy alone.  apply_operator and
+boundary_flux are the independent reference formulas.
 
 Boundary integrals over the sphere reduce to area x boundary value by radial
 symmetry, so no surface quadrature appears anywhere in the toolkit.
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import require_int, require_positive
+from .errors import NumericalError, require_int, require_positive
 
 __all__ = [
     "RadialGrid",
@@ -36,7 +36,6 @@ __all__ = [
     "apply_operator",
     "boundary_flux",
     "pair_norm",
-    "operator_bands",
     "solve_flux_bvp",
     "save_state_csv",
     "load_state_csv",
@@ -49,7 +48,7 @@ class RadialGrid:
 
     M is the number of intervals; nodes are r_j = j h, j = 0..M, with
     h = R_ball / M.  Grids are immutable and hash by identity, which lets
-    assembled operator bands be cached per grid.
+    the stencil's weights and the grid's ray be cached per grid.
     """
 
     N_dim: int
@@ -142,8 +141,8 @@ def boundary_flux(grid: RadialGrid, u: np.ndarray) -> float:
 
 def cache_per_object(fn):
     """Memoize fn(obj) for as long as obj lives, so a value derived from a
-    grid or model (assembled bands, a sampled check) is built once per
-    object and freed with it.  obj hashes by identity."""
+    grid or model (the stencil's weights, a sampled check) is built once
+    per object and freed with it.  obj hashes by identity."""
     cache = weakref.WeakKeyDictionary()
 
     @functools.wraps(fn)
@@ -156,34 +155,12 @@ def cache_per_object(fn):
 
 
 @cache_per_object
-def _bands(grid: RadialGrid) -> tuple:
-    """(ab, w): the (l, u) = (2, 1) bands of A, and the weights
-    w_j = (N-1)/(2 h r_j) of _stencil's interior rows as an (M - 1, 1)
-    column, both read-only."""
-    M, h, N = grid.M, grid.h, grid.N_dim
-    ab = np.zeros((4, M + 1))  # rows super, diag, sub, sub2
-    ab[1, 0] = 2.0 * N / h**2 + 1.0
-    ab[0, 1] = -2.0 * N / h**2
-    j = np.arange(1, M)
-    w = (N - 1) / (2.0 * h * grid.r[j])
-    ab[1, j] = 2.0 / h**2 + 1.0
-    ab[2, j - 1] = -1.0 / h**2 + w
-    ab[0, j + 1] = -1.0 / h**2 - w
-    ab[3, M - 2] = 1.0 / (2.0 * h)
-    ab[2, M - 1] = -2.0 / h
-    ab[1, M] = 3.0 / (2.0 * h)
-    w = w[:, None]
-    for a in (ab, w):
-        a.flags.writeable = False
-    return ab, w
-
-
-def operator_bands(grid: RadialGrid) -> np.ndarray:
-    """Banded storage (l, u) = (2, 1) of the single-component system.
-
-    Rows 0..M-1 are apply_operator; the last row is the flux stencil u'(R).
-    """
-    return _bands(grid)[0]
+def _weights(grid: RadialGrid) -> np.ndarray:
+    """The weights w_j = (N-1)/(2 h r_j) of _stencil's interior rows, as a
+    read-only (M - 1, 1) column."""
+    w = ((grid.N_dim - 1) / (2.0 * grid.h * grid.r[1:-1]))[:, None]
+    w.flags.writeable = False
+    return w
 
 
 def _stencil(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
@@ -196,10 +173,11 @@ def _stencil(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
 
     On a smooth u neighbouring values and neighbouring differences lie
     within a factor 2 of each other, so both subtractions are exact
-    (Sterbenz) and each row rounds about once at the scale of u; the
-    band sums of A cancel at the 1/h^2 row scale instead.  A non-finite
-    u_j reaches rows j - 1 to j + 1 only, and row M from j = M - 2."""
-    M, h, w = grid.M, grid.h, _bands(grid)[1]
+    (Sterbenz) and each row rounds about once at the scale of u; sums of
+    A's coefficients times values cancel at the 1/h^2 row scale
+    instead.  A non-finite u_j reaches rows j - 1 to j + 1 only, and row
+    M from j = M - 2."""
+    M, h, w = grid.M, grid.h, _weights(grid)
     d = u[1:] - u[:-1]
     out = np.empty_like(u)
     out[0] = u[0] - (2.0 * grid.N_dim / h**2) * d[0]
@@ -248,16 +226,21 @@ def _kernel_solver(grid: RadialGrid):
     exactly 0 at j = (N-1)/2 for odd N, and the scan restarts there.
     y_0 = 0; the multiple of phi added to x then meets the flux row.
 
-    A is singular exactly when flux(phi) is 0: that, or a flux that is
-    not finite (phi overflows for a ball radius above about 700), raises
-    LinAlgError."""
+    A is singular exactly when flux(phi) is 0, which raises LinAlgError.
+    phi grows like e^r/r, so it overflows for a ball radius above about
+    700; a flux that is not finite raises NumericalError naming the
+    radius."""
     M, N, h = grid.M, grid.N_dim, grid.h
     phi = _regular_solution(grid)
     with np.errstate(invalid="ignore"):  # inf - inf for an overflowed phi
         flux = boundary_flux(grid, phi)
-    if flux == 0.0 or not np.isfinite(flux):
-        raise np.linalg.LinAlgError(f"grid operator is singular "
-                                    f"(flux of the regular solution {flux})")
+    if not np.isfinite(flux):
+        raise NumericalError(f"ball radius {grid.R_ball:g} is too large: the "
+                             f"regular solution (1 at r = 0) overflows "
+                             f"double range before r = {grid.R_ball:g}")
+    if flux == 0.0:
+        raise np.linalg.LinAlgError("grid operator is singular "
+                                    "(flux of the regular solution 0)")
     q = (N - 1) / (2.0 * np.arange(1, M))
     alpha = np.concatenate(([0.0], (1 - q) / (1 + q)))  # 0 starts a scan
     g = -h * h * phi[:M] / np.concatenate(([2.0 * N], 1 + q))
@@ -291,8 +274,9 @@ def _ray(grid: RadialGrid) -> tuple:
     last entry, which makes that entry exactly 1: t times it rounds to
     double once, so the rebuilt (t phi_h) keeps t as its trace exactly.
     The solver is not kept, so once a grid is set up nothing can make a
-    solve.  Raises LinAlgError when A is singular; nothing is cached then,
-    so the error surfaces again at every call that needs the ray.
+    solve.  Raises LinAlgError when A is singular and NumericalError when
+    the regular solution overflows; nothing is cached then, so the error
+    surfaces again at every call that needs the ray.
     """
     M = grid.M
     solve = _kernel_solver(grid)

@@ -26,12 +26,13 @@ solve.
 The residual applies the grid's difference stencil in double to the
 interleaved state viewed as its (M + 1, 2) array of nodes and subtracts
 the two flux terms; each row rounds about once at the scale of the
-state.  The Jacobian is diag(A, A) read off A's bands as a dense double
-array plus two coupling entries in the flux rows; the jacobian-fd check
-of the acceptance suite tests it, and nothing else in the package
-builds it.  residual, jacobian and newton_solve refuse
-a state without the grid's M + 1 nodes (ValueError).  The linear
-problem with fluxes (g1, g2) is (g1 v, g2 v), with no solve at all.
+state.  The Jacobian is diag(A, A) as a dense double array, A the
+same stencil applied to the identity (cached per grid), plus two
+coupling entries in the flux rows; the jacobian-fd check of the
+acceptance suite tests it, and nothing else in the package builds it.
+residual, jacobian and newton_solve refuse a state without the grid's
+M + 1 nodes (ValueError).  The linear problem with fluxes (g1, g2) is
+(g1 v, g2 v), with no solve at all.
 
 Residual norms are measured as max|F| / max(1, sup|u1|, sup|u2|): the
 operator rows scale like 1/h^2, so that quotient is what floating point can
@@ -46,8 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NonConvergenceError, require_positive
-from .grid import (RadialGrid, SystemState, _bands, _nodal_values, _ray,
-                   _stencil, pair_norm, solve_flux_bvp)
+from .grid import (RadialGrid, SystemState, _nodal_values, _ray, _stencil,
+                   cache_per_object, pair_norm, solve_flux_bvp)
 from .model import NonlinearityModel, f_extended, fprime_extended
 from .steklov import steklov_eigenpair
 
@@ -65,9 +66,10 @@ __all__ = [
     "scaled_residual_norm",
 ]
 
-# Nodes below this fraction of the pair norm count as zero when classifying
-# a state as positive (discrete analogue of strict positivity up to the
-# boundary).
+# A component whose sup lies below this fraction of the pair norm counts
+# as zero when classifying a state as positive.  The floor applies to the
+# sup, not to every node: on the ray u_i(0)/u_i(R) is about 2R e^-R at
+# N = 3, below 1e-12 from R of about 30.
 POSITIVITY_REL_FLOOR = 1e-12
 
 # States whose pair norm falls below this amplitude are the trivial solution
@@ -102,7 +104,8 @@ class NewtonResult:
 
 
 def is_positive_state(state: SystemState) -> bool:
-    """Every node above POSITIVITY_REL_FLOOR times the pair norm.
+    """Every node above 0, and each component's sup above
+    POSITIVITY_REL_FLOOR times the pair norm.
 
     States with pair norm at or below POSITIVITY_ZERO_FLOOR classify as
     trivial: they are (0, 0) up to rounding noise, which carries no sign
@@ -112,7 +115,8 @@ def is_positive_state(state: SystemState) -> bool:
     if norm <= POSITIVITY_ZERO_FLOOR:
         return False
     floor = POSITIVITY_REL_FLOOR * norm
-    return bool(state.u1.min() > floor and state.u2.min() > floor)
+    return bool(min(state.u1.min(), state.u2.min()) > 0.0
+                and min(state.u1.max(), state.u2.max()) > floor)
 
 
 def scaled_residual_norm(res: np.ndarray, state: SystemState) -> float:
@@ -161,19 +165,26 @@ def residual(grid: RadialGrid, model: NonlinearityModel, lam: float,
     return _pair_residual(grid, state, g1, g2)
 
 
+@cache_per_object
+def _dense_operator(grid: RadialGrid) -> np.ndarray:
+    """A as a read-only dense (M + 1, M + 1) double array: the grid's
+    stencil applied to the identity, one column per unit vector."""
+    a = _stencil(grid, np.eye(grid.M + 1))
+    a.flags.writeable = False
+    return a
+
+
 def jacobian(grid: RadialGrid, model: NonlinearityModel, lam: float,
              state: SystemState) -> np.ndarray:
     """Jacobian of residual as a dense (2M + 2, 2M + 2) double array, so
     O(M^2) memory: the pair operator diag(A, A) on the interleaved state,
-    whose bands are A's with each value repeated at doubled offsets,
-    plus the coupling entries c1 = -lam f1'(u2(R)) at (2M, 2M+1) and
+    A at the even rows and columns and again at the odd ones, plus the
+    coupling entries c1 = -lam f1'(u2(R)) at (2M, 2M+1) and
     c2 = -lam f2'(u1(R)) at (2M+1, 2M)."""
     _require_arguments(grid, lam, state)
-    n = 2 * grid.M + 2
+    a, n = _dense_operator(grid), 2 * grid.M + 2
     jac = np.zeros((n, n))
-    for k, band in zip((2, 0, -2, -4), np.repeat(_bands(grid)[0], 2, axis=1)):
-        i = np.arange(max(0, -k), min(n, n - k))
-        jac[i, i + k] = band[i + k]
+    jac[0::2, 0::2] = jac[1::2, 1::2] = a
     jac[n - 2, n - 1] = -lam * fprime_extended(model, 1, float(state.u2[-1]))
     jac[n - 1, n - 2] = -lam * fprime_extended(model, 2, float(state.u1[-1]))
     return jac

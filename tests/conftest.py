@@ -126,10 +126,10 @@ def exact_stencil(grid, u):
     reference that the double evaluation must round about once per row
     against."""
     from fractions import Fraction
-    from radbif.grid import _bands
+    from radbif.grid import _weights
     M, h = grid.M, Fraction(grid.h)
     u = [Fraction(x) for x in u.tolist()]
-    w = [Fraction(x) for x in _bands(grid)[1][:, 0].tolist()]
+    w = [Fraction(x) for x in _weights(grid)[:, 0].tolist()]
     d = [b - a for a, b in zip(u, u[1:])]
     return ([u[0] - 2 * grid.N_dim / h ** 2 * d[0]]
             + [u[j] - (d[j] - d[j - 1]) / h ** 2 - w[j - 1] * (d[j] + d[j - 1])

@@ -21,6 +21,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import radbif
@@ -147,6 +148,17 @@ def test_steklov_artifacts(tmp_path, capsys):
     assert len(lines[0]) == len("# config=") + 12  # 12-hex-digit hash
     assert lines[1] == "r,phi1"
     assert len(lines) == 2 + 513  # M+1 nodes
+
+
+def test_steklov_beyond_double_range_exits_1(tmp_path, capsys):
+    # at R = 800 the regular solution overflows double range: exit 1 with
+    # a one-line reason naming the radius, no traceback and no artifact
+    out = tmp_path / "out"
+    assert run(["steklov", "--override", "grid.R=800",
+                "--override", f"out.dir={out}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ball radius 800 is too large")
+    assert err.count("\n") == 1 and not out.exists()
 
 
 def test_report_json(tmp_path, capsys):
@@ -395,14 +407,46 @@ def test_branch_artifacts_and_determinism(tmp_path, capsys):
 
 
 def test_branch_default_tolerance_follows_floor(tmp_path, capsys):
-    # with newton.tol unset the tolerance is max(1e-10, 2 eps 2/h^2); a
-    # fixed 1e-10 lies below the floor at M = 2048 and stops the branch
+    # with newton.tol unset the tolerance is max(1e-10, 2 eps 2/h^2) at
+    # N = 3; a fixed 1e-10 lies below the floor at M = 2048 and stops the
+    # branch
     out = tmp_path / "out"
     assert run(["branch", "--override", "grid.M=2048",
                 "--override", f"out.dir={out}"]) == 0
     assert "termination=lambda_floor" in capsys.readouterr().out
     summary = json.loads((out / "branch_summary.json").read_text())
     assert summary["termination"] == "lambda_floor"
+
+
+def test_branch_default_tolerance_follows_the_dimension(tmp_path, capsys):
+    # row 1's largest coefficient is ((N + 1)/2)/h^2, so the default floor
+    # is 2 eps ((N + 1)/2)/h^2: 2.75 times the N = 3 rule at N = 10, where
+    # that rule's tolerance ends the branch in corrector_failure
+    st = cli.RunSettings({"grid.N": "10"})
+    assert st.cont.tol_residual == (2.0 * np.finfo(float).eps * 5.5
+                                    / st.grid.h ** 2)
+    assert cli.RunSettings({}).cont.tol_residual == (
+        2.0 * np.finfo(float).eps * 2.0 / st.grid.h ** 2)
+    out = tmp_path / "out"
+    assert run(["branch", "--override", "grid.N=10",
+                "--override", f"out.dir={out}"]) == 0
+    assert "termination=lambda_floor" in capsys.readouterr().out
+    summary = json.loads((out / "branch_summary.json").read_text())
+    assert summary["termination"] == "lambda_floor"
+
+
+def test_branch_at_a_large_radius_reaches_the_floor(tmp_path, capsys):
+    # at R = 40 the ray's u(0)/u(R) is about 2R e^-R = 3.4e-16, below the
+    # relative positivity floor 1e-12: positivity asks every node to be
+    # above 0 and each component's sup above the floor, so the step-off
+    # is taken and the branch runs down to lambda_floor
+    out = tmp_path / "out"
+    assert run(["branch", "--override", "grid.R=40",
+                "--override", f"out.dir={out}"]) == 0
+    assert "termination=lambda_floor" in capsys.readouterr().out
+    summary = json.loads((out / "branch_summary.json").read_text())
+    assert summary["termination"] == "lambda_floor"
+    assert len(summary["fold_lambdas"]) == 1
 
 
 def test_branch_truncated_run_fails_loudly(tmp_path, capsys, monkeypatch):

@@ -947,6 +947,21 @@ def test_most_rebuilt_points_need_no_polish_step(ref_branch):
     assert zero >= 0.7 * len(accepted)
 
 
+def test_a_tail_point_below_the_representation_floor_needs_a_shift(
+        grid512, ref_model):
+    # tol 1e-10 below the floor eps*2/h^2 at M = 512, traced on to
+    # lam = 1e-6: point 86 (lam about 6.45e-6) passes the re-check only at
+    # +1 ulp of its traces, and it is the only shifted point, so the
+    # re-check's roundings are still needed below the command line's floor
+    branch = continue_branch(grid512, ref_model,
+                             ContinuationConfig(lambda_stop_low=1e-6))
+    assert branch.termination == "lambda_floor" and branch.tol == 1e-10
+    shifted = {i: p.ulp_shift for i, p in enumerate(branch.points)
+               if p.ulp_shift}
+    assert shifted == {86: 1}
+    assert branch.points[86].lam == pytest.approx(6.448e-6, rel=1e-3)
+
+
 def test_fine_grid_branch_keeps_its_fold_and_skips_the_polish(ref_model):
     # M = 4096 at tol 1e-8: at least 90 % of the points pass the re-check
     # with no ulp shift (all of them since the rebuild solves row 0 for

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import exact_stencil
 from radbif import (ConfigError, SystemState, apply_operator, boundary_flux,
-                    build_grid, jacobian, load_state_csv, operator_bands,
-                    pair_norm, reference_model, save_state_csv,
-                    solve_flux_bvp)
-from radbif.grid import _bands, _kernel_solver, _ray, _stencil
+                    build_grid, jacobian, load_state_csv, pair_norm,
+                    reference_model, save_state_csv, solve_flux_bvp)
+from radbif.grid import _kernel_solver, _ray, _stencil, _weights
+from radbif.solver import _dense_operator
 
 MU1_N3_R1 = 2.0 / (math.e ** 2 - 1.0)
 
@@ -219,13 +219,13 @@ def test_kernel_solver_inverts_the_operator():
 
 
 def _dense(g):
-    """A as a dense array, read off its (2, 1) bands."""
-    ab = operator_bands(g)
-    n = g.M + 1
-    dense = np.zeros((n, n))
-    for j in range(n):
-        for i in range(max(0, j - 1), min(n, j + 3)):
-            dense[i, j] = ab[1 + i - j, j]
+    """A as a dense array, column j from the reference formulas
+    apply_operator and boundary_flux on the unit vector e_j: independent
+    of _stencil."""
+    dense = np.empty((g.M + 1, g.M + 1))
+    for j, e in enumerate(np.eye(g.M + 1)):
+        dense[:-1, j] = apply_operator(g, e)
+        dense[-1, j] = boundary_flux(g, e)
     return dense
 
 
@@ -250,7 +250,7 @@ def test_stencil_beats_double_cancellation():
     # the unit-flux column solves its rows to well below the double floor
     # at the 1/h^2 row scale, and the stencil sees that: it lies within
     # eps max|v| of the exact value of its formula on every row, where the
-    # double band sums of A miss it by far more
+    # double sums of A's coefficients times values miss it by far more
     g = build_grid(3, 1.0, 512)
     v = solve_flux_bvp(g, 1.0)
     r = _stencil(g, v[:, None])[:, 0]
@@ -288,10 +288,13 @@ def test_stencil_keeps_a_nonfinite_value_within_reach():
 @pytest.mark.parametrize("M", [16, 17, 128])
 def test_pair_operator_is_diag_a_a_interleaved(M):
     # the Jacobian's pair operator: rows 2j and 2j+1 are row j of A on the
-    # even and odd columns, read straight from A's bands; at lam = 0 the
-    # coupling entries are zero
+    # even and odd columns, A the stencil of the identity, which agrees
+    # with the reference formulas to rounding; at lam = 0 the coupling
+    # entries are zero
     g = build_grid(3, 1.0, M)
-    a = _dense(g)
+    a = _stencil(g, np.eye(M + 1))
+    np.testing.assert_allclose(a, _dense(g), rtol=1e-15,
+                               atol=4 * np.finfo(float).eps / g.h ** 2)
     want = np.zeros((2 * (M + 1), 2 * (M + 1)))
     want[0::2, 0::2] = a
     want[1::2, 1::2] = a
@@ -301,17 +304,21 @@ def test_pair_operator_is_diag_a_a_interleaved(M):
     np.testing.assert_array_equal(pair, want)
 
 
-def test_operator_bands_cached_and_frozen():
-    g = build_grid(3, 1.0, 64)
-    ab1 = operator_bands(g)
-    ab2 = operator_bands(g)
-    assert ab1 is ab2
-    assert not ab1.flags.writeable
-    # the stencil's weights w_j = (N-1)/(2 h r_j) too
-    w = _bands(g)[1]
-    assert w is _bands(g)[1] and w.shape == (g.M - 1, 1)
-    assert not w.flags.writeable
-    np.testing.assert_array_equal(w[:, 0], 2.0 / (2.0 * g.h * g.r[1:-1]))
+def test_weights_and_dense_operator_cached_and_frozen():
+    # the stencil's weights w_j = (N-1)/(2 h r_j) and the Jacobian's dense
+    # A are made once per grid, read-only, and not shared between grids
+    g, other = build_grid(3, 1.0, 64), build_grid(3, 1.0, 64)
+    for made in (_weights, _dense_operator):
+        a = made(g)
+        assert a is made(g) and a is not made(other)
+        assert not a.flags.writeable
+        np.testing.assert_array_equal(a, made(other))
+    assert _weights(g).shape == (g.M - 1, 1)
+    np.testing.assert_array_equal(_weights(g)[:, 0],
+                                  2.0 / (2.0 * g.h * g.r[1:-1]))
+    a = _dense_operator(g)
+    assert a.shape == (g.M + 1, g.M + 1)
+    np.testing.assert_array_equal(a, _stencil(g, np.eye(g.M + 1)))
 
 
 def test_system_state_vector_roundtrip():

@@ -21,14 +21,15 @@ from radbif.errors import ConfigError, require_positive
 # constant MAX_NEWTON_ITER, and TOL_RESIDUAL is the exported default.
 # Less PairJacobian: jacobian returns a dense array.  Less
 # banded_matvec_extended: the operator is evaluated in difference form by
-# the grid's private stencil.
+# the grid's private stencil.  Less operator_bands: A exists once, as
+# that stencil, and the Jacobian reads it as the stencil of the identity.
 _EARLIER_SURFACE = """
     NonlinearityModel CheckResult
     reference_model quadratic_model linear_model polynomial_model eval_f
     f_extended fprime_extended r0_bounds zeta validate_hypotheses
     RadialGrid
     SystemState build_grid pair_norm apply_operator boundary_flux
-    operator_bands solve_flux_bvp save_state_csv
+    solve_flux_bvp save_state_csv
     load_state_csv SteklovPair steklov_eigenpair steklov_shooting_oracle
     NewtonResult is_positive_state
     POSITIVITY_REL_FLOOR POSITIVITY_ZERO_FLOOR residual jacobian
@@ -54,14 +55,14 @@ def test_package_exports_exactly_the_module_lists():
     for m in modules:
         for name in m.__all__:
             assert getattr(radbif, name) is getattr(m, name)
-    assert len(_EARLIER_SURFACE) == 70
+    assert len(_EARLIER_SURFACE) == 69
     assert set(_EARLIER_SURFACE) <= set(radbif.__all__)
     assert {"monotone_check", "ORDER_SLACK_REL",
             "TOL_RESIDUAL"} <= set(radbif.__all__)
     removed = {"remainder", "remainder_limits", "estimate_remainder_limits",
                "EstimationFailedError", "detect_fold", "eval_fprime",
                "HypothesesReport", "NewtonConfig", "PairJacobian",
-               "banded_matvec_extended"}
+               "banded_matvec_extended", "operator_bands"}
     assert not removed & set(radbif.__all__)
     assert not any(hasattr(radbif, name) for name in removed)
 

@@ -244,6 +244,19 @@ def test_is_positive_state_classification(grid128):
     # just above the noise floor counts again
     small = np.full(n, 1e-7)
     assert is_positive_state(SystemState(small, small))
+    # at R = 40 the ray's u(0)/u(R) is about 2R e^-R = 3.4e-16, below the
+    # relative floor: every node above 0 and each component's sup above
+    # the floor make it positive, while a component whose sup lies below
+    # the floor, or a node at 0, does not
+    grid = build_grid(3, 40.0, 512)
+    phi = solve_flux_bvp(grid, 1.0)
+    phi = phi / phi[-1]
+    assert 0.0 < phi[0] < 1e-12
+    assert is_positive_state(SystemState(phi, 2.0 * phi))
+    assert not is_positive_state(SystemState(phi, 1e-13 * phi))
+    zero_at_origin = phi.copy()
+    zero_at_origin[0] = 0.0
+    assert not is_positive_state(SystemState(zero_at_origin, phi))
 
 
 def test_jacobian_decouples_at_lambda_zero(grid128, ref_model):
@@ -263,6 +276,45 @@ def test_jacobian_coupling_entries_at_zero_state(grid128, ref_model):
         -lam * fprime_extended(ref_model, 1, 0.0))
     assert dense[2 * M + 1, 2 * M] == pytest.approx(
         -lam * fprime_extended(ref_model, 2, 0.0))
+
+
+def _coefficient_jacobian(grid, model, lam, state):
+    """The Jacobian from A's coefficients written out, each rounded as
+    written: row 0 (2N/h^2 + 1, -2N/h^2), interior rows
+    (-1/h^2 + w_j, 2/h^2 + 1, -1/h^2 - w_j) with w_j = (N-1)/(2 h r_j),
+    the flux row (1/(2h), -2/h, 3/(2h)), interleaved, plus the two
+    coupling entries."""
+    M, h, N = grid.M, grid.h, grid.N_dim
+    a = np.zeros((M + 1, M + 1))
+    a[0, :2] = 2.0 * N / h ** 2 + 1.0, -2.0 * N / h ** 2
+    j = np.arange(1, M)
+    w = (N - 1) / (2.0 * h * grid.r[j])
+    a[j, j - 1], a[j, j], a[j, j + 1] = (-1.0 / h ** 2 + w, 2.0 / h ** 2 + 1.0,
+                                         -1.0 / h ** 2 - w)
+    a[M, M - 2:] = 1.0 / (2.0 * h), -2.0 / h, 3.0 / (2.0 * h)
+    jac = np.zeros((2 * M + 2, 2 * M + 2))
+    jac[0::2, 0::2] = jac[1::2, 1::2] = a
+    n = 2 * M + 1
+    jac[n - 1, n] = -lam * fprime_extended(model, 1, float(state.u2[M]))
+    jac[n, n - 1] = -lam * fprime_extended(model, 2, float(state.u1[M]))
+    return jac
+
+
+@pytest.mark.parametrize("N", [3, 10])
+@pytest.mark.parametrize("M", [16, 17, 128])
+def test_jacobian_is_the_coefficients_bit_for_bit(N, M, ref_model):
+    # the stencil of the identity rounds each coefficient as written, so
+    # the Jacobian equals the written-out coefficients in every bit, the
+    # sign of every zero included (-0.0 couplings at lam = 0)
+    grid = build_grid(N, 1.0, M)
+    rng = np.random.default_rng(N * 100 + M)
+    state = SystemState(rng.uniform(0.1, 2.0, M + 1),
+                        rng.uniform(0.1, 2.0, M + 1))
+    for lam in (0.0, 0.3):
+        got = jacobian(grid, ref_model, lam, state)
+        want = _coefficient_jacobian(grid, ref_model, lam, state)
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
 
 
 def test_residual_rows_match_reference_formulas(ref_model):
