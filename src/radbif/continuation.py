@@ -13,15 +13,11 @@ both come from steklov_eigenpair.  The flux rows then reduce exactly to
 and tracing keeps lam as its coordinate, x = (t1, t2, lam), on the flux
 rows of solver._TraceSystem: a secant predictor and, as corrector,
 solver._trace_newton, the Newton iteration newton_solve runs too, here
-on these two rows plus the arclength row.  It works on Python floats;
-per step it builds one 3x3 array for np.linalg.solve, and the arclength
-row keeps its numpy dot, so its iterates equal those of the same
-iteration on numpy arrays bit for bit (plain Python arithmetic rounds
-differently from LAPACK's dgesv and the BLAS dot).  A failed solve or
-re-check raises NonConvergenceError, which rejects the step.  The
-weighted metric (dU.dU)/dim + dlam^2 of the full state U becomes
-w (dt1^2 + dt2^2) + dlam^2 with w = (phi_h.phi_h)/(2(M+1)), so step
-lengths and tangents are those of the full-space metric.  Each step is
+on these two rows plus the arclength row, all on Python floats.  A
+failed solve or re-check raises NonConvergenceError, which rejects the
+step.  The weighted metric (dU.dU)/dim + dlam^2 of the full state U
+becomes w (dt1^2 + dt2^2) + dlam^2 with w = (phi_h.phi_h)/(2(M+1)), so
+step lengths and tangents are those of the full-space metric.  Each step is
 ds * max(1, t1 + t2) of the last point: the tail bifurcates from infinity,
 with a pair norm that grows like lam^-theta1, so a step relative to the
 state crosses it in tens of points where a fixed one would take
@@ -92,7 +88,9 @@ class ContinuationConfig:
     halves when it takes >= 8 or the step is rejected, clipped to
     [ds_min, ds_max]: these bound ds, not the step.  lambda_stop_low > 0
     is the tail cutoff: the zero-parameter end is a bifurcation from
-    infinity and is analyzed by rescaling, not chased to blow-up.
+    infinity and is analyzed by rescaling, not chased to blow-up.  It
+    must lie below the bifurcation value mu0, which continue_branch
+    checks once mu0 is known.
     tol_residual is the tolerance of the corrector, of the fold solves and
     of the full-space re-check of every point.
     """
@@ -210,10 +208,11 @@ def _traces(point: BranchPoint) -> np.ndarray:
 
 
 def _arclength(ts: _TraceSystem, tau, anchor, ds):
-    """The row (metric * tau) . (x - anchor) - ds and its gradient."""
-    row = ts.metric * tau
-    grad = tuple(row.tolist())
-    return lambda x: (float(row @ (np.array(x) - anchor)) - ds, grad)
+    """The row (metric * tau) . (x - anchor) - ds and its gradient, which
+    is evaluated on Python floats."""
+    grad, anchor = tuple((ts.metric * tau).tolist()), anchor.tolist()
+    return lambda x: (sum(g * (xi - ai) for g, xi, ai in zip(grad, x, anchor))
+                      - ds, grad)
 
 
 def _verify(grid: RadialGrid, ts: _TraceSystem, x, tol: float) -> tuple:
@@ -243,13 +242,19 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
     after the full-space re-check of _verify and its positivity check.
     A model with p1*p2 <= 1 has no branch to trace toward the tail (the
     linear model's stands vertical at mu0) and raises ConfigError, as
-    theta_exponents does, before any step.  Once the tracing stops, every
-    turn of lam is solved exactly into branch.folds (_locate_folds); a
-    fold solve that fails raises ContinuationError.
+    theta_exponents does, before any step; so does a cfg.lambda_stop_low
+    at or above mu0, where the branch would stop at its step-off.  Once
+    the tracing stops, every turn of lam is solved exactly into
+    branch.folds (_locate_folds); a fold solve that fails raises
+    ContinuationError.
     """
     theta_exponents(model)
     ts = _TraceSystem(grid, model)
     mu0 = bifurcation_point(model, ts.mu_h)
+    if cfg.lambda_stop_low >= mu0:
+        raise ConfigError(
+            f"lambda_stop_low = {cfg.lambda_stop_low} is not below the "
+            f"bifurcation value mu0 = {mu0}: no branch to trace")
     tol = cfg.tol_residual
 
     anchor = BranchPoint(mu0, 0.0, 0.0, ts.profile, 0, 0.0)

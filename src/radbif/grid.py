@@ -85,7 +85,7 @@ class SystemState:
             raise ValueError("u1 and u2 must be 1-d arrays of equal length")
 
     def to_vector(self) -> np.ndarray:
-        """Interleave as [u1_0, u2_0, u1_1, u2_1, ...] (banded ordering)."""
+        """Interleave as [u1_0, u2_0, u1_1, u2_1, ...], node by node."""
         out = np.empty(2 * self.u1.size)
         out[0::2] = self.u1
         out[1::2] = self.u2
@@ -323,13 +323,20 @@ def save_state_csv(path, grid: RadialGrid, state: SystemState,
 
 
 def load_state_csv(path):
-    """Read back (r, u1, u2) arrays written by save_state_csv."""
+    """Read back (r, u1, u2) arrays written by save_state_csv; a row
+    without three fields, or no row at all, raises ValueError naming the
+    path (and the line)."""
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#") or line.startswith("r,"):
                 continue
-            rows.append([float(x) for x in line.split(",")])
+            fields = line.split(",")
+            if len(fields) != 3:
+                raise ValueError(f"{path}:{n}: expected r,u1,u2, got {line!r}")
+            rows.append([float(x) for x in fields])
+    if not rows:
+        raise ValueError(f"{path}: no r,u1,u2 rows")
     data = np.array(rows)
     return data[:, 0], data[:, 1], data[:, 2]

@@ -335,16 +335,17 @@ def _trace_newton(ts: _TraceSystem, extra, x0, tol: float) -> tuple:
     max(1, |t1|, |t2|), the sup norms of the rebuilt state, and |value| at
     most tol.  Once converged, one more step is taken: it leaves x with
     rounding error only, and it sends a near-trivial iterate to about
-    zero, where that scaled test is absolute.  Everything but the 3x3
-    solve (np.linalg.solve) is done on Python floats.
+    zero, where that scaled test is absolute.  The step is the adjugate
+    of the 3x3 system over its determinant, all on Python floats.
 
     Returns x as a tuple of floats and the history of the scaled flux-row
     residual of each iterate, the returned x last, so the step count, the
     finishing step included, is len(history) - 1.  An iterate outside
     lam > 0 with finite coordinates, a singular 3x3 system (a zero
-    determinant or a zero LU pivot) before convergence or no convergence
-    raises NonConvergenceError with the history and the last iterate
-    rebuilt on the ray.
+    determinant) before convergence or no convergence raises
+    NonConvergenceError with the history and the last iterate rebuilt on
+    the ray; a converged x whose system is singular is returned as it
+    stands.
     """
     x, history = tuple(map(float, x0)), []
 
@@ -366,21 +367,18 @@ def _trace_newton(ts: _TraceSystem, extra, x0, tol: float) -> tuple:
             raise failure(f"no convergence in {MAX_NEWTON_ITER} iterations "
                           f"(residual {history[-1]:.3e})")
         (a, b, c), (d, e, f), (g, h, k) = row1, row2, grad
-        # by cofactors along the extra row: for the fixed-lam row (0, 0, 1)
-        # exactly the flux rows' a e - b d, where LU's rounding can leave a
-        # tiny nonzero pivot instead of zero
-        det = g * (b * f - c * e) - h * (a * f - c * d) + k * (a * e - b * d)
-        try:
-            if det == 0.0:
-                raise np.linalg.LinAlgError
-            dx = np.linalg.solve(np.array((row1, row2, grad)),
-                                 np.array((-r1, -r2, -value))).tolist()
-            step = (x[0] + dx[0], x[1] + dx[1], x[2] + dx[2])
-        except np.linalg.LinAlgError:
-            if not converged:
-                raise failure("singular Jacobian: the 3x3 trace system "
-                              "is singular") from None
-            step = x
+        # the adjugate, one row per coordinate; det by cofactors along the
+        # extra row, for the fixed-lam row (0, 0, 1) exactly a e - b d
+        adj = ((e * k - f * h, c * h - b * k, b * f - c * e),
+               (f * g - d * k, a * k - c * g, c * d - a * f),
+               (d * h - e * g, b * g - a * h, a * e - b * d))
+        det = g * adj[0][2] + h * adj[1][2] + k * adj[2][2]
+        if det == 0.0 and not converged:
+            raise failure("singular Jacobian: the 3x3 trace system is "
+                          "singular")
+        step = x if det == 0.0 else tuple(
+            xi - (p * r1 + q * r2 + s * value) / det
+            for xi, (p, q, s) in zip(x, adj))
         if converged:
             if _admissible(*step):
                 x = step

@@ -563,6 +563,24 @@ def test_multiplicity_without_two_states_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [
+    "branch", "rescale-check",
+    pytest.param("multiplicity --lambda 0.32", id="multiplicity")])
+def test_tail_cutoff_at_or_above_mu0_is_a_config_error(tmp_path, capsys,
+                                                       command):
+    # mu0 = 0.31303... on this grid: a cutoff of 0.5 leaves no branch to
+    # trace, so every command that traces one exits 2 with one line naming
+    # mu0 and writes no artifact
+    out = tmp_path / "out"
+    assert run(command.split() + ["--override", "cont.lambda_stop_low=0.5",
+                                  "--override", "grid.M=64",
+                                  "--override", f"out.dir={out}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: lambda_stop_low = 0.5 ")
+    assert "mu0 = 0.313" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
     pytest.param(["multiplicity", "--lambda", str(LAMBDA_MID)],
                  id="multiplicity"),
     pytest.param(["rescale-check"], id="rescale-check")])

@@ -1,6 +1,7 @@
 """Radial mesh, operator stencils, flux stencil, the grid's ray."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -347,6 +348,18 @@ def test_state_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(r, g.r)
     np.testing.assert_array_equal(u1, s.u1)
     np.testing.assert_array_equal(u2, s.u2)
+
+
+def test_load_state_csv_refuses_malformed_files(tmp_path):
+    # a file from outside the program: no rows, or a row short of r,u1,u2,
+    # is a ValueError naming the path (and the line), not an IndexError
+    path = tmp_path / "state.csv"
+    path.write_text("# no rows\nr,u1,u2\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no "):
+        load_state_csv(path)
+    path.write_text("r,u1,u2\n0,1,2\n1,3\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "):
+        load_state_csv(path)
 
 
 def test_state_csv_exact_bytes(tmp_path):
