@@ -22,7 +22,8 @@ from .analysis import build_report, rescale_check
 from .continuation import ContinuationConfig, continue_branch
 from .errors import (ConfigError, ContinuationError, ToolkitError,
                      require_positive)
-from .grid import SystemState, build_grid, pair_norm, save_state_csv
+from .grid import (SystemState, _write_table, build_grid, pair_norm,
+                   save_state_csv)
 from .model import (NonlinearityModel, linear_model, polynomial_model,
                     quadratic_model, reference_model)
 from .monotone import second_solution
@@ -212,11 +213,8 @@ def _require_lambda_floor(branch) -> None:
 def _cmd_steklov(st: RunSettings, args) -> int:
     eig = steklov_eigenpair(st.grid)
     print(f"mu1={eig.mu1:.7f}")
-    with open(st.path("steklov.csv"), "w", encoding="utf-8") as fh:
-        fh.write(f"# config={st.config_hash}\n")
-        fh.write("r,phi1\n")
-        for r, v in zip(st.grid.r, eig.phi1):
-            fh.write(f"{_g(r)},{_g(v)}\n")
+    _write_table(st.path("steklov.csv"),
+                 f"# config={st.config_hash}\nr,phi1\n", (st.grid.r, eig.phi1))
     return 0
 
 
@@ -296,10 +294,9 @@ def _cmd_branch(st: RunSettings, args) -> int:
                 "config_hash": st.config_hash,
             }
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    with open(st.path("branch.dat"), "w", encoding="utf-8") as fh:
-        fh.write(f"# lambda norm_pair (config={st.config_hash})\n")
-        for p in branch.points:
-            fh.write(f"{_g(p.lam)} {_g(p.norm)}\n")
+    _write_table(st.path("branch.dat"),
+                 f"# lambda norm_pair (config={st.config_hash})\n",
+                 (branch.lambdas(), branch.norms()), sep=" ")
     summary = {
         "config_hash": st.config_hash,
         "n_points": len(branch.points),
@@ -358,11 +355,9 @@ def _cmd_rescale_check(st: RunSettings, args) -> int:
     branch = continue_branch(st.grid, st.model, st.cont)
     _require_lambda_floor(branch)
     table = rescale_check(branch)
-    with open(st.path("rescale.csv"), "w", encoding="utf-8") as fh:
-        fh.write(f"# config={st.config_hash}\n")
-        fh.write("lambda,ratio1,ratio2\n")
-        for lam, r1, r2 in table.rows:
-            fh.write(f"{_g(lam)},{_g(r1)},{_g(r2)}\n")
+    _write_table(st.path("rescale.csv"),
+                 f"# config={st.config_hash}\nlambda,ratio1,ratio2\n",
+                 tuple(zip(*table.rows)))
     verdict = "ok" if table.ok else "FAILED"
     print(f"rescale-check: {verdict} (final_dev={table.final_dev:.4g}, "
           f"monotone={table.monotone}, rows={len(table.rows)})")

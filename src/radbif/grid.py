@@ -226,29 +226,37 @@ def _kernel_solver(grid: RadialGrid):
     exactly 0 at j = (N-1)/2 for odd N, and the scan restarts there.
     y_0 = 0; the multiple of phi added to x then meets the flux row.
 
-    A is singular exactly when flux(phi) is 0, which raises LinAlgError.
-    phi grows like e^r/r, so it overflows for a ball radius above about
-    700; a flux that is not finite raises NumericalError naming the
-    radius."""
+    phi grows like e^r/r, and the scan coefficients g_j/p_j like phi
+    times j^(N-1).  Either may leave double range for a ball radius near
+    700 or above (the window depends on N and M); a flux or a
+    coefficient that is not finite raises NumericalError naming the
+    radius, with no numpy warning.  A is singular exactly when flux(phi)
+    is 0, which in double happens when phi is constant: at a tiny radius
+    its rise near R rounds away.  That raises NumericalError naming N, R
+    and M."""
     M, N, h = grid.M, grid.N_dim, grid.h
     phi = _regular_solution(grid)
-    with np.errstate(invalid="ignore"):  # inf - inf for an overflowed phi
-        flux = boundary_flux(grid, phi)
-    if not np.isfinite(flux):
-        raise NumericalError(f"ball radius {grid.R_ball:g} is too large: the "
-                             f"regular solution (1 at r = 0) overflows "
-                             f"double range before r = {grid.R_ball:g}")
-    if flux == 0.0:
-        raise np.linalg.LinAlgError("grid operator is singular "
-                                    "(flux of the regular solution 0)")
     q = (N - 1) / (2.0 * np.arange(1, M))
     alpha = np.concatenate(([0.0], (1 - q) / (1 + q)))  # 0 starts a scan
-    g = -h * h * phi[:M] / np.concatenate(([2.0 * N], 1 + q))
     starts = [*np.flatnonzero(alpha == 0.0), M]
     scans = []
-    for a, b in zip(starts, starts[1:]):
-        p = np.cumprod(np.concatenate(([1.0], alpha[a + 1:b])))
-        scans.append((slice(a, b), p, g[a:b] / p))
+    with np.errstate(all="ignore"):  # out of range is refused below
+        flux = boundary_flux(grid, phi)
+        g = -h * h * phi[:M] / np.concatenate(([2.0 * N], 1 + q))
+        for a, b in zip(starts, starts[1:]):
+            p = np.cumprod(np.concatenate(([1.0], alpha[a + 1:b])))
+            scans.append((slice(a, b), p, g[a:b] / p))
+    if not (np.isfinite(flux)
+            and all(np.isfinite(k).all() for *_, k in scans)):
+        raise NumericalError(f"ball radius {grid.R_ball:g} is too large at "
+                             f"N = {N}, M = {M}: the regular solution (1 at "
+                             f"r = 0) or its reduction of order overflows "
+                             f"double range")
+    if flux == 0.0:
+        raise NumericalError(f"ball radius {grid.R_ball:g} is too small at "
+                             f"N = {N}, M = {M}: the regular solution is "
+                             f"constant in double, so the grid operator is "
+                             f"singular")
 
     def solve(s):
         f = np.empty(M)
@@ -274,9 +282,10 @@ def _ray(grid: RadialGrid) -> tuple:
     last entry, which makes that entry exactly 1: t times it rounds to
     double once, so the rebuilt (t phi_h) keeps t as its trace exactly.
     The solver is not kept, so once a grid is set up nothing can make a
-    solve.  Raises LinAlgError when A is singular and NumericalError when
-    the regular solution overflows; nothing is cached then, so the error
-    surfaces again at every call that needs the ray.
+    solve.  Raises NumericalError, naming the radius, when the regular
+    solution is constant in double (A singular) or its solves leave
+    double range; nothing is cached then, so the error surfaces again at
+    every call that needs the ray.
     """
     M = grid.M
     solve = _kernel_solver(grid)
@@ -302,24 +311,23 @@ def solve_flux_bvp(grid: RadialGrid, flux: float) -> np.ndarray:
     return float(flux) * _ray(grid)[0]
 
 
-@cache_per_object
-def _r_column(grid: RadialGrid) -> list:
-    """The r column of save_state_csv, formatted once per grid."""
-    return [f"{r:.17g}" for r in grid.r.tolist()]
+def _write_table(path, head: str, columns, sep: str = ",") -> None:
+    """Write head, then one row per entry of the equal-length columns:
+    their values as %.17g, joined by sep.  One % over the row format
+    repeated per row gives the same bytes as a call per row, with a
+    fraction of the calls."""
+    table = np.column_stack(columns)
+    row = sep.join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head + (row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def save_state_csv(path, grid: RadialGrid, state: SystemState,
                    comment: str | None = None) -> None:
-    """Write columns r, u1, u2 (plot-friendly, '#' comment lines allowed)."""
+    """Write columns r, u1, u2 as %.17g (plot-friendly, '#' comment lines
+    allowed); load_state_csv reads them back exactly."""
     head = (f"# {comment}\n" if comment else "") + "r,u1,u2\n"
-    r = _r_column(grid)
-    # one % over the row format repeated per row: the same bytes as a
-    # call per row, with a fraction of the calls
-    values = [None] * (3 * len(r))
-    values[0::3] = r
-    values[1::3], values[2::3] = state.u1.tolist(), state.u2.tolist()
-    with open(path, "w") as fh:
-        fh.write(head + ("%s,%.17g,%.17g\n" * len(r)) % tuple(values))
+    _write_table(path, head, (grid.r, state.u1, state.u2))
 
 
 def load_state_csv(path):

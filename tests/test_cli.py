@@ -19,6 +19,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +159,29 @@ def test_steklov_beyond_double_range_exits_1(tmp_path, capsys):
                 "--override", f"out.dir={out}"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ball radius 800 is too large")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("entries, reason", [
+    (["grid.R=1e-8"], "ball radius 1e-08 is too small at N = 3, M = 512: "),
+    (["grid.R=1e-6", "grid.M=4096"], "ball radius 1e-06 is too small at "),
+    (["grid.N=5", "grid.R=700", "grid.M=4096"],
+     "ball radius 700 is too large at N = 5, M = 4096: "),
+    (["grid.N=10", "grid.R=680", "grid.M=4096"], "ball radius 680 is too "),
+], ids=["R1e-8", "R1e-6-M4096", "N5-R700-M4096", "N10-R680-M4096"])
+def test_steklov_at_an_unrepresentable_radius_exits_1(entries, reason,
+                                                      tmp_path, capsys):
+    # a tiny ball, where the regular solution's rise rounds away (A looks
+    # singular), and radii just below the overflow of phi itself, where
+    # its reduction of order leaves double range: exit 1 with one line
+    # naming the radius, no numpy warning and no artifact
+    out = tmp_path / "out"
+    overrides = [arg for entry in entries for arg in ("--override", entry)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["steklov", *overrides, "--override", f"out.dir={out}"])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: " + reason), err
     assert err.count("\n") == 1 and not out.exists()
 
 
@@ -640,6 +664,46 @@ def test_rescale_check_command(tmp_path, capsys):
     assert len(rows) >= 3 and lams == sorted(lams, reverse=True)
     assert lams[0] <= 1e-2 and lams[-1] <= 1e-3
     assert max(abs(rows[-1][1] - 1.0), abs(rows[-1][2] - 1.0)) <= 0.02
+
+
+def test_table_artifacts_are_the_library_values_as_17_digit_text(tmp_path,
+                                                                 capsys):
+    # steklov.csv, branch.dat, rescale.csv and the state dumps are their
+    # header, then the library's own values, each as f"{x:.17g}", joined
+    # by the file's separator: the exact bytes
+    out = tmp_path / "out"
+    for argv in (["steklov"], ["branch", "--dump-states", "10"],
+                 ["rescale-check"]):
+        assert run([*argv, "--override", "grid.M=128",
+                    "--override", f"out.dir={out}"]) == 0
+    capsys.readouterr()
+    st = cli.RunSettings({"grid.M": "128"})
+    branch = continue_branch(st.grid, st.model, st.cont)
+    r = st.grid.r.tolist()
+
+    def rows(*columns, sep=","):
+        return "".join(sep.join(f"{x:.17g}" for x in row) + "\n"
+                       for row in zip(*columns))
+
+    config = f"# config={st.config_hash}"
+    expected = {
+        "steklov.csv": f"{config}\nr,phi1\n" + rows(
+            r, radbif.steklov_eigenpair(st.grid).phi1.tolist()),
+        "branch.dat": f"# lambda norm_pair (config={st.config_hash})\n"
+                      + rows([p.lam for p in branch.points],
+                             [p.norm for p in branch.points], sep=" "),
+        "rescale.csv": f"{config}\nlambda,ratio1,ratio2\n"
+                       + rows(*zip(*radbif.rescale_check(branch).rows)),
+    }
+    for k in range(0, len(branch.points), 10):
+        p = branch.points[k]
+        expected[f"state_{k:06d}.csv"] = (
+            f"{config} lambda={p.lam:.17g}\nr,u1,u2\n"
+            + rows(r, p.state.u1.tolist(), p.state.u2.tolist()))
+    assert len(expected) >= 6
+    assert set(expected) <= {path.name for path in out.iterdir()}
+    for name, text in expected.items():
+        assert (out / name).read_bytes() == text.encode(), name
 
 
 def test_branch_with_a_long_tail_reaches_the_floor(tmp_path, capsys):

@@ -398,6 +398,23 @@ def test_state_csv_equals_the_row_by_row_formatting(tmp_path):
     assert path.read_bytes() == ("# rows\nr,u1,u2\n" + rows).encode()
 
 
+def test_state_csv_writes_each_value_as_its_17_digit_text(tmp_path):
+    # with no comment line: -0.0, the smallest subnormal, 1e308 and a value
+    # that needs all 17 digits, against f"{x:.17g}" value by value
+    g = build_grid(3, 1.0, 16)
+    special = [-0.0, 5e-324, 1e308, 0.1 + 0.2]
+    u1, u2 = np.full(17, 0.25), np.full(17, -1.0)
+    u1[:4], u2[-4:] = special, special
+    path = tmp_path / "state.csv"
+    save_state_csv(path, g, SystemState(u1, u2))
+    rows = "".join(",".join(f"{x:.17g}" for x in row) + "\n"
+                   for row in zip(g.r.tolist(), u1.tolist(), u2.tolist()))
+    assert path.read_bytes() == ("r,u1,u2\n" + rows).encode()
+    assert path.read_text().splitlines()[1:5] == [
+        "0,-0,-1", "0.0625,4.9406564584124654e-324,-1", "0.125,1e+308,-1",
+        "0.1875,0.30000000000000004,-1"]
+
+
 @given(st.floats(min_value=-10, max_value=10),
        st.floats(min_value=-10, max_value=10))
 def test_flux_bvp_superposition(f1, f2):

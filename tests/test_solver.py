@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from conftest import bisect_root, exact_stencil, trace_system_solve
-from radbif import (ConfigError, NonConvergenceError, SystemState,
-                    apply_operator, boundary_flux, build_grid, eval_f,
-                    f_extended, fprime_extended, is_positive_state, jacobian,
+from radbif import (ConfigError, NonConvergenceError, NumericalError,
+                    SystemState, apply_operator, boundary_flux, build_grid,
+                    eval_f, f_extended, fprime_extended, is_positive_state,
+                    jacobian,
                     linear_bvp_solve, linear_model, newton_solve,
                     pair_norm, residual,
                     scaled_residual_norm, solve_flux_bvp, solve_limit_problem,
@@ -447,8 +448,8 @@ def test_pair_residual_is_bit_identical_to_two_matvecs(ref_model, M):
 def test_singular_factor_surfaces_at_the_solve(ref_model, monkeypatch):
     # the grid's ray is newton_solve's set-up, not one of its steps.  A is
     # singular exactly when the regular solution has zero flux; a
-    # constant one does, so the set-up raises at every call and caches
-    # nothing
+    # constant one does, so the set-up raises NumericalError at every
+    # call and caches nothing
     import radbif.grid as grid_module
     calls = []
 
@@ -460,8 +461,9 @@ def test_singular_factor_surfaces_at_the_solve(ref_model, monkeypatch):
     grid = build_grid(3, 1.0, 32)
     state = SystemState(0.3 * np.ones(grid.M + 1), 0.4 * np.ones(grid.M + 1))
     for n in (1, 2):
-        with pytest.raises(np.linalg.LinAlgError,
-                           match="grid operator is singular"):
+        with pytest.raises(NumericalError,
+                           match="constant in double, so the grid operator "
+                                 "is singular"):
             newton_solve(grid, ref_model, 0.3, state)
         assert len(calls) == n
     monkeypatch.undo()
