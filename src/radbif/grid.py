@@ -22,12 +22,13 @@ symmetry, so no surface quadrature appears anywhere in the toolkit.
 from __future__ import annotations
 
 import functools
+import math
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, require_int, require_positive
+from .errors import ConfigError, NumericalError, require_int, require_positive
 
 __all__ = [
     "RadialGrid",
@@ -65,7 +66,12 @@ def build_grid(N_dim: int, R_ball: float, M: int) -> RadialGrid:
     N_dim = require_int(N_dim, "spatial dimension", 3)
     M = require_int(M, "number of intervals M", 16)
     R_ball = require_positive(R_ball, "ball radius")
-    r = np.arange(M + 1) * (R_ball / M)
+    h = R_ball / M
+    # the operator rows carry 1/h^2 and the set-up h^2: both must be finite
+    if not (0.0 < h * h < math.inf and 1.0 / (h * h) < math.inf):
+        raise ConfigError(f"ball radius {R_ball:g} is out of range at M = {M}: "
+                          f"h = {h:g}, and h^2 or 1/h^2 leaves double range")
+    r = np.arange(M + 1) * h
     r.flags.writeable = False
     return RadialGrid(N_dim=N_dim, R_ball=R_ball, M=M, r=r)
 

@@ -185,6 +185,25 @@ def test_steklov_at_an_unrepresentable_radius_exits_1(entries, reason,
     assert err.count("\n") == 1 and not out.exists()
 
 
+@pytest.mark.parametrize("radius", ["1e-200", "1e160"])
+def test_steklov_at_a_spacing_outside_double_range_exits_2(radius, tmp_path,
+                                                           capsys):
+    # h^2 underflows or overflows: build_grid refuses the radius before the
+    # default tolerance floor divides by h^2, so the one line names the
+    # radius (not tol_residual), with no numpy warning, no OverflowError
+    # and no artifact
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["steklov", "--override", f"grid.R={radius}",
+                    "--override", f"out.dir={out}"])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith(
+        f"config error: ball radius {float(radius):g} is out of range at "
+        f"M = 512: h = "), err
+    assert err.count("\n") == 1 and not out.exists()
+
+
 def test_report_json(tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["report", "--override", "grid.M=256",
@@ -775,10 +794,29 @@ def test_module_entry_point():
     _assert_help(proc)
 
 
+def test_numpy_is_the_only_runtime_dependency():
+    """pyproject.toml declares numpy alone; scipy (the bench's fold oracle
+    and the ive cross-check) and mpmath (the Bessel-ratio reference) sit in
+    the test extra, and no module of the package imports scipy."""
+    if sys.version_info >= (3, 11):
+        import tomllib
+    else:
+        tomllib = pytest.importorskip("tomli")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    name = re.compile(r"[A-Za-z0-9_.-]+")
+    assert [name.match(d)[0] for d in project["dependencies"]] == ["numpy"]
+    test_extra = {name.match(d)[0]
+                  for d in project["optional-dependencies"]["test"]}
+    assert {"scipy", "mpmath"} <= test_extra
+    for path in sorted((root / "src" / "radbif").glob("*.py")):
+        assert not re.search(r"^\s*(import|from)\s+scipy\b",
+                             path.read_text(), re.M), path
+
+
 def test_import_loads_no_slow_scipy_subpackages():
-    """`import radbif` stays cheap: no scipy module is loaded at all.
-    numpy is the only run-time import; scipy serves steklov_shooting_oracle
-    alone, which imports it inside."""
+    """`import radbif` stays cheap: no scipy module is loaded at all."""
     code = ("import sys, radbif, radbif.cli; print(sorted(m for m in "
             "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     proc = subprocess.run([sys.executable, "-c", code],

@@ -57,6 +57,21 @@ def test_build_grid_rejects_bad_parameters():
     assert (g.N_dim, g.M) == (3, 64) and type(g.M) is int
 
 
+@pytest.mark.parametrize("R, M", [
+    (1e160, 512), (1e-200, 512), (1.7976931348623157e308, 16), (5e-324, 16),
+    (1.35e154 * 512, 512), (7.4e-155 * 512, 512)])
+def test_build_grid_refuses_a_spacing_whose_square_leaves_double_range(R, M):
+    # the set-up forms h^2 and the operator rows 1/h^2: when either is not
+    # finite, one ConfigError names R, M and h before anything is built
+    # (at R = 1e160, steklov_eigenpair raised OverflowError from h ** 2)
+    with pytest.raises(ConfigError, match=re.escape(
+            f"ball radius {R:g} is out of range at M = {M}: h = {R / M:g}")):
+        build_grid(3, R, M)
+    # just inside either end the grid is built
+    for h in (7.5e-155, 1.34e154):
+        assert build_grid(3, h * M, M).h == pytest.approx(h)
+
+
 def test_operator_on_constant_is_the_constant():
     g = build_grid(3, 1.0, 32)
     res = apply_operator(g, np.full(33, 2.5))

@@ -8,6 +8,7 @@ independently.
 
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -104,6 +105,39 @@ def test_shooting_oracle_closed_forms():
         mu1_closed(10.0), abs=1e-9)
     # large balls approach 1 from below
     assert 0.0 < steklov_shooting_oracle(3, 10.0) < 1.0
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 10, 50, 130])
+def test_shooting_oracle_against_mpmath(N):
+    # 40-digit Bessel ratios at radii from 1e-300 (the ratio is R/N there)
+    # to 1.7e308 (it is 1 - (N - 1)/(2R)): the exact value is a normal
+    # double at each, and the continued fraction lands within 5e-15 of it
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        nu = mpmath.mpf(N) / 2
+        for R in (1e-300, 1e-200, 1e-8, 1e-3, 0.3, 1.0, 3.0, 10.0, 50.0,
+                  800.0, 1e4, 1e6, 1e100, 1.7e308):
+            exact = mpmath.besseli(nu, R) / mpmath.besseli(nu - 1, R)
+            got = steklov_shooting_oracle(N, R)
+            assert abs(got / exact - 1) <= 5e-15, (R, got)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 10, 50, 130])
+def test_shooting_oracle_at_the_ends_of_double_range(N):
+    # a subnormal radius gives R/N rounded once, 0.0 at the smallest; at
+    # the largest double 1 - (N - 1)/(2R) rounds to 1
+    assert steklov_shooting_oracle(N, 5e-324) == 5e-324 / N == 0.0
+    assert steklov_shooting_oracle(N, 1e-320) == 1e-320 / N
+    assert steklov_shooting_oracle(N, sys.float_info.max) == 1.0
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 10])
+def test_shooting_oracle_against_the_scaled_bessel_ratio(N):
+    special = pytest.importorskip("scipy.special")
+    for R in np.geomspace(1e-8, 1e3, 23):
+        ratio = special.ive(N / 2, R) / special.ive(N / 2 - 1, R)
+        assert steklov_shooting_oracle(N, float(R)) == pytest.approx(
+            ratio, rel=1e-14, abs=0), R
 
 
 def test_shooting_oracle_cross_checks_grid_in_five_dimensions():
