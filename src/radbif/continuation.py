@@ -17,12 +17,15 @@ on these two rows plus the arclength row, all on Python floats.  A
 failed solve or re-check raises NonConvergenceError, which rejects the
 step.  The weighted metric (dU.dU)/dim + dlam^2 of the full state U
 becomes w (dt1^2 + dt2^2) + dlam^2 with w = (phi_h.phi_h)/(2(M+1)), so
-step lengths and tangents are those of the full-space metric.  Each step is
-ds * max(1, t1 + t2) of the last point: the tail bifurcates from infinity,
-with a pair norm that grows like lam^-theta1, so a step relative to the
-state crosses it in tens of points where a fixed one would take
-thousands.  The arclength row is divided by the same factor, so that its
-convergence test stays relative.
+step lengths and tangents are those of the full-space metric; w is one
+float per grid, summed once by math.fsum, and points, tangents and
+distances are tuples of Python floats, so no BLAS call touches a
+branch.  Each step is ds * max(1, t1 + t2) of the last point: the tail
+bifurcates from infinity, with a pair norm that grows like
+lam^-theta1, so a step relative to the state crosses it in tens of
+points where a fixed one would take thousands.  The arclength row is
+divided by the same factor, so that its convergence test stays
+relative.
 
 Each corrected x is checked on the kernel ray itself, with no full-space
 Newton step (_verify, on solver._recheck): the state (t1 phi_h, t2
@@ -55,6 +58,7 @@ verifies each root by _verify at the branch's own tolerance, Branch.tol.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -203,14 +207,14 @@ def initial_tangent(model: NonlinearityModel, steklov_pair: SteklovPair) -> Syst
     return SystemState(phi / (1.0 + z), (z / (1.0 + z)) * phi)
 
 
-def _traces(point: BranchPoint) -> np.ndarray:
-    return np.array([point.t1, point.t2, point.lam])
+def _traces(point: BranchPoint) -> tuple:
+    return point.t1, point.t2, point.lam
 
 
 def _arclength(ts: _TraceSystem, tau, anchor, ds):
-    """The row (metric * tau) . (x - anchor) - ds and its gradient, which
-    is evaluated on Python floats."""
-    grad, anchor = tuple((ts.metric * tau).tolist()), anchor.tolist()
+    """The row (w tau_1, w tau_2, tau_lam) . (x - anchor) - ds and its
+    gradient."""
+    grad = (ts.w * tau[0], ts.w * tau[1], tau[2])
     return lambda x: (sum(g * (xi - ai) for g, xi, ai in zip(grad, x, anchor))
                       - ds, grad)
 
@@ -238,8 +242,9 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
     anchor as last_point.  Every later step predicts along the unit
     secant tau of the last two points, with length ds * s where s =
     max(1, t1 + t2) of the last point, and corrects with the row
-    (metric * tau / s) . (x - x_last) = ds.  Each point is accepted only
-    after the full-space re-check of _verify and its positivity check.
+    (w tau_1, w tau_2, tau_lam) . (x - x_last) / s = ds.  Each point is
+    accepted only after the full-space re-check of _verify and its
+    positivity check.
     A model with p1*p2 <= 1 has no branch to trace toward the tail (the
     linear model's stands vertical at mu0) and raises ConfigError, as
     theta_exponents does, before any step; so does a cfg.lambda_stop_low
@@ -264,7 +269,7 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
         """Append the point at x with the traces, shift and residual of
         _verify; its tangent sign is that of dlam against the previous
         point, or the previous sign when dlam is 0."""
-        lam, last = float(x[2]), branch.points[-1]
+        lam, last = x[2], branch.points[-1]
         dlam = lam - last.lam
         sign = (1 if dlam > 0 else -1) if dlam else last.tangent_lambda_sign
         t1, t2, shift, res, _ = checked
@@ -272,8 +277,8 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
                                          iters, shift, res))
 
     eps, z = cfg.eps_step_off, zeta(model)
-    tau = np.array([1.0 / (1.0 + z), z / (1.0 + z), 0.0])
-    x0 = eps * tau + np.array([0.0, 0.0, mu0])
+    tau = (1.0 / (1.0 + z), z / (1.0 + z), 0.0)
+    x0 = (eps * tau[0], eps * tau[1], mu0)
     try:
         x, history = _trace_newton(ts, _arclength(ts, tau, x0, 0.0), x0, tol)
         checked = _verify(grid, ts, x, tol)
@@ -298,15 +303,15 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
         if dist == 0.0:
             branch.termination = "corrector_failure"
             break
-        tau = (x_last - x_prev) / dist
+        tau = [(a - b) / dist for a, b in zip(x_last, x_prev)]
         scale = max(1.0, last.norm)
 
         checked = None
         while checked is None:
             try:
                 x, history = _trace_newton(
-                    ts, _arclength(ts, tau / scale, x_last, ds),
-                    x_last + (ds * scale) * tau, tol)
+                    ts, _arclength(ts, [t / scale for t in tau], x_last, ds),
+                    [a + (ds * scale) * t for a, t in zip(x_last, tau)], tol)
                 checked = _verify(grid, ts, x, tol)
             except NonConvergenceError as exc:
                 branch.rejections += 1
@@ -379,8 +384,7 @@ def _locate_folds(ts: _TraceSystem, branch: Branch, tol: float) -> None:
                 f"between points {a} and {a + 1} (lam={points[a].lam:.17g}) "
                 f"failed: {reason}",
                 last_point=points[ends[0]])
-        branch.folds.append(
-            FoldInfo(float(x[2]), start, float(x[0]), float(x[1])))
+        branch.folds.append(FoldInfo(x[2], start, x[0], x[1]))
         if top and (branch.fold is None or x[2] > branch.fold.lam_bar):
             branch.fold = branch.folds[-1]
 
@@ -419,10 +423,10 @@ def solutions_at(branch: Branch, lam: float) -> list:
             nodes.insert(k, fold)
             lams.insert(k, fold.lam_bar)
 
-    # signs, not d[:-1] * d[1:], which overflows once lam passes 1e154
-    d = lam - np.array(lams)
-    d = np.where(np.abs(d) <= 8.0 * np.spacing(lam), 0.0, np.sign(d))
-    ks = sorted({j for k in np.flatnonzero(d[:-1] * d[1:] <= 0.0).tolist()
+    # signs, not products of differences: those overflow past lam = 1e154
+    d = [0 if abs(lam - lk) <= 8.0 * math.ulp(lam) else (1 if lam > lk else -1)
+         for lk in lams]
+    ks = sorted({j for k in range(len(d) - 1) if d[k] * d[k + 1] <= 0
                  for j in range(max(k - 1, 0), min(k + 3, len(lams)))})
     t1s = {j: nodes[j].t1 for j in ks}
     qs = {j: ts.q(t1s[j], lam) for j in ks}

@@ -227,16 +227,20 @@ def _kernel_solver(grid: RadialGrid):
         f_0 = -h^2 phi_0 s_0 / (2N),
         f_j = alpha_j f_{j-1} - h^2 phi_j s_j / (1 + q_j),
 
-    with cumprod and cumsum.  The products of alpha fall like
-    j^-(N-1), so they stay in double range at any radius.  alpha_j is
-    exactly 0 at j = (N-1)/2 for odd N, and the scan restarts there.
-    y_0 = 0; the multiple of phi added to x then meets the flux row.
+    with cumprod and cumsum.  alpha_j is exactly 0 at j = (N-1)/2 for
+    odd N, and the scan restarts there.  y_0 = 0; the multiple of phi
+    added to x then meets the flux row.
 
-    phi grows like e^r/r, and the scan coefficients g_j/p_j like phi
-    times j^(N-1).  Either may leave double range for a ball radius near
+    phi grows like e^r/r, and the scan coefficients g_j/p_j like h^2 phi
+    times j^(N-1).  They may leave double range for a ball radius near
     700 or above (the window depends on N and M); a flux or a
     coefficient that is not finite raises NumericalError naming the
-    radius, with no numpy warning.  A is singular exactly when flux(phi)
+    radius, with no numpy warning.  The products p_j of alpha do not
+    depend on the radius and fall like j^-(N-1) from the scan's start:
+    at a large dimension they underflow (at M = 4096 from N = 146 on,
+    even N), and g_j/p_j overflows.  A coefficient that is not finite
+    where a product has underflowed raises NumericalError naming N and
+    M instead.  A is singular exactly when flux(phi)
     is 0, which in double happens when phi is constant: at a tiny radius
     its rise near R rounds away.  That raises NumericalError naming N, R
     and M."""
@@ -254,6 +258,9 @@ def _kernel_solver(grid: RadialGrid):
             scans.append((slice(a, b), p, g[a:b] / p))
     if not (np.isfinite(flux)
             and all(np.isfinite(k).all() for *_, k in scans)):
+        if min(np.abs(p).min() for _, p, _ in scans) < np.finfo(float).tiny:
+            raise NumericalError(f"dimension N = {N} is too large at M = {M}: "
+                                 "the reduction of order's products underflow")
         raise NumericalError(f"ball radius {grid.R_ball:g} is too large at "
                              f"N = {N}, M = {M}: the regular solution (1 at "
                              f"r = 0) or its reduction of order overflows "
@@ -276,9 +283,11 @@ def _kernel_solver(grid: RadialGrid):
 
 @cache_per_object
 def _ray(grid: RadialGrid) -> tuple:
-    """(v, profile): the unit-flux column v = A^-1 e_M in double and the
-    unit-trace profile v/v(R) in longdouble, both read-only, computed once
-    per grid.  Every discrete solution lies on this ray.
+    """(v, profile, weight): the unit-flux column v = A^-1 e_M in double,
+    the unit-trace profile v/v(R) in longdouble, both read-only, and the
+    float weight (phi_h.phi_h)/(2(M+1)) of the trace metric, phi_h =
+    v/v(R) in double, computed once per grid.  Every discrete solution
+    lies on this ray.
 
     w starts as the double solve (_kernel_solver) of A w = e_M, which is
     phi / flux(phi).  Two refinement passes, each subtracting the solve of
@@ -287,6 +296,8 @@ def _ray(grid: RadialGrid) -> tuple:
     is w rounded to double once, and the profile is w divided by its own
     last entry, which makes that entry exactly 1: t times it rounds to
     double once, so the rebuilt (t phi_h) keeps t as its trace exactly.
+    The weight's sum of squares is math.fsum's, correctly rounded, so it
+    does not depend on the BLAS build.
     The solver is not kept, so once a grid is set up nothing can make a
     solve.  Raises NumericalError, naming the radius, when the regular
     solution is constant in double (A singular) or its solves leave
@@ -305,7 +316,8 @@ def _ray(grid: RadialGrid) -> tuple:
     v, profile = w[:, 0].astype(float), (w / w[M])[:, 0]
     for a in (v, profile):
         a.flags.writeable = False
-    return v, profile
+    phi = v / v[M]
+    return v, profile, math.fsum((phi * phi).tolist()) / (2 * (M + 1))
 
 
 def solve_flux_bvp(grid: RadialGrid, flux: float) -> np.ndarray:

@@ -23,10 +23,11 @@ from .analysis import bifurcation_point
 from .continuation import Branch, solutions_at
 from .errors import (ConfigError, DistinctnessError, MonotonicityViolationError,
                      NonConvergenceError, SubsolutionError, require_positive)
-from .grid import RadialGrid, SystemState, boundary_flux, pair_norm
+from .grid import (RadialGrid, SystemState, boundary_flux, pair_norm,
+                   solve_flux_bvp)
 from .model import (NonlinearityModel, _slopes_at_zero, f_extended,
                     monotone_check)
-from .solver import POSITIVITY_ZERO_FLOOR, linear_bvp_solve
+from .solver import POSITIVITY_ZERO_FLOOR
 from .steklov import steklov_eigenpair
 
 __all__ = [
@@ -96,8 +97,9 @@ def monotone_iterate(grid: RadialGrid, model: NonlinearityModel, lam: float,
     step overflows).
 
     The solution of that linear problem is (flux1, flux2) phi_h / mu_h, so
-    the steps run on the traces, t_i <- lam f_i(t_other) / mu_h, and the
-    returned state is linear_bvp_solve at the last fluxes: each component
+    the steps run on the traces, t_i <- lam f_i(t_other) / mu_h, as
+    Python floats once the first step is checked nodewise, and the
+    returned state is solve_flux_bvp at the last fluxes: each component
     is its flux times the grid's unit-flux column, with no solve.
     """
     require_positive(lam, "parameter")
@@ -118,41 +120,45 @@ def monotone_iterate(grid: RadialGrid, model: NonlinearityModel, lam: float,
     # Every iterate is (t1 phi_h, t2 phi_h).  The first step is compared
     # with the start nodewise; after it, phi_h > 0 and sup phi_h =
     # phi_h(R) = 1 make nodewise order, change and norm those of the
-    # boundary node, so the loop goes on with that node alone.
-    cur1, cur2, shape = sub.u1, sub.u2, eig.phi1
+    # boundary node, so the loop goes on with the two traces as floats.
+    t1, t2, phi = float(sub.u1[-1]), float(sub.u2[-1]), eig.phi1
     changes, fluxes = [], None
     for _ in range(MAX_ITER):
-        flux1 = lam * f_extended(model, 1, float(cur2[-1]))
-        flux2 = lam * f_extended(model, 2, float(cur1[-1]))
-        nxt1 = (flux1 / eig.mu1) * shape
-        nxt2 = (flux2 / eig.mu1) * shape
-        slack = ORDER_SLACK_REL * max(
-            1e-300, float(np.abs(cur1).max() + np.abs(cur2).max()))
-        drop = max(float((cur1 - nxt1).max()), float((cur2 - nxt2).max()))
+        flux1 = lam * f_extended(model, 1, t2)
+        flux2 = lam * f_extended(model, 2, t1)
+        n1, n2 = flux1 / eig.mu1, flux2 / eig.mu1
+        # d_i, the iterate less its successor: nodewise at the first step,
+        # at the boundary node after it
+        if changes:
+            d1, d2, norm = t1 - n1, t2 - n2, abs(t1) + abs(t2)
+            drop, change = max(d1, d2), max(abs(d1), abs(d2))
+        else:
+            d1, d2, norm = sub.u1 - n1 * phi, sub.u2 - n2 * phi, pair_norm(sub)
+            drop = max(float(d1.max()), float(d2.max()))
+            change = max(float(np.abs(d1).max()), float(np.abs(d2).max()))
+        slack = ORDER_SLACK_REL * max(1e-300, norm)
         if drop > slack:
             raise MonotonicityViolationError(
                 f"iterate decreased by {drop:.3e} at some node "
                 f"(allowed slack {slack:.3e})")
-        if sup is not None and (nxt1[-1] > cap1 or nxt2[-1] > cap2):
-            over = max(float((nxt1[-1] * eig.phi1 - sup.u1).max()),
-                       float((nxt2[-1] * eig.phi1 - sup.u2).max()))
+        if sup is not None and (n1 > cap1 or n2 > cap2):
+            over = max(float((n1 * phi - sup.u1).max()),
+                       float((n2 * phi - sup.u2).max()))
             raise MonotonicityViolationError(
                 f"iterate exceeded the supersolution by {over:.3e}")
-        change = max(float(np.abs(nxt1 - cur1).max()),
-                     float(np.abs(nxt2 - cur2).max()))
         changes.append(change)
-        cur1, cur2, shape = nxt1[-1:], nxt2[-1:], eig.phi1[-1:]
+        t1, t2 = n1, n2
         if not math.isfinite(change):
             break
         fluxes = flux1, flux2
         if change <= ITER_TOL:
-            return linear_bvp_solve(grid, *fluxes)
+            return SystemState(*(solve_flux_bvp(grid, f) for f in fluxes))
     reason = (f"did not settle in {MAX_ITER} steps" if math.isfinite(change)
               else f"diverged at step {len(changes)}")
     raise NonConvergenceError(
         f"monotone iteration {reason} (last change {change:.3e})",
-        trace=changes,
-        last_state=sub if fluxes is None else linear_bvp_solve(grid, *fluxes))
+        trace=changes, last_state=sub if fluxes is None else SystemState(
+            *(solve_flux_bvp(grid, f) for f in fluxes)))
 
 
 def second_solution(grid: RadialGrid, model: NonlinearityModel, lam: float,

@@ -1,7 +1,6 @@
 """The coupled pair at fixed parameter: residual, Jacobian, the kernel-ray
 facts shared with continuation, the package's one Newton iteration on the
-two traces, the pure-power limiting problem in closed form, and the
-linear auxiliary problem.
+two traces, and the pure-power limiting problem in closed form.
 
 The interior rows of the discrete system are linear with no source term,
 so they pin every solution to the kernel ray: it is (t1 phi_h, t2 phi_h),
@@ -19,9 +18,10 @@ profile to double once, u_0 from row 0 given the rounded u_1 (_on_ray),
 and its full-space scaled residual is
 the independent re-check (_recheck), tried at the roundings
 t_i + k ulp(t_i) of ULP_SHIFTS.  So once the grid is set up (its ray:
-v and the longdouble profile, made by one call, cached per grid, with
-no solver kept) neither newton_solve nor continuation makes a linear
-solve.
+v, the longdouble profile and the metric weight w, made by one call,
+cached per grid, with no solver kept) neither newton_solve nor
+continuation makes a linear solve, and every per-step quantity is a
+Python float: numpy serves only arrays of the M + 1 nodes.
 
 The residual applies the grid's difference stencil in double to the
 interleaved state viewed as its (M + 1, 2) array of nodes and subtracts
@@ -31,8 +31,7 @@ same stencil applied to the identity (cached per grid), plus two
 coupling entries in the flux rows; the jacobian-fd check of the
 acceptance suite tests it, and nothing else in the package builds it.
 residual, jacobian and newton_solve refuse a state without the grid's
-M + 1 nodes (ValueError).  The linear problem with fluxes (g1, g2) is
-(g1 v, g2 v), with no solve at all.
+M + 1 nodes (ValueError).
 
 Residual norms are measured as max|F| / max(1, sup|u1|, sup|u2|): the
 operator rows scale like 1/h^2, so that quotient is what floating point can
@@ -48,7 +47,7 @@ import numpy as np
 
 from .errors import ConfigError, NonConvergenceError, require_positive
 from .grid import (RadialGrid, SystemState, _nodal_values, _ray, _stencil,
-                   cache_per_object, pair_norm, solve_flux_bvp)
+                   cache_per_object, pair_norm)
 from .model import NonlinearityModel, f_extended, fprime_extended
 from .steklov import steklov_eigenpair
 
@@ -61,7 +60,6 @@ __all__ = [
     "residual",
     "jacobian",
     "newton_solve",
-    "linear_bvp_solve",
     "solve_limit_problem",
     "scaled_residual_norm",
 ]
@@ -200,19 +198,16 @@ def _fpp(model: NonlinearityModel, i: int, s: float) -> float:
 class _TraceSystem:
     """The flux rows on x = (t1, t2, lam) for states (t1 phi_h, t2 phi_h).
 
-    metric holds the weights (w, w, 1) that make the trace metric equal the
-    full-space one; profile is the grid's longdouble unit-trace profile,
-    from which _on_ray rebuilds states.
+    w = (phi_h.phi_h)/(2(M+1)), one float per grid (grid._ray), makes the
+    trace metric w (dt1^2 + dt2^2) + dlam^2 equal the full-space one;
+    profile is the grid's longdouble unit-trace profile, from which
+    _on_ray rebuilds states.  Points are tuples of Python floats.
     """
 
     def __init__(self, grid: RadialGrid, model: NonlinearityModel):
-        eig = steklov_eigenpair(grid)
-        phi = eig.phi1
-        w = float(phi @ phi) / (2 * phi.size)
         self.model = model
-        self.mu_h = eig.mu1
-        self.profile = _ray(grid)[1]
-        self.metric = np.array([w, w, 1.0])
+        self.mu_h = steklov_eigenpair(grid).mu1
+        _, self.profile, self.w = _ray(grid)
 
     def linearize(self, t1: float, t2: float, lam: float) -> tuple:
         """The flux rows at (t1, t2, lam) and their 2x3 derivative with
@@ -278,13 +273,14 @@ class _TraceSystem:
                     q_lo *= 0.5
                 moved = 1
 
-    def at(self, t1: float, lam: float) -> np.ndarray:
+    def at(self, t1: float, lam: float) -> tuple:
         """The point x = (t1, t2, lam) with t2 from the second flux row."""
-        return np.array([t1, lam * f_extended(self.model, 2, t1) / self.mu_h, lam])
+        return t1, lam * f_extended(self.model, 2, t1) / self.mu_h, lam
 
-    def dist(self, xa: np.ndarray, xb: np.ndarray) -> float:
-        d = xa - xb
-        return math.sqrt(float(self.metric @ (d * d)))
+    def dist(self, xa, xb) -> float:
+        """sqrt(w (dt1^2 + dt2^2) + dlam^2) between two points."""
+        d1, d2, d3 = (a - b for a, b in zip(xa, xb))
+        return math.sqrt(self.w * (d1 * d1 + d2 * d2) + d3 * d3)
 
 
 def _on_ray(profile: np.ndarray, t1: float, t2: float) -> SystemState:
@@ -427,16 +423,6 @@ def newton_solve(grid: RadialGrid, model: NonlinearityModel, lam: float,
             last_state=_on_ray(ts.profile, x[0], x[1])) from None
     return NewtonResult(state, len(history) - 1, res,
                         is_positive_state(state), history)
-
-
-def linear_bvp_solve(grid: RadialGrid, flux1: float, flux2: float) -> SystemState:
-    """Solve the decoupled linear problems with prescribed boundary fluxes.
-
-    This is the discrete solution operator used by the monotone iteration:
-    each component solves -v'' - ((N-1)/r) v' + v = 0 with v'(R) = flux,
-    which is flux times the grid's unit-flux column (solve_flux_bvp).
-    """
-    return SystemState(solve_flux_bvp(grid, flux1), solve_flux_bvp(grid, flux2))
 
 
 def solve_limit_problem(grid: RadialGrid,

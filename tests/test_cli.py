@@ -185,6 +185,26 @@ def test_steklov_at_an_unrepresentable_radius_exits_1(entries, reason,
     assert err.count("\n") == 1 and not out.exists()
 
 
+@pytest.mark.parametrize("N", [146, 148])
+def test_steklov_at_a_dimension_whose_scan_products_underflow_exits_1(
+        N, tmp_path, capsys):
+    # at M = 4096 the products of alpha_j in the reduction of order, which
+    # do not depend on the radius, underflow from N = 146 on (odd N
+    # restarts the scan halfway, so N = 147 still works): exit 1 with one
+    # line naming N and M, not the radius, with no numpy warning and no
+    # artifact
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["steklov", "--override", f"grid.N={N}", "--override",
+                    "grid.M=4096", "--override", f"out.dir={out}"])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith(
+        f"error: dimension N = {N} is too large at M = 4096: "), err
+    assert "radius 1 " not in err
+    assert err.count("\n") == 1 and not out.exists()
+
+
 @pytest.mark.parametrize("radius", ["1e-200", "1e160"])
 def test_steklov_at_a_spacing_outside_double_range_exits_2(radius, tmp_path,
                                                            capsys):

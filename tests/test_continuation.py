@@ -135,7 +135,10 @@ def test_branch_fold_matches_trace_system(ref_branch, mu0_ref, ref_model,
                                           mu_h512):
     fold = ref_branch.fold
     assert fold.lam_bar == pytest.approx(LAMBDA_BAR_512, abs=1e-10)
-    assert fold.lam_bar == 0.33320994441160734  # pinned to the bit
+    # pinned to the bit, and bench/fold_oracle.exact_fold's value
+    assert fold.lam_bar == 0.3332099444116074
+    assert fold.lam_bar == _fold_oracle().exact_fold(ref_branch.grid,
+                                                     ref_model)
     assert fold.lam_bar > mu0_ref  # strictly right of mu0
     # the fold is the true maximum: no computed point lies above it
     assert ref_branch.lambdas().max() <= LAMBDA_BAR_512
@@ -166,6 +169,30 @@ def test_trace_jacobian_matches_central_differences(grid512, ref_model):
                         - np.array(ts.linearize(*xm)[0])) / (2.0 * delta)
         jac = np.array(ts.linearize(*x)[1])
         assert np.abs(jac - fd).max() <= 1e-6 * max(1.0, np.abs(jac).max())
+
+
+@pytest.mark.parametrize("M", [128, 512, 4096])
+def test_trace_metric_weight_is_one_fsum_per_grid(M, ref_model):
+    # w = (phi_h.phi_h)/(2(M+1)) with the squares summed by math.fsum,
+    # correctly rounded and with no BLAS dot, and kept with the grid's
+    # ray, so a second trace system reads the same float
+    grid = build_grid(3, 1.0, M)
+    phi = steklov_eigenpair(grid).phi1
+    ts = _TraceSystem(grid, ref_model)
+    assert type(ts.w) is float
+    assert ts.w == math.fsum((phi * phi).tolist()) / (2 * (M + 1))
+    assert _TraceSystem(grid, quadratic_model()).w is ts.w is _ray(grid)[2]
+
+
+def test_trace_distance_is_the_plain_float_formula(grid512, ref_model):
+    ts, rng = _TraceSystem(grid512, ref_model), np.random.default_rng(11)
+    for _ in range(500):
+        xa, xb = (tuple(rng.uniform(-50.0, 50.0, 3).tolist())
+                  for _ in range(2))
+        d1, d2, d3 = (a - b for a, b in zip(xa, xb))
+        got = ts.dist(xa, xb)
+        assert type(got) is float
+        assert got == math.sqrt(ts.w * (d1 * d1 + d2 * d2) + d3 * d3)
 
 
 def test_branch_traces_solve_the_trace_system(ref_branch, ref_model,
@@ -1007,18 +1034,19 @@ def test_most_rebuilt_points_need_no_polish_step(ref_branch):
 
 
 def test_a_tail_point_below_the_representation_floor_needs_a_shift(
-        grid512, ref_model):
-    # tol 1e-10 below the floor eps*2/h^2 at M = 512, traced on to
-    # lam = 1e-6: point 86 (lam about 6.45e-6) passes the re-check only at
-    # +1 ulp of its traces, and it is the only shifted point, so the
-    # re-check's roundings are still needed below the command line's floor
-    branch = continue_branch(grid512, ref_model,
-                             ContinuationConfig(lambda_stop_low=1e-6))
+        two_fold_branch):
+    # tol 1e-10 below the floor eps*2/h^2 at M = 512: tail point 29 of the
+    # two-fold branch (lam about 0.0356, past both folds) passes the
+    # re-check only at -2 ulps of its traces, and it is the only shifted
+    # point, so the re-check's roundings are still needed below the
+    # command line's floor
+    branch = two_fold_branch
     assert branch.termination == "lambda_floor" and branch.tol == 1e-10
     shifted = {i: p.ulp_shift for i, p in enumerate(branch.points)
                if p.ulp_shift}
-    assert shifted == {86: 1}
-    assert branch.points[86].lam == pytest.approx(6.448e-6, rel=1e-3)
+    assert shifted == {29: -2}
+    assert branch.points[29].lam == pytest.approx(0.03562, rel=1e-3)
+    assert all(f.lam_bar > branch.points[29].lam for f in branch.folds)
 
 
 def test_fine_grid_branch_keeps_its_fold_and_skips_the_polish(ref_model):

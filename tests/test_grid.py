@@ -201,7 +201,7 @@ def test_ray_keeps_mu_h_and_solves_its_rows_in_longdouble(N, R):
     # alpha_j is exactly 0
     for M, mu_h in zip((16, 17, 128, 4096), MU_H[N, R]):
         g = build_grid(N, R, M)
-        v, profile = _ray(g)
+        v, profile, _ = _ray(g)
         assert 1.0 / v[M] == mu_h, M
         scale = 2.0 / g.h ** 2 + 1.0
         rows = _stencil(g, profile[:, None])[:-1]

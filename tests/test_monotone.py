@@ -23,8 +23,8 @@ from radbif import (CheckResult, ConfigError, DistinctnessError,
                     NonlinearityModel,
                     SubsolutionError, SystemState, bifurcation_point,
                     boundary_flux, build_grid, build_subsolution,
-                    continue_branch, linear_bvp_solve,
-                    linear_model, monotone_iterate, newton_solve, pair_norm,
+                    f_extended,
+                    continue_branch, linear_model, monotone_iterate, newton_solve, pair_norm,
                     quadratic_model,
                     residual, scaled_residual_norm,
                     second_solution, solutions_at, solve_flux_bvp,
@@ -198,6 +198,114 @@ def test_iteration_budget_exhaustion(grid512, ref_model, monkeypatch):
     assert exc.value.last_state is not None
 
 
+def _array_iterate(grid, model, lam, sub, sup=None):
+    """The iteration's loop as it ran on numpy arrays, M + 1 nodes at the
+    first step and the boundary node after it: the reference that the
+    float loop of monotone_iterate must reproduce bit for bit."""
+    eig = steklov_eigenpair(grid)
+    if sup is not None:
+        ceil_slack = monotone.ORDER_SLACK_REL * max(1.0, pair_norm(sup))
+        cap1 = float(((sup.u1 + ceil_slack) / eig.phi1).min())
+        cap2 = float(((sup.u2 + ceil_slack) / eig.phi1).min())
+
+    def rebuild(flux1, flux2):
+        return SystemState(solve_flux_bvp(grid, flux1),
+                           solve_flux_bvp(grid, flux2))
+
+    cur1, cur2, shape = sub.u1, sub.u2, eig.phi1
+    changes, fluxes = [], None
+    for _ in range(monotone.MAX_ITER):
+        flux1 = lam * f_extended(model, 1, float(cur2[-1]))
+        flux2 = lam * f_extended(model, 2, float(cur1[-1]))
+        nxt1 = (flux1 / eig.mu1) * shape
+        nxt2 = (flux2 / eig.mu1) * shape
+        slack = monotone.ORDER_SLACK_REL * max(
+            1e-300, float(np.abs(cur1).max() + np.abs(cur2).max()))
+        drop = max(float((cur1 - nxt1).max()), float((cur2 - nxt2).max()))
+        if drop > slack:
+            raise MonotonicityViolationError(
+                f"iterate decreased by {drop:.3e} at some node "
+                f"(allowed slack {slack:.3e})")
+        if sup is not None and (nxt1[-1] > cap1 or nxt2[-1] > cap2):
+            over = max(float((nxt1[-1] * eig.phi1 - sup.u1).max()),
+                       float((nxt2[-1] * eig.phi1 - sup.u2).max()))
+            raise MonotonicityViolationError(
+                f"iterate exceeded the supersolution by {over:.3e}")
+        change = max(float(np.abs(nxt1 - cur1).max()),
+                     float(np.abs(nxt2 - cur2).max()))
+        changes.append(change)
+        cur1, cur2, shape = nxt1[-1:], nxt2[-1:], eig.phi1[-1:]
+        if not math.isfinite(change):
+            break
+        fluxes = flux1, flux2
+        if change <= monotone.ITER_TOL:
+            return rebuild(*fluxes)
+    reason = (f"did not settle in {monotone.MAX_ITER} steps"
+              if math.isfinite(change)
+              else f"diverged at step {len(changes)}")
+    raise NonConvergenceError(
+        f"monotone iteration {reason} (last change {change:.3e})",
+        trace=changes,
+        last_state=sub if fluxes is None else rebuild(*fluxes))
+
+
+def _outcome(iterate, *args, **kwargs):
+    """(state, None) or (last_state, (type, message, trace)) of a call."""
+    try:
+        return iterate(*args, **kwargs), None
+    except (MonotonicityViolationError, NonConvergenceError) as exc:
+        return (getattr(exc, "last_state", None),
+                (type(exc), str(exc), getattr(exc, "trace", None)))
+
+
+def _assert_same_outcome(args, kwargs=None):
+    kwargs = kwargs or {}
+    got, want = (_outcome(f, *args, **kwargs)
+                 for f in (monotone_iterate, _array_iterate))
+    assert got[1] == want[1]
+    if want[0] is None:
+        assert got[0] is None
+    else:
+        np.testing.assert_array_equal(got[0].u1, want[0].u1, strict=True)
+        np.testing.assert_array_equal(got[0].u2, want[0].u2, strict=True)
+
+
+@pytest.mark.parametrize("k", [1, 3, 8, 14, 20, 26, 32, 37, 39])
+def test_iteration_is_bit_identical_to_the_array_loop(k, grid512, ref_model,
+                                                      mu0_ref, ref_branch):
+    # lam at k/40 of the way from mu0 to the fold, with no ceiling and
+    # with the branch solution as the ceiling: the same states, the same
+    # change per step and the same messages
+    lam = mu0_ref + (ref_branch.fold.lam_bar - mu0_ref) * k / 40
+    sub = build_subsolution(grid512, ref_model, lam)
+    ceiling = solutions_at(ref_branch, lam)[-1]
+    for sup in (None, ceiling, SystemState(0.5 * ceiling.u1,
+                                           0.5 * ceiling.u2)):
+        _assert_same_outcome((grid512, ref_model, lam, sub), {"sup": sup})
+
+
+def test_iteration_failures_are_bit_identical_to_the_array_loop(
+        ref_model, grid512, mu_h512, monkeypatch):
+    # the overflow above the fold at M = 128, a budget of one step, a
+    # decrease at an interior node of the first step, and one at the
+    # second step
+    grid = build_grid(3, 1.0, 128)
+    _assert_same_outcome((grid, ref_model, 0.36,
+                          build_subsolution(grid, ref_model, 0.36)))
+    sub = build_subsolution(grid512, ref_model, LAMBDA_MID)
+    monkeypatch.setattr(monotone, "MAX_ITER", 1)
+    _assert_same_outcome((grid512, ref_model, LAMBDA_MID, sub))
+    monkeypatch.undo()
+    bump = np.where(grid512.r < 0.5, 0.5, 0.0)
+    _assert_same_outcome((grid512, ref_model, LAMBDA_MID,
+                          SystemState(sub.u1 + bump, sub.u2)))
+    monkeypatch.setattr(monotone, "monotone_check",
+                        lambda model: CheckResult("monotone", True, ""))
+    w = steklov_eigenpair(grid512).phi1
+    _assert_same_outcome((grid512, _logistic(), 3.0 * mu_h512,
+                          SystemState(0.4 * w, 0.4 * w)))
+
+
 def test_validate_rejects_non_monotone_model(grid512):
     logistic = _logistic()
     z = SystemState.zero(grid512)
@@ -348,7 +456,6 @@ def test_banded_solves_per_grid_and_per_call(ref_model, monkeypatch):
         newton_solve(grid, ref_model, LAMBDA_MID, init)
     assert calls == []
     solve_flux_bvp(grid, 0.7)
-    linear_bvp_solve(grid, 0.4, -0.1)
     sub = build_subsolution(grid, ref_model, LAMBDA_MID)
     monotone_iterate(grid, ref_model, LAMBDA_MID, sub)
     assert calls == []

@@ -23,6 +23,8 @@ from radbif.errors import ConfigError, require_positive
 # banded_matvec_extended: the operator is evaluated in difference form by
 # the grid's private stencil.  Less operator_bands: A exists once, as
 # that stencil, and the Jacobian reads it as the stencil of the identity.
+# Less linear_bvp_solve: the linear problem with fluxes (g1, g2) is
+# (solve_flux_bvp(grid, g1), solve_flux_bvp(grid, g2)).
 _EARLIER_SURFACE = """
     NonlinearityModel CheckResult
     reference_model quadratic_model linear_model polynomial_model eval_f
@@ -33,7 +35,7 @@ _EARLIER_SURFACE = """
     load_state_csv SteklovPair steklov_eigenpair steklov_shooting_oracle
     NewtonResult is_positive_state
     POSITIVITY_REL_FLOOR POSITIVITY_ZERO_FLOOR residual jacobian
-    newton_solve linear_bvp_solve solve_limit_problem scaled_residual_norm
+    newton_solve solve_limit_problem scaled_residual_norm
     ContinuationConfig BranchPoint FoldInfo Branch initial_tangent
     continue_branch solutions_at build_subsolution
     monotone_iterate second_solution Direction JordanData BifurcationReport
@@ -55,14 +57,15 @@ def test_package_exports_exactly_the_module_lists():
     for m in modules:
         for name in m.__all__:
             assert getattr(radbif, name) is getattr(m, name)
-    assert len(_EARLIER_SURFACE) == 69
+    assert len(_EARLIER_SURFACE) == 68
     assert set(_EARLIER_SURFACE) <= set(radbif.__all__)
     assert {"monotone_check", "ORDER_SLACK_REL",
             "TOL_RESIDUAL"} <= set(radbif.__all__)
     removed = {"remainder", "remainder_limits", "estimate_remainder_limits",
                "EstimationFailedError", "detect_fold", "eval_fprime",
                "HypothesesReport", "NewtonConfig", "PairJacobian",
-               "banded_matvec_extended", "operator_bands"}
+               "banded_matvec_extended", "operator_bands",
+               "linear_bvp_solve"}
     assert not removed & set(radbif.__all__)
     assert not any(hasattr(radbif, name) for name in removed)
 

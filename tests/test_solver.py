@@ -17,8 +17,7 @@ from conftest import bisect_root, exact_stencil, trace_system_solve
 from radbif import (ConfigError, NonConvergenceError, NumericalError,
                     SystemState, apply_operator, boundary_flux, build_grid,
                     eval_f, f_extended, fprime_extended, is_positive_state,
-                    jacobian,
-                    linear_bvp_solve, linear_model, newton_solve,
+                    jacobian, linear_model, newton_solve,
                     pair_norm, residual,
                     scaled_residual_norm, solve_flux_bvp, solve_limit_problem,
                     steklov_eigenpair)
@@ -477,17 +476,6 @@ def test_singular_trace_coupling_raises(grid128):
     with pytest.raises(NonConvergenceError, match="singular Jacobian"):
         newton_solve(grid128, linear_model(), eig.mu1,
                      SystemState(eig.phi1, 2.0 * eig.phi1))
-
-
-def test_linear_bvp_solve_components_and_linearity(grid128):
-    s = linear_bvp_solve(grid128, 0.4, -0.1)
-    np.testing.assert_array_equal(s.u1, solve_flux_bvp(grid128, 0.4))
-    np.testing.assert_array_equal(s.u2, solve_flux_bvp(grid128, -0.1))
-    a = linear_bvp_solve(grid128, 0.25, 0.5)
-    b = linear_bvp_solve(grid128, 0.15, -0.6)
-    c = linear_bvp_solve(grid128, 0.40, -0.1)
-    np.testing.assert_allclose(a.u1 + b.u1, c.u1, atol=1e-13)
-    np.testing.assert_allclose(a.u2 + b.u2, c.u2, atol=1e-13)
 
 
 def test_fixed_lambda_solution_richardson_order(ref_model):
