@@ -18,9 +18,9 @@ failed solve or re-check raises NonConvergenceError, which rejects the
 step.  The weighted metric (dU.dU)/dim + dlam^2 of the full state U
 becomes w (dt1^2 + dt2^2) + dlam^2 with w = (phi_h.phi_h)/(2(M+1)), so
 step lengths and tangents are those of the full-space metric; w is one
-float per grid, summed once by math.fsum, and points, tangents and
-distances are tuples of Python floats, so no BLAS call touches a
-branch.  Each step is ds * max(1, t1 + t2) of the last point: the tail
+float per grid (SteklovPair.w), summed once by math.fsum, and points,
+tangents and distances are tuples of Python floats, so no BLAS call
+touches a branch.  Each step is ds * max(1, t1 + t2) of the last point: the tail
 bifurcates from infinity, with a pair norm that grows like
 lam^-theta1, so a step relative to the state crosses it in tens of
 points where a fixed one would take thousands.  The arclength row is

@@ -7,13 +7,14 @@ N u''(0), discretized with the ghost value u_{-1} = u_1); the boundary flux
 u'(R_ball) uses the one-sided second-order stencil, exact on quadratics.
 
 A exists once, in difference form (_stencil): the residual applies it
-in double, the ray's refinement in longdouble, and the Jacobian reads it
-off as the stencil of the identity, so the ray solves the operator that
-the residual checks and the Jacobian differentiates.  The ray's solves
-need no matrix: the rows below the flux row are a forward recurrence
-from the origin (_regular_solution), and a solve is reduction of order
-on its solution (_kernel_solver), in numpy alone.  apply_operator and
-boundary_flux are the independent reference formulas.
+in double, the grid's set-up (steklov.steklov_eigenpair) in longdouble
+for its refinement, and the Jacobian reads it off as the stencil of the
+identity, so the ray solves the operator that the residual checks and
+the Jacobian differentiates.  The set-up's solves need no matrix: the
+rows below the flux row are a forward recurrence from the origin, and a
+solve is reduction of order on its solution (_kernel_solver), in numpy
+alone.  apply_operator and boundary_flux are the independent reference
+formulas.
 
 Boundary integrals over the sphere reduce to area x boundary value by radial
 symmetry, so no surface quadrature appears anywhere in the toolkit.
@@ -37,7 +38,6 @@ __all__ = [
     "apply_operator",
     "boundary_flux",
     "pair_norm",
-    "solve_flux_bvp",
     "save_state_csv",
     "load_state_csv",
 ]
@@ -49,7 +49,7 @@ class RadialGrid:
 
     M is the number of intervals; nodes are r_j = j h, j = 0..M, with
     h = R_ball / M.  Grids are immutable and hash by identity, which lets
-    the stencil's weights and the grid's ray be cached per grid.
+    the stencil's weights and the grid's set-up be cached per grid.
     """
 
     N_dim: int
@@ -192,37 +192,23 @@ def _stencil(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _regular_solution(grid: RadialGrid) -> np.ndarray:
-    """phi, the solution of rows 0..M-1 of A u = 0 with phi_0 = 1, by a
-    forward recurrence on Python floats.  With d_j = phi_{j+1} - phi_j
-    and q_j = (N-1)/(2j), row 0 gives d_0 = h^2/(2N) and row j
-
-        d_j = (d_{j-1} (1 - q_j) + h^2 phi_j) / (1 + q_j),
-
-    here as alpha_j d_{j-1} + (h^2/(1 + q_j)) phi_j.
-
-    phi is the regular solution, the one that grows with r, so the
-    recurrence is stable."""
-    M, N, h2 = grid.M, grid.N_dim, grid.h ** 2
-    q = (N - 1) / (2.0 * np.arange(1, M))
-    x, xj, d = [1.0], 1.0, h2 / (2 * N)
-    for a, b in zip(((1 - q) / (1 + q)).tolist(), (h2 / (1 + q)).tolist()):
-        xj += d
-        x.append(xj)
-        d = a * d + b * xj
-    x.append(xj + d)
-    return np.array(x)
-
-
 def _kernel_solver(grid: RadialGrid):
     """s -> A^-1 s for a double column s of M + 1 entries, in double, by
-    reduction of order on the regular solution phi (_regular_solution).
+    reduction of order on the regular solution phi.
+
+    phi solves rows 0..M-1 of A u = 0 with phi_0 = 1.  It comes from a
+    forward recurrence on Python floats: with d_j = phi_{j+1} - phi_j,
+    q_j = (N-1)/(2j) and alpha_j = (1 - q_j)/(1 + q_j), row 0 gives
+    d_0 = h^2/(2N) and row j
+
+        d_j = alpha_j d_{j-1} + (h^2/(1 + q_j)) phi_j.
+
+    phi is the solution that grows with r, so the recurrence is stable.
 
     With x = phi y and e_j = y_{j+1} - y_j, rows 0..M-1 of A x = s are
     the first-order scan e_j = alpha_j (phi_{j-1}/phi_{j+1}) e_{j-1} +
-    sigma_j, alpha_j = (1 - q_j)/(1 + q_j).  It is solved for
-    f_j = phi_j phi_{j+1} e_j, which takes the phi ratios out of the
-    products:
+    sigma_j.  It is solved for f_j = phi_j phi_{j+1} e_j, which takes the
+    phi ratios out of the products:
 
         f_0 = -h^2 phi_0 s_0 / (2N),
         f_j = alpha_j f_{j-1} - h^2 phi_j s_j / (1 + q_j),
@@ -231,102 +217,63 @@ def _kernel_solver(grid: RadialGrid):
     odd N, and the scan restarts there.  y_0 = 0; the multiple of phi
     added to x then meets the flux row.
 
-    phi grows like e^r/r, and the scan coefficients g_j/p_j like h^2 phi
-    times j^(N-1).  They may leave double range for a ball radius near
-    700 or above (the window depends on N and M); a flux or a
-    coefficient that is not finite raises NumericalError naming the
-    radius, with no numpy warning.  The products p_j of alpha do not
-    depend on the radius and fall like j^-(N-1) from the scan's start:
-    at a large dimension they underflow (at M = 4096 from N = 146 on,
-    even N), and g_j/p_j overflows.  A coefficient that is not finite
-    where a product has underflowed raises NumericalError naming N and
-    M instead.  A is singular exactly when flux(phi)
-    is 0, which in double happens when phi is constant: at a tiny radius
-    its rise near R rounds away.  That raises NumericalError naming N, R
-    and M."""
+    phi grows like e^r/r, and the scan coefficients k_j = g_j/p_j like
+    h^2 phi times j^(N-1): they may leave double range for a ball radius
+    near 700 or above (the window depends on N and M).  The products p_j
+    of alpha do not depend on the radius and fall like j^-(N-1) from the
+    scan's start: at a large dimension they underflow (at M = 4096 from
+    N = 146 on, even N), and then k_j, or at a small radius, where h^2
+    keeps k_j finite, a solve's k_j s_j, overflows.  A solve whose column
+    or flux(phi) is not finite raises NumericalError naming N and M where
+    a product has underflowed, and naming the radius otherwise; the
+    caller silences numpy's range warnings (steklov_eigenpair).  A is
+    singular exactly when flux(phi) is 0, which in double happens when
+    phi is constant: at a tiny radius its rise near R rounds away.  The
+    set-up then raises NumericalError naming N, R and M."""
     M, N, h = grid.M, grid.N_dim, grid.h
-    phi = _regular_solution(grid)
     q = (N - 1) / (2.0 * np.arange(1, M))
     alpha = np.concatenate(([0.0], (1 - q) / (1 + q)))  # 0 starts a scan
-    starts = [*np.flatnonzero(alpha == 0.0), M]
-    scans = []
-    with np.errstate(all="ignore"):  # out of range is refused below
-        flux = boundary_flux(grid, phi)
-        g = -h * h * phi[:M] / np.concatenate(([2.0 * N], 1 + q))
-        for a, b in zip(starts, starts[1:]):
-            p = np.cumprod(np.concatenate(([1.0], alpha[a + 1:b])))
-            scans.append((slice(a, b), p, g[a:b] / p))
-    if not (np.isfinite(flux)
-            and all(np.isfinite(k).all() for *_, k in scans)):
-        if min(np.abs(p).min() for _, p, _ in scans) < np.finfo(float).tiny:
-            raise NumericalError(f"dimension N = {N} is too large at M = {M}: "
-                                 "the reduction of order's products underflow")
-        raise NumericalError(f"ball radius {grid.R_ball:g} is too large at "
-                             f"N = {N}, M = {M}: the regular solution (1 at "
-                             f"r = 0) or its reduction of order overflows "
-                             f"double range")
+    den = np.concatenate(([2.0 * N], 1 + q))
+    x, xj, d = [1.0], 1.0, h ** 2 / (2 * N)
+    for a, c in zip(alpha[1:].tolist(), (h ** 2 / den[1:]).tolist()):
+        xj += d
+        x.append(xj)
+        d = a * d + c * xj
+    x.append(xj + d)
+    phi = np.array(x)
+    flux = boundary_flux(grid, phi)
     if flux == 0.0:
         raise NumericalError(f"ball radius {grid.R_ball:g} is too small at "
                              f"N = {N}, M = {M}: the regular solution is "
                              f"constant in double, so the grid operator is "
                              f"singular")
+    # h * h phi over den, not the recurrence's h^2/den times phi: that
+    # rounding would move the longdouble profile by an ulp at some nodes
+    # (R = 1e-3)
+    g = -h * h * phi[:M] / den
+    starts = [*np.flatnonzero(alpha == 0.0), M]
+    scans = []
+    for a, c in zip(starts, starts[1:]):
+        p = np.cumprod(np.concatenate(([1.0], alpha[a + 1:c])))
+        scans.append((slice(a, c), p, g[a:c] / p))
 
     def solve(s):
         f = np.empty(M)
         for part, p, k in scans:
             f[part] = p * np.cumsum(k * s[part])
         x = phi * np.concatenate(([0.0], np.cumsum(f / phi[:M] / phi[1:])))
-        return x + (s[M] - boundary_flux(grid, x)) / flux * phi
+        x += (s[M] - boundary_flux(grid, x)) / flux * phi
+        if np.isfinite(x).all() and np.isfinite(flux):
+            return x
+        if min(np.abs(p).min() for _, p, _ in scans) < np.finfo(float).tiny:
+            raise NumericalError(f"dimension N = {N} is too large at M = {M}:"
+                                 " the reduction of order's products underflow")
+        raise NumericalError(f"ball radius {grid.R_ball:g} is too large at "
+                             f"N = {N}, M = {M}: the regular solution (1 at "
+                             f"r = 0) or its reduction of order overflows "
+                             f"double range")
 
     return solve
-
-
-@cache_per_object
-def _ray(grid: RadialGrid) -> tuple:
-    """(v, profile, weight): the unit-flux column v = A^-1 e_M in double,
-    the unit-trace profile v/v(R) in longdouble, both read-only, and the
-    float weight (phi_h.phi_h)/(2(M+1)) of the trace metric, phi_h =
-    v/v(R) in double, computed once per grid.  Every discrete solution
-    lies on this ray.
-
-    w starts as the double solve (_kernel_solver) of A w = e_M, which is
-    phi / flux(phi).  Two refinement passes, each subtracting the solve of
-    the residual A w - e_M evaluated by _stencil in longdouble and
-    accumulated in longdouble, make w accurate to longdouble per node.  v
-    is w rounded to double once, and the profile is w divided by its own
-    last entry, which makes that entry exactly 1: t times it rounds to
-    double once, so the rebuilt (t phi_h) keeps t as its trace exactly.
-    The weight's sum of squares is math.fsum's, correctly rounded, so it
-    does not depend on the BLAS build.
-    The solver is not kept, so once a grid is set up nothing can make a
-    solve.  Raises NumericalError, naming the radius, when the regular
-    solution is constant in double (A singular) or its solves leave
-    double range; nothing is cached then, so the error surfaces again at
-    every call that needs the ray.
-    """
-    M = grid.M
-    solve = _kernel_solver(grid)
-    e = np.zeros(M + 1)
-    e[M] = 1.0
-    w = solve(e).astype(np.longdouble)[:, None]
-    for _ in range(2):
-        r = _stencil(grid, w)[:, 0]
-        r[M] -= 1
-        w[:, 0] -= solve(r.astype(float))
-    v, profile = w[:, 0].astype(float), (w / w[M])[:, 0]
-    for a in (v, profile):
-        a.flags.writeable = False
-    phi = v / v[M]
-    return v, profile, math.fsum((phi * phi).tolist()) / (2 * (M + 1))
-
-
-def solve_flux_bvp(grid: RadialGrid, flux: float) -> np.ndarray:
-    """Solve -v'' - ((N-1)/r) v' + v = 0 with v'(R) = flux.
-
-    The problem is linear in the one scalar flux, so the solution is flux
-    times the grid's unit-flux column (_ray); no solve happens here.
-    """
-    return float(flux) * _ray(grid)[0]
 
 
 def _write_table(path, head: str, columns, sep: str = ",") -> None:

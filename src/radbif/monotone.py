@@ -23,12 +23,11 @@ from .analysis import bifurcation_point
 from .continuation import Branch, solutions_at
 from .errors import (ConfigError, DistinctnessError, MonotonicityViolationError,
                      NonConvergenceError, SubsolutionError, require_positive)
-from .grid import (RadialGrid, SystemState, boundary_flux, pair_norm,
-                   solve_flux_bvp)
+from .grid import RadialGrid, SystemState, boundary_flux, pair_norm
 from .model import (NonlinearityModel, _slopes_at_zero, f_extended,
                     monotone_check)
 from .solver import POSITIVITY_ZERO_FLOOR
-from .steklov import steklov_eigenpair
+from .steklov import solve_flux_bvp, steklov_eigenpair
 
 __all__ = [
     "build_subsolution",
@@ -86,7 +85,9 @@ def monotone_iterate(grid: RadialGrid, model: NonlinearityModel, lam: float,
     """Increasing iteration from a verified subsolution; returns the minimal
     solution above it.
 
-    The model must pass monotone_check (else ConfigError).  Each step
+    sub and sup must each have the grid's M + 1 nodal values, all finite
+    (else ValueError naming the argument), and the model must pass
+    monotone_check (else ConfigError).  Each step
     solves the linear problem with fluxes (lam f1(u2(R)), lam f2(u1(R)))
     and must not decrease any node by more than ORDER_SLACK_REL times the
     current pair norm; when sup is given, iterates must also stay below it
@@ -103,6 +104,11 @@ def monotone_iterate(grid: RadialGrid, model: NonlinearityModel, lam: float,
     is its flux times the grid's unit-flux column, with no solve.
     """
     require_positive(lam, "parameter")
+    for name, state in (("sub", sub), ("sup", sup)):
+        if state is not None and (state.u1.size != grid.M + 1 or not
+                                  np.isfinite([state.u1, state.u2]).all()):
+            raise ValueError(f"{name} must have the grid's {grid.M + 1} "
+                             "finite nodal values")
     monotone = monotone_check(model)
     if not monotone.passed:
         raise ConfigError(

@@ -17,11 +17,12 @@ rebuilt from its traces by rounding t_i times the grid's longdouble
 profile to double once, u_0 from row 0 given the rounded u_1 (_on_ray),
 and its full-space scaled residual is
 the independent re-check (_recheck), tried at the roundings
-t_i + k ulp(t_i) of ULP_SHIFTS.  So once the grid is set up (its ray:
-v, the longdouble profile and the metric weight w, made by one call,
-cached per grid, with no solver kept) neither newton_solve nor
-continuation makes a linear solve, and every per-step quantity is a
-Python float: numpy serves only arrays of the M + 1 nodes.
+t_i + k ulp(t_i) of ULP_SHIFTS.  So once the grid is set up
+(steklov_eigenpair: mu_h, v, the longdouble profile and the metric
+weight w, made by one call, cached per grid, with no solver kept)
+neither newton_solve nor continuation makes a linear solve, and every
+per-step quantity is a Python float: numpy serves only arrays of the
+M + 1 nodes.
 
 The residual applies the grid's difference stencil in double to the
 interleaved state viewed as its (M + 1, 2) array of nodes and subtracts
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NonConvergenceError, require_positive
-from .grid import (RadialGrid, SystemState, _nodal_values, _ray, _stencil,
+from .grid import (RadialGrid, SystemState, _nodal_values, _stencil,
                    cache_per_object, pair_norm)
 from .model import NonlinearityModel, f_extended, fprime_extended
 from .steklov import steklov_eigenpair
@@ -198,16 +199,17 @@ def _fpp(model: NonlinearityModel, i: int, s: float) -> float:
 class _TraceSystem:
     """The flux rows on x = (t1, t2, lam) for states (t1 phi_h, t2 phi_h).
 
-    w = (phi_h.phi_h)/(2(M+1)), one float per grid (grid._ray), makes the
-    trace metric w (dt1^2 + dt2^2) + dlam^2 equal the full-space one;
-    profile is the grid's longdouble unit-trace profile, from which
-    _on_ray rebuilds states.  Points are tuples of Python floats.
+    mu_h, the weight w and the profile are the grid's, from its one
+    set-up (steklov_eigenpair): w = (phi_h.phi_h)/(2(M+1)) makes the
+    trace metric w (dt1^2 + dt2^2) + dlam^2 equal the full-space one, and
+    _on_ray rebuilds states from the longdouble unit-trace profile.
+    Points are tuples of Python floats.
     """
 
     def __init__(self, grid: RadialGrid, model: NonlinearityModel):
         self.model = model
-        self.mu_h = steklov_eigenpair(grid).mu1
-        _, self.profile, self.w = _ray(grid)
+        pair = steklov_eigenpair(grid)
+        self.mu_h, self.profile, self.w = pair.mu1, pair.profile, pair.w
 
     def linearize(self, t1: float, t2: float, lam: float) -> tuple:
         """The flux rows at (t1, t2, lam) and their 2x3 derivative with

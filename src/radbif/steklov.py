@@ -1,10 +1,16 @@
-"""First boundary eigenpair of the radial operator and its continuum value.
+"""The grid's one linear set-up: the first boundary eigenpair of the radial
+operator, the ray it spans, and its continuum value.
 
 The discrete problem is A phi = mu B phi where A carries the operator rows
 plus the flux row and B selects the boundary value in the flux row.  B has
 rank one, so the problem has a single finite eigenvalue, and one solve gives
 it in closed form: with v the unit-flux solution (A v = e_M),
-A v = (1/v(R)) B v, so mu1 = 1/v(R) and phi1 = v/v(R).
+A v = (1/v(R)) B v, so mu1 = 1/v(R) and phi1 = v/v(R).  The interior
+rows are linear with no source term, so every discrete solution of the
+paper's system is (t1 phi1, t2 phi1).  steklov_eigenpair is the grid's
+one set-up, cached per grid: beside mu1 and phi1 it holds the
+unit-flux column v, the longdouble unit-trace profile and the trace
+metric's weight, and solve_flux_bvp is a multiple of its v.
 
 steklov_shooting_oracle returns g'(R)/g(R) for the regular radial solution
 of g'' + ((N-1)/r) g' - g = 0, the continuum value used to cross-check the
@@ -16,43 +22,76 @@ by a relative 2^-52 at most.  It needs no special-function library.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, require_int, require_positive
-from .grid import (RadialGrid, _ray, apply_operator, boundary_flux,
-                   cache_per_object)
+from .grid import (RadialGrid, _kernel_solver, _stencil, apply_operator,
+                   boundary_flux, cache_per_object)
 
-__all__ = ["SteklovPair", "steklov_eigenpair", "steklov_shooting_oracle"]
+__all__ = ["SteklovPair", "steklov_eigenpair", "solve_flux_bvp",
+           "steklov_shooting_oracle"]
 
 
 @dataclass(frozen=True, eq=False)
 class SteklovPair:
-    """First eigenpair: flux(phi1) = mu1 phi1(R), phi1 > 0, sup phi1 = 1.
+    """First eigenpair: flux(phi1) = mu1 phi1(R), phi1 > 0, sup phi1 = 1,
+    and the grid's ray that every discrete solution lies on.
 
     residual_interior and residual_flux are backward errors relative to the
     operator row scales (about 1/h^2 and 1/h), the accuracy actually
-    representable in floating point at those scales.
+    representable in floating point at those scales.  v is the unit-flux
+    column A^-1 e_M in double, profile the unit-trace profile v/v(R) in
+    longdouble (last entry exactly 1), both read-only, and w the float
+    weight (phi1.phi1)/(2(M+1)) of the trace metric.
     """
 
     mu1: float
     phi1: np.ndarray
     residual_interior: float
     residual_flux: float
+    v: np.ndarray
+    profile: np.ndarray
+    w: float
 
 
 @cache_per_object
 def steklov_eigenpair(grid: RadialGrid) -> SteklovPair:
-    """Smallest mu with a positive solution of the flux eigenvalue problem.
+    """The grid's one linear set-up: the first eigenpair and the ray.
 
     The unit-flux solution v'(R) = 1 gives the pair: mu1 = 1/v(R) and
-    phi1 = v/v(R), which peaks at the boundary.  Computed once per grid and
-    shared by every caller, so phi1 is read-only.  Both backward errors
-    must be at most 1e-10; they measure 1e-15 or less.
+    phi1 = v/v(R), which peaks at the boundary.  v starts as the double
+    solve (grid._kernel_solver) of A v = e_M.  Two refinement passes,
+    each subtracting the solve of the residual A v - e_M evaluated by
+    grid._stencil in longdouble and accumulated in longdouble, make it
+    accurate to longdouble per node.  The pair's v is that column rounded
+    to double once, and its profile the column divided by its own last
+    entry, which makes that entry exactly 1: t times it rounds to double
+    once, so the rebuilt (t phi_h) keeps t as its trace exactly.  w sums
+    its squares by math.fsum, correctly rounded, so it does not depend on
+    the BLAS build.
+
+    Computed once per grid and shared by every caller, with no solver
+    kept, so once a grid is set up nothing can make a solve.  Every
+    set-up solve runs under np.errstate; a column out of double range, a
+    singular A (grid._kernel_solver), a nonpositive v(R), a phi1 that is
+    not strictly positive and a backward error above 1e-10 (they measure
+    1e-15 or less) raise NumericalError.  Nothing is cached then, so the
+    error surfaces again at every call that needs the grid.
     """
     M = grid.M
-    v = _ray(grid)[0]
+    e = np.zeros(M + 1)
+    e[M] = 1.0
+    with np.errstate(all="ignore"):  # the solve refuses a column out of range
+        solve = _kernel_solver(grid)
+        col = solve(e).astype(np.longdouble)[:, None]
+        for _ in range(2):
+            r = _stencil(grid, col)[:, 0]
+            r[M] -= 1
+            col[:, 0] -= solve(r.astype(float))
+    v, profile = col[:, 0].astype(float), (col / col[M])[:, 0]
     if not v[M] > 0.0:
         raise NumericalError("unit-flux solution has a nonpositive boundary value")
     mu = 1.0 / v[M]
@@ -65,9 +104,21 @@ def steklov_eigenpair(grid: RadialGrid) -> SteklovPair:
     if max(res_int, res_flx) > 1e-10:
         raise NumericalError(
             f"eigen-residual too large: interior {res_int:.3g}, flux {res_flx:.3g}")
-    phi.flags.writeable = False
+    for a in (v, profile, phi):
+        a.flags.writeable = False
     return SteklovPair(mu1=float(mu), phi1=phi, residual_interior=res_int,
-                       residual_flux=res_flx)
+                       residual_flux=res_flx, v=v, profile=profile,
+                       w=math.fsum((phi * phi).tolist()) / (2 * (M + 1)))
+
+
+def solve_flux_bvp(grid: RadialGrid, flux: float) -> np.ndarray:
+    """Solve -v'' - ((N-1)/r) v' + v = 0 with v'(R) = flux.
+
+    The problem is linear in the one scalar flux, so the solution is flux
+    times the grid's unit-flux column (SteklovPair.v); no solve happens
+    here.
+    """
+    return float(flux) * steklov_eigenpair(grid).v
 
 
 def steklov_shooting_oracle(N_dim: int, R_ball: float) -> float:

@@ -22,7 +22,6 @@ from radbif import (BifurcationReport, Branch, BranchPoint, ConfigError,
                     NonlinearityModel, quadratic_model, reference_model,
                     rescale_check, slope_fit, slope_prediction,
                     solve_limit_problem, steklov_eigenpair, theta_exponents)
-from radbif.grid import _ray
 
 # The grid and model of the synthetic branches below.
 GRID16 = build_grid(3, 1.0, 16)
@@ -33,7 +32,8 @@ MU0_16 = bifurcation_point(MODEL, steklov_eigenpair(GRID16).mu1)
 def _point(lam, t1, t2=0.0):
     """A point with traces (t1, t2); where only the norm is read, t1 is
     the norm and t2 is 0."""
-    return BranchPoint(lam, t1, t2, _ray(GRID16)[1], -1, 0.01)
+    return BranchPoint(lam, t1, t2, steklov_eigenpair(GRID16).profile, -1,
+                       0.01)
 
 
 def _branch(pts):

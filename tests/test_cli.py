@@ -185,23 +185,27 @@ def test_steklov_at_an_unrepresentable_radius_exits_1(entries, reason,
     assert err.count("\n") == 1 and not out.exists()
 
 
-@pytest.mark.parametrize("N", [146, 148])
+@pytest.mark.parametrize("N, R", [(146, 1.0), (148, 1.0), (148, 1e-4),
+                                  (150, 1e-4)],
+                         ids=["146", "148", "148-R1e-4", "150-R1e-4"])
 def test_steklov_at_a_dimension_whose_scan_products_underflow_exits_1(
-        N, tmp_path, capsys):
+        N, R, tmp_path, capsys):
     # at M = 4096 the products of alpha_j in the reduction of order, which
     # do not depend on the radius, underflow from N = 146 on (odd N
     # restarts the scan halfway, so N = 147 still works): exit 1 with one
     # line naming N and M, not the radius, with no numpy warning and no
-    # artifact
+    # artifact.  At R = 1e-4, h^2 keeps the scan coefficients finite, and
+    # the refinement's solves overflow instead
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code = run(["steklov", "--override", f"grid.N={N}", "--override",
-                    "grid.M=4096", "--override", f"out.dir={out}"])
+                    "grid.M=4096", "--override", f"grid.R={R:g}",
+                    "--override", f"out.dir={out}"])
     err = capsys.readouterr().err
     assert code == 1 and err.startswith(
         f"error: dimension N = {N} is too large at M = 4096: "), err
-    assert "radius 1 " not in err
+    assert "radius" not in err
     assert err.count("\n") == 1 and not out.exists()
 
 

@@ -26,7 +26,7 @@ from radbif import (Branch, ConfigError, ContinuationConfig,
                     steklov_eigenpair)
 from radbif.continuation import _on_ray, _TraceSystem
 from radbif.solver import MAX_NEWTON_ITER, ULP_SHIFTS
-from radbif.grid import _ray, _stencil
+from radbif.grid import _stencil
 
 LAMBDA_BAR_512 = 0.33320994441151214  # trace-system fold at M = 512
 LAMBDA_MID = 0.3231227939747531
@@ -181,7 +181,8 @@ def test_trace_metric_weight_is_one_fsum_per_grid(M, ref_model):
     ts = _TraceSystem(grid, ref_model)
     assert type(ts.w) is float
     assert ts.w == math.fsum((phi * phi).tolist()) / (2 * (M + 1))
-    assert _TraceSystem(grid, quadratic_model()).w is ts.w is _ray(grid)[2]
+    assert (_TraceSystem(grid, quadratic_model()).w is ts.w
+            is steklov_eigenpair(grid).w)
 
 
 def test_trace_distance_is_the_plain_float_formula(grid512, ref_model):
@@ -943,9 +944,9 @@ def test_linear_model_branch_is_refused(grid512, monkeypatch):
 
 def test_rebuild_rounds_once_from_the_longdouble_profile(grid512, ref_model,
                                                           eig512, ref_branch):
-    phi_ext = _ray(grid512)[1]
+    phi_ext = eig512.profile
     assert phi_ext.dtype == np.longdouble and phi_ext[-1] == 1.0
-    assert _ray(grid512)[1] is phi_ext
+    assert steklov_eigenpair(grid512).profile is phi_ext
     # the profile solves the interior rows to longdouble rounding, far
     # below what the double phi1 can (about 2e-16 of the row scale)
     scale = 2.0 / grid512.h ** 2 + 1.0
@@ -986,7 +987,7 @@ def test_branch_points_are_their_traces(which, ref_branch, two_fold_branch,
     else:
         branch = {"reference-512": ref_branch,
                   "two-fold-512": two_fold_branch}[which]
-    profile = _ray(branch.grid)[1]
+    profile = steklov_eigenpair(branch.grid).profile
     for p in branch.points:
         assert p.profile is profile
         state, rebuilt = p.state, _on_ray(profile, p.t1, p.t2)
@@ -1004,7 +1005,6 @@ def test_continuation_makes_no_newton_step(grid512, ref_model, two_fold_model,
     # no linear solve, which would need a new set-up of the grid's solver
     import radbif
     import radbif.continuation as cont
-    import radbif.grid as grid_module
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a Newton solve or a linear solve")
@@ -1012,8 +1012,7 @@ def test_continuation_makes_no_newton_step(grid512, ref_model, two_fold_model,
     assert not hasattr(cont, "newton_solve")
     steklov_eigenpair(grid512)
     monkeypatch.setattr(radbif.solver, "newton_solve", forbidden)
-    monkeypatch.setattr(grid_module, "_kernel_solver", forbidden)
-    monkeypatch.setattr(grid_module, "_regular_solution", forbidden)
+    monkeypatch.setattr(radbif.steklov, "_kernel_solver", forbidden)
     ref = continue_branch(grid512, ref_model, FAST_CFG)
     two = continue_branch(grid512, two_fold_model, FAST_CFG)
     assert ref.termination == two.termination == "lambda_floor"

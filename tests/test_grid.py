@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from conftest import exact_stencil
 from radbif import (ConfigError, SystemState, apply_operator, boundary_flux,
                     build_grid, jacobian, load_state_csv, pair_norm,
-                    reference_model, save_state_csv, solve_flux_bvp)
-from radbif.grid import _kernel_solver, _ray, _stencil, _weights
+                    reference_model, save_state_csv, solve_flux_bvp,
+                    steklov_eigenpair)
+from radbif.grid import _kernel_solver, _stencil, _weights
 from radbif.solver import _dense_operator
 
 MU1_N3_R1 = 2.0 / (math.e ** 2 - 1.0)
@@ -201,7 +202,8 @@ def test_ray_keeps_mu_h_and_solves_its_rows_in_longdouble(N, R):
     # alpha_j is exactly 0
     for M, mu_h in zip((16, 17, 128, 4096), MU_H[N, R]):
         g = build_grid(N, R, M)
-        v, profile, _ = _ray(g)
+        pair = steklov_eigenpair(g)
+        v, profile = pair.v, pair.profile
         assert 1.0 / v[M] == mu_h, M
         scale = 2.0 / g.h ** 2 + 1.0
         rows = _stencil(g, profile[:, None])[:-1]
@@ -213,7 +215,7 @@ def test_unit_flux_column_is_the_longdouble_column_rounded_once(M):
     # three more refinement passes from v leave every node of v within
     # half an ulp: v is the refined column rounded to double once
     g = build_grid(3, 1.0, M)
-    v = _ray(g)[0]
+    v = steklov_eigenpair(g).v
     solve = _kernel_solver(g)
     w = v.astype(np.longdouble)[:, None]
     for _ in range(3):

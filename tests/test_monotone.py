@@ -163,6 +163,24 @@ def test_iteration_rejects_inadmissible_start(grid512, ref_model):
         monotone_iterate(grid512, ref_model, LAMBDA_MID, bad)
 
 
+@pytest.mark.parametrize("which", ["sub", "sup"])
+@pytest.mark.parametrize("bad", ["nan", "short"])
+def test_iteration_refuses_a_bound_without_the_grids_finite_nodes(
+        which, bad, ref_model):
+    # a sup whose u1 is all NaN made every ceiling comparison false, so
+    # the iteration returned a "minimal solution" unchecked; one of the
+    # wrong length failed in numpy broadcasting.  Both are ValueError
+    # naming the argument
+    grid, lam = build_grid(3, 1.0, 128), 0.32
+    sub = build_subsolution(grid, ref_model, lam)
+    u = np.full(grid.M + 1, np.nan) if bad == "nan" else np.ones(grid.M)
+    bound = SystemState(u, np.ones(u.size))
+    args = (bound, None) if which == "sub" else (sub, bound)
+    with pytest.raises(ValueError, match=f"^{which} must have the grid's "
+                                         f"129 finite nodal values"):
+        monotone_iterate(grid, ref_model, lam, *args)
+
+
 def test_iteration_parameter_validation(grid512, ref_model):
     z = SystemState.zero(grid512)
     for bad in (0.0, math.nan, math.inf):
@@ -406,15 +424,15 @@ def test_second_solution_at_the_window_ends(grid512, ref_model,
 
 def test_operator_factored_once_per_grid(ref_model, branch_cfg, monkeypatch):
     # the grid's solver (its regular solution) is set up once per grid
-    import radbif.grid as grid_module
+    import radbif.steklov as steklov_module
     calls = []
-    setup = grid_module._kernel_solver
+    setup = steklov_module._kernel_solver
 
     def counting(grid):
         calls.append(1)
         return setup(grid)
 
-    monkeypatch.setattr(grid_module, "_kernel_solver", counting)
+    monkeypatch.setattr(steklov_module, "_kernel_solver", counting)
     grid = build_grid(3, 1.0, 128)
     branch = continue_branch(grid, ref_model, branch_cfg)
     mu0 = bifurcation_point(ref_model, steklov_eigenpair(grid).mu1)
@@ -429,9 +447,9 @@ def test_banded_solves_per_grid_and_per_call(ref_model, monkeypatch):
     that, nor is it set up again: the profile is already there, Newton
     works on the two traces, and a flux solve is a multiple of the cached
     column."""
-    import radbif.grid as grid_module
+    import radbif.steklov as steklov_module
     calls = []
-    setup = grid_module._kernel_solver
+    setup = steklov_module._kernel_solver
 
     def counting_setup(grid):
         solve = setup(grid)
@@ -442,14 +460,14 @@ def test_banded_solves_per_grid_and_per_call(ref_model, monkeypatch):
 
         return counting
 
-    monkeypatch.setattr(grid_module, "_kernel_solver", counting_setup)
+    monkeypatch.setattr(steklov_module, "_kernel_solver", counting_setup)
     grid = build_grid(3, 1.0, 128)
     eig = steklov_eigenpair(grid)
     assert len(calls) == 3
     calls.clear()
-    profile = grid_module._ray(grid)[1]
+    profile = eig.profile
     assert profile.dtype == np.longdouble and profile[-1] == 1.0
-    monkeypatch.setattr(grid_module, "_kernel_solver",
+    monkeypatch.setattr(steklov_module, "_kernel_solver",
                         lambda grid: pytest.fail("a second set-up"))
     for amp in (0.3, 1.0, 3.0):  # to the trivial state, then the upper one
         init = SystemState(amp * eig.phi1, amp * eig.phi1)
@@ -467,15 +485,14 @@ def test_no_banded_solve_once_the_grid_is_set_up(ref_model, branch_cfg,
     # longdouble profile included, and keeps no solver: tracing, the
     # states at one lam, the second solution and Newton make no solve on
     # that grid after it, which would need a new set-up
-    import radbif.grid as grid_module
+    import radbif.steklov as steklov_module
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a set-up or solve after set-up")
 
     grid = build_grid(3, 1.0, 128)
     eig = steklov_eigenpair(grid)
-    monkeypatch.setattr(grid_module, "_kernel_solver", forbidden)
-    monkeypatch.setattr(grid_module, "_regular_solution", forbidden)
+    monkeypatch.setattr(steklov_module, "_kernel_solver", forbidden)
     branch = continue_branch(grid, ref_model, branch_cfg)
     assert branch.termination == "lambda_floor"
     assert len(solutions_at(branch, LAMBDA_MID)) == 2

@@ -445,19 +445,19 @@ def test_pair_residual_is_bit_identical_to_two_matvecs(ref_model, M):
 
 
 def test_singular_factor_surfaces_at_the_solve(ref_model, monkeypatch):
-    # the grid's ray is newton_solve's set-up, not one of its steps.  A is
-    # singular exactly when the regular solution has zero flux; a
-    # constant one does, so the set-up raises NumericalError at every
-    # call and caches nothing
-    import radbif.grid as grid_module
-    calls = []
+    # the grid's set-up is newton_solve's set-up, not one of its steps.  A
+    # is singular exactly when the regular solution has zero flux; at
+    # R = 1e-8 its rise rounds away, so it is constant in double and the
+    # set-up raises NumericalError at every call and caches nothing
+    import radbif.steklov as steklov_module
+    calls, setup = [], steklov_module._kernel_solver
 
-    def constant(grid):
+    def counting(grid):
         calls.append(1)
-        return np.ones(grid.M + 1)
+        return setup(grid)
 
-    monkeypatch.setattr(grid_module, "_regular_solution", constant)
-    grid = build_grid(3, 1.0, 32)
+    monkeypatch.setattr(steklov_module, "_kernel_solver", counting)
+    grid = build_grid(3, 1e-8, 32)
     state = SystemState(0.3 * np.ones(grid.M + 1), 0.4 * np.ones(grid.M + 1))
     for n in (1, 2):
         with pytest.raises(NumericalError,
@@ -465,8 +465,7 @@ def test_singular_factor_surfaces_at_the_solve(ref_model, monkeypatch):
                                  "is singular"):
             newton_solve(grid, ref_model, 0.3, state)
         assert len(calls) == n
-    monkeypatch.undo()
-    assert steklov_eigenpair(grid).mu1 > 0.0
+    assert steklov_eigenpair(build_grid(3, 1e-4, 32)).mu1 > 0.0
 
 
 def test_singular_trace_coupling_raises(grid128):

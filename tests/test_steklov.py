@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from radbif import (ConfigError, build_grid, solve_flux_bvp,
+from radbif import (ConfigError, NumericalError, build_grid, solve_flux_bvp,
                     steklov_eigenpair, steklov_shooting_oracle)
 
 
@@ -52,6 +52,37 @@ def test_eigenpair_computed_once_per_grid():
     assert steklov_eigenpair(g) is eig
     assert not eig.phi1.flags.writeable
     assert steklov_eigenpair(build_grid(3, 1.0, 64)) is not eig
+
+
+@pytest.mark.parametrize("corrupt, reason", [
+    (lambda v: -v, "unit-flux solution has a nonpositive boundary value"),
+    (lambda v: np.concatenate(([0.0], v[1:])),
+     "computed eigenfunction is not strictly positive"),
+    (lambda v: v * np.where(np.arange(v.size) == 1, 1.0 + 1e-6, 1.0),
+     "eigen-residual too large: interior "),
+], ids=["nonpositive-trace", "nonpositive-node", "residual"])
+def test_eigenpair_refuses_a_corrupted_column(corrupt, reason, monkeypatch):
+    # the set-up's safety checks, reached through a solver that meets the
+    # flux row alone, s -> s_M c, with c a corrupted unit-flux column: the
+    # set-up's column is a multiple of c.  NumericalError at every call,
+    # nothing cached
+    import radbif.steklov as steklov_module
+    v = steklov_eigenpair(build_grid(3, 1.0, 64)).v
+    setups = []
+
+    def corrupted(grid):
+        setups.append(grid)
+        c = corrupt(v)
+        return lambda s: s[-1] * c
+
+    monkeypatch.setattr(steklov_module, "_kernel_solver", corrupted)
+    grid = build_grid(3, 1.0, 64)
+    for n in (1, 2):
+        with pytest.raises(NumericalError, match="^" + reason):
+            steklov_eigenpair(grid)
+        assert len(setups) == n
+    monkeypatch.undo()
+    assert steklov_eigenpair(grid).v.tobytes() == v.tobytes()
 
 
 def test_eigenpair_is_the_unit_flux_solution(grid512, eig512, mu_h512):
