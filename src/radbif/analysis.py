@@ -22,7 +22,7 @@ import numpy as np
 from .errors import (ConfigError, InsufficientDataError, NumericalError,
                      require_positive)
 from .grid import RadialGrid
-from .model import NonlinearityModel, _slopes_at_zero, r0_bounds, zeta
+from .model import NonlinearityModel, _slopes_at_zero, r0_bounds
 from .solver import solve_limit_problem
 from .steklov import SteklovPair, steklov_eigenpair
 
@@ -99,11 +99,11 @@ def jordan_data(model: NonlinearityModel) -> JordanData:
 
     J = diag(sigma, -sigma), P columns (1, zeta)/(1+zeta) and
     (1, -zeta)/(1+zeta); the inverse is closed-form, so the reconstruction
-    identity holds to a few ulps and is asserted at 1e-12.
+    identity holds to a few ulps and is asserted at 1e-12.  sigma and zeta
+    are _sigma's and zeta's formulas on one reading of the slopes.
     """
     a, b = _slopes_at_zero(model)
-    sig = _sigma(model)
-    z = zeta(model)
+    sig, z = math.sqrt(a * b), math.sqrt(b / a)
     q = 1.0 / (1.0 + z)
     A = np.array([[0.0, a], [b, 0.0]])
     P = np.array([[q, q], [z * q, -z * q]])

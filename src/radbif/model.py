@@ -267,32 +267,36 @@ def _horner(coeffs) -> Callable[[float], float]:
     return f
 
 
-def _derivative(c: np.ndarray) -> np.ndarray:
+def _derivative(c: list) -> list:
     """Coefficients of the derivative, k c_k, the products numpy's polyder
     forms."""
-    return c[1:] * np.arange(1, c.size)
+    return [a * k for k, a in enumerate(c[1:], 1)]
 
 
-def _structure(c: np.ndarray, tag: str):
+def _structure(c: list, tag: str):
     """(c trimmed of trailing zeros, degree, leading coefficient, lowest
-    power >= 2 or None, inf_{s>=0} f(s)/s) of f(s) = sum_k c_k s^k."""
-    c = c[:np.flatnonzero(c)[-1] + 1]
-    if c.size > 2 and c[-1] < 0:
+    power >= 2 or None, inf_{s>=0} f(s)/s) of f(s) = sum_k c_k s^k, for a
+    list c of floats with c[1] > 0."""
+    while not c[-1]:
+        c = c[:-1]
+    if len(c) > 2 and c[-1] < 0:
         raise ConfigError(f"{tag}: leading coefficient must be positive, got {c[-1]}")
-    powers = np.flatnonzero(c[2:]) + 2
+    powers = [k for k in range(2, len(c)) if c[k]]
     # g = f(s)/s is constant or grows without bound, so its infimum on
-    # s >= 0 is at 0 or at a critical point.  g(s) bounds that infimum from
-    # above at every s >= 0, so the real part of every root is a safe
-    # candidate, and a true minimiser whose root carries a rounding-level
-    # imaginary part is never dropped.
-    roots = (np.polynomial.polynomial.polyroots(_derivative(c[1:]))
-             if c.size > 3 else np.empty(0))
-    k = float(_horner(c[1:])(np.append(0.0, roots.real[roots.real > 0])).min())
+    # s >= 0 is at 0 or at a critical point, which exists only when g is
+    # at least quadratic.  g(s) bounds that infimum from above at every
+    # s >= 0, so the real part of every root is a safe candidate, and a
+    # true minimiser whose root carries a rounding-level imaginary part is
+    # never dropped.
+    roots = (np.polynomial.polynomial.polyroots(_derivative(c[1:])).real.tolist()
+             if len(c) > 3 else [])
+    g = _horner(c[1:])
+    k = min(g(s) for s in [0.0, *(r for r in roots if r > 0)])
     if not k > 0:
         raise ConfigError(f"{tag}: f(s)/s falls to {k:.6g} on s >= 0, so no "
                           "linear minorant f(s) >= K s with K > 0 exists")
-    return (c, float(c.size - 1), float(c[-1]),
-            float(powers[0]) if powers.size else None, k)
+    return (c, float(len(c) - 1), c[-1],
+            float(powers[0]) if powers else None, k)
 
 
 def polynomial_model(coeffs1: Sequence[float], coeffs2: Sequence[float], *,
@@ -313,8 +317,9 @@ def polynomial_model(coeffs1: Sequence[float], coeffs2: Sequence[float], *,
         c = np.asarray(c, dtype=float)
         if c.ndim != 1 or c.size < 2:
             raise ConfigError(f"{tag} needs at least the s^0 and s^1 coefficients")
-        if not np.all(np.isfinite(c)):
-            raise ConfigError(f"{tag}: coefficients must be finite, got {c.tolist()}")
+        c = c.tolist()
+        if not all(map(math.isfinite, c)):
+            raise ConfigError(f"{tag}: coefficients must be finite, got {c}")
         if c[0] != 0.0:
             raise ConfigError(f"{tag}: constant term must be 0 (f(0)=0)")
         if c[1] <= 0.0:
@@ -323,7 +328,7 @@ def polynomial_model(coeffs1: Sequence[float], coeffs2: Sequence[float], *,
     (c1, p2, b2, nu1, k1), (c2, p1, b1, nu2, k2) = cs
     nu1, nu2 = nu1 or nu2 or 2.0, nu2 or nu1 or 2.0
     nu = int(min(nu1, nu2))
-    r1, r2 = (float(c[nu]) if nu < c.size else 0.0 for c in (c1, c2))
+    r1, r2 = (c[nu] if nu < len(c) else 0.0 for c in (c1, c2))
     return NonlinearityModel(
         f1=_horner(c1), f2=_horner(c2),
         df1=_horner(_derivative(c1)), df2=_horner(_derivative(c2)),

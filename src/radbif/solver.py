@@ -119,7 +119,9 @@ def is_positive_state(state: SystemState) -> bool:
 
 
 def scaled_residual_norm(res: np.ndarray, state: SystemState) -> float:
-    scale = max(1.0, float(np.abs(state.u1).max()), float(np.abs(state.u2).max()))
+    """max |res| / max(1, max |u1|, max |u2|); a NaN row of res makes it
+    NaN, which no `<= tol` test passes."""
+    scale = max(1.0, float(np.maximum(np.abs(state.u1), np.abs(state.u2)).max()))
     return float(np.abs(res).max()) / scale
 
 

@@ -4,8 +4,9 @@ The checks live in radbif.verify so the CLI `verify` subcommand and this
 module run exactly the same code; the outcome list is computed once per
 process and shared.  Each test prints its PASS/FAIL line with the check's
 measured detail string.  The jacobian-fd check's column-class differences
-are also tested against a one-column-at-a-time reference and against a
-wrong Jacobian and a residual with a dependency outside the reach.
+are also tested against a one-column-at-a-time reference, against a
+wrong Jacobian, one with an entry outside a row's reach, and a residual
+with a dependency outside the reach.
 """
 
 import numpy as np
@@ -97,6 +98,27 @@ def test_fd_check_sees_a_wrong_coupling(monkeypatch):
     wrong_c1(1e-3)
     assert verify._fd_error(grid, shared["model"], 0.3, x) > 10.0 * base
     ok, detail = verify._check_jacobian_fd(shared)
+    assert not ok, detail
+
+
+@pytest.mark.parametrize("row, col", [(0, 10), (129, 135)])
+def test_fd_check_sees_an_entry_outside_the_reach(monkeypatch, row, col):
+    # row i's differences cover columns i-4 .. i+2 only; an entry of the
+    # Jacobian outside them is compared with zero
+    exact = verify.jacobian
+
+    def jac(*args):
+        j = exact(*args)
+        j[row, col] = 1e3
+        return j
+
+    monkeypatch.setattr(verify, "jacobian", jac)
+    model = reference_model()
+    grid, x = build_grid(3, 1.0, 128), _fd_states(128, 1)[0]
+    scale = max(1.0, float(np.abs(jac(grid, model, 0.3,
+                                      SystemState.from_vector(x))[row]).max()))
+    assert verify._fd_error(grid, model, 0.3, x) >= 1e3 / scale > 1e-6
+    ok, detail = verify._check_jacobian_fd({"model": model})
     assert not ok, detail
 
 

@@ -21,12 +21,13 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import radbif
-from radbif import cli, continue_branch
+from radbif import cli, continue_branch, verify
 from radbif.cli import run
 from radbif.solver import ULP_SHIFTS
 
@@ -770,6 +771,24 @@ def test_verify_command(tmp_path, capsys):
     payload = json.loads((out / "verify.json").read_text())
     assert len(payload["checks"]) == 9
     assert all(c["passed"] for c in payload["checks"])
+
+
+def test_verify_json_does_not_depend_on_the_clock(tmp_path, monkeypatch,
+                                                  capsys):
+    # two runs whose clocks advance by different steps, each within every
+    # check's budget: the table shows the seconds, verify.json does not
+    files = []
+    for n, step in enumerate((1e-6, 0.3)):
+        ticks = iter(range(10**6))
+        monkeypatch.setattr(verify, "time", SimpleNamespace(
+            perf_counter=lambda: step * next(ticks)))
+        monkeypatch.setattr(verify, "_CACHE", None)
+        out = tmp_path / f"out{n}"
+        assert run(["verify", "--override", f"out.dir={out}"]) == 0
+        files.append((out / "verify.json").read_bytes())
+        assert all(o.seconds > step / 2 for o in verify._CACHE)
+    capsys.readouterr()
+    assert files[0] == files[1]
 
 
 def _assert_help(proc):

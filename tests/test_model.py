@@ -354,3 +354,37 @@ def test_polynomial_model_refuses_what_breaks_the_hypotheses():
     # f2(s)/s = 1 - 3s + s^2 falls to -1.25 at s = 3/2
     with pytest.raises(ConfigError, match="coeffs2: f\\(s\\)/s falls to -1.25"):
         polynomial_model([0.0, 1.0, 1.0], [0.0, 1.0, -3.0, 1.0])
+
+
+def _bits(m, points):
+    """Every constant of m and f_i, df_i at the points, as exact bits."""
+    values = [m.p1, m.p2, m.b1, m.b2, m.nu1, m.nu2, m.K, *m.r_lims]
+    values += [f(s) for f in (m.f1, m.f2, m.df1, m.df2) for s in points]
+    return np.array(values).tobytes()
+
+
+def test_polynomial_model_input_forms_give_the_same_bits():
+    # an array, a tuple, ints and trailing zeros are the float list
+    points = [0.0, 1e-300, 1e-8, 0.37, 1.0, 2.5, 1e5, 1e80]
+    c1, c2 = [0.0, 2.0, -3.0, 2.0], [0.0, 1.0, 4.0]
+    want = _bits(polynomial_model(c1, c2), points)
+    for a, b in ((np.array(c1), np.array(c2)), (tuple(c1), tuple(c2)),
+                 ([0, 2, -3, 2], [0, 1, 4]),
+                 ([*c1, 0.0, 0.0], np.array([*c2, 0.0]))):
+        assert _bits(polynomial_model(a, b), points) == want, (a, b)
+
+
+def test_polynomial_model_input_errors_keep_their_text():
+    with pytest.raises(ConfigError,
+                       match="^coeffs1 needs at least the s\\^0 and s\\^1"):
+        polynomial_model(np.array([[0.0, 1.0], [0.0, 1.0]]), [0.0, 1.0])
+    for coeffs in ([0.0, 1.0, math.inf], np.array([0.0, 1.0, math.inf])):
+        with pytest.raises(ConfigError) as exc:
+            polynomial_model(coeffs, [0.0, 1.0])
+        assert str(exc.value) == ("coeffs1: coefficients must be finite, "
+                                  "got [0.0, 1.0, inf]")
+    for coeffs in ([0, 1, -2, 0], np.array([0.0, 1.0, -2.0])):
+        with pytest.raises(ConfigError) as exc:
+            polynomial_model([0.0, 1.0], coeffs)
+        assert str(exc.value) == ("coeffs2: leading coefficient must be "
+                                  "positive, got -2.0")

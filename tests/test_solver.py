@@ -231,6 +231,30 @@ def test_newton_below_the_representation_floor_fails_the_recheck(
     assert last.u2[-1] == pytest.approx(t2, rel=1e-12)
 
 
+def test_a_nan_residual_row_fails_every_tolerance(grid128, ref_model,
+                                                  monkeypatch):
+    # the sup norm keeps a NaN in any row, so the re-check rejects the
+    # point at every shift even at an infinite tolerance
+    state = SystemState(np.full(grid128.M + 1, 0.5),
+                        np.full(grid128.M + 1, 0.4))
+    for row in (0, 7, 2 * grid128.M + 1):
+        res = residual(grid128, ref_model, 0.3, state)
+        res[row] = math.nan
+        assert math.isnan(scaled_residual_norm(res, state))
+    exact = solver_module.residual
+
+    def nan_row(*args):
+        res = exact(*args)
+        res[7] = math.nan
+        return res
+
+    monkeypatch.setattr(solver_module, "residual", nan_row)
+    ts = solver_module._TraceSystem(grid128, ref_model)
+    with pytest.raises(NonConvergenceError,
+                       match="re-check failed: .* \\(nan at "):
+        solver_module._recheck(grid128, ts, (0.5, 0.4, 0.3), math.inf)
+
+
 def test_is_positive_state_classification(grid128):
     n = grid128.M + 1
     assert not is_positive_state(SystemState.zero(grid128))
