@@ -19,8 +19,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import (ConfigError, InsufficientDataError, NumericalError,
-                     require_positive)
+from .errors import ConfigError, InsufficientDataError, require_positive
 from .grid import RadialGrid
 from .model import NonlinearityModel, _slopes_at_zero, r0_bounds
 from .solver import solve_limit_problem
@@ -99,8 +98,9 @@ def jordan_data(model: NonlinearityModel) -> JordanData:
 
     J = diag(sigma, -sigma), P columns (1, zeta)/(1+zeta) and
     (1, -zeta)/(1+zeta); the inverse is closed-form, so the reconstruction
-    identity holds to a few ulps and is asserted at 1e-12.  sigma and zeta
-    are _sigma's and zeta's formulas on one reading of the slopes.
+    identity P J P^{-1} = A holds to a few ulps (measured by verify's
+    jordan-identity check, not here).  sigma and zeta are _sigma's and
+    zeta's formulas on one reading of the slopes.
     """
     a, b = _slopes_at_zero(model)
     sig, z = math.sqrt(a * b), math.sqrt(b / a)
@@ -110,9 +110,6 @@ def jordan_data(model: NonlinearityModel) -> JordanData:
     Pinv = np.array([[(1.0 + z) / 2.0, (1.0 + z) / (2.0 * z)],
                      [(1.0 + z) / 2.0, -(1.0 + z) / (2.0 * z)]])
     J = np.diag([sig, -sig])
-    err = float(np.abs(P @ J @ Pinv - A).max())
-    if err > 1e-12 * max(1.0, float(np.abs(A).max())):
-        raise NumericalError(f"Jordan reconstruction off by {err:.3e}")
     return JordanData(sigma=sig, zeta=z, A=A, P=P, Pinv=Pinv, J=J)
 
 

@@ -34,21 +34,6 @@ from . import verify as verify_mod
 
 __all__ = ["run", "main", "VALID_KEYS"]
 
-# Keys named "<section>.<field>" after the ContinuationConfig fields they
-# set; an unset key keeps the class default.  newton.tol sets the one
-# residual tolerance, of newton_solve and of continuation.
-_CONT_KEYS = ("cont.ds0", "cont.ds_min", "cont.ds_max",
-              "cont.eps_step_off", "cont.lambda_stop_low")
-
-VALID_KEYS = (
-    "model.name", "model.coeffs1", "model.coeffs2",
-    "grid.N", "grid.R", "grid.M",
-    "newton.tol",
-    *_CONT_KEYS,
-    "out.dir",
-)
-
-
 def _parse_config_text(text: str, source: str) -> dict:
     entries = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -78,27 +63,17 @@ def _load_entries(config_path: str | None, overrides: list[str]) -> dict:
     return entries
 
 
-def _finite(value: float, key: str) -> float:
+def _number(raw: str | float, key: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ConfigError(f"{key} must be a number, got {raw!r}")
     if not math.isfinite(value):
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
     return value
 
 
-def _float(entries, key, default):
-    raw = entries.get(key)
-    if raw is None:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {raw!r}")
-    return _finite(value, key)
-
-
-def _int(entries, key, default):
-    raw = entries.get(key)
-    if raw is None:
-        return default
+def _integer(raw: str, key: str) -> int:
     try:
         return int(raw)
     except ValueError:
@@ -110,7 +85,27 @@ def _float_list(raw: str, key: str) -> list[float]:
         values = [float(tok) for tok in raw.split(",")]
     except ValueError:
         raise ConfigError(f"{key} must be comma-separated numbers, got {raw!r}")
-    return [_finite(x, key) for x in values]
+    return [_number(x, key) for x in values]
+
+
+def _text(raw: str, key: str) -> str:
+    return raw
+
+
+# Every key, in the order the unknown-key error lists them, and the parser
+# of its value, parser(raw, key).  A "cont.<field>" key sets that
+# ContinuationConfig field; newton.tol sets the one residual tolerance, of
+# newton_solve and of continuation.
+_KEYS = {
+    "model.name": _text,
+    "model.coeffs1": _float_list, "model.coeffs2": _float_list,
+    "grid.N": _integer, "grid.R": _number, "grid.M": _integer,
+    "newton.tol": _number,
+    "cont.ds0": _number, "cont.ds_min": _number, "cont.ds_max": _number,
+    "cont.eps_step_off": _number, "cont.lambda_stop_low": _number,
+    "out.dir": _text,
+}
+VALID_KEYS = tuple(_KEYS)
 
 
 def _out_dir(path: str) -> str:
@@ -126,29 +121,44 @@ def _out_dir(path: str) -> str:
 
 
 class RunSettings:
-    """Effective, fully resolved settings for one invocation."""
+    """Effective, fully resolved settings for one invocation.
+
+    Every key is read once, by value(key, default): its entry parsed by its
+    _KEYS parser, or else default, and the result is its resolved value.
+    The config hash is taken over the resolved values, with out.dir left
+    out and the model keys standing as one "model" entry."""
 
     def __init__(self, entries: dict):
-        self.grid = build_grid(_int(entries, "grid.N", 3),
-                               _float(entries, "grid.R", 1.0),
-                               _int(entries, "grid.M", 512))
+        resolved = {}
+
+        def value(key, default=None):
+            raw = entries.get(key)
+            resolved[key] = default if raw is None else _KEYS[key](raw, key)
+            return resolved[key]
+
+        self.grid = build_grid(value("grid.N", 3), value("grid.R", 1.0),
+                               value("grid.M", 512))
         # default tolerance: twice the representation floor eps c/h^2 of
         # the operator rows, c = (N + 1)/2 the largest coefficient of row 1
-        # times h^2 (2 at N = 3), never below TOL_RESIDUAL; a cont.<field>
-        # key left unset is not passed at all
+        # times h^2 (2 at N = 3), never below TOL_RESIDUAL
         floor = (2.0 * np.finfo(float).eps * ((self.grid.N_dim + 1) / 2)
                  / self.grid.h ** 2)
-        self.cont = ContinuationConfig(
-            tol_residual=_float(entries, "newton.tol",
-                                max(TOL_RESIDUAL, floor)),
-            **{key.split(".", 1)[1]: _float(entries, key, None)
-               for key in _CONT_KEYS if key in entries})
-        self.out_dir = _out_dir(entries.get("out.dir", "out"))
-        self.model, model_key = self._resolve_model(entries)
-        self.config_hash = self._hash(model_key)
+        tol = value("newton.tol", max(TOL_RESIDUAL, floor))
+        # a cont.<field> key left unset resolves to the class default of
+        # <field> and is not passed at all
+        cont = {key: value(key, getattr(ContinuationConfig, key[5:]))
+                for key in _KEYS if key.startswith("cont.")}
+        self.cont = ContinuationConfig(tol_residual=tol, **{
+            key[5:]: v for key, v in cont.items() if key in entries})
+        self.out_dir = _out_dir(value("out.dir", "out"))
+        self.model, model_key = self._resolve_model(value, entries)
+        lines = [f"{k}={v!r}" for k, v in resolved.items()
+                 if not k.startswith(("model.", "out."))]
+        blob = "\n".join(sorted(lines + [f"model={model_key}"]))
+        self.config_hash = hashlib.sha256(blob.encode()).hexdigest()[:12]
 
     @staticmethod
-    def _resolve_model(entries: dict) -> tuple[NonlinearityModel, str]:
+    def _resolve_model(value, entries: dict) -> tuple[NonlinearityModel, str]:
         """The model and the text that stands for it in the config hash: a
         builtin's name, or a coefficient model's parsed coefficients."""
         keys = ("model.coeffs1", "model.coeffs2")
@@ -160,28 +170,16 @@ class RunSettings:
             if missing:
                 raise ConfigError("coefficient models need both coefficient "
                                   "lists; missing: " + ", ".join(missing))
-            c1, c2 = (_float_list(entries[key], key) for key in keys)
+            c1, c2 = (value(key) for key in keys)
             return (polynomial_model(c1, c2),
                     f"model.coeffs1={c1!r}|model.coeffs2={c2!r}")
-        name = entries.get("model.name", "reference")
+        name = value("model.name", "reference")
         builtins = {"reference": reference_model, "quadratic": quadratic_model,
                     "linear": linear_model}
         if name not in builtins:
             raise ConfigError(f"unknown model.name {name!r}; builtins: "
                               + ", ".join(sorted(builtins)))
         return builtins[name](), name
-
-    def _hash(self, model_key: str) -> str:
-        resolved = {
-            "model": model_key,
-            "grid.N": self.grid.N_dim, "grid.R": repr(self.grid.R_ball),
-            "grid.M": self.grid.M,
-            "newton.tol": repr(self.cont.tol_residual),
-        }
-        resolved.update((key, repr(getattr(self.cont, key.split(".", 1)[1])))
-                        for key in _CONT_KEYS)
-        blob = "\n".join(f"{k}={v}" for k, v in sorted(resolved.items()))
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
     def path(self, name: str) -> str:
         os.makedirs(self.out_dir, exist_ok=True)
@@ -374,15 +372,28 @@ def _cmd_verify(st: RunSettings, args) -> int:
     return 0 if all(o.passed for o in outcomes) else 1
 
 
+_LAMBDA = ("--lambda", {"dest": "lam", "type": float, "required": True})
+
+# Each subcommand: its function, its help text and the arguments it takes
+# beyond --config and --override, as (flag, add_argument keywords).
 _COMMANDS = {
-    "steklov": _cmd_steklov,
-    "report": _cmd_report,
-    "solve": _cmd_solve,
-    "limit": _cmd_limit,
-    "branch": _cmd_branch,
-    "multiplicity": _cmd_multiplicity,
-    "rescale-check": _cmd_rescale_check,
-    "verify": _cmd_verify,
+    "steklov": (_cmd_steklov,
+                "first eigenpair of the boundary eigenvalue problem", ()),
+    "report": (_cmd_report, "scalar bifurcation report as JSON", ()),
+    "solve": (_cmd_solve, "fixed-parameter Newton solve", (
+        _LAMBDA,
+        ("--amplitude", {"type": float, "default": 1.0, "help":
+                         "initial amplitude along the eigenfunction pair"}))),
+    "limit": (_cmd_limit,
+              "nontrivial solution of the pure-power limit problem", ()),
+    "branch": (_cmd_branch, "trace the positive branch", (
+        ("--dump-states", {"type": int, "default": 0, "metavar": "K", "help":
+                           "write full state CSV every K-th point"}),)),
+    "multiplicity": (_cmd_multiplicity,
+                     "two distinct solutions at one parameter", (_LAMBDA,)),
+    "rescale-check": (_cmd_rescale_check,
+                      "score the branch tail against the limit problem", ()),
+    "verify": (_cmd_verify, "run the acceptance suite and print a table", ()),
 }
 
 
@@ -397,28 +408,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Bifurcation toolkit for radially symmetric coupled "
                     "boundary-flux systems on balls")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("steklov", parents=[common],
-                   help="first eigenpair of the boundary eigenvalue problem")
-    sub.add_parser("report", parents=[common],
-                   help="scalar bifurcation report as JSON")
-    p_solve = sub.add_parser("solve", parents=[common],
-                             help="fixed-parameter Newton solve")
-    p_solve.add_argument("--lambda", dest="lam", type=float, required=True)
-    p_solve.add_argument("--amplitude", type=float, default=1.0,
-                         help="initial amplitude along the eigenfunction pair")
-    sub.add_parser("limit", parents=[common],
-                   help="nontrivial solution of the pure-power limit problem")
-    p_branch = sub.add_parser("branch", parents=[common],
-                              help="trace the positive branch")
-    p_branch.add_argument("--dump-states", type=int, default=0, metavar="K",
-                          help="write full state CSV every K-th point")
-    p_mult = sub.add_parser("multiplicity", parents=[common],
-                            help="two distinct solutions at one parameter")
-    p_mult.add_argument("--lambda", dest="lam", type=float, required=True)
-    sub.add_parser("rescale-check", parents=[common],
-                   help="score the branch tail against the limit problem")
-    sub.add_parser("verify", parents=[common],
-                   help="run the acceptance suite and print a table")
+    for name, (_, text, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, parents=[common], help=text)
+        for flag, options in arguments:
+            command.add_argument(flag, **options)
     return parser
 
 
@@ -429,7 +422,7 @@ def run(argv) -> int:
     args = parser.parse_args(argv)
     try:
         settings = RunSettings(_load_entries(args.config, args.override))
-        return _COMMANDS[args.command](settings, args)
+        return _COMMANDS[args.command][0](settings, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

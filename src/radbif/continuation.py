@@ -219,6 +219,18 @@ def _arclength(ts: _TraceSystem, tau, anchor, ds):
                       - ds, grad)
 
 
+def _require_advance(value: float, ds: float, scale: float) -> None:
+    """NonConvergenceError unless the corrected point advanced along the
+    secant by ds * scale to within half of it: value is the arclength
+    row's at the point, (advance / scale) - ds.  _trace_newton accepts the
+    row at |value| <= tol, so a step below tol, or below the ulps of x,
+    would otherwise pass with whatever advance rounding gives."""
+    if abs(value) > 0.5 * ds:
+        raise NonConvergenceError(
+            f"step advanced {(value + ds) * scale:.3g} along the secant, "
+            f"{ds * scale:.3g} asked")
+
+
 def _verify(grid: RadialGrid, ts: _TraceSystem, x, tol: float) -> tuple:
     """_recheck of x = (t1, t2, lam) at tol, with the state of the passing
     shift required to be positive (NonConvergenceError otherwise)."""
@@ -243,8 +255,9 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
     secant tau of the last two points, with length ds * s where s =
     max(1, t1 + t2) of the last point, and corrects with the row
     (w tau_1, w tau_2, tau_lam) . (x - x_last) / s = ds.  Each point is
-    accepted only after the full-space re-check of _verify and its
-    positivity check.
+    accepted only when that advance is within ds/2 of ds
+    (_require_advance), and after the full-space re-check of _verify and
+    its positivity check.
     A model with p1*p2 <= 1 has no branch to trace toward the tail (the
     linear model's stands vertical at mu0) and raises ConfigError, as
     theta_exponents does, before any step; so does a cfg.lambda_stop_low
@@ -300,18 +313,16 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
         x_last = _traces(last)
         x_prev = _traces(branch.points[-2])
         dist = ts.dist(x_last, x_prev)
-        if dist == 0.0:
-            branch.termination = "corrector_failure"
-            break
         tau = [(a - b) / dist for a, b in zip(x_last, x_prev)]
         scale = max(1.0, last.norm)
 
         checked = None
         while checked is None:
             try:
-                x, history = _trace_newton(
-                    ts, _arclength(ts, [t / scale for t in tau], x_last, ds),
-                    [a + (ds * scale) * t for a, t in zip(x_last, tau)], tol)
+                row = _arclength(ts, [t / scale for t in tau], x_last, ds)
+                guess = [a + (ds * scale) * t for a, t in zip(x_last, tau)]
+                x, history = _trace_newton(ts, row, guess, tol)
+                _require_advance(row(x)[0], ds, scale)
                 checked = _verify(grid, ts, x, tol)
             except NonConvergenceError as exc:
                 branch.rejections += 1

@@ -137,6 +137,25 @@ def exact_stencil(grid, u):
             + [(3 * d[M - 1] - d[M - 2]) / (2 * h)])
 
 
+def exact_mu(N, R, M):
+    """mu_h = flux(phi)/phi_M of the grid operator on N, R, M, evaluated
+    exactly: h = R/M from R's binary value, phi from rows 0..M-1 with
+    phi_0 = 1.  Times h^2, row 0 gives phi_1 = (1 + h^2/(2N)) phi_0, and
+    times 2j h^2, row j gives (2j + N - 1) phi_{j+1} = 2j (2 + h^2) phi_j
+    - (2j - N + 1) phi_{j-1}.  With h^2 = p/D the recurrence runs on
+    Python integers z, a, b, the last three phi_j over one running common
+    denominator, which cancels from mu_h and so is never formed."""
+    from fractions import Fraction
+    h = Fraction(R) / M
+    p, D = (h * h).numerator, (h * h).denominator
+    z, a, b = 0, 2 * N * D, 2 * N * D + p
+    for j in range(1, M):
+        k = D * (2 * j + N - 1)
+        z, a, b = a * k, b * k, (2 * j * (2 * D + p) * b
+                                 - D * (2 * j - N + 1) * a)
+    return Fraction(3 * b - 4 * a + z, 2 * b) / h
+
+
 def bisect_root(q, lo, hi):
     """Plain bisection of the callable q on a sign-changing [lo, hi] down
     to the last double: an exact zero of q, or the lo end of two adjacent

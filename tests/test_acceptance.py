@@ -139,3 +139,21 @@ def test_fd_check_catches_a_dependency_outside_the_reach(monkeypatch, col):
     assert not ok, detail
     if col == 5:
         assert "error=inf" in detail
+
+
+def test_a_check_that_raises_fails_and_the_others_still_run(monkeypatch):
+    def crash(shared):
+        raise RuntimeError("forced crash")
+
+    checks = tuple((name, crash if name == "rescale-tail" else fn)
+                   for name, fn in verify._CHECKS)
+    monkeypatch.setattr(verify, "_CHECKS", checks)
+    # the memoized outcome list is restored afterwards, so later tests
+    # do not read this run's
+    monkeypatch.setattr(verify, "_CACHE", None)
+    outcomes = {o.name: o for o in run_acceptance(force=True)}
+    assert tuple(outcomes) == CRITERIA
+    crashed = outcomes.pop("rescale-tail")
+    assert not crashed.passed
+    assert crashed.detail == "RuntimeError: forced crash"
+    assert all(o.passed for o in outcomes.values())

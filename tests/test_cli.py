@@ -685,6 +685,24 @@ def test_multiplicity_refuses_a_branch_that_failed(tmp_path, capsys):
     assert "zero floor" not in err and not out.exists()
 
 
+def test_branch_of_steps_that_round_to_nothing_stops_with_a_reason(
+        tmp_path, capsys):
+    # cont.ds = 1e-30 lies far below the ulps of the traces: every such
+    # step is rejected, and the branch stops after the step-off with the
+    # rejection's reason on stderr, not "last rejection: none"
+    out = tmp_path / "out"
+    assert run(["branch", "--override", "grid.M=128",
+                *(f"--override=cont.{key}=1e-30"
+                  for key in ("ds0", "ds_min", "ds_max")),
+                "--override", f"out.dir={out}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: branch stopped early (corrector_failure)")
+    assert "last rejection: step advanced " in err
+    assert "last rejection: none" not in err
+    summary = json.loads((out / "branch_summary.json").read_text())
+    assert (summary["n_points"], summary["rejections"]) == (2, 1)
+
+
 def test_multiplicity_rejects_nonpositive_lambda(tmp_path, capsys):
     assert run(["multiplicity", "--lambda", "0.0",
                 "--override", f"out.dir={_out(tmp_path)}"]) == 2
@@ -789,6 +807,18 @@ def test_verify_json_does_not_depend_on_the_clock(tmp_path, monkeypatch,
         assert all(o.seconds > step / 2 for o in verify._CACHE)
     capsys.readouterr()
     assert files[0] == files[1]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_each_subcommand_lists_exactly_its_own_options(command, capsys):
+    own = {"solve": {"--lambda", "--amplitude"},
+           "branch": {"--dump-states"},
+           "multiplicity": {"--lambda"}}.get(command, set())
+    with pytest.raises(SystemExit) as info:
+        run([command, "--help"])
+    assert info.value.code == 0
+    options = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert options == {"--help", "--config", "--override"} | own
 
 
 def _assert_help(proc):

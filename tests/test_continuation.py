@@ -594,6 +594,22 @@ def test_branch_ends_on_corrector_failure_keeping_its_points(
     assert "forced re-check failure" in branch.last_rejection
 
 
+@pytest.mark.parametrize("ds", [1e-30, 1e-20])
+def test_a_step_that_rounds_to_nothing_is_rejected(ds, grid128, ref_model):
+    """A step far below the tolerance and the ulps of the traces meets the
+    arclength row at any advance rounding gives.  It is rejected with the
+    advance made and the step asked, so the branch ends after its step-off
+    with one rejection and a reason, and t1 never goes backwards (checked
+    by the session fixture in conftest.py)."""
+    cfg = ContinuationConfig(ds0=ds, ds_min=ds, ds_max=ds)
+    branch = continue_branch(grid128, ref_model, cfg)
+    assert branch.termination == "corrector_failure"
+    assert len(branch.points) == 2  # the anchor and the step-off
+    assert branch.rejections == 1
+    assert branch.last_rejection.startswith("step advanced ")
+    assert branch.last_rejection.endswith(f"along the secant, {ds:.3g} asked")
+
+
 def test_failed_step_off_raises_with_the_trivial_anchor(grid128, ref_model,
                                                        monkeypatch):
     import radbif.continuation as cont

@@ -440,7 +440,7 @@ def test_operator_factored_once_per_grid(ref_model, branch_cfg, monkeypatch):
     assert len(calls) == 1
 
 
-def test_banded_solves_per_grid_and_per_call(ref_model, monkeypatch):
+def test_kernel_solves_per_grid_and_per_call(ref_model, monkeypatch):
     """The grid's solver solves three times at its first
     steklov_eigenpair: the unit-flux column and two longdouble refinement
     passes, which give v and the unit-trace profile.  It never solves after
@@ -479,7 +479,7 @@ def test_banded_solves_per_grid_and_per_call(ref_model, monkeypatch):
     assert calls == []
 
 
-def test_no_banded_solve_once_the_grid_is_set_up(ref_model, branch_cfg,
+def test_no_kernel_solve_once_the_grid_is_set_up(ref_model, branch_cfg,
                                                  monkeypatch):
     # the grid's first steklov_eigenpair builds its whole ray, the
     # longdouble profile included, and keeps no solver: tracing, the
