@@ -69,8 +69,8 @@ from .errors import (ConfigError, ContinuationError, NonConvergenceError,
                      require_int, require_positive)
 from .grid import RadialGrid, SystemState, pair_norm
 from .model import NonlinearityModel, monotone_check, zeta
-from .solver import (TOL_RESIDUAL, _on_ray, _recheck, _trace_newton,
-                     _TraceSystem, is_positive_state)
+from .solver import (POSITIVITY_ZERO_FLOOR, TOL_RESIDUAL, _on_ray, _recheck,
+                     _trace_newton, _TraceSystem, is_positive_state)
 from .steklov import SteklovPair
 
 __all__ = [
@@ -94,7 +94,9 @@ class ContinuationConfig:
     is the tail cutoff: the zero-parameter end is a bifurcation from
     infinity and is analyzed by rescaling, not chased to blow-up.  It
     must lie below the bifurcation value mu0, which continue_branch
-    checks once mu0 is known.
+    checks once mu0 is known.  eps_step_off, the pair norm of the
+    step-off, lies in (POSITIVITY_ZERO_FLOOR, 0.1]: at or below that
+    floor a state counts as trivial, so no step-off could be positive.
     tol_residual is the tolerance of the corrector, of the fold solves and
     of the full-space re-check of every point.
     """
@@ -112,9 +114,12 @@ class ContinuationConfig:
             raise ConfigError(
                 f"need 0 < ds_min <= ds0 <= ds_max, got "
                 f"({self.ds_min}, {self.ds0}, {self.ds_max})")
-        if not (0.0 < self.eps_step_off <= 0.1):
+        if not (POSITIVITY_ZERO_FLOOR < self.eps_step_off <= 0.1):
             raise ConfigError(
-                f"eps_step_off must lie in (0, 0.1], got {self.eps_step_off}")
+                f"eps_step_off must lie in ({POSITIVITY_ZERO_FLOOR:g}, 0.1], "
+                f"got {self.eps_step_off}: it is the step-off's pair norm, "
+                f"and a state at or below the positivity floor "
+                f"POSITIVITY_ZERO_FLOOR = {POSITIVITY_ZERO_FLOOR:g} is trivial")
         require_positive(self.lambda_stop_low, "lambda_stop_low")
         require_int(self.max_points, "max_points", 2)
         require_positive(self.tol_residual, "tol_residual")

@@ -8,9 +8,9 @@ u'(R_ball) uses the one-sided second-order stencil, exact on quadratics.
 
 A exists once, in difference form (_stencil): the residual applies it
 in double, the grid's set-up (steklov.steklov_eigenpair) in longdouble
-for its refinement, and the Jacobian reads it off as the stencil of the
-identity, so the ray solves the operator that the residual checks and
-the Jacobian differentiates.  The set-up's solves need no matrix: the
+for its refinement, so the ray solves the operator that the residual
+checks, and the jacobian-fd check reads its row scales off the stencil
+of the identity.  The set-up's solves need no matrix: the
 rows below the flux row are a forward recurrence from the origin, and a
 solve is reduction of order on its solution (_kernel_solver), in numpy
 alone.  apply_operator and boundary_flux are the independent reference
@@ -89,17 +89,6 @@ class SystemState:
         self.u2 = np.asarray(self.u2, dtype=float)
         if self.u1.shape != self.u2.shape or self.u1.ndim != 1:
             raise ValueError("u1 and u2 must be 1-d arrays of equal length")
-
-    def to_vector(self) -> np.ndarray:
-        """Interleave as [u1_0, u2_0, u1_1, u2_1, ...], node by node."""
-        out = np.empty(2 * self.u1.size)
-        out[0::2] = self.u1
-        out[1::2] = self.u2
-        return out
-
-    @staticmethod
-    def from_vector(x: np.ndarray) -> "SystemState":
-        return SystemState(x[0::2].copy(), x[1::2].copy())
 
     @staticmethod
     def zero(grid: RadialGrid) -> "SystemState":

@@ -1,6 +1,6 @@
-"""The coupled pair at fixed parameter: residual, Jacobian, the kernel-ray
-facts shared with continuation, the package's one Newton iteration on the
-two traces, and the pure-power limiting problem in closed form.
+"""The coupled pair at fixed parameter: residual, the kernel-ray facts
+shared with continuation, the package's one Newton iteration on the two
+traces, and the pure-power limiting problem in closed form.
 
 The interior rows of the discrete system are linear with no source term,
 so they pin every solution to the kernel ray: it is (t1 phi_h, t2 phi_h),
@@ -9,8 +9,10 @@ unit-flux column and mu_h = 1/v(R).  Only the two flux rows
 
     mu_h t1 = lam f1(t2),    mu_h t2 = lam f2(t1)
 
-are nonlinear; _TraceSystem holds them, their derivative and the scalar
-forms continuation needs.  _trace_newton is Newton on these two rows
+are nonlinear; _TraceSystem holds them, their derivative (the 2x3 rows
+that the jacobian-fd check of the acceptance suite compares with
+differences of the residual on the ray) and the scalar forms
+continuation needs.  _trace_newton is Newton on these two rows
 plus one extra row in x = (t1, t2, lam): the arclength row or the fold
 row in continuation, lam = lam0 in newton_solve.  A state on the ray is
 rebuilt from its traces by rounding t_i times the grid's longdouble
@@ -27,12 +29,10 @@ M + 1 nodes.
 The residual applies the grid's difference stencil in double to the
 interleaved state viewed as its (M + 1, 2) array of nodes and subtracts
 the two flux terms; each row rounds about once at the scale of the
-state.  The Jacobian is diag(A, A) as a dense double array, A the
-same stencil applied to the identity (cached per grid), plus two
-coupling entries in the flux rows; the jacobian-fd check of the
-acceptance suite tests it, and nothing else in the package builds it.
-residual, jacobian and newton_solve refuse a state without the grid's
-M + 1 nodes (ValueError).
+state.  No full-space Jacobian is formed: on the ray the interior rows
+vanish whatever the traces, so the flux rows' derivative is all that
+Newton needs.  residual and newton_solve refuse a state without the
+grid's M + 1 nodes (ValueError).
 
 Residual norms are measured as max|F| / max(1, sup|u1|, sup|u2|): the
 operator rows scale like 1/h^2, so that quotient is what floating point can
@@ -47,8 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NonConvergenceError, require_positive
-from .grid import (RadialGrid, SystemState, _nodal_values, _stencil,
-                   cache_per_object, pair_norm)
+from .grid import RadialGrid, SystemState, _nodal_values, _stencil, pair_norm
 from .model import NonlinearityModel, f_extended, fprime_extended
 from .steklov import steklov_eigenpair
 
@@ -59,7 +58,6 @@ __all__ = [
     "TOL_RESIDUAL",
     "is_positive_state",
     "residual",
-    "jacobian",
     "newton_solve",
     "solve_limit_problem",
     "scaled_residual_norm",
@@ -136,7 +134,9 @@ def _pair_residual(grid: RadialGrid, state: SystemState, g1, g2) -> np.ndarray:
     near 1e-16 in the scaled norm even at blow-up-tail amplitudes, where
     band sums drown below roughly 2e-10 at the 1/h^2 row scale."""
     M = grid.M
-    y = _stencil(grid, state.to_vector().reshape(M + 1, 2)).ravel()
+    x = np.empty(2 * M + 2)
+    x[0::2], x[1::2] = state.u1, state.u2
+    y = _stencil(grid, x.reshape(M + 1, 2)).ravel()
     y[2 * M] -= g1(float(state.u2[M]))
     y[2 * M + 1] -= g2(float(state.u1[M]))
     return y
@@ -164,31 +164,6 @@ def residual(grid: RadialGrid, model: NonlinearityModel, lam: float,
     g1 = lambda t: lam * f_extended(model, 1, t)
     g2 = lambda t: lam * f_extended(model, 2, t)
     return _pair_residual(grid, state, g1, g2)
-
-
-@cache_per_object
-def _dense_operator(grid: RadialGrid) -> np.ndarray:
-    """A as a read-only dense (M + 1, M + 1) double array: the grid's
-    stencil applied to the identity, one column per unit vector."""
-    a = _stencil(grid, np.eye(grid.M + 1))
-    a.flags.writeable = False
-    return a
-
-
-def jacobian(grid: RadialGrid, model: NonlinearityModel, lam: float,
-             state: SystemState) -> np.ndarray:
-    """Jacobian of residual as a dense (2M + 2, 2M + 2) double array, so
-    O(M^2) memory: the pair operator diag(A, A) on the interleaved state,
-    A at the even rows and columns and again at the odd ones, plus the
-    coupling entries c1 = -lam f1'(u2(R)) at (2M, 2M+1) and
-    c2 = -lam f2'(u1(R)) at (2M+1, 2M)."""
-    _require_arguments(grid, lam, state)
-    a, n = _dense_operator(grid), 2 * grid.M + 2
-    jac = np.zeros((n, n))
-    jac[0::2, 0::2] = jac[1::2, 1::2] = a
-    jac[n - 2, n - 1] = -lam * fprime_extended(model, 1, float(state.u2[-1]))
-    jac[n - 1, n - 2] = -lam * fprime_extended(model, 2, float(state.u1[-1]))
-    return jac
 
 
 def _fpp(model: NonlinearityModel, i: int, s: float) -> float:

@@ -23,10 +23,11 @@ from .analysis import (bifurcation_point, jordan_data, nonexistence_bound,
 from .continuation import (ContinuationConfig, continue_branch,
                            initial_tangent, solutions_at)
 from .errors import NonConvergenceError
-from .grid import SystemState, build_grid, pair_norm
+from .grid import SystemState, _stencil, build_grid, pair_norm
 from .model import linear_model, quadratic_model, reference_model
 from .monotone import build_subsolution, monotone_iterate
-from .solver import jacobian, newton_solve, residual, scaled_residual_norm
+from .solver import (_on_ray, _TraceSystem, newton_solve, residual,
+                     scaled_residual_norm)
 from .steklov import steklov_eigenpair
 
 __all__ = ["CheckOutcome", "run_acceptance", "format_table"]
@@ -213,63 +214,56 @@ def _check_multiplicity(shared):
     return ok, detail
 
 
-def _fd_error(grid, model, lam, x):
-    """Max over rows i of max_j |J_ij - J_fd,ij| / max(1, max_j |J_ij|) at
-    the interleaved vector x: each row against its own scale.
+def _fd_error(grid, ts, lam, t1, t2, interior_scale):
+    """(flux, interior): the relative errors of the derivative the trace
+    Newton uses, at (t1, t2, lam) on the kernel ray.
 
-    Central differences with per-column step delta_j = 1e-6 max(1, |x_j|),
-    taken eight column classes at a time (Curtis, Powell & Reid, IMA J.
-    Appl. Math. 13, 1974).  Row i of the residual reads only columns
-    i-4 .. i+2, its reach: the (l, u) = (2, 1) bands of A, two apart in
-    each interleaved component, and the two flux couplings at offsets +-1.
-    So the columns j = c (mod 8) of class c reach disjoint rows; one
-    residual call at x + s_c and one at x - s_c, with s_c holding delta_j
-    on those columns, give every entry of the class, and row i is credited
-    to the class column in i-4 .. i+2.  A row that no column of the class
-    reaches must not change; if one does, the residual depends on a column
-    outside the reach and the error is inf.  Off the reach the differences
-    are zero, so there the error is |J_ij| itself: the eight difference
-    rows are compared with J on the reach alone, and no (n, n) difference
-    matrix is formed."""
-    n = x.size
-    delta = 1e-6 * np.maximum(1.0, np.abs(x))
-    diff = np.empty((8, n))
-    for c in range(8):
-        xp, xm = x.copy(), x.copy()
-        xp[c::8] += delta[c::8]
-        xm[c::8] -= delta[c::8]
-        diff[c] = (residual(grid, model, lam, SystemState.from_vector(xp))
-                   - residual(grid, model, lam, SystemState.from_vector(xm)))
-    rows = np.arange(n)
-    cols = rows - 4 + (np.arange(8)[:, None] - rows + 4) % 8
-    hit = (cols >= 0) & (cols <= np.minimum(rows + 2, n - 1))
-    if diff[~hit].any():
-        return math.inf
-    dense = jacobian(grid, model, lam, SystemState.from_vector(x))
-    i, j = np.broadcast_to(rows, hit.shape)[hit], cols[hit]
-    reach = dense[i, j] - diff[hit] / (2.0 * delta)[j]
-    err = np.abs(dense, out=dense)
-    scale = np.maximum(1.0, err.max(axis=1))
-    err[i, j] = np.abs(reach)
-    return float((err.max(axis=1) / scale).max())
+    Each coordinate x_k of x = (t1, t2, lam) is stepped both ways by
+    delta_k = 1e-6 max(1, |x_k|), the state rebuilt on the ray (_on_ray)
+    and the full-space residual evaluated: six calls.  flux is the worst
+    difference between the central differences of the two flux rows and
+    _TraceSystem.linearize's 2x3 rows, each row against max(1, |its
+    entries|).  The interior rows vanish on the ray at every x, so their
+    differences must stay at rounding level: interior is the worst over
+    the interleaved rows i of the differences against interior_scale[i],
+    max(1, max_j |A_ij|).  A residual that reads a node off the ray's
+    profile into a row shows there.  A NaN difference makes its part
+    NaN, which no bound passes."""
+    x, n = (t1, t2, lam), 2 * grid.M
+
+    def at(y):
+        return residual(grid, ts.model, y[2], _on_ray(ts.profile, y[0], y[1]))
+
+    columns = []
+    for k, xk in enumerate(x):
+        d = 1e-6 * max(1.0, abs(xk))
+        hi, lo = list(x), list(x)
+        hi[k], lo[k] = xk + d, xk - d
+        columns.append((at(hi) - at(lo)) / (hi[k] - lo[k]))
+    diff = np.array(columns)
+    rows = np.array(ts.linearize(*x)[1])
+    flux = (np.abs(diff[:, n:].T - rows).max(axis=1)
+            / np.maximum(1.0, np.abs(rows).max(axis=1)))
+    interior = np.abs(diff[:, :n]) / interior_scale
+    return float(flux.max()), float(interior.max())
 
 
 def _check_jacobian_fd(shared):
-    """Worst _fd_error over 20 seeded states at M=128.  The row-scale
-    denominator is the honest yardstick: a row's difference noise scales
-    with its own entries, 1/h^2 in the interior rows, so a flux coupling
-    is not measured against them."""
-    model = shared["model"]
+    """Worst _fd_error over 20 seeded (t1, t2) in [0.05, 2]^2 at lam = 0.3
+    and M = 128.  The row-scale denominator is the honest yardstick: a
+    row's difference noise scales with its own entries, 1/h^2 in the
+    interior rows, so a flux row is not measured against them."""
     grid = build_grid(3, 1.0, 128)
+    ts = _TraceSystem(grid, shared["model"])
+    a = np.abs(_stencil(grid, np.eye(grid.M + 1))[:grid.M])
+    interior_scale = np.repeat(np.maximum(1.0, a.max(axis=1)), 2)
     rng = np.random.default_rng(_RNG_SEED)
-    worst = 0.0
-    for _ in range(20):
-        u1 = rng.uniform(0.05, 2.0, grid.M + 1)
-        u2 = rng.uniform(0.05, 2.0, grid.M + 1)
-        x = SystemState(u1, u2).to_vector()
-        worst = max(worst, _fd_error(grid, model, 0.3, x))
-    ok = worst <= 1e-6
-    return ok, f"max relative error={worst:.2e} over 20 states at M=128"
+    errors = np.array([_fd_error(grid, ts, 0.3, t1, t2, interior_scale)
+                       for t1, t2 in rng.uniform(0.05, 2.0, (20, 2)).tolist()])
+    (flux, interior), worst = errors.max(axis=0), float(errors.max())
+    return worst <= 1e-6, (f"max relative error={worst:.2e} (flux rows vs "
+                           f"linearize {flux:.2e}, interior rows "
+                           f"{interior:.2e}) over 20 states at M=128")
 
 
 def _check_jordan_identity(shared):

@@ -703,6 +703,27 @@ def test_branch_of_steps_that_round_to_nothing_stops_with_a_reason(
     assert (summary["n_points"], summary["rejections"]) == (2, 1)
 
 
+def test_step_off_at_the_positivity_floor_is_a_config_error(tmp_path,
+                                                            capsys):
+    # a step-off of pair norm at or below POSITIVITY_ZERO_FLOOR could never
+    # be positive: exit 2 with one line naming the key and the floor, and
+    # no artifact; just above the floor the branch reaches lambda_floor
+    out = tmp_path / "out"
+    for eps in ("1e-9", "1e-8"):
+        assert run(["branch", "--override", "grid.M=128",
+                    "--override", f"cont.eps_step_off={eps}",
+                    "--override", f"out.dir={out}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: eps_step_off must lie in "
+                              f"(1e-08, 0.1], got {float(eps)!r}")
+        assert "POSITIVITY_ZERO_FLOOR = 1e-08" in err
+        assert err.count("\n") == 1 and not out.exists()
+    assert run(["branch", "--override", "grid.M=128",
+                "--override", "cont.eps_step_off=2e-8",
+                "--override", f"out.dir={out}"]) == 0
+    assert "termination=lambda_floor" in capsys.readouterr().out
+
+
 def test_multiplicity_rejects_nonpositive_lambda(tmp_path, capsys):
     assert run(["multiplicity", "--lambda", "0.0",
                 "--override", f"out.dir={_out(tmp_path)}"]) == 2

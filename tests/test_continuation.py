@@ -25,7 +25,7 @@ from radbif import (Branch, ConfigError, ContinuationConfig,
                     second_solution, solutions_at, solve_flux_bvp,
                     steklov_eigenpair)
 from radbif.continuation import _on_ray, _TraceSystem
-from radbif.solver import MAX_NEWTON_ITER, ULP_SHIFTS
+from radbif.solver import MAX_NEWTON_ITER, POSITIVITY_ZERO_FLOOR, ULP_SHIFTS
 from radbif.grid import _stencil
 
 LAMBDA_BAR_512 = 0.33320994441151214  # trace-system fold at M = 512
@@ -81,15 +81,22 @@ def test_step_off_leaves_to_the_left(grid512, eig512):
     assert pt.tangent_lambda_sign == -1
 
 
-def test_step_off_amplitude_validation(grid512, ref_model, mu0_ref):
-    for eps in (0.0, 0.2):
-        with pytest.raises(ConfigError, match="eps_step_off"):
+def test_step_off_amplitude_validation(grid512, ref_model, mu0_ref,
+                                       monkeypatch):
+    # the step-off's pair norm is eps_step_off, and a state at or below
+    # the numerical zero floor is trivial, so no such step-off could pass
+    # positivity: the configuration refuses it, naming the key and floor
+    for eps in (0.0, 1e-300, 1e-30, 1e-9, POSITIVITY_ZERO_FLOOR, 0.2):
+        with pytest.raises(ConfigError, match=r"eps_step_off must lie in "
+                           r"\(1e-08, 0\.1\].*POSITIVITY_ZERO_FLOOR = 1e-08"):
             ContinuationConfig(eps_step_off=eps)
-    # amplitudes below the numerical zero floor cannot certify positivity;
-    # the failure keeps the trivial anchor
+    assert ContinuationConfig(eps_step_off=2e-8).eps_step_off == 2e-8
+    # a step-off that is not positive keeps the trivial anchor: here the
+    # floor is raised above its amplitude
+    monkeypatch.setattr(radbif.solver, "POSITIVITY_ZERO_FLOOR", 1e-2)
     with pytest.raises(ContinuationError, match="could not leave the trivial "
-                       "branch at eps=1e-30") as info:
-        continue_branch(grid512, ref_model, ContinuationConfig(eps_step_off=1e-30))
+                       "branch at eps=0.001") as info:
+        continue_branch(grid512, ref_model, ContinuationConfig(eps_step_off=1e-3))
     anchor = info.value.last_point
     assert anchor.lam == mu0_ref and anchor.norm == 0.0
 

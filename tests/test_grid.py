@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 
 from conftest import exact_stencil
 from radbif import (ConfigError, SystemState, apply_operator, boundary_flux,
-                    build_grid, jacobian, load_state_csv, pair_norm,
-                    reference_model, save_state_csv, solve_flux_bvp,
+                    build_grid, load_state_csv, pair_norm, reference_model,
+                    residual, save_state_csv, solve_flux_bvp,
                     steklov_eigenpair)
 from radbif.grid import _kernel_solver, _stencil, _weights
-from radbif.solver import _dense_operator
 
 MU1_N3_R1 = 2.0 / (math.e ** 2 - 1.0)
 
@@ -305,10 +304,10 @@ def test_stencil_keeps_a_nonfinite_value_within_reach():
 
 @pytest.mark.parametrize("M", [16, 17, 128])
 def test_pair_operator_is_diag_a_a_interleaved(M):
-    # the Jacobian's pair operator: rows 2j and 2j+1 are row j of A on the
-    # even and odd columns, A the stencil of the identity, which agrees
-    # with the reference formulas to rounding; at lam = 0 the coupling
-    # entries are zero
+    # the residual's pair operator: at lam = 0 the residual is linear, and
+    # its column for node k of u1 or of u2 is column k of A at the even or
+    # at the odd rows, A the stencil of the identity, which agrees with
+    # the reference formulas to rounding
     g = build_grid(3, 1.0, M)
     a = _stencil(g, np.eye(M + 1))
     np.testing.assert_allclose(a, _dense(g), rtol=1e-15,
@@ -316,37 +315,26 @@ def test_pair_operator_is_diag_a_a_interleaved(M):
     want = np.zeros((2 * (M + 1), 2 * (M + 1)))
     want[0::2, 0::2] = a
     want[1::2, 1::2] = a
-    state = SystemState(np.ones(M + 1), np.ones(M + 1))
-    pair = jacobian(g, reference_model(), 0.0, state)
-    assert isinstance(pair, np.ndarray) and pair.dtype == float
+    eye, zero = np.eye(M + 1), np.zeros(M + 1)
+    pair = np.array([residual(g, reference_model(), 0.0, SystemState(*u))
+                     for k in range(M + 1)
+                     for u in ((eye[k], zero), (zero, eye[k]))]).T
     np.testing.assert_array_equal(pair, want)
 
 
-def test_weights_and_dense_operator_cached_and_frozen():
-    # the stencil's weights w_j = (N-1)/(2 h r_j) and the Jacobian's dense
-    # A are made once per grid, read-only, and not shared between grids
+def test_weights_cached_and_frozen():
+    # the stencil's weights w_j = (N-1)/(2 h r_j) are made once per grid,
+    # read-only, and not shared between grids
     g, other = build_grid(3, 1.0, 64), build_grid(3, 1.0, 64)
-    for made in (_weights, _dense_operator):
-        a = made(g)
-        assert a is made(g) and a is not made(other)
-        assert not a.flags.writeable
-        np.testing.assert_array_equal(a, made(other))
-    assert _weights(g).shape == (g.M - 1, 1)
-    np.testing.assert_array_equal(_weights(g)[:, 0],
-                                  2.0 / (2.0 * g.h * g.r[1:-1]))
-    a = _dense_operator(g)
-    assert a.shape == (g.M + 1, g.M + 1)
-    np.testing.assert_array_equal(a, _stencil(g, np.eye(g.M + 1)))
+    w = _weights(g)
+    assert w is _weights(g) and w is not _weights(other)
+    assert not w.flags.writeable
+    np.testing.assert_array_equal(w, _weights(other))
+    assert w.shape == (g.M - 1, 1)
+    np.testing.assert_array_equal(w[:, 0], 2.0 / (2.0 * g.h * g.r[1:-1]))
 
 
-def test_system_state_vector_roundtrip():
-    g = build_grid(3, 1.0, 16)
-    rng = np.random.default_rng(11)
-    s = SystemState(rng.standard_normal(17), rng.standard_normal(17))
-    t = SystemState.from_vector(s.to_vector())
-    np.testing.assert_array_equal(t.u1, s.u1)
-    np.testing.assert_array_equal(t.u2, s.u2)
-    assert s.to_vector()[0] == s.u1[0] and s.to_vector()[1] == s.u2[0]
+def test_system_state_is_one_pair_of_1d_arrays():
     with pytest.raises(ValueError):
         SystemState(np.zeros(17), np.zeros(16))
     # a state is one pair of 1-d arrays: (k, M+1) stacks and scalars are

@@ -1,4 +1,5 @@
-"""Coupled Newton solver, Jacobian, positivity classification, limit problem.
+"""Coupled Newton solver, residual and its derivative, positivity
+classification, limit problem.
 
 The sharpest checks exploit an exact reduction: the interior rows force any
 discrete solution pair onto the ray spanned by the kernel function, so its
@@ -17,13 +18,13 @@ from conftest import bisect_root, exact_stencil, trace_system_solve
 from radbif import (ConfigError, NonConvergenceError, NumericalError,
                     SystemState, apply_operator, boundary_flux, build_grid,
                     eval_f, f_extended, fprime_extended, is_positive_state,
-                    jacobian, linear_model, newton_solve,
+                    linear_model, newton_solve,
                     pair_norm, residual,
                     scaled_residual_norm, solve_flux_bvp, solve_limit_problem,
                     steklov_eigenpair)
 import radbif.solver as solver_module
 from radbif.grid import _stencil
-from radbif.solver import POSITIVITY_ZERO_FLOOR, _pair_residual
+from radbif.solver import POSITIVITY_ZERO_FLOOR, _pair_residual, _TraceSystem
 
 LAMBDA_MID = 0.3231227939747531  # halfway between bifurcation point and fold
 
@@ -37,9 +38,8 @@ def test_residual_vanishes_at_zero_state(grid128, ref_model):
 def test_residual_rejects_negative_parameter(grid128, ref_model):
     # lam = 0 is legal (test above); NaN and infinity are not
     for lam in (-0.1, math.nan, math.inf):
-        for call in (residual, jacobian):
-            with pytest.raises(ValueError, match="nonnegative and finite"):
-                call(grid128, ref_model, lam, SystemState.zero(grid128))
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            residual(grid128, ref_model, lam, SystemState.zero(grid128))
 
 
 def test_residual_on_kernel_ray_at_lambda_zero(grid512, ref_model):
@@ -60,16 +60,17 @@ def test_residual_on_kernel_ray_at_lambda_zero(grid512, ref_model):
 def test_interior_rows_pin_solutions_to_the_kernel_ray(grid512, ref_model,
                                                        eig512, monkeypatch):
     """The interior rows are linear with no source term: one undamped
-    full-space Newton step (dense solve) from a state off the ray lands on
-    t_i * phi, at the traces of newton_solve's first step, which works on
-    the traces alone."""
+    full-space Newton step (a dense solve with the Jacobian written out
+    from A's coefficients) from a state off the ray lands on t_i * phi,
+    at the traces of newton_solve's first step, which works on the traces
+    alone."""
     ones, phi = np.ones(grid512.M + 1), eig512.phi1
     monkeypatch.setattr(solver_module, "MAX_NEWTON_ITER", 1)
     for lam, init in ((LAMBDA_MID, SystemState(0.5 * ones, 0.5 * ones)),
                       (0.05, SystemState(-10.0 * phi, 10.0 * phi))):
-        dense = jacobian(grid512, ref_model, lam, init)
+        dense = _coefficient_jacobian(grid512, ref_model, lam, init)
         step = np.linalg.solve(dense, -residual(grid512, ref_model, lam, init))
-        landed = SystemState.from_vector(init.to_vector() + step)
+        landed = SystemState(init.u1 + step[0::2], init.u2 + step[1::2])
         with pytest.raises(NonConvergenceError, match="no convergence") as err:
             newton_solve(grid512, ref_model, lam, init)
         traced = err.value.last_state
@@ -284,30 +285,26 @@ def test_is_positive_state_classification(grid128):
 
 
 def test_jacobian_decouples_at_lambda_zero(grid128, ref_model):
-    state = SystemState(0.3 * np.ones(grid128.M + 1),
-                        0.2 * np.ones(grid128.M + 1))
-    dense = jacobian(grid128, ref_model, 0.0, state)
-    M = grid128.M
-    assert dense[2 * M, 2 * M + 1] == 0.0
-    assert dense[2 * M + 1, 2 * M] == 0.0
+    # the trace system's derivative, the one Newton uses
+    _, (row1, row2) = _TraceSystem(grid128, ref_model).linearize(0.3, 0.2, 0.0)
+    assert row1[1] == 0.0
+    assert row2[0] == 0.0
 
 
 def test_jacobian_coupling_entries_at_zero_state(grid128, ref_model):
     lam = 0.4
-    dense = jacobian(grid128, ref_model, lam, SystemState.zero(grid128))
-    M = grid128.M
-    assert dense[2 * M, 2 * M + 1] == pytest.approx(
-        -lam * fprime_extended(ref_model, 1, 0.0))
-    assert dense[2 * M + 1, 2 * M] == pytest.approx(
-        -lam * fprime_extended(ref_model, 2, 0.0))
+    _, (row1, row2) = _TraceSystem(grid128, ref_model).linearize(0.0, 0.0, lam)
+    assert row1[1] == pytest.approx(-lam * fprime_extended(ref_model, 1, 0.0))
+    assert row2[0] == pytest.approx(-lam * fprime_extended(ref_model, 2, 0.0))
 
 
 def _coefficient_jacobian(grid, model, lam, state):
-    """The Jacobian from A's coefficients written out, each rounded as
-    written: row 0 (2N/h^2 + 1, -2N/h^2), interior rows
+    """The Jacobian of residual from A's coefficients written out, each
+    rounded as written: row 0 (2N/h^2 + 1, -2N/h^2), interior rows
     (-1/h^2 + w_j, 2/h^2 + 1, -1/h^2 - w_j) with w_j = (N-1)/(2 h r_j),
     the flux row (1/(2h), -2/h, 3/(2h)), interleaved, plus the two
-    coupling entries."""
+    coupling entries -lam f1'(u2(R)) at (2M, 2M+1) and -lam f2'(u1(R))
+    at (2M+1, 2M)."""
     M, h, N = grid.M, grid.h, grid.N_dim
     a = np.zeros((M + 1, M + 1))
     a[0, :2] = 2.0 * N / h ** 2 + 1.0, -2.0 * N / h ** 2
@@ -328,17 +325,14 @@ def _coefficient_jacobian(grid, model, lam, state):
 @pytest.mark.parametrize("M", [16, 17, 128])
 def test_jacobian_is_the_coefficients_bit_for_bit(N, M, ref_model):
     # the stencil of the identity rounds each coefficient as written, so
-    # the Jacobian equals the written-out coefficients in every bit, the
-    # sign of every zero included (-0.0 couplings at lam = 0)
+    # it equals the written-out coefficients of A in every bit, the sign
+    # of every zero included, at the even and at the odd rows and columns
     grid = build_grid(N, 1.0, M)
-    rng = np.random.default_rng(N * 100 + M)
-    state = SystemState(rng.uniform(0.1, 2.0, M + 1),
-                        rng.uniform(0.1, 2.0, M + 1))
-    for lam in (0.0, 0.3):
-        got = jacobian(grid, ref_model, lam, state)
-        want = _coefficient_jacobian(grid, ref_model, lam, state)
-        np.testing.assert_array_equal(got.view(np.uint64),
-                                      want.view(np.uint64))
+    got = _stencil(grid, np.eye(M + 1)).view(np.uint64)
+    want = _coefficient_jacobian(grid, ref_model, 0.3,
+                                 SystemState.zero(grid)).view(np.uint64)
+    np.testing.assert_array_equal(got, want[0::2, 0::2])
+    np.testing.assert_array_equal(got, want[1::2, 1::2])
 
 
 def test_residual_rows_match_reference_formulas(ref_model):
@@ -357,22 +351,24 @@ def test_residual_rows_match_reference_formulas(ref_model):
 
 
 def test_jacobian_matches_finite_differences(ref_model):
+    # column j of the interleaved order is node j // 2 of u1 (j even) or
+    # of u2 (j odd)
     grid = build_grid(3, 1.0, 64)
     rng = np.random.default_rng(5)
     n = grid.M + 1
     lam = 0.35
     for _ in range(3):
-        state = SystemState(rng.uniform(0.05, 1.5, n), rng.uniform(0.05, 1.5, n))
-        dense = jacobian(grid, ref_model, lam, state)
-        x = state.to_vector()
+        u = rng.uniform(0.05, 1.5, (2, n))
+        dense = _coefficient_jacobian(grid, ref_model, lam, SystemState(*u))
         fd = np.zeros_like(dense)
-        for j in range(x.size):
-            d = 1e-6 * max(1.0, abs(x[j]))
-            xp, xm = x.copy(), x.copy()
-            xp[j] += d
-            xm[j] -= d
-            rp = residual(grid, ref_model, lam, SystemState.from_vector(xp))
-            rm = residual(grid, ref_model, lam, SystemState.from_vector(xm))
+        for j in range(2 * n):
+            node = j % 2, j // 2
+            d = 1e-6 * max(1.0, abs(u[node]))
+            up, um = u.copy(), u.copy()
+            up[node] += d
+            um[node] -= d
+            rp = residual(grid, ref_model, lam, SystemState(*up))
+            rm = residual(grid, ref_model, lam, SystemState(*um))
             fd[:, j] = (rp - rm) / (2.0 * d)
         scale = max(1.0, np.abs(dense).max())
         assert np.abs(dense - fd).max() / scale <= 1e-6
@@ -446,8 +442,7 @@ def test_pair_residual_is_bit_identical_to_two_matvecs(ref_model, M):
                np.array([0.3 * w, 0.4 * w]),
                np.array([2e3 * w, 9e4 * w]),  # tail-scale amplitudes
                rng.standard_normal((2, n)) * 10.0 ** rng.uniform(-8, 8, (2, 1))]
-    # the strided component views of an interleaved vector that the
-    # jacobian-fd check passes
+    # the strided component views of an interleaved vector
     x = rng.uniform(0.05, 2.0, 2 * n)
     cases = ([SystemState(*u) for u in singles]
              + [SystemState(x[0::2], x[1::2])])
@@ -561,7 +556,7 @@ def test_state_must_have_the_grid_nodes(grid128, ref_model):
     # node M of a longer state is no trace, and a shorter one has no node M
     for n in (grid128.M, grid128.M + 2):
         state = SystemState(np.ones(n), np.ones(n))
-        for call in (residual, jacobian, newton_solve):
+        for call in (residual, newton_solve):
             with pytest.raises(ValueError, match="expected 129 nodal values"):
                 call(grid128, ref_model, 0.3, state)
 
