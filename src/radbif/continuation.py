@@ -219,8 +219,9 @@ def _traces(point: BranchPoint) -> tuple:
 def _arclength(ts: _TraceSystem, tau, anchor, ds):
     """The row (w tau_1, w tau_2, tau_lam) . (x - anchor) - ds and its
     gradient."""
-    grad = (ts.w * tau[0], ts.w * tau[1], tau[2])
-    return lambda x: (sum(g * (xi - ai) for g, xi, ai in zip(grad, x, anchor))
+    grad = g1, g2, g3 = ts.w * tau[0], ts.w * tau[1], tau[2]
+    a1, a2, a3 = anchor
+    return lambda x: (g1 * (x[0] - a1) + g2 * (x[1] - a2) + g3 * (x[2] - a3)
                       - ds, grad)
 
 

@@ -119,11 +119,9 @@ def apply_operator(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
     M, h, N = grid.M, grid.h, grid.N_dim
     res = np.empty(M)
     res[0] = -2.0 * N * (u[1] - u[0]) / h**2 + u[0]
-    j = np.arange(1, M)
-    rj = grid.r[j]
-    res[j] = (-(u[j + 1] - 2.0 * u[j] + u[j - 1]) / h**2
-              - (N - 1) / rj * (u[j + 1] - u[j - 1]) / (2.0 * h)
-              + u[j])
+    res[1:] = (-(u[2:] - 2.0 * u[1:M] + u[:M - 1]) / h**2
+               - (N - 1) / grid.r[1:M] * (u[2:] - u[:M - 1]) / (2.0 * h)
+               + u[1:M])
     return res
 
 
@@ -158,6 +156,15 @@ def _weights(grid: RadialGrid) -> np.ndarray:
     return w
 
 
+@cache_per_object
+def _wide_weights(grid: RadialGrid) -> dict:
+    """k -> _weights(grid) repeated over k columns, read-only: _stencil's
+    weights for an operand of k columns, made at its first use on the
+    grid.  Contiguous like the operand, they let its product run as one
+    flat loop where a broadcast column would run k elements at a time."""
+    return {}
+
+
 def _stencil(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
     """A applied along axis 0 of an (M + 1, k) array u, in u's dtype, as
     differences of neighbouring values: with d = u[1:] - u[:-1],
@@ -171,12 +178,25 @@ def _stencil(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
     (Sterbenz) and each row rounds about once at the scale of u; sums of
     A's coefficients times values cancel at the 1/h^2 row scale
     instead.  A non-finite u_j reaches rows j - 1 to j + 1 only, and row
-    M from j = M - 2."""
-    M, h, w = grid.M, grid.h, _weights(grid)
+    M from j = M - 2.
+
+    The interior rows are written in place from two work arrays, d and
+    s = w (d_j + d_{j-1}), with the weights of _wide_weights: the same
+    operations in the same order as the formula, so the same bits."""
+    M, h, k = grid.M, grid.h, u.shape[1]
+    cache = _wide_weights(grid)
+    if k not in cache:
+        cache[k] = np.repeat(_weights(grid), k, axis=1)
+        cache[k].flags.writeable = False
     d = u[1:] - u[:-1]
+    s = d[1:] + d[:-1]
+    s *= cache[k]
     out = np.empty_like(u)
     out[0] = u[0] - (2.0 * grid.N_dim / h**2) * d[0]
-    out[1:M] = u[1:M] - (d[1:] - d[:-1]) / h**2 - w * (d[1:] + d[:-1])
+    mid = np.subtract(d[1:], d[:-1], out=out[1:M])
+    mid /= h**2
+    np.subtract(u[1:M], mid, out=mid)
+    mid -= s
     out[M] = (3.0 * d[M - 1] - d[M - 2]) / (2.0 * h)
     return out
 

@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import ConfigError, NonConvergenceError, require_positive
 from .grid import RadialGrid, SystemState, _nodal_values, _stencil, pair_norm
-from .model import NonlinearityModel, f_extended, fprime_extended
+from .model import NonlinearityModel, f_extended
 from .steklov import steklov_eigenpair
 
 __all__ = [
@@ -166,11 +166,13 @@ def residual(grid: RadialGrid, model: NonlinearityModel, lam: float,
     return _pair_residual(grid, state, g1, g2)
 
 
-def _fpp(model: NonlinearityModel, i: int, s: float) -> float:
-    """Central difference of f_i' at s, relative step about eps^(1/3)."""
+def _fpp(df, slope: float, s: float) -> float:
+    """Central difference at s, relative step about eps^(1/3), of f' =
+    df extended by the constant slope = f'(0) below 0."""
     h = 6e-6 * max(1.0, abs(s))
-    return (fprime_extended(model, i, s + h)
-            - fprime_extended(model, i, s - h)) / (2.0 * h)
+    a, b = s + h, s - h
+    return ((float(df(a)) if a >= 0 else slope)
+            - (float(df(b)) if b >= 0 else slope)) / (2.0 * h)
 
 
 class _TraceSystem:
@@ -181,41 +183,57 @@ class _TraceSystem:
     trace metric w (dt1^2 + dt2^2) + dlam^2 equal the full-space one, and
     _on_ray rebuilds states from the longdouble unit-trace profile.
     Points are tuples of Python floats.
+
+    The model's f1, f2, df1, df2 and its slopes s_i = f_i'(0) = df_i(0)
+    are bound once.  Each value of f_i or f_i' below is then one model
+    call in the expression of f_extended or fprime_extended, with the
+    same bits: float(f_i(s)) if s >= 0 else s_i s, and float(df_i(s)) if
+    s >= 0 else s_i.
     """
 
     def __init__(self, grid: RadialGrid, model: NonlinearityModel):
-        self.model = model
+        self.model, self.f1, self.f2 = model, model.f1, model.f2
+        self.df1, self.df2 = model.df1, model.df2
+        self.s1, self.s2 = float(model.df1(0.0)), float(model.df2(0.0))
         pair = steklov_eigenpair(grid)
         self.mu_h, self.profile, self.w = pair.mu1, pair.profile, pair.w
 
     def linearize(self, t1: float, t2: float, lam: float) -> tuple:
         """The flux rows at (t1, t2, lam) and their 2x3 derivative with
         respect to (t1, t2, lam), as floats: ((r1, r2), (row1, row2))."""
-        m, mu = self.model, self.mu_h
-        f1, f2 = f_extended(m, 1, t2), f_extended(m, 2, t1)
+        mu = self.mu_h
+        if t2 >= 0:
+            f1, d1 = float(self.f1(t2)), float(self.df1(t2))
+        else:
+            f1, d1 = self.s1 * t2, self.s1
+        if t1 >= 0:
+            f2, d2 = float(self.f2(t1)), float(self.df2(t1))
+        else:
+            f2, d2 = self.s2 * t1, self.s2
         return ((mu * t1 - lam * f1, mu * t2 - lam * f2),
-                ((mu, -lam * fprime_extended(m, 1, t2), -f1),
-                 (-lam * fprime_extended(m, 2, t1), mu, -f2)))
+                ((mu, -lam * d1, -f1), (-lam * d2, mu, -f2)))
 
     def fold_row(self, x) -> tuple:
         """(1 - k^2 f1'(t2) f2'(t1), gradient) with k = lam/mu_h: det F_t /
         mu_h^2, zero exactly at a fold.  The f_i'' in the gradient are
         central differences of f_i'; they steer Newton only."""
         t1, t2, lam = x
-        m, k = self.model, lam / self.mu_h
-        d1, d2 = fprime_extended(m, 1, t2), fprime_extended(m, 2, t1)
-        return 1.0 - k * k * d1 * d2, (-k * (k * d1 * _fpp(m, 2, t1)),
-                                       -k * (k * _fpp(m, 1, t2) * d2),
-                                       -k * (2.0 * d1 * d2 / self.mu_h))
+        k = lam / self.mu_h
+        d1 = float(self.df1(t2)) if t2 >= 0 else self.s1
+        d2 = float(self.df2(t1)) if t1 >= 0 else self.s2
+        return 1.0 - k * k * d1 * d2, (
+            -k * (k * d1 * _fpp(self.df2, self.s2, t1)),
+            -k * (k * _fpp(self.df1, self.s1, t2) * d2),
+            -k * (2.0 * d1 * d2 / self.mu_h))
 
     def q(self, t: float, lam: float) -> float:
         """q_lam(t) = G_lam(t)/t - 1, G_lam(t) = lam f1(lam f2(t)/mu_h)/mu_h,
         whose roots are the t1 of the states at lam; its limit at t = 0."""
-        m, mu = self.model, self.mu_h
+        mu = self.mu_h
         if t == 0.0:
-            return (lam * lam * fprime_extended(m, 1, 0.0)
-                    * fprime_extended(m, 2, 0.0) / (mu * mu) - 1.0)
-        return lam * f_extended(m, 1, lam * f_extended(m, 2, t) / mu) / (mu * t) - 1.0
+            return lam * lam * self.s1 * self.s2 / (mu * mu) - 1.0
+        g = lam * (float(self.f2(t)) if t >= 0 else self.s2 * t) / mu
+        return lam * (float(self.f1(g)) if g >= 0 else self.s1 * g) / (mu * t) - 1.0
 
     def root(self, lam: float, lo: float, hi: float, q_lo: float,
              q_hi: float) -> float:
@@ -254,28 +272,35 @@ class _TraceSystem:
 
     def at(self, t1: float, lam: float) -> tuple:
         """The point x = (t1, t2, lam) with t2 from the second flux row."""
-        return t1, lam * f_extended(self.model, 2, t1) / self.mu_h, lam
+        f2 = float(self.f2(t1)) if t1 >= 0 else self.s2 * t1
+        return t1, lam * f2 / self.mu_h, lam
 
     def dist(self, xa, xb) -> float:
         """sqrt(w (dt1^2 + dt2^2) + dlam^2) between two points."""
-        d1, d2, d3 = (a - b for a, b in zip(xa, xb))
+        d1, d2, d3 = xa[0] - xb[0], xa[1] - xb[1], xa[2] - xb[2]
         return math.sqrt(self.w * (d1 * d1 + d2 * d2) + d3 * d3)
 
 
-def _on_ray(profile: np.ndarray, t1: float, t2: float) -> SystemState:
-    """(t1 phi_h, t2 phi_h) from the longdouble profile, each value rounded
-    to double once: its traces are t1 and t2 exactly.
+def _ray(profile: np.ndarray, t1: float, t2: float) -> np.ndarray:
+    """The nodes of (t1 phi_h, t2 phi_h) as the rows of one (2, M + 1)
+    double array: one longdouble outer product of (t1, t2) with the
+    profile, each value rounded to double once, so its traces are t1 and
+    t2 exactly.
 
     u_0 is rounded from (phi_0/phi_1) u_1, the root of row 0 given the
     rounded u_1, not from t phi_0.  Row 0's coefficient 2N/h^2 is N times
     the interior rows', so independent roundings of u_0 and u_1 leave up
     to about eps 2N/h^2 of the state in it (above tol 1e-8 at M = 4096);
     solved for u_0, it keeps half an ulp of u_0 times 2N/h^2 + 1."""
-    u1 = (np.longdouble(t1) * profile).astype(float)
-    u2 = (np.longdouble(t2) * profile).astype(float)
-    r = profile[0] / profile[1]
-    u1[0], u2[0] = r * u1[1], r * u2[1]
-    return SystemState(u1, u2)
+    u = np.multiply.outer(np.array((t1, t2), dtype=np.longdouble),
+                          profile).astype(float)
+    u[:, 0] = (profile[0] / profile[1]) * u[:, 1]
+    return u
+
+
+def _on_ray(profile: np.ndarray, t1: float, t2: float) -> SystemState:
+    """The state (t1 phi_h, t2 phi_h) of _ray."""
+    return SystemState(*_ray(profile, t1, t2))
 
 
 def _recheck(grid: RadialGrid, ts: _TraceSystem, x, tol: float) -> tuple:
@@ -284,12 +309,15 @@ def _recheck(grid: RadialGrid, ts: _TraceSystem, x, tol: float) -> tuple:
     For k in ULP_SHIFTS, in order, rebuild the state at a = t1 + k ulp(t1),
     b = t2 + k ulp(t2) and return (a, b, k, residual, state) for the
     first whose full-space scaled residual is at most tol; no shift
-    passing raises NonConvergenceError."""
+    passing raises NonConvergenceError.  The residual is
+    scaled_residual_norm's, with the scale read off _ray's one array."""
     t1, t2, lam = map(float, x)
     for k in ULP_SHIFTS:
         a, b = t1 + k * math.ulp(t1), t2 + k * math.ulp(t2)
-        state = _on_ray(ts.profile, a, b)
-        res = scaled_residual_norm(residual(grid, ts.model, lam, state), state)
+        u = _ray(ts.profile, a, b)
+        state = SystemState(*u)
+        res = (float(np.abs(residual(grid, ts.model, lam, state)).max())
+               / max(1.0, float(np.abs(u).max())))
         if res <= tol:
             return a, b, k, res, state
     raise NonConvergenceError(f"full-space re-check failed: residual > {tol:g} "
@@ -311,7 +339,9 @@ def _trace_newton(ts: _TraceSystem, extra, x0, tol: float) -> tuple:
     most tol.  Once converged, one more step is taken: it leaves x with
     rounding error only, and it sends a near-trivial iterate to about
     zero, where that scaled test is absolute.  The step is the adjugate
-    of the 3x3 system over its determinant, all on Python floats.
+    of the 3x3 system over its determinant, all on Python floats: x is
+    the three named floats t1, t2 and lam, and each step is written out
+    per coordinate, with no generator or zip.
 
     Returns x as a tuple of floats and the history of the scaled flux-row
     residual of each iterate, the returned x last, so the step count, the
@@ -322,46 +352,44 @@ def _trace_newton(ts: _TraceSystem, extra, x0, tol: float) -> tuple:
     the ray; a converged x whose system is singular is returned as it
     stands.
     """
-    x, history = tuple(map(float, x0)), []
+    (t1, t2, lam), history = map(float, x0), []
 
     def failure(message):
         return NonConvergenceError(message, trace=history,
-                                   last_state=_on_ray(ts.profile, x[0], x[1]))
+                                   last_state=_on_ray(ts.profile, t1, t2))
 
     for it in range(MAX_NEWTON_ITER + 1):
-        if not _admissible(*x):
+        if not _admissible(t1, t2, lam):
             raise failure("iterate left the admissible region")
-        (r1, r2), (row1, row2) = ts.linearize(*x)
-        value, grad = extra(x)
-        scale = max(1.0, abs(x[0]), abs(x[1]))
+        (r1, r2), ((a, b, c), (d, e, f)) = ts.linearize(t1, t2, lam)
+        v, (g, h, k) = extra((t1, t2, lam))
+        scale = max(1.0, abs(t1), abs(t2))
         e1, e2 = abs(r1) / scale, abs(r2) / scale
         history.append(max(e1, e2))
         # false for a NaN row as well
-        converged = e1 <= tol and e2 <= tol and abs(value) <= tol
+        converged = e1 <= tol and e2 <= tol and abs(v) <= tol
         if it == MAX_NEWTON_ITER and not converged:
             raise failure(f"no convergence in {MAX_NEWTON_ITER} iterations "
                           f"(residual {history[-1]:.3e})")
-        (a, b, c), (d, e, f), (g, h, k) = row1, row2, grad
-        # the adjugate, one row per coordinate; det by cofactors along the
-        # extra row, for the fixed-lam row (0, 0, 1) exactly a e - b d
-        adj = ((e * k - f * h, c * h - b * k, b * f - c * e),
-               (f * g - d * k, a * k - c * g, c * d - a * f),
-               (d * h - e * g, b * g - a * h, a * e - b * d))
-        det = g * adj[0][2] + h * adj[1][2] + k * adj[2][2]
+        # the adjugate's last column; det by cofactors along the extra
+        # row, for the fixed-lam row (0, 0, 1) exactly a e - b d
+        c1, c2, c3 = b * f - c * e, c * d - a * f, a * e - b * d
+        det = g * c1 + h * c2 + k * c3
         if det == 0.0 and not converged:
             raise failure("singular Jacobian: the 3x3 trace system is "
                           "singular")
-        step = x if det == 0.0 else tuple(
-            xi - (p * r1 + q * r2 + s * value) / det
-            for xi, (p, q, s) in zip(x, adj))
+        if det != 0.0:
+            # x - adj (r1, r2, v) / det, one row of the adjugate per
+            # coordinate
+            n1 = t1 - ((e * k - f * h) * r1 + (c * h - b * k) * r2 + c1 * v) / det
+            n2 = t2 - ((f * g - d * k) * r1 + (a * k - c * g) * r2 + c2 * v) / det
+            n3 = lam - ((d * h - e * g) * r1 + (b * g - a * h) * r2 + c3 * v) / det
+            if not converged or _admissible(n1, n2, n3):
+                t1, t2, lam = n1, n2, n3
         if converged:
-            if _admissible(*step):
-                x = step
-            (r1, r2), _ = ts.linearize(*x)
-            history.append(max(abs(r1), abs(r2)) / max(1.0, abs(x[0]),
-                                                         abs(x[1])))
-            return x, history
-        x = step
+            (r1, r2), _ = ts.linearize(t1, t2, lam)
+            history.append(max(abs(r1), abs(r2)) / max(1.0, abs(t1), abs(t2)))
+            return (t1, t2, lam), history
 
 
 def newton_solve(grid: RadialGrid, model: NonlinearityModel, lam: float,

@@ -66,8 +66,8 @@ def _check_steklov_oracle(shared):
     t0 = time.perf_counter()
     errs = {}
     for m in (256, 512, 1024, 2048):
-        eig = steklov_eigenpair(build_grid(3, 1.0, m))
-        errs[m] = eig.mu1 - MU1_EXACT_N3_R1
+        grid = shared["grid"] if m == 512 else build_grid(3, 1.0, m)
+        errs[m] = steklov_eigenpair(grid).mu1 - MU1_EXACT_N3_R1
     seconds = time.perf_counter() - t0
     ratios = (errs[256] / errs[512], errs[512] / errs[1024])
     ok = (abs(errs[2048]) <= 1e-6
@@ -95,9 +95,10 @@ def _check_bifurcation_point(shared):
         last_branch = branch
     tgt = initial_tangent(model, eig)
     first = last_branch.points[1]
+    state = first.state
     tangent_err = max(
-        float(np.abs(first.state.u1 / first.norm - tgt.u1).max()),
-        float(np.abs(first.state.u2 / first.norm - tgt.u2).max()))
+        float(np.abs(state.u1 / first.norm - tgt.u1).max()),
+        float(np.abs(state.u2 / first.norm - tgt.u2).max()))
     ok = (devs[0] >= devs[1] >= devs[2] and devs[2] <= 1e-3
           and tangent_err <= 1e-2)
     detail = (f"lam devs={devs[0]:.2e}/{devs[1]:.2e}/{devs[2]:.2e} "

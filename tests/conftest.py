@@ -137,6 +137,21 @@ def exact_stencil(grid, u):
             + [(3 * d[M - 1] - d[M - 2]) / (2 * h)])
 
 
+def expression_stencil(grid, u):
+    """grid._stencil as whole-array expressions, one per block of rows,
+    each allocating its temporaries: the reference that the in-place
+    evaluation, with its work arrays and its weights repeated over the
+    columns, must match bit for bit."""
+    from radbif.grid import _weights
+    M, h, w = grid.M, grid.h, _weights(grid)
+    d = u[1:] - u[:-1]
+    out = np.empty_like(u)
+    out[0] = u[0] - (2.0 * grid.N_dim / h**2) * d[0]
+    out[1:M] = u[1:M] - (d[1:] - d[:-1]) / h**2 - w * (d[1:] + d[:-1])
+    out[M] = (3.0 * d[M - 1] - d[M - 2]) / (2.0 * h)
+    return out
+
+
 def exact_mu(N, R, M):
     """mu_h = flux(phi)/phi_M of the grid operator on N, R, M, evaluated
     exactly: h = R/M from R's binary value, phi from rows 0..M-1 with

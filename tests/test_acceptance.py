@@ -125,3 +125,20 @@ def test_a_check_that_raises_fails_and_the_others_still_run(monkeypatch):
     assert not crashed.passed
     assert crashed.detail == "RuntimeError: forced crash"
     assert all(o.passed for o in outcomes.values())
+
+
+def test_one_set_up_per_distinct_grid(monkeypatch):
+    # the steklov-oracle check reads M = 512 off the suite's shared grid,
+    # so one run sets up each of its five distinct grids exactly once
+    import radbif.steklov as steklov_module
+    setup, sizes = steklov_module._kernel_solver, []
+
+    def counting(grid):
+        sizes.append(grid.M)
+        return setup(grid)
+
+    monkeypatch.setattr(steklov_module, "_kernel_solver", counting)
+    monkeypatch.setattr(verify, "_CACHE", None)
+    outcomes = run_acceptance(force=True)
+    assert all(o.passed for o in outcomes)
+    assert sorted(sizes) == [128, 256, 512, 1024, 2048]

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import exact_stencil
+from conftest import exact_stencil, expression_stencil
 from radbif import (ConfigError, SystemState, apply_operator, boundary_flux,
                     build_grid, load_state_csv, pair_norm, reference_model,
                     residual, save_state_csv, solve_flux_bvp,
                     steklov_eigenpair)
-from radbif.grid import _kernel_solver, _stencil, _weights
+from radbif.grid import _kernel_solver, _stencil, _weights, _wide_weights
 
 MU1_N3_R1 = 2.0 / (math.e ** 2 - 1.0)
 
@@ -279,6 +279,28 @@ def test_stencil_beats_double_cancellation():
     band_err = np.abs(_dense(g) @ v - exact).max()
     eps_v = np.finfo(float).eps * np.abs(v).max()
     assert err <= eps_v < 1e-3 * band_err
+
+
+@pytest.mark.parametrize("N", [3, 10])
+@pytest.mark.parametrize("M", [16, 17, 512, 4096])
+def test_stencil_in_place_is_the_expression_bit_for_bit(M, N):
+    # the interior rows written in place from two work arrays, with the
+    # weights repeated over the columns, give the bits of the whole-array
+    # expressions: double operands of 1, 2, 3 and M + 1 columns (M + 1
+    # only up to M = 512, where the (M + 1)^2 operand stays small) and a
+    # longdouble column whose values use the extended significand
+    g = build_grid(N, 1.0, M)
+    rng = np.random.default_rng(100 * M + N)
+    for k in (1, 2, 3) + ((M + 1,) if M <= 512 else ()):
+        u = rng.standard_normal((M + 1, k))
+        assert _stencil(g, u).tobytes() == expression_stencil(g, u).tobytes()
+    u = rng.standard_normal((M + 1, 1)).astype(np.longdouble)
+    u += np.longdouble(2.0 ** -60) * rng.standard_normal((M + 1, 1))
+    got, want = _stencil(g, u), expression_stencil(g, u)
+    # a longdouble's padding bytes are not part of its value
+    assert got.dtype == np.longdouble and (got == want).all()
+    assert (np.signbit(got) == np.signbit(want)).all()
+    assert not any(w.flags.writeable for w in _wide_weights(g).values())
 
 
 def test_stencil_keeps_a_nonfinite_value_within_reach():

@@ -8,6 +8,7 @@ That system is solved independently in conftest and used as an oracle here.
 """
 
 import math
+import struct
 import warnings
 from fractions import Fraction
 
@@ -15,16 +16,17 @@ import numpy as np
 import pytest
 
 from conftest import bisect_root, exact_stencil, trace_system_solve
-from radbif import (ConfigError, NonConvergenceError, NumericalError,
-                    SystemState, apply_operator, boundary_flux, build_grid,
-                    eval_f, f_extended, fprime_extended, is_positive_state,
-                    linear_model, newton_solve,
-                    pair_norm, residual,
-                    scaled_residual_norm, solve_flux_bvp, solve_limit_problem,
-                    steklov_eigenpair)
+from radbif import (ConfigError, NonConvergenceError, NonlinearityModel,
+                    NumericalError, SystemState, apply_operator,
+                    boundary_flux, build_grid, eval_f, f_extended,
+                    fprime_extended, is_positive_state, linear_model,
+                    newton_solve, pair_norm, quadratic_model,
+                    reference_model, residual, scaled_residual_norm,
+                    solve_flux_bvp, solve_limit_problem, steklov_eigenpair)
 import radbif.solver as solver_module
 from radbif.grid import _stencil
-from radbif.solver import POSITIVITY_ZERO_FLOOR, _pair_residual, _TraceSystem
+from radbif.solver import (POSITIVITY_ZERO_FLOOR, _on_ray, _pair_residual,
+                           _TraceSystem)
 
 LAMBDA_MID = 0.3231227939747531  # halfway between bifurcation point and fold
 
@@ -296,6 +298,92 @@ def test_jacobian_coupling_entries_at_zero_state(grid128, ref_model):
     _, (row1, row2) = _TraceSystem(grid128, ref_model).linearize(0.0, 0.0, lam)
     assert row1[1] == pytest.approx(-lam * fprime_extended(ref_model, 1, 0.0))
     assert row2[0] == pytest.approx(-lam * fprime_extended(ref_model, 2, 0.0))
+
+
+def _tuple_bits(values):
+    """The IEEE bits of every float in a nested tuple, in order."""
+    if isinstance(values, tuple):
+        return b"".join(_tuple_bits(v) for v in values)
+    return struct.pack("<d", values)
+
+
+def _fpp_extended(model, i, s):
+    h = 6e-6 * max(1.0, abs(s))
+    return (fprime_extended(model, i, s + h)
+            - fprime_extended(model, i, s - h)) / (2.0 * h)
+
+
+def _trace_forms_extended(model, mu, t1, t2, lam):
+    """linearize, fold_row, q at t1 and at t2, and at, written with
+    f_extended and fprime_extended: the reference that the trace system's
+    bound model calls must match bit for bit."""
+    f1, f2 = f_extended(model, 1, t2), f_extended(model, 2, t1)
+    d1, d2 = fprime_extended(model, 1, t2), fprime_extended(model, 2, t1)
+    k = lam / mu
+
+    def q(t):
+        if t == 0.0:
+            return (lam * lam * fprime_extended(model, 1, 0.0)
+                    * fprime_extended(model, 2, 0.0) / (mu * mu) - 1.0)
+        return lam * f_extended(model, 1, lam * f_extended(model, 2, t)
+                                / mu) / (mu * t) - 1.0
+
+    return (((mu * t1 - lam * f1, mu * t2 - lam * f2),
+             ((mu, -lam * d1, -f1), (-lam * d2, mu, -f2))),
+            (1.0 - k * k * d1 * d2,
+             (-k * (k * d1 * _fpp_extended(model, 2, t1)),
+              -k * (k * _fpp_extended(model, 1, t2) * d2),
+              -k * (2.0 * d1 * d2 / mu))),
+            q(t1), q(t2), (t1, lam * f_extended(model, 2, t1) / mu, lam))
+
+
+def _hand_built_model():
+    """Non-polynomial f_i, one of which returns numpy scalars, with
+    f1'(0) = 1 and f2'(0) = 2."""
+    return NonlinearityModel(
+        f1=lambda s: s * (1.0 + np.tanh(s)),
+        df1=lambda s: 1.0 + np.tanh(s) + s / np.cosh(s) ** 2,
+        f2=lambda s: 2.0 * s + s ** 1.5,
+        df2=lambda s: 2.0 + 1.5 * math.sqrt(s),
+        p1=1.5, p2=1.0, b1=1.0, b2=2.0, nu1=1.5, nu2=2.0, K=1.0,
+        name="hand-built")
+
+
+@pytest.mark.parametrize("model", [reference_model(), quadratic_model(),
+                                   _hand_built_model()],
+                         ids=["reference", "quadratic", "hand-built"])
+def test_trace_system_binds_the_extended_forms_bit_for_bit(model, grid128):
+    # the trace system calls the model's f_i and f_i' once per value, with
+    # f_i'(0) bound once; linearize, fold_row, q and at keep the bits of
+    # their forms in f_extended and fprime_extended at negative, zero,
+    # NaN and positive arguments
+    ts = _TraceSystem(grid128, model)
+    args = (-0.7, -0.0, 0.0, math.nan, 0.3, 2.5)
+    for t1 in args:
+        for t2 in args:
+            for lam in (0.0, 0.31):
+                got = (ts.linearize(t1, t2, lam), ts.fold_row((t1, t2, lam)),
+                       ts.q(t1, lam), ts.q(t2, lam), ts.at(t1, lam))
+                want = _trace_forms_extended(model, ts.mu_h, t1, t2, lam)
+                assert _tuple_bits(got) == _tuple_bits(want), (t1, t2, lam)
+
+
+@pytest.mark.parametrize("N, R, M", [(3, 1.0, 16), (3, 1.0, 4096),
+                                     (10, 1.0, 512), (3, 40.0, 512)])
+def test_rebuild_rounds_each_component_once_bit_for_bit(N, R, M):
+    # the one longdouble outer product of (t1, t2) with the profile gives
+    # each component's (t profile) rounded to double once, with u_0
+    # rounded from (phi_0/phi_1) u_1, at traces from 0 and the least
+    # subnormal to 1e300
+    profile = steklov_eigenpair(build_grid(N, R, M)).profile
+    traces = (0.0, 5e-324, 1e-8, 1.0, 1e150, 1e300)
+    for t1 in traces:
+        for t2 in traces:
+            state = _on_ray(profile, t1, t2)
+            for t, u in ((t1, state.u1), (t2, state.u2)):
+                want = (np.longdouble(t) * profile).astype(float)
+                want[0] = profile[0] / profile[1] * want[1]
+                assert u.tobytes() == want.tobytes(), (t1, t2)
 
 
 def _coefficient_jacobian(grid, model, lam, state):
