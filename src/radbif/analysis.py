@@ -94,15 +94,20 @@ def bifurcation_point(model: NonlinearityModel, mu1: float) -> float:
 
 def jordan_data(model: NonlinearityModel) -> JordanData:
     """Diagonalization A = P J P^{-1} of the coupling matrix
-    A = [[0, f1'(0)], [f2'(0), 0]].
+    A = [[0, f1'(0)], [f2'(0), 0]]: _jordan of the model's slopes."""
+    return _jordan(*_slopes_at_zero(model))
+
+
+def _jordan(a: float, b: float) -> JordanData:
+    """The closed form of jordan_data for the positive slopes a = f1'(0),
+    b = f2'(0).
 
     J = diag(sigma, -sigma), P columns (1, zeta)/(1+zeta) and
     (1, -zeta)/(1+zeta); the inverse is closed-form, so the reconstruction
     identity P J P^{-1} = A holds to a few ulps (measured by verify's
     jordan-identity check, not here).  sigma and zeta are _sigma's and
-    zeta's formulas on one reading of the slopes.
+    zeta's formulas.
     """
-    a, b = _slopes_at_zero(model)
     sig, z = math.sqrt(a * b), math.sqrt(b / a)
     q = 1.0 / (1.0 + z)
     A = np.array([[0.0, a], [b, 0.0]])

@@ -45,7 +45,8 @@ Every turn of lam along the branch is one solve of the same iteration,
 bracketed by a sign change of the fold row between neighbouring branch
 points and started at one end of the bracket, with the arclength row
 replaced by det F_t/mu_h^2 = 1 - (lam/mu_h)^2 f1'(t2)
-f2'(t1) (Moore & Spence 1980); a solve that fails raises.  At a fixed
+f2'(t1) (Moore & Spence 1980) and the fold re-checked like a point; a
+solve that fails raises.  At a fixed
 lam, t2 = lam f2(t1)/mu_h, so the states at lam are the roots t1 of one scalar equation
 (_TraceSystem.q).  For a monotone model G_lam grows with lam, so t1
 increases along the branch and q_lam at a branch node has the sign of lam
@@ -68,7 +69,7 @@ from .analysis import bifurcation_point, theta_exponents
 from .errors import (ConfigError, ContinuationError, NonConvergenceError,
                      require_int, require_positive)
 from .grid import RadialGrid, SystemState, pair_norm
-from .model import NonlinearityModel, monotone_check, zeta
+from .model import NonlinearityModel, require_monotone, zeta
 from .solver import (POSITIVITY_ZERO_FLOOR, TOL_RESIDUAL, _on_ray, _recheck,
                      _trace_newton, _TraceSystem, is_positive_state)
 from .steklov import SteklovPair
@@ -189,13 +190,6 @@ class Branch:
     rejections: int = 0
     last_rejection: str = ""
     tol: float = TOL_RESIDUAL
-
-    def check_problem(self, grid: RadialGrid, model: NonlinearityModel) -> None:
-        """ConfigError unless the branch was traced on these very grid and
-        model objects: identity, the rule of the per-grid and per-model
-        caches."""
-        if self.grid is not grid or self.model is not model:
-            raise ConfigError("the branch was traced on another grid or model")
 
     def lambdas(self) -> np.ndarray:
         return np.array([p.lam for p in self.points])
@@ -367,9 +361,10 @@ def _locate_folds(ts: _TraceSystem, branch: Branch, tol: float) -> None:
     point before the tangent sign flip, where there is one) and then at
     the other end; FoldInfo.index is the start whose solve is accepted.  A
     solve is accepted when it stays in the positive cone, its t1 lies in
-    the bracket and its lam is not on the wrong side of its start; when
-    neither start gives one, ContinuationError is raised with the first
-    start as last_point.
+    the bracket, its lam is not on the wrong side of its start and, like
+    every branch point, it passes _verify at tol; the fold's traces are
+    those of the rounding that passed.  When neither start gives one,
+    ContinuationError is raised with the first start as last_point.
     """
     points = branch.points
     rows = [bool(ts.fold_row(_traces(p))[0] > 0.0) for p in points]
@@ -392,6 +387,7 @@ def _locate_folds(ts: _TraceSystem, branch: Branch, tol: float) -> None:
                     raise NonConvergenceError(
                         f"ended at lam={x[2]:.17g}, on the wrong side of "
                         f"its start")
+                t1, t2, *_ = _verify(branch.grid, ts, x, tol)
                 break
             except NonConvergenceError as exc:
                 reason = exc
@@ -401,7 +397,7 @@ def _locate_folds(ts: _TraceSystem, branch: Branch, tol: float) -> None:
                 f"between points {a} and {a + 1} (lam={points[a].lam:.17g}) "
                 f"failed: {reason}",
                 last_point=points[ends[0]])
-        branch.folds.append(FoldInfo(x[2], start, x[0], x[1]))
+        branch.folds.append(FoldInfo(x[2], start, t1, t2))
         if top and (branch.fold is None or x[2] > branch.fold.lam_bar):
             branch.fold = branch.folds[-1]
 
@@ -428,10 +424,7 @@ def solutions_at(branch: Branch, lam: float) -> list:
     POSITIVITY_ZERO_FLOOR) is dropped, not fatal.
     """
     require_positive(lam, "parameter")
-    monotone = monotone_check(branch.model)
-    if not monotone.passed:
-        raise ConfigError(
-            f"model is not monotone nondecreasing: {monotone.detail}")
+    require_monotone(branch.model)
     ts = _TraceSystem(branch.grid, branch.model)
     nodes, lams = list(branch.points), [p.lam for p in branch.points]
     for fold in branch.folds:

@@ -7,14 +7,11 @@ N u''(0), discretized with the ghost value u_{-1} = u_1); the boundary flux
 u'(R_ball) uses the one-sided second-order stencil, exact on quadratics.
 
 A exists once, in difference form (_stencil): the residual applies it
-in double, the grid's set-up (steklov.steklov_eigenpair) in longdouble
-for its refinement, so the ray solves the operator that the residual
-checks, and the jacobian-fd check reads its row scales off the stencil
-of the identity.  The set-up's solves need no matrix: the
-rows below the flux row are a forward recurrence from the origin, and a
-solve is reduction of order on its solution (_kernel_solver), in numpy
-alone.  apply_operator and boundary_flux are the independent reference
-formulas.
+in double, the grid's set-up (steklov.steklov_eigenpair, with its solves)
+in longdouble for its refinement, so the ray solves the operator that
+the residual checks, and the jacobian-fd check reads its row scales off
+the stencil of the identity.  apply_operator and boundary_flux are the
+independent reference formulas.
 
 Boundary integrals over the sphere reduce to area x boundary value by radial
 symmetry, so no surface quadrature appears anywhere in the toolkit.
@@ -29,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, require_int, require_positive
+from .errors import ConfigError, require_int, require_positive
 
 __all__ = [
     "RadialGrid",
@@ -199,90 +196,6 @@ def _stencil(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
     mid -= s
     out[M] = (3.0 * d[M - 1] - d[M - 2]) / (2.0 * h)
     return out
-
-
-def _kernel_solver(grid: RadialGrid):
-    """s -> A^-1 s for a double column s of M + 1 entries, in double, by
-    reduction of order on the regular solution phi.
-
-    phi solves rows 0..M-1 of A u = 0 with phi_0 = 1.  It comes from a
-    forward recurrence on Python floats: with d_j = phi_{j+1} - phi_j,
-    q_j = (N-1)/(2j) and alpha_j = (1 - q_j)/(1 + q_j), row 0 gives
-    d_0 = h^2/(2N) and row j
-
-        d_j = alpha_j d_{j-1} + (h^2/(1 + q_j)) phi_j.
-
-    phi is the solution that grows with r, so the recurrence is stable.
-
-    With x = phi y and e_j = y_{j+1} - y_j, rows 0..M-1 of A x = s are
-    the first-order scan e_j = alpha_j (phi_{j-1}/phi_{j+1}) e_{j-1} +
-    sigma_j.  It is solved for f_j = phi_j phi_{j+1} e_j, which takes the
-    phi ratios out of the products:
-
-        f_0 = -h^2 phi_0 s_0 / (2N),
-        f_j = alpha_j f_{j-1} - h^2 phi_j s_j / (1 + q_j),
-
-    with cumprod and cumsum.  alpha_j is exactly 0 at j = (N-1)/2 for
-    odd N, and the scan restarts there.  y_0 = 0; the multiple of phi
-    added to x then meets the flux row.
-
-    phi grows like e^r/r, and the scan coefficients k_j = g_j/p_j like
-    h^2 phi times j^(N-1): they may leave double range for a ball radius
-    near 700 or above (the window depends on N and M).  The products p_j
-    of alpha do not depend on the radius and fall like j^-(N-1) from the
-    scan's start: at a large dimension they underflow (at M = 4096 from
-    N = 146 on, even N), and then k_j, or at a small radius, where h^2
-    keeps k_j finite, a solve's k_j s_j, overflows.  A solve whose column
-    or flux(phi) is not finite raises NumericalError naming N and M where
-    a product has underflowed, and naming the radius otherwise; the
-    caller silences numpy's range warnings (steklov_eigenpair).  A is
-    singular exactly when flux(phi) is 0, which in double happens when
-    phi is constant: at a tiny radius its rise near R rounds away.  The
-    set-up then raises NumericalError naming N, R and M."""
-    M, N, h = grid.M, grid.N_dim, grid.h
-    q = (N - 1) / (2.0 * np.arange(1, M))
-    alpha = np.concatenate(([0.0], (1 - q) / (1 + q)))  # 0 starts a scan
-    den = np.concatenate(([2.0 * N], 1 + q))
-    x, xj, d = [1.0], 1.0, h ** 2 / (2 * N)
-    for a, c in zip(alpha[1:].tolist(), (h ** 2 / den[1:]).tolist()):
-        xj += d
-        x.append(xj)
-        d = a * d + c * xj
-    x.append(xj + d)
-    phi = np.array(x)
-    flux = boundary_flux(grid, phi)
-    if flux == 0.0:
-        raise NumericalError(f"ball radius {grid.R_ball:g} is too small at "
-                             f"N = {N}, M = {M}: the regular solution is "
-                             f"constant in double, so the grid operator is "
-                             f"singular")
-    # h * h phi over den, not the recurrence's h^2/den times phi: that
-    # rounding would move the longdouble profile by an ulp at some nodes
-    # (R = 1e-3)
-    g = -h * h * phi[:M] / den
-    starts = [*np.flatnonzero(alpha == 0.0), M]
-    scans = []
-    for a, c in zip(starts, starts[1:]):
-        p = np.cumprod(np.concatenate(([1.0], alpha[a + 1:c])))
-        scans.append((slice(a, c), p, g[a:c] / p))
-
-    def solve(s):
-        f = np.empty(M)
-        for part, p, k in scans:
-            f[part] = p * np.cumsum(k * s[part])
-        x = phi * np.concatenate(([0.0], np.cumsum(f / phi[:M] / phi[1:])))
-        x += (s[M] - boundary_flux(grid, x)) / flux * phi
-        if np.isfinite(x).all() and np.isfinite(flux):
-            return x
-        if min(np.abs(p).min() for _, p, _ in scans) < np.finfo(float).tiny:
-            raise NumericalError(f"dimension N = {N} is too large at M = {M}:"
-                                 " the reduction of order's products underflow")
-        raise NumericalError(f"ball radius {grid.R_ball:g} is too large at "
-                             f"N = {N}, M = {M}: the regular solution (1 at "
-                             f"r = 0) or its reduction of order overflows "
-                             f"double range")
-
-    return solve
 
 
 def _write_table(path, head: str, columns, sep: str = ",") -> None:

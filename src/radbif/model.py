@@ -181,17 +181,35 @@ class CheckResult:
 # Sample points of the hypothesis checks on small and moderate arguments.
 _SAMPLES = np.geomspace(1e-8, 1e3, 56)
 
+# What a model function may raise at a sample point; a sampled entry that
+# meets one fails with its reason.
+_SAMPLING_ERRORS = (OverflowError, FloatingPointError, ZeroDivisionError)
+
+
+def _sample(f) -> np.ndarray:
+    return np.array([float(f(float(s))) for s in _SAMPLES])
+
 
 @cache_per_object
 def monotone_check(model: NonlinearityModel) -> CheckResult:
     """The "monotone" entry of validate_hypotheses, sampled once per model
     object (models are frozen and hash by identity) and kept while it
     lives."""
-    d1 = np.array([float(model.df1(float(s))) for s in _SAMPLES])
-    d2 = np.array([float(model.df2(float(s))) for s in _SAMPLES])
-    dmin = min(float(d1.min()), float(d2.min()))
+    try:
+        dmin = min(float(_sample(df).min()) for df in (model.df1, model.df2))
+    except _SAMPLING_ERRORS as exc:
+        return CheckResult("monotone", False, f"sampling f_i' failed: {exc}")
     return CheckResult(
         "monotone", dmin >= -1e-12, f"min sampled f_i'(s) = {dmin:.3g}")
+
+
+def require_monotone(model: NonlinearityModel) -> None:
+    """ConfigError unless the model passes monotone_check: the monotone
+    machinery's refusal, stated once."""
+    monotone = monotone_check(model)
+    if not monotone.passed:
+        raise ConfigError(
+            f"model is not monotone nondecreasing: {monotone.detail}")
 
 
 def validate_hypotheses(model: NonlinearityModel,
@@ -209,24 +227,24 @@ def validate_hypotheses(model: NonlinearityModel,
     never raises, callers decide.
     """
     N_dim = require_int(N_dim, "spatial dimension", 3)
-    checks = []
-
-    def sample(f):
-        return np.array([float(f(float(s))) for s in _SAMPLES])
-
-    v1, v2 = sample(model.f1), sample(model.f2)
-    checks.append(CheckResult(
-        "nonneg", bool((v1 >= 0).all() and (v2 >= 0).all()),
-        f"min f1={v1.min():.3g}, min f2={v2.min():.3g} on s in [1e-8, 1e3]"))
+    try:
+        v1, v2 = _sample(model.f1), _sample(model.f2)
+    except _SAMPLING_ERRORS as exc:
+        nonneg = minorant = False, f"sampling f_i failed: {exc}"
+    else:
+        nonneg = (bool((v1 >= 0).all() and (v2 >= 0).all()),
+                  f"min f1={v1.min():.3g}, min f2={v2.min():.3g} on s in "
+                  "[1e-8, 1e3]")
+        ks = _SAMPLES * model.K
+        margin = min(float((v1 - ks).min()), float((v2 - ks).min()))
+        minorant = (margin >= -1e-12,
+                    f"min(f_i(s) - K s) = {margin:.3g} with K={model.K:.6g}")
+    checks = [CheckResult("nonneg", *nonneg)]
     d1, d2 = fprime_extended(model, 1, 0.0), fprime_extended(model, 2, 0.0)
     checks.append(CheckResult(
         "positive-derivative-at-zero", d1 > 0 and d2 > 0,
         f"f1'(0)={d1:.6g}, f2'(0)={d2:.6g}"))
-    ks = _SAMPLES * model.K
-    margin = min(float((v1 - ks).min()), float((v2 - ks).min()))
-    checks.append(CheckResult(
-        "linear-minorant", margin >= -1e-12,
-        f"min(f_i(s) - K s) = {margin:.3g} with K={model.K:.6g}"))
+    checks.append(CheckResult("linear-minorant", *minorant))
     crit = N_dim / (N_dim - 2)
     in_window = 1 < model.p1 <= crit + 1e-12 and 1 < model.p2 <= crit + 1e-12
     checks.append(CheckResult(
@@ -248,7 +266,7 @@ def validate_hypotheses(model: NonlinearityModel,
               and abs(g1[-1] - model.b2) <= abs(g1[0] - model.b2) + 1e-12)
         detail = (f"f2/s^p1 -> {g2[-1]:.6g} (b1={model.b1:.6g}), "
                   f"f1/s^p2 -> {g1[-1]:.6g} (b2={model.b2:.6g})")
-    except (OverflowError, FloatingPointError, ZeroDivisionError) as exc:
+    except _SAMPLING_ERRORS as exc:
         ok, detail = False, f"growth sampling failed: {exc}"
     checks.append(CheckResult("growth-coefficient", bool(ok), detail))
     return tuple(checks)

@@ -25,9 +25,9 @@ from .errors import (ConfigError, DistinctnessError, MonotonicityViolationError,
                      NonConvergenceError, SubsolutionError, require_positive)
 from .grid import RadialGrid, SystemState, boundary_flux, pair_norm
 from .model import (NonlinearityModel, _slopes_at_zero, f_extended,
-                    monotone_check)
-from .solver import POSITIVITY_ZERO_FLOOR
-from .steklov import solve_flux_bvp, steklov_eigenpair
+                    require_monotone)
+from .solver import POSITIVITY_ZERO_FLOOR, _on_ray
+from .steklov import steklov_eigenpair
 
 __all__ = [
     "build_subsolution",
@@ -100,8 +100,8 @@ def monotone_iterate(grid: RadialGrid, model: NonlinearityModel, lam: float,
     The solution of that linear problem is (flux1, flux2) phi_h / mu_h, so
     the steps run on the traces, t_i <- lam f_i(t_other) / mu_h, as
     Python floats once the first step is checked nodewise, and the
-    returned state is solve_flux_bvp at the last fluxes: each component
-    is its flux times the grid's unit-flux column, with no solve.
+    returned state is the last traces rebuilt on the ray (_on_ray), with
+    no solve.
     """
     require_positive(lam, "parameter")
     for name, state in (("sub", sub), ("sup", sup)):
@@ -109,10 +109,7 @@ def monotone_iterate(grid: RadialGrid, model: NonlinearityModel, lam: float,
                                   np.isfinite([state.u1, state.u2]).all()):
             raise ValueError(f"{name} must have the grid's {grid.M + 1} "
                              "finite nodal values")
-    monotone = monotone_check(model)
-    if not monotone.passed:
-        raise ConfigError(
-            f"model is not monotone nondecreasing: {monotone.detail}")
+    require_monotone(model)
     if _flux_gap(grid, model, lam, sub) < 0.0:
         raise SubsolutionError(
             "starting state violates the discrete subsolution inequalities")
@@ -128,7 +125,7 @@ def monotone_iterate(grid: RadialGrid, model: NonlinearityModel, lam: float,
     # phi_h(R) = 1 make nodewise order, change and norm those of the
     # boundary node, so the loop goes on with the two traces as floats.
     t1, t2, phi = float(sub.u1[-1]), float(sub.u2[-1]), eig.phi1
-    changes, fluxes = [], None
+    changes = []
     for _ in range(MAX_ITER):
         flux1 = lam * f_extended(model, 1, t2)
         flux2 = lam * f_extended(model, 2, t1)
@@ -153,18 +150,19 @@ def monotone_iterate(grid: RadialGrid, model: NonlinearityModel, lam: float,
             raise MonotonicityViolationError(
                 f"iterate exceeded the supersolution by {over:.3e}")
         changes.append(change)
-        t1, t2 = n1, n2
         if not math.isfinite(change):
             break
-        fluxes = flux1, flux2
+        t1, t2 = n1, n2
         if change <= ITER_TOL:
-            return SystemState(*(solve_flux_bvp(grid, f) for f in fluxes))
+            return _on_ray(eig.profile, t1, t2)
     reason = (f"did not settle in {MAX_ITER} steps" if math.isfinite(change)
               else f"diverged at step {len(changes)}")
+    # t1, t2 are the last finite iterate's traces, unless the first step
+    # overflowed
     raise NonConvergenceError(
         f"monotone iteration {reason} (last change {change:.3e})",
-        trace=changes, last_state=sub if fluxes is None else SystemState(
-            *(solve_flux_bvp(grid, f) for f in fluxes)))
+        trace=changes, last_state=(_on_ray(eig.profile, t1, t2)
+                                   if math.isfinite(changes[0]) else sub))
 
 
 def second_solution(grid: RadialGrid, model: NonlinearityModel, lam: float,
@@ -186,7 +184,9 @@ def second_solution(grid: RadialGrid, model: NonlinearityModel, lam: float,
     just above mu0 the minimal state sinks below that floor.
     A branch traced on another grid or model object is a ConfigError.
     """
-    branch.check_problem(grid, model)
+    # identity, the rule of the per-grid and per-model caches
+    if branch.grid is not grid or branch.model is not model:
+        raise ConfigError("the branch was traced on another grid or model")
     require_positive(lam, "parameter")
     mu0 = bifurcation_point(model, steklov_eigenpair(grid).mu1)
     if lam <= mu0:

@@ -14,11 +14,11 @@ that the jacobian-fd check of the acceptance suite compares with
 differences of the residual on the ray) and the scalar forms
 continuation needs.  _trace_newton is Newton on these two rows
 plus one extra row in x = (t1, t2, lam): the arclength row or the fold
-row in continuation, lam = lam0 in newton_solve.  A state on the ray is
-rebuilt from its traces by rounding t_i times the grid's longdouble
-profile to double once, u_0 from row 0 given the rounded u_1 (_on_ray),
-and its full-space scaled residual is
-the independent re-check (_recheck), tried at the roundings
+row in continuation, lam = lam0 in newton_solve.  Every solution the
+package returns is rebuilt from its traces by _on_ray: t_i times the
+grid's longdouble profile rounded to double once, u_0 from row 0 given
+the rounded u_1.  Its full-space residual, scaled by the traces, is the
+independent re-check (_recheck), tried at the roundings
 t_i + k ulp(t_i) of ULP_SHIFTS.  So once the grid is set up
 (steklov_eigenpair: mu_h, v, the longdouble profile and the metric
 weight w, made by one call, cached per grid, with no solver kept)
@@ -281,26 +281,24 @@ class _TraceSystem:
         return math.sqrt(self.w * (d1 * d1 + d2 * d2) + d3 * d3)
 
 
-def _ray(profile: np.ndarray, t1: float, t2: float) -> np.ndarray:
-    """The nodes of (t1 phi_h, t2 phi_h) as the rows of one (2, M + 1)
-    double array: one longdouble outer product of (t1, t2) with the
-    profile, each value rounded to double once, so its traces are t1 and
-    t2 exactly.
+def _on_ray(profile: np.ndarray, t1: float, t2: float) -> SystemState:
+    """The state (t1 phi_h, t2 phi_h): one longdouble outer product of
+    (t1, t2) with the profile, each value rounded to double once, so its
+    traces are t1 and t2 exactly.  It is the one rebuild of a solution
+    from its traces.
 
     u_0 is rounded from (phi_0/phi_1) u_1, the root of row 0 given the
     rounded u_1, not from t phi_0.  Row 0's coefficient 2N/h^2 is N times
     the interior rows', so independent roundings of u_0 and u_1 leave up
     to about eps 2N/h^2 of the state in it (above tol 1e-8 at M = 4096);
-    solved for u_0, it keeps half an ulp of u_0 times 2N/h^2 + 1."""
+    solved for u_0, it keeps half an ulp of u_0 times 2N/h^2 + 1.
+
+    The profile rises to exactly 1 at R and not above it, and rounding is
+    monotone, so sup|u_i| is exactly |t_i|."""
     u = np.multiply.outer(np.array((t1, t2), dtype=np.longdouble),
                           profile).astype(float)
     u[:, 0] = (profile[0] / profile[1]) * u[:, 1]
-    return u
-
-
-def _on_ray(profile: np.ndarray, t1: float, t2: float) -> SystemState:
-    """The state (t1 phi_h, t2 phi_h) of _ray."""
-    return SystemState(*_ray(profile, t1, t2))
+    return SystemState(*u)
 
 
 def _recheck(grid: RadialGrid, ts: _TraceSystem, x, tol: float) -> tuple:
@@ -310,14 +308,14 @@ def _recheck(grid: RadialGrid, ts: _TraceSystem, x, tol: float) -> tuple:
     b = t2 + k ulp(t2) and return (a, b, k, residual, state) for the
     first whose full-space scaled residual is at most tol; no shift
     passing raises NonConvergenceError.  The residual is
-    scaled_residual_norm's, with the scale read off _ray's one array."""
+    scaled_residual_norm's, with the scale max(1, |a|, |b|) that
+    _trace_newton uses: on the ray sup|u_i| is exactly |t_i|."""
     t1, t2, lam = map(float, x)
     for k in ULP_SHIFTS:
         a, b = t1 + k * math.ulp(t1), t2 + k * math.ulp(t2)
-        u = _ray(ts.profile, a, b)
-        state = SystemState(*u)
+        state = _on_ray(ts.profile, a, b)
         res = (float(np.abs(residual(grid, ts.model, lam, state)).max())
-               / max(1.0, float(np.abs(u).max())))
+               / max(1.0, abs(a), abs(b)))
         if res <= tol:
             return a, b, k, res, state
     raise NonConvergenceError(f"full-space re-check failed: residual > {tol:g} "
@@ -437,11 +435,11 @@ def solve_limit_problem(grid: RadialGrid,
     """Nontrivial solution of the pure-power flux problem and its residual.
 
     Boundary rows: flux(w1) = b2 w2^p2, flux(w2) = b1 w1^p1.  Like every
-    discrete solution the state is (s1 phi_h, s2 phi_h), and the trace rows
-    mu_h s1 = b2 s2^p2, mu_h s2 = b1 s1^p1 have the closed form
-    s1^(p1 p2 - 1) = mu_h^(p2+1) / (b2 b1^p2), s2 = b1 s1^p1 / mu_h.
-    Returns (state, scaled residual of the rebuilt state in full space);
-    the residual is the independent check.
+    discrete solution the state is (s1 phi_h, s2 phi_h), rebuilt by
+    _on_ray, and the trace rows mu_h s1 = b2 s2^p2, mu_h s2 = b1 s1^p1
+    have the closed form s1^(p1 p2 - 1) = mu_h^(p2+1) / (b2 b1^p2),
+    s2 = b1 s1^p1 / mu_h.  Returns (state, scaled residual of the rebuilt
+    state in full space); the residual is the independent check.
     """
     p1, p2, b1, b2 = model.p1, model.p2, model.b1, model.b2
     if p1 * p2 <= 1.0 or b1 <= 0.0 or b2 <= 0.0:
@@ -452,7 +450,7 @@ def solve_limit_problem(grid: RadialGrid,
     mu = eig.mu1
     s1 = (mu ** (p2 + 1.0) / (b2 * b1 ** p2)) ** (1.0 / (p1 * p2 - 1.0))
     s2 = b1 * s1 ** p1 / mu
-    state = SystemState(s1 * eig.phi1, s2 * eig.phi1)
+    state = _on_ray(eig.profile, s1, s2)
     res = _pair_residual(grid, state, lambda t: b2 * max(t, 0.0) ** p2,
                          lambda t: b1 * max(t, 0.0) ** p1)
     return state, scaled_residual_norm(res, state)

@@ -17,14 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import (bifurcation_point, jordan_data, nonexistence_bound,
+from .analysis import (_jordan, bifurcation_point, nonexistence_bound,
                        rescale_check, slope_fit, slope_prediction,
                        theta_exponents)
 from .continuation import (ContinuationConfig, continue_branch,
                            initial_tangent, solutions_at)
 from .errors import NonConvergenceError
 from .grid import SystemState, _stencil, build_grid, pair_norm
-from .model import linear_model, quadratic_model, reference_model
+from .model import quadratic_model, reference_model
 from .monotone import build_subsolution, monotone_iterate
 from .solver import (_on_ray, _TraceSystem, newton_solve, residual,
                      scaled_residual_norm)
@@ -271,8 +271,8 @@ def _check_jordan_identity(shared):
     rng = np.random.default_rng(_RNG_SEED + 1)
     worst = 0.0
     for _ in range(100):
-        c1, c2 = rng.uniform(1e-6, 10.0, 2)
-        jd = jordan_data(linear_model(c1, c2))
+        # the slopes of linear_model(c1, c2), with no model built
+        jd = _jordan(*rng.uniform(1e-6, 10.0, 2).tolist())
         err = float(np.abs(jd.P @ jd.J @ jd.Pinv - jd.A).max())
         worst = max(worst, err)
     ok = worst <= 1e-12

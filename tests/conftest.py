@@ -171,6 +171,32 @@ def exact_mu(N, R, M):
     return Fraction(3 * b - 4 * a + z, 2 * b) / h
 
 
+def exact_profile(N, R, M):
+    """The unit-trace profile phi_j/phi_M of the grid operator on N, R, M,
+    exactly, as M + 1 Fractions, the last exactly 1: exact_mu's
+    recurrence, with each phi_j kept as the integer numerator n_j it has
+    over the running denominator of the step that made it.  Step j
+    multiplies that denominator by k_j = D (2j + N - 1), so
+
+        n_{j+1} = 2j (2D + p) n_j - D (2j - N + 1) k_{j-1} n_{j-1},
+
+    with phi_0 and phi_1 over the same denominator (k_0 = 1), and
+    phi_j/phi_M is n_j times the k_i of the steps from j on, over n_M."""
+    from fractions import Fraction
+    h = Fraction(R) / M
+    p, D = (h * h).numerator, (h * h).denominator
+    n, k = [2 * N * D, 2 * N * D + p], [1]
+    for j in range(1, M):
+        n.append(2 * j * (2 * D + p) * n[j]
+                 - D * (2 * j - N + 1) * k[j - 1] * n[j - 1])
+        k.append(D * (2 * j + N - 1))
+    profile, tail = [], 1
+    for j in range(M, -1, -1):
+        profile.append(Fraction(n[j] * tail, n[M]))
+        tail *= k[j - 1]
+    return profile[::-1]
+
+
 def bisect_root(q, lo, hi):
     """Plain bisection of the callable q on a sign-changing [lo, hi] down
     to the last double: an exact zero of q, or the lo end of two adjacent

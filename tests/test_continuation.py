@@ -8,6 +8,7 @@ every branch point against the trace-system oracle in conftest.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -558,9 +559,13 @@ def test_failed_fold_solve_raises(grid128, ref_model, two_fold_model,
     monkeypatch.setattr(cont, "_trace_newton", corrector)
 
     # a solve that leaves the positive cone, or ends above the start of a
-    # minimum or below the start of a maximum, is not a fold either
+    # minimum or below the start of a maximum, is not a fold either.  The
+    # scaled points below are no solutions, so the fold's re-check is
+    # passed through here: the bracket checks alone are under test
     branch = continue_branch(grid128, two_fold_model, FAST_CFG)
     ts = _TraceSystem(grid128, two_fold_model)
+    monkeypatch.setattr(cont, "_verify",
+                        lambda grid, ts, x, tol: (x[0], x[1], 0, 0.0, None))
     for scale, why in (([-1.0, 1.0, 1.0], "positive cone"),
                        ([1.0, 1.0, 1.001], "wrong side"),
                        ([1.0, 1.0, 0.999], "wrong side")):
@@ -577,6 +582,46 @@ def test_failed_fold_solve_raises(grid128, ref_model, two_fold_model,
         # each failing turn is tried from both ends of its bracket: 1.001
         # fails at the first turn, a minimum; 0.999 at the maximum
         assert len(solves) == (3 if scale[2] == 0.999 else 2)
+
+
+def test_every_fold_is_rechecked_in_full_space(grid128, two_fold_model,
+                                               monkeypatch):
+    # a fold passes the full-space re-check of every branch point, and
+    # keeps the traces of the rounding that passed; a fold whose re-check
+    # fails from both ends of its bracket raises, naming that fold
+    import radbif.continuation as cont
+    branch = continue_branch(grid128, two_fold_model, FAST_CFG)
+    ts = _TraceSystem(grid128, two_fold_model)
+    minimum, maximum = branch.folds
+    assert minimum.lam_bar < maximum.lam_bar and branch.fold is maximum
+    verify, tried = cont._verify, []
+
+    def shifted(grid, ts, x, tol):
+        t1, t2, *rest = verify(grid, ts, x, tol)
+        return (math.nextafter(t1, 2.0), t2, *rest)
+
+    monkeypatch.setattr(cont, "_verify", shifted)
+    again = Branch(grid128, two_fold_model, points=branch.points)
+    cont._locate_folds(ts, again, branch.tol)
+    assert [f.t1 for f in again.folds] == [
+        math.nextafter(f.t1, 2.0) for f in branch.folds]
+
+    def failing(grid, ts, x, tol):
+        if x[2] > minimum.lam_bar + 1e-6:
+            tried.append(x)
+            raise NonConvergenceError("forced re-check failure")
+        return verify(grid, ts, x, tol)
+
+    monkeypatch.setattr(cont, "_verify", failing)
+    again = Branch(grid128, two_fold_model, points=branch.points)
+    with pytest.raises(ContinuationError, match="forced re-check failure") as exc:
+        cont._locate_folds(ts, again, branch.tol)
+    a, b = map(int, re.search(r"lam maximum between points (\d+) and (\d+)",
+                              str(exc.value)).groups())
+    assert b == a + 1 and maximum.index in (a, b)
+    assert exc.value.last_point in branch.points[a:b + 1]
+    assert len(tried) == 2
+    assert again.folds == [minimum]
 
 
 def test_branch_ends_on_corrector_failure_keeping_its_points(

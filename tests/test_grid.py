@@ -13,7 +13,8 @@ from radbif import (ConfigError, SystemState, apply_operator, boundary_flux,
                     build_grid, load_state_csv, pair_norm, reference_model,
                     residual, save_state_csv, solve_flux_bvp,
                     steklov_eigenpair)
-from radbif.grid import _kernel_solver, _stencil, _weights, _wide_weights
+from radbif.grid import _stencil, _weights, _wide_weights
+from radbif.steklov import _kernel_solver
 
 MU1_N3_R1 = 2.0 / (math.e ** 2 - 1.0)
 

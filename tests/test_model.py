@@ -295,6 +295,49 @@ def test_growth_coefficient_check_detects_wrong_b():
     assert not {c.name: c.passed for c in report}["growth-coefficient"]
 
 
+def _expm1_model(c):
+    """f_i = expm1(s/c), f_i' = exp(s/c)/c: monotone, vanishing at 0, and
+    out of double range (OverflowError) from s of about 709.8 c on."""
+    f, df = (lambda s: math.expm1(s / c)), (lambda s: math.exp(s / c) / c)
+    return NonlinearityModel(f1=f, f2=f, df1=df, df2=df, p1=2.0, p2=2.0,
+                             b1=1.0, b2=1.0, nu1=2.0, nu2=2.0, K=1.0 / c)
+
+
+def test_a_sample_out_of_range_is_a_failed_entry():
+    # f = expm1 overflows inside the sampling window [1e-8, 1e3]: the
+    # sampled entries fail with the reason, and nothing raises
+    checks = {c.name: c for c in validate_hypotheses(_expm1_model(1.0), 3)}
+    for name in ("nonneg", "linear-minorant", "monotone"):
+        assert not checks[name].passed
+        assert "failed: math range error" in checks[name].detail
+    assert checks["positive-derivative-at-zero"].passed
+    assert checks["growth-coefficient"].detail.startswith(
+        "growth sampling failed")
+    # at c = 10 it overflows only above 1e3, in the growth sampling alone
+    checks = validate_hypotheses(_expm1_model(10.0), 3)
+    assert [c.name for c in checks if not c.passed] == ["growth-coefficient"]
+    assert checks[-1].detail == "growth sampling failed: math range error"
+
+
+def test_monotone_machinery_refuses_a_model_whose_sampling_fails(grid128):
+    from radbif import Branch, SystemState, monotone_iterate, solutions_at
+    model = _expm1_model(1.0)
+    match = "not monotone nondecreasing: sampling f_i' failed"
+    with pytest.raises(ConfigError, match=match):
+        solutions_at(Branch(grid128, model), 0.3)
+    with pytest.raises(ConfigError, match=match):
+        monotone_iterate(grid128, model, 0.3, SystemState.zero(grid128))
+
+
+@pytest.mark.parametrize("i", [0, 3])
+def test_component_index_is_one_or_two(i):
+    m = reference_model()
+    for fn in (f_extended, fprime_extended, eval_f):
+        with pytest.raises(ValueError,
+                           match=f"component index must be 1 or 2, got {i}"):
+            fn(m, i, 0.5)
+
+
 _FIELDS = ("p1", "p2", "b1", "b2", "f1'(0)", "f2'(0)", "nu1", "nu2", "K",
            "r_lims")
 

@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 
 from radbif import monotone
+from radbif.solver import _on_ray
 
-from radbif import (CheckResult, ConfigError, DistinctnessError,
+from radbif import (ConfigError, DistinctnessError,
                     MonotonicityViolationError, NonConvergenceError,
                     NonlinearityModel,
                     SubsolutionError, SystemState, bifurcation_point,
@@ -227,8 +228,7 @@ def _array_iterate(grid, model, lam, sub, sup=None):
         cap2 = float(((sup.u2 + ceil_slack) / eig.phi1).min())
 
     def rebuild(flux1, flux2):
-        return SystemState(solve_flux_bvp(grid, flux1),
-                           solve_flux_bvp(grid, flux2))
+        return _on_ray(eig.profile, flux1 / eig.mu1, flux2 / eig.mu1)
 
     cur1, cur2, shape = sub.u1, sub.u2, eig.phi1
     changes, fluxes = [], None
@@ -317,8 +317,7 @@ def test_iteration_failures_are_bit_identical_to_the_array_loop(
     bump = np.where(grid512.r < 0.5, 0.5, 0.0)
     _assert_same_outcome((grid512, ref_model, LAMBDA_MID,
                           SystemState(sub.u1 + bump, sub.u2)))
-    monkeypatch.setattr(monotone, "monotone_check",
-                        lambda model: CheckResult("monotone", True, ""))
+    monkeypatch.setattr(monotone, "require_monotone", lambda model: None)
     w = steklov_eigenpair(grid512).phi1
     _assert_same_outcome((grid512, _logistic(), 3.0 * mu_h512,
                           SystemState(0.4 * w, 0.4 * w)))
@@ -366,8 +365,7 @@ def test_ordering_check_catches_decreasing_iterates(grid512, mu_h512,
     # f = s - s^2 with lam = 3 mu_h turns the trace map into the logistic
     # map 3t(1-t): 0.4 -> 0.72 -> 0.6048, a decrease the check must catch
     # once the model check, which refuses this model, is passed over
-    monkeypatch.setattr(monotone, "monotone_check",
-                        lambda model: CheckResult("monotone", True, ""))
+    monkeypatch.setattr(monotone, "require_monotone", lambda model: None)
     logistic = _logistic()
     v = solve_flux_bvp(grid512, 1.0)
     w = v / v[-1]

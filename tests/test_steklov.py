@@ -14,9 +14,10 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import exact_mu
+from conftest import exact_mu, exact_profile
 from radbif import (ConfigError, NumericalError, build_grid, solve_flux_bvp,
                     steklov_eigenpair, steklov_shooting_oracle)
+from radbif.solver import _on_ray
 
 
 def mu1_closed(R):
@@ -122,6 +123,41 @@ def test_grid_eigenvalue_is_the_exact_one_to_an_ulp(N, R, M):
     # solve and refinement must reach, whatever the O(h^2) error
     mu_h = steklov_eigenpair(build_grid(N, R, M)).mu1
     assert abs(mu_h - float(exact_mu(N, R, M))) <= math.ulp(mu_h)
+
+
+@pytest.mark.parametrize("N, R, M", [(3, 1.0, 128), (3, 1.0, 512),
+                                     (10, 3.0, 512)])
+def test_unit_trace_profile_is_the_exact_one_to_an_ulp(N, R, M):
+    # the profile every solution is rebuilt from, rounded to double, is
+    # the exact profile correctly rounded or a neighbour of it at each node
+    profile = steklov_eigenpair(build_grid(N, R, M)).profile
+    exact = [float(x) for x in exact_profile(N, R, M)]
+    assert exact[-1] == 1.0
+    for got, want in zip(profile.astype(float).tolist(), exact):
+        assert want in (got, math.nextafter(got, math.inf),
+                        math.nextafter(got, -math.inf))
+
+
+@pytest.mark.parametrize("N", [3, 5, 10, 100, 140])
+def test_unit_trace_profile_rises_to_exactly_one(N):
+    # on every grid the set-up accepts, the profile is nondecreasing, at
+    # most 1 and exactly 1 at R, and rounding is monotone: so a state
+    # rebuilt on the ray has sup|u_i| = |t_i| exactly, the scale of the
+    # full-space re-check
+    accepted = 0
+    for R, M in itertools.product((1e-7, 1e-5, 1e-3, 1.0, 40.0, 700.0),
+                                  (16, 512, 4096)):
+        try:
+            profile = steklov_eigenpair(build_grid(N, R, M)).profile
+        except NumericalError:
+            continue
+        accepted += 1
+        assert profile[-1] == 1.0 and profile.max() == 1.0, (R, M)
+        assert (np.diff(profile) >= 0.0).all(), (R, M)
+        for t in (5e-324, 0.3, 7.5, 1e300):
+            state = _on_ray(profile, t, -t)
+            assert np.abs(state.u1).max() == np.abs(state.u2).max() == t
+    assert accepted >= 13
 
 
 def test_grid_convergence_order():
