@@ -169,7 +169,11 @@ def slope_fit(branch: Branch) -> float:
 
     Ordinary least squares of the quotient against pair_norm over branch
     points with 0 < norm < 0.1; the intercept is returned.  Fewer than five
-    such points raise InsufficientDataError.
+    such points, or norms that do not vary, raise InsufficientDataError.
+
+    The line is the closed form on Python floats, each sum a math.fsum:
+    slope = sum(dx (y - ybar)) / sum(dx^2) with dx = x - xbar, intercept
+    ybar - slope xbar.  No LAPACK least-squares solve is made.
     """
     mu0 = bifurcation_point(branch.model, steklov_eigenpair(branch.grid).mu1)
     nu = branch.model.nu
@@ -182,7 +186,16 @@ def slope_fit(branch: Branch) -> float:
         raise InsufficientDataError(
             f"need at least 5 branch points with pair_norm in (0, 0.1), "
             f"found {len(norms)}")
-    return float(np.polyfit(np.array(norms), np.array(quots), 1)[1])
+    n = len(norms)
+    x_bar, y_bar = math.fsum(norms) / n, math.fsum(quots) / n
+    dx = [x - x_bar for x in norms]
+    sxx = math.fsum(d * d for d in dx)
+    if sxx == 0.0:
+        raise InsufficientDataError(
+            f"the {n} branch points with pair_norm in (0, 0.1) "
+            f"share one norm, {norms[0]!r}: no line to fit")
+    slope = math.fsum(d * (y - y_bar) for d, y in zip(dx, quots)) / sxx
+    return y_bar - slope * x_bar
 
 
 @dataclass(frozen=True)

@@ -347,9 +347,10 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
 
 def _locate_folds(ts: _TraceSystem, branch: Branch, tol: float) -> None:
     """Set branch.folds and branch.fold: at every sign change of
-    ts.fold_row's value between neighbouring points, one Newton solve of
-    the minimally extended system {flux rows, fold_row} (Moore & Spence,
-    SIAM J. Numer. Anal. 17, 1980).
+    ts.fold_row's value between neighbouring points, read by
+    ts.fold_value (no f_i''), one Newton solve of the minimally extended
+    system {flux rows, fold_row} (Moore & Spence, SIAM J. Numer. Anal. 17,
+    1980).
 
     Along the branch dlam/dt1 = det F_t / (lam f1'(t2) f2(t1) + mu_h
     f1(t2)), so for a monotone model the fold row has the sign of dlam/dt1
@@ -367,7 +368,7 @@ def _locate_folds(ts: _TraceSystem, branch: Branch, tol: float) -> None:
     ContinuationError is raised with the first start as last_point.
     """
     points = branch.points
-    rows = [bool(ts.fold_row(_traces(p))[0] > 0.0) for p in points]
+    rows = [bool(ts.fold_value(_traces(p)) > 0.0) for p in points]
     for a in range(1, len(points) - 1):
         if rows[a] == rows[a + 1]:
             continue

@@ -10,8 +10,9 @@ A exists once, in difference form (_stencil): the residual applies it
 in double, the grid's set-up (steklov.steklov_eigenpair, with its solves)
 in longdouble for its refinement, so the ray solves the operator that
 the residual checks, and the jacobian-fd check reads its row scales off
-the stencil of the identity.  apply_operator and boundary_flux are the
-independent reference formulas.
+the stencil of three comb columns, which gives the identity's row maxima
+bit for bit.  apply_operator and boundary_flux are the independent
+reference formulas.
 
 Boundary integrals over the sphere reduce to area x boundary value by radial
 symmetry, so no surface quadrature appears anywhere in the toolkit.

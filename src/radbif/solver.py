@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NonConvergenceError, require_positive
-from .grid import RadialGrid, SystemState, _nodal_values, _stencil, pair_norm
+from .grid import RadialGrid, SystemState, _nodal_values, _stencil
 from .model import NonlinearityModel, f_extended
 from .steklov import steklov_eigenpair
 
@@ -107,13 +107,16 @@ def is_positive_state(state: SystemState) -> bool:
     States with pair norm at or below POSITIVITY_ZERO_FLOOR classify as
     trivial: they are (0, 0) up to rounding noise, which carries no sign
     information.
+
+    Four reductions: the minima first, and once both are above 0,
+    sup|u_i| is max u_i, so the pair norm is max u1 + max u2.
     """
-    norm = pair_norm(state)
-    if norm <= POSITIVITY_ZERO_FLOOR:
+    if not min(state.u1.min(), state.u2.min()) > 0.0:
         return False
-    floor = POSITIVITY_REL_FLOOR * norm
-    return bool(min(state.u1.min(), state.u2.min()) > 0.0
-                and min(state.u1.max(), state.u2.max()) > floor)
+    hi1, hi2 = state.u1.max(), state.u2.max()
+    norm = float(hi1 + hi2)
+    return bool(norm > POSITIVITY_ZERO_FLOOR
+                and min(hi1, hi2) > POSITIVITY_REL_FLOOR * norm)
 
 
 def scaled_residual_norm(res: np.ndarray, state: SystemState) -> float:
@@ -213,14 +216,25 @@ class _TraceSystem:
         return ((mu * t1 - lam * f1, mu * t2 - lam * f2),
                 ((mu, -lam * d1, -f1), (-lam * d2, mu, -f2)))
 
+    def _fold_factors(self, x) -> tuple:
+        """(k, f1'(t2), f2'(t1)) at x = (t1, t2, lam), k = lam/mu_h."""
+        t1, t2, lam = x
+        return (lam / self.mu_h,
+                float(self.df1(t2)) if t2 >= 0 else self.s1,
+                float(self.df2(t1)) if t1 >= 0 else self.s2)
+
+    def fold_value(self, x) -> float:
+        """fold_row's value alone, with the same bits and no f_i'': the
+        fold scan reads only its sign."""
+        k, d1, d2 = self._fold_factors(x)
+        return 1.0 - k * k * d1 * d2
+
     def fold_row(self, x) -> tuple:
         """(1 - k^2 f1'(t2) f2'(t1), gradient) with k = lam/mu_h: det F_t /
         mu_h^2, zero exactly at a fold.  The f_i'' in the gradient are
         central differences of f_i'; they steer Newton only."""
-        t1, t2, lam = x
-        k = lam / self.mu_h
-        d1 = float(self.df1(t2)) if t2 >= 0 else self.s1
-        d2 = float(self.df2(t1)) if t1 >= 0 else self.s2
+        t1, t2, _ = x
+        k, d1, d2 = self._fold_factors(x)
         return 1.0 - k * k * d1 * d2, (
             -k * (k * d1 * _fpp(self.df2, self.s2, t1)),
             -k * (k * _fpp(self.df1, self.s1, t2) * d2),

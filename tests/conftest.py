@@ -120,6 +120,19 @@ def mu_h512(grid512):
     return 1.0 / float(v[-1])
 
 
+def is_positive_state_reference(state):
+    """is_positive_state as first written, in eight reductions: the pair
+    norm from np.abs of both components, then the minima and maxima.  The
+    reference that the four-reduction form must agree with on every
+    input."""
+    norm = float(np.abs(state.u1).max() + np.abs(state.u2).max())
+    if norm <= radbif.POSITIVITY_ZERO_FLOOR:
+        return False
+    floor = radbif.POSITIVITY_REL_FLOOR * norm
+    return bool(min(state.u1.min(), state.u2.min()) > 0.0
+                and min(state.u1.max(), state.u2.max()) > floor)
+
+
 def exact_stencil(grid, u):
     """grid._stencil's formula on the 1-d double array u, evaluated
     exactly in fractions.Fraction, with the grid's own weights w_j: the

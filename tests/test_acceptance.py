@@ -48,10 +48,39 @@ def test_criterion(name, outcomes):
 def _fd_error(model, t1=1.3, t2=0.4):
     """The jacobian-fd errors (flux, interior) at one state at M = 128."""
     grid = build_grid(3, 1.0, 128)
-    a = np.abs(_stencil(grid, np.eye(grid.M + 1))[:grid.M])
-    scale = np.repeat(np.maximum(1.0, a.max(axis=1)), 2)
     return verify._fd_error(grid, verify._TraceSystem(grid, model), 0.3,
-                            t1, t2, scale)
+                            t1, t2, verify._row_scales(grid))
+
+
+@pytest.mark.parametrize("N", [3, 10])
+@pytest.mark.parametrize("M", [16, 17, 128, 512])
+def test_comb_row_scales_equal_the_identity_row_scales(N, M):
+    # the interior row scales max(1, max_j |A_ij|) read off the stencil of
+    # three comb columns are those of the stencil of the identity, bit for
+    # bit, at M = 0, 1 and 2 (mod 3)
+    grid = build_grid(N, 1.0, M)
+    a = np.abs(_stencil(grid, np.eye(M + 1))[:M])
+    want = np.repeat(np.maximum(1.0, a.max(axis=1)), 2)
+    got = verify._row_scales(grid)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_jordan_identity_worst_equals_the_matmul_worst():
+    # over the check's 100 seeded pairs the entry-by-entry floats and
+    # numpy's P @ J @ Pinv (a BLAS kernel, which may order the products
+    # differently pair by pair) reach the same worst error
+    rng = np.random.default_rng(verify._RNG_SEED + 1)
+    got, want = [], []
+    for _ in range(100):
+        jd = verify._jordan(*rng.uniform(1e-6, 10.0, 2).tolist())
+        got.append(verify._identity_error(jd))
+        want.append(float(np.abs(jd.P @ jd.J @ jd.Pinv - jd.A).max()))
+    assert max(got) == max(want)
+    assert max(got) <= 1e-12
+    ok, detail = verify._check_jordan_identity({})
+    assert ok and detail == (f"max |P J Pinv - A| = {max(want):.2e} "
+                             "over 100 pairs")
 
 
 def test_fd_check_sees_a_wrong_coupling(monkeypatch):

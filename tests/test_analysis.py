@@ -192,6 +192,67 @@ def test_slope_fit_needs_small_norm_points():
         slope_fit(_branch(pts))
 
 
+def test_slope_fit_refuses_points_that_share_one_norm():
+    # five or more points at one norm give no line (sum dx^2 = 0)
+    for n_points in (5, 8):
+        pts = [_point(0.3 - 1e-3 * k, 0.05) for k in range(n_points)]
+        with pytest.raises(InsufficientDataError, match="share one norm"):
+            slope_fit(_branch(pts))
+
+
+def _fit_data(branch):
+    """slope_fit's data: the norms in (0, 0.1) and their quotients."""
+    mu0 = bifurcation_point(branch.model, steklov_eigenpair(branch.grid).mu1)
+    pts = [p for p in branch.points if 0.0 < p.norm < 0.1]
+    return ([p.norm for p in pts],
+            [(mu0 - p.lam) / p.norm ** (branch.model.nu - 1.0) for p in pts])
+
+
+def _polyfit_intercept(branch):
+    """np.polyfit's intercept (LAPACK least squares) of slope_fit's data:
+    the reference the closed form on floats must stay within 4 ulps of."""
+    return float(np.polyfit(*_fit_data(branch), 1)[1])
+
+
+def _exact_intercept(branch):
+    """The least-squares intercept of slope_fit's data in exact rational
+    arithmetic, rounded once."""
+    from fractions import Fraction
+    xs, ys = ([Fraction(v) for v in col] for col in _fit_data(branch))
+    x_bar, y_bar = sum(xs) / len(xs), sum(ys) / len(ys)
+    slope = (sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
+             / sum((x - x_bar) ** 2 for x in xs))
+    return float(y_bar - slope * x_bar)
+
+
+@pytest.mark.parametrize("model", [reference_model(), quadratic_model()],
+                         ids=["reference", "quadratic"])
+def test_slope_fit_within_4_ulps_of_polyfit_on_the_check_branches(
+        model, grid512):
+    # the two branches of the direction-slope check of radbif verify
+    from radbif.verify import _slope_branch_config
+    branch = continue_branch(grid512, model, _slope_branch_config())
+    want = _polyfit_intercept(branch)
+    assert abs(slope_fit(branch) - want) <= 4 * math.ulp(want)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_slope_fit_within_4_ulps_of_polyfit_on_noisy_lines(seed):
+    # 5 to 40 norms in (0, 0.1) and quotients a + b n plus noise, with
+    # |a| in [0.1, 1] and |b| <= 1.  The exact intercept is the firmer
+    # reference: polyfit's own error reaches several ulps on such lines
+    rng = np.random.default_rng(20261020 + seed)
+    a = rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 1.0)
+    b = rng.uniform(-1.0, 1.0)
+    norms = rng.uniform(1e-3, 0.099, int(rng.integers(5, 41))).tolist()
+    pts = [_point(MU0_16 - (a + b * n + 1e-3 * rng.standard_normal()) * n, n)
+           for n in norms]
+    branch = _branch(pts)
+    got = slope_fit(branch)
+    for want in (_polyfit_intercept(branch), _exact_intercept(branch)):
+        assert abs(got - want) <= 4 * math.ulp(want)
+
+
 @pytest.fixture(scope="module")
 def slope_branch(grid512, ref_model):
     # fine steps near the bifurcation point collect enough small-norm data

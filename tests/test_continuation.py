@@ -520,6 +520,40 @@ def test_every_flip_is_one_fold_row_solve(which, grid128, ref_model,
     assert lams.max() <= branch.fold.lam_bar
 
 
+def test_fold_scan_forms_no_second_derivative(grid512, two_fold_model,
+                                              two_fold_branch, monkeypatch):
+    # the scan for sign changes reads fold_value, which forms no f_i'':
+    # _fpp runs in no call before the first fold solve, and the folds are
+    # those of the traced branch
+    import radbif.continuation as cont
+    import radbif.solver as solver
+    fpp, calls = solver._fpp, []
+
+    def counting(*args):
+        calls.append(args)
+        return fpp(*args)
+
+    class FirstSolve(Exception):
+        pass
+
+    def stop(*args):
+        raise FirstSolve
+
+    monkeypatch.setattr(solver, "_fpp", counting)
+    ts = _TraceSystem(grid512, two_fold_model)
+    branch = dataclasses.replace(two_fold_branch, folds=[], fold=None)
+    with monkeypatch.context() as mp:
+        mp.setattr(cont, "_trace_newton", stop)
+        with pytest.raises(FirstSolve):
+            cont._locate_folds(ts, branch, branch.tol)
+    assert calls == []
+    cont._locate_folds(ts, branch, branch.tol)
+    assert calls  # the fold solves still steer by fold_row's gradient
+    assert len(branch.folds) == 2
+    assert branch.folds == two_fold_branch.folds
+    assert branch.fold == two_fold_branch.fold
+
+
 @pytest.mark.parametrize("which", ["reference", "two-fold"])
 def test_fold_solve_starts_at_the_point_before_the_flip(which, ref_branch,
                                                          two_fold_branch):

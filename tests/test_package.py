@@ -1,6 +1,8 @@
 """The package surface and the shared argument checks."""
 
+import ast
 import math
+import pathlib
 
 import pytest
 
@@ -81,3 +83,34 @@ def test_require_positive():
         with pytest.raises(ConfigError,
                            match=r"^width must be positive and finite, got "):
             require_positive(bad, "width")
+
+
+# numpy names whose calls reach BLAS or LAPACK: a linear algebra module, a
+# least-squares fit or root finder, or a product kernel
+_BLAS_NAMES = {"linalg", "polyfit", "dot", "vdot", "inner", "matmul",
+               "tensordot", "einsum", "lstsq", "roots"}
+
+
+def test_no_blas_or_lapack_call_in_the_package():
+    # no @ and no attribute or import of the names above in any module of
+    # src/radbif, so no check or command takes a BLAS kernel's bits or its
+    # buffers.  Local variables may carry such a name (roots of q_lam).
+    # Not listed: model._structure's polyroots, which solves an eigenvalue
+    # problem by LAPACK only for a polynomial f of degree 4 or more; the
+    # builtin models are at most cubic, and there it is one division
+    found = []
+    for path in sorted(pathlib.Path(radbif.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            if isinstance(node, ast.MatMult):
+                names = ["@"]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Import):
+                names = [p for a in node.names for p in a.name.split(".")]
+            elif isinstance(node, ast.ImportFrom):
+                names = ((node.module or "").split(".")
+                         + [a.name for a in node.names])
+            found += [(path.name, n) for n in names
+                      if n == "@" or n in _BLAS_NAMES]
+    assert found == []

@@ -15,7 +15,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import bisect_root, exact_stencil, trace_system_solve
+from conftest import (bisect_root, exact_stencil,
+                      is_positive_state_reference, trace_system_solve)
 from radbif import (ConfigError, NonConvergenceError, NonlinearityModel,
                     NumericalError, SystemState, apply_operator,
                     boundary_flux, build_grid, eval_f, f_extended,
@@ -25,8 +26,8 @@ from radbif import (ConfigError, NonConvergenceError, NonlinearityModel,
                     solve_flux_bvp, solve_limit_problem, steklov_eigenpair)
 import radbif.solver as solver_module
 from radbif.grid import _stencil
-from radbif.solver import (POSITIVITY_ZERO_FLOOR, _on_ray, _pair_residual,
-                           _TraceSystem)
+from radbif.solver import (POSITIVITY_REL_FLOOR, POSITIVITY_ZERO_FLOOR,
+                           _on_ray, _pair_residual, _TraceSystem)
 
 LAMBDA_MID = 0.3231227939747531  # halfway between bifurcation point and fold
 
@@ -286,6 +287,43 @@ def test_is_positive_state_classification(grid128):
     assert not is_positive_state(SystemState(zero_at_origin, phi))
 
 
+def _with(u, j, value):
+    u = u.copy()
+    u[j] = value
+    return u
+
+
+def test_is_positive_state_agrees_with_the_eight_reduction_form(grid128):
+    # four reductions, the minima first, classify every pair of these
+    # components as the formula through np.abs does: a NaN, an infinity
+    # of either sign, a zero node of either sign and a negative node, a
+    # pair norm at POSITIVITY_ZERO_FLOOR and just above, and a component
+    # at POSITIVITY_REL_FLOOR times the norm and just above
+    n = grid128.M + 1
+    base = np.linspace(0.1, 1.0, n)
+    floor = np.full(n, 0.5 * POSITIVITY_ZERO_FLOOR)  # two make the floor
+    rel = np.full(n, POSITIVITY_REL_FLOOR * (1.0 + POSITIVITY_REL_FLOOR))
+    assert floor[0] + floor[0] == POSITIVITY_ZERO_FLOOR
+    assert rel[0] == POSITIVITY_REL_FLOOR * (1.0 + rel[0])
+    above, rel_above = np.nextafter(floor, 1.0), np.nextafter(rel, 1.0)
+    components = [
+        base, _with(base, 5, math.nan), _with(base, 5, math.inf),
+        _with(base, 5, -math.inf), _with(base, 0, 0.0),
+        _with(base, 0, -0.0), _with(base, 3, -1e-6), np.ones(n),
+        np.zeros(n), np.full(n, math.nan), np.full(n, math.inf),
+        floor, above, rel, rel_above, _with(np.ones(n), n - 1, math.nan)]
+    for u1 in components:
+        for u2 in components:
+            state = SystemState(u1, u2)
+            assert (is_positive_state(state)
+                    == is_positive_state_reference(state)), (u1, u2)
+    # the floors themselves are not positive, the next doubles are
+    assert not is_positive_state(SystemState(floor, floor))
+    assert is_positive_state(SystemState(above, above))
+    assert not is_positive_state(SystemState(np.ones(n), rel))
+    assert is_positive_state(SystemState(np.ones(n), rel_above))
+
+
 def test_jacobian_decouples_at_lambda_zero(grid128, ref_model):
     # the trace system's derivative, the one Newton uses
     _, (row1, row2) = _TraceSystem(grid128, ref_model).linearize(0.3, 0.2, 0.0)
@@ -354,17 +392,19 @@ def _hand_built_model():
                          ids=["reference", "quadratic", "hand-built"])
 def test_trace_system_binds_the_extended_forms_bit_for_bit(model, grid128):
     # the trace system calls the model's f_i and f_i' once per value, with
-    # f_i'(0) bound once; linearize, fold_row, q and at keep the bits of
-    # their forms in f_extended and fprime_extended at negative, zero,
-    # NaN and positive arguments
+    # f_i'(0) bound once; linearize, fold_row, q, at and fold_value keep
+    # the bits of their forms in f_extended and fprime_extended at
+    # negative, zero, NaN and positive arguments
     ts = _TraceSystem(grid128, model)
     args = (-0.7, -0.0, 0.0, math.nan, 0.3, 2.5)
     for t1 in args:
         for t2 in args:
             for lam in (0.0, 0.31):
                 got = (ts.linearize(t1, t2, lam), ts.fold_row((t1, t2, lam)),
-                       ts.q(t1, lam), ts.q(t2, lam), ts.at(t1, lam))
+                       ts.q(t1, lam), ts.q(t2, lam), ts.at(t1, lam),
+                       ts.fold_value((t1, t2, lam)))
                 want = _trace_forms_extended(model, ts.mu_h, t1, t2, lam)
+                want += (want[1][0],)  # fold_value is fold_row's value
                 assert _tuple_bits(got) == _tuple_bits(want), (t1, t2, lam)
 
 
