@@ -31,7 +31,7 @@ Each corrected x is checked on the kernel ray itself, with no full-space
 Newton step (_verify, on solver._recheck): the state (t1 phi_h, t2
 phi_h) is rebuilt by rounding t_i times the grid's longdouble unit-trace
 profile to double once, so its traces are t1 and t2 exactly, with u_0
-rounded from row 0 given the rounded u_1 (solver._on_ray), and its
+rounded from row 0 given the rounded u_1 (solver._rays), and its
 full-space scaled residual is the independent re-check.  Even at a
 tolerance near the representation floor eps*2/h^2 rebuilt points pass
 as they stand (every point of the reference branch at M = 512 and tol
@@ -40,6 +40,18 @@ t_i + k ulp(t_i) are tried for k in ULP_SHIFTS, and the first rounding
 that passes is the point.  A point whose roundings all fail, or whose
 passing state is not positive, is rejected.  A branch point is its
 traces (BranchPoint): its state is rebuilt from them on demand.
+
+Points are re-checked in runs of solver._run_length(grid) = max(1,
+solver.RUN_NODES // (M + 1)): each corrected point is accepted
+unshifted, and once a run is complete, or the tracing is about to stop,
+its points are rebuilt and evaluated together (solver._recheck_block:
+one outer product, one stencil call).  The first point that fails
+unshifted is rolled back to: the points after it are discarded, ds,
+rejections and last_rejection get back their values at its correction,
+and it is re-checked alone by _verify, shifts included, as if it had
+been re-checked when corrected.  So the branch is bit for bit the one a
+re-check per point traces.  At M >= 2048 a run is one point, and each
+point is re-checked by _verify as it is corrected.
 
 Every turn of lam along the branch is one solve of the same iteration,
 bracketed by a sign change of the fold row between neighbouring branch
@@ -53,7 +65,8 @@ increases along the branch and q_lam at a branch node has the sign of lam
 - lam_k: solutions_at evaluates q only around the node pairs whose lam
 values enclose lam, closes each bracket by an Illinois iteration on
 doubles down to a sign change of the computed q (_TraceSystem.root) and
-verifies each root by _verify at the branch's own tolerance, Branch.tol.
+re-checks the roots at the branch's own tolerance, Branch.tol, as one
+block, and each root that fails unshifted alone by _verify.
 """
 
 from __future__ import annotations
@@ -71,7 +84,8 @@ from .errors import (ConfigError, ContinuationError, NonConvergenceError,
 from .grid import RadialGrid, SystemState, pair_norm
 from .model import NonlinearityModel, require_monotone, zeta
 from .solver import (POSITIVITY_ZERO_FLOOR, TOL_RESIDUAL, _on_ray, _recheck,
-                     _trace_newton, _TraceSystem, is_positive_state)
+                     _recheck_block, _run_length, _trace_newton, _TraceSystem,
+                     is_positive_state)
 from .steklov import SteklovPair
 
 __all__ = [
@@ -256,8 +270,8 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
     max(1, t1 + t2) of the last point, and corrects with the row
     (w tau_1, w tau_2, tau_lam) . (x - x_last) / s = ds.  Each point is
     accepted only when that advance is within ds/2 of ds
-    (_require_advance), and after the full-space re-check of _verify and
-    its positivity check.
+    (_require_advance), and kept only when it passes the full-space
+    re-check of _verify and its positivity check, alone or in its run.
     A model with p1*p2 <= 1 has no branch to trace toward the tail (the
     linear model's stands vertical at mu0) and raises ConfigError, as
     theta_exponents does, before any step; so does a cfg.lambda_stop_low
@@ -280,8 +294,9 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
 
     def accept(x, iters, checked, ds):
         """Append the point at x with the traces, shift and residual of
-        _verify; its tangent sign is that of dlam against the previous
-        point, or the previous sign when dlam is 0."""
+        _verify (of x unshifted while its run is pending); its tangent
+        sign is that of dlam against the previous point, or the previous
+        sign when dlam is 0."""
         lam, last = x[2], branch.points[-1]
         dlam = lam - last.lam
         sign = (1 if dlam > 0 else -1) if dlam else last.tangent_lambda_sign
@@ -301,45 +316,69 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
             f"at eps={eps:g} ({exc}); try a larger amplitude", last_point=anchor)
     accept(x, len(history) - 1, checked, eps)
 
-    ds = cfg.ds0
+    # run > 1: points are accepted unchecked into pending, with the ds,
+    # rejections and last_rejection of their correction, and re-checked
+    # together; the first to fail is rolled back to and resumed alone
+    ds, run, pending, resume = cfg.ds0, _run_length(grid), [], None
     while True:
-        last = branch.points[-1]
+        last, stop = branch.points[-1], None
         if last.lam <= cfg.lambda_stop_low:
-            branch.termination = "lambda_floor"
-            break
-        if len(branch.points) >= cfg.max_points:
-            branch.termination = "max_points"
-            break
-        x_last = _traces(last)
-        x_prev = _traces(branch.points[-2])
-        dist = ts.dist(x_last, x_prev)
-        tau = [(a - b) / dist for a, b in zip(x_last, x_prev)]
-        scale = max(1.0, last.norm)
-
-        checked = None
-        while checked is None:
-            try:
-                row = _arclength(ts, [t / scale for t in tau], x_last, ds)
-                guess = [a + (ds * scale) * t for a, t in zip(x_last, tau)]
-                x, history = _trace_newton(ts, row, guess, tol)
-                _require_advance(row(x)[0], ds, scale)
-                checked = _verify(grid, ts, x, tol)
-            except NonConvergenceError as exc:
-                branch.rejections += 1
-                branch.last_rejection = str(exc)
-                if ds <= cfg.ds_min * (1.0 + 1e-12):
+            stop = "lambda_floor"
+        elif len(branch.points) >= cfg.max_points:
+            stop = "max_points"
+        else:
+            x_last = _traces(last)
+            x_prev = _traces(branch.points[-2])
+            dist = ts.dist(x_last, x_prev)
+            tau = [(a - b) / dist for a, b in zip(x_last, x_prev)]
+            scale = max(1.0, last.norm)
+            while True:
+                try:
+                    if resume is None:
+                        row = _arclength(ts, [t / scale for t in tau], x_last, ds)
+                        guess = [a + (ds * scale) * t for a, t in zip(x_last, tau)]
+                        x, history = _trace_newton(ts, row, guess, tol)
+                        _require_advance(row(x)[0], ds, scale)
+                        checked = _verify(grid, ts, x, tol) if run == 1 else None
+                    else:
+                        (x, history), resume = resume, None
+                        checked = _verify(grid, ts, x, tol)
                     break
+                except NonConvergenceError as exc:
+                    branch.rejections += 1
+                    branch.last_rejection = str(exc)
+                    if ds <= cfg.ds_min * (1.0 + 1e-12):
+                        stop = "corrector_failure"
+                        break
+                    ds = max(0.5 * ds, cfg.ds_min)
+        if stop is None:
+            iters = len(history) - 1
+            if checked is None:
+                pending.append((len(branch.points), x, history, ds,
+                                branch.rejections, branch.last_rejection))
+                checked = (x[0], x[1], 0, 0.0, None)
+            accept(x, iters, checked, ds * scale)
+            if iters <= 3:
+                ds = min(2.0 * ds, cfg.ds_max)
+            elif iters >= 8:
                 ds = max(0.5 * ds, cfg.ds_min)
-        if checked is None:
-            branch.termination = "corrector_failure"
+            if len(pending) < run:
+                continue
+        if pending:
+            res = _recheck_block(grid, ts, [p[1] for p in pending], tol)[1]
+            for (n, x, history, *saved), r in zip(pending, res):
+                if r is None:
+                    del branch.points[n:]
+                    ds, branch.rejections, branch.last_rejection = saved
+                    resume = x, history
+                    break
+                branch.points[n].residual = r
+            pending.clear()
+            if resume is not None:
+                continue
+        if stop is not None:
+            branch.termination = stop
             break
-
-        iters = len(history) - 1
-        accept(x, iters, checked, ds * scale)
-        if iters <= 3:
-            ds = min(2.0 * ds, cfg.ds_max)
-        elif iters >= 8:
-            ds = max(0.5 * ds, cfg.ds_min)
 
     _locate_folds(ts, branch, tol)
     return branch
@@ -420,9 +459,11 @@ def solutions_at(branch: Branch, lam: float) -> list:
     evaluated nodes brackets one root, and a root on a node is taken
     once.  The cost is a few q values per crossing, whatever the number
     of branch points.  Each root is rebuilt as (t1, lam f2(t1)/mu_h, lam)
-    and re-checked by _verify at branch.tol; a root whose re-check
-    fails or whose state is not positive (pair norm at or below
-    POSITIVITY_ZERO_FLOOR) is dropped, not fatal.
+    and re-checked at branch.tol, all roots in one block
+    (solver._recheck_block) and a root that fails there alone by _verify,
+    shifts included; a root whose re-check fails or whose state is not
+    positive (pair norm at or below POSITIVITY_ZERO_FLOOR) is dropped,
+    not fatal.
     """
     require_positive(lam, "parameter")
     require_monotone(branch.model)
@@ -444,11 +485,15 @@ def solutions_at(branch: Branch, lam: float) -> list:
     roots = [t1s[j] for j in ks if qs[j] == 0.0 and t1s[j] > 0.0]
     roots += [ts.root(lam, t1s[i], t1s[j], qs[i], qs[j])
               for i, j in zip(ks, ks[1:]) if j == i + 1 and qs[i] * qs[j] < 0.0]
+    if not roots:
+        return []
+    xs = [ts.at(t1, lam) for t1 in roots]
+    u, res = _recheck_block(branch.grid, ts, xs, branch.tol)
     states = []
-    for t1 in roots:
+    for k, (x, r) in enumerate(zip(xs, res)):
         try:
-            states.append(_verify(branch.grid, ts, ts.at(t1, lam),
-                                  branch.tol)[-1])
+            states.append(SystemState(u[2 * k], u[2 * k + 1]) if r is not None
+                          else _verify(branch.grid, ts, x, branch.tol)[-1])
         except NonConvergenceError:
             continue
     return sorted(states, key=pair_norm)

@@ -155,12 +155,16 @@ def _weights(grid: RadialGrid) -> np.ndarray:
 
 
 @cache_per_object
-def _wide_weights(grid: RadialGrid) -> dict:
-    """k -> _weights(grid) repeated over k columns, read-only: _stencil's
-    weights for an operand of k columns, made at its first use on the
-    grid.  Contiguous like the operand, they let its product run as one
-    flat loop where a broadcast column would run k elements at a time."""
-    return {}
+def _pair_weights(grid: RadialGrid) -> np.ndarray:
+    """_weights(grid) repeated over two columns, read-only: _stencil's
+    weights for the (M + 1, 2) node array of one state.  Contiguous like
+    that operand, they let its product run as one flat loop where the
+    broadcast column would run two elements at a time.  Wider operands,
+    blocks of several states, take the broadcast column: a repeated copy
+    per width would be kept for the grid's life."""
+    w = np.repeat(_weights(grid), 2, axis=1)
+    w.flags.writeable = False
+    return w
 
 
 def _stencil(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
@@ -179,16 +183,13 @@ def _stencil(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
     M from j = M - 2.
 
     The interior rows are written in place from two work arrays, d and
-    s = w (d_j + d_{j-1}), with the weights of _wide_weights: the same
-    operations in the same order as the formula, so the same bits."""
-    M, h, k = grid.M, grid.h, u.shape[1]
-    cache = _wide_weights(grid)
-    if k not in cache:
-        cache[k] = np.repeat(_weights(grid), k, axis=1)
-        cache[k].flags.writeable = False
+    s = w (d_j + d_{j-1}), with the weights of _pair_weights for two
+    columns: the same operations in the same order as the formula, and
+    the same weights at every width, so the same bits."""
+    M, h = grid.M, grid.h
     d = u[1:] - u[:-1]
     s = d[1:] + d[:-1]
-    s *= cache[k]
+    s *= _pair_weights(grid) if u.shape[1] == 2 else _weights(grid)
     out = np.empty_like(u)
     out[0] = u[0] - (2.0 * grid.N_dim / h**2) * d[0]
     mid = np.subtract(d[1:], d[:-1], out=out[1:M])

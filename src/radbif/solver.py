@@ -15,11 +15,17 @@ differences of the residual on the ray) and the scalar forms
 continuation needs.  _trace_newton is Newton on these two rows
 plus one extra row in x = (t1, t2, lam): the arclength row or the fold
 row in continuation, lam = lam0 in newton_solve.  Every solution the
-package returns is rebuilt from its traces by _on_ray: t_i times the
-grid's longdouble profile rounded to double once, u_0 from row 0 given
-the rounded u_1.  Its full-space residual, scaled by the traces, is the
-independent re-check (_recheck), tried at the roundings
-t_i + k ulp(t_i) of ULP_SHIFTS.  So once the grid is set up
+package returns is rebuilt from its traces by _rays (_on_ray for one
+state): t_i times the grid's longdouble profile rounded to double once,
+u_0 from row 0 given the rounded u_1.  Its full-space residual, scaled
+by the traces, is the independent re-check (_recheck), tried at the
+roundings t_i + k ulp(t_i) of ULP_SHIFTS.  Several points are
+re-checked at once, unshifted, by _recheck_block: one outer product
+rebuilds them all and one stencil call evaluates the (M + 1, 2K) block
+of their nodes, with the bits each point alone would get.  A block
+holds at most max(1, RUN_NODES // (M + 1)) states (_run_length): the
+runs of continuation, the roots of solutions_at and the stepped states
+of the jacobian-fd check.  So once the grid is set up
 (steklov_eigenpair: mu_h, v, the longdouble profile and the metric
 weight w, made by one call, cached per grid, with no solver kept)
 neither newton_solve nor continuation makes a linear solve, and every
@@ -28,8 +34,9 @@ M + 1 nodes.
 
 The residual applies the grid's difference stencil in double to the
 interleaved state viewed as its (M + 1, 2) array of nodes and subtracts
-the two flux terms; each row rounds about once at the scale of the
-state.  No full-space Jacobian is formed: on the ray the interior rows
+the two flux terms (_pair_residual, whose block of K states is this
+array K times side by side); each row rounds about once at the scale of
+the state.  No full-space Jacobian is formed: on the ray the interior rows
 vanish whatever the traces, so the flux rows' derivative is all that
 Newton needs.  residual and newton_solve refuse a state without the
 grid's M + 1 nodes (ValueError).
@@ -88,6 +95,11 @@ MAX_NEWTON_ITER = 50
 # in this order; most states pass unshifted.
 ULP_SHIFTS = (0, 1, -1, 2, -2)
 
+# The node budget of one block of rebuilt states: continuation re-checks
+# its corrected points in runs of max(1, RUN_NODES // (M + 1)), so from
+# M = 2048 a run is one point and each point is re-checked as it comes.
+RUN_NODES = 4096
+
 
 @dataclass
 class NewtonResult:
@@ -108,12 +120,18 @@ def is_positive_state(state: SystemState) -> bool:
     trivial: they are (0, 0) up to rounding noise, which carries no sign
     information.
 
-    Four reductions: the minima first, and once both are above 0,
-    sup|u_i| is max u_i, so the pair norm is max u1 + max u2.
+    Four reductions, the test of _positive: once both minima are above
+    0, sup|u_i| is max u_i, so the pair norm is max u1 + max u2.
     """
-    if not min(state.u1.min(), state.u2.min()) > 0.0:
+    u1, u2 = state.u1, state.u2
+    return _positive(u1.min(), u2.min(), u1.max(), u2.max())
+
+
+def _positive(lo1, lo2, hi1, hi2) -> bool:
+    """is_positive_state's test on the minima lo_i and maxima hi_i of the
+    two components."""
+    if not min(lo1, lo2) > 0.0:
         return False
-    hi1, hi2 = state.u1.max(), state.u2.max()
     norm = float(hi1 + hi2)
     return bool(norm > POSITIVITY_ZERO_FLOOR
                 and min(hi1, hi2) > POSITIVITY_REL_FLOOR * norm)
@@ -126,22 +144,23 @@ def scaled_residual_norm(res: np.ndarray, state: SystemState) -> float:
     return float(np.abs(res).max()) / scale
 
 
-def _pair_residual(grid: RadialGrid, state: SystemState, g1, g2) -> np.ndarray:
-    """Residual with boundary rows flux(u1) - g1(u2(R)), flux(u2) -
-    g2(u1(R)): g_i = lam f_i at fixed parameter, pure powers in the limit.
+def _pair_residual(grid: RadialGrid, u: np.ndarray, flux) -> np.ndarray:
+    """Residuals of K states at once, as the (M + 1, 2K) node block u:
+    state k's u1 in column 2k and its u2 in column 2k + 1, so a row of
+    K = 1 is the interleaved pair of one node.  flux holds the 2K terms
+    g1(u2(R)), g2(u1(R)) of the states in that order, subtracted from the
+    block's last row: g_i = lam f_i at fixed parameter, pure powers in the
+    limit.
 
-    The interleaved state, viewed as the (M + 1, 2) array of its nodes,
-    goes through the grid's difference stencil in double, and the two
-    scalar flux terms are subtracted from its last row.  Each row rounds
-    about once at the scale of the state, so the evaluation floor stays
-    near 1e-16 in the scaled norm even at blow-up-tail amplitudes, where
-    band sums drown below roughly 2e-10 at the 1/h^2 row scale."""
-    M = grid.M
-    x = np.empty(2 * M + 2)
-    x[0::2], x[1::2] = state.u1, state.u2
-    y = _stencil(grid, x.reshape(M + 1, 2)).ravel()
-    y[2 * M] -= g1(float(state.u2[M]))
-    y[2 * M + 1] -= g2(float(state.u1[M]))
+    The block goes through the grid's difference stencil in double.  Each
+    row rounds about once at the scale of the state, so the evaluation
+    floor stays near 1e-16 in the scaled norm even at blow-up-tail
+    amplitudes, where band sums drown below roughly 2e-10 at the 1/h^2
+    row scale.  The stencil works down each column alone, with the same
+    operations in the same order and the same weights at every width, so
+    a state's columns get the same bits in any block."""
+    y = _stencil(grid, u)
+    y[grid.M] -= flux
     return y
 
 
@@ -164,9 +183,11 @@ def residual(grid: RadialGrid, model: NonlinearityModel, lam: float,
     well defined.
     """
     _require_arguments(grid, lam, state)
-    g1 = lambda t: lam * f_extended(model, 1, t)
-    g2 = lambda t: lam * f_extended(model, 2, t)
-    return _pair_residual(grid, state, g1, g2)
+    u = np.empty((grid.M + 1, 2))
+    u[:, 0], u[:, 1] = state.u1, state.u2
+    flux = (lam * f_extended(model, 1, float(state.u2[grid.M])),
+            lam * f_extended(model, 2, float(state.u1[grid.M])))
+    return _pair_residual(grid, u, flux).ravel()
 
 
 def _fpp(df, slope: float, s: float) -> float:
@@ -215,6 +236,11 @@ class _TraceSystem:
             f2, d2 = self.s2 * t1, self.s2
         return ((mu * t1 - lam * f1, mu * t2 - lam * f2),
                 ((mu, -lam * d1, -f1), (-lam * d2, mu, -f2)))
+
+    def fluxes(self, t1: float, t2: float, lam: float) -> tuple:
+        """The flux terms (lam f1(t2), lam f2(t1)) of residual's last row."""
+        return (lam * (float(self.f1(t2)) if t2 >= 0 else self.s1 * t2),
+                lam * (float(self.f2(t1)) if t1 >= 0 else self.s2 * t1))
 
     def _fold_factors(self, x) -> tuple:
         """(k, f1'(t2), f2'(t1)) at x = (t1, t2, lam), k = lam/mu_h."""
@@ -296,10 +322,16 @@ class _TraceSystem:
 
 
 def _on_ray(profile: np.ndarray, t1: float, t2: float) -> SystemState:
-    """The state (t1 phi_h, t2 phi_h): one longdouble outer product of
-    (t1, t2) with the profile, each value rounded to double once, so its
-    traces are t1 and t2 exactly.  It is the one rebuild of a solution
-    from its traces.
+    """The state (t1 phi_h, t2 phi_h), rebuilt by _rays."""
+    return SystemState(*_rays(profile, (t1, t2)))
+
+
+def _rays(profile: np.ndarray, traces) -> np.ndarray:
+    """The profile times each trace t, one row per trace: one longdouble
+    outer product, each value rounded to double once, so the traces are
+    the rows' last values exactly.  It is the one rebuild of solutions
+    from their traces, (t1, t2) for one state (_on_ray), the traces of
+    several in a row for a block.
 
     u_0 is rounded from (phi_0/phi_1) u_1, the root of row 0 given the
     rounded u_1, not from t phi_0.  Row 0's coefficient 2N/h^2 is N times
@@ -308,11 +340,11 @@ def _on_ray(profile: np.ndarray, t1: float, t2: float) -> SystemState:
     solved for u_0, it keeps half an ulp of u_0 times 2N/h^2 + 1.
 
     The profile rises to exactly 1 at R and not above it, and rounding is
-    monotone, so sup|u_i| is exactly |t_i|."""
-    u = np.multiply.outer(np.array((t1, t2), dtype=np.longdouble),
+    monotone, so a row's sup|u| is exactly |t|."""
+    u = np.multiply.outer(np.array(traces, dtype=np.longdouble),
                           profile).astype(float)
     u[:, 0] = (profile[0] / profile[1]) * u[:, 1]
-    return SystemState(*u)
+    return u
 
 
 def _recheck(grid: RadialGrid, ts: _TraceSystem, x, tol: float) -> tuple:
@@ -334,6 +366,41 @@ def _recheck(grid: RadialGrid, ts: _TraceSystem, x, tol: float) -> tuple:
             return a, b, k, res, state
     raise NonConvergenceError(f"full-space re-check failed: residual > {tol:g} "
                               f"at every shift ({res:.3e} at {k:+d} ulps)")
+
+
+def _run_length(grid: RadialGrid) -> int:
+    """States per block of rebuilt states: max(1, RUN_NODES // (M + 1))."""
+    return max(1, RUN_NODES // (grid.M + 1))
+
+
+def _ray_residuals(grid: RadialGrid, ts: _TraceSystem, xs) -> tuple:
+    """(u, y): the points xs = [(t1, t2, lam), ...] rebuilt on the ray
+    (_rays: the u1 of point k in row 2k, its u2 in row 2k + 1) and their
+    full-space residuals as one (M + 1, 2K) block of _pair_residual, by
+    one outer product and one stencil call.  Each value is the one the
+    point alone would give (_on_ray, residual)."""
+    u = _rays(ts.profile, [t for x in xs for t in x[:2]])
+    flux = [g for t1, t2, lam in xs for g in ts.fluxes(t1, t2, lam)]
+    return u, _pair_residual(grid, np.ascontiguousarray(u.T), flux)
+
+
+def _recheck_block(grid: RadialGrid, ts: _TraceSystem, xs, tol: float) -> tuple:
+    """_recheck's first rounding, k = 0, of the points xs at once, with
+    is_positive_state's test: (u, res), where u holds the rebuilt states
+    (_ray_residuals) and res[k] is point k's scaled residual when it is
+    at most tol and its state is positive, else None.  A point's residual
+    is the larger of its two columns' by np.maximum, which keeps a NaN
+    that Python's max would drop."""
+    u, y = _ray_residuals(grid, ts, xs)
+    top = np.abs(y).max(axis=0)
+    top, lo, hi = (np.maximum(top[0::2], top[1::2]).tolist(),
+                   u.min(axis=1).tolist(), u.max(axis=1).tolist())
+    res = []
+    for k, (t1, t2, _) in enumerate(xs):
+        r, a, b = top[k] / max(1.0, abs(t1), abs(t2)), 2 * k, 2 * k + 1
+        ok = r <= tol and _positive(lo[a], lo[b], hi[a], hi[b])
+        res.append(r if ok else None)
+    return u, res
 
 
 def _admissible(t1: float, t2: float, lam: float) -> bool:
@@ -465,6 +532,6 @@ def solve_limit_problem(grid: RadialGrid,
     s1 = (mu ** (p2 + 1.0) / (b2 * b1 ** p2)) ** (1.0 / (p1 * p2 - 1.0))
     s2 = b1 * s1 ** p1 / mu
     state = _on_ray(eig.profile, s1, s2)
-    res = _pair_residual(grid, state, lambda t: b2 * max(t, 0.0) ** p2,
-                         lambda t: b1 * max(t, 0.0) ** p1)
+    res = _pair_residual(grid, np.column_stack((state.u1, state.u2)),
+                         (b2 * max(s2, 0.0) ** p2, b1 * max(s1, 0.0) ** p1))
     return state, scaled_residual_norm(res, state)

@@ -26,8 +26,8 @@ from .errors import NonConvergenceError
 from .grid import SystemState, _stencil, build_grid, pair_norm
 from .model import quadratic_model, reference_model
 from .monotone import build_subsolution, monotone_iterate
-from .solver import (_on_ray, _TraceSystem, newton_solve, residual,
-                     scaled_residual_norm)
+from .solver import (_ray_residuals, _run_length, _TraceSystem, newton_solve,
+                     residual, scaled_residual_norm)
 from .steklov import steklov_eigenpair
 
 __all__ = ["CheckOutcome", "run_acceptance", "format_table"]
@@ -215,37 +215,36 @@ def _check_multiplicity(shared):
     return ok, detail
 
 
-def _fd_error(grid, ts, lam, t1, t2, interior_scale):
-    """(flux, interior): the relative errors of the derivative the trace
-    Newton uses, at (t1, t2, lam) on the kernel ray.
+def _fd_error(grid, ts, points, interior_scale):
+    """(flux, interior): the worst relative errors of the derivative the
+    trace Newton uses, over the points (t1, t2, lam) on the kernel ray.
 
-    Each coordinate x_k of x = (t1, t2, lam) is stepped both ways by
-    delta_k = 1e-6 max(1, |x_k|), the state rebuilt on the ray (_on_ray)
-    and the full-space residual evaluated: six calls.  flux is the worst
-    difference between the central differences of the two flux rows and
-    _TraceSystem.linearize's 2x3 rows, each row against max(1, |its
-    entries|).  The interior rows vanish on the ray at every x, so their
-    differences must stay at rounding level: interior is the worst over
-    the interleaved rows i of the differences against interior_scale[i],
-    max(1, max_j |A_ij|).  A residual that reads a node off the ray's
-    profile into a row shows there.  A NaN difference makes its part
-    NaN, which no bound passes."""
-    x, n = (t1, t2, lam), 2 * grid.M
-
-    def at(y):
-        return residual(grid, ts.model, y[2], _on_ray(ts.profile, y[0], y[1]))
-
-    columns = []
-    for k, xk in enumerate(x):
-        d = 1e-6 * max(1.0, abs(xk))
-        hi, lo = list(x), list(x)
-        hi[k], lo[k] = xk + d, xk - d
-        columns.append((at(hi) - at(lo)) / (hi[k] - lo[k]))
-    diff = np.array(columns)
-    rows = np.array(ts.linearize(*x)[1])
-    flux = (np.abs(diff[:, n:].T - rows).max(axis=1)
-            / np.maximum(1.0, np.abs(rows).max(axis=1)))
-    interior = np.abs(diff[:, :n]) / interior_scale
+    Each coordinate x_k of a point x is stepped both ways by delta_k =
+    1e-6 max(1, |x_k|): six states per point, rebuilt on the ray and
+    evaluated in full space as one block (_ray_residuals).  flux is the
+    worst difference between the central differences of the two flux
+    rows and _TraceSystem.linearize's 2x3 rows, each row against max(1,
+    |its entries|).  The interior rows vanish on the ray at every x, so
+    their differences must stay at rounding level: interior is the worst
+    over the interleaved rows i of the differences against
+    interior_scale[i], max(1, max_j |A_ij|).  A residual that reads a
+    node off the ray's profile into a row shows there.  A NaN difference
+    makes its part NaN, which no bound passes."""
+    xs, steps, M, n = [], [], grid.M, len(points)
+    for x in points:
+        for k, xk in enumerate(x):
+            d = 1e-6 * max(1.0, abs(xk))
+            hi, lo = list(x), list(x)
+            hi[k], lo[k] = xk + d, xk - d
+            xs += [hi, lo]
+            steps.append(hi[k] - lo[k])
+    # axes: node, point, coordinate stepped, step up or down, component
+    y = _ray_residuals(grid, ts, xs)[1].reshape(M + 1, n, 3, 2, 2)
+    diff = (y[:, :, :, 0] - y[:, :, :, 1]) / np.reshape(steps, (n, 3, 1))
+    rows = np.array([ts.linearize(*x)[1] for x in points])
+    flux = (np.abs(diff[M].transpose(0, 2, 1) - rows).max(axis=2)
+            / np.maximum(1.0, np.abs(rows).max(axis=2)))
+    interior = np.abs(diff[:M]) / interior_scale.reshape(M, 1, 1, 2)
     return float(flux.max()), float(interior.max())
 
 
@@ -264,15 +263,18 @@ def _row_scales(grid):
 
 def _check_jacobian_fd(shared):
     """Worst _fd_error over 20 seeded (t1, t2) in [0.05, 2]^2 at lam = 0.3
-    and M = 128.  The row-scale denominator is the honest yardstick: a
-    row's difference noise scales with its own entries, 1/h^2 in the
-    interior rows, so a flux row is not measured against them."""
+    and M = 128, in blocks of at most solver._run_length's states.  The
+    row-scale denominator is the honest yardstick: a row's difference
+    noise scales with its own entries, 1/h^2 in the interior rows, so a
+    flux row is not measured against them."""
     grid = build_grid(3, 1.0, 128)
     ts = _TraceSystem(grid, shared["model"])
     interior_scale = _row_scales(grid)
     rng = np.random.default_rng(_RNG_SEED)
-    errors = np.array([_fd_error(grid, ts, 0.3, t1, t2, interior_scale)
-                       for t1, t2 in rng.uniform(0.05, 2.0, (20, 2)).tolist()])
+    points = [(t1, t2, 0.3) for t1, t2 in rng.uniform(0.05, 2.0, (20, 2)).tolist()]
+    per = max(1, _run_length(grid) // 6)
+    errors = np.array([_fd_error(grid, ts, points[i:i + per], interior_scale)
+                       for i in range(0, len(points), per)])
     (flux, interior), worst = errors.max(axis=0), float(errors.max())
     return worst <= 1e-6, (f"max relative error={worst:.2e} (flux rows vs "
                            f"linearize {flux:.2e}, interior rows "

@@ -48,8 +48,8 @@ def test_criterion(name, outcomes):
 def _fd_error(model, t1=1.3, t2=0.4):
     """The jacobian-fd errors (flux, interior) at one state at M = 128."""
     grid = build_grid(3, 1.0, 128)
-    return verify._fd_error(grid, verify._TraceSystem(grid, model), 0.3,
-                            t1, t2, verify._row_scales(grid))
+    return verify._fd_error(grid, verify._TraceSystem(grid, model),
+                            [(t1, t2, 0.3)], verify._row_scales(grid))
 
 
 @pytest.mark.parametrize("N", [3, 10])
@@ -122,17 +122,21 @@ def test_fd_check_sees_a_wrong_lambda_column(monkeypatch):
 def test_fd_check_catches_a_dependency_outside_the_reach(monkeypatch, col):
     # row 0 reads nodes 0 and 1 of u1; a residual that adds the value of
     # interleaved column col (node col // 2 of u1 or u2) to it moves with
-    # the traces on the ray, where the interior rows must not
-    exact = verify.residual
+    # the traces on the ray, where the interior rows must not.  The check
+    # evaluates its stepped states as blocks of _pair_residual, so the
+    # leak goes into every state of a block: state k's row 0 of u1 is
+    # column 2k of the block's row 0
+    import radbif.solver as solver
+    exact = solver._pair_residual
 
-    def leaky(grid, model, lam, state):
-        r = exact(grid, model, lam, state)
-        r[0] += (state.u1, state.u2)[col % 2][col // 2]
+    def leaky(grid, u, flux):
+        r = exact(grid, u, flux)
+        r[0, 0::2] += u[col // 2, col % 2::2]
         return r
 
     model = reference_model()
     _, base = _fd_error(model)
-    monkeypatch.setattr(verify, "residual", leaky)
+    monkeypatch.setattr(solver, "_pair_residual", leaky)
     assert _fd_error(model)[1] > 1e3 * base
     ok, detail = verify._check_jacobian_fd({"model": model})
     assert not ok, detail

@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import radbif
-from conftest import bisect_root, trace_system_solve
+from conftest import TWO_FOLD_COEFFS, bisect_root, trace_system_solve
 from radbif import (Branch, ConfigError, ContinuationConfig,
                     ContinuationError, NonConvergenceError, SystemState,
                     bifurcation_point, build_grid, continue_branch, eval_f,
@@ -25,6 +25,7 @@ from radbif import (Branch, ConfigError, ContinuationConfig,
                     quadratic_model, residual, scaled_residual_norm,
                     second_solution, solutions_at, solve_flux_bvp,
                     steklov_eigenpair)
+import radbif.solver as solver_module
 from radbif.continuation import _on_ray, _TraceSystem
 from radbif.solver import MAX_NEWTON_ITER, POSITIVITY_ZERO_FLOOR, ULP_SHIFTS
 from radbif.grid import _stencil
@@ -660,24 +661,45 @@ def test_every_fold_is_rechecked_in_full_space(grid128, two_fold_model,
 
 def test_branch_ends_on_corrector_failure_keeping_its_points(
         grid128, ref_model, monkeypatch):
+    # every re-check after the step-off and three steps fails, whether a
+    # point is re-checked alone (_verify; runs of one) or in a run
+    # (_recheck_block)
     import radbif.continuation as cont
-    verify, calls = cont._verify, []
+    verify, block = cont._verify, cont._recheck_block
+    passed, failures = [], []
 
-    def failing(*args, **kwargs):
-        calls.append(None)
-        if len(calls) > 4:  # the step-off and three steps pass
+    def failing(*args):
+        if len(passed) >= 4:  # the step-off and three steps pass
+            failures.append(None)
             raise NonConvergenceError("forced re-check failure")
-        return verify(*args, **kwargs)
+        passed.append(None)
+        return verify(*args)
+
+    def failing_block(grid, ts, xs, tol):
+        u, res = block(grid, ts, xs, tol)
+        for k in range(len(xs)):
+            if len(passed) >= 4:
+                res[k] = None
+            else:
+                passed.append(None)
+        return u, res
 
     monkeypatch.setattr(cont, "_verify", failing)
+    monkeypatch.setattr(cont, "_recheck_block", failing_block)
     cfg = ContinuationConfig(ds0=0.01, ds_min=0.0025, lambda_stop_low=0.2)
-    branch = continue_branch(grid128, ref_model, cfg)
-    assert branch.termination == "corrector_failure"
-    assert len(branch.points) == 5  # the anchor, the step-off, three steps
-    assert all(p.norm > 0.0 for p in branch.points[1:])
-    # every halving from the last ds down to ds_min was tried and counted
-    assert branch.rejections == len(calls) - 4 >= 2
-    assert "forced re-check failure" in branch.last_rejection
+    for run_nodes in (1, solver_module.RUN_NODES):
+        passed.clear()
+        failures.clear()
+        monkeypatch.setattr(solver_module, "RUN_NODES", run_nodes)
+        branch = continue_branch(grid128, ref_model, cfg)
+        assert branch.termination == "corrector_failure"
+        assert len(branch.points) == 5  # the anchor, the step-off, three steps
+        assert all(p.norm > 0.0 for p in branch.points[1:])
+        # every halving from the last ds down to ds_min was tried and
+        # counted: a point that fails in a run is rolled back to and
+        # re-checked alone
+        assert branch.rejections == len(failures) >= 2
+        assert "forced re-check failure" in branch.last_rejection
 
 
 @pytest.mark.parametrize("ds", [1e-30, 1e-20])
@@ -764,21 +786,27 @@ def test_solutions_at_counts(ref_branch, grid512, ref_model, mu0_ref,
 def test_the_continuation_tolerance_verifies_every_state(grid128, ref_model,
                                                         monkeypatch):
     # cfg.tol_residual is the branch's tol and the one tolerance of the
-    # corrector, the fold solves and every re-check, solutions_at's too
+    # corrector, the fold solves and every re-check, alone or in a run,
+    # solutions_at's too
     import radbif.continuation as cont
     cfg = dataclasses.replace(FAST_CFG, tol_residual=1e-9)
-    verify, corrector = cont._verify, cont._trace_newton
+    verify, block, corrector = cont._verify, cont._recheck_block, cont._trace_newton
     tols, corrector_tols = [], set()
 
     def recording(grid, ts, x, tol):
         tols.append(tol)
         return verify(grid, ts, x, tol)
 
+    def recording_block(grid, ts, xs, tol):
+        tols.extend([tol] * len(xs))
+        return block(grid, ts, xs, tol)
+
     def recording_corrector(ts, extra, x0, tol):
         corrector_tols.add(tol)
         return corrector(ts, extra, x0, tol)
 
     monkeypatch.setattr(cont, "_verify", recording)
+    monkeypatch.setattr(cont, "_recheck_block", recording_block)
     monkeypatch.setattr(cont, "_trace_newton", recording_corrector)
     branch = continue_branch(grid128, ref_model, cfg)
     assert branch.tol == 1e-9 and corrector_tols == {1e-9}
@@ -796,18 +824,105 @@ def test_the_continuation_tolerance_verifies_every_state(grid128, ref_model,
 
 def test_solutions_at_polishes_once_per_root(ref_branch, grid512, ref_model,
                                              monkeypatch):
-    # roots come from the scalar trace equation: no corrector solve, one
-    # full-space re-check per returned state
+    # roots come from the scalar trace equation: no corrector solve, and
+    # one full-space evaluation per call, a block of one state per root
     import radbif.continuation as cont
     calls = []
-    verify = cont._verify
+    verify, block = cont._verify, cont._recheck_block
     monkeypatch.setattr(cont, "_trace_newton",
                         lambda *a, **k: calls.append("corrector"))
     monkeypatch.setattr(cont, "_verify",
                         lambda *a, **k: calls.append("verify") or verify(*a, **k))
+    monkeypatch.setattr(
+        cont, "_recheck_block",
+        lambda grid, ts, xs, tol: calls.append(("block", len(xs)))
+        or block(grid, ts, xs, tol))
     states = solutions_at(ref_branch, LAMBDA_MID)
     assert len(states) == 2
-    assert calls == ["verify", "verify"]
+    assert calls == [("block", 2)]
+
+
+def _traced(grid, model, cfg, levels=4):
+    """The branch's every BranchPoint field, folds, ending and rejections
+    as one repr (exact for floats, -0.0 included), and the bytes of the
+    states solutions_at returns at `levels` lam values spread over the
+    branch's range of lam."""
+    try:
+        branch = continue_branch(grid, model, cfg)
+    except Exception as exc:  # a refused configuration must be refused alike
+        return repr(exc)
+    lams = sorted(p.lam for p in branch.points)
+    states = [(s.u1.tobytes(), s.u2.tobytes())
+              for q in range(1, levels + 1)
+              for s in solutions_at(branch, lams[len(lams) * q // (levels + 1)])]
+    return repr(([(p.lam, p.t1, p.t2, p.tangent_lambda_sign, p.ds,
+                   p.corrector_iterations, p.ulp_shift, p.residual)
+                  for p in branch.points], branch.folds, branch.fold,
+                 branch.termination, branch.rejections,
+                 branch.last_rejection)), states
+
+
+def _run_of_one(monkeypatch, *args):
+    """_traced with RUN_NODES = 1: every point re-checked as it is
+    corrected, the reference a run must reproduce bit for bit."""
+    with monkeypatch.context() as m:
+        m.setattr(solver_module, "RUN_NODES", 1)
+        return _traced(*args)
+
+
+def test_runs_trace_the_branch_of_the_run_of_one(monkeypatch):
+    # a seeded draw of dimensions, radii, grids, models and tolerances
+    # (1e-10 and the command line's floor): branches, folds, rejections
+    # and the states of solutions_at are those of the run of one
+    models = (radbif.reference_model(), quadratic_model(),
+              radbif.polynomial_model(*TWO_FOLD_COEFFS),
+              radbif.polynomial_model([0.0, 1.0, -1.145, 1.0], [0.0, 1.0, 1.72]))
+    rng = np.random.default_rng(46)
+    for _ in range(60):
+        N = int(rng.choice([3, 5, 10]))
+        R = float(np.exp(rng.uniform(np.log(0.01), np.log(40.0))))
+        M = int(rng.choice([16, 128, 512, 1024]))
+        model = models[rng.integers(4)]
+        grid = build_grid(N, R, M)
+        floor = 2.0 * np.finfo(float).eps * ((N + 1) / 2) / grid.h ** 2
+        tol = max(1e-10, floor) if rng.random() < 0.5 else 1e-10
+        mu0 = bifurcation_point(model, steklov_eigenpair(grid).mu1)
+        cfg = ContinuationConfig(lambda_stop_low=min(1e-3, 0.25 * mu0),
+                                 tol_residual=tol)
+        assert _traced(grid, model, cfg) == _run_of_one(
+            monkeypatch, grid, model, cfg), (N, R, M, model.name, tol)
+
+
+def test_a_shifted_point_inside_a_run(grid512, two_fold_model,
+                                      two_fold_branch, branch_cfg,
+                                      monkeypatch):
+    # point 29 of the two-fold branch at M = 512 passes only at -2 ulps: it
+    # fails its run, which is rolled back to it, and its re-check alone
+    # gives the run of one's point
+    assert solver_module._run_length(grid512) > 1
+    assert two_fold_branch.points[29].ulp_shift == -2
+    assert _traced(grid512, two_fold_model, branch_cfg) == _run_of_one(
+        monkeypatch, grid512, two_fold_model, branch_cfg)
+
+
+def test_runs_rolled_back_below_the_floor(ref_model, monkeypatch):
+    # at M = 1024 the representation floor eps 2/h^2 is about 9.3e-10, so
+    # at tol 1e-10 re-checks fail and runs are rolled back, often; the
+    # branch is still the run of one's
+    import radbif.continuation as cont
+    grid = build_grid(3, 1.0, 1024)
+    cfg = ContinuationConfig(tol_residual=1e-10)
+    block, rolled = cont._recheck_block, []
+
+    def counting(*args):
+        u, res = block(*args)
+        rolled.append(None in res)
+        return u, res
+
+    monkeypatch.setattr(cont, "_recheck_block", counting)
+    runs = _traced(grid, ref_model, cfg, 0)
+    assert sum(rolled) > 0
+    assert runs == _run_of_one(monkeypatch, grid, ref_model, cfg, 0)
 
 
 def test_solutions_at_states_reconverged(ref_branch, grid512, ref_model):

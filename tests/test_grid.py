@@ -13,7 +13,7 @@ from radbif import (ConfigError, SystemState, apply_operator, boundary_flux,
                     build_grid, load_state_csv, pair_norm, reference_model,
                     residual, save_state_csv, solve_flux_bvp,
                     steklov_eigenpair)
-from radbif.grid import _stencil, _weights, _wide_weights
+from radbif.grid import _pair_weights, _stencil, _weights
 from radbif.steklov import _kernel_solver
 
 MU1_N3_R1 = 2.0 / (math.e ** 2 - 1.0)
@@ -301,7 +301,7 @@ def test_stencil_in_place_is_the_expression_bit_for_bit(M, N):
     # a longdouble's padding bytes are not part of its value
     assert got.dtype == np.longdouble and (got == want).all()
     assert (np.signbit(got) == np.signbit(want)).all()
-    assert not any(w.flags.writeable for w in _wide_weights(g).values())
+    assert not _pair_weights(g).flags.writeable
 
 
 def test_stencil_keeps_a_nonfinite_value_within_reach():

@@ -582,13 +582,74 @@ def test_pair_residual_is_bit_identical_to_two_matvecs(ref_model, M):
             assert got.shape == (2 * n,)
             np.testing.assert_array_equal(
                 _bits(got), _bits(_two_matvec_residual(grid, state, g1, g2)))
-    # the pure-power flux rows of solve_limit_problem
+    # the pure-power flux rows of solve_limit_problem, with every case at
+    # once as one (M + 1, 2K) block: state k in columns 2k and 2k + 1 has
+    # the bits of its own two matvecs
     p1 = lambda t: 0.5 * max(t, 0.0) ** 2
     p2 = lambda t: max(t, 0.0) ** 3
-    for state in cases:
+    block = np.column_stack([u for st in cases for u in (st.u1, st.u2)])
+    flux = [g for st in cases for g in (p2(float(st.u2[M])), p1(float(st.u1[M])))]
+    got = _pair_residual(grid, block, flux)
+    assert got.shape == (n, 2 * len(cases))
+    for k, state in enumerate(cases):
         np.testing.assert_array_equal(
-            _bits(_pair_residual(grid, state, p2, p1)),
+            _bits(got[:, 2 * k:2 * k + 2].ravel()),
             _bits(_two_matvec_residual(grid, state, p2, p1)))
+
+
+@pytest.mark.parametrize("which", ["reference", "f2-nan-above-1"])
+def test_a_block_recheck_is_the_recheck_of_each_point(ref_branch, grid512,
+                                                      ref_model, which):
+    # _recheck_block rebuilds, evaluates and classifies each point as the
+    # point alone is (_on_ray, residual over max(1, |t1|, |t2|) and
+    # is_positive_state), bit for bit, and passes exactly the points that
+    # _verify passes unshifted.  The points: branch points, a point off
+    # the branch, the trivial state (residual 0, not positive) and one on
+    # the kernel direction at mu0 below the positivity floor (residual
+    # near 0, every node above 0, not positive).  With f2 NaN above t = 1
+    # only the u2 flux row of a point with t1 > 1 is NaN: Python's max
+    # of the two columns would drop it, np.maximum keeps it
+    import dataclasses
+    import radbif.continuation as cont
+    model = ref_model
+    if which != "reference":
+        f2 = ref_model.f2
+        model = dataclasses.replace(
+            ref_model, f2=lambda s: math.nan if s > 1.0 else f2(s))
+    ts = _TraceSystem(grid512, model)
+    anchor, tol = ref_branch.points[0], ref_branch.tol
+    xs = [(p.t1, p.t2, p.lam) for p in ref_branch.points[1::3]]
+    xs += [(0.5, 0.4, 0.3), (0.0, 0.0, 0.3),
+           (2.5e-9, 2.5e-9, anchor.lam)]  # zeta = 1: (t, t) is the kernel
+    u, res = solver_module._recheck_block(grid512, ts, xs, tol)
+    y = solver_module._ray_residuals(grid512, ts, xs)[1]
+    columns = np.abs(y).max(axis=0).tolist()
+    nan_rows = 0
+    for k, (t1, t2, lam) in enumerate(xs):
+        alone = _on_ray(ts.profile, t1, t2)
+        assert _bits(u[2 * k]).tobytes() == _bits(alone.u1).tobytes()
+        assert _bits(u[2 * k + 1]).tobytes() == _bits(alone.u2).tobytes()
+        scale = max(1.0, abs(t1), abs(t2))
+        r = float(np.abs(residual(grid512, model, lam, alone)).max()) / scale
+        passes = r <= tol and is_positive_state(alone)
+        assert res[k] == (r if passes else None), (k, r, res[k])
+        try:
+            checked = cont._verify(grid512, ts, (t1, t2, lam), tol)
+        except NonConvergenceError:
+            checked = None
+        assert (checked is not None and checked[2] == 0) == passes
+        if math.isnan(columns[2 * k + 1]) and not math.isnan(columns[2 * k]):
+            nan_rows += 1
+            assert max(columns[2 * k], columns[2 * k + 1]) / scale <= tol
+            assert res[k] is None and checked is None
+    trivial, floor = res[-2:]
+    assert trivial is None and floor is None
+    below = _on_ray(ts.profile, 2.5e-9, 2.5e-9)
+    assert min(below.u1.min(), below.u2.min()) > 0.0
+    assert scaled_residual_norm(
+        residual(grid512, model, anchor.lam, below), below) <= tol
+    assert all(r is not None for r in res[:-3]) == (which == "reference")
+    assert (nan_rows > 0) == (which != "reference")
 
 
 def test_singular_factor_surfaces_at_the_solve(ref_model, monkeypatch):
