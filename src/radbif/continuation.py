@@ -48,9 +48,11 @@ its points are rebuilt and evaluated together (solver._recheck_block:
 one outer product, one stencil call).  The first point that fails
 unshifted is rolled back to: the points after it are discarded, ds,
 rejections and last_rejection get back their values at its correction,
-and it is re-checked alone by _verify, shifts included, as if it had
-been re-checked when corrected.  So the branch is bit for bit the one a
-re-check per point traces.  At M >= 2048 a run is one point, and each
+and it is re-checked alone as if it had been re-checked when corrected,
+with its first rounding read off the block: a point whose residual
+failed there goes to _verify from the second rounding of ULP_SHIFTS on,
+one whose state is not positive is rejected as _verify rejects it.  So
+the branch is bit for bit the one a re-check per point traces.  At M >= 2048 a run is one point, and each
 point is re-checked by _verify as it is corrected.
 
 Every turn of lam along the branch is one solve of the same iteration,
@@ -66,7 +68,8 @@ increases along the branch and q_lam at a branch node has the sign of lam
 values enclose lam, closes each bracket by an Illinois iteration on
 doubles down to a sign change of the computed q (_TraceSystem.root) and
 re-checks the roots at the branch's own tolerance, Branch.tol, as one
-block, and each root that fails unshifted alone by _verify.
+block, and each root whose residual fails there alone by _verify from
+the second rounding on.
 """
 
 from __future__ import annotations
@@ -83,9 +86,9 @@ from .errors import (ConfigError, ContinuationError, NonConvergenceError,
                      require_int, require_positive)
 from .grid import RadialGrid, SystemState, pair_norm
 from .model import NonlinearityModel, require_monotone, zeta
-from .solver import (POSITIVITY_ZERO_FLOOR, TOL_RESIDUAL, _on_ray, _recheck,
-                     _recheck_block, _run_length, _trace_newton, _TraceSystem,
-                     is_positive_state)
+from .solver import (POSITIVITY_ZERO_FLOOR, TOL_RESIDUAL, ULP_SHIFTS, _on_ray,
+                     _recheck, _recheck_block, _run_length, _trace_newton,
+                     _TraceSystem, is_positive_state)
 from .steklov import SteklovPair
 
 __all__ = [
@@ -245,10 +248,12 @@ def _require_advance(value: float, ds: float, scale: float) -> None:
             f"{ds * scale:.3g} asked")
 
 
-def _verify(grid: RadialGrid, ts: _TraceSystem, x, tol: float) -> tuple:
-    """_recheck of x = (t1, t2, lam) at tol, with the state of the passing
-    shift required to be positive (NonConvergenceError otherwise)."""
-    checked = _recheck(grid, ts, x, tol)
+def _verify(grid: RadialGrid, ts: _TraceSystem, x, tol: float,
+            shifts=ULP_SHIFTS) -> tuple:
+    """_recheck of x = (t1, t2, lam) at tol over shifts, with the state of
+    the passing shift required to be positive (NonConvergenceError
+    otherwise)."""
+    checked = _recheck(grid, ts, x, tol, shifts)
     if not is_positive_state(checked[-1]):
         raise NonConvergenceError("corrected state not positive")
     return checked
@@ -318,7 +323,8 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
 
     # run > 1: points are accepted unchecked into pending, with the ds,
     # rejections and last_rejection of their correction, and re-checked
-    # together; the first to fail is rolled back to and resumed alone
+    # together; the first to fail is rolled back to and resumed alone as
+    # (x, history, its block residual)
     ds, run, pending, resume = cfg.ds0, _run_length(grid), [], None
     while True:
         last, stop = branch.points[-1], None
@@ -341,8 +347,11 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
                         _require_advance(row(x)[0], ds, scale)
                         checked = _verify(grid, ts, x, tol) if run == 1 else None
                     else:
-                        (x, history), resume = resume, None
-                        checked = _verify(grid, ts, x, tol)
+                        (x, history, r), resume = resume, None
+                        if r is not None:  # _verify's k = 0 outcome
+                            raise NonConvergenceError(
+                                "corrected state not positive")
+                        checked = _verify(grid, ts, x, tol, ULP_SHIFTS[1:])
                     break
                 except NonConvergenceError as exc:
                     branch.rejections += 1
@@ -365,12 +374,13 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
             if len(pending) < run:
                 continue
         if pending:
-            res = _recheck_block(grid, ts, [p[1] for p in pending], tol)[1]
-            for (n, x, history, *saved), r in zip(pending, res):
-                if r is None:
+            _, res, positive = _recheck_block(grid, ts,
+                                              [p[1] for p in pending], tol)
+            for (n, x, history, *saved), r, pos in zip(pending, res, positive):
+                if r is None or not pos:
                     del branch.points[n:]
                     ds, branch.rejections, branch.last_rejection = saved
-                    resume = x, history
+                    resume = x, history, r
                     break
                 branch.points[n].residual = r
             pending.clear()
@@ -460,10 +470,10 @@ def solutions_at(branch: Branch, lam: float) -> list:
     once.  The cost is a few q values per crossing, whatever the number
     of branch points.  Each root is rebuilt as (t1, lam f2(t1)/mu_h, lam)
     and re-checked at branch.tol, all roots in one block
-    (solver._recheck_block) and a root that fails there alone by _verify,
-    shifts included; a root whose re-check fails or whose state is not
-    positive (pair norm at or below POSITIVITY_ZERO_FLOOR) is dropped,
-    not fatal.
+    (solver._recheck_block) and a root whose residual fails there alone
+    by _verify from the second rounding of ULP_SHIFTS on; a root whose
+    re-check fails or whose state is not positive (pair norm at or below
+    POSITIVITY_ZERO_FLOOR) is dropped, not fatal.
     """
     require_positive(lam, "parameter")
     require_monotone(branch.model)
@@ -488,12 +498,16 @@ def solutions_at(branch: Branch, lam: float) -> list:
     if not roots:
         return []
     xs = [ts.at(t1, lam) for t1 in roots]
-    u, res = _recheck_block(branch.grid, ts, xs, branch.tol)
+    u, res, positive = _recheck_block(branch.grid, ts, xs, branch.tol)
     states = []
-    for k, (x, r) in enumerate(zip(xs, res)):
+    for k, (x, r, pos) in enumerate(zip(xs, res, positive)):
+        if r is not None:
+            if pos:
+                states.append(SystemState(u[2 * k], u[2 * k + 1]))
+            continue
         try:
-            states.append(SystemState(u[2 * k], u[2 * k + 1]) if r is not None
-                          else _verify(branch.grid, ts, x, branch.tol)[-1])
+            states.append(_verify(branch.grid, ts, x, branch.tol,
+                                  ULP_SHIFTS[1:])[-1])
         except NonConvergenceError:
             continue
     return sorted(states, key=pair_norm)

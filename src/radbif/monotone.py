@@ -101,7 +101,9 @@ def monotone_iterate(grid: RadialGrid, model: NonlinearityModel, lam: float,
     the steps run on the traces, t_i <- lam f_i(t_other) / mu_h, as
     Python floats once the first step is checked nodewise, and the
     returned state is the last traces rebuilt on the ray (_on_ray), with
-    no solve.
+    no solve.  f1, f2, their slopes s_i = df_i(0) and mu_h are bound
+    once, and each flux is f_extended's expression written out, as in
+    solver._TraceSystem: float(f_i(t)) if t >= 0 else s_i t.
     """
     require_positive(lam, "parameter")
     for name, state in (("sub", sub), ("sup", sup)):
@@ -125,11 +127,13 @@ def monotone_iterate(grid: RadialGrid, model: NonlinearityModel, lam: float,
     # phi_h(R) = 1 make nodewise order, change and norm those of the
     # boundary node, so the loop goes on with the two traces as floats.
     t1, t2, phi = float(sub.u1[-1]), float(sub.u2[-1]), eig.phi1
+    f1, f2, mu = model.f1, model.f2, eig.mu1
+    s1, s2 = float(model.df1(0.0)), float(model.df2(0.0))
     changes = []
     for _ in range(MAX_ITER):
-        flux1 = lam * f_extended(model, 1, t2)
-        flux2 = lam * f_extended(model, 2, t1)
-        n1, n2 = flux1 / eig.mu1, flux2 / eig.mu1
+        flux1 = lam * (float(f1(t2)) if t2 >= 0 else s1 * t2)
+        flux2 = lam * (float(f2(t1)) if t1 >= 0 else s2 * t1)
+        n1, n2 = flux1 / mu, flux2 / mu
         # d_i, the iterate less its successor: nodewise at the first step,
         # at the boundary node after it
         if changes:

@@ -24,11 +24,13 @@ re-checked at once, unshifted, by _recheck_block: one outer product
 rebuilds them all and one stencil call evaluates the (M + 1, 2K) block
 of their nodes, with the bits each point alone would get.  A block
 holds at most max(1, RUN_NODES // (M + 1)) states (_run_length): the
-runs of continuation, the roots of solutions_at and the stepped states
-of the jacobian-fd check.  So once the grid is set up
-(steklov_eigenpair: mu_h, v, the longdouble profile and the metric
-weight w, made by one call, cached per grid, with no solver kept)
-neither newton_solve nor continuation makes a linear solve, and every
+runs of continuation, the roots of solutions_at, the converged Newton
+states of the nonexistence check and the stepped states of the
+jacobian-fd check.  A point that fails its block on the residual is
+re-checked alone from the second rounding of ULP_SHIFTS on.  So once
+the grid is set up (steklov_eigenpair: mu_h, v, the longdouble profile
+and the metric weight w, made by one call, cached per grid, with no
+solver kept) neither newton_solve nor continuation makes a linear solve, and every
 per-step quantity is a Python float: numpy serves only arrays of the
 M + 1 nodes.
 
@@ -347,17 +349,20 @@ def _rays(profile: np.ndarray, traces) -> np.ndarray:
     return u
 
 
-def _recheck(grid: RadialGrid, ts: _TraceSystem, x, tol: float) -> tuple:
+def _recheck(grid: RadialGrid, ts: _TraceSystem, x, tol: float,
+             shifts=ULP_SHIFTS) -> tuple:
     """Re-check x = (t1, t2, lam) on the kernel ray in full space at tol.
 
-    For k in ULP_SHIFTS, in order, rebuild the state at a = t1 + k ulp(t1),
-    b = t2 + k ulp(t2) and return (a, b, k, residual, state) for the
-    first whose full-space scaled residual is at most tol; no shift
-    passing raises NonConvergenceError.  The residual is
-    scaled_residual_norm's, with the scale max(1, |a|, |b|) that
-    _trace_newton uses: on the ray sup|u_i| is exactly |t_i|."""
+    For k in shifts (ULP_SHIFTS unless given), in order, rebuild the
+    state at a = t1 + k ulp(t1), b = t2 + k ulp(t2) and return (a, b, k,
+    residual, state) for the first whose full-space scaled residual is
+    at most tol; no shift passing raises NonConvergenceError.  The
+    residual is scaled_residual_norm's, with the scale max(1, |a|, |b|)
+    that _trace_newton uses: on the ray sup|u_i| is exactly |t_i|.  A
+    point that failed _recheck_block is passed ULP_SHIFTS[1:]: its first
+    rounding is the block's."""
     t1, t2, lam = map(float, x)
-    for k in ULP_SHIFTS:
+    for k in shifts:
         a, b = t1 + k * math.ulp(t1), t2 + k * math.ulp(t2)
         state = _on_ray(ts.profile, a, b)
         res = (float(np.abs(residual(grid, ts.model, lam, state)).max())
@@ -385,22 +390,27 @@ def _ray_residuals(grid: RadialGrid, ts: _TraceSystem, xs) -> tuple:
 
 
 def _recheck_block(grid: RadialGrid, ts: _TraceSystem, xs, tol: float) -> tuple:
-    """_recheck's first rounding, k = 0, of the points xs at once, with
-    is_positive_state's test: (u, res), where u holds the rebuilt states
-    (_ray_residuals) and res[k] is point k's scaled residual when it is
-    at most tol and its state is positive, else None.  A point's residual
-    is the larger of its two columns' by np.maximum, which keeps a NaN
-    that Python's max would drop."""
+    """_recheck's first rounding, k = 0, of the points xs at once, and
+    is_positive_state's test: (u, res, positive), where u holds the
+    rebuilt states (_ray_residuals), res[k] is point k's scaled residual
+    when it is at most tol, else None, and positive[k] is _positive of
+    its state.  A point passes _verify unshifted exactly when both hold.
+
+    A state's residual is the maximum of |y| over its two columns,
+    reduced along contiguous memory: |y|, the (M + 1, 2K) block, is
+    copied transposed, so that each state's 2(M + 1) values are one row.
+    It gives the doubles of np.maximum over the two column maxima, a
+    NaN kept."""
     u, y = _ray_residuals(grid, ts, xs)
-    top = np.abs(y).max(axis=0)
-    top, lo, hi = (np.maximum(top[0::2], top[1::2]).tolist(),
-                   u.min(axis=1).tolist(), u.max(axis=1).tolist())
-    res = []
+    top = np.abs(y, out=y).T.copy().reshape(len(xs), -1).max(axis=1).tolist()
+    lo, hi = u.min(axis=1).tolist(), u.max(axis=1).tolist()
+    res, positive = [], []
     for k, (t1, t2, _) in enumerate(xs):
-        r, a, b = top[k] / max(1.0, abs(t1), abs(t2)), 2 * k, 2 * k + 1
-        ok = r <= tol and _positive(lo[a], lo[b], hi[a], hi[b])
-        res.append(r if ok else None)
-    return u, res
+        r = top[k] / max(1.0, abs(t1), abs(t2))
+        res.append(r if r <= tol else None)
+        positive.append(_positive(lo[2 * k], lo[2 * k + 1],
+                                  hi[2 * k], hi[2 * k + 1]))
+    return u, res, positive
 
 
 def _admissible(t1: float, t2: float, lam: float) -> bool:
@@ -471,6 +481,12 @@ def _trace_newton(ts: _TraceSystem, extra, x0, tol: float) -> tuple:
             return (t1, t2, lam), history
 
 
+def _fixed_lam(lam: float):
+    """The extra row lam' - lam of _trace_newton at x = (t1, t2, lam'),
+    with its gradient (0, 0, 1): newton_solve's row."""
+    return lambda x: (x[2] - lam, (0.0, 0.0, 1.0))
+
+
 def newton_solve(grid: RadialGrid, model: NonlinearityModel, lam: float,
                  init: SystemState, tol: float = TOL_RESIDUAL) -> NewtonResult:
     """Solve the coupled system at fixed lam by Newton on the two traces,
@@ -499,7 +515,7 @@ def newton_solve(grid: RadialGrid, model: NonlinearityModel, lam: float,
     require_positive(lam, "parameter")
     _nodal_values(grid, init.u1)
     ts = _TraceSystem(grid, model)
-    x, history = _trace_newton(ts, lambda x: (x[2] - lam, (0.0, 0.0, 1.0)),
+    x, history = _trace_newton(ts, _fixed_lam(lam),
                                (init.u1[grid.M], init.u2[grid.M], lam), tol)
     try:
         _, _, _, res, state = _recheck(grid, ts, x, tol)

@@ -23,11 +23,13 @@ from .analysis import (_jordan, bifurcation_point, nonexistence_bound,
 from .continuation import (ContinuationConfig, continue_branch,
                            initial_tangent, solutions_at)
 from .errors import NonConvergenceError
-from .grid import SystemState, _stencil, build_grid, pair_norm
+from .grid import _stencil, build_grid, pair_norm
 from .model import quadratic_model, reference_model
 from .monotone import build_subsolution, monotone_iterate
-from .solver import (_ray_residuals, _run_length, _TraceSystem, newton_solve,
-                     residual, scaled_residual_norm)
+from .solver import (TOL_RESIDUAL, ULP_SHIFTS, _fixed_lam, _ray_residuals,
+                     _recheck, _recheck_block, _run_length, _trace_newton,
+                     _TraceSystem, is_positive_state, residual,
+                     scaled_residual_norm)
 from .steklov import steklov_eigenpair
 
 __all__ = ["CheckOutcome", "run_acceptance", "format_table"]
@@ -161,22 +163,51 @@ def _check_rescale_tail(shared):
     return ok, detail
 
 
-def _check_nonexistence(shared):
-    model, grid, eig = shared["model"], shared["grid"], shared["eig"]
-    bound = nonexistence_bound(model, eig.mu1)
-    positives = 0
-    attempts = 0
-    for factor in (1.01, 1.5, 3.0):
-        lam = factor * bound
-        for amp in np.logspace(-2, 2, 20):
-            attempts += 1
-            init = SystemState(amp * eig.phi1, amp * eig.phi1)
+def _nonexistence_count(grid, model, lams) -> tuple:
+    """(positives, attempts): of the solves of newton_solve at each lam
+    in lams from the 20 states amp phi_1, amp in logspace(-2, 2, 20),
+    how many end on a positive re-checked state, and how many there are.
+
+    Each solve is _trace_newton with newton_solve's fixed-lam row from the
+    traces (amp, amp, lam) (phi_1(R) is exactly 1).  The converged points
+    are re-checked in blocks of _run_length(grid) (_recheck_block), and a
+    point whose residual fails its block is re-checked alone from the
+    second rounding of ULP_SHIFTS on (_recheck), as newton_solve
+    re-checks it; a solve or re-check that fails counts as no state."""
+    ts, amps = _TraceSystem(grid, model), np.logspace(-2, 2, 20).tolist()
+    xs = []
+    for lam in lams:
+        row = _fixed_lam(lam)
+        for amp in amps:
             try:
-                result = newton_solve(grid, model, lam, init)
+                xs.append(_trace_newton(ts, row, (amp, amp, lam),
+                                        TOL_RESIDUAL)[0])
             except NonConvergenceError:
                 continue
-            if result.positive:
-                positives += 1
+    positives, run = 0, _run_length(grid)
+    for i in range(0, len(xs), run):
+        block = xs[i:i + run]
+        _, res, positive = _recheck_block(grid, ts, block, TOL_RESIDUAL)
+        for x, r, pos in zip(block, res, positive):
+            if r is None:
+                try:
+                    state = _recheck(grid, ts, x, TOL_RESIDUAL,
+                                     ULP_SHIFTS[1:])[-1]
+                except NonConvergenceError:
+                    continue
+                pos = is_positive_state(state)
+            positives += pos
+    return positives, len(amps) * len(lams)
+
+
+def _check_nonexistence(shared):
+    """No positive state beyond mu1/K: _nonexistence_count at lam = 1.01,
+    1.5 and 3 times nonexistence_bound finds none (60 starts), and the
+    shared branch's largest lam is at most the bound, to 1e-8."""
+    model, grid, eig = shared["model"], shared["grid"], shared["eig"]
+    bound = nonexistence_bound(model, eig.mu1)
+    positives, attempts = _nonexistence_count(
+        grid, model, [factor * bound for factor in (1.01, 1.5, 3.0)])
     lam_max = float(shared["branch"].lambdas().max())
     ok = positives == 0 and lam_max <= bound + 1e-8
     detail = (f"{positives}/{attempts} positive states beyond mu1/K="

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 import radbif.verify as verify
-from radbif import build_grid, reference_model
+from radbif import (NonConvergenceError, SystemState, bifurcation_point,
+                    build_grid, newton_solve, nonexistence_bound,
+                    reference_model, steklov_eigenpair)
 from radbif.grid import _stencil
 from radbif.verify import run_acceptance
 
@@ -140,6 +142,63 @@ def test_fd_check_catches_a_dependency_outside_the_reach(monkeypatch, col):
     assert _fd_error(model)[1] > 1e3 * base
     ok, detail = verify._check_jacobian_fd({"model": model})
     assert not ok, detail
+
+
+def _newton_positives(grid, model, lams):
+    """The oracle of the nonexistence count: a newton_solve per start amp
+    phi_1, amp in logspace(-2, 2, 20), at each lam, counting the
+    positive results; a solve that raises counts as no state."""
+    phi, positives = steklov_eigenpair(grid).phi1, 0
+    for lam in lams:
+        for amp in np.logspace(-2, 2, 20):
+            try:
+                result = newton_solve(grid, model, lam,
+                                      SystemState(amp * phi, amp * phi))
+            except NonConvergenceError:
+                continue
+            positives += result.positive
+    return positives
+
+
+@pytest.mark.parametrize("where", ["beyond-the-bound", "inside-the-window"])
+def test_nonexistence_count_is_the_count_of_newton_solve(ref_branch, grid512,
+                                                        where, monkeypatch):
+    # the check's count of positive states, Newton on the traces
+    # re-checked in blocks, is the count of newton_solve per start: none
+    # at the check's 1.01, 1.5 and 3 times mu1/K, some at three lam
+    # inside (mu0, fold).  Inside the window every point of the first
+    # block is also failed on its residual, so it is re-checked alone by
+    # the _recheck fallback, which finds the same count
+    model = reference_model()
+    mu1 = steklov_eigenpair(grid512).mu1
+    if where == "beyond-the-bound":
+        bound = nonexistence_bound(model, mu1)
+        lams = [factor * bound for factor in (1.01, 1.5, 3.0)]
+    else:
+        mu0, fold = bifurcation_point(model, mu1), ref_branch.fold.lam_bar
+        lams = [mu0 + (fold - mu0) * q / 4 for q in (1, 2, 3)]
+    want = _newton_positives(grid512, model, lams)
+    assert verify._nonexistence_count(grid512, model, lams) == (want, 60)
+    assert (want == 0) == (where == "beyond-the-bound")
+    if where == "beyond-the-bound":
+        return
+    block, recheck, blocks, alone = verify._recheck_block, verify._recheck, [], []
+
+    def failing_first(grid, ts, xs, tol):
+        u, res, positive = block(grid, ts, xs, tol)
+        blocks.append(len(xs))
+        return u, [None] * len(xs) if len(blocks) == 1 else res, positive
+
+    def counting(*args):
+        alone.append(args[-1])
+        return recheck(*args)
+
+    monkeypatch.setattr(verify, "_recheck_block", failing_first)
+    monkeypatch.setattr(verify, "_recheck", counting)
+    assert verify._nonexistence_count(grid512, model, lams) == (want, 60)
+    run = verify._run_length(grid512)
+    assert blocks and max(blocks) == run and len(alone) >= run
+    assert set(alone[:run]) == {verify.ULP_SHIFTS[1:]}
 
 
 def test_a_check_that_raises_fails_and_the_others_still_run(monkeypatch):

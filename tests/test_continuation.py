@@ -676,13 +676,13 @@ def test_branch_ends_on_corrector_failure_keeping_its_points(
         return verify(*args)
 
     def failing_block(grid, ts, xs, tol):
-        u, res = block(grid, ts, xs, tol)
+        u, res, positive = block(grid, ts, xs, tol)
         for k in range(len(xs)):
             if len(passed) >= 4:
                 res[k] = None
             else:
                 passed.append(None)
-        return u, res
+        return u, res, positive
 
     monkeypatch.setattr(cont, "_verify", failing)
     monkeypatch.setattr(cont, "_recheck_block", failing_block)
@@ -793,9 +793,9 @@ def test_the_continuation_tolerance_verifies_every_state(grid128, ref_model,
     verify, block, corrector = cont._verify, cont._recheck_block, cont._trace_newton
     tols, corrector_tols = [], set()
 
-    def recording(grid, ts, x, tol):
+    def recording(grid, ts, x, tol, *shifts):
         tols.append(tol)
-        return verify(grid, ts, x, tol)
+        return verify(grid, ts, x, tol, *shifts)
 
     def recording_block(grid, ts, xs, tol):
         tols.extend([tol] * len(xs))
@@ -905,6 +905,43 @@ def test_a_shifted_point_inside_a_run(grid512, two_fold_model,
         monkeypatch, grid512, two_fold_model, branch_cfg)
 
 
+def test_a_point_not_positive_inside_a_run(grid512, ref_model, ref_branch,
+                                          branch_cfg, monkeypatch):
+    # positivity made to fail for states with t1 in [t1 of point 20, t1 of
+    # point 21] of the reference branch: a re-check per point rejects such
+    # a point in _verify, a run rolls back to it and rejects it from its
+    # block's result, with no second evaluation; the branches are the same
+    import radbif.continuation as cont
+    lo, hi = ref_branch.points[20].t1, ref_branch.points[21].t1
+    positive, verify, block = (solver_module._positive, cont._verify,
+                               cont._recheck_block)
+    alone, refused = [], []
+
+    def window(lo1, lo2, hi1, hi2):
+        return not lo <= hi1 <= hi and positive(lo1, lo2, hi1, hi2)
+
+    def recording(grid, ts, x, tol, *shifts):
+        alone.append(tuple(x))
+        return verify(grid, ts, x, tol, *shifts)
+
+    def recording_block(grid, ts, xs, tol):
+        u, res, pos = block(grid, ts, xs, tol)
+        refused.extend(tuple(x) for x, r, p in zip(xs, res, pos)
+                       if r is not None and not p)
+        return u, res, pos
+
+    monkeypatch.setattr(solver_module, "_positive", window)
+    monkeypatch.setattr(cont, "_verify", recording)
+    monkeypatch.setattr(cont, "_recheck_block", recording_block)
+    cfg = dataclasses.replace(branch_cfg, max_points=40)
+    branch = continue_branch(grid512, ref_model, cfg)
+    assert branch.last_rejection == "corrected state not positive"
+    assert not any(lo <= p.t1 <= hi for p in branch.points)
+    assert refused and not set(refused) & set(alone)
+    assert _traced(grid512, ref_model, cfg, 0) == _run_of_one(
+        monkeypatch, grid512, ref_model, cfg, 0)
+
+
 def test_runs_rolled_back_below_the_floor(ref_model, monkeypatch):
     # at M = 1024 the representation floor eps 2/h^2 is about 9.3e-10, so
     # at tol 1e-10 re-checks fail and runs are rolled back, often; the
@@ -915,9 +952,9 @@ def test_runs_rolled_back_below_the_floor(ref_model, monkeypatch):
     block, rolled = cont._recheck_block, []
 
     def counting(*args):
-        u, res = block(*args)
-        rolled.append(None in res)
-        return u, res
+        u, res, positive = block(*args)
+        rolled.append(None in res or not all(positive))
+        return u, res, positive
 
     monkeypatch.setattr(cont, "_recheck_block", counting)
     runs = _traced(grid, ref_model, cfg, 0)

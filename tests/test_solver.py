@@ -602,8 +602,9 @@ def test_a_block_recheck_is_the_recheck_of_each_point(ref_branch, grid512,
                                                       ref_model, which):
     # _recheck_block rebuilds, evaluates and classifies each point as the
     # point alone is (_on_ray, residual over max(1, |t1|, |t2|) and
-    # is_positive_state), bit for bit, and passes exactly the points that
-    # _verify passes unshifted.  The points: branch points, a point off
+    # is_positive_state), bit for bit, and its residual and positivity
+    # both pass for exactly the points that _verify passes unshifted.
+    # The points: branch points, a point off
     # the branch, the trivial state (residual 0, not positive) and one on
     # the kernel direction at mu0 below the positivity floor (residual
     # near 0, every node above 0, not positive).  With f2 NaN above t = 1
@@ -621,7 +622,7 @@ def test_a_block_recheck_is_the_recheck_of_each_point(ref_branch, grid512,
     xs = [(p.t1, p.t2, p.lam) for p in ref_branch.points[1::3]]
     xs += [(0.5, 0.4, 0.3), (0.0, 0.0, 0.3),
            (2.5e-9, 2.5e-9, anchor.lam)]  # zeta = 1: (t, t) is the kernel
-    u, res = solver_module._recheck_block(grid512, ts, xs, tol)
+    u, res, positive = solver_module._recheck_block(grid512, ts, xs, tol)
     y = solver_module._ray_residuals(grid512, ts, xs)[1]
     columns = np.abs(y).max(axis=0).tolist()
     nan_rows = 0
@@ -632,7 +633,8 @@ def test_a_block_recheck_is_the_recheck_of_each_point(ref_branch, grid512,
         scale = max(1.0, abs(t1), abs(t2))
         r = float(np.abs(residual(grid512, model, lam, alone)).max()) / scale
         passes = r <= tol and is_positive_state(alone)
-        assert res[k] == (r if passes else None), (k, r, res[k])
+        assert res[k] == (r if r <= tol else None), (k, r, res[k])
+        assert positive[k] == is_positive_state(alone)
         try:
             checked = cont._verify(grid512, ts, (t1, t2, lam), tol)
         except NonConvergenceError:
@@ -642,14 +644,81 @@ def test_a_block_recheck_is_the_recheck_of_each_point(ref_branch, grid512,
             nan_rows += 1
             assert max(columns[2 * k], columns[2 * k + 1]) / scale <= tol
             assert res[k] is None and checked is None
-    trivial, floor = res[-2:]
-    assert trivial is None and floor is None
+    # the trivial and below-floor states pass on the residual and fail
+    # on positivity
+    assert res[-2] == 0.0 and res[-1] is not None
+    assert positive[-2:] == [False, False] and all(positive[:-2])
     below = _on_ray(ts.profile, 2.5e-9, 2.5e-9)
     assert min(below.u1.min(), below.u2.min()) > 0.0
     assert scaled_residual_norm(
         residual(grid512, model, anchor.lam, below), below) <= tol
     assert all(r is not None for r in res[:-3]) == (which == "reference")
     assert (nan_rows > 0) == (which != "reference")
+
+
+def _block_points(rng, k):
+    """k seeded points (t1, t2, lam) in [0.05, 2]^2 x [0.2, 0.4]; from
+    k = 2 on the last two have traces inf and NaN, from k = 3 on the
+    first is the trivial state."""
+    xs = [tuple(x) for x in rng.uniform([0.05, 0.05, 0.2], [2.0, 2.0, 0.4],
+                                        (k, 3)).tolist()]
+    if k >= 2:
+        xs[-2:] = [(math.inf, 0.5, 0.3), (0.5, math.nan, 0.3)]
+    if k >= 3:
+        xs[0] = (0.0, 0.0, 0.3)
+    return xs
+
+
+@pytest.mark.parametrize("M", [16, 512, 4096])
+def test_block_residuals_and_positivity_are_each_points(ref_model, M):
+    # at K = 1, 2 and the run length, _recheck_block's res[k] is the
+    # residual of _recheck's first rounding (None where it fails) and
+    # positive[k] is is_positive_state of the point rebuilt alone; its
+    # per-state maximum is the max(axis=0) form over the (M + 1, 2K)
+    # block bit for bit, a NaN kept.  f2 is NaN above t = 1, so a point
+    # with t1 > 1 has a NaN u2 flux row; tol is the median of the finite
+    # residuals, so about half the points pass and one sits on tol (1
+    # when there is none)
+    import dataclasses
+    f2 = ref_model.f2
+    model = dataclasses.replace(
+        ref_model, f2=lambda s: math.nan if s > 1.0 else f2(s))
+    grid = build_grid(3, 1.0, M)
+    ts = _TraceSystem(grid, model)
+    rng = np.random.default_rng(M)
+    for k in sorted({1, 2, solver_module._run_length(grid)}):
+        xs = _block_points(rng, k)
+        with np.errstate(invalid="ignore"):  # inf - inf in the stencil
+            alone = [_on_ray(ts.profile, t1, t2) for t1, t2, _ in xs]
+            r = [float(np.abs(residual(grid, model, x[2], st)).max())
+                 / max(1.0, abs(x[0]), abs(x[1])) for x, st in zip(xs, alone)]
+            finite = [v for v in r if math.isfinite(v)]
+            tol = sorted(finite)[len(finite) // 2] if finite else 1.0
+            _, res, positive = solver_module._recheck_block(grid, ts, xs, tol)
+            wide = solver_module._recheck_block(grid, ts, xs, math.inf)[1]
+            y = solver_module._ray_residuals(grid, ts, xs)[1]
+        top = np.abs(y).max(axis=0)
+        want = (np.maximum(top[0::2], top[1::2])
+                / [max(1.0, abs(t1), abs(t2)) for t1, t2, _ in xs])
+        nan_rows = 0
+        for j, x in enumerate(xs):
+            try:
+                with np.errstate(invalid="ignore"):
+                    first = solver_module._recheck(grid, ts, x, tol, (0,))[3]
+            except NonConvergenceError:
+                first = None
+            assert res[j] == first == (r[j] if r[j] <= tol else None), (k, j)
+            assert positive[j] == is_positive_state(alone[j]), (k, j)
+            if math.isnan(want[j]):
+                assert wide[j] is None
+                nan_rows += 1.0 < x[0] < math.inf and math.isfinite(x[1])
+            else:
+                assert _bits(wide[j]) == _bits(want[j]), (k, j)
+        assert res.count(tol) == (1 if finite else 0)
+        assert (nan_rows > 0) == any(1.0 < x[0] < math.inf for x in xs)
+        if k >= 3:
+            assert res[0] == 0.0 and positive[0] is False
+            assert res[-2:] == [None, None]
 
 
 def test_singular_factor_surfaces_at_the_solve(ref_model, monkeypatch):
