@@ -8,13 +8,17 @@ wrong coupling and a wrong lam column in the trace system's derivative,
 and against a residual with a dependency outside a row's reach.
 """
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 import radbif.verify as verify
 from radbif import (NonConvergenceError, SystemState, bifurcation_point,
-                    build_grid, newton_solve, nonexistence_bound,
-                    reference_model, steklov_eigenpair)
+                    build_grid, continue_branch, newton_solve,
+                    nonexistence_bound, quadratic_model, reference_model,
+                    slope_fit, steklov_eigenpair)
 from radbif.grid import _stencil
 from radbif.verify import run_acceptance
 
@@ -199,6 +203,52 @@ def test_nonexistence_count_is_the_count_of_newton_solve(ref_branch, grid512,
     run = verify._run_length(grid512)
     assert blocks and max(blocks) == run and len(alone) >= run
     assert set(alone[:run]) == {verify.ULP_SHIFTS[1:]}
+
+
+def test_nonexistence_beyond_the_bound_rebuilds_no_state(grid512,
+                                                         monkeypatch):
+    # at the check's 1.01, 1.5 and 3 times mu1/K every solve ends on the
+    # trivial state, |t1| + |t2| at most half the positivity floor, which
+    # no rounding of ULP_SHIFTS makes positive: no state is rebuilt
+    model = reference_model()
+    bound = nonexistence_bound(model, steklov_eigenpair(grid512).mu1)
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(verify, "_recheck_block",
+                        counting(verify._recheck_block))
+    monkeypatch.setattr(verify, "_recheck", counting(verify._recheck))
+    lams = [factor * bound for factor in (1.01, 1.5, 3.0)]
+    assert verify._nonexistence_count(grid512, model, lams) == (0, 60)
+    assert calls == []
+
+
+def test_direction_slope_branches_hold_the_fit_window(grid512, eig512,
+                                                      monkeypatch):
+    # the check's branches end past norm 0.1, the norm rising at every
+    # point, and their fits are those of 30-point branches bit for bit
+    cfg = verify._slope_branch_config()
+    for model in (reference_model(), quadratic_model()):
+        branch = continue_branch(grid512, model, cfg)
+        norms = [p.norm for p in branch.points]
+        assert norms[-1] >= 0.1
+        assert all(a < b for a, b in zip(norms[:-1], norms[1:]))
+        longer = continue_branch(grid512, model,
+                                 dataclasses.replace(cfg, max_points=30))
+        assert slope_fit(branch).hex() == slope_fit(longer).hex()
+    # a branch cut short of the window fails the check with that reason
+    monkeypatch.setattr(verify, "_slope_branch_config",
+                        lambda: dataclasses.replace(cfg, max_points=6))
+    ok, detail = verify._check_direction_slope(
+        {"grid": grid512, "eig": eig512, "model": reference_model()})
+    assert not ok
+    assert re.fullmatch(r"ref branch ends at norm=0\.\d{4} after 6 points, "
+                        r"short of the fit window's end 0\.1", detail), detail
 
 
 def test_a_check_that_raises_fails_and_the_others_still_run(monkeypatch):

@@ -618,6 +618,25 @@ def test_two_fold_model_reports_its_maximum(tmp_path, capsys):
                                                                    abs=1e-3)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 25: at a large radius the step's metric weight w is "
+    "small, one step passes both turns and the branch runs backwards, so "
+    "the fold solve for the lam minimum ends on the wrong side of its "
+    "start"))
+@pytest.mark.parametrize("N, R", [(30, 42.2), (10, 33.9)])
+def test_two_fold_branch_at_a_large_radius_reaches_the_floor(N, R, tmp_path,
+                                                            capsys):
+    # at M = 128 and 2048 the same N and R reach lambda_floor with both
+    # folds, while at M = 512 both exit 1 in the fold solve
+    out = tmp_path / "out"
+    assert run(["branch", *TWO_FOLD, "--override", f"grid.N={N}",
+                "--override", f"grid.R={R}", "--override", "grid.M=512",
+                "--override", f"out.dir={out}"]) == 0
+    summary = json.loads((out / "branch_summary.json").read_text())
+    assert summary["termination"] == "lambda_floor"
+    assert len(summary["fold_lambdas"]) == 2
+
+
 def test_multiplicity_without_two_states_exits_1(tmp_path, capsys):
     # the quadratic model's branch bifurcates to the left and has no state
     # above mu0: a numerical outcome, not a configuration error, whose
