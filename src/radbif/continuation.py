@@ -28,32 +28,29 @@ divided by the same factor, so that its convergence test stays
 relative.
 
 Each corrected x is checked on the kernel ray itself, with no full-space
-Newton step (_verify, on solver._recheck): the state (t1 phi_h, t2
-phi_h) is rebuilt by rounding t_i times the grid's longdouble unit-trace
-profile to double once, so its traces are t1 and t2 exactly, with u_0
-rounded from row 0 given the rounded u_1 (solver._rays), and its
-full-space scaled residual is the independent re-check.  Even at a
-tolerance near the representation floor eps*2/h^2 rebuilt points pass
-as they stand (every point of the reference branch at M = 512 and tol
-1e-10 and at M = 4096 and tol 1e-8); for any other the traces
-t_i + k ulp(t_i) are tried for k in ULP_SHIFTS, and the first rounding
-that passes is the point.  A point whose roundings all fail, or whose
+Newton step (solver._recheck): the state (t1 phi_h, t2 phi_h) is
+rebuilt by rounding t_i times the grid's longdouble unit-trace profile
+to double once, so its traces are t1 and t2 exactly, with u_0 rounded
+from row 0 given the rounded u_1 (solver._rays), and its full-space
+scaled residual is the independent re-check.  Even at a tolerance near
+the representation floor eps*2/h^2 rebuilt points pass as they stand
+(every point of the reference branch at M = 512 and tol 1e-10 and at
+M = 4096 and tol 1e-8); for any other _recheck tries the traces
+t_i + k ulp(t_i) at its further shifts k, and the first rounding that
+passes is the point.  A point whose roundings all fail, or whose
 passing state is not positive, is rejected.  A branch point is its
 traces (BranchPoint): its state is rebuilt from them on demand.
 
 Points are re-checked in runs of solver._run_length(grid) = max(1,
-solver.RUN_NODES // (M + 1)): each corrected point is accepted
-unshifted, and once a run is complete, or the tracing is about to stop,
-its points are rebuilt and evaluated together (solver._recheck_block:
-one outer product, one stencil call).  The first point that fails
-unshifted is rolled back to: the points after it are discarded, ds,
-rejections and last_rejection get back their values at its correction,
-and it is re-checked alone as if it had been re-checked when corrected,
-with its first rounding read off the block: a point whose residual
-failed there goes to _verify from the second rounding of ULP_SHIFTS on,
-one whose state is not positive is rejected as _verify rejects it.  So
-the branch is bit for bit the one a re-check per point traces.  At M >= 2048 a run is one point, and each
-point is re-checked by _verify as it is corrected.
+solver.RUN_NODES // (M + 1)), one _recheck call per run: each corrected
+point is accepted unshifted, and once a run is complete, or the tracing
+is about to stop, its points are re-checked together.  The first point
+not passed unshifted is rolled back to: the points after it are
+discarded, ds, rejections and last_rejection get back their values at
+its correction, and it resumes with its re-check result in hand, kept
+at the rounding that passed or rejected with its reason, as if it had
+been re-checked when corrected.  So the branch is bit for bit the one a
+re-check per point traces; at M >= 2048 a run is one point.
 
 Every turn of lam along the branch is one solve of the same iteration,
 bracketed by a sign change of the fold row between neighbouring branch
@@ -67,9 +64,8 @@ increases along the branch and q_lam at a branch node has the sign of lam
 - lam_k: solutions_at evaluates q only around the node pairs whose lam
 values enclose lam, closes each bracket by an Illinois iteration on
 doubles down to a sign change of the computed q (_TraceSystem.root) and
-re-checks the roots at the branch's own tolerance, Branch.tol, as one
-block, and each root whose residual fails there alone by _verify from
-the second rounding on.
+re-checks the roots together at the branch's own tolerance,
+Branch.tol.
 """
 
 from __future__ import annotations
@@ -86,9 +82,8 @@ from .errors import (ConfigError, ContinuationError, NonConvergenceError,
                      require_int, require_positive)
 from .grid import RadialGrid, SystemState, pair_norm
 from .model import NonlinearityModel, require_monotone, zeta
-from .solver import (POSITIVITY_ZERO_FLOOR, TOL_RESIDUAL, ULP_SHIFTS, _on_ray,
-                     _recheck, _recheck_block, _run_length, _trace_newton,
-                     _TraceSystem, is_positive_state)
+from .solver import (POSITIVITY_ZERO_FLOOR, TOL_RESIDUAL, _on_ray, _recheck,
+                     _run_length, _trace_newton, _TraceSystem)
 from .steklov import SteklovPair
 
 __all__ = [
@@ -151,8 +146,9 @@ class BranchPoint:
     rises strictly to exactly 1 at R, so t_i is also sup|u_i|.
     ds is the arclength of the step that reached the point (eps_step_off
     for the step-off), corrector_iterations counts the trace corrector's
-    steps, ulp_shift is the k of ULP_SHIFTS whose rounding passed the
-    re-check, and residual is that state's full-space scaled residual."""
+    steps, ulp_shift is the k of the rounding t_i + k ulp(t_i) that
+    passed the re-check, and residual is that state's full-space scaled
+    residual."""
 
     lam: float
     t1: float
@@ -248,14 +244,11 @@ def _require_advance(value: float, ds: float, scale: float) -> None:
             f"{ds * scale:.3g} asked")
 
 
-def _verify(grid: RadialGrid, ts: _TraceSystem, x, tol: float,
-            shifts=ULP_SHIFTS) -> tuple:
-    """_recheck of x = (t1, t2, lam) at tol over shifts, with the state of
-    the passing shift required to be positive (NonConvergenceError
-    otherwise)."""
-    checked = _recheck(grid, ts, x, tol, shifts)
-    if not is_positive_state(checked[-1]):
-        raise NonConvergenceError("corrected state not positive")
+def _require_verified(checked) -> tuple:
+    """checked, one point's result of _recheck, when it is a verified
+    positive state, else NonConvergenceError with its reason."""
+    if checked[-1]:
+        raise NonConvergenceError(checked[-1])
     return checked
 
 
@@ -276,7 +269,7 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
     (w tau_1, w tau_2, tau_lam) . (x - x_last) / s = ds.  Each point is
     accepted only when that advance is within ds/2 of ds
     (_require_advance), and kept only when it passes the full-space
-    re-check of _verify and its positivity check, alone or in its run.
+    re-check and its positivity check (_recheck), in its run.
     A model with p1*p2 <= 1 has no branch to trace toward the tail (the
     linear model's stands vertical at mu0) and raises ConfigError, as
     theta_exponents does, before any step; so does a cfg.lambda_stop_low
@@ -299,13 +292,13 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
 
     def accept(x, iters, checked, ds):
         """Append the point at x with the traces, shift and residual of
-        _verify (of x unshifted while its run is pending); its tangent
+        _recheck (of x unshifted while its run is pending); its tangent
         sign is that of dlam against the previous point, or the previous
         sign when dlam is 0."""
         lam, last = x[2], branch.points[-1]
         dlam = lam - last.lam
         sign = (1 if dlam > 0 else -1) if dlam else last.tangent_lambda_sign
-        t1, t2, shift, res, _ = checked
+        t1, t2, shift, res, *_ = checked
         branch.points.append(BranchPoint(lam, t1, t2, ts.profile, sign, ds,
                                          iters, shift, res))
 
@@ -314,17 +307,17 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
     x0 = (eps * tau[0], eps * tau[1], mu0)
     try:
         x, history = _trace_newton(ts, _arclength(ts, tau, x0, 0.0), x0, tol)
-        checked = _verify(grid, ts, x, tol)
+        checked = _require_verified(_recheck(grid, ts, [x], tol)[0])
     except NonConvergenceError as exc:
         raise ContinuationError(
             f"first corrector step failed: could not leave the trivial branch "
             f"at eps={eps:g} ({exc}); try a larger amplitude", last_point=anchor)
     accept(x, len(history) - 1, checked, eps)
 
-    # run > 1: points are accepted unchecked into pending, with the ds,
-    # rejections and last_rejection of their correction, and re-checked
-    # together; the first to fail is rolled back to and resumed alone as
-    # (x, history, its block residual)
+    # points are accepted unchecked into pending, with the ds, rejections
+    # and last_rejection of their correction, and re-checked together; the
+    # first not passed unshifted is rolled back to and resumed as (x,
+    # history, its _recheck result)
     ds, run, pending, resume = cfg.ds0, _run_length(grid), [], None
     while True:
         last, stop = branch.points[-1], None
@@ -345,13 +338,10 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
                         guess = [a + (ds * scale) * t for a, t in zip(x_last, tau)]
                         x, history = _trace_newton(ts, row, guess, tol)
                         _require_advance(row(x)[0], ds, scale)
-                        checked = _verify(grid, ts, x, tol) if run == 1 else None
+                        checked = None
                     else:
-                        (x, history, r), resume = resume, None
-                        if r is not None:  # _verify's k = 0 outcome
-                            raise NonConvergenceError(
-                                "corrected state not positive")
-                        checked = _verify(grid, ts, x, tol, ULP_SHIFTS[1:])
+                        (x, history, checked), resume = resume, None
+                        _require_verified(checked)
                     break
                 except NonConvergenceError as exc:
                     branch.rejections += 1
@@ -365,7 +355,7 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
             if checked is None:
                 pending.append((len(branch.points), x, history, ds,
                                 branch.rejections, branch.last_rejection))
-                checked = (x[0], x[1], 0, 0.0, None)
+                checked = (x[0], x[1], 0, 0.0)
             accept(x, iters, checked, ds * scale)
             if iters <= 3:
                 ds = min(2.0 * ds, cfg.ds_max)
@@ -374,15 +364,14 @@ def continue_branch(grid: RadialGrid, model: NonlinearityModel,
             if len(pending) < run:
                 continue
         if pending:
-            _, res, positive = _recheck_block(grid, ts,
-                                              [p[1] for p in pending], tol)
-            for (n, x, history, *saved), r, pos in zip(pending, res, positive):
-                if r is None or not pos:
+            results = _recheck(grid, ts, [p[1] for p in pending], tol)
+            for (n, x, history, *saved), checked in zip(pending, results):
+                if checked[2] or checked[-1]:  # not passed unshifted
                     del branch.points[n:]
                     ds, branch.rejections, branch.last_rejection = saved
-                    resume = x, history, r
+                    resume = x, history, checked
                     break
-                branch.points[n].residual = r
+                branch.points[n].residual = checked[3]
             pending.clear()
             if resume is not None:
                 continue
@@ -412,7 +401,7 @@ def _locate_folds(ts: _TraceSystem, branch: Branch, tol: float) -> None:
     the other end; FoldInfo.index is the start whose solve is accepted.  A
     solve is accepted when it stays in the positive cone, its t1 lies in
     the bracket, its lam is not on the wrong side of its start and, like
-    every branch point, it passes _verify at tol; the fold's traces are
+    every branch point, it passes _recheck at tol; the fold's traces are
     those of the rounding that passed.  When neither start gives one,
     ContinuationError is raised with the first start as last_point.
     """
@@ -437,7 +426,8 @@ def _locate_folds(ts: _TraceSystem, branch: Branch, tol: float) -> None:
                     raise NonConvergenceError(
                         f"ended at lam={x[2]:.17g}, on the wrong side of "
                         f"its start")
-                t1, t2, *_ = _verify(branch.grid, ts, x, tol)
+                t1, t2, *_ = _require_verified(
+                    _recheck(branch.grid, ts, [x], tol)[0])
                 break
             except NonConvergenceError as exc:
                 reason = exc
@@ -469,11 +459,9 @@ def solutions_at(branch: Branch, lam: float) -> list:
     evaluated nodes brackets one root, and a root on a node is taken
     once.  The cost is a few q values per crossing, whatever the number
     of branch points.  Each root is rebuilt as (t1, lam f2(t1)/mu_h, lam)
-    and re-checked at branch.tol, all roots in one block
-    (solver._recheck_block) and a root whose residual fails there alone
-    by _verify from the second rounding of ULP_SHIFTS on; a root whose
-    re-check fails or whose state is not positive (pair norm at or below
-    POSITIVITY_ZERO_FLOOR) is dropped, not fatal.
+    and re-checked at branch.tol, all roots by one _recheck call; a root
+    whose re-check fails or whose state is not positive (pair norm at or
+    below POSITIVITY_ZERO_FLOOR) is dropped, not fatal.
     """
     require_positive(lam, "parameter")
     require_monotone(branch.model)
@@ -495,19 +483,7 @@ def solutions_at(branch: Branch, lam: float) -> list:
     roots = [t1s[j] for j in ks if qs[j] == 0.0 and t1s[j] > 0.0]
     roots += [ts.root(lam, t1s[i], t1s[j], qs[i], qs[j])
               for i, j in zip(ks, ks[1:]) if j == i + 1 and qs[i] * qs[j] < 0.0]
-    if not roots:
-        return []
-    xs = [ts.at(t1, lam) for t1 in roots]
-    u, res, positive = _recheck_block(branch.grid, ts, xs, branch.tol)
-    states = []
-    for k, (x, r, pos) in enumerate(zip(xs, res, positive)):
-        if r is not None:
-            if pos:
-                states.append(SystemState(u[2 * k], u[2 * k + 1]))
-            continue
-        try:
-            states.append(_verify(branch.grid, ts, x, branch.tol,
-                                  ULP_SHIFTS[1:])[-1])
-        except NonConvergenceError:
-            continue
-    return sorted(states, key=pair_norm)
+    checked = _recheck(branch.grid, ts, [ts.at(t1, lam) for t1 in roots],
+                       branch.tol)
+    return sorted([SystemState(u[0], u[1]) for *_, u, reason in checked
+                   if not reason], key=pair_norm)

@@ -18,19 +18,20 @@ row in continuation, lam = lam0 in newton_solve.  Every solution the
 package returns is rebuilt from its traces by _rays (_on_ray for one
 state): t_i times the grid's longdouble profile rounded to double once,
 u_0 from row 0 given the rounded u_1.  Its full-space residual, scaled
-by the traces, is the independent re-check (_recheck), tried at the
-roundings t_i + k ulp(t_i) of ULP_SHIFTS.  Several points are
-re-checked at once, unshifted, by _recheck_block: one outer product
-rebuilds them all and one stencil call evaluates the (M + 1, 2K) block
-of their nodes, with the bits each point alone would get.  A block
-holds at most max(1, RUN_NODES // (M + 1)) states (_run_length): the
-runs of continuation, the roots of solutions_at, the converged Newton
-states of the nonexistence check and the stepped states of the
-jacobian-fd check.  A point that fails its block on the residual is
-re-checked alone from the second rounding of ULP_SHIFTS on.  So once
-the grid is set up (steklov_eigenpair: mu_h, v, the longdouble profile
-and the metric weight w, made by one call, cached per grid, with no
-solver kept) neither newton_solve nor continuation makes a linear solve, and every
+by the traces, and its positivity are the independent re-check, and
+_recheck is its one form, for any list of points: it tries the
+roundings t_i + k ulp(t_i) of ULP_SHIFTS in order, and each round
+evaluates the points no earlier rounding passed in blocks
+(_ray_residuals: one outer product rebuilds them all and one stencil
+call evaluates the (M + 1, 2K) block of their nodes, with the bits each
+point alone would get).  A block holds at most max(1, RUN_NODES //
+(M + 1)) states (_run_length): the runs of continuation, the roots of
+solutions_at, the converged Newton states of the nonexistence check and
+the stepped states of the jacobian-fd check; newton_solve, a step-off
+and a fold re-check one point.  So once the grid is set up
+(steklov_eigenpair: mu_h, v, the longdouble profile and the metric
+weight w, made by one call, cached per grid, with no solver kept)
+neither newton_solve nor continuation makes a linear solve, and every
 per-step quantity is a Python float: numpy serves only arrays of the
 M + 1 nodes.
 
@@ -342,35 +343,12 @@ def _rays(profile: np.ndarray, traces) -> np.ndarray:
     solved for u_0, it keeps half an ulp of u_0 times 2N/h^2 + 1.
 
     The profile rises to exactly 1 at R and not above it, and rounding is
-    monotone, so a row's sup|u| is exactly |t|."""
+    monotone, so a row's sup|u| is exactly |t|, and a row of t >= 0 is
+    nondecreasing from u_0 (phi_0/phi_1 is at most 1)."""
     u = np.multiply.outer(np.array(traces, dtype=np.longdouble),
                           profile).astype(float)
     u[:, 0] = (profile[0] / profile[1]) * u[:, 1]
     return u
-
-
-def _recheck(grid: RadialGrid, ts: _TraceSystem, x, tol: float,
-             shifts=ULP_SHIFTS) -> tuple:
-    """Re-check x = (t1, t2, lam) on the kernel ray in full space at tol.
-
-    For k in shifts (ULP_SHIFTS unless given), in order, rebuild the
-    state at a = t1 + k ulp(t1), b = t2 + k ulp(t2) and return (a, b, k,
-    residual, state) for the first whose full-space scaled residual is
-    at most tol; no shift passing raises NonConvergenceError.  The
-    residual is scaled_residual_norm's, with the scale max(1, |a|, |b|)
-    that _trace_newton uses: on the ray sup|u_i| is exactly |t_i|.  A
-    point that failed _recheck_block is passed ULP_SHIFTS[1:]: its first
-    rounding is the block's."""
-    t1, t2, lam = map(float, x)
-    for k in shifts:
-        a, b = t1 + k * math.ulp(t1), t2 + k * math.ulp(t2)
-        state = _on_ray(ts.profile, a, b)
-        res = (float(np.abs(residual(grid, ts.model, lam, state)).max())
-               / max(1.0, abs(a), abs(b)))
-        if res <= tol:
-            return a, b, k, res, state
-    raise NonConvergenceError(f"full-space re-check failed: residual > {tol:g} "
-                              f"at every shift ({res:.3e} at {k:+d} ulps)")
 
 
 def _run_length(grid: RadialGrid) -> int:
@@ -383,34 +361,72 @@ def _ray_residuals(grid: RadialGrid, ts: _TraceSystem, xs) -> tuple:
     (_rays: the u1 of point k in row 2k, its u2 in row 2k + 1) and their
     full-space residuals as one (M + 1, 2K) block of _pair_residual, by
     one outer product and one stencil call.  Each value is the one the
-    point alone would give (_on_ray, residual)."""
+    point alone would give (_on_ray, residual).  One state's block is
+    filled column by column, as residual fills it: the transposed copy
+    costs about three times as much at M = 4096."""
     u = _rays(ts.profile, [t for x in xs for t in x[:2]])
     flux = [g for t1, t2, lam in xs for g in ts.fluxes(t1, t2, lam)]
-    return u, _pair_residual(grid, np.ascontiguousarray(u.T), flux)
+    if len(xs) == 1:
+        block = np.empty((grid.M + 1, 2))
+        block[:, 0], block[:, 1] = u
+    else:
+        block = np.ascontiguousarray(u.T)
+    return u, _pair_residual(grid, block, flux)
 
 
-def _recheck_block(grid: RadialGrid, ts: _TraceSystem, xs, tol: float) -> tuple:
-    """_recheck's first rounding, k = 0, of the points xs at once, and
-    is_positive_state's test: (u, res, positive), where u holds the
-    rebuilt states (_ray_residuals), res[k] is point k's scaled residual
-    when it is at most tol, else None, and positive[k] is _positive of
-    its state.  A point passes _verify unshifted exactly when both hold.
+def _recheck(grid: RadialGrid, ts: _TraceSystem, xs, tol: float) -> list:
+    """Re-check the points xs = [(t1, t2, lam), ...] on the kernel ray in
+    full space at tol: one result (a, b, k, res, u, reason) per point.
+
+    For k in ULP_SHIFTS, in order, each point that no earlier k passed
+    is rebuilt at the traces a = t1 + k ulp(t1), b = t2 + k ulp(t2), in
+    blocks of _run_length(grid) points (_ray_residuals); k = 0 rounds
+    too, so a -0.0 trace comes back as +0.0.  u is the state's (2, M + 1)
+    rows and res its full-space residual over max(1, |a|, |b|), which is
+    scaled_residual_norm's: on the ray sup|u_i| is exactly |t_i|.  A
+    point's result is that of the first k whose res is at most tol, with
+    reason "" when the state is positive and "corrected state not
+    positive" when not; a point that no k passes gets the last k's, with
+    the reason "full-space re-check failed: ...".  Positivity is
+    is_positive_state's test (_positive) on each row's u_0 and trace: a
+    row of t >= 0 has its minimum at node 0 and its maximum t (_rays),
+    and a row of t < 0 has u_0 <= 0, so it fails there as at R.
 
     A state's residual is the maximum of |y| over its two columns,
-    reduced along contiguous memory: |y|, the (M + 1, 2K) block, is
-    copied transposed, so that each state's 2(M + 1) values are one row.
-    It gives the doubles of np.maximum over the two column maxima, a
-    NaN kept."""
-    u, y = _ray_residuals(grid, ts, xs)
-    top = np.abs(y, out=y).T.copy().reshape(len(xs), -1).max(axis=1).tolist()
-    lo, hi = u.min(axis=1).tolist(), u.max(axis=1).tolist()
-    res, positive = [], []
-    for k, (t1, t2, _) in enumerate(xs):
-        r = top[k] / max(1.0, abs(t1), abs(t2))
-        res.append(r if r <= tol else None)
-        positive.append(_positive(lo[2 * k], lo[2 * k + 1],
-                                  hi[2 * k], hi[2 * k + 1]))
-    return u, res, positive
+    reduced along contiguous memory: |y| is copied transposed, so that
+    each state's 2(M + 1) values are one row (one state's block already
+    is).  It gives the doubles of np.maximum over the two column maxima,
+    a NaN kept."""
+    out, todo, run = [None] * len(xs), range(len(xs)), _run_length(grid)
+    for k in ULP_SHIFTS:
+        if not todo:
+            break
+        failed = []
+        for i in range(0, len(todo), run):
+            idx = todo[i:i + run]
+            pts = [(t1 + k * math.ulp(t1), t2 + k * math.ulp(t2), lam)
+                   for t1, t2, lam in (xs[j] for j in idx)]
+            u, y = _ray_residuals(grid, ts, pts)
+            y = np.abs(y, out=y)
+            top = ((y.T.copy() if len(pts) > 1 else y).reshape(len(pts), -1)
+                   .max(axis=1).tolist())
+            lo = u[:, 0].tolist()
+            for n, j in enumerate(idx):
+                a, b, _ = pts[n]
+                res, m = top[n] / max(1.0, abs(a), abs(b)), 2 * n
+                if res <= tol:
+                    reason = ("" if _positive(lo[m], lo[m + 1], a, b)
+                              else "corrected state not positive")
+                else:
+                    failed.append(j)
+                    reason = None
+                out[j] = a, b, k, res, u[m:m + 2], reason
+        todo = failed
+    for j in todo:
+        a, b, k, res, u, _ = out[j]
+        reason = f"residual > {tol:g} at every shift ({res:.3e} at {k:+d} ulps)"
+        out[j] = a, b, k, res, u, "full-space re-check failed: " + reason
+    return out
 
 
 def _admissible(t1: float, t2: float, lam: float) -> bool:
@@ -517,14 +533,12 @@ def newton_solve(grid: RadialGrid, model: NonlinearityModel, lam: float,
     ts = _TraceSystem(grid, model)
     x, history = _trace_newton(ts, _fixed_lam(lam),
                                (init.u1[grid.M], init.u2[grid.M], lam), tol)
-    try:
-        _, _, _, res, state = _recheck(grid, ts, x, tol)
-    except NonConvergenceError as exc:
-        raise NonConvergenceError(
-            str(exc), trace=history,
-            last_state=_on_ray(ts.profile, x[0], x[1])) from None
-    return NewtonResult(state, len(history) - 1, res,
-                        is_positive_state(state), history)
+    _, _, _, res, u, reason = _recheck(grid, ts, [x], tol)[0]
+    if not res <= tol:
+        raise NonConvergenceError(reason, trace=history,
+                                  last_state=_on_ray(ts.profile, x[0], x[1]))
+    return NewtonResult(SystemState(u[0], u[1]), len(history) - 1, res,
+                        not reason, history)
 
 
 def solve_limit_problem(grid: RadialGrid,

@@ -26,10 +26,9 @@ from .errors import NonConvergenceError
 from .grid import _stencil, build_grid, pair_norm
 from .model import quadratic_model, reference_model
 from .monotone import build_subsolution, monotone_iterate
-from .solver import (POSITIVITY_ZERO_FLOOR, TOL_RESIDUAL, ULP_SHIFTS,
-                     _fixed_lam, _ray_residuals, _recheck, _recheck_block,
-                     _run_length, _trace_newton, _TraceSystem,
-                     is_positive_state, residual, scaled_residual_norm)
+from .solver import (POSITIVITY_ZERO_FLOOR, TOL_RESIDUAL, _fixed_lam,
+                     _ray_residuals, _recheck, _run_length, _trace_newton,
+                     _TraceSystem, residual, scaled_residual_norm)
 from .steklov import steklov_eigenpair
 
 __all__ = ["CheckOutcome", "run_acceptance", "format_table"]
@@ -186,13 +185,11 @@ def _nonexistence_count(grid, model, lams) -> tuple:
     traces (amp, amp, lam) (phi_1(R) is exactly 1).  A converged point
     with |t1| + |t2| <= POSITIVITY_ZERO_FLOOR / 2 counts as no state and
     is not rebuilt: on the ray sup|u_i| is exactly the rounded |t_i|, and
-    no rounding of ULP_SHIFTS moves a trace by more than 2 ulps, so every
-    state newton_solve could return from it has a pair norm at or below
-    the floor and is not positive.  Beyond mu1/K every solve ends there,
-    on the trivial state.  The other points are re-checked in blocks of
-    _run_length(grid) (_recheck_block), and a point whose residual fails
-    its block is re-checked alone from the second rounding of ULP_SHIFTS
-    on (_recheck), as newton_solve re-checks it; a solve or re-check that
+    no rounding the re-check tries moves a trace by more than 2 ulps, so
+    every state newton_solve could return from it has a pair norm at or
+    below the floor and is not positive.  Beyond mu1/K every solve ends
+    there, on the trivial state.  The other points go through _recheck
+    together, as newton_solve re-checks each; a solve or re-check that
     fails counts as no state."""
     ts, amps = _TraceSystem(grid, model), np.logspace(-2, 2, 20).tolist()
     xs = []
@@ -205,20 +202,8 @@ def _nonexistence_count(grid, model, lams) -> tuple:
                 continue
             if abs(x[0]) + abs(x[1]) > POSITIVITY_ZERO_FLOOR / 2:
                 xs.append(x)
-    positives, run = 0, _run_length(grid)
-    for i in range(0, len(xs), run):
-        block = xs[i:i + run]
-        _, res, positive = _recheck_block(grid, ts, block, TOL_RESIDUAL)
-        for x, r, pos in zip(block, res, positive):
-            if r is None:
-                try:
-                    state = _recheck(grid, ts, x, TOL_RESIDUAL,
-                                     ULP_SHIFTS[1:])[-1]
-                except NonConvergenceError:
-                    continue
-                pos = is_positive_state(state)
-            positives += pos
-    return positives, len(amps) * len(lams)
+    checked = _recheck(grid, ts, xs, TOL_RESIDUAL)
+    return sum(not c[-1] for c in checked), len(amps) * len(lams)
 
 
 def _check_nonexistence(shared):

@@ -228,12 +228,42 @@ def bisect_root(q, lo, hi):
     return lo
 
 
+def recheck_reference(grid, ts, xs, tol):
+    """solver._recheck written out per point, with no blocks: for k in
+    ULP_SHIFTS in order, the state rebuilt alone at a = t1 + k ulp(t1),
+    b = t2 + k ulp(t2) (_on_ray), its residual over max(1, |a|, |b|)
+    (residual), and for the first k that passes tol, is_positive_state.
+    One (a, b, k, res, state, reason) per point, the last rounding tried
+    for a point none passes; reason is "" for a verified positive state
+    and else the text _recheck gives.  The oracle that _recheck's blocks
+    must match bit for bit."""
+    import math
+    from radbif.solver import ULP_SHIFTS, _on_ray, residual
+    out = []
+    for t1, t2, lam in xs:
+        for k in ULP_SHIFTS:
+            a, b = t1 + k * math.ulp(t1), t2 + k * math.ulp(t2)
+            state = _on_ray(ts.profile, a, b)
+            res = (float(np.abs(residual(grid, ts.model, lam, state)).max())
+                   / max(1.0, abs(a), abs(b)))
+            if res <= tol:
+                reason = ("" if radbif.is_positive_state(state)
+                          else "corrected state not positive")
+                break
+        else:
+            reason = (f"full-space re-check failed: residual > {tol:g} at "
+                      f"every shift ({res:.3e} at {k:+d} ulps)")
+        out.append((a, b, k, res, state, reason))
+    return out
+
+
 def scan_solutions_at(branch, lam):
     """solutions_at by the exhaustive node scan: q_lam at every branch t1
     and at every fold t1, sorted, each sign change between neighbours
-    closed by ts.root and each exact zero at t > 0 taken.  The oracle that
-    solutions_at's level-crossing brackets must match bit for bit."""
-    from radbif.continuation import _TraceSystem, _verify
+    closed by ts.root and each exact zero at t > 0 taken, each root
+    re-checked by recheck_reference.  The oracle that solutions_at's
+    level-crossing brackets must match bit for bit."""
+    from radbif.solver import _TraceSystem
     ts = _TraceSystem(branch.grid, branch.model)
     nodes = sorted({p.t1 for p in branch.points}
                    | {f.t1 for f in branch.folds})
@@ -242,11 +272,7 @@ def scan_solutions_at(branch, lam):
     roots += [ts.root(lam, a, b, qa, qb)
               for a, b, qa, qb in zip(nodes, nodes[1:], qs, qs[1:])
               if qa * qb < 0.0]
-    states = []
-    for t1 in roots:
-        try:
-            states.append(_verify(branch.grid, ts, ts.at(t1, lam),
-                                  branch.tol)[-1])
-        except radbif.NonConvergenceError:
-            continue
-    return sorted(states, key=radbif.pair_norm)
+    checked = recheck_reference(branch.grid, ts,
+                                [ts.at(t1, lam) for t1 in roots], branch.tol)
+    return sorted((state for *_, state, reason in checked if not reason),
+                  key=radbif.pair_norm)

@@ -14,6 +14,7 @@ import re
 import numpy as np
 import pytest
 
+import radbif.solver as solver_module
 import radbif.verify as verify
 from radbif import (NonConvergenceError, SystemState, bifurcation_point,
                     build_grid, continue_branch, newton_solve,
@@ -170,9 +171,8 @@ def test_nonexistence_count_is_the_count_of_newton_solve(ref_branch, grid512,
     # the check's count of positive states, Newton on the traces
     # re-checked in blocks, is the count of newton_solve per start: none
     # at the check's 1.01, 1.5 and 3 times mu1/K, some at three lam
-    # inside (mu0, fold).  Inside the window every point of the first
-    # block is also failed on its residual, so it is re-checked alone by
-    # the _recheck fallback, which finds the same count
+    # inside (mu0, fold), where the states are evaluated in blocks of the
+    # run length
     model = reference_model()
     mu1 = steklov_eigenpair(grid512).mu1
     if where == "beyond-the-bound":
@@ -181,51 +181,33 @@ def test_nonexistence_count_is_the_count_of_newton_solve(ref_branch, grid512,
     else:
         mu0, fold = bifurcation_point(model, mu1), ref_branch.fold.lam_bar
         lams = [mu0 + (fold - mu0) * q / 4 for q in (1, 2, 3)]
+    block, blocks = solver_module._ray_residuals, []
+    monkeypatch.setattr(solver_module, "_ray_residuals",
+                        lambda grid, ts, xs: blocks.append(len(xs))
+                        or block(grid, ts, xs))
     want = _newton_positives(grid512, model, lams)
+    blocks.clear()
     assert verify._nonexistence_count(grid512, model, lams) == (want, 60)
     assert (want == 0) == (where == "beyond-the-bound")
-    if where == "beyond-the-bound":
-        return
-    block, recheck, blocks, alone = verify._recheck_block, verify._recheck, [], []
-
-    def failing_first(grid, ts, xs, tol):
-        u, res, positive = block(grid, ts, xs, tol)
-        blocks.append(len(xs))
-        return u, [None] * len(xs) if len(blocks) == 1 else res, positive
-
-    def counting(*args):
-        alone.append(args[-1])
-        return recheck(*args)
-
-    monkeypatch.setattr(verify, "_recheck_block", failing_first)
-    monkeypatch.setattr(verify, "_recheck", counting)
-    assert verify._nonexistence_count(grid512, model, lams) == (want, 60)
-    run = verify._run_length(grid512)
-    assert blocks and max(blocks) == run and len(alone) >= run
-    assert set(alone[:run]) == {verify.ULP_SHIFTS[1:]}
+    if where == "inside-the-window":
+        assert max(blocks) == verify._run_length(grid512) > 1
 
 
 def test_nonexistence_beyond_the_bound_rebuilds_no_state(grid512,
                                                          monkeypatch):
     # at the check's 1.01, 1.5 and 3 times mu1/K every solve ends on the
     # trivial state, |t1| + |t2| at most half the positivity floor, which
-    # no rounding of ULP_SHIFTS makes positive: no state is rebuilt
+    # no rounding the re-check tries makes positive: no state is rebuilt
     model = reference_model()
     bound = nonexistence_bound(model, steklov_eigenpair(grid512).mu1)
-    calls = []
-
-    def counting(fn):
-        def wrapped(*args):
-            calls.append(fn.__name__)
-            return fn(*args)
-        return wrapped
-
-    monkeypatch.setattr(verify, "_recheck_block",
-                        counting(verify._recheck_block))
-    monkeypatch.setattr(verify, "_recheck", counting(verify._recheck))
+    recheck, block, calls = verify._recheck, solver_module._ray_residuals, []
+    monkeypatch.setattr(verify, "_recheck", lambda grid, ts, xs, tol:
+                        calls.append(len(xs)) or recheck(grid, ts, xs, tol))
+    monkeypatch.setattr(solver_module, "_ray_residuals", lambda *args:
+                        calls.append("block") or block(*args))
     lams = [factor * bound for factor in (1.01, 1.5, 3.0)]
     assert verify._nonexistence_count(grid512, model, lams) == (0, 60)
-    assert calls == []
+    assert calls == [0]
 
 
 def test_direction_slope_branches_hold_the_fit_window(grid512, eig512,

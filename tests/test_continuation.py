@@ -599,8 +599,8 @@ def test_failed_fold_solve_raises(grid128, ref_model, two_fold_model,
     # passed through here: the bracket checks alone are under test
     branch = continue_branch(grid128, two_fold_model, FAST_CFG)
     ts = _TraceSystem(grid128, two_fold_model)
-    monkeypatch.setattr(cont, "_verify",
-                        lambda grid, ts, x, tol: (x[0], x[1], 0, 0.0, None))
+    monkeypatch.setattr(cont, "_recheck", lambda grid, ts, xs, tol: [
+        (x[0], x[1], 0, 0.0, None, "") for x in xs])
     for scale, why in (([-1.0, 1.0, 1.0], "positive cone"),
                        ([1.0, 1.0, 1.001], "wrong side"),
                        ([1.0, 1.0, 0.999], "wrong side")):
@@ -629,25 +629,27 @@ def test_every_fold_is_rechecked_in_full_space(grid128, two_fold_model,
     ts = _TraceSystem(grid128, two_fold_model)
     minimum, maximum = branch.folds
     assert minimum.lam_bar < maximum.lam_bar and branch.fold is maximum
-    verify, tried = cont._verify, []
+    recheck, tried = cont._recheck, []
 
-    def shifted(grid, ts, x, tol):
-        t1, t2, *rest = verify(grid, ts, x, tol)
-        return (math.nextafter(t1, 2.0), t2, *rest)
+    def shifted(grid, ts, xs, tol):
+        return [(math.nextafter(t1, 2.0), *rest)
+                for t1, *rest in recheck(grid, ts, xs, tol)]
 
-    monkeypatch.setattr(cont, "_verify", shifted)
+    monkeypatch.setattr(cont, "_recheck", shifted)
     again = Branch(grid128, two_fold_model, points=branch.points)
     cont._locate_folds(ts, again, branch.tol)
     assert [f.t1 for f in again.folds] == [
         math.nextafter(f.t1, 2.0) for f in branch.folds]
 
-    def failing(grid, ts, x, tol):
-        if x[2] > minimum.lam_bar + 1e-6:
-            tried.append(x)
-            raise NonConvergenceError("forced re-check failure")
-        return verify(grid, ts, x, tol)
+    def failing(grid, ts, xs, tol):
+        got = recheck(grid, ts, xs, tol)
+        for j, x in enumerate(xs):
+            if x[2] > minimum.lam_bar + 1e-6:
+                tried.append(x)
+                got[j] = (*got[j][:5], "forced re-check failure")
+        return got
 
-    monkeypatch.setattr(cont, "_verify", failing)
+    monkeypatch.setattr(cont, "_recheck", failing)
     again = Branch(grid128, two_fold_model, points=branch.points)
     with pytest.raises(ContinuationError, match="forced re-check failure") as exc:
         cont._locate_folds(ts, again, branch.tol)
@@ -662,30 +664,23 @@ def test_every_fold_is_rechecked_in_full_space(grid128, two_fold_model,
 def test_branch_ends_on_corrector_failure_keeping_its_points(
         grid128, ref_model, monkeypatch):
     # every re-check after the step-off and three steps fails, whether a
-    # point is re-checked alone (_verify; runs of one) or in a run
-    # (_recheck_block)
+    # point is re-checked in a run of one or of several; each call with a
+    # failed point rolls back to its first, one rejection
     import radbif.continuation as cont
-    verify, block = cont._verify, cont._recheck_block
-    passed, failures = [], []
+    recheck, passed, failures = cont._recheck, [], []
 
-    def failing(*args):
-        if len(passed) >= 4:  # the step-off and three steps pass
-            failures.append(None)
-            raise NonConvergenceError("forced re-check failure")
-        passed.append(None)
-        return verify(*args)
-
-    def failing_block(grid, ts, xs, tol):
-        u, res, positive = block(grid, ts, xs, tol)
-        for k in range(len(xs)):
-            if len(passed) >= 4:
-                res[k] = None
+    def failing(grid, ts, xs, tol):
+        got = recheck(grid, ts, xs, tol)
+        for j in range(len(xs)):
+            if len(passed) >= 4:  # the step-off and three steps pass
+                got[j] = (*got[j][:5], "forced re-check failure")
             else:
                 passed.append(None)
-        return u, res, positive
+        if any(c[-1] for c in got):
+            failures.append(None)
+        return got
 
-    monkeypatch.setattr(cont, "_verify", failing)
-    monkeypatch.setattr(cont, "_recheck_block", failing_block)
+    monkeypatch.setattr(cont, "_recheck", failing)
     cfg = ContinuationConfig(ds0=0.01, ds_min=0.0025, lambda_stop_low=0.2)
     for run_nodes in (1, solver_module.RUN_NODES):
         passed.clear()
@@ -697,7 +692,7 @@ def test_branch_ends_on_corrector_failure_keeping_its_points(
         assert all(p.norm > 0.0 for p in branch.points[1:])
         # every halving from the last ds down to ds_min was tried and
         # counted: a point that fails in a run is rolled back to and
-        # re-checked alone
+        # rejected with the reason its re-check gave
         assert branch.rejections == len(failures) >= 2
         assert "forced re-check failure" in branch.last_rejection
 
@@ -790,23 +785,18 @@ def test_the_continuation_tolerance_verifies_every_state(grid128, ref_model,
     # solutions_at's too
     import radbif.continuation as cont
     cfg = dataclasses.replace(FAST_CFG, tol_residual=1e-9)
-    verify, block, corrector = cont._verify, cont._recheck_block, cont._trace_newton
+    recheck, corrector = cont._recheck, cont._trace_newton
     tols, corrector_tols = [], set()
 
-    def recording(grid, ts, x, tol, *shifts):
-        tols.append(tol)
-        return verify(grid, ts, x, tol, *shifts)
-
-    def recording_block(grid, ts, xs, tol):
+    def recording(grid, ts, xs, tol):
         tols.extend([tol] * len(xs))
-        return block(grid, ts, xs, tol)
+        return recheck(grid, ts, xs, tol)
 
     def recording_corrector(ts, extra, x0, tol):
         corrector_tols.add(tol)
         return corrector(ts, extra, x0, tol)
 
-    monkeypatch.setattr(cont, "_verify", recording)
-    monkeypatch.setattr(cont, "_recheck_block", recording_block)
+    monkeypatch.setattr(cont, "_recheck", recording)
     monkeypatch.setattr(cont, "_trace_newton", recording_corrector)
     branch = continue_branch(grid128, ref_model, cfg)
     assert branch.tol == 1e-9 and corrector_tols == {1e-9}
@@ -828,18 +818,18 @@ def test_solutions_at_polishes_once_per_root(ref_branch, grid512, ref_model,
     # one full-space evaluation per call, a block of one state per root
     import radbif.continuation as cont
     calls = []
-    verify, block = cont._verify, cont._recheck_block
+    recheck, block = cont._recheck, solver_module._ray_residuals
     monkeypatch.setattr(cont, "_trace_newton",
                         lambda *a, **k: calls.append("corrector"))
-    monkeypatch.setattr(cont, "_verify",
-                        lambda *a, **k: calls.append("verify") or verify(*a, **k))
     monkeypatch.setattr(
-        cont, "_recheck_block",
-        lambda grid, ts, xs, tol: calls.append(("block", len(xs)))
-        or block(grid, ts, xs, tol))
+        cont, "_recheck", lambda grid, ts, xs, tol:
+        calls.append(("recheck", len(xs))) or recheck(grid, ts, xs, tol))
+    monkeypatch.setattr(
+        solver_module, "_ray_residuals", lambda grid, ts, xs:
+        calls.append(("block", len(xs))) or block(grid, ts, xs))
     states = solutions_at(ref_branch, LAMBDA_MID)
     assert len(states) == 2
-    assert calls == [("block", 2)]
+    assert calls == [("recheck", 2), ("block", 2)]
 
 
 def _traced(grid, model, cfg, levels=4):
@@ -908,36 +898,31 @@ def test_a_shifted_point_inside_a_run(grid512, two_fold_model,
 def test_a_point_not_positive_inside_a_run(grid512, ref_model, ref_branch,
                                           branch_cfg, monkeypatch):
     # positivity made to fail for states with t1 in [t1 of point 20, t1 of
-    # point 21] of the reference branch: a re-check per point rejects such
-    # a point in _verify, a run rolls back to it and rejects it from its
-    # block's result, with no second evaluation; the branches are the same
+    # point 21] of the reference branch: a run rolls back to such a point
+    # and rejects it with the result in hand, with no second evaluation,
+    # as a re-check per point rejects it; the branches are the same
     import radbif.continuation as cont
     lo, hi = ref_branch.points[20].t1, ref_branch.points[21].t1
-    positive, verify, block = (solver_module._positive, cont._verify,
-                               cont._recheck_block)
-    alone, refused = [], []
+    positive, recheck = solver_module._positive, cont._recheck
+    checked, refused = [], []
 
     def window(lo1, lo2, hi1, hi2):
         return not lo <= hi1 <= hi and positive(lo1, lo2, hi1, hi2)
 
-    def recording(grid, ts, x, tol, *shifts):
-        alone.append(tuple(x))
-        return verify(grid, ts, x, tol, *shifts)
-
-    def recording_block(grid, ts, xs, tol):
-        u, res, pos = block(grid, ts, xs, tol)
-        refused.extend(tuple(x) for x, r, p in zip(xs, res, pos)
-                       if r is not None and not p)
-        return u, res, pos
+    def recording(grid, ts, xs, tol):
+        got = recheck(grid, ts, xs, tol)
+        checked.extend(map(tuple, xs))
+        refused.extend(tuple(x) for x, c in zip(xs, got)
+                       if c[-1] == "corrected state not positive")
+        return got
 
     monkeypatch.setattr(solver_module, "_positive", window)
-    monkeypatch.setattr(cont, "_verify", recording)
-    monkeypatch.setattr(cont, "_recheck_block", recording_block)
+    monkeypatch.setattr(cont, "_recheck", recording)
     cfg = dataclasses.replace(branch_cfg, max_points=40)
     branch = continue_branch(grid512, ref_model, cfg)
     assert branch.last_rejection == "corrected state not positive"
     assert not any(lo <= p.t1 <= hi for p in branch.points)
-    assert refused and not set(refused) & set(alone)
+    assert refused and all(checked.count(x) == 1 for x in refused)
     assert _traced(grid512, ref_model, cfg, 0) == _run_of_one(
         monkeypatch, grid512, ref_model, cfg, 0)
 
@@ -949,14 +934,14 @@ def test_runs_rolled_back_below_the_floor(ref_model, monkeypatch):
     import radbif.continuation as cont
     grid = build_grid(3, 1.0, 1024)
     cfg = ContinuationConfig(tol_residual=1e-10)
-    block, rolled = cont._recheck_block, []
+    recheck, rolled = cont._recheck, []
 
     def counting(*args):
-        u, res, positive = block(*args)
-        rolled.append(None in res or not all(positive))
-        return u, res, positive
+        got = recheck(*args)
+        rolled.append(any(c[2] or c[-1] for c in got))
+        return got
 
-    monkeypatch.setattr(cont, "_recheck_block", counting)
+    monkeypatch.setattr(cont, "_recheck", counting)
     runs = _traced(grid, ref_model, cfg, 0)
     assert sum(rolled) > 0
     assert runs == _run_of_one(monkeypatch, grid, ref_model, cfg, 0)

@@ -8,6 +8,7 @@ That system is solved independently in conftest and used as an oracle here.
 """
 
 import math
+import re
 import struct
 import warnings
 from fractions import Fraction
@@ -245,18 +246,19 @@ def test_a_nan_residual_row_fails_every_tolerance(grid128, ref_model,
         res = residual(grid128, ref_model, 0.3, state)
         res[row] = math.nan
         assert math.isnan(scaled_residual_norm(res, state))
-    exact = solver_module.residual
+    exact = solver_module._pair_residual
 
     def nan_row(*args):
         res = exact(*args)
-        res[7] = math.nan
+        res[3, 1] = math.nan  # row 7 of the interleaved residual
         return res
 
-    monkeypatch.setattr(solver_module, "residual", nan_row)
+    monkeypatch.setattr(solver_module, "_pair_residual", nan_row)
     ts = solver_module._TraceSystem(grid128, ref_model)
-    with pytest.raises(NonConvergenceError,
-                       match="re-check failed: .* \\(nan at "):
-        solver_module._recheck(grid128, ts, (0.5, 0.4, 0.3), math.inf)
+    [checked] = solver_module._recheck(grid128, ts, [(0.5, 0.4, 0.3)], math.inf)
+    assert checked[2] == -2 and math.isnan(checked[3])
+    assert re.fullmatch(r"full-space re-check failed: residual > inf at "
+                        r"every shift \(nan at -2 ulps\)", checked[5])
 
 
 def test_is_positive_state_classification(grid128):
@@ -597,128 +599,92 @@ def test_pair_residual_is_bit_identical_to_two_matvecs(ref_model, M):
             _bits(_two_matvec_residual(grid, state, p2, p1)))
 
 
-@pytest.mark.parametrize("which", ["reference", "f2-nan-above-1"])
-def test_a_block_recheck_is_the_recheck_of_each_point(ref_branch, grid512,
-                                                      ref_model, which):
-    # _recheck_block rebuilds, evaluates and classifies each point as the
-    # point alone is (_on_ray, residual over max(1, |t1|, |t2|) and
-    # is_positive_state), bit for bit, and its residual and positivity
-    # both pass for exactly the points that _verify passes unshifted.
-    # The points: branch points, a point off
-    # the branch, the trivial state (residual 0, not positive) and one on
-    # the kernel direction at mu0 below the positivity floor (residual
-    # near 0, every node above 0, not positive).  With f2 NaN above t = 1
-    # only the u2 flux row of a point with t1 > 1 is NaN: Python's max
-    # of the two columns would drop it, np.maximum keeps it
-    import dataclasses
-    import radbif.continuation as cont
-    model = ref_model
-    if which != "reference":
-        f2 = ref_model.f2
-        model = dataclasses.replace(
-            ref_model, f2=lambda s: math.nan if s > 1.0 else f2(s))
-    ts = _TraceSystem(grid512, model)
-    anchor, tol = ref_branch.points[0], ref_branch.tol
-    xs = [(p.t1, p.t2, p.lam) for p in ref_branch.points[1::3]]
-    xs += [(0.5, 0.4, 0.3), (0.0, 0.0, 0.3),
-           (2.5e-9, 2.5e-9, anchor.lam)]  # zeta = 1: (t, t) is the kernel
-    u, res, positive = solver_module._recheck_block(grid512, ts, xs, tol)
-    y = solver_module._ray_residuals(grid512, ts, xs)[1]
-    columns = np.abs(y).max(axis=0).tolist()
-    nan_rows = 0
-    for k, (t1, t2, lam) in enumerate(xs):
-        alone = _on_ray(ts.profile, t1, t2)
-        assert _bits(u[2 * k]).tobytes() == _bits(alone.u1).tobytes()
-        assert _bits(u[2 * k + 1]).tobytes() == _bits(alone.u2).tobytes()
-        scale = max(1.0, abs(t1), abs(t2))
-        r = float(np.abs(residual(grid512, model, lam, alone)).max()) / scale
-        passes = r <= tol and is_positive_state(alone)
-        assert res[k] == (r if r <= tol else None), (k, r, res[k])
-        assert positive[k] == is_positive_state(alone)
-        try:
-            checked = cont._verify(grid512, ts, (t1, t2, lam), tol)
-        except NonConvergenceError:
-            checked = None
-        assert (checked is not None and checked[2] == 0) == passes
-        if math.isnan(columns[2 * k + 1]) and not math.isnan(columns[2 * k]):
-            nan_rows += 1
-            assert max(columns[2 * k], columns[2 * k + 1]) / scale <= tol
-            assert res[k] is None and checked is None
-    # the trivial and below-floor states pass on the residual and fail
-    # on positivity
-    assert res[-2] == 0.0 and res[-1] is not None
-    assert positive[-2:] == [False, False] and all(positive[:-2])
-    below = _on_ray(ts.profile, 2.5e-9, 2.5e-9)
-    assert min(below.u1.min(), below.u2.min()) > 0.0
-    assert scaled_residual_norm(
-        residual(grid512, model, anchor.lam, below), below) <= tol
-    assert all(r is not None for r in res[:-3]) == (which == "reference")
-    assert (nan_rows > 0) == (which != "reference")
-
-
-def _block_points(rng, k):
-    """k seeded points (t1, t2, lam) in [0.05, 2]^2 x [0.2, 0.4]; from
-    k = 2 on the last two have traces inf and NaN, from k = 3 on the
-    first is the trivial state."""
-    xs = [tuple(x) for x in rng.uniform([0.05, 0.05, 0.2], [2.0, 2.0, 0.4],
-                                        (k, 3)).tolist()]
-    if k >= 2:
-        xs[-2:] = [(math.inf, 0.5, 0.3), (0.5, math.nan, 0.3)]
-    if k >= 3:
-        xs[0] = (0.0, 0.0, 0.3)
-    return xs
+def _same_recheck(got, want):
+    """_recheck's results got equal recheck_reference's want bit for bit:
+    the traces, shift and residual by repr (-0.0 and NaN told apart), the
+    reason, and the rebuilt rows against the reference state."""
+    assert len(got) == len(want)
+    for j, (g, w) in enumerate(zip(got, want)):
+        assert (repr(g[:4]), g[5]) == (repr(w[:4]), w[5]), j
+        rows = np.array([w[4].u1, w[4].u2])
+        assert _bits(g[4]).tobytes() == _bits(rows).tobytes(), j
 
 
 @pytest.mark.parametrize("M", [16, 512, 4096])
-def test_block_residuals_and_positivity_are_each_points(ref_model, M):
-    # at K = 1, 2 and the run length, _recheck_block's res[k] is the
-    # residual of _recheck's first rounding (None where it fails) and
-    # positive[k] is is_positive_state of the point rebuilt alone; its
-    # per-state maximum is the max(axis=0) form over the (M + 1, 2K)
-    # block bit for bit, a NaN kept.  f2 is NaN above t = 1, so a point
-    # with t1 > 1 has a NaN u2 flux row; tol is the median of the finite
-    # residuals, so about half the points pass and one sits on tol (1
-    # when there is none)
+def test_block_residuals_and_positivity_are_each_points(M, ref_model,
+                                                        request, monkeypatch):
+    # _recheck's blocks give each point what recheck_reference gives it
+    # alone, bit for bit, and each round's blocks hold at most the run
+    # length and only the points no earlier rounding passed.  The points:
+    # more seeded ones than one block holds, the traces inf and NaN, the
+    # trivial state with -0.0 traces (rounded to +0.0), one on the kernel
+    # direction at mu0 below the positivity floor (zeta = 1: (t, t) is
+    # the kernel) and one with traces of both signs near the trivial
+    # state, the last three passing on the residual and not positive.
+    # f2 is NaN above t = 1, so a seeded point with t1 > 1
+    # has a NaN u2 flux row only, which fails every tolerance.  tol is
+    # the median of the finite unshifted residuals, so that about half
+    # the points pass, and infinity.  At M = 512 point 29 of the two-fold
+    # branch, corrected 2 ulps above its traces, passes only at -2 ulps
     import dataclasses
+    from conftest import recheck_reference
+    from radbif import bifurcation_point
+    from radbif.solver import ULP_SHIFTS
     f2 = ref_model.f2
     model = dataclasses.replace(
         ref_model, f2=lambda s: math.nan if s > 1.0 else f2(s))
     grid = build_grid(3, 1.0, M)
-    ts = _TraceSystem(grid, model)
-    rng = np.random.default_rng(M)
-    for k in sorted({1, 2, solver_module._run_length(grid)}):
-        xs = _block_points(rng, k)
-        with np.errstate(invalid="ignore"):  # inf - inf in the stencil
-            alone = [_on_ray(ts.profile, t1, t2) for t1, t2, _ in xs]
-            r = [float(np.abs(residual(grid, model, x[2], st)).max())
-                 / max(1.0, abs(x[0]), abs(x[1])) for x, st in zip(xs, alone)]
-            finite = [v for v in r if math.isfinite(v)]
-            tol = sorted(finite)[len(finite) // 2] if finite else 1.0
-            _, res, positive = solver_module._recheck_block(grid, ts, xs, tol)
-            wide = solver_module._recheck_block(grid, ts, xs, math.inf)[1]
-            y = solver_module._ray_residuals(grid, ts, xs)[1]
-        top = np.abs(y).max(axis=0)
-        want = (np.maximum(top[0::2], top[1::2])
-                / [max(1.0, abs(t1), abs(t2)) for t1, t2, _ in xs])
-        nan_rows = 0
-        for j, x in enumerate(xs):
-            try:
-                with np.errstate(invalid="ignore"):
-                    first = solver_module._recheck(grid, ts, x, tol, (0,))[3]
-            except NonConvergenceError:
-                first = None
-            assert res[j] == first == (r[j] if r[j] <= tol else None), (k, j)
-            assert positive[j] == is_positive_state(alone[j]), (k, j)
-            if math.isnan(want[j]):
-                assert wide[j] is None
-                nan_rows += 1.0 < x[0] < math.inf and math.isfinite(x[1])
-            else:
-                assert _bits(wide[j]) == _bits(want[j]), (k, j)
-        assert res.count(tol) == (1 if finite else 0)
-        assert (nan_rows > 0) == any(1.0 < x[0] < math.inf for x in xs)
-        if k >= 3:
-            assert res[0] == 0.0 and positive[0] is False
-            assert res[-2:] == [None, None]
+    ts, run = _TraceSystem(grid, model), solver_module._run_length(grid)
+    xs = [tuple(x) for x in np.random.default_rng(M).uniform(
+        [0.05, 0.05, 0.2], [2.0, 2.0, 0.4], (run + 3, 3)).tolist()]
+    mu0 = bifurcation_point(model, ts.mu_h)
+    xs += [(math.inf, 0.5, 0.3), (0.5, math.nan, 0.3), (-0.0, -0.0, 0.3),
+           (2.5e-9, 2.5e-9, mu0), (2.5e-9, -2.5e-9, mu0)]
+    with np.errstate(invalid="ignore"):  # inf - inf in the stencil
+        first = [w[3] for w in recheck_reference(grid, ts, xs, math.inf)]
+    finite = sorted(r for r in first if math.isfinite(r))
+    cases = [(ts, xs, finite[len(finite) // 2]), (ts, xs, math.inf)]
+    shifted = None
+    if M == 512:
+        two_fold = request.getfixturevalue("two_fold_branch")
+        points = two_fold.points[27:31]
+        assert points[2].ulp_shift == -2
+        ys = [(p.t1, p.t2, p.lam) for p in points]
+        ys[2] = tuple(t + 2 * math.ulp(t) for t in ys[2][:2]) + (ys[2][2],)
+        shifted = _TraceSystem(grid, two_fold.model)
+        cases.append((shifted, ys, 1e-10))
+    block, sizes = solver_module._ray_residuals, []
+    monkeypatch.setattr(solver_module, "_ray_residuals",
+                        lambda grid, ts, pts: sizes.append(len(pts))
+                        or block(grid, ts, pts))
+    for ts, xs, tol in cases:
+        sizes.clear()
+        with np.errstate(invalid="ignore"):
+            got = solver_module._recheck(grid, ts, xs, tol)
+            want = recheck_reference(grid, ts, xs, tol)
+        _same_recheck(got, want)
+        assert max(sizes) <= run and sizes.count(run) >= (len(xs) > run)
+        assert sum(sizes) == sum(ULP_SHIFTS.index(w[2]) + 1 for w in want)
+        failed = [w[5] for w in want if w[5].startswith("full-space")]
+        assert all(re.fullmatch(
+            rf"full-space re-check failed: residual > {tol:g} at every shift "
+            r"\(\S+ at -2 ulps\)", reason) for reason in failed)
+        if ts is shifted:
+            assert [w[2] for w in want] == [0, 0, -2, 0]
+            assert want[2][:2] == (points[2].t1, points[2].t2)
+            assert all(w[5] == "" for w in want)
+            continue
+        assert failed and len(failed) < len(xs)
+        nan_rows = [w for x, w in zip(xs, want) if 1.0 < x[0] < math.inf]
+        assert nan_rows and all(math.isnan(w[3]) and w[5] in failed
+                                for w in nan_rows)
+        assert all(math.isnan(w[3]) for w in want[-5:-3])
+        zero, below, mixed = got[-3:]
+        assert zero[:4] == (0.0, 0.0, 0, 0.0)
+        assert math.copysign(1.0, zero[0]) == 1.0 and not _bits(zero[4]).any()
+        assert below[4].min() > 0.0 and mixed[4][1].max() < 0.0
+        assert all(c[2] == 0 and c[5] == "corrected state not positive"
+                   for c in (zero, below, mixed))
 
 
 def test_singular_factor_surfaces_at_the_solve(ref_model, monkeypatch):

@@ -143,7 +143,9 @@ def test_unit_trace_profile_rises_to_exactly_one(N):
     # on every grid the set-up accepts, the profile is nondecreasing, at
     # most 1 and exactly 1 at R, and rounding is monotone: so a state
     # rebuilt on the ray has sup|u_i| = |t_i| exactly, the scale of the
-    # full-space re-check
+    # full-space re-check, and a component of t >= 0 has its minimum at
+    # node 0 (one of t < 0 is at most 0 there), which its positivity test
+    # reads
     accepted = 0
     for R, M in itertools.product((1e-7, 1e-5, 1e-3, 1.0, 40.0, 700.0),
                                   (16, 512, 4096)):
@@ -157,6 +159,7 @@ def test_unit_trace_profile_rises_to_exactly_one(N):
         for t in (5e-324, 0.3, 7.5, 1e300):
             state = _on_ray(profile, t, -t)
             assert np.abs(state.u1).max() == np.abs(state.u2).max() == t
+            assert state.u1.min() == state.u1[0] and state.u2[0] <= 0.0
     assert accepted >= 13
 
 
