@@ -687,6 +687,75 @@ def test_block_residuals_and_positivity_are_each_points(M, ref_model,
                    for c in (zero, below, mixed))
 
 
+@pytest.mark.parametrize("which", ["reference", "f2-nan-above-1"])
+def test_a_block_recheck_is_the_recheck_of_each_point(ref_branch, grid512,
+                                                      ref_model, which,
+                                                      monkeypatch):
+    # _recheck's unshifted round rebuilds, evaluates and classifies each
+    # point of a block as the point alone is (_on_ray, residual over
+    # max(1, |t1|, |t2|) and is_positive_state), bit for bit, and passes
+    # unshifted exactly the points whose state alone passes both the
+    # residual and positivity.  The points: branch points, a point off
+    # the branch, the trivial state (residual 0, not positive) and one on
+    # the kernel direction at mu0 below the positivity floor (residual
+    # near 0, every node above 0, not positive).  With f2 NaN above t = 1
+    # only the u2 flux row of a point with t1 > 1 is NaN: Python's max
+    # of the two columns would drop it, the state's residual keeps it
+    import dataclasses
+    model = ref_model
+    if which != "reference":
+        f2 = ref_model.f2
+        model = dataclasses.replace(
+            ref_model, f2=lambda s: math.nan if s > 1.0 else f2(s))
+    ts = _TraceSystem(grid512, model)
+    anchor, tol = ref_branch.points[0], ref_branch.tol
+    xs = [(p.t1, p.t2, p.lam) for p in ref_branch.points[1::3]]
+    xs += [(0.5, 0.4, 0.3), (0.0, 0.0, 0.3),
+           (2.5e-9, 2.5e-9, anchor.lam)]  # zeta = 1: (t, t) is the kernel
+    block, sizes = solver_module._ray_residuals, []
+    monkeypatch.setattr(solver_module, "_ray_residuals",
+                        lambda grid, ts, pts: sizes.append(len(pts))
+                        or block(grid, ts, pts))
+    got = solver_module._recheck(grid512, ts, xs, tol)
+    run = solver_module._run_length(grid512)
+    assert sizes[0] == min(run, len(xs)) > 1
+    assert sum(sizes[:-(-len(xs) // run)]) == len(xs)
+    y = block(grid512, ts, xs)[1]
+    columns = np.abs(y).max(axis=0).tolist()
+    nan_rows = 0
+    for k, ((t1, t2, lam), g) in enumerate(zip(xs, got)):
+        a, b, shift, res, rows, reason = g
+        alone = _on_ray(ts.profile, t1, t2)
+        scale = max(1.0, abs(t1), abs(t2))
+        r = float(np.abs(residual(grid512, model, lam, alone)).max()) / scale
+        passes = r <= tol and is_positive_state(alone)
+        assert (shift == 0 and reason == "") == passes, (k, r, g[:4])
+        if r <= tol:
+            assert repr((a, b, shift, res)) == repr((t1, t2, 0, r)), k
+            assert _bits(rows[0]).tobytes() == _bits(alone.u1).tobytes()
+            assert _bits(rows[1]).tobytes() == _bits(alone.u2).tobytes()
+            assert reason == ("" if is_positive_state(alone)
+                              else "corrected state not positive")
+        if math.isnan(columns[2 * k + 1]) and not math.isnan(columns[2 * k]):
+            nan_rows += 1
+            assert max(columns[2 * k], columns[2 * k + 1]) / scale <= tol
+            assert math.isnan(res)
+            assert reason.startswith("full-space re-check failed")
+    # the trivial and below-floor states pass on the residual and fail
+    # on positivity
+    assert got[-2][2:4] == (0, 0.0) and got[-1][3] <= tol
+    assert [g[5] for g in got[-2:]] == ["corrected state not positive"] * 2
+    assert all(is_positive_state(_on_ray(ts.profile, *x[:2]))
+               for x in xs[:-2])
+    below = _on_ray(ts.profile, 2.5e-9, 2.5e-9)
+    assert min(below.u1.min(), below.u2.min()) > 0.0
+    assert scaled_residual_norm(
+        residual(grid512, model, anchor.lam, below), below) <= tol
+    assert all(g[2] == 0 and g[5] == "" for g in got[:-3]) == (
+        which == "reference")
+    assert (nan_rows > 0) == (which != "reference")
+
+
 def test_singular_factor_surfaces_at_the_solve(ref_model, monkeypatch):
     # the grid's set-up is newton_solve's set-up, not one of its steps.  A
     # is singular exactly when the regular solution has zero flux; at
